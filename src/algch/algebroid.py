@@ -45,23 +45,36 @@ def merge_sign(a, b):
 
 
 class ConstantAlgebroid:
-    """Base dimension n, rank r, anchor rho (n x r), brackets c[i][j][k]."""
+    """Base dimension n, rank r, anchor rho (n x r), brackets c[i][j][k].
 
-    __slots__ = ("n", "r", "anchor", "brackets")
+    brackets is the dense r x r x r tensor.  nonzero_brackets[i][j]
+    lists the (k, c[i][j][k]) with c[i][j][k] != 0 in increasing k; the
+    checks and differentials walk it instead of testing all r entries.
+    Both are tuples, so neither can drift from the other.
+    """
+
+    __slots__ = ("n", "r", "anchor", "brackets", "nonzero_brackets")
 
     def __init__(self, n: int, r: int, anchor: Matrix, brackets):
         assert anchor.shape == (n, r), "anchor must be n x r"
-        c = [
-            [
-                [Scalar.coerce(brackets[i][j][k]) for k in range(r)]
+        c = tuple(
+            tuple(
+                tuple(Scalar.coerce(brackets[i][j][k]) for k in range(r))
                 for j in range(r)
-            ]
+            )
             for i in range(r)
-        ]
+        )
         self.n = n
         self.r = r
         self.anchor = anchor
         self.brackets = c
+        self.nonzero_brackets = tuple(
+            tuple(
+                tuple((k, v) for k, v in enumerate(coeffs) if not v.is_zero())
+                for coeffs in plane
+            )
+            for plane in c
+        )
 
     def bracket_coeffs(self, i: int, j: int):
         return self.brackets[i][j]
@@ -176,38 +189,50 @@ def basis_form(r: int, idx, value=ONE) -> AlgebroidForm:
 
 
 def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
-    """Empty list means the Lie algebroid axioms hold on the nose."""
+    """Empty list means the Lie algebroid axioms hold on the nose.
+
+    Violations are listed per axiom, each in increasing index order.
+    """
     violations = []
     r = a.r
     c = a.brackets
+    nz = a.nonzero_brackets
     for i in range(r):
         for j in range(r):
             for k in range(r):
                 if c[i][j][k] != -c[j][i][k]:
                     violations.append(f"antisymmetry broken at (i,j,k)=({i+1},{j+1},{k+1})")
+    # t[(i, j, k, l)] = sum_m c_ij^m c_mk^l, summed over nonzero factors
+    # only; the Jacobiator at (i, j, k, l) is t at its three cyclic
+    # rotations of (i, j, k)
+    t = {}
     for i in range(r):
         for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    acc = ZERO
-                    for m in range(r):
-                        acc = (
-                            acc
-                            + c[i][j][m] * c[m][k][l]
-                            + c[j][k][m] * c[m][i][l]
-                            + c[k][i][m] * c[m][j][l]
-                        )
-                    if not acc.is_zero():
-                        violations.append(
-                            f"Jacobi broken at (i,j,k,l)=({i+1},{j+1},{k+1},{l+1})"
-                        )
+            for m, cm in nz[i][j]:
+                for k in range(r):
+                    for l, cl in nz[m][k]:
+                        key = (i, j, k, l)
+                        term = cm * cl
+                        t[key] = t[key] + term if key in t else term
+    keys = set()
+    for i, j, k, l in t:
+        keys.update(((i, j, k, l), (k, i, j, l), (j, k, i, l)))
+    for i, j, k, l in sorted(keys):
+        acc = ZERO
+        for key in ((i, j, k, l), (j, k, i, l), (k, i, j, l)):
+            if key in t:
+                acc = acc + t[key]
+        if not acc.is_zero():
+            violations.append(
+                f"Jacobi broken at (i,j,k,l)=({i+1},{j+1},{k+1},{l+1})"
+            )
     # constant coordinate fields commute, so the anchor must kill brackets
     for i in range(r):
         for j in range(r):
             for m in range(a.n):
                 acc = ZERO
-                for k in range(r):
-                    acc = acc + c[i][j][k] * a.anchor[m, k]
+                for k, ck in nz[i][j]:
+                    acc = acc + ck * a.anchor[m, k]
                 if not acc.is_zero():
                     violations.append(
                         f"anchor compatibility broken at (i,j), coordinate {m+1}"
@@ -242,14 +267,11 @@ def ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm, conn=None) -> Al
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
                 rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
-                coeffs = a.brackets[idx[s]][idx[t]]
-                for m in range(r):
-                    if coeffs[m].is_zero():
-                        continue
+                for m, coeff in a.nonzero_brackets[idx[s]][idx[t]]:
                     v = omega.get((m,) + rest)
                     if _is_zero_value(v):
                         continue
-                    term = v * coeffs[m]
+                    term = v * coeff
                     acc = acc + (-term if (s + t) % 2 else term)
         if not _is_zero_value(acc):
             comps[idx] = acc

@@ -38,6 +38,17 @@ def _tm_conn(extras, a):
     return extras.get("tm_conn", [Matrix.zeros(a.r, a.r) for _ in range(a.n)])
 
 
+def _count_option(opts, name: str, default: int) -> int:
+    """A positive integer option; default only when it was not given."""
+    v = opts.get(name)
+    if v is None:
+        return default
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        flag = "--" + name.replace("_", "-")
+        raise ParseError(f"{flag} must be an integer >= 1, got {v!r}")
+    return v
+
+
 def _random_pd(n: int, rng: random.Random) -> Matrix:
     m = Matrix(
         [
@@ -75,7 +86,7 @@ def cmd_cohomology(job):
 
 def cmd_char(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
-    max_q = job["options"].get("max_q") or default_max_q(a)
+    max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
     setup = adjoint_setup(a, tm)
     g, _, _ = _default_metric(extras, setup.data.bundle, a)
@@ -122,7 +133,7 @@ def cmd_modular(job):
 def cmd_cs(job):
     """cs^q(basic connection, its metric dual) for q = 1..max_q."""
     a, extras = fileio.load_algebroid(job["inputs"][0])
-    max_q = job["options"].get("max_q") or default_max_q(a)
+    max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
     setup = adjoint_setup(a, tm)
     g, _, _ = _default_metric(extras, setup.data.bundle, a)
@@ -138,8 +149,8 @@ def cmd_cs(job):
 def cmd_morita_check(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     opts = job["options"]
-    k = opts.get("k") or 1
-    max_q = opts.get("max_q") or 2
+    k = _count_option(opts, "k", 1)
+    max_q = _count_option(opts, "max_q", 2)
     seed = opts.get("seed") if opts.get("seed") is not None else 0
     rng = random.Random(seed)
     tm = _tm_conn(extras, a)

@@ -234,10 +234,8 @@ def curvature(c: Connection) -> AlgebroidForm:
     comps = {}
     for i, j in combinations(range(a.r), 2):
         val = c.omega[i].commutator(c.omega[j])
-        for k in range(a.r):
-            coeff = a.brackets[i][j][k]
-            if not coeff.is_zero():
-                val = val - c.omega[k].scale(coeff)
+        for k, coeff in a.nonzero_brackets[i][j]:
+            val = val - c.omega[k].scale(coeff)
         if not val.is_zero():
             comps[(i, j)] = val
     return AlgebroidForm(a.r, 2, comps, zero=zero)

@@ -48,11 +48,24 @@ def scalar_to_json(s: Scalar):
 
 
 def matrix_from_json(rows, nrows: int, ncols: int, what: str) -> Matrix:
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+    if (
+        not isinstance(rows, list)
+        or len(rows) != nrows
+        or any(not isinstance(r, list) or len(r) != ncols for r in rows)
+    ):
         raise ParseError(f"{what} must be {nrows} x {ncols}")
     return Matrix(
         [[scalar_from_json(v) for v in row] for row in rows], ncols=ncols
     )
+
+
+def _int_field(obj: dict, key: str, what: str) -> int:
+    if key not in obj:
+        raise ParseError(f"{what}: missing field {key!r}")
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError(f"{what}: {key} must be an integer, got {v!r}")
+    return v
 
 
 def matrix_to_json(m: Matrix):
@@ -61,21 +74,28 @@ def matrix_to_json(m: Matrix):
 
 def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
     """Returns the algebroid plus the optional metric/connection blocks."""
-    try:
-        n = int(doc["base_dim"])
-        r = int(doc["rank"])
-    except KeyError as e:
-        raise ParseError(f"missing field {e}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("an algebroid document must be a JSON object")
+    n = _int_field(doc, "base_dim", "algebroid")
+    r = _int_field(doc, "rank", "algebroid")
     if n < 0 or r < 0:
         raise ParseError("base_dim and rank must be non-negative")
     anchor = matrix_from_json(doc.get("anchor", [[ "0"] * r] * n), n, r, "anchor")
     c = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
     given = set()
-    for entry in doc.get("brackets", []):
-        i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
+    brackets = doc.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ParseError("brackets must be a list")
+    for entry in brackets:
+        if not isinstance(entry, dict):
+            raise ParseError(f"bracket entry {entry!r} is not an object")
+        i = _int_field(entry, "i", "bracket entry") - 1
+        j = _int_field(entry, "j", "bracket entry") - 1
         if not (0 <= i < r and 0 <= j < r):
             raise ParseError(f"bracket index ({i+1},{j+1}) out of range 1..{r}")
-        coeffs = entry["coeffs"]
+        coeffs = entry.get("coeffs")
+        if not isinstance(coeffs, list):
+            raise ParseError(f"bracket ({i+1},{j+1}) needs a coeffs list")
         if len(coeffs) != r:
             raise ParseError(f"bracket ({i+1},{j+1}) needs {r} coefficients")
         given.add((i, j))
@@ -125,7 +145,7 @@ def serialize_algebroid(a: ConstantAlgebroid, extras: dict = None) -> dict:
             }
             for i in range(a.r)
             for j in range(i + 1, a.r)
-            if any(not a.brackets[i][j][k].is_zero() for k in range(a.r))
+            if a.nonzero_brackets[i][j]
         ],
     }
     if extras:

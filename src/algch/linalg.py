@@ -64,15 +64,21 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             assert self.ncols == other.nrows, "shape mismatch"
+            # only products of two nonzero entries can contribute
+            right = [
+                [(j, b) for j, b in enumerate(row) if not b.is_zero()]
+                for row in other.rows
+            ]
             out = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    acc = self.zero
-                    for k in range(self.ncols):
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
+            for lrow in self.rows:
+                row = [None] * other.ncols
+                for k, a in enumerate(lrow):
+                    if a.is_zero():
+                        continue
+                    for j, b in right[k]:
+                        acc = row[j]
+                        row[j] = a * b if acc is None else acc + a * b
+                out.append([self.zero if v is None else v for v in row])
             return Matrix(out, self.zero, ncols=other.ncols)
         return self.scale(other)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 
 def _frac(x) -> Fraction:
@@ -22,14 +23,23 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
+_FZERO = Fraction(0)
+
+
 class Scalar:
-    """A Gaussian rational re + im*i with exact rational parts."""
+    """A Gaussian rational re + im*i with exact rational parts.
+
+    Most data in practice is real, so every operation first checks the
+    imaginary parts and, when they are all zero, does rational arithmetic
+    on the real parts only.  A real result carries im == Fraction(0), so
+    values built here and through the constructor compare and hash alike.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        _set_re(self, _frac(re))
+        _set_im(self, _frac(im))
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -38,41 +48,63 @@ class Scalar:
     def coerce(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        return Scalar(_frac(x))
+        return _real(_frac(x))
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        if self.im or other.im:
+            return _make(self.re + other.re, self.im + other.im)
+        return _real(self.re + other.re)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        if self.im or other.im:
+            return _make(self.re - other.re, self.im - other.im)
+        return _real(self.re - other.re)
 
     def __rsub__(self, other):
         return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        if self.im:
+            return _make(-self.re, -self.im)
+        return _real(-self.re)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.re * other, self.im * other)
-        other = Scalar.coerce(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                if self.im:
+                    return _make(self.re * other, self.im * other)
+                return _real(self.re * other)
+            other = Scalar.coerce(other)
+        if other.im:
+            if self.im:
+                return _make(
+                    self.re * other.re - self.im * other.im,
+                    self.re * other.im + self.im * other.re,
+                )
+            return _make(self.re * other.re, self.re * other.im)
+        if self.im:
+            return _make(self.re * other.re, self.im * other.re)
+        return _real(self.re * other.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.coerce(other)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero Scalar")
+            if self.im:
+                return _make(self.re / other.re, self.im / other.re)
+            return _real(self.re / other.re)
         d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
+        return _make(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -82,8 +114,8 @@ class Scalar:
 
     def __pow__(self, n: int):
         if n < 0:
-            return Scalar(1) / self ** (-n)
-        out = Scalar(1)
+            return ONE / self ** (-n)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -93,17 +125,19 @@ class Scalar:
         return out
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        if self.im:
+            return _make(self.re, -self.im)
+        return self
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
+            return not self.im and self.re == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -117,6 +151,27 @@ class Scalar:
         if self.re == 0:
             return f"{self.im}*i"
         return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
+
+
+# Results are built by writing the slots directly, which skips __init__'s
+# coercion and the immutability guard in __setattr__.
+_set_re = Scalar.re.__set__
+_set_im = Scalar.im.__set__
+_new = object.__new__
+
+
+def _real(re: Fraction) -> Scalar:
+    s = _new(Scalar)
+    _set_re(s, re)
+    _set_im(s, _FZERO)
+    return s
+
+
+def _make(re: Fraction, im: Fraction) -> Scalar:
+    s = _new(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
 
 
 ZERO = Scalar(0)
@@ -171,37 +226,62 @@ class SimplexPolynomial:
         e[i - 1] = 1
         return SimplexPolynomial(p, {tuple(e): ONE})
 
+    @staticmethod
+    def _from_terms(p: int, terms: dict) -> "SimplexPolynomial":
+        """Wrap a term map that is already canonical: right-length
+        exponent tuples and nonzero Scalar coefficients."""
+        out = object.__new__(SimplexPolynomial)
+        out.p = p
+        out.terms = terms
+        return out
+
     def __add__(self, other):
         assert self.p == other.p
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) + c
-        return SimplexPolynomial(self.p, terms)
+            if e in terms:
+                s = terms[e] + c
+                if s.is_zero():
+                    del terms[e]
+                else:
+                    terms[e] = s
+            else:
+                terms[e] = c
+        return SimplexPolynomial._from_terms(self.p, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SimplexPolynomial(self.p, {e: -c for e, c in self.terms.items()})
+        return SimplexPolynomial._from_terms(
+            self.p, {e: -c for e, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c = Scalar.coerce(other)
-            return SimplexPolynomial(
+            if c.is_zero():
+                return SimplexPolynomial(self.p)
+            return SimplexPolynomial._from_terms(
                 self.p, {e: v * c for e, v in self.terms.items()}
             )
         assert self.p == other.p
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, ZERO) + c1 * c2
-        return SimplexPolynomial(self.p, terms)
+                e = tuple(map(add, e1, e2))
+                v = c1 * c2
+                terms[e] = terms[e] + v if e in terms else v
+        return SimplexPolynomial._from_terms(
+            self.p, {e: c for e, c in terms.items() if not c.is_zero()}
+        )
 
     __rmul__ = __mul__
 
     def conj(self) -> "SimplexPolynomial":
-        return SimplexPolynomial(self.p, {e: c.conj() for e, c in self.terms.items()})
+        return SimplexPolynomial._from_terms(
+            self.p, {e: c.conj() for e, c in self.terms.items()}
+        )
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -163,10 +163,8 @@ def _affine_curvature(conns) -> AffineForm:
     for i in range(a.r):
         for j in range(i + 1, a.r):
             val = aff[i].commutator(aff[j])
-            for k in range(a.r):
-                coeff = a.brackets[i][j][k]
-                if not coeff.is_zero():
-                    val = val - aff[k].scale(coeff)
+            for k, coeff in a.nonzero_brackets[i][j]:
+                val = val - aff[k].scale(coeff)
             if not val.is_zero():
                 comps[((i, j), ())] = val
         # d/dt_m of the affine family gives the mixed leg; the value on

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from algch.scalars import Scalar, ZERO, ONE
 from algch.linalg import Matrix, nullspace
-from algch.algebroid import ConstantAlgebroid, direct_product
+from algch.algebroid import AlgebroidForm, ConstantAlgebroid, direct_product
 from algch.connections import GradedBundle, GradedEndo, Connection, HermitianMetric
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
 
@@ -138,3 +139,142 @@ def rand_algebroid(rng, max_rank=3) -> ConstantAlgebroid:
     if choice == 3:
         return rand_q_family(rng, trace_zero=rng.random() < 0.5)
     return tangent_torus(rng.randint(1, min(2, max_rank)))
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations kept as test oracles.  They are the plain
+# dense formulas the fast paths in algch replaced, and the differential
+# tests check that both give identical answers.
+
+
+class PairScalar:
+    """Gaussian rational as a plain pair of Fractions, with the textbook
+    formulas and no shortcut for real values."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @staticmethod
+    def coerce(x) -> "PairScalar":
+        if isinstance(x, PairScalar):
+            return x
+        return PairScalar(x)
+
+    def __add__(self, other):
+        other = PairScalar.coerce(other)
+        return PairScalar(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = PairScalar.coerce(other)
+        return PairScalar(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return PairScalar.coerce(other) - self
+
+    def __neg__(self):
+        return PairScalar(-self.re, -self.im)
+
+    def __mul__(self, other):
+        other = PairScalar.coerce(other)
+        return PairScalar(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = PairScalar.coerce(other)
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero")
+        return PairScalar(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        return PairScalar.coerce(other) / self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return PairScalar(1) / self ** (-n)
+        out = PairScalar(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+def dense_validate_algebroid(a: ConstantAlgebroid) -> list[str]:
+    """Axiom check over every index tuple: O(r^5) for Jacobi."""
+    violations = []
+    r = a.r
+    c = a.brackets
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if c[i][j][k] != -c[j][i][k]:
+                    violations.append(f"antisymmetry broken at (i,j,k)=({i+1},{j+1},{k+1})")
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                for l in range(r):
+                    acc = ZERO
+                    for m in range(r):
+                        acc = (
+                            acc
+                            + c[i][j][m] * c[m][k][l]
+                            + c[j][k][m] * c[m][i][l]
+                            + c[k][i][m] * c[m][j][l]
+                        )
+                    if not acc.is_zero():
+                        violations.append(
+                            f"Jacobi broken at (i,j,k,l)=({i+1},{j+1},{k+1},{l+1})"
+                        )
+    for i in range(r):
+        for j in range(r):
+            for m in range(a.n):
+                acc = ZERO
+                for k in range(r):
+                    acc = acc + c[i][j][k] * a.anchor[m, k]
+                if not acc.is_zero():
+                    violations.append(
+                        f"anchor compatibility broken at (i,j), coordinate {m+1}"
+                    )
+    return violations
+
+
+def dense_ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> AlgebroidForm:
+    """CE differential of a scalar form, reading all r bracket
+    coefficients of every pair."""
+    r, k = a.r, omega.degree
+    comps = {}
+    for idx in combinations(range(r), k + 1):
+        acc = ZERO
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
+                for m in range(r):
+                    term = omega.get((m,) + rest) * a.brackets[idx[s]][idx[t]][m]
+                    acc = acc + (-term if (s + t) % 2 else term)
+        comps[idx] = acc
+    return AlgebroidForm(r, k + 1, comps)
+
+
+def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Row-by-column product summing all ncols terms of every entry."""
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = a.zero
+            for k in range(a.ncols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(rows, a.zero, ncols=b.ncols)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,10 +15,18 @@ from algch.algebroid import (
     betti_number,
     coboundary_witness,
     direct_product,
+    _diff_matrix,
 )
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
 
-from helpers import small_corpus, rand_algebroid, rand_scalar
+from helpers import (
+    small_corpus,
+    rand_algebroid,
+    rand_q_family,
+    rand_scalar,
+    dense_validate_algebroid,
+    dense_ce_differential,
+)
 
 
 def rand_form(a, degree, rng):
@@ -178,3 +187,131 @@ class TestDirectProduct:
                 if 0 <= d - i < 4
             )
             assert betti_number(prod, d) == expected
+
+
+def wide_products(rng):
+    """Valid products of rank 4-6, some with a base, from random q-family
+    factors and the fixed corpus."""
+    return [
+        direct_product(tangent_torus(1), direct_product(rand_q_family(rng), abelian(1))),
+        direct_product(rand_q_family(rng), rand_q_family(rng, trace_zero=True)),
+        direct_product(rand_q_family(rng), so3()),
+        direct_product(heisenberg(), rand_q_family(rng)),
+        direct_product(tangent_torus(1), rand_q_family(rng)),
+        direct_product(tangent_torus(2), heisenberg()),
+        direct_product(so3(), direct_product(abelian(1), tangent_torus(1))),
+    ]
+
+
+def with_brackets(a, c, anchor=None):
+    return ConstantAlgebroid(a.n, a.r, a.anchor if anchor is None else anchor, c)
+
+
+def mutable_brackets(a):
+    return [[list(plane) for plane in rows] for rows in a.brackets]
+
+
+class TestSparseAgainstDense:
+    """validate_algebroid and ce_differential walk the nonzero bracket
+    index; the dense loops in helpers read every coefficient."""
+
+    def test_index_lists_exactly_the_nonzero_coefficients(self):
+        for a in list(small_corpus().values()) + wide_products(random.Random(10)):
+            for i in range(a.r):
+                for j in range(a.r):
+                    want = [
+                        (k, v) for k, v in enumerate(a.brackets[i][j]) if not v.is_zero()
+                    ]
+                    assert list(a.nonzero_brackets[i][j]) == want
+
+    def test_validate_on_valid_algebroids(self):
+        rng = random.Random(11)
+        for a in list(small_corpus().values()) + wide_products(rng):
+            assert validate_algebroid(a) == dense_validate_algebroid(a) == []
+
+    def test_anchor_compatible_by_cancellation(self):
+        # [e_1,e_3] = [e_2,e_3] = e_1 + e_2, and rho(e_1) = -rho(e_2):
+        # the anchor kills each bracket only through a sum of two terms
+        q = q_family(1, 1, 1, 1)
+        a = ConstantAlgebroid(1, 3, Matrix([[ONE, -ONE, ZERO]], ncols=3), q.brackets)
+        assert validate_algebroid(a) == dense_validate_algebroid(a) == []
+        b = ConstantAlgebroid(1, 3, Matrix([[ONE, ONE, ZERO]], ncols=3), q.brackets)
+        assert validate_algebroid(b) == dense_validate_algebroid(b) != []
+
+    def test_validate_on_broken_antisymmetry(self):
+        rng = random.Random(12)
+        seen = 0
+        for a in [so3(), heisenberg(), rand_q_family(rng)] + wide_products(rng)[:3]:
+            for _ in range(3):
+                c = mutable_brackets(a)
+                i, j, k = (rng.randrange(a.r) for _ in range(3))
+                c[i][j][k] = c[i][j][k] + rand_scalar(rng) + ONE
+                b = with_brackets(a, c)
+                bad = validate_algebroid(b)
+                assert bad == dense_validate_algebroid(b)
+                seen += any("antisymmetry" in v for v in bad)
+        assert seen > 0
+
+    def test_validate_on_broken_jacobi(self):
+        # an antisymmetric perturbation keeps antisymmetry, so whatever
+        # fails is Jacobi (or anchor compatibility)
+        rng = random.Random(13)
+        seen = 0
+        for a in [so3(), heisenberg(), rand_q_family(rng)] + wide_products(rng)[:3]:
+            for _ in range(3):
+                c = mutable_brackets(a)
+                i, j = rng.sample(range(a.r), 2)
+                k = rng.randrange(a.r)
+                x = rand_scalar(rng, real=rng.random() < 0.5)
+                c[i][j][k] = c[i][j][k] + x
+                c[j][i][k] = c[j][i][k] - x
+                b = with_brackets(a, c)
+                bad = validate_algebroid(b)
+                assert bad == dense_validate_algebroid(b)
+                assert not any("antisymmetry" in v for v in bad)
+                seen += any("Jacobi" in v for v in bad)
+        assert seen > 0
+
+    def test_validate_on_broken_anchor(self):
+        rng = random.Random(14)
+        seen = 0
+        for a in (direct_product(tangent_torus(1), so3()),
+                  direct_product(tangent_torus(2), heisenberg()),
+                  direct_product(tangent_torus(1), rand_q_family(rng))):
+            for _ in range(4):
+                rows = [list(row) for row in a.anchor.rows]
+                rows[rng.randrange(a.n)][rng.randrange(a.r)] = rand_scalar(rng) + ONE
+                b = with_brackets(a, a.brackets, Matrix(rows, ncols=a.r))
+                bad = validate_algebroid(b)
+                assert bad == dense_validate_algebroid(b)
+                seen += any("anchor" in v for v in bad)
+        assert seen > 0
+
+    def test_ce_differential_matches_dense(self):
+        rng = random.Random(15)
+        for a in wide_products(rng):
+            for deg in range(a.r + 1):
+                f = rand_form(a, deg, rng)
+                assert ce_differential(a, f) == dense_ce_differential(a, f)
+
+    def test_diff_matrix_matches_dense_columns(self):
+        rng = random.Random(16)
+        for a in wide_products(rng)[:4]:
+            for k in range(a.r):
+                cod = list(combinations(range(a.r), k + 1))
+                cols = [
+                    dense_ce_differential(a, basis_form(a.r, idx))
+                    for idx in combinations(range(a.r), k)
+                ]
+                want = Matrix(
+                    [[col.get(c) for col in cols] for c in cod], ncols=len(cols)
+                )
+                assert _diff_matrix(a, k) == want
+
+    def test_d_squared_zero_on_wide_products(self):
+        rng = random.Random(17)
+        for a in wide_products(rng):
+            if a.r < 5:
+                continue
+            for k in range(a.r - 1):
+                assert (_diff_matrix(a, k + 1) * _diff_matrix(a, k)).is_zero()

@@ -73,6 +73,93 @@ class TestFileio:
             load_algebroid(str(f))
 
 
+MALFORMED_DOCS = {
+    "list document": [],
+    "string document": "rank 2",
+    "number document": 3,
+    "float dimensions": {"base_dim": 0.9, "rank": 2.7},
+    "float rank": {"base_dim": 0, "rank": 2.0},
+    "bool rank": {"base_dim": 0, "rank": True},
+    "string base_dim": {"base_dim": "0", "rank": 2},
+    "missing rank": {"base_dim": 0},
+    "brackets not a list": {"base_dim": 0, "rank": 2, "brackets": {"i": 1}},
+    "bracket not an object": {"base_dim": 0, "rank": 2, "brackets": [[1, 2]]},
+    "bracket without i": {"base_dim": 0, "rank": 2, "brackets": [{"j": 2, "coeffs": ["0", "1"]}]},
+    "bracket without j": {"base_dim": 0, "rank": 2, "brackets": [{"i": 1, "coeffs": ["0", "1"]}]},
+    "bracket without coeffs": {"base_dim": 0, "rank": 2, "brackets": [{"i": 1, "j": 2}]},
+    "bracket coeffs not a list": {"base_dim": 0, "rank": 2, "brackets": [{"i": 1, "j": 2, "coeffs": "01"}]},
+    "float bracket index": {"base_dim": 0, "rank": 2, "brackets": [{"i": 1.0, "j": 2, "coeffs": ["0", "1"]}]},
+    "anchor not a list": {"base_dim": 1, "rank": 1, "anchor": 5},
+    "anchor row not a list": {"base_dim": 1, "rank": 1, "anchor": ["1"]},
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+    def test_parse_rejects(self, name):
+        with pytest.raises(ParseError):
+            parse_algebroid(MALFORMED_DOCS[name])
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+    def test_validate_reports_invalid(self, capsys, tmp_path, name):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(MALFORMED_DOCS[name]))
+        status, out = run_cli(capsys, "validate", f)
+        assert status == 1
+        assert out.startswith("INVALID")
+
+    def test_fractional_dimensions_not_truncated(self):
+        with pytest.raises(ParseError, match="base_dim must be an integer"):
+            parse_algebroid({"base_dim": 0.9, "rank": 2.7})
+
+
+class TestCountOptions:
+    """--k and --max-q must be >= 1; 0 is an error, not the default."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("char", "--max-q", "0"),
+            ("cs", "--max-q", "0"),
+            ("cs", "--max-q", "-2"),
+            ("morita-check", "--k", "0"),
+            ("morita-check", "--max-q", "0"),
+            ("morita-check", "--k", "-1", "--max-q", "1"),
+        ],
+    )
+    def test_non_positive_rejected(self, capsys, argv):
+        status, out = run_cli(capsys, *argv, INPUTS / "q_family.json")
+        assert status == 1
+        flag = "--k" if "--k" in argv else "--max-q"
+        assert f"error: {flag} must be an integer >= 1" in out
+        assert "char^" not in out and "cs^" not in out and "q=" not in out
+
+    def test_zero_in_batch_fails_only_that_job(self, capsys, tmp_path):
+        jobs = [
+            {"command": "cs", "inputs": [str(INPUTS / "q_family.json")], "options": {"max_q": 0}},
+            {"command": "cs", "inputs": [str(INPUTS / "q_family.json")], "options": {"max_q": 1}},
+            {"command": "morita-check", "inputs": [str(INPUTS / "tt2.json")], "options": {"k": 0}},
+        ]
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(jobs))
+        out_file = tmp_path / "report.json"
+        status, _ = run_cli(capsys, "batch", "--out", out_file, batch)
+        assert status == 1
+        reports = json.loads(out_file.read_text())["batch"]
+        assert "max-q" in reports[0]["error"]
+        assert [c["q"] for c in reports[1]["cochains"]] == [1]
+        assert "--k" in reports[2]["error"]
+
+    @pytest.mark.parametrize("value", ["1", True, 1.0])
+    def test_non_integer_option_in_batch(self, capsys, tmp_path, value):
+        jobs = [{"command": "char", "inputs": [str(INPUTS / "q_family.json")], "options": {"max_q": value}}]
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(jobs))
+        status, out = run_cli(capsys, "batch", batch)
+        assert status == 1
+        assert "error: --max-q must be an integer >= 1" in out
+
+
 class TestCommands:
     def test_validate(self, capsys):
         status, out = run_cli(capsys, "validate", INPUTS / "q_family.json")

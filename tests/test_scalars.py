@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -13,10 +14,48 @@ from algch.scalars import (
     I,
 )
 
+from helpers import PairScalar
+
 fractions_st = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
 )
 scalars_st = st.builds(Scalar, fractions_st, fractions_st)
+# real values are drawn twice as often as Gaussian ones, since the fast
+# path only applies to them; zeros show up through the fraction strategy
+real_st = st.builds(Scalar, fractions_st)
+operands_st = st.one_of(real_st, real_st, scalars_st)
+rights_st = st.one_of(
+    real_st, scalars_st, st.integers(-4, 4), fractions_st
+)
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def as_pair(x) -> PairScalar:
+    if isinstance(x, Scalar):
+        return PairScalar(x.re, x.im)
+    return PairScalar(x)
+
+
+def assert_matches(got, want: PairScalar):
+    """got is a Scalar with Fraction parts equal to the oracle's, and it
+    compares and hashes like the same value built by the constructor."""
+    assert type(got) is Scalar
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (want.re, want.im)
+    built = Scalar(want.re, want.im)
+    assert got == built and built == got
+    assert hash(got) == hash(built)
+
+
+def check_op(op, x, y):
+    try:
+        want = op(as_pair(x), as_pair(y))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    assert_matches(op(x, y), want)
 
 
 def iterated_integral(f: SimplexPolynomial, p: int) -> Scalar:
@@ -77,6 +116,109 @@ class TestScalar:
     @given(scalars_st, scalars_st)
     def test_conj_multiplicative(self, a, b):
         assert (a * b).conj() == a.conj() * b.conj()
+
+
+class TestScalarOracle:
+    """The real-only fast paths against the Fraction-pair formulas."""
+
+    @given(operands_st, rights_st)
+    def test_binary_ops(self, x, y):
+        for op in BINARY_OPS:
+            check_op(op, x, y)
+
+    @given(rights_st, operands_st)
+    def test_reflected_ops(self, x, y):
+        # an int or Fraction on the left dispatches to __radd__ etc.
+        for op in BINARY_OPS:
+            check_op(op, x, y)
+
+    @given(operands_st)
+    def test_neg_and_conj(self, x):
+        assert_matches(-x, -as_pair(x))
+        assert_matches(x.conj(), PairScalar(x.re, -x.im))
+
+    @given(operands_st, st.integers(-3, 4))
+    def test_pow(self, x, n):
+        try:
+            want = as_pair(x) ** n
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                x ** n
+            return
+        assert_matches(x ** n, want)
+
+    @given(operands_st)
+    def test_zero_divisors(self, x):
+        for zero in (ZERO, Scalar(0, 0), 0, Fraction(0), x - x):
+            with pytest.raises(ZeroDivisionError, match="division by zero Scalar"):
+                x / zero
+        with pytest.raises(ZeroDivisionError, match="division by zero Scalar"):
+            1 / ZERO
+
+    @given(operands_st, rights_st)
+    def test_results_are_immutable(self, x, y):
+        for s in (x + y, x * y, -x, Scalar(x.re, x.im)):
+            with pytest.raises(AttributeError):
+                s.re = Fraction(1)
+            with pytest.raises(AttributeError):
+                s.im = Fraction(1)
+
+    def test_real_results_have_zero_imaginary_fraction(self):
+        a, b = Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 5))
+        for s in (a + b, a - b, a * b, a / b, -a, a * 3, 2 - a, 1 / b, a ** 3):
+            assert s.im == Fraction(0) and type(s.im) is Fraction
+            assert s.is_real()
+            assert s == s.re and hash(s) == hash(Scalar(s.re))
+
+
+polys_st = st.integers(0, 2).flatmap(
+    lambda p: st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * p), operands_st, max_size=4
+    ).map(lambda terms: SimplexPolynomial(p, terms))
+)
+
+
+class TestPolynomialArithmetic:
+    """Sums and products skip the validating constructor; rebuilding
+    them through it must change nothing."""
+
+    @staticmethod
+    def assert_canonical(f: SimplexPolynomial):
+        assert all(len(e) == f.p for e in f.terms)
+        assert all(type(c) is Scalar and not c.is_zero() for c in f.terms.values())
+        assert f.terms == SimplexPolynomial(f.p, f.terms).terms
+
+    @given(polys_st, st.data())
+    def test_sum_product_negation(self, f, data):
+        g = data.draw(polys_st.filter(lambda g: g.p == f.p))
+        total, prod = {}, {}
+        for e, c in f.terms.items():
+            total[e] = total.get(e, ZERO) + c
+        for e, c in g.terms.items():
+            total[e] = total.get(e, ZERO) + c
+        for e1, c1 in f.terms.items():
+            for e2, c2 in g.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                prod[e] = prod.get(e, ZERO) + c1 * c2
+        for got, want in ((f + g, total), (f * g, prod), (f - f, {})):
+            self.assert_canonical(got)
+            assert got == SimplexPolynomial(f.p, want)
+        self.assert_canonical(-f)
+        self.assert_canonical(f.conj())
+
+    def test_product_cancellation_drops_term(self):
+        # (1 + t1)(1 - t1): the two t1 terms cancel
+        one = SimplexPolynomial.constant(2, ONE)
+        t1 = SimplexPolynomial.variable(1, 2)
+        got = (one + t1) * (one - t1)
+        self.assert_canonical(got)
+        assert got.terms == {(0, 0): ONE, (2, 0): -ONE}
+
+    @given(polys_st, rights_st)
+    def test_scaling(self, f, c):
+        got = f * c
+        self.assert_canonical(got)
+        assert got == SimplexPolynomial(f.p, {e: v * c for e, v in f.terms.items()})
 
 
 class TestSimplexIntegration:
