@@ -24,10 +24,18 @@ from .connections import (
     metric_average,
     equivalence_witness,
 )
-from .transgression import AffineForm, affine_curvature, fibre_integrate, cs_cochain
+from .transgression import (
+    AffineForm,
+    affine_curvature,
+    fibre_integrate,
+    cs_cochain,
+    cs_cochains,
+)
 from .charclasses import (
     AdjointData,
     ClassReport,
+    IdentityFailure,
+    PrimaryObstruction,
     chern_character,
     secondary_class,
     adjoint_setup,

@@ -27,7 +27,7 @@ from .connections import (
     HermitianMetric,
     h_dual,
 )
-from .transgression import cs_cochain
+from .transgression import cs_cochains
 
 from fractions import Fraction
 from math import factorial
@@ -60,15 +60,27 @@ def default_max_q(a: ConstantAlgebroid) -> int:
 
 def chern_character(c: Connection, max_q: int) -> list[AlgebroidForm]:
     """Entries i^q/q! * cs^q(c) for q = 0..max_q; each is d-closed."""
-    out = []
-    for q in range(max_q + 1):
-        entry = cs_cochain([c], q).scale(I ** q * Fraction(1, factorial(q)))
-        out.append(entry)
-    return out
+    return [
+        form.scale(I ** q * Fraction(1, factorial(q)))
+        for q, form in enumerate(cs_cochains([c], max_q))
+    ]
 
 
 class PrimaryObstruction(ValueError):
     """A q >= 1 Chern character entry does not vanish as a class."""
+
+
+class IdentityFailure(Exception):
+    """An identity that decides a verdict did not hold.
+
+    identity names it (for example "reality" or "basic splitting"); the
+    message says where.  Raised explicitly, so the check also runs
+    under python -O.
+    """
+
+    def __init__(self, identity: str, detail: str):
+        super().__init__(f"{identity}: {detail}")
+        self.identity = identity
 
 
 def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[ClassReport]:
@@ -85,11 +97,18 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
             raise PrimaryObstruction(f"Chern character entry q={q} is a nonzero class")
     dual = h_dual(c, h)
     reports = []
-    for q in range(1, max_q + 1):
-        rep = cs_cochain([c, dual], q).scale(I ** (q + 1))
-        for v in rep.comps.values():
-            assert v.is_real(), "secondary representative has an imaginary part"
-        assert ce_differential(a, rep).is_zero(), "secondary representative not closed"
+    for q, form in enumerate(cs_cochains([c, dual], max_q)):
+        if q == 0:
+            continue
+        rep = form.scale(I ** (q + 1))
+        if not all(v.is_real() for v in rep.comps.values()):
+            raise IdentityFailure(
+                "reality", f"secondary representative q={q} has an imaginary part"
+            )
+        if not ce_differential(a, rep).is_zero():
+            raise IdentityFailure(
+                "closedness", f"secondary representative q={q} is not closed"
+            )
         witness = coboundary_witness(a, rep)
         reports.append(ClassReport(q, rep, witness is not None, witness))
     return reports
@@ -100,6 +119,11 @@ class AdjointSetup(NamedTuple):
     basic: Connection
     theta: list[OddMap]
     adjoint: Connection
+
+
+def adjoint_bundle(anchor: Matrix) -> GradedBundle:
+    """A (even) and TM (odd) with the anchor (n x r) as the boundary."""
+    return GradedBundle(anchor.ncols, anchor.nrows, d01=anchor)
 
 
 def adjoint_connection(a: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
@@ -131,7 +155,7 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
     assert len(tm_conn) == a.n
     for g in tm_conn:
         assert g.shape == (a.r, a.r), "tm connection coefficient must be r x r"
-    bundle = GradedBundle(a.r, a.n, d01=a.anchor, d10=Matrix.zeros(a.r, a.n))
+    bundle = adjoint_bundle(a.anchor)
 
     omega = []
     thetas = []
@@ -168,13 +192,18 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
         thetas.append(OddMap(eo, Matrix.zeros(a.n, a.r)))
 
     basic = Connection(a, bundle, omega)
-    assert basic.commutes_with_boundary()
+    if not basic.commutes_with_boundary():
+        raise IdentityFailure(
+            "boundary commutation", "the basic connection does not commute with the anchor"
+        )
     ad = adjoint_connection(a, bundle)
     for i in range(a.r):
         delta = ad.omega[i] - basic.omega[i]
-        assert delta == thetas[i].anticommutator_with_boundary(bundle), (
-            "basic and adjoint connections are not related by the stated theta"
-        )
+        if delta != thetas[i].anticommutator_with_boundary(bundle):
+            raise IdentityFailure(
+                "adjoint equivalence",
+                f"basic and adjoint connections differ from the stated theta at e_{i + 1}",
+            )
     return AdjointSetup(AdjointData(a, bundle), basic, thetas, ad)
 
 

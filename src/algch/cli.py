@@ -21,9 +21,17 @@ from .scalars import Scalar
 from .linalg import Matrix
 from .algebroid import betti_number, coboundary_witness
 from .connections import HermitianMetric, h_dual
-from .transgression import cs_cochain
-from .charclasses import adjoint_setup, intrinsic_char, modular_class, default_max_q
-from .pullback import SubmersionSpec, pullback_algebroid, morita_check
+from .transgression import cs_cochains
+from .charclasses import (
+    IdentityFailure,
+    PrimaryObstruction,
+    adjoint_bundle,
+    adjoint_setup,
+    intrinsic_char,
+    modular_class,
+    default_max_q,
+)
+from .pullback import SubmersionSpec, pullback_anchor, morita_check
 from . import fileio
 from .fileio import ParseError
 
@@ -88,8 +96,7 @@ def cmd_char(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
-    setup = adjoint_setup(a, tm)
-    g, _, _ = _default_metric(extras, setup.data.bundle, a)
+    g, _, _ = _default_metric(extras, adjoint_bundle(a.anchor), a)
     reports = intrinsic_char(a, tm, g, max_q)
     lines, out = [], []
     for rep in reports:
@@ -111,8 +118,7 @@ def cmd_char(job):
 def cmd_modular(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     tm = _tm_conn(extras, a)
-    setup = adjoint_setup(a, tm)
-    g, _, _ = _default_metric(extras, setup.data.bundle, a)
+    g, _, _ = _default_metric(extras, adjoint_bundle(a.anchor), a)
     result = modular_class(a, tm, g, normalize=True)
     rep = result.report
     verdict = "ZERO" if rep.is_zero_class else "NONZERO"
@@ -139,8 +145,9 @@ def cmd_cs(job):
     g, _, _ = _default_metric(extras, setup.data.bundle, a)
     dual = h_dual(setup.basic, g)
     out, lines = [], []
+    forms = cs_cochains([setup.basic, dual], max_q)
     for q in range(1, max_q + 1):
-        form = cs_cochain([setup.basic, dual], q)
+        form = forms[q]
         out.append({"q": q, "form": fileio.form_to_json(form)})
         lines.append(f"cs^{q}: " + ("0" if form.is_zero() else json.dumps(fileio.form_to_json(form))))
     return {"cochains": out}, 0, lines
@@ -160,10 +167,9 @@ def cmd_morita_check(job):
     if g_v.nrows != k:
         raise ParseError(f"g_V must be {k} x {k} for k={k}")
     spec = SubmersionSpec(k, g_v)
-    pb = pullback_algebroid(a, spec)
-    alt_setup = adjoint_setup(pb, [Matrix.zeros(pb.r, pb.r)] * pb.n)
+    anchor = pullback_anchor(a, spec)
     alt = HermitianMetric(
-        alt_setup.data.bundle, _random_pd(pb.r, rng), _random_pd(pb.n, rng)
+        adjoint_bundle(anchor), _random_pd(anchor.ncols, rng), _random_pd(anchor.nrows, rng)
     )
     report = morita_check(a, spec, tm, g_a, g_m, max_q=max_q, alt_metric=alt)
     lines = []
@@ -221,6 +227,13 @@ def run(job: dict):
         payload, status, lines = fn(job)
     except ParseError as e:
         return {"command": command, "inputs": job["inputs"], "error": str(e)}, 1, [f"error: {e}"]
+    except (IdentityFailure, PrimaryObstruction) as e:
+        # a failed identity is a verdict: reported like any other, exit 1
+        failure = {"kind": type(e).__name__}
+        if isinstance(e, IdentityFailure):
+            failure["identity"] = e.identity
+        report = {"command": command, "inputs": job["inputs"], "error": str(e), "failure": failure}
+        return report, 1, [f"FAILED: {e}"]
     report = {
         "command": command,
         "inputs": job["inputs"],

@@ -138,6 +138,11 @@ def supertrace(t: GradedEndo) -> Scalar:
     return t.ee.trace() - t.oo.trace()
 
 
+def supertrace_product(t1: GradedEndo, t2: GradedEndo):
+    """supertrace(t1 * t2) in O(n^2), without forming the product."""
+    return t1.ee.trace_mul(t2.ee) - t1.oo.trace_mul(t2.oo)
+
+
 def form_supertrace(omega: AlgebroidForm) -> AlgebroidForm:
     """Entrywise supertrace of an endomorphism-valued form."""
     return omega.map_values(supertrace, zero=ZERO)

@@ -30,15 +30,25 @@ class ParseError(ValueError):
     pass
 
 
-def scalar_from_json(v) -> Scalar:
+def _rational(v) -> Fraction:
+    """A JSON integer or rational string; floats and booleans are refused."""
+    if isinstance(v, bool) or not isinstance(v, (str, int)):
+        raise ParseError(
+            f"bad rational {v!r} (only integers and rational strings; floats are not accepted)"
+        )
     try:
-        if isinstance(v, dict):
-            return Scalar(Fraction(v.get("re", "0")), Fraction(v.get("im", "0")))
-        if isinstance(v, (str, int)):
-            return Scalar(Fraction(v))
+        return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {v!r}: {e}") from None
-    raise ParseError(f"bad scalar entry {v!r} (floats are not accepted)")
+
+
+def scalar_from_json(v) -> Scalar:
+    if isinstance(v, dict):
+        unknown = set(v) - {"re", "im"}
+        if unknown:
+            raise ParseError(f"bad scalar entry {v!r}: unknown keys {sorted(unknown)}")
+        return Scalar(_rational(v.get("re", "0")), _rational(v.get("im", "0")))
+    return Scalar(_rational(v))
 
 
 def scalar_to_json(s: Scalar):
@@ -114,18 +124,24 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
 
     extras = {}
     metric = doc.get("metric", {})
+    if not isinstance(metric, dict):
+        raise ParseError("metric must be an object")
     if "g_A" in metric:
         extras["g_A"] = matrix_from_json(metric["g_A"], r, r, "g_A")
     if "g_M" in metric:
         extras["g_M"] = matrix_from_json(metric["g_M"], n, n, "g_M")
     if "g_V" in metric:
         gv = metric["g_V"]
+        if not isinstance(gv, list):
+            raise ParseError("g_V must be a square matrix")
         extras["g_V"] = matrix_from_json(gv, len(gv), len(gv), "g_V")
     conn = doc.get("connection", {})
+    if not isinstance(conn, dict):
+        raise ParseError("connection must be an object")
     if "tm_conn" in conn:
         mats = conn["tm_conn"]
-        if len(mats) != n:
-            raise ParseError(f"tm_conn needs {n} matrices")
+        if not isinstance(mats, list) or len(mats) != n:
+            raise ParseError(f"tm_conn needs a list of {n} matrices")
         extras["tm_conn"] = [
             matrix_from_json(m, r, r, f"tm_conn[{i}]") for i, m in enumerate(mats)
         ]

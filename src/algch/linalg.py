@@ -119,6 +119,21 @@ class Matrix:
             acc = acc + self.rows[i][i]
         return acc
 
+    def trace_mul(self, other: "Matrix"):
+        """tr(self * other) as the sum of a_ij b_ji, without the product."""
+        assert self.nrows == other.ncols and self.ncols == other.nrows
+        acc = None
+        right = other.rows
+        for i, row in enumerate(self.rows):
+            for j, a in enumerate(row):
+                if a.is_zero():
+                    continue
+                b = right[j][i]
+                if b.is_zero():
+                    continue
+                acc = a * b if acc is None else acc + a * b
+        return self.zero if acc is None else acc
+
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
 

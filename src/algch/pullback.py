@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import ZERO, ONE, I
 from .linalg import Matrix
 from .algebroid import (
     ConstantAlgebroid,
@@ -22,8 +22,8 @@ from .algebroid import (
     coboundary_witness,
 )
 from .connections import Connection, GradedEndo, HermitianMetric, h_dual
-from .transgression import cs_cochain
-from .charclasses import adjoint_setup, intrinsic_char, AdjointSetup
+from .transgression import cs_cochains
+from .charclasses import adjoint_setup, AdjointSetup, IdentityFailure
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,18 @@ class SubmersionSpec:
         assert self.g_v.shape == (self.k, self.k)
 
 
+def pullback_anchor(a: ConstantAlgebroid, s: SubmersionSpec) -> Matrix:
+    """Anchor of p^!(A): (n+k) x (k+r), frame (v_1..v_k, hor(e_1)..hor(e_r))."""
+    k, n, r = s.k, a.n, a.r
+    rows = [[ZERO] * (k + r) for _ in range(n + k)]
+    for j in range(k):
+        rows[n + j][j] = ONE  # v_j |-> d/dy_j
+    for i in range(r):
+        for m in range(n):
+            rows[m][k + i] = a.anchor[m, i]  # hor(e_i) |-> h(rho e_i)
+    return Matrix(rows, ncols=k + r)
+
+
 def pullback_algebroid(a: ConstantAlgebroid, s: SubmersionSpec) -> ConstantAlgebroid:
     """Frame (v_1..v_k, hor(e_1)..hor(e_r)) over T^{n+k}.
 
@@ -46,20 +58,14 @@ def pullback_algebroid(a: ConstantAlgebroid, s: SubmersionSpec) -> ConstantAlgeb
     reproduce the base brackets since the coordinate Ehresmann
     connection is flat.
     """
-    k, n, r = s.k, a.n, a.r
-    n2, r2 = n + k, k + r
-    rows = [[ZERO] * r2 for _ in range(n2)]
-    for j in range(k):
-        rows[n + j][j] = ONE  # v_j |-> d/dy_j
-    for i in range(r):
-        for m in range(n):
-            rows[m][k + i] = a.anchor[m, i]  # hor(e_i) |-> h(rho e_i)
+    k, r = s.k, a.r
+    r2 = k + r
     c = [[[ZERO] * r2 for _ in range(r2)] for _ in range(r2)]
     for i in range(r):
         for j in range(r):
             for m in range(r):
                 c[k + i][k + j][k + m] = a.brackets[i][j][m]
-    out = ConstantAlgebroid(n2, r2, Matrix(rows, ncols=r2), c)
+    out = ConstantAlgebroid(a.n + k, r2, pullback_anchor(a, s), c)
     bad = validate_algebroid(out)
     assert not bad, bad
     return out
@@ -109,6 +115,9 @@ class RecipeResult(NamedTuple):
     tm_conn: list  # nabla-bar: one (k+r) matrix per coordinate of T^{n+k}
     metric: HermitianMetric  # g-bar on Ad(p^!(A))
     setup: AdjointSetup  # adjoint data and basic connection of p^!(A)
+    dual: Connection  # g-bar dual of the basic connection
+    base: AdjointSetup  # adjoint data and basic connection of A
+    base_dual: Connection  # (g_a, g_m) dual of the base basic connection
 
 
 def submersion_recipe(a: ConstantAlgebroid, s: SubmersionSpec, tm_conn, g_a: Matrix, g_m: Matrix) -> RecipeResult:
@@ -119,9 +128,11 @@ def submersion_recipe(a: ConstantAlgebroid, s: SubmersionSpec, tm_conn, g_a: Mat
     zero everywhere else; the metric is block-diagonal (g_V, pullbacks).
     The basic connection of nabla-bar then splits as the (zero) vertical
     subconnection plus the pullback of the base basic connection, a
-    block identity asserted below.
+    block identity checked below (IdentityFailure if it does not hold).
     """
     k, n, r = s.k, a.n, a.r
+    base = adjoint_setup(a, tm_conn)
+    base_dual = h_dual(base.basic, HermitianMetric(base.data.bundle, g_a, g_m))
     pb = pullback_algebroid(a, s)
     nabla_bar = []
     for m in range(n):  # horizontal coordinate directions
@@ -138,35 +149,35 @@ def submersion_recipe(a: ConstantAlgebroid, s: SubmersionSpec, tm_conn, g_a: Mat
     g_even = _block_diag(s.g_v, g_a)  # on p^!(A): vertical block first
     g_odd = _block_diag(g_m, s.g_v)  # on T(T^{n+k}): x block first
     gbar = HermitianMetric(setup.data.bundle, g_even, g_odd)
+    dual = h_dual(setup.basic, gbar)
 
-    _assert_basic_splitting(a, s, tm_conn, g_a, g_m, setup, gbar)
-    return RecipeResult(pb, nabla_bar, gbar, setup)
+    _check_basic_splitting(s, base, base_dual, setup, dual)
+    return RecipeResult(pb, nabla_bar, gbar, setup, dual, base, base_dual)
 
 
-def _assert_basic_splitting(a, s, tm_conn, g_a, g_m, setup, gbar):
-    """Check nabla-bar^bas = vertical (+) pullback(nabla^bas), and the
-    same splitting for the g-bar dual."""
-    k, n, r = s.k, a.n, a.r
-    base = adjoint_setup(a, tm_conn)
-    g = HermitianMetric(base.data.bundle, g_a, g_m)
-    pairs = [
-        (setup.basic, base.basic),
-        (h_dual(setup.basic, gbar), h_dual(base.basic, g)),
-    ]
+def _check_basic_splitting(s, base, base_dual, setup, dual):
+    """nabla-bar^bas = vertical (+) pullback(nabla^bas), and the same
+    splitting for the g-bar dual against the base dual."""
+    k = s.k
+    vertical = Matrix.zeros(k, k)
+    pairs = [(setup.basic, base.basic), (dual, base_dual)]
     for i in range(k):  # vertical frame sections act by zero
         for conn, _ in pairs:
-            assert conn.omega[i].is_zero()
-    for i in range(r):
+            if not conn.omega[i].is_zero():
+                raise IdentityFailure(
+                    "basic splitting", f"vertical section v_{i + 1} does not act by zero"
+                )
+    for i in range(base.data.algebroid.r):
         for conn, base_conn in pairs:
             om, bom = conn.omega[k + i], base_conn.omega[i]
-            for p in range(k + r):
-                for q_ in range(k + r):
-                    want = bom.ee[p - k, q_ - k] if p >= k and q_ >= k else ZERO
-                    assert om.ee[p, q_] == want, "even block does not split"
-            for p in range(n + k):
-                for q_ in range(n + k):
-                    want = bom.oo[p, q_] if p < n and q_ < n else ZERO
-                    assert om.oo[p, q_] == want, "odd block does not split"
+            if om.ee != _block_diag(vertical, bom.ee):
+                raise IdentityFailure(
+                    "basic splitting", f"even block of hor(e_{i + 1}) does not split"
+                )
+            if om.oo != _block_diag(bom.oo, vertical):
+                raise IdentityFailure(
+                    "basic splitting", f"odd block of hor(e_{i + 1}) does not split"
+                )
 
 
 @dataclass
@@ -194,42 +205,29 @@ def morita_check(
     given, also check that the intrinsic representatives it produces
     differ from the pulled-back ones by exact forms.
     """
-    base = adjoint_setup(a, tm_conn)
-    g = HermitianMetric(base.data.bundle, g_a, g_m)
-    base_dual = h_dual(base.basic, g)
     recipe = submersion_recipe(a, s, tm_conn, g_a, g_m)
-    bar_dual = h_dual(recipe.setup.basic, recipe.metric)
+    basic = recipe.setup.basic
+    base_cs = cs_cochains([recipe.base.basic, recipe.base_dual], max_q)
+    bar_cs = cs_cochains([basic, recipe.dual], max_q)
 
     report = MoritaReport(k=s.k, max_q=max_q, per_q={})
     for q in range(1, max_q + 1):
-        lhs = cs_cochain([recipe.setup.basic, bar_dual], q)
-        rhs = pullback_form(a, s, cs_cochain([base.basic, base_dual], q))
+        lhs = bar_cs[q]
+        rhs = pullback_form(a, s, base_cs[q])
         equal = lhs == rhs
         report.per_q[q] = {"equal": equal, "both_zero": lhs.is_zero() and rhs.is_zero()}
         if not equal:
             report.passed = False
 
     if alt_metric is not None:
-        pb = recipe.algebroid
-        alt_reports = secondary_with_metric(recipe.setup, alt_metric, max_q)
-        for q, rep in alt_reports.items():
-            pulled = pullback_form(
-                a, s, _intrinsic_rep(base, g, q)
-            )
-            diff = rep - pulled
-            witness = coboundary_witness(pb, diff)
+        alt_cs = cs_cochains([basic, h_dual(basic, alt_metric)], max_q)
+        for q in range(1, max_q + 1):
+            # the intrinsic representatives i^(q+1) cs^q for both metrics
+            phase = I ** (q + 1)
+            pulled = pullback_form(a, s, base_cs[q].scale(phase))
+            diff = alt_cs[q].scale(phase) - pulled
+            witness = coboundary_witness(recipe.algebroid, diff)
             report.cohomologous[q] = witness is not None
             if witness is None:
                 report.passed = False
     return report
-
-
-def _intrinsic_rep(setup: AdjointSetup, g: HermitianMetric, q: int) -> AlgebroidForm:
-    from .scalars import I
-
-    dual = h_dual(setup.basic, g)
-    return cs_cochain([setup.basic, dual], q).scale(I ** (q + 1))
-
-
-def secondary_with_metric(setup: AdjointSetup, metric: HermitianMetric, max_q: int) -> dict:
-    return {q: _intrinsic_rep(setup, metric, q) for q in range(1, max_q + 1)}

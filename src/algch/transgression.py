@@ -14,10 +14,12 @@ differentiated or integrated, hence dt_0 never appears.
 
 from __future__ import annotations
 
-from .scalars import Scalar, ZERO, SimplexPolynomial, simplex_integrate
+from operator import mul
+
+from .scalars import Scalar, SimplexPolynomial, simplex_integrate
 from .linalg import Matrix
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign, _sort_sign
-from .connections import Connection, GradedEndo, supertrace
+from .connections import GradedEndo, supertrace, supertrace_product
 
 
 def _poly_matrix(m: Matrix, p: int) -> Matrix:
@@ -100,34 +102,53 @@ class AffineForm:
     def wedge(self, other: "AffineForm") -> "AffineForm":
         """Bigraded wedge; values multiply (matrix composition)."""
         assert (self.r, self.p) == (other.r, other.p)
-        comps = {}
-        for (i1, j1), v1 in self.comps.items():
-            for (i2, j2), v2 in other.comps.items():
-                si = merge_sign(i1, i2)
-                if si == 0:
-                    continue
-                sj = merge_sign(j1, j2)
-                if sj == 0:
-                    continue
-                sign = si * sj * (-1 if (len(j1) * len(i2)) % 2 else 1)
-                key = (tuple(sorted(i1 + i2)), tuple(sorted(j1 + j2)))
-                term = v1 * v2
-                if sign == -1:
-                    term = -term
-                comps[key] = comps[key] + term if key in comps else term
         out = AffineForm(self.r, self.p, self.degree + other.degree, zero=self.zero)
-        out.comps = {k: v for k, v in comps.items() if not v.is_zero()}
+        out.comps = _combine(_products(self.comps, other.comps, 0), mul)
         return out
 
     def power(self, q: int, identity) -> "AffineForm":
-        out = AffineForm(self.r, self.p, 0, zero=self.zero)
-        out.comps = {((), ()): identity}
-        for _ in range(q):
+        if q == 0:
+            out = AffineForm(self.r, self.p, 0, zero=self.zero)
+            out.comps = {((), ()): identity}
+            return out
+        out = self
+        for _ in range(q - 1):
             out = out.wedge(self)
         return out
 
     def __repr__(self):
         return f"AffineForm(deg={self.degree}, p={self.p}, keys={list(self.comps)})"
+
+
+def _products(left: dict, right: dict, lo: int) -> list:
+    """(key, sign, v1, v2) for every pair of components of left and right
+    whose wedge does not vanish and has simplex degree at least lo."""
+    out = []
+    for (i1, j1), v1 in left.items():
+        for (i2, j2), v2 in right.items():
+            if len(j1) + len(j2) < lo:
+                continue
+            si = merge_sign(i1, i2)
+            if si == 0:
+                continue
+            sj = merge_sign(j1, j2)
+            if sj == 0:
+                continue
+            sign = si * sj * (-1 if (len(j1) * len(i2)) % 2 else 1)
+            key = (tuple(sorted(i1 + i2)), tuple(sorted(j1 + j2)))
+            out.append((key, sign, v1, v2))
+    return out
+
+
+def _combine(products: list, value) -> dict:
+    """Sum sign * value(v1, v2) per key; zero sums are dropped."""
+    comps = {}
+    for key, sign, v1, v2 in products:
+        term = value(v1, v2)
+        if sign == -1:
+            term = -term
+        comps[key] = comps[key] + term if key in comps else term
+    return {k: v for k, v in comps.items() if not v.is_zero()}
 
 
 def _check_family(conns) -> tuple[ConstantAlgebroid, GradedEndo]:
@@ -201,25 +222,55 @@ def fibre_integrate(omega: AffineForm, p: int) -> AlgebroidForm:
     return AlgebroidForm(omega.r, omega.degree - p, comps)
 
 
-def cs_cochain(conns, q: int) -> AlgebroidForm:
-    """The transgression cochain of degree 2q - p for p+1 connections.
+def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
+    """The transgression cochains of degree 2q - p for p+1 connections,
+    as a list indexed by q = 0..max_q.
 
-    p = 0 reduces to the supertrace of the q-th curvature power; for
-    p > 0 the prefactor is (-1)^floor((p+1)/2) on the oriented
-    (t_1, ..., t_p) chart.
+    p = 0 gives the supertraces of the curvature powers; for p > 0 the
+    prefactor is (-1)^floor((p+1)/2) on the oriented (t_1, ..., t_p)
+    chart.  A q with 2q < p gives the zero 0-form: the q-th curvature
+    power has no simplex-degree-p component to integrate.
+
+    One pass: the curvature is built once and R^q = R^{q-1} ^ R.  Every
+    factor of R has simplex degree 0 or 1, so a component of R^k below
+    simplex degree p - (max_q - k) cannot reach degree p and is dropped.
+    The last factor of each power is never formed: the supertrace of
+    v1 * v2 is taken directly, and only for pairs landing in degree p.
     """
     a, bundle = _check_family(conns)
     p = len(conns) - 1
-    if 2 * q < p:
-        # the q-th curvature power has total degree 2q < p, so it has no
-        # simplex-degree-p component and the fibre integral vanishes
-        return AlgebroidForm(a.r, 0)
-    r_aff = _affine_curvature(conns)
-    one = SimplexPolynomial.constant(p, 1)
-    ident = GradedEndo.identity(bundle.rank_even, bundle.rank_odd, one, SimplexPolynomial(p))
-    rq = r_aff.power(q, ident)
-    traced = rq.map_values(supertrace, zero=SimplexPolynomial(p))
-    result = fibre_integrate(traced, p)
-    if p > 0 and ((p + 1) // 2) % 2 == 1:
-        result = -result
-    return result
+    out = [AlgebroidForm(a.r, 0) for _ in range(max_q + 1)]
+    if p == 0:
+        out[0] = AlgebroidForm(
+            a.r, 0, {(): Scalar(bundle.rank_even - bundle.rank_odd)}
+        )
+    if max_q < 1 or 2 * max_q < p:
+        return out
+    curv = _affine_curvature(conns).comps
+    # traced[q]: the supertraced simplex-degree-p components of R^q
+    traced = {
+        1: {
+            k: w
+            for k, v in curv.items()
+            if len(k[1]) == p and not (w := supertrace(v)).is_zero()
+        }
+    }
+    power = {k: v for k, v in curv.items() if len(k[1]) >= p - (max_q - 1)}
+    for q in range(2, max_q + 1):
+        traced[q] = _combine(_products(power, curv, p), supertrace_product)
+        if q < max_q:
+            power = _combine(_products(power, curv, p - (max_q - q)), mul)
+    flip = p > 0 and ((p + 1) // 2) % 2 == 1
+    for q, top in traced.items():
+        if 2 * q < p:
+            continue
+        form = AffineForm(a.r, p, 2 * q, zero=SimplexPolynomial(p))
+        form.comps = top
+        integral = fibre_integrate(form, p)
+        out[q] = -integral if flip else integral
+    return out
+
+
+def cs_cochain(conns, q: int) -> AlgebroidForm:
+    """The transgression cochain of degree 2q - p; see cs_cochains."""
+    return cs_cochains(conns, q)[q]

@@ -4,10 +4,26 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from algch.scalars import Scalar, ZERO, ONE
+from algch.scalars import Scalar, SimplexPolynomial, ZERO, ONE, I
 from algch.linalg import Matrix, nullspace
-from algch.algebroid import AlgebroidForm, ConstantAlgebroid, direct_product
-from algch.connections import GradedBundle, GradedEndo, Connection, HermitianMetric
+from algch.algebroid import (
+    AlgebroidForm,
+    ConstantAlgebroid,
+    coboundary_witness,
+    direct_product,
+)
+from algch.connections import (
+    GradedBundle,
+    GradedEndo,
+    Connection,
+    HermitianMetric,
+    h_dual,
+    supertrace,
+)
+from algch import charclasses
+from algch.charclasses import adjoint_setup
+from algch.pullback import pullback_form, submersion_recipe
+from algch.transgression import _affine_curvature, _check_family, fibre_integrate
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
 
 
@@ -278,3 +294,59 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
             row.append(acc)
         rows.append(row)
     return Matrix(rows, a.zero, ncols=b.ncols)
+
+
+def reference_cs_cochain(conns, q: int) -> AlgebroidForm:
+    """The transgression cochain for one q, the way it was computed
+    before cs_cochains: the q-th power of a freshly built affine
+    curvature, the supertrace of every component, then the fibre
+    integral."""
+    a, bundle = _check_family(conns)
+    p = len(conns) - 1
+    if 2 * q < p:
+        return AlgebroidForm(a.r, 0)
+    r_aff = _affine_curvature(conns)
+    one = SimplexPolynomial.constant(p, 1)
+    ident = GradedEndo.identity(bundle.rank_even, bundle.rank_odd, one, SimplexPolynomial(p))
+    rq = r_aff.power(q, ident)
+    traced = rq.map_values(supertrace, zero=SimplexPolynomial(p))
+    result = fibre_integrate(traced, p)
+    if p > 0 and ((p + 1) // 2) % 2 == 1:
+        result = -result
+    return result
+
+
+def reference_morita_verdicts(a, s, tm_conn, g_a, g_m, max_q, alt_metric):
+    """(per_q, cohomologous) of morita_check, with every cochain computed
+    on its own by reference_cs_cochain and every setup and dual rebuilt
+    where it is used."""
+    base = adjoint_setup(a, tm_conn)
+    g = HermitianMetric(base.data.bundle, g_a, g_m)
+    recipe = submersion_recipe(a, s, tm_conn, g_a, g_m)
+    basic = recipe.setup.basic
+    per_q, cohomologous = {}, {}
+    for q in range(1, max_q + 1):
+        base_cs = reference_cs_cochain([base.basic, h_dual(base.basic, g)], q)
+        lhs = reference_cs_cochain([basic, h_dual(basic, recipe.metric)], q)
+        rhs = pullback_form(a, s, base_cs)
+        per_q[q] = {"equal": lhs == rhs, "both_zero": lhs.is_zero() and rhs.is_zero()}
+        if alt_metric is not None:
+            phase = I ** (q + 1)
+            rep = reference_cs_cochain([basic, h_dual(basic, alt_metric)], q)
+            diff = rep.scale(phase) - pullback_form(a, s, base_cs.scale(phase))
+            cohomologous[q] = coboundary_witness(recipe.algebroid, diff) is not None
+    return per_q, cohomologous
+
+
+def fake_cs_cochains(monkeypatch, p, form):
+    """Make charclasses.cs_cochains return form(r) at every q >= 1 for
+    families of p+1 connections; other families are computed as usual."""
+    real = charclasses.cs_cochains
+
+    def patched(conns, max_q):
+        if len(conns) != p + 1:
+            return real(conns, max_q)
+        r = conns[0].algebroid.r
+        return [AlgebroidForm(r, 0)] + [form(r)] * max_q
+
+    monkeypatch.setattr(charclasses, "cs_cochains", patched)

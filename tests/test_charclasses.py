@@ -21,7 +21,11 @@ from algch.connections import (
     direct_sum_bundles,
     direct_sum_connections,
 )
+from algch import charclasses
+from algch.scalars import I
 from algch.charclasses import (
+    IdentityFailure,
+    PrimaryObstruction,
     KAPPA,
     chern_character,
     secondary_class,
@@ -44,6 +48,7 @@ from helpers import (
     rand_q_family,
     boundary_commutant,
     small_corpus,
+    fake_cs_cochains,
 )
 
 
@@ -135,6 +140,53 @@ class TestSecondaryClass:
             for rep in intrinsic_char(a, tm, g, max_q=2):
                 if rep.q % 2 == 0:
                     assert rep.is_zero_class, name
+
+
+class TestVerdictChecks:
+    """Verdict-deciding identities raise IdentityFailure, not assert, so
+    they also hold under python -O."""
+
+    def so3_adjoint(self):
+        a = so3()
+        bundle = GradedBundle(3, 0)
+        return adjoint_connection(a, bundle), HermitianMetric.identity(bundle)
+
+    def test_imaginary_representative(self, monkeypatch):
+        # i^2 * i is imaginary
+        fake_cs_cochains(monkeypatch, 1, lambda r: AlgebroidForm(r, 1, {(0,): I}))
+        c, h = self.so3_adjoint()
+        with pytest.raises(IdentityFailure, match="q=1 has an imaginary part") as info:
+            secondary_class(c, h, 1)
+        assert info.value.identity == "reality"
+
+    def test_open_representative(self, monkeypatch):
+        # H^1(so3) = 0, so no nonzero 1-form is closed
+        fake_cs_cochains(monkeypatch, 1, lambda r: AlgebroidForm(r, 1, {(0,): ONE}))
+        c, h = self.so3_adjoint()
+        with pytest.raises(IdentityFailure, match="q=1 is not closed") as info:
+            secondary_class(c, h, 1)
+        assert info.value.identity == "closedness"
+
+    def test_primary_obstruction(self, monkeypatch):
+        # on an abelian algebra every form is closed and none is exact
+        fake_cs_cochains(monkeypatch, 0, lambda r: AlgebroidForm(r, 2, {(0, 1): ONE}))
+        a = abelian(2)
+        bundle = GradedBundle(1, 0)
+        c = zero_connection(a, bundle)
+        with pytest.raises(PrimaryObstruction, match="q=1"):
+            secondary_class(c, HermitianMetric.identity(bundle), 1)
+
+    def test_adjoint_equivalence(self, monkeypatch):
+        monkeypatch.setattr(charclasses, "adjoint_connection", zero_connection)
+        with pytest.raises(IdentityFailure, match="theta at e_1") as info:
+            adjoint_setup(so3(), [])
+        assert info.value.identity == "adjoint equivalence"
+
+    def test_boundary_commutation(self, monkeypatch):
+        monkeypatch.setattr(Connection, "commutes_with_boundary", lambda self: False)
+        with pytest.raises(IdentityFailure) as info:
+            adjoint_setup(tangent_torus(1), [Matrix.zeros(1, 1)])
+        assert info.value.identity == "boundary commutation"
 
 
 class TestAdjointSetup:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from algch import charclasses
+from algch.algebroid import AlgebroidForm
 from algch.cli import main
 from algch.fileio import (
     ParseError,
@@ -12,7 +14,9 @@ from algch.fileio import (
     scalar_from_json,
     scalar_to_json,
 )
-from algch.scalars import Scalar
+from algch.scalars import Scalar, I, ONE
+
+from helpers import fake_cs_cochains
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -91,6 +95,15 @@ MALFORMED_DOCS = {
     "float bracket index": {"base_dim": 0, "rank": 2, "brackets": [{"i": 1.0, "j": 2, "coeffs": ["0", "1"]}]},
     "anchor not a list": {"base_dim": 1, "rank": 1, "anchor": 5},
     "anchor row not a list": {"base_dim": 1, "rank": 1, "anchor": ["1"]},
+    "float in a Gaussian entry": {
+        "base_dim": 0, "rank": 1, "metric": {"g_A": [[{"re": 0.5, "im": "0"}]]},
+    },
+    "bool scalar": {"base_dim": 0, "rank": 1, "metric": {"g_A": [[True]]}},
+    "unknown scalar key": {"base_dim": 0, "rank": 1, "metric": {"g_A": [[{"real": "1"}]]}},
+    "g_V not a list": {"base_dim": 0, "rank": 1, "metric": {"g_V": 2}},
+    "tm_conn not a list": {"base_dim": 1, "rank": 1, "anchor": [["0"]], "connection": {"tm_conn": 3}},
+    "metric not an object": {"base_dim": 0, "rank": 1, "metric": [["1"]]},
+    "connection not an object": {"base_dim": 0, "rank": 1, "connection": "none"},
 }
 
 
@@ -107,6 +120,12 @@ class TestMalformedDocuments:
         status, out = run_cli(capsys, "validate", f)
         assert status == 1
         assert out.startswith("INVALID")
+
+    def test_gaussian_floats_rejected(self):
+        with pytest.raises(ParseError, match="floats are not accepted"):
+            scalar_from_json({"re": 0.5, "im": 0.25})
+        with pytest.raises(ParseError):
+            scalar_from_json({"re": "1/2", "im": 0.25})
 
     def test_fractional_dimensions_not_truncated(self):
         with pytest.raises(ParseError, match="base_dim must be an integer"):
@@ -158,6 +177,82 @@ class TestCountOptions:
         status, out = run_cli(capsys, "batch", batch)
         assert status == 1
         assert "error: --max-q must be an integer >= 1" in out
+
+
+def imaginary_one_form(r):
+    return AlgebroidForm(r, 1, {(0,): I})
+
+
+class TestFailedIdentities:
+    """IdentityFailure and PrimaryObstruction are verdicts: a structured
+    error, exit 1, no traceback."""
+
+    def test_identity_failure(self, capsys, tmp_path, monkeypatch):
+        fake_cs_cochains(monkeypatch, 1, imaginary_one_form)
+        out_file = tmp_path / "report.json"
+        status, out = run_cli(
+            capsys, "char", "--max-q", "1", "--out", out_file, INPUTS / "q_family.json"
+        )
+        assert status == 1
+        assert out.startswith("FAILED: reality:")
+        report = json.loads(out_file.read_text())
+        assert report["failure"] == {"kind": "IdentityFailure", "identity": "reality"}
+        assert "imaginary part" in report["error"]
+
+    def test_primary_obstruction(self, capsys, tmp_path, monkeypatch):
+        fake_cs_cochains(monkeypatch, 0, lambda r: AlgebroidForm(r, 2, {(0, 1): ONE}))
+        out_file = tmp_path / "report.json"
+        status, out = run_cli(
+            capsys, "modular", "--out", out_file, INPUTS / "abelian2.json"
+        )
+        assert status == 1
+        assert out.startswith("FAILED: Chern character entry q=1")
+        report = json.loads(out_file.read_text())
+        assert report["failure"] == {"kind": "PrimaryObstruction"}
+
+    def test_failure_in_batch_fails_only_that_job(self, capsys, tmp_path, monkeypatch):
+        fake_cs_cochains(monkeypatch, 1, imaginary_one_form)
+        jobs = [
+            {"command": "char", "inputs": [str(INPUTS / "q_family.json")], "options": {"max_q": 1}},
+            {"command": "cohomology", "inputs": [str(INPUTS / "so3.json")]},
+        ]
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(jobs))
+        out_file = tmp_path / "report.json"
+        status, out = run_cli(capsys, "batch", "--out", out_file, batch)
+        assert status == 1
+        reports = json.loads(out_file.read_text())["batch"]
+        assert reports[0]["failure"]["identity"] == "reality"
+        assert reports[1]["betti"] == [1, 0, 0, 1]
+
+
+class TestCommandSetups:
+    """Each command builds its adjoint setups once."""
+
+    @pytest.mark.parametrize(
+        "argv, setups",
+        [
+            (["char", "--max-q", "2", "q_family.json"], 1),
+            (["modular", "q_family.json"], 1),
+            (["cs", "--max-q", "2", "q_family.json"], 1),
+            (["morita-check", "--k", "1", "--seed", "2", "tt2.json"], 2),
+        ],
+    )
+    def test_adjoint_setup_calls(self, capsys, monkeypatch, argv, setups):
+        from algch import cli, pullback
+
+        calls = []
+        original = charclasses.adjoint_setup
+
+        def counted(*args):
+            calls.append(args[0].r)
+            return original(*args)
+
+        for module in (cli, charclasses, pullback):
+            monkeypatch.setattr(module, "adjoint_setup", counted)
+        status, _ = run_cli(capsys, *argv[:-1], INPUTS / argv[-1])
+        assert status == 0
+        assert len(calls) == setups
 
 
 class TestCommands:

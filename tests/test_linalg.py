@@ -65,3 +65,33 @@ class TestMatmulAgainstDense:
         a = Matrix([[Scalar(1), Scalar(1)]])
         b = Matrix([[Scalar(Fraction(1, 2))], [Scalar(Fraction(-1, 2))]])
         assert (a * b).is_zero()
+
+
+class TestTraceMul:
+    """Matrix.trace_mul sums a_ij b_ji without forming the product."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 4), st.integers(0, 4),
+        st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 2**32),
+    )
+    def test_scalar_entries(self, n, m, density, seed):
+        rng = random.Random(seed)
+        a = scalar_matrix(n, m, rng, density)
+        b = scalar_matrix(m, n, rng, density)
+        assert a.trace_mul(b) == dense_matmul(a, b).trace()
+
+    def test_polynomial_entries(self):
+        rng = random.Random(4)
+        for p in (0, 1, 2):
+            for density in (0.0, 0.4, 1.0):
+                a = poly_matrix(3, 2, p, rng, density)
+                b = poly_matrix(2, 3, p, rng, density)
+                got = a.trace_mul(b)
+                assert got == dense_matmul(a, b).trace()
+                assert got.p == p
+
+    def test_cancellation_gives_zero(self):
+        a = Matrix([[Scalar(1), Scalar(1)]])
+        b = Matrix([[Scalar(Fraction(1, 2))], [Scalar(Fraction(-1, 2))]])
+        assert a.trace_mul(b) == ZERO

@@ -14,15 +14,18 @@ from algch.algebroid import (
 )
 from algch.connections import GradedBundle, HermitianMetric, h_dual
 from algch.transgression import cs_cochain
-from algch.charclasses import adjoint_setup
+from algch.charclasses import adjoint_setup, IdentityFailure
+from algch import pullback
 from algch.pullback import (
     SubmersionSpec,
     pullback_algebroid,
+    pullback_anchor,
     pullback_form,
     pullback_connection,
     pullback_data,
     submersion_recipe,
     morita_check,
+    _check_basic_splitting,
 )
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
 
@@ -35,6 +38,7 @@ from helpers import (
     boundary_commutant,
     small_corpus,
     rand_q_family,
+    reference_morita_verdicts,
 )
 
 
@@ -157,6 +161,61 @@ class TestSubmersionRecipe:
             assert dual.omega[j].is_zero()
 
 
+    def test_dual_is_metric_dual_of_basic(self):
+        rng = random.Random(65)
+        a = q_family(1, 2, 3, 4)
+        recipe = submersion_recipe(
+            a, SubmersionSpec(1), [], rand_pd_matrix(3, rng), Matrix.identity(0)
+        )
+        assert recipe.dual == h_dual(recipe.setup.basic, recipe.metric)
+
+    def test_base_data(self):
+        rng = random.Random(66)
+        a = tangent_torus(1)
+        tm = rand_tm_conn(a, rng)
+        g_a, g_m = rand_pd_matrix(1, rng), rand_pd_matrix(1, rng)
+        recipe = submersion_recipe(a, SubmersionSpec(1), tm, g_a, g_m)
+        base = adjoint_setup(a, tm)
+        assert recipe.base.basic == base.basic
+        assert recipe.base_dual == h_dual(base.basic, HermitianMetric(base.data.bundle, g_a, g_m))
+
+
+class TestBasicSplittingFailures:
+    """The splitting identity raises IdentityFailure, also under -O."""
+
+    def recipe(self):
+        rng = random.Random(67)
+        s = SubmersionSpec(1)
+        g_a = rand_pd_matrix(3, rng, real=True)
+        return s, submersion_recipe(q_family(1, 2, 3, 4), s, [], g_a, Matrix.identity(0))
+
+    def test_wrong_base_dual(self):
+        s, r = self.recipe()
+        with pytest.raises(IdentityFailure, match="basic splitting") as info:
+            # the basic connection itself is not its dual for this metric
+            _check_basic_splitting(s, r.base, r.base.basic, r.setup, r.dual)
+        assert info.value.identity == "basic splitting"
+
+    def test_wrong_base_connection(self):
+        s, r = self.recipe()
+        other = adjoint_setup(q_family(1, 0, 0, 1), [])
+        with pytest.raises(IdentityFailure, match="even block of hor"):
+            _check_basic_splitting(s, other, r.base_dual, r.setup, r.dual)
+
+    def test_vertical_section_acting(self):
+        a = tangent_torus(1)
+        s = SubmersionSpec(1)
+        g = Matrix.identity(1)
+        r = submersion_recipe(a, s, [Matrix.zeros(1, 1)], g, g)
+        # let the vertical coordinate field move v_1: the basic
+        # connection of the pullback then acts along v_1
+        nabla = list(r.tm_conn)
+        nabla[1] = Matrix([[ONE, ZERO], [ZERO, ZERO]])
+        bad = adjoint_setup(r.algebroid, nabla)
+        with pytest.raises(IdentityFailure, match="vertical section v_1"):
+            _check_basic_splitting(s, r.base, r.base_dual, bad, h_dual(bad.basic, r.metric))
+
+
 class TestMoritaCheck:
     def test_q_family_nonzero_class(self):
         a = q_family(1, 0, 0, 1)  # Tr Q = 2
@@ -211,3 +270,54 @@ class TestMoritaCheck:
         )
         assert report.passed
         assert all(report.cohomologous.values())
+
+
+class TestMoritaAgainstReference:
+    """morita_check computes each pair's cochains once and reuses the
+    base pair's; the oracle recomputes every cochain per q."""
+
+    def test_corpus_verdicts(self):
+        rng = random.Random(68)
+        for name, a in small_corpus().items():
+            tm = rand_tm_conn(a, rng, real=True)
+            g_a = rand_pd_matrix(a.r, rng)
+            g_m = rand_pd_matrix(a.n, rng, real=True)
+            s = SubmersionSpec(1)
+            anchor = pullback_anchor(a, s)
+            alt = HermitianMetric(
+                GradedBundle(anchor.ncols, anchor.nrows, d01=anchor),
+                rand_pd_matrix(anchor.ncols, rng),
+                rand_pd_matrix(anchor.nrows, rng, real=True),
+            )
+            report = morita_check(a, s, tm, g_a, g_m, max_q=2, alt_metric=alt)
+            per_q, cohomologous = reference_morita_verdicts(a, s, tm, g_a, g_m, 2, alt)
+            assert report.per_q == per_q, name
+            assert report.cohomologous == cohomologous, name
+            assert report.passed == (
+                all(v["equal"] for v in per_q.values()) and all(cohomologous.values())
+            )
+
+    def test_setups_and_duals_built_once(self, monkeypatch):
+        counts = {"adjoint_setup": 0, "h_dual": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(pullback, "adjoint_setup", counting("adjoint_setup", pullback.adjoint_setup))
+        monkeypatch.setattr(pullback, "h_dual", counting("h_dual", pullback.h_dual))
+        rng = random.Random(69)
+        a = heisenberg()
+        s = SubmersionSpec(1)
+        anchor = pullback_anchor(a, s)
+        alt = HermitianMetric(
+            GradedBundle(anchor.ncols, anchor.nrows, d01=anchor),
+            rand_pd_matrix(anchor.ncols, rng),
+            rand_pd_matrix(anchor.nrows, rng),
+        )
+        morita_check(a, s, [], Matrix.identity(3), Matrix.identity(0), max_q=3, alt_metric=alt)
+        # base and pullback setups; base, pullback and alternative duals
+        assert counts == {"adjoint_setup": 2, "h_dual": 3}

@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algch.scalars import Scalar, SimplexPolynomial, ZERO, ONE
 from algch.linalg import Matrix
@@ -11,22 +12,27 @@ from algch.connections import (
     GradedEndo,
     Connection,
     supertrace,
+    supertrace_product,
     h_dual,
 )
+from algch import transgression
 from algch.transgression import (
     AffineForm,
     affine_curvature,
     fibre_integrate,
     cs_cochain,
+    cs_cochains,
 )
-from algch.library import abelian
+from algch.library import abelian, so3
 
 from helpers import (
     rand_bundle,
     rand_connection,
     rand_metric,
     rand_algebroid,
+    rand_scalar,
     boundary_commutant,
+    reference_cs_cochain,
 )
 
 from test_connections import supertrace_curvature_power
@@ -180,9 +186,119 @@ class TestCsCochain:
             cs_cochain([c0, c1], 1)
 
 
+def rand_poly_endo(re, ro, p, rng, density=0.6):
+    zero = SimplexPolynomial(p)
+
+    def entry():
+        if rng.random() >= density:
+            return zero
+        f = SimplexPolynomial.constant(p, rand_scalar(rng, real=rng.random() < 0.5))
+        for i in range(1, p + 1):
+            f = f + SimplexPolynomial.variable(i, p) * rand_scalar(rng)
+        return f
+
+    def block(n):
+        return Matrix([[entry() for _ in range(n)] for _ in range(n)], zero, ncols=n)
+
+    return GradedEndo(block(re), block(ro))
+
+
+class TestSupertraceProduct:
+    """The fused last factor: supertrace(v1 * v2) without the product."""
+
+    def test_polynomial_endos(self):
+        rng = random.Random(40)
+        for p in (0, 1, 2):
+            for re, ro in ((2, 1), (1, 2), (3, 2), (0, 2), (2, 0)):
+                for density in (0.0, 0.5, 1.0):
+                    v1 = rand_poly_endo(re, ro, p, rng, density)
+                    v2 = rand_poly_endo(re, ro, p, rng, density)
+                    got = supertrace_product(v1, v2)
+                    assert got == supertrace(v1 * v2)
+                    assert got.p == p
+
+    def test_odd_block_enters_with_minus_sign(self):
+        one = SimplexPolynomial.constant(1, 1)
+        zero = SimplexPolynomial(1)
+        empty = Matrix([], zero, ncols=0)
+        v = GradedEndo(empty, Matrix([[one]], zero))
+        assert supertrace_product(v, v) == SimplexPolynomial.constant(1, -1)
+
+
+def rand_family(data, p, real_metric):
+    """p+1 connections on a bundle with odd rank > 0: a random
+    connection, its metric dual, then further random connections."""
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    a = rand_algebroid(rng)
+    b = rand_bundle(
+        rng,
+        re=data.draw(st.integers(0, 2), label="rank_even"),
+        ro=data.draw(st.integers(1, 2), label="rank_odd"),
+    )
+    basis = boundary_commutant(b)
+    c = rand_connection(a, b, rng, basis, real=real_metric)
+    conns = [c, h_dual(c, rand_metric(b, rng, real=real_metric))]
+    conns += [rand_connection(a, b, rng, basis) for _ in range(p - 1)]
+    return conns[: p + 1]
+
+
+class TestCsCochainsOnePass:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2), st.integers(0, 3), st.booleans(), st.data()
+    )
+    def test_matches_per_q_reference(self, p, max_q, real_metric, data):
+        conns = rand_family(data, p, real_metric)
+        got = cs_cochains(conns, max_q)
+        assert len(got) == max_q + 1
+        for q in range(max_q + 1):
+            assert got[q] == reference_cs_cochain(conns, q), (p, q)
+
+    def test_same_cochain_for_every_max_q(self):
+        # max_q sets how much of each power is pruned
+        rng = random.Random(41)
+        a = so3()
+        b = rand_bundle(rng, re=2, ro=1)
+        basis = boundary_commutant(b)
+        conns = [rand_connection(a, b, rng, basis) for _ in range(3)]
+        forms = cs_cochains(conns, 3)
+        for q in range(4):
+            assert cs_cochain(conns, q) == forms[q]
+
+    def test_curvature_built_once(self, monkeypatch):
+        calls = []
+        original = transgression._affine_curvature
+
+        def counted(conns):
+            calls.append(len(conns))
+            return original(conns)
+
+        monkeypatch.setattr(transgression, "_affine_curvature", counted)
+        rng = random.Random(42)
+        a = so3()
+        b = rand_bundle(rng, re=2, ro=1)
+        basis = boundary_commutant(b)
+        for p in (0, 1, 2):
+            calls.clear()
+            conns = [rand_connection(a, b, rng, basis) for _ in range(p + 1)]
+            cs_cochains(conns, 3)
+            assert calls == [p + 1]
+
+    def test_q0_entry_is_superdimension(self):
+        rng = random.Random(43)
+        a = so3()
+        for re, ro in ((2, 1), (1, 1), (0, 2)):
+            b = GradedBundle(re, ro)
+            c = rand_connection(a, b, rng)
+            q0 = cs_cochains([c], 0)[0]
+            assert q0.degree == 0 and q0.get(()) == Scalar(re - ro)
+            assert cs_cochains([c, c], 0)[0].is_zero()
+
+
 def check_cs_axioms(a, b, conns, metric, q, rng):
     """One randomized instance of the four transgression axioms."""
     p = len(conns) - 1
+    cs = cs_cochain(conns, q)
 
     # CS1: the p=0 cochain is the supertraced curvature power
     assert cs_cochain([conns[0]], q) == supertrace_curvature_power(conns[0], q)
@@ -191,7 +307,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
     perm = list(range(p + 1))
     rng.shuffle(perm)
     lhs = cs_cochain([conns[s] for s in perm], q)
-    rhs = cs_cochain(conns, q)
+    rhs = cs
     if perm_sign(perm) == -1:
         rhs = -rhs
     assert lhs == rhs
@@ -204,7 +320,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
 
     # CS3: d cs^q(c_0..c_p) = sum_i (-1)^i cs^q(c_0..omit i..c_p)
     if 2 * q >= p + 1:
-        lhs = ce_differential(a, cs_cochain(conns, q))
+        lhs = ce_differential(a, cs)
         rhs = AlgebroidForm(a.r, 2 * q - p + 1)
         for i in range(p + 1):
             omitted = conns[:i] + conns[i + 1:]
@@ -217,7 +333,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
     # CS4: duals conjugate the cochain up to (-1)^q
     duals = [h_dual(c, metric) for c in conns]
     lhs = cs_cochain(duals, q)
-    rhs = cs_cochain(conns, q).conj()
+    rhs = cs.conj()
     if q % 2:
         rhs = -rhs
     assert lhs == rhs
