@@ -19,20 +19,15 @@ from .connections import (
     HermitianMetric,
     curvature,
     supertrace,
-    form_supertrace,
     h_dual,
-    metric_average,
-    equivalence_witness,
 )
 from .transgression import (
     AffineForm,
-    affine_curvature,
     fibre_integrate,
     cs_cochain,
     cs_cochains,
 )
 from .charclasses import (
-    AdjointData,
     ClassReport,
     IdentityFailure,
     PrimaryObstruction,
@@ -47,7 +42,6 @@ from .charclasses import (
 from .pullback import (
     SubmersionSpec,
     pullback_algebroid,
-    pullback_data,
     submersion_recipe,
     morita_check,
 )

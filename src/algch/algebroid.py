@@ -76,13 +76,6 @@ class ConstantAlgebroid:
             for plane in c
         )
 
-    def bracket_coeffs(self, i: int, j: int):
-        return self.brackets[i][j]
-
-    def anchor_of(self, i: int):
-        """rho(e_i) as a tuple of n components."""
-        return self.anchor.column(i)
-
     def __eq__(self, other):
         if not isinstance(other, ConstantAlgebroid):
             return NotImplemented
@@ -331,26 +324,16 @@ def coboundary_witness(a: ConstantAlgebroid, omega: AlgebroidForm):
 
 
 def direct_product(a: ConstantAlgebroid, b: ConstantAlgebroid) -> ConstantAlgebroid:
-    """Block product: base T^{n_a+n_b}, brackets vanish across factors."""
-    n, r = a.n + b.n, a.r + b.r
-    anchor = Matrix.zeros(n, r)
-    rows = [list(row) for row in anchor.rows]
-    for i in range(a.n):
-        for j in range(a.r):
-            rows[i][j] = a.anchor[i, j]
-    for i in range(b.n):
-        for j in range(b.r):
-            rows[a.n + i][a.r + j] = b.anchor[i, j]
+    """Block product: base T^{n_a+n_b}, brackets vanish across factors.
+
+    The product of valid factors is valid, so it is not checked again;
+    documents from outside are checked when they are parsed.
+    """
+    r = a.r + b.r
     c = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
-    for i in range(a.r):
-        for j in range(a.r):
-            for k in range(a.r):
-                c[i][j][k] = a.brackets[i][j][k]
-    for i in range(b.r):
-        for j in range(b.r):
-            for k in range(b.r):
-                c[a.r + i][a.r + j][a.r + k] = b.brackets[i][j][k]
-    out = ConstantAlgebroid(n, r, Matrix(rows, ncols=r), c)
-    bad = validate_algebroid(out)
-    assert not bad, bad
-    return out
+    for off, f in ((0, a), (a.r, b)):
+        for i in range(f.r):
+            for j in range(f.r):
+                for k, v in f.nonzero_brackets[i][j]:
+                    c[off + i][off + j][off + k] = v
+    return ConstantAlgebroid(a.n + b.n, r, Matrix.block_diag(a.anchor, b.anchor), c)

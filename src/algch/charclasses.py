@@ -38,14 +38,6 @@ from math import factorial
 KAPPA = Scalar(2)
 
 
-@dataclass(frozen=True)
-class AdjointData:
-    """Adjoint bundle of an algebroid: A even, TM odd, boundary = anchor."""
-
-    algebroid: ConstantAlgebroid
-    bundle: GradedBundle
-
-
 @dataclass
 class ClassReport:
     q: int
@@ -115,7 +107,7 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
 
 
 class AdjointSetup(NamedTuple):
-    data: AdjointData
+    bundle: GradedBundle  # A even, TM odd, boundary = anchor
     basic: Connection
     theta: list[OddMap]
     adjoint: Connection
@@ -204,7 +196,7 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
                 "adjoint equivalence",
                 f"basic and adjoint connections differ from the stated theta at e_{i + 1}",
             )
-    return AdjointSetup(AdjointData(a, bundle), basic, thetas, ad)
+    return AdjointSetup(bundle, basic, thetas, ad)
 
 
 def intrinsic_char(a: ConstantAlgebroid, tm_conn, g: HermitianMetric, max_q=None) -> list[ClassReport]:
@@ -212,7 +204,7 @@ def intrinsic_char(a: ConstantAlgebroid, tm_conn, g: HermitianMetric, max_q=None
     if max_q is None:
         max_q = default_max_q(a)
     setup = adjoint_setup(a, tm_conn)
-    if g.bundle != setup.data.bundle:
+    if g.bundle != setup.bundle:
         raise ValueError("metric does not live on the adjoint bundle")
     return secondary_class(setup.basic, g, max_q)
 

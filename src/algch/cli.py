@@ -14,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .scalars import Scalar
@@ -142,7 +141,7 @@ def cmd_cs(job):
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
     setup = adjoint_setup(a, tm)
-    g, _, _ = _default_metric(extras, setup.data.bundle, a)
+    g, _, _ = _default_metric(extras, setup.bundle, a)
     dual = h_dual(setup.basic, g)
     out, lines = [], []
     forms = cs_cochains([setup.basic, dual], max_q)
@@ -158,7 +157,11 @@ def cmd_morita_check(job):
     opts = job["options"]
     k = _count_option(opts, "k", 1)
     max_q = _count_option(opts, "max_q", 2)
-    seed = opts.get("seed") if opts.get("seed") is not None else 0
+    seed = opts.get("seed")
+    if seed is None:
+        seed = 0
+    elif isinstance(seed, bool) or not isinstance(seed, int):
+        raise ParseError(f"--seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     tm = _tm_conn(extras, a)
     g_a = extras.get("g_A", Matrix.identity(a.r))
@@ -216,16 +219,20 @@ COMMANDS = {
 
 
 def run(job: dict):
-    """Dispatch one job: {'command', 'inputs', 'options'}."""
+    """Dispatch one job: {'command', 'inputs', 'options'}.
+
+    A job that cannot run (unknown command, wrong number of inputs,
+    unreadable or malformed input) gets an error report and status 1.
+    """
     command = job["command"]
-    if command not in COMMANDS:
-        raise ParseError(f"unknown command {command!r}")
-    fn, arity = COMMANDS[command]
-    if len(job["inputs"]) != arity:
-        raise ParseError(f"{command} takes {arity} input file(s)")
     try:
+        if command not in COMMANDS:
+            raise ParseError(f"unknown command {command!r}")
+        fn, arity = COMMANDS[command]
+        if len(job["inputs"]) != arity:
+            raise ParseError(f"{command} takes {arity} input file(s)")
         payload, status, lines = fn(job)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         return {"command": command, "inputs": job["inputs"], "error": str(e)}, 1, [f"error: {e}"]
     except (IdentityFailure, PrimaryObstruction) as e:
         # a failed identity is a verdict: reported like any other, exit 1
@@ -243,21 +250,38 @@ def run(job: dict):
     return report, status, lines
 
 
-def cmd_batch(path: str):
-    with open(path, encoding="utf-8") as fh:
-        jobs = json.load(fh)
-    normalized = [
-        {
-            "command": j["command"],
+def _batch_jobs(doc) -> list[dict]:
+    """The jobs of a batch document; ParseError if any is malformed."""
+    if not isinstance(doc, list):
+        raise ParseError("a batch document must be a list of jobs")
+    jobs = []
+    for n, j in enumerate(doc, 1):
+        if not isinstance(j, dict):
+            raise ParseError(f"batch job {n} is not an object")
+        job = {
+            "command": j.get("command"),
             "inputs": j.get("inputs", []),
             "options": j.get("options", {}),
         }
-        for j in jobs
-    ]
-    with ThreadPoolExecutor() as pool:
-        results = list(pool.map(run, normalized))
+        if not isinstance(job["command"], str):
+            raise ParseError(f"batch job {n}: command must be a string")
+        if not isinstance(job["inputs"], list) or not all(
+            isinstance(f, str) for f in job["inputs"]
+        ):
+            raise ParseError(f"batch job {n}: inputs must be a list of file names")
+        if not isinstance(job["options"], dict):
+            raise ParseError(f"batch job {n}: options must be an object")
+        jobs.append(job)
+    return jobs
+
+
+def cmd_batch(path: str):
+    """Run the jobs in input order; a job that fails fails only itself."""
+    with open(path, encoding="utf-8") as fh:
+        jobs = _batch_jobs(json.load(fh))
     reports, status, lines = [], 0, []
-    for (report, st, ls), job in zip(results, normalized):
+    for job in jobs:
+        report, st, ls = run(job)
         reports.append(report)
         status = max(status, st)
         lines.append(f"== {job['command']} {' '.join(job['inputs'])}")

@@ -9,7 +9,7 @@ simplifies to Omega |-> -Omega^T (the Lie-derivative term vanishes).
 from __future__ import annotations
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import Matrix, inverse, det, solve
+from .linalg import Matrix, inverse, det
 from .algebroid import ConstantAlgebroid, AlgebroidForm
 from itertools import combinations
 
@@ -143,11 +143,6 @@ def supertrace_product(t1: GradedEndo, t2: GradedEndo):
     return t1.ee.trace_mul(t2.ee) - t1.oo.trace_mul(t2.oo)
 
 
-def form_supertrace(omega: AlgebroidForm) -> AlgebroidForm:
-    """Entrywise supertrace of an endomorphism-valued form."""
-    return omega.map_values(supertrace, zero=ZERO)
-
-
 class HermitianMetric:
     """Block-diagonal positive-definite Hermitian metric on a graded bundle."""
 
@@ -227,11 +222,6 @@ class Connection:
         return f"Connection(r={self.algebroid.r}, {self.bundle})"
 
 
-def zero_connection(algebroid: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
-    z = GradedEndo.zeros(bundle.rank_even, bundle.rank_odd)
-    return Connection(algebroid, bundle, [z] * algebroid.r)
-
-
 def curvature(c: Connection) -> AlgebroidForm:
     """R(e_i, e_j) = [Omega_i, Omega_j] - sum_k c_ijk Omega_k."""
     a = c.algebroid
@@ -265,107 +255,3 @@ def h_dual(c: Connection, h: HermitianMetric) -> Connection:
         for om in c.omega
     ]
     return Connection(c.algebroid, c.bundle, omega)
-
-
-def metric_average(c: Connection, h: HermitianMetric) -> Connection:
-    """The h-metric connection (c + c^h) / 2."""
-    dual = h_dual(c, h)
-    half = Scalar(1) / Scalar(2)
-    omega = [
-        (om + dm).scale(half) for om, dm in zip(c.omega, dual.omega)
-    ]
-    return Connection(c.algebroid, c.bundle, omega)
-
-
-def equivalence_witness(c0: Connection, c1: Connection):
-    """Solve nabla^1 - nabla^0 = [theta, boundary] for theta.
-
-    Returns a list of OddMaps (one per frame index) or None when the
-    connections are not equivalent.  On success the supertraces of all
-    curvature powers agree, which callers may assert.
-    """
-    if c0.algebroid != c1.algebroid or c0.bundle != c1.bundle:
-        raise ValueError("connections live on different data")
-    b = c0.bundle
-    re, ro = b.rank_even, b.rank_odd
-    n_unknowns = 2 * re * ro
-    thetas = []
-    for om0, om1 in zip(c0.omega, c1.omega):
-        delta = om1 - om0
-        # unknowns: eo entries (re*ro), then oe entries (ro*re)
-        rows = []
-        rhs = []
-        for i in range(re):
-            for j in range(re):
-                row = [ZERO] * n_unknowns
-                # (eo * d01)[i,j] = sum_k eo[i,k] d01[k,j]
-                for k in range(ro):
-                    row[i * ro + k] = row[i * ro + k] + b.d01[k, j]
-                # (d10 * oe)[i,j] = sum_k d10[i,k] oe[k,j]
-                for k in range(ro):
-                    row[re * ro + k * re + j] = row[re * ro + k * re + j] + b.d10[i, k]
-                rows.append(row)
-                rhs.append(delta.ee[i, j])
-        for i in range(ro):
-            for j in range(ro):
-                row = [ZERO] * n_unknowns
-                # (oe * d10)[i,j] = sum_k oe[i,k] d10[k,j]
-                for k in range(re):
-                    row[re * ro + i * re + k] = row[re * ro + i * re + k] + b.d10[k, j]
-                # (d01 * eo)[i,j] = sum_k d01[i,k] eo[k,j]
-                for k in range(re):
-                    row[k * ro + j] = row[k * ro + j] + b.d01[i, k]
-                rows.append(row)
-                rhs.append(delta.oo[i, j])
-        x = solve(Matrix(rows, ncols=n_unknowns), rhs)
-        if x is None:
-            return None
-        eo = Matrix([[x[i * ro + k] for k in range(ro)] for i in range(re)], ncols=ro)
-        oe = Matrix(
-            [[x[re * ro + k * re + j] for j in range(re)] for k in range(ro)],
-            ncols=re,
-        )
-        thetas.append(OddMap(eo, oe))
-    return thetas
-
-
-def direct_sum_bundles(b0: GradedBundle, b1: GradedBundle) -> GradedBundle:
-    def block_diag(m0: Matrix, m1: Matrix) -> Matrix:
-        nr, nc = m0.nrows + m1.nrows, m0.ncols + m1.ncols
-        rows = [[ZERO] * nc for _ in range(nr)]
-        for i in range(m0.nrows):
-            for j in range(m0.ncols):
-                rows[i][j] = m0[i, j]
-        for i in range(m1.nrows):
-            for j in range(m1.ncols):
-                rows[m0.nrows + i][m0.ncols + j] = m1[i, j]
-        return Matrix(rows, ncols=nc)
-
-    return GradedBundle(
-        b0.rank_even + b1.rank_even,
-        b0.rank_odd + b1.rank_odd,
-        block_diag(b0.d01, b1.d01),
-        block_diag(b0.d10, b1.d10),
-    )
-
-
-def direct_sum_connections(c0: Connection, c1: Connection) -> Connection:
-    assert c0.algebroid == c1.algebroid
-    bundle = direct_sum_bundles(c0.bundle, c1.bundle)
-
-    def block_diag(m0: Matrix, m1: Matrix) -> Matrix:
-        n = m0.nrows + m1.nrows
-        rows = [[ZERO] * n for _ in range(n)]
-        for i in range(m0.nrows):
-            for j in range(m0.ncols):
-                rows[i][j] = m0[i, j]
-        for i in range(m1.nrows):
-            for j in range(m1.ncols):
-                rows[m0.nrows + i][m0.ncols + j] = m1[i, j]
-        return Matrix(rows, ncols=n)
-
-    omega = [
-        GradedEndo(block_diag(o0.ee, o1.ee), block_diag(o0.oo, o1.oo))
-        for o0, o1 in zip(c0.omega, c1.omega)
-    ]
-    return Connection(c0.algebroid, bundle, omega)

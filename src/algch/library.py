@@ -26,7 +26,8 @@ def lie_algebra(r: int, brackets: dict) -> ConstantAlgebroid:
         _set_bracket(c, i, j, coeffs)
     out = ConstantAlgebroid(0, r, Matrix.zeros(0, r), c)
     bad = validate_algebroid(out)
-    assert not bad, bad
+    if bad:
+        raise ValueError("not a Lie algebra: " + "; ".join(bad))
     return out
 
 

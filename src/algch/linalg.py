@@ -38,6 +38,17 @@ class Matrix:
             ncols=n,
         )
 
+    @staticmethod
+    def block_diag(m0: "Matrix", m1: "Matrix") -> "Matrix":
+        """[[m0, 0], [0, m1]]; either block may have no rows or columns."""
+        right = (m0.zero,) * m1.ncols
+        left = (m0.zero,) * m0.ncols
+        return Matrix(
+            [row + right for row in m0.rows] + [left + row for row in m1.rows],
+            m0.zero,
+            ncols=m0.ncols + m1.ncols,
+        )
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

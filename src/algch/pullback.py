@@ -13,17 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .scalars import ZERO, ONE, I
+from .scalars import I
 from .linalg import Matrix
 from .algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
-    validate_algebroid,
     coboundary_witness,
+    direct_product,
 )
 from .connections import Connection, GradedEndo, HermitianMetric, h_dual
 from .transgression import cs_cochains
 from .charclasses import adjoint_setup, AdjointSetup, IdentityFailure
+from .library import abelian
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,13 @@ class SubmersionSpec:
 
 
 def pullback_anchor(a: ConstantAlgebroid, s: SubmersionSpec) -> Matrix:
-    """Anchor of p^!(A): (n+k) x (k+r), frame (v_1..v_k, hor(e_1)..hor(e_r))."""
-    k, n, r = s.k, a.n, a.r
-    rows = [[ZERO] * (k + r) for _ in range(n + k)]
-    for j in range(k):
-        rows[n + j][j] = ONE  # v_j |-> d/dy_j
-    for i in range(r):
-        for m in range(n):
-            rows[m][k + i] = a.anchor[m, i]  # hor(e_i) |-> h(rho e_i)
-    return Matrix(rows, ncols=k + r)
+    """Anchor of p^!(A): (n+k) x (k+r), frame (v_1..v_k, hor(e_1)..hor(e_r)).
+
+    v_j |-> d/dy_j and hor(e_i) |-> h(rho e_i): the anchor of TT^k x A
+    with the k fibre rows moved below the n base rows.
+    """
+    rows = Matrix.block_diag(Matrix.identity(s.k), a.anchor).rows
+    return Matrix(rows[s.k:] + rows[:s.k], ncols=s.k + a.r)
 
 
 def pullback_algebroid(a: ConstantAlgebroid, s: SubmersionSpec) -> ConstantAlgebroid:
@@ -56,19 +55,11 @@ def pullback_algebroid(a: ConstantAlgebroid, s: SubmersionSpec) -> ConstantAlgeb
 
     Vertical sections bracket to zero with everything; horizontal lifts
     reproduce the base brackets since the coordinate Ehresmann
-    connection is flat.
+    connection is flat.  Valid by construction when a is valid, so it
+    is not checked again.
     """
-    k, r = s.k, a.r
-    r2 = k + r
-    c = [[[ZERO] * r2 for _ in range(r2)] for _ in range(r2)]
-    for i in range(r):
-        for j in range(r):
-            for m in range(r):
-                c[k + i][k + j][k + m] = a.brackets[i][j][m]
-    out = ConstantAlgebroid(a.n + k, r2, pullback_anchor(a, s), c)
-    bad = validate_algebroid(out)
-    assert not bad, bad
-    return out
+    brackets = direct_product(abelian(s.k), a).brackets
+    return ConstantAlgebroid(a.n + s.k, s.k + a.r, pullback_anchor(a, s), brackets)
 
 
 def pullback_form(a: ConstantAlgebroid, s: SubmersionSpec, omega: AlgebroidForm) -> AlgebroidForm:
@@ -88,26 +79,6 @@ def pullback_connection(a: ConstantAlgebroid, s: SubmersionSpec, c: Connection, 
     z = GradedEndo.zeros(c.bundle.rank_even, c.bundle.rank_odd)
     omega = [z] * s.k + list(c.omega)
     return Connection(pb, c.bundle, omega)
-
-
-def pullback_data(a: ConstantAlgebroid, s: SubmersionSpec, obj):
-    if isinstance(obj, AlgebroidForm):
-        return pullback_form(a, s, obj)
-    if isinstance(obj, Connection):
-        return pullback_connection(a, s, obj)
-    raise TypeError(f"cannot pull back {type(obj).__name__}")
-
-
-def _block_diag(m0: Matrix, m1: Matrix) -> Matrix:
-    nr, nc = m0.nrows + m1.nrows, m0.ncols + m1.ncols
-    rows = [[ZERO] * nc for _ in range(nr)]
-    for i in range(m0.nrows):
-        for j in range(m0.ncols):
-            rows[i][j] = m0[i, j]
-    for i in range(m1.nrows):
-        for j in range(m1.ncols):
-            rows[m0.nrows + i][m0.ncols + j] = m1[i, j]
-    return Matrix(rows, ncols=nc)
 
 
 class RecipeResult(NamedTuple):
@@ -130,25 +101,18 @@ def submersion_recipe(a: ConstantAlgebroid, s: SubmersionSpec, tm_conn, g_a: Mat
     subconnection plus the pullback of the base basic connection, a
     block identity checked below (IdentityFailure if it does not hold).
     """
-    k, n, r = s.k, a.n, a.r
     base = adjoint_setup(a, tm_conn)
-    base_dual = h_dual(base.basic, HermitianMetric(base.data.bundle, g_a, g_m))
+    base_dual = h_dual(base.basic, HermitianMetric(base.bundle, g_a, g_m))
     pb = pullback_algebroid(a, s)
-    nabla_bar = []
-    for m in range(n):  # horizontal coordinate directions
-        g = Matrix.zeros(k + r, k + r)
-        rows = [list(row) for row in g.rows]
-        for i in range(r):
-            for j in range(r):
-                rows[k + i][k + j] = tm_conn[m][i, j]
-        nabla_bar.append(Matrix(rows, ncols=k + r))
-    for _ in range(k):  # vertical directions act by zero
-        nabla_bar.append(Matrix.zeros(k + r, k + r))
+    vertical = Matrix.zeros(s.k, s.k)
+    # horizontal coordinate directions, then vertical ones acting by zero
+    nabla_bar = [Matrix.block_diag(vertical, g) for g in tm_conn]
+    nabla_bar += [Matrix.zeros(pb.r, pb.r)] * s.k
 
     setup = adjoint_setup(pb, nabla_bar)
-    g_even = _block_diag(s.g_v, g_a)  # on p^!(A): vertical block first
-    g_odd = _block_diag(g_m, s.g_v)  # on T(T^{n+k}): x block first
-    gbar = HermitianMetric(setup.data.bundle, g_even, g_odd)
+    g_even = Matrix.block_diag(s.g_v, g_a)  # on p^!(A): vertical block first
+    g_odd = Matrix.block_diag(g_m, s.g_v)  # on T(T^{n+k}): x block first
+    gbar = HermitianMetric(setup.bundle, g_even, g_odd)
     dual = h_dual(setup.basic, gbar)
 
     _check_basic_splitting(s, base, base_dual, setup, dual)
@@ -167,14 +131,14 @@ def _check_basic_splitting(s, base, base_dual, setup, dual):
                 raise IdentityFailure(
                     "basic splitting", f"vertical section v_{i + 1} does not act by zero"
                 )
-    for i in range(base.data.algebroid.r):
+    for i in range(base.basic.algebroid.r):
         for conn, base_conn in pairs:
             om, bom = conn.omega[k + i], base_conn.omega[i]
-            if om.ee != _block_diag(vertical, bom.ee):
+            if om.ee != Matrix.block_diag(vertical, bom.ee):
                 raise IdentityFailure(
                     "basic splitting", f"even block of hor(e_{i + 1}) does not split"
                 )
-            if om.oo != _block_diag(bom.oo, vertical):
+            if om.oo != Matrix.block_diag(bom.oo, vertical):
                 raise IdentityFailure(
                     "basic splitting", f"odd block of hor(e_{i + 1}) does not split"
                 )

@@ -72,23 +72,6 @@ class AffineForm:
                     clean[key] = v
         self.comps = clean
 
-    def __add__(self, other):
-        assert (self.r, self.p, self.degree) == (other.r, other.p, other.degree)
-        comps = dict(self.comps)
-        for k, v in other.comps.items():
-            comps[k] = comps[k] + v if k in comps else v
-        out = AffineForm(self.r, self.p, self.degree, zero=self.zero)
-        out.comps = {k: v for k, v in comps.items() if not v.is_zero()}
-        return out
-
-    def __neg__(self):
-        out = AffineForm(self.r, self.p, self.degree, zero=self.zero)
-        out.comps = {k: -v for k, v in self.comps.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def map_values(self, fn, zero=None):
         out = AffineForm(self.r, self.p, self.degree, zero=zero)
         out.comps = {
@@ -195,12 +178,6 @@ def _affine_curvature(conns) -> AffineForm:
             if not val.is_zero():
                 comps[((i,), (m,))] = val
     return AffineForm(a.r, p, 2, comps, zero=zero_endo)
-
-
-def affine_curvature(conns) -> AffineForm:
-    if len(conns) < 2:
-        raise ValueError("need p >= 1; use plain curvature for a single connection")
-    return _affine_curvature(conns)
 
 
 def fibre_integrate(omega: AffineForm, p: int) -> AlgebroidForm:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from algch.scalars import Scalar, SimplexPolynomial, ZERO, ONE, I
-from algch.linalg import Matrix, nullspace
+from algch.linalg import Matrix, nullspace, solve
 from algch.algebroid import (
     AlgebroidForm,
     ConstantAlgebroid,
@@ -15,6 +15,7 @@ from algch.algebroid import (
 from algch.connections import (
     GradedBundle,
     GradedEndo,
+    OddMap,
     Connection,
     HermitianMetric,
     h_dual,
@@ -155,6 +156,102 @@ def rand_algebroid(rng, max_rank=3) -> ConstantAlgebroid:
     if choice == 3:
         return rand_q_family(rng, trace_zero=rng.random() < 0.5)
     return tangent_torus(rng.randint(1, min(2, max_rank)))
+
+
+# ---------------------------------------------------------------------------
+# Constructions only the tests use: the connection-level identities they
+# check (equivalence, metric averages, direct sums) and the entrywise
+# supertrace of a curvature power.
+
+
+def form_supertrace(omega: AlgebroidForm) -> AlgebroidForm:
+    """Entrywise supertrace of an endomorphism-valued form."""
+    return omega.map_values(supertrace, zero=ZERO)
+
+
+def zero_connection(algebroid: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
+    z = GradedEndo.zeros(bundle.rank_even, bundle.rank_odd)
+    return Connection(algebroid, bundle, [z] * algebroid.r)
+
+
+def metric_average(c: Connection, h: HermitianMetric) -> Connection:
+    """The h-metric connection (c + c^h) / 2."""
+    dual = h_dual(c, h)
+    half = Scalar(1) / Scalar(2)
+    omega = [
+        (om + dm).scale(half) for om, dm in zip(c.omega, dual.omega)
+    ]
+    return Connection(c.algebroid, c.bundle, omega)
+
+
+def equivalence_witness(c0: Connection, c1: Connection):
+    """Solve nabla^1 - nabla^0 = [theta, boundary] for theta.
+
+    Returns a list of OddMaps (one per frame index) or None when the
+    connections are not equivalent.  On success the supertraces of all
+    curvature powers agree, which callers may assert.
+    """
+    if c0.algebroid != c1.algebroid or c0.bundle != c1.bundle:
+        raise ValueError("connections live on different data")
+    b = c0.bundle
+    re, ro = b.rank_even, b.rank_odd
+    n_unknowns = 2 * re * ro
+    thetas = []
+    for om0, om1 in zip(c0.omega, c1.omega):
+        delta = om1 - om0
+        # unknowns: eo entries (re*ro), then oe entries (ro*re)
+        rows = []
+        rhs = []
+        for i in range(re):
+            for j in range(re):
+                row = [ZERO] * n_unknowns
+                # (eo * d01)[i,j] = sum_k eo[i,k] d01[k,j]
+                for k in range(ro):
+                    row[i * ro + k] = row[i * ro + k] + b.d01[k, j]
+                # (d10 * oe)[i,j] = sum_k d10[i,k] oe[k,j]
+                for k in range(ro):
+                    row[re * ro + k * re + j] = row[re * ro + k * re + j] + b.d10[i, k]
+                rows.append(row)
+                rhs.append(delta.ee[i, j])
+        for i in range(ro):
+            for j in range(ro):
+                row = [ZERO] * n_unknowns
+                # (oe * d10)[i,j] = sum_k oe[i,k] d10[k,j]
+                for k in range(re):
+                    row[re * ro + i * re + k] = row[re * ro + i * re + k] + b.d10[k, j]
+                # (d01 * eo)[i,j] = sum_k d01[i,k] eo[k,j]
+                for k in range(re):
+                    row[k * ro + j] = row[k * ro + j] + b.d01[i, k]
+                rows.append(row)
+                rhs.append(delta.oo[i, j])
+        x = solve(Matrix(rows, ncols=n_unknowns), rhs)
+        if x is None:
+            return None
+        eo = Matrix([[x[i * ro + k] for k in range(ro)] for i in range(re)], ncols=ro)
+        oe = Matrix(
+            [[x[re * ro + k * re + j] for j in range(re)] for k in range(ro)],
+            ncols=re,
+        )
+        thetas.append(OddMap(eo, oe))
+    return thetas
+
+
+def direct_sum_bundles(b0: GradedBundle, b1: GradedBundle) -> GradedBundle:
+    return GradedBundle(
+        b0.rank_even + b1.rank_even,
+        b0.rank_odd + b1.rank_odd,
+        Matrix.block_diag(b0.d01, b1.d01),
+        Matrix.block_diag(b0.d10, b1.d10),
+    )
+
+
+def direct_sum_connections(c0: Connection, c1: Connection) -> Connection:
+    assert c0.algebroid == c1.algebroid
+    omega = [
+        GradedEndo(Matrix.block_diag(o0.ee, o1.ee), Matrix.block_diag(o0.oo, o1.oo))
+        for o0, o1 in zip(c0.omega, c1.omega)
+    ]
+    return Connection(c0.algebroid, direct_sum_bundles(c0.bundle, c1.bundle), omega)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +418,7 @@ def reference_morita_verdicts(a, s, tm_conn, g_a, g_m, max_q, alt_metric):
     on its own by reference_cs_cochain and every setup and dual rebuilt
     where it is used."""
     base = adjoint_setup(a, tm_conn)
-    g = HermitianMetric(base.data.bundle, g_a, g_m)
+    g = HermitianMetric(base.bundle, g_a, g_m)
     recipe = submersion_recipe(a, s, tm_conn, g_a, g_m)
     basic = recipe.setup.basic
     per_q, cohomologous = {}, {}

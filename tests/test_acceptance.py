@@ -16,7 +16,6 @@ from algch.connections import (
     Connection,
     HermitianMetric,
     h_dual,
-    direct_sum_connections,
 )
 from algch.transgression import cs_cochain
 from algch.charclasses import (
@@ -38,6 +37,7 @@ from algch.pullback import (
 from algch.library import tangent_torus, q_family, so3, lie_algebra
 
 from helpers import (
+    direct_sum_connections,
     rand_bundle,
     rand_connection,
     rand_metric,
@@ -173,7 +173,7 @@ def test_main_example_equivalence():
     for name, a in small_corpus().items():
         tm = rand_tm_conn(a, rng)
         setup = adjoint_setup(a, tm)
-        b = setup.data.bundle
+        b = setup.bundle
         for i in range(a.r):
             delta = setup.adjoint.omega[i] - setup.basic.omega[i]
             assert delta == setup.theta[i].anticommutator_with_boundary(b), name

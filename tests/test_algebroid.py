@@ -17,7 +17,7 @@ from algch.algebroid import (
     direct_product,
     _diff_matrix,
 )
-from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
+from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 from helpers import (
     small_corpus,
@@ -48,6 +48,11 @@ class TestValidate:
             from helpers import rand_q_family
 
             assert validate_algebroid(rand_q_family(rng)) == []
+
+    def test_lie_algebra_checks_its_brackets(self):
+        # an explicit check, so it also runs under python -O
+        with pytest.raises(ValueError, match=r"Jacobi broken at \(i,j,k,l\)=\(1,2,3,1\)"):
+            lie_algebra(3, {(0, 1): [0, 0, 1], (1, 2): [0, 0, 1], (0, 2): [1, 0, 0]})
 
     def test_anchor_compatibility_failure(self):
         # [e_1,e_2] = e_3 with rho(e_3) = d/dx: constant fields commute,
@@ -171,6 +176,14 @@ class TestDirectProduct:
                 for k in range(3):
                     assert prod.brackets[1 + i][1 + j][1 + k] == q.brackets[i][j][k]
         assert validate_algebroid(prod) == []
+        # direct_product does not check its result: products of valid
+        # factors with a torus factor on either side come out valid
+        rng = random.Random(12)
+        for k in (1, 2):
+            for q in (rand_q_family(rng), rand_q_family(rng, trace_zero=True)):
+                for prod in (direct_product(tangent_torus(k), q), direct_product(q, tangent_torus(k))):
+                    assert (prod.n, prod.r) == (k, k + 3)
+                    assert validate_algebroid(prod) == dense_validate_algebroid(prod) == []
 
     def test_abelian_product(self):
         prod = direct_product(abelian(2), abelian(3))

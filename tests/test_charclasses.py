@@ -17,9 +17,6 @@ from algch.connections import (
     Connection,
     HermitianMetric,
     h_dual,
-    zero_connection,
-    direct_sum_bundles,
-    direct_sum_connections,
 )
 from algch import charclasses
 from algch.scalars import I
@@ -39,6 +36,8 @@ from algch.charclasses import (
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 from helpers import (
+    zero_connection,
+    direct_sum_connections,
     rand_bundle,
     rand_connection,
     rand_metric,
@@ -193,7 +192,7 @@ class TestAdjointSetup:
     def test_lie_algebra_basic_is_adjoint(self):
         for a in (heisenberg(), so3(), q_family(2, 3, 5, 7)):
             setup = adjoint_setup(a, [])
-            assert setup.data.bundle.d01.is_zero()
+            assert setup.bundle.d01.is_zero()
             assert setup.basic == setup.adjoint
             assert all(t.is_zero() for t in setup.theta)
 
@@ -218,7 +217,7 @@ class TestAdjointSetup:
         for a in small_corpus().values():
             tm = rand_tm_conn(a, rng)
             setup = adjoint_setup(a, tm)
-            b = setup.data.bundle
+            b = setup.bundle
             for i in range(a.r):
                 delta = setup.adjoint.omega[i] - setup.basic.omega[i]
                 assert delta == setup.theta[i].anticommutator_with_boundary(b)

@@ -226,6 +226,72 @@ class TestFailedIdentities:
         assert reports[1]["betti"] == [1, 0, 0, 1]
 
 
+SO3_COHOMOLOGY = {"command": "cohomology", "inputs": [str(INPUTS / "so3.json")]}
+
+MALFORMED_BATCHES = {
+    "job without command": [{"inputs": ["x.json"]}],
+    "object document": {"a": 1},
+    "string document": "cs",
+    "job not an object": [SO3_COHOMOLOGY, ["cs", "x.json"]],
+    "command not a string": [{"command": 3, "inputs": []}],
+    "inputs not a list": [{"command": "cohomology", "inputs": "x.json"}],
+    "input not a string": [{"command": "cohomology", "inputs": [3]}],
+    "options not an object": [{"command": "cs", "inputs": [str(INPUTS / "so3.json")], "options": [1]}],
+    "options null": [SO3_COHOMOLOGY, {"command": "cs", "inputs": [str(INPUTS / "so3.json")], "options": None}],
+}
+
+
+def write_batch(tmp_path, doc):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps(doc))
+    return batch
+
+
+class TestBatchDocuments:
+    """A malformed batch document is refused before any job runs; a bad
+    job inside a well-formed one fails only itself."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BATCHES))
+    def test_malformed_document(self, capsys, tmp_path, name):
+        out_file = tmp_path / "report.json"
+        status = main(["batch", "--out", str(out_file), str(write_batch(tmp_path, MALFORMED_BATCHES[name]))])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            ({"command": "nope", "inputs": []}, "unknown command 'nope'"),
+            ({"command": "product", "inputs": [str(INPUTS / "so3.json")]}, "takes 2 input file(s)"),
+            ({"command": "cs", "inputs": [str(INPUTS / "missing.json")]}, "missing.json"),
+            ({"command": "validate", "inputs": [str(INPUTS)]}, "Is a directory"),
+            (
+                {"command": "morita-check", "inputs": [str(INPUTS / "tt2.json")], "options": {"seed": [1]}},
+                "--seed must be an integer",
+            ),
+        ],
+        ids=["unknown command", "wrong input count", "missing input", "directory input", "list seed"],
+    )
+    def test_bad_job_fails_only_itself(self, capsys, tmp_path, job, message):
+        out_file = tmp_path / "report.json"
+        status, out = run_cli(
+            capsys, "batch", "--out", out_file, write_batch(tmp_path, [job, SO3_COHOMOLOGY])
+        )
+        assert status == 1
+        reports = json.loads(out_file.read_text())["batch"]
+        assert message in reports[0]["error"]
+        assert reports[1]["betti"] == [1, 0, 0, 1]
+        assert "Betti: 1 0 0 1" in out
+
+    def test_single_command_missing_input(self, capsys, tmp_path):
+        status, out = run_cli(capsys, "cs", tmp_path / "missing.json")
+        assert status == 1
+        assert out.startswith("error: ")
+
+
 class TestCommandSetups:
     """Each command builds its adjoint setups once."""
 

@@ -13,12 +13,8 @@ from algch.connections import (
     Connection,
     HermitianMetric,
     supertrace,
-    form_supertrace,
     curvature,
     h_dual,
-    metric_average,
-    equivalence_witness,
-    zero_connection,
 )
 from algch.charclasses import adjoint_setup, adjoint_connection
 from algch.library import abelian, heisenberg, so3, q_family
@@ -32,6 +28,10 @@ from helpers import (
     rand_tm_conn,
     boundary_commutant,
     small_corpus,
+    form_supertrace,
+    metric_average,
+    equivalence_witness,
+    zero_connection,
 )
 
 
@@ -240,7 +240,7 @@ class TestEquivalence:
             setup = adjoint_setup(a, rand_tm_conn(a, rng))
             theta = equivalence_witness(setup.basic, setup.adjoint)
             assert theta is not None, name
-            b = setup.data.bundle
+            b = setup.bundle
             for i in range(a.r):
                 delta = theta[i].anticommutator_with_boundary(b)
                 assert delta == setup.adjoint.omega[i] - setup.basic.omega[i]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from algch.scalars import Scalar, SimplexPolynomial, ZERO
@@ -95,3 +96,43 @@ class TestTraceMul:
         a = Matrix([[Scalar(1), Scalar(1)]])
         b = Matrix([[Scalar(Fraction(1, 2))], [Scalar(Fraction(-1, 2))]])
         assert a.trace_mul(b) == ZERO
+
+
+def dense_block_diag(m0, m1):
+    """[[m0, 0], [0, m1]] written entry by entry."""
+    nrows, ncols = m0.nrows + m1.nrows, m0.ncols + m1.ncols
+    rows = [[m0.zero] * ncols for _ in range(nrows)]
+    for i in range(m0.nrows):
+        for j in range(m0.ncols):
+            rows[i][j] = m0[i, j]
+    for i in range(m1.nrows):
+        for j in range(m1.ncols):
+            rows[m0.nrows + i][m0.ncols + j] = m1[i, j]
+    return Matrix(rows, m0.zero, ncols=ncols)
+
+
+class TestBlockDiag:
+    """Matrix.block_diag against the entrywise placement, with blocks of
+    0 rows (the anchor of a Lie algebra is 0 x r) or 0 columns."""
+
+    @pytest.mark.parametrize("shape0", [(0, 0), (0, 2), (2, 0), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("shape1", [(0, 0), (0, 3), (3, 0), (2, 2), (1, 2)])
+    def test_scalar_entries(self, shape0, shape1):
+        rng = random.Random(str((shape0, shape1)))
+        m0 = scalar_matrix(*shape0, rng, 0.7)
+        m1 = scalar_matrix(*shape1, rng, 0.7)
+        got = Matrix.block_diag(m0, m1)
+        assert got == dense_block_diag(m0, m1)
+        assert got.shape == (shape0[0] + shape1[0], shape0[1] + shape1[1])
+
+    def test_polynomial_entries(self):
+        rng = random.Random(5)
+        for p in (0, 1, 2):
+            zero = SimplexPolynomial(p)
+            for shape0, shape1 in (((2, 2), (1, 1)), ((0, 2), (2, 1)), ((2, 0), (1, 3))):
+                m0 = poly_matrix(*shape0, p, rng, 0.6)
+                m1 = poly_matrix(*shape1, p, rng, 0.6)
+                got = Matrix.block_diag(m0, m1)
+                assert got == dense_block_diag(m0, m1)
+                assert got.zero == zero
+                assert all(v.p == p for row in got.rows for v in row)

@@ -22,7 +22,6 @@ from algch.pullback import (
     pullback_anchor,
     pullback_form,
     pullback_connection,
-    pullback_data,
     submersion_recipe,
     morita_check,
     _check_basic_splitting,
@@ -80,6 +79,16 @@ class TestPullbackAlgebroid:
             k = rng.randint(1, 2)
             pb = pullback_algebroid(a, SubmersionSpec(k))
             assert validate_algebroid(pb) == []
+        # pullback_algebroid does not check its result either
+        for n in (1, 2):
+            for a in (
+                direct_product(tangent_torus(n), rand_q_family(rng)),
+                direct_product(rand_q_family(rng, trace_zero=True), tangent_torus(n)),
+            ):
+                for k in (1, 2):
+                    pb = pullback_algebroid(a, SubmersionSpec(k))
+                    assert (pb.n, pb.r) == (n + k, k + n + 3)
+                    assert validate_algebroid(pb) == []
 
 
 class TestPullbackData:
@@ -111,13 +120,6 @@ class TestPullbackData:
             )
             rhs = pullback_form(a, s, cs_cochain([c0, c1], 1))
             assert lhs == rhs
-
-    def test_dispatcher(self):
-        a = so3()
-        s = SubmersionSpec(1)
-        assert pullback_data(a, s, basis_form(3, (0,))) == basis_form(4, (1,))
-        with pytest.raises(TypeError):
-            pullback_data(a, s, object())
 
 
 class TestSubmersionRecipe:
@@ -177,7 +179,7 @@ class TestSubmersionRecipe:
         recipe = submersion_recipe(a, SubmersionSpec(1), tm, g_a, g_m)
         base = adjoint_setup(a, tm)
         assert recipe.base.basic == base.basic
-        assert recipe.base_dual == h_dual(base.basic, HermitianMetric(base.data.bundle, g_a, g_m))
+        assert recipe.base_dual == h_dual(base.basic, HermitianMetric(base.bundle, g_a, g_m))
 
 
 class TestBasicSplittingFailures:
@@ -226,7 +228,7 @@ class TestMoritaCheck:
         assert report.per_q[1]["equal"] and not report.per_q[1]["both_zero"]
         # the shared q=1 form is a nonzero class upstairs
         base = adjoint_setup(a, [])
-        g = HermitianMetric(base.data.bundle, Matrix.identity(3), Matrix.identity(0))
+        g = HermitianMetric(base.bundle, Matrix.identity(3), Matrix.identity(0))
         form = pullback_form(
             a,
             SubmersionSpec(1),

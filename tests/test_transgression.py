@@ -18,7 +18,7 @@ from algch.connections import (
 from algch import transgression
 from algch.transgression import (
     AffineForm,
-    affine_curvature,
+    _affine_curvature,
     fibre_integrate,
     cs_cochain,
     cs_cochains,
@@ -53,7 +53,7 @@ class TestAffineCurvature:
         a = rand_algebroid(rng)
         b = rand_bundle(rng)
         c = rand_connection(a, b, rng)
-        r_aff = affine_curvature([c, c])
+        r_aff = _affine_curvature([c, c])
         from algch.connections import curvature
 
         plain = curvature(c)
@@ -77,7 +77,7 @@ class TestAffineCurvature:
         basis = boundary_commutant(b)
         c0 = rand_connection(a, b, rng, basis)
         c1 = rand_connection(a, b, rng, basis)
-        r_aff = affine_curvature([c0, c1])
+        r_aff = _affine_curvature([c0, c1])
         from algch.transgression import _poly_endo
 
         keys = set(r_aff.comps)
@@ -111,7 +111,7 @@ class TestAffineCurvature:
             return Connection(a, b, omega)
 
         conns = [diag_conn() for _ in range(3)]
-        r_aff = affine_curvature(conns)
+        r_aff = _affine_curvature(conns)
         for (i_idx, j_idx) in r_aff.comps:
             assert len(i_idx) != 2, "(2,0) part should vanish for a commuting family"
 
