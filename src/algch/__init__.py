@@ -17,7 +17,6 @@ from .connections import (
     OddMap,
     Connection,
     HermitianMetric,
-    curvature,
     supertrace,
     h_dual,
 )
@@ -36,7 +35,6 @@ from .charclasses import (
     adjoint_setup,
     intrinsic_char,
     modular_class,
-    trace_character,
     KAPPA,
 )
 from .pullback import (

@@ -91,26 +91,24 @@ class ConstantAlgebroid:
 
 
 class AlgebroidForm:
-    """Totally antisymmetric k-form on the frame, with values in any
-    abelian group (Scalars, or graded endomorphisms)."""
+    """Totally antisymmetric scalar k-form on the frame."""
 
-    __slots__ = ("r", "degree", "comps", "zero")
+    __slots__ = ("r", "degree", "comps")
 
-    def __init__(self, r: int, degree: int, comps=None, zero=ZERO):
+    def __init__(self, r: int, degree: int, comps=None):
         self.r = r
         self.degree = degree
-        self.zero = zero
         clean = {}
         if comps:
             for idx, v in comps.items():
                 srt, sign = _sort_sign(idx)
-                if sign == 0 or _is_zero_value(v):
+                if sign == 0 or v.is_zero():
                     continue
                 assert len(idx) == degree and all(0 <= i < r for i in idx)
                 v = v if sign == 1 else -v
                 if srt in clean:
                     v = clean[srt] + v
-                if _is_zero_value(v):
+                if v.is_zero():
                     clean.pop(srt, None)
                 else:
                     clean[srt] = v
@@ -119,25 +117,22 @@ class AlgebroidForm:
     def get(self, idx):
         srt, sign = _sort_sign(idx)
         if sign == 0 or srt not in self.comps:
-            return self.zero
+            return ZERO
         v = self.comps[srt]
         return v if sign == 1 else -v
 
-    def map_values(self, fn, zero=None):
+    def map_values(self, fn):
         return AlgebroidForm(
-            self.r,
-            self.degree,
-            {k: fn(v) for k, v in self.comps.items()},
-            self.zero if zero is None else zero,
+            self.r, self.degree, {k: fn(v) for k, v in self.comps.items()}
         )
 
     def __add__(self, other):
         assert (self.r, self.degree) == (other.r, other.degree)
         comps = dict(self.comps)
-        out = AlgebroidForm(self.r, self.degree, zero=self.zero)
+        out = AlgebroidForm(self.r, self.degree)
         for k, v in other.comps.items():
             comps[k] = comps[k] + v if k in comps else v
-        out.comps = {k: v for k, v in comps.items() if not _is_zero_value(v)}
+        out.comps = {k: v for k, v in comps.items() if not v.is_zero()}
         return out
 
     def __sub__(self, other):
@@ -166,14 +161,6 @@ class AlgebroidForm:
 
     def __repr__(self):
         return f"AlgebroidForm(deg={self.degree}, {self.comps})"
-
-
-def _is_zero_value(v) -> bool:
-    return v.is_zero()
-
-
-def zero_form(r: int, degree: int, zero=ZERO) -> AlgebroidForm:
-    return AlgebroidForm(r, degree, zero=zero)
 
 
 def basis_form(r: int, idx, value=ONE) -> AlgebroidForm:
@@ -233,40 +220,30 @@ def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     return violations
 
 
-def ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm, conn=None) -> AlgebroidForm:
+def ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> AlgebroidForm:
     """Chevalley-Eilenberg differential on the constant subcomplex.
 
     For scalar-valued constant forms the covariant terms vanish (the
     anchor differentiates constants to zero) and only the bracket sum
-    survives.  When conn (a Connection) is supplied, omega is
-    endomorphism-valued and the covariant term acts by commutator with
-    the connection matrices.
+    survives.
     """
     r, k = a.r, omega.degree
-    out = AlgebroidForm(r, k + 1, zero=omega.zero)
+    out = AlgebroidForm(r, k + 1)
     if k + 1 > r:
         return out
     comps = {}
     for idx in combinations(range(r), k + 1):
-        acc = omega.zero
-        if conn is not None:
-            for s in range(k + 1):
-                rest = idx[:s] + idx[s + 1:]
-                v = omega.get(rest)
-                if not _is_zero_value(v):
-                    om = conn.omega[idx[s]]
-                    term = om * v - v * om
-                    acc = acc + (term if s % 2 == 0 else -term)
+        acc = ZERO
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
                 rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
                 for m, coeff in a.nonzero_brackets[idx[s]][idx[t]]:
                     v = omega.get((m,) + rest)
-                    if _is_zero_value(v):
+                    if v.is_zero():
                         continue
                     term = v * coeff
                     acc = acc + (-term if (s + t) % 2 else term)
-        if not _is_zero_value(acc):
+        if not acc.is_zero():
             comps[idx] = acc
     out.comps = comps
     return out
@@ -309,7 +286,7 @@ def coboundary_witness(a: ConstantAlgebroid, omega: AlgebroidForm):
     if k <= a.r and not ce_differential(a, omega).is_zero():
         raise ValueError("input form is not closed")
     if omega.is_zero():
-        return zero_form(a.r, max(k - 1, 0))
+        return AlgebroidForm(a.r, max(k - 1, 0))
     if k == 0:
         return None  # nonzero constants are never exact
     cod = list(combinations(range(a.r), k))

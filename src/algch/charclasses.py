@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .scalars import Scalar, ZERO, ONE, I
+from .scalars import Scalar, ONE, I
 from .linalg import Matrix
 from .algebroid import (
     ConstantAlgebroid,
@@ -87,12 +87,10 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
             continue
         if not entry.is_zero() and coboundary_witness(a, entry) is None:
             raise PrimaryObstruction(f"Chern character entry q={q} is a nonzero class")
-    dual = h_dual(c, h)
     reports = []
-    for q, form in enumerate(cs_cochains([c, dual], max_q)):
+    for q, rep in enumerate(secondary_representatives(c, h_dual(c, h), max_q)):
         if q == 0:
             continue
-        rep = form.scale(I ** (q + 1))
         if not all(v.is_real() for v in rep.comps.values()):
             raise IdentityFailure(
                 "reality", f"secondary representative q={q} has an imaginary part"
@@ -104,6 +102,14 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
         witness = coboundary_witness(a, rep)
         reports.append(ClassReport(q, rep, witness is not None, witness))
     return reports
+
+
+def secondary_representatives(c: Connection, dual: Connection, max_q: int) -> list[AlgebroidForm]:
+    """i^{q+1} cs^q(c, dual) for q = 0..max_q, where dual is the metric
+    dual of c: the representatives of the secondary classes."""
+    return [
+        form.scale(I ** (q + 1)) for q, form in enumerate(cs_cochains([c, dual], max_q))
+    ]
 
 
 class AdjointSetup(NamedTuple):
@@ -141,47 +147,24 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
         odd:   u |-> rho(nabla_u e_i)
 
     and differs from the adjoint action by the graded commutator of the
-    boundary with theta_i = (u |-> -nabla_u e_i, 0).
+    boundary with theta_i = (u |-> -nabla_u e_i, 0).  With the r x n
+    matrix T_i[k, m] = Gamma_m[k, i] and C_i = ad_{e_i}, the even block
+    is C_i + T_i rho, the odd block rho T_i, and theta_i = (-T_i, 0).
     """
     tm_conn = list(tm_conn)
     assert len(tm_conn) == a.n
     for g in tm_conn:
         assert g.shape == (a.r, a.r), "tm connection coefficient must be r x r"
     bundle = adjoint_bundle(a.anchor)
+    rho = a.anchor
 
     omega = []
     thetas = []
     for i in range(a.r):
-        ee_cols = []
-        for j in range(a.r):
-            col = [a.brackets[i][j][k] for k in range(a.r)]
-            for m in range(a.n):
-                rho_jm = a.anchor[m, j]
-                if not rho_jm.is_zero():
-                    for k in range(a.r):
-                        col[k] = col[k] + rho_jm * tm_conn[m][k, i]
-            ee_cols.append(col)
-        ee = Matrix(
-            [[ee_cols[j][k] for j in range(a.r)] for k in range(a.r)], ncols=a.r
-        )
-        oo_cols = []
-        for m in range(a.n):
-            nabla_m_ei = tm_conn[m].column(i)
-            col = [ZERO] * a.n
-            for mm in range(a.n):
-                for k in range(a.r):
-                    col[mm] = col[mm] + a.anchor[mm, k] * nabla_m_ei[k]
-            oo_cols.append(col)
-        oo = Matrix(
-            [[oo_cols[m][mm] for m in range(a.n)] for mm in range(a.n)], ncols=a.n
-        )
-        omega.append(GradedEndo(ee, oo))
-
-        eo = Matrix(
-            [[-tm_conn[m][k, i] for m in range(a.n)] for k in range(a.r)],
-            ncols=a.n,
-        )
-        thetas.append(OddMap(eo, Matrix.zeros(a.n, a.r)))
+        t = Matrix([[g[k, i] for g in tm_conn] for k in range(a.r)], ncols=a.n)
+        c = Matrix([[a.brackets[i][j][k] for j in range(a.r)] for k in range(a.r)], ncols=a.r)
+        omega.append(GradedEndo(c + t * rho, rho * t))
+        thetas.append(OddMap(-t, Matrix.zeros(a.n, a.r)))
 
     basic = Connection(a, bundle, omega)
     if not basic.commutes_with_boundary():
@@ -211,24 +194,12 @@ def intrinsic_char(a: ConstantAlgebroid, tm_conn, g: HermitianMetric, max_q=None
 
 class ModularResult(NamedTuple):
     report: ClassReport
-    normalized: Optional[AlgebroidForm]
+    normalized: AlgebroidForm  # for a Lie algebra, the trace character
 
 
-def modular_class(a: ConstantAlgebroid, tm_conn, g: HermitianMetric, normalize: bool = False) -> ModularResult:
-    """The q=1 intrinsic report; optionally rescaled so that for a Lie
-    algebra it equals the trace character on the nose."""
+def modular_class(a: ConstantAlgebroid, tm_conn, g: HermitianMetric) -> ModularResult:
+    """The q=1 intrinsic report, and its representative rescaled so that
+    for a Lie algebra it equals the trace character on the nose."""
     report = intrinsic_char(a, tm_conn, g, max_q=1)[0]
-    normalized = report.representative.scale(ONE / KAPPA) if normalize else None
-    return ModularResult(report, normalized)
+    return ModularResult(report, report.representative.scale(ONE / KAPPA))
 
-
-def trace_character(a: ConstantAlgebroid) -> AlgebroidForm:
-    """The 1-form e_i |-> Tr(ad_{e_i})."""
-    comps = {}
-    for i in range(a.r):
-        tr = ZERO
-        for j in range(a.r):
-            tr = tr + a.brackets[i][j][j]
-        if not tr.is_zero():
-            comps[(i,)] = tr
-    return AlgebroidForm(a.r, 1, comps)

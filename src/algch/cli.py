@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .linalg import Matrix
-from .algebroid import betti_number, coboundary_witness
+from .algebroid import betti_number
 from .connections import HermitianMetric, h_dual
 from .transgression import cs_cochains
 from .charclasses import (
@@ -35,10 +35,9 @@ from . import fileio
 from .fileio import ParseError
 
 
-def _default_metric(extras, bundle, a):
-    g_a = extras.get("g_A", Matrix.identity(a.r))
-    g_m = extras.get("g_M", Matrix.identity(a.n))
-    return HermitianMetric(bundle, g_a, g_m), g_a, g_m
+def _metric_blocks(extras, a):
+    """g_A and g_M of the document, identity where not given."""
+    return extras.get("g_A", Matrix.identity(a.r)), extras.get("g_M", Matrix.identity(a.n))
 
 
 def _tm_conn(extras, a):
@@ -95,7 +94,7 @@ def cmd_char(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
-    g, _, _ = _default_metric(extras, adjoint_bundle(a.anchor), a)
+    g = HermitianMetric(adjoint_bundle(a.anchor), *_metric_blocks(extras, a))
     reports = intrinsic_char(a, tm, g, max_q)
     lines, out = [], []
     for rep in reports:
@@ -117,8 +116,8 @@ def cmd_char(job):
 def cmd_modular(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     tm = _tm_conn(extras, a)
-    g, _, _ = _default_metric(extras, adjoint_bundle(a.anchor), a)
-    result = modular_class(a, tm, g, normalize=True)
+    g = HermitianMetric(adjoint_bundle(a.anchor), *_metric_blocks(extras, a))
+    result = modular_class(a, tm, g)
     rep = result.report
     verdict = "ZERO" if rep.is_zero_class else "NONZERO"
     return (
@@ -141,8 +140,7 @@ def cmd_cs(job):
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
     setup = adjoint_setup(a, tm)
-    g, _, _ = _default_metric(extras, setup.bundle, a)
-    dual = h_dual(setup.basic, g)
+    dual = h_dual(setup.basic, HermitianMetric(setup.bundle, *_metric_blocks(extras, a)))
     out, lines = [], []
     forms = cs_cochains([setup.basic, dual], max_q)
     for q in range(1, max_q + 1):
@@ -164,8 +162,7 @@ def cmd_morita_check(job):
         raise ParseError(f"--seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     tm = _tm_conn(extras, a)
-    g_a = extras.get("g_A", Matrix.identity(a.r))
-    g_m = extras.get("g_M", Matrix.identity(a.n))
+    g_a, g_m = _metric_blocks(extras, a)
     g_v = extras.get("g_V", Matrix.identity(k))
     if g_v.nrows != k:
         raise ParseError(f"g_V must be {k} x {k} for k={k}")
@@ -312,14 +309,14 @@ def main(argv=None) -> int:
                 "options": {"max_q": args.max_q, "k": args.k, "seed": args.seed},
             }
             report, status, lines = run(job)
+        for line in lines:
+            print(line)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
     except (ParseError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    for line in lines:
-        print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
     return status
 
 

@@ -9,9 +9,8 @@ simplifies to Omega |-> -Omega^T (the Lie-derivative term vanishes).
 from __future__ import annotations
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import Matrix, inverse, det
-from .algebroid import ConstantAlgebroid, AlgebroidForm
-from itertools import combinations
+from .linalg import Matrix, inverse
+from .algebroid import ConstantAlgebroid
 
 
 class GradedBundle:
@@ -151,10 +150,8 @@ class HermitianMetric:
     def __init__(self, bundle: GradedBundle, h_even: Matrix, h_odd: Matrix):
         assert h_even.shape == (bundle.rank_even, bundle.rank_even)
         assert h_odd.shape == (bundle.rank_odd, bundle.rank_odd)
-        for h in (h_even, h_odd):
-            if h != h.conj_transpose():
-                raise ValueError("metric block is not Hermitian")
-            _check_positive_definite(h)
+        check_metric_block(h_even)
+        check_metric_block(h_odd)
         self.bundle = bundle
         self.h_even = h_even
         self.h_odd = h_odd
@@ -171,12 +168,26 @@ class HermitianMetric:
         return f"HermitianMetric({self.bundle})"
 
 
-def _check_positive_definite(h: Matrix):
-    # exact Sylvester criterion: all leading principal minors positive
-    for k in range(1, h.nrows + 1):
-        minor = det(Matrix([row[:k] for row in h.rows[:k]], ncols=k))
-        if not minor.is_real() or not minor.re > 0:
+def check_metric_block(h: Matrix):
+    """ValueError unless h is Hermitian and positive-definite.
+
+    Sylvester's criterion, all leading principal minors positive, in one
+    elimination without row exchanges: the k-th pivot is the ratio of
+    the k-th and (k-1)-th leading minors, so the minors are all positive
+    exactly when the pivots are.
+    """
+    if h != h.conj_transpose():
+        raise ValueError("metric block is not Hermitian")
+    rows = [list(r) for r in h.rows]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if not pivot.is_real() or not pivot.re > 0:
             raise ValueError("metric block is not positive-definite")
+        for row in rows[k + 1:]:
+            f = row[k] / pivot
+            if not f.is_zero():
+                for j in range(k + 1, len(row)):
+                    row[j] = row[j] - f * pivot_row[j]
 
 
 class Connection:
@@ -220,20 +231,6 @@ class Connection:
 
     def __repr__(self):
         return f"Connection(r={self.algebroid.r}, {self.bundle})"
-
-
-def curvature(c: Connection) -> AlgebroidForm:
-    """R(e_i, e_j) = [Omega_i, Omega_j] - sum_k c_ijk Omega_k."""
-    a = c.algebroid
-    zero = GradedEndo.zeros(c.bundle.rank_even, c.bundle.rank_odd)
-    comps = {}
-    for i, j in combinations(range(a.r), 2):
-        val = c.omega[i].commutator(c.omega[j])
-        for k, coeff in a.nonzero_brackets[i][j]:
-            val = val - c.omega[k].scale(coeff)
-        if not val.is_zero():
-            comps[(i, j)] = val
-    return AlgebroidForm(a.r, 2, comps, zero=zero)
 
 
 def h_dual(c: Connection, h: HermitianMetric) -> Connection:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .scalars import Scalar, ZERO
 from .linalg import Matrix
 from .algebroid import ConstantAlgebroid, AlgebroidForm, validate_algebroid
+from .connections import check_metric_block
 
 
 class ParseError(ValueError):
@@ -135,6 +136,11 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
         if not isinstance(gv, list):
             raise ParseError("g_V must be a square matrix")
         extras["g_V"] = matrix_from_json(gv, len(gv), len(gv), "g_V")
+    for key, h in extras.items():
+        try:
+            check_metric_block(h)
+        except ValueError as e:
+            raise ParseError(f"{key}: {e}") from None
     conn = doc.get("connection", {})
     if not isinstance(conn, dict):
         raise ParseError("connection must be an object")

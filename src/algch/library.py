@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO
 from .linalg import Matrix
 from .algebroid import ConstantAlgebroid, validate_algebroid
 

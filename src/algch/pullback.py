@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .scalars import I
 from .linalg import Matrix
 from .algebroid import (
     ConstantAlgebroid,
@@ -21,9 +20,13 @@ from .algebroid import (
     coboundary_witness,
     direct_product,
 )
-from .connections import Connection, GradedEndo, HermitianMetric, h_dual
-from .transgression import cs_cochains
-from .charclasses import adjoint_setup, AdjointSetup, IdentityFailure
+from .connections import Connection, HermitianMetric, h_dual
+from .charclasses import (
+    adjoint_setup,
+    AdjointSetup,
+    IdentityFailure,
+    secondary_representatives,
+)
 from .library import abelian
 
 
@@ -68,17 +71,7 @@ def pullback_form(a: ConstantAlgebroid, s: SubmersionSpec, omega: AlgebroidForm)
     comps = {
         tuple(s.k + i for i in idx): v for idx, v in omega.comps.items()
     }
-    return AlgebroidForm(s.k + a.r, omega.degree, comps, zero=omega.zero)
-
-
-def pullback_connection(a: ConstantAlgebroid, s: SubmersionSpec, c: Connection, pb: ConstantAlgebroid = None) -> Connection:
-    """Pullback to p^!(A) acting on the pulled-back (same) bundle."""
-    assert c.algebroid == a
-    if pb is None:
-        pb = pullback_algebroid(a, s)
-    z = GradedEndo.zeros(c.bundle.rank_even, c.bundle.rank_odd)
-    omega = [z] * s.k + list(c.omega)
-    return Connection(pb, c.bundle, omega)
+    return AlgebroidForm(s.k + a.r, omega.degree, comps)
 
 
 class RecipeResult(NamedTuple):
@@ -171,25 +164,24 @@ def morita_check(
     """
     recipe = submersion_recipe(a, s, tm_conn, g_a, g_m)
     basic = recipe.setup.basic
-    base_cs = cs_cochains([recipe.base.basic, recipe.base_dual], max_q)
-    bar_cs = cs_cochains([basic, recipe.dual], max_q)
+    # the intrinsic representatives i^(q+1) cs^q; the phase changes
+    # neither equality nor vanishing
+    base_reps = secondary_representatives(recipe.base.basic, recipe.base_dual, max_q)
+    bar_reps = secondary_representatives(basic, recipe.dual, max_q)
 
     report = MoritaReport(k=s.k, max_q=max_q, per_q={})
     for q in range(1, max_q + 1):
-        lhs = bar_cs[q]
-        rhs = pullback_form(a, s, base_cs[q])
+        lhs = bar_reps[q]
+        rhs = pullback_form(a, s, base_reps[q])
         equal = lhs == rhs
         report.per_q[q] = {"equal": equal, "both_zero": lhs.is_zero() and rhs.is_zero()}
         if not equal:
             report.passed = False
 
     if alt_metric is not None:
-        alt_cs = cs_cochains([basic, h_dual(basic, alt_metric)], max_q)
+        alt_reps = secondary_representatives(basic, h_dual(basic, alt_metric), max_q)
         for q in range(1, max_q + 1):
-            # the intrinsic representatives i^(q+1) cs^q for both metrics
-            phase = I ** (q + 1)
-            pulled = pullback_form(a, s, base_cs[q].scale(phase))
-            diff = alt_cs[q].scale(phase) - pulled
+            diff = alt_reps[q] - pullback_form(a, s, base_reps[q])
             witness = coboundary_witness(recipe.algebroid, diff)
             report.cohomologous[q] = witness is not None
             if witness is None:

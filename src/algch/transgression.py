@@ -18,7 +18,7 @@ from operator import mul
 
 from .scalars import Scalar, SimplexPolynomial, simplex_integrate
 from .linalg import Matrix
-from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign, _sort_sign
+from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
 from .connections import GradedEndo, supertrace, supertrace_product
 
 
@@ -41,43 +41,18 @@ class AffineForm:
     comps maps (I, J) pairs of strictly increasing index tuples to
     values (polynomial-entried GradedEndos, or SimplexPolynomials after
     a supertrace).  Components of different bidegree may coexist as
-    long as the total degree |I| + |J| is constant.
+    long as the total degree |I| + |J| is constant.  The constructor
+    takes the keys as given (callers build them sorted) and drops zero
+    values.
     """
 
-    __slots__ = ("r", "p", "degree", "comps", "zero")
+    __slots__ = ("r", "p", "degree", "comps")
 
-    def __init__(self, r: int, p: int, degree: int, comps=None, zero=None):
+    def __init__(self, r: int, p: int, degree: int, comps=None):
         self.r = r
         self.p = p
         self.degree = degree
-        self.zero = zero
-        clean = {}
-        if comps:
-            for (i_idx, j_idx), v in comps.items():
-                si, sgn_i = _sort_sign(i_idx)
-                sj, sgn_j = _sort_sign(j_idx)
-                if sgn_i == 0 or sgn_j == 0 or v.is_zero():
-                    continue
-                assert len(i_idx) + len(j_idx) == degree
-                assert all(0 <= i < r for i in i_idx)
-                assert all(0 <= j < p for j in j_idx)
-                if sgn_i * sgn_j == -1:
-                    v = -v
-                key = (si, sj)
-                if key in clean:
-                    v = clean[key] + v
-                if v.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = v
-        self.comps = clean
-
-    def map_values(self, fn, zero=None):
-        out = AffineForm(self.r, self.p, self.degree, zero=zero)
-        out.comps = {
-            k: w for k, v in self.comps.items() if not (w := fn(v)).is_zero()
-        }
-        return out
+        self.comps = {k: v for k, v in (comps or {}).items() if not v.is_zero()}
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -85,15 +60,12 @@ class AffineForm:
     def wedge(self, other: "AffineForm") -> "AffineForm":
         """Bigraded wedge; values multiply (matrix composition)."""
         assert (self.r, self.p) == (other.r, other.p)
-        out = AffineForm(self.r, self.p, self.degree + other.degree, zero=self.zero)
-        out.comps = _combine(_products(self.comps, other.comps, 0), mul)
-        return out
+        comps = _combine(_products(self.comps, other.comps, 0), mul)
+        return AffineForm(self.r, self.p, self.degree + other.degree, comps)
 
     def power(self, q: int, identity) -> "AffineForm":
         if q == 0:
-            out = AffineForm(self.r, self.p, 0, zero=self.zero)
-            out.comps = {((), ()): identity}
-            return out
+            return AffineForm(self.r, self.p, 0, {((), ()): identity})
         out = self
         for _ in range(q - 1):
             out = out.wedge(self)
@@ -145,12 +117,10 @@ def _check_family(conns) -> tuple[ConstantAlgebroid, GradedEndo]:
 
 
 def _affine_curvature(conns) -> AffineForm:
-    """Curvature of the affine family, any p >= 0."""
-    a, bundle = _check_family(conns)
+    """Curvature of the affine family, any p >= 0; at p = 0, of the one
+    connection: R(e_i, e_j) = [Omega_i, Omega_j] - sum_k c_ij^k Omega_k."""
+    a, _ = _check_family(conns)
     p = len(conns) - 1
-    zero_endo = GradedEndo.zeros(
-        bundle.rank_even, bundle.rank_odd, SimplexPolynomial(p)
-    )
     base = [_poly_endo(om, p) for om in conns[0].omega]
     diffs = [
         [_poly_endo(cm.omega[i] - conns[0].omega[i], p) for i in range(a.r)]
@@ -169,15 +139,12 @@ def _affine_curvature(conns) -> AffineForm:
             val = aff[i].commutator(aff[j])
             for k, coeff in a.nonzero_brackets[i][j]:
                 val = val - aff[k].scale(coeff)
-            if not val.is_zero():
-                comps[((i, j), ())] = val
+            comps[((i, j), ())] = val
         # d/dt_m of the affine family gives the mixed leg; the value on
         # (e_i, d/dt_m) is minus the value on (d/dt_m, e_i)
         for m in range(p):
-            val = -diffs[m][i]
-            if not val.is_zero():
-                comps[((i,), (m,))] = val
-    return AffineForm(a.r, p, 2, comps, zero=zero_endo)
+            comps[((i,), (m,))] = -diffs[m][i]
+    return AffineForm(a.r, p, 2, comps)
 
 
 def fibre_integrate(omega: AffineForm, p: int) -> AlgebroidForm:
@@ -241,9 +208,7 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     for q, top in traced.items():
         if 2 * q < p:
             continue
-        form = AffineForm(a.r, p, 2 * q, zero=SimplexPolynomial(p))
-        form.comps = top
-        integral = fibre_integrate(form, p)
+        integral = fibre_integrate(AffineForm(a.r, p, 2 * q, top), p)
         out[q] = -integral if flip else integral
     return out
 

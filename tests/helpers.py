@@ -5,12 +5,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from algch.scalars import Scalar, SimplexPolynomial, ZERO, ONE, I
-from algch.linalg import Matrix, nullspace, solve
+from algch.linalg import Matrix, det, nullspace, solve
 from algch.algebroid import (
     AlgebroidForm,
     ConstantAlgebroid,
+    _sort_sign,
     coboundary_witness,
     direct_product,
+    merge_sign,
 )
 from algch.connections import (
     GradedBundle,
@@ -23,8 +25,18 @@ from algch.connections import (
 )
 from algch import charclasses
 from algch.charclasses import adjoint_setup
-from algch.pullback import pullback_form, submersion_recipe
-from algch.transgression import _affine_curvature, _check_family, fibre_integrate
+from algch.pullback import (
+    SubmersionSpec,
+    pullback_algebroid,
+    pullback_form,
+    submersion_recipe,
+)
+from algch.transgression import (
+    AffineForm,
+    _affine_curvature,
+    _check_family,
+    fibre_integrate,
+)
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
 
 
@@ -160,13 +172,8 @@ def rand_algebroid(rng, max_rank=3) -> ConstantAlgebroid:
 
 # ---------------------------------------------------------------------------
 # Constructions only the tests use: the connection-level identities they
-# check (equivalence, metric averages, direct sums) and the entrywise
-# supertrace of a curvature power.
-
-
-def form_supertrace(omega: AlgebroidForm) -> AlgebroidForm:
-    """Entrywise supertrace of an endomorphism-valued form."""
-    return omega.map_values(supertrace, zero=ZERO)
+# check (equivalence, metric averages, direct sums, pullbacks) and the
+# trace character of a Lie algebra.
 
 
 def zero_connection(algebroid: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
@@ -254,6 +261,24 @@ def direct_sum_connections(c0: Connection, c1: Connection) -> Connection:
     return Connection(c0.algebroid, direct_sum_bundles(c0.bundle, c1.bundle), omega)
 
 
+def pullback_connection(a: ConstantAlgebroid, s: SubmersionSpec, c: Connection, pb: ConstantAlgebroid = None) -> Connection:
+    """Pullback to p^!(A) acting on the pulled-back (same) bundle:
+    vertical sections act by zero, horizontal lifts as in c."""
+    assert c.algebroid == a
+    if pb is None:
+        pb = pullback_algebroid(a, s)
+    z = GradedEndo.zeros(c.bundle.rank_even, c.bundle.rank_odd)
+    return Connection(pb, c.bundle, [z] * s.k + list(c.omega))
+
+
+def trace_character(a: ConstantAlgebroid) -> AlgebroidForm:
+    """The 1-form e_i |-> Tr(ad_{e_i})."""
+    comps = {
+        (i,): sum((a.brackets[i][j][j] for j in range(a.r)), ZERO) for i in range(a.r)
+    }
+    return AlgebroidForm(a.r, 1, comps)
+
+
 # ---------------------------------------------------------------------------
 # Reference implementations kept as test oracles.  They are the plain
 # dense formulas the fast paths in algch replaced, and the differential
@@ -321,6 +346,16 @@ class PairScalar:
         for _ in range(n):
             out = out * self
         return out
+
+
+def leading_minors_positive(h: Matrix) -> bool:
+    """Sylvester's criterion minor by minor: every leading principal
+    minor of h is real and positive."""
+    for k in range(1, h.nrows + 1):
+        minor = det(Matrix([row[:k] for row in h.rows[:k]], ncols=k))
+        if not minor.is_real() or not minor.re > 0:
+            return False
+    return True
 
 
 def dense_validate_algebroid(a: ConstantAlgebroid) -> list[str]:
@@ -393,6 +428,79 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(rows, a.zero, ncols=b.ncols)
 
 
+def curvature(c: Connection) -> dict:
+    """R(e_i, e_j) = [Omega_i, Omega_j] - sum_k c_ij^k Omega_k of one
+    connection, as {(i, j): GradedEndo} with i < j and zero values left
+    out.  The formula of the single-connection curvature, independent of
+    the affine-family curvature in algch.transgression."""
+    a = c.algebroid
+    comps = {}
+    for i, j in combinations(range(a.r), 2):
+        val = c.omega[i].commutator(c.omega[j])
+        for k, coeff in a.nonzero_brackets[i][j]:
+            val = val - c.omega[k].scale(coeff)
+        if not val.is_zero():
+            comps[(i, j)] = val
+    return comps
+
+
+def covariant_differential(c: Connection, omega: dict, k: int) -> dict:
+    """d^nabla of an endomorphism-valued k-form {sorted indices: value}:
+    the commutator with the connection matrices plus the bracket sum."""
+    a = c.algebroid
+
+    def value(idx):
+        srt, sign = _sort_sign(idx)
+        v = omega.get(srt) if sign else None
+        return v if v is None or sign == 1 else -v
+
+    out = {}
+    for idx in combinations(range(a.r), k + 1):
+        acc = GradedEndo.zeros(c.bundle.rank_even, c.bundle.rank_odd)
+        for s in range(k + 1):
+            v = value(idx[:s] + idx[s + 1:])
+            if v is not None:
+                om = c.omega[idx[s]]
+                term = om * v - v * om
+                acc = acc + (term if s % 2 == 0 else -term)
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
+                for m, coeff in a.nonzero_brackets[idx[s]][idx[t]]:
+                    v = value((m,) + rest)
+                    if v is not None:
+                        term = v.scale(coeff)
+                        acc = acc + (-term if (s + t) % 2 else term)
+        if not acc.is_zero():
+            out[idx] = acc
+    return out
+
+
+def wedge_endo_forms(f: dict, g: dict) -> dict:
+    """Wedge of endomorphism-valued forms {sorted indices: value}; values
+    multiply (matrix composition)."""
+    out = {}
+    for i1, v1 in f.items():
+        for i2, v2 in g.items():
+            sign = merge_sign(i1, i2)
+            if sign == 0:
+                continue
+            merged = tuple(sorted(i1 + i2))
+            term = (v1 * v2).scale(Scalar(sign))
+            out[merged] = out[merged] + term if merged in out else term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def supertrace_curvature_power(c: Connection, q: int) -> AlgebroidForm:
+    """supertrace(R^q) from the single-connection curvature oracle: the
+    independent check of the p = 0 transgression cochain."""
+    r_form = curvature(c)
+    acc = r_form
+    for _ in range(q - 1):
+        acc = wedge_endo_forms(acc, r_form)
+    return AlgebroidForm(c.algebroid.r, 2 * q, {k: supertrace(v) for k, v in acc.items()})
+
+
 def reference_cs_cochain(conns, q: int) -> AlgebroidForm:
     """The transgression cochain for one q, the way it was computed
     before cs_cochains: the q-th power of a freshly built affine
@@ -406,7 +514,7 @@ def reference_cs_cochain(conns, q: int) -> AlgebroidForm:
     one = SimplexPolynomial.constant(p, 1)
     ident = GradedEndo.identity(bundle.rank_even, bundle.rank_odd, one, SimplexPolynomial(p))
     rq = r_aff.power(q, ident)
-    traced = rq.map_values(supertrace, zero=SimplexPolynomial(p))
+    traced = AffineForm(a.r, p, 2 * q, {k: supertrace(v) for k, v in rq.comps.items()})
     result = fibre_integrate(traced, p)
     if p > 0 and ((p + 1) // 2) % 2 == 1:
         result = -result

@@ -24,14 +24,12 @@ from algch.charclasses import (
     secondary_class,
     adjoint_setup,
     intrinsic_char,
-    trace_character,
     default_max_q,
 )
 from algch.pullback import (
     SubmersionSpec,
     pullback_algebroid,
     pullback_form,
-    pullback_connection,
     morita_check,
 )
 from algch.library import tangent_torus, q_family, so3, lie_algebra
@@ -48,8 +46,10 @@ from helpers import (
     rand_q_family,
     boundary_commutant,
     small_corpus,
+    pullback_connection,
+    supertrace_curvature_power,
+    trace_character,
 )
-from test_connections import supertrace_curvature_power
 from test_transgression import check_cs_axioms
 
 

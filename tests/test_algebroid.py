@@ -9,7 +9,6 @@ from algch.algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
     basis_form,
-    zero_form,
     validate_algebroid,
     ce_differential,
     betti_number,
@@ -30,7 +29,7 @@ from helpers import (
 
 
 def rand_form(a, degree, rng):
-    f = zero_form(a.r, degree)
+    f = AlgebroidForm(a.r, degree)
     from itertools import combinations
 
     for idx in combinations(range(a.r), degree):
@@ -133,7 +132,7 @@ class TestBetti:
 class TestCoboundaryWitness:
     def test_zero_form(self):
         a = heisenberg()
-        w = coboundary_witness(a, zero_form(3, 2))
+        w = coboundary_witness(a, AlgebroidForm(3, 2))
         assert w is not None and w.is_zero()
 
     def test_q_family_trace_not_exact(self):

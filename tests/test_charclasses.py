@@ -30,7 +30,6 @@ from algch.charclasses import (
     adjoint_connection,
     intrinsic_char,
     modular_class,
-    trace_character,
     default_max_q,
 )
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
@@ -48,6 +47,7 @@ from helpers import (
     boundary_commutant,
     small_corpus,
     fake_cs_cochains,
+    trace_character,
 )
 
 
@@ -291,13 +291,13 @@ class TestIntrinsic:
 class TestModular:
     def test_abelian_zero(self):
         a = abelian(3)
-        res = modular_class(a, [], identity_adjoint_metric(a), normalize=True)
+        res = modular_class(a, [], identity_adjoint_metric(a))
         assert res.report.is_zero_class
         assert res.normalized.is_zero()
 
     def test_heisenberg_zero(self):
         a = heisenberg()
-        res = modular_class(a, [], identity_adjoint_metric(a), normalize=True)
+        res = modular_class(a, [], identity_adjoint_metric(a))
         assert res.report.is_zero_class
         assert res.normalized.is_zero()
 
@@ -307,7 +307,7 @@ class TestModular:
             a = rand_q_family(rng)
             # normalized representative is e_3 |-> Tr(ad_{e_3}) = -(a+d)
             tr = a.brackets[0][2][0] + a.brackets[1][2][1]  # = a + d
-            res = modular_class(a, [], identity_adjoint_metric(a), normalize=True)
+            res = modular_class(a, [], identity_adjoint_metric(a))
             assert res.normalized == AlgebroidForm(3, 1, {(2,): -tr})
 
     def test_kappa_universality(self):

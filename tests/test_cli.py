@@ -132,6 +132,59 @@ class TestMalformedDocuments:
             parse_algebroid({"base_dim": 0.9, "rank": 2.7})
 
 
+def with_metric(name, **blocks):
+    doc = json.loads((INPUTS / name).read_text())
+    doc["metric"] = blocks
+    return doc
+
+
+# a metric block that is not Hermitian positive-definite: (document, key)
+BAD_METRICS = {
+    "non-PD g_A": (with_metric("q_family.json", g_A=[["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "g_A"),
+    "non-Hermitian g_M": (with_metric("tt2.json", g_M=[["1", "1"], ["0", "1"]]), "g_M"),
+    "non-PD g_V": (with_metric("tt2.json", g_V=[["1", "0"], ["0", "0"]]), "g_V"),
+    "imaginary diagonal g_A": (with_metric("so3.json", g_A=[[{"im": "1"}, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "g_A"),
+}
+
+
+class TestMetricBlocks:
+    """Metric blocks are checked when the document is parsed: a block
+    that is not Hermitian positive-definite is a ParseError (exit 1)."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_METRICS))
+    def test_parse_rejects(self, name):
+        doc, key = BAD_METRICS[name]
+        with pytest.raises(ParseError, match=f"^{key}: metric block is not"):
+            parse_algebroid(doc)
+
+    @pytest.mark.parametrize("command", ["char", "modular", "cs", "morita-check", "validate"])
+    @pytest.mark.parametrize("name", sorted(BAD_METRICS))
+    def test_commands_report_error(self, capsys, tmp_path, command, name):
+        doc, key = BAD_METRICS[name]
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        status, out = run_cli(capsys, command, f)
+        assert status == 1
+        prefix = "INVALID: " if command == "validate" else "error: "
+        assert out.startswith(f"{prefix}{key}: metric block is not")
+
+    def test_bad_metric_in_batch_fails_only_that_job(self, capsys, tmp_path):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(BAD_METRICS["non-PD g_A"][0]))
+        jobs = [{"command": "char", "inputs": [str(f)]}, SO3_COHOMOLOGY]
+        out_file = tmp_path / "report.json"
+        status, out = run_cli(capsys, "batch", "--out", out_file, write_batch(tmp_path, jobs))
+        assert status == 1
+        reports = json.loads(out_file.read_text())["batch"]
+        assert reports[0]["error"] == "g_A: metric block is not positive-definite"
+        assert reports[1]["betti"] == [1, 0, 0, 1]
+
+    def test_valid_blocks_accepted(self):
+        doc = with_metric("tt2.json", g_A=[["2", {"im": "1"}], [{"im": "-1"}, "1"]], g_V=[["3"]])
+        _, extras = parse_algebroid(doc)
+        assert set(extras) == {"g_A", "g_V"}
+
+
 class TestCountOptions:
     """--k and --max-q must be >= 1; 0 is an error, not the default."""
 
@@ -404,6 +457,15 @@ class TestCommands:
     def test_missing_file(self, capsys):
         status = main(["validate", "nope.json"])
         assert status == 1
+
+    def test_unwritable_report(self, capsys, tmp_path):
+        out_file = tmp_path / "nodir" / "x.json"
+        status = main(["cohomology", "--out", str(out_file), str(INPUTS / "so3.json")])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert "Betti: 1 0 0 1" in captured.out
+        assert captured.err.startswith("error: ") and "nodir" in captured.err
+        assert not out_file.exists()
 
     def test_report_out(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

@@ -1,11 +1,10 @@
 import random
-from itertools import combinations
 
 import pytest
 
 from algch.scalars import Scalar, ZERO, ONE, I
 from algch.linalg import Matrix
-from algch.algebroid import AlgebroidForm, merge_sign, ce_differential
+from algch.algebroid import ce_differential
 from algch.connections import (
     GradedBundle,
     GradedEndo,
@@ -13,10 +12,11 @@ from algch.connections import (
     Connection,
     HermitianMetric,
     supertrace,
-    curvature,
     h_dual,
+    check_metric_block,
 )
 from algch.charclasses import adjoint_setup, adjoint_connection
+from algch.transgression import _affine_curvature, _poly_endo, _poly_matrix
 from algch.library import abelian, heisenberg, so3, q_family
 
 from helpers import (
@@ -28,58 +28,39 @@ from helpers import (
     rand_tm_conn,
     boundary_commutant,
     small_corpus,
-    form_supertrace,
+    curvature,
+    covariant_differential,
+    leading_minors_positive,
+    supertrace_curvature_power,
     metric_average,
     equivalence_witness,
     zero_connection,
 )
 
 
-def wedge_endo_forms(f: AlgebroidForm, g: AlgebroidForm) -> AlgebroidForm:
-    """Independent wedge of endomorphism-valued forms, used as the
-    oracle for supertrace(curvature^q)."""
-    out = {}
-    r = f.r
-    for i1, v1 in f.comps.items():
-        for i2, v2 in g.comps.items():
-            if set(i1) & set(i2):
-                continue
-            merged = tuple(sorted(i1 + i2))
-            sign = merge_sign(i1, i2)
-            term = (v1 * v2).scale(Scalar(sign))
-            out[merged] = out.get(merged, None)
-            out[merged] = term if out[merged] is None else out[merged] + term
-    comps = {k: v for k, v in out.items() if not v.is_zero()}
-    return AlgebroidForm(r, f.degree + g.degree, comps, zero=f.zero)
-
-
-def supertrace_curvature_power(c: Connection, q: int) -> AlgebroidForm:
-    r_form = curvature(c)
-    acc = r_form
-    for _ in range(q - 1):
-        acc = wedge_endo_forms(acc, r_form)
-    return form_supertrace(acc)
-
-
 class TestCurvature:
+    """The only curvature in algch is the affine-family one; at p = 0 it
+    is the curvature of the single connection."""
+
     def test_adjoint_representation_flat(self):
         for a in (heisenberg(), so3(), q_family(1, 2, 3, 4)):
             bundle = GradedBundle(a.r, 0)
-            assert curvature(adjoint_connection(a, bundle)).is_zero()
+            assert _affine_curvature([adjoint_connection(a, bundle)]).is_zero()
 
     def test_abelian_commutator(self):
         rng = random.Random(11)
         a = abelian(2)
         b = GradedBundle(2, 2)
         c = rand_connection(a, b, rng)
-        r_form = curvature(c)
-        assert r_form.get((0, 1)) == c.omega[0].commutator(c.omega[1])
+        comm = c.omega[0].commutator(c.omega[1])
+        assert not comm.is_zero()
+        assert _affine_curvature([c]).comps == {((0, 1), ()): _poly_endo(comm, 0)}
 
     def test_rank_one_zero(self):
         rng = random.Random(12)
         a = abelian(1)
         c = rand_connection(a, rand_bundle(rng), rng)
-        assert curvature(c).is_zero()
+        assert _affine_curvature([c]).is_zero()
 
     def test_values_commute_with_boundary(self):
         rng = random.Random(13)
@@ -87,11 +68,19 @@ class TestCurvature:
             a = rand_algebroid(rng)
             b = rand_bundle(rng)
             c = rand_connection(a, b, rng)
-            d = GradedEndo(Matrix.zeros(b.rank_even, b.rank_even), Matrix.zeros(b.rank_odd, b.rank_odd))
-            for v in curvature(c).comps.values():
-                ee = v.ee * b.d10 - b.d10 * v.oo
-                oo = v.oo * b.d01 - b.d01 * v.ee
+            d01, d10 = _poly_matrix(b.d01, 0), _poly_matrix(b.d10, 0)
+            for v in _affine_curvature([c]).comps.values():
+                ee = v.ee * d10 - d10 * v.oo
+                oo = v.oo * d01 - d01 * v.ee
                 assert ee.is_zero() and oo.is_zero()
+
+    def test_matches_single_connection_oracle(self):
+        rng = random.Random(16)
+        for _ in range(8):
+            a = rand_algebroid(rng, max_rank=4)
+            c = rand_connection(a, rand_bundle(rng), rng)
+            want = {(k, ()): _poly_endo(v, 0) for k, v in curvature(c).items()}
+            assert _affine_curvature([c]).comps == want
 
 
 class TestSupertrace:
@@ -133,6 +122,32 @@ class TestMetric:
         not_herm = Matrix([[ONE, I], [I, ONE]], ncols=2)
         with pytest.raises(ValueError):
             HermitianMetric(b, not_herm, Matrix.identity(1))
+
+    def test_pivots_match_leading_minors(self):
+        # Hermitian m + m^* + c: positive-definite, singular and
+        # indefinite, real and Gaussian
+        rng = random.Random(18)
+        cases = [
+            Matrix([[ZERO]], ncols=1),
+            Matrix([[ONE, ONE], [ONE, ONE]], ncols=2),
+            Matrix([[ZERO, ONE], [ONE, ONE]], ncols=2),
+            Matrix([[Scalar(2), I], [-I, ONE]], ncols=2),
+        ]
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            m = rand_matrix(n, n, rng, real=rng.random() < 0.5)
+            shift = Matrix.identity(n).scale(Scalar(rng.randint(-2, 4)))
+            cases.append(m + m.conj_transpose() + shift)
+        outcomes = set()
+        for h in cases:
+            want = leading_minors_positive(h)
+            if want:
+                check_metric_block(h)
+            else:
+                with pytest.raises(ValueError, match="not positive-definite"):
+                    check_metric_block(h)
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestHDual:
@@ -253,7 +268,7 @@ class TestDifferentialIdentities:
             a = rand_algebroid(rng, max_rank=4)
             b = rand_bundle(rng)
             c = rand_connection(a, b, rng)
-            assert ce_differential(a, curvature(c), conn=c).is_zero()
+            assert covariant_differential(c, curvature(c), 2) == {}
 
     def test_supertrace_powers_closed(self):
         rng = random.Random(26)
@@ -268,4 +283,4 @@ class TestDifferentialIdentities:
     def test_zero_connection_flat(self):
         a = heisenberg()
         c = zero_connection(a, GradedBundle(2, 1))
-        assert curvature(c).is_zero()
+        assert _affine_curvature([c]).is_zero()

@@ -7,7 +7,6 @@ from algch.linalg import Matrix
 from algch.algebroid import (
     AlgebroidForm,
     basis_form,
-    zero_form,
     validate_algebroid,
     coboundary_witness,
     direct_product,
@@ -21,7 +20,6 @@ from algch.pullback import (
     pullback_algebroid,
     pullback_anchor,
     pullback_form,
-    pullback_connection,
     submersion_recipe,
     morita_check,
     _check_basic_splitting,
@@ -38,6 +36,7 @@ from helpers import (
     small_corpus,
     rand_q_family,
     reference_morita_verdicts,
+    pullback_connection,
 )
 
 
@@ -94,7 +93,7 @@ class TestPullbackAlgebroid:
 class TestPullbackData:
     def test_zero_form(self):
         a = q_family(1, 0, 0, 1)
-        assert pullback_form(a, SubmersionSpec(1), zero_form(3, 2)).is_zero()
+        assert pullback_form(a, SubmersionSpec(1), AlgebroidForm(3, 2)).is_zero()
 
     def test_frame_covector(self):
         a = q_family(1, 0, 0, 1)
