@@ -7,7 +7,7 @@ from .algebroid import (
     AlgebroidForm,
     validate_algebroid,
     ce_differential,
-    betti_number,
+    betti_numbers,
     coboundary_witness,
     direct_product,
 )

@@ -11,25 +11,10 @@ over Q(i).
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO
 from .linalg import Matrix, rank, solve
-
-
-def _sort_sign(indices):
-    """Sort an index tuple; return (sorted tuple, sign) or (None, 0) on repeats."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return None, 0
-    sign = 1
-    # insertion sort, counting swaps
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(idx), sign
 
 
 def merge_sign(a, b):
@@ -56,7 +41,8 @@ class ConstantAlgebroid:
     __slots__ = ("n", "r", "anchor", "brackets", "nonzero_brackets")
 
     def __init__(self, n: int, r: int, anchor: Matrix, brackets):
-        assert anchor.shape == (n, r), "anchor must be n x r"
+        if anchor.shape != (n, r):
+            raise ValueError(f"anchor must be {n} x {r}, got {anchor.nrows} x {anchor.ncols}")
         c = tuple(
             tuple(
                 tuple(Scalar.coerce(brackets[i][j][k]) for k in range(r))
@@ -91,35 +77,23 @@ class ConstantAlgebroid:
 
 
 class AlgebroidForm:
-    """Totally antisymmetric scalar k-form on the frame."""
+    """Totally antisymmetric scalar k-form on the frame.
+
+    comps maps strictly increasing index tuples of length k to values.
+    The constructor takes the keys as given (every producer builds them
+    sorted) and drops zero values.
+    """
 
     __slots__ = ("r", "degree", "comps")
 
     def __init__(self, r: int, degree: int, comps=None):
         self.r = r
         self.degree = degree
-        clean = {}
-        if comps:
-            for idx, v in comps.items():
-                srt, sign = _sort_sign(idx)
-                if sign == 0 or v.is_zero():
-                    continue
-                assert len(idx) == degree and all(0 <= i < r for i in idx)
-                v = v if sign == 1 else -v
-                if srt in clean:
-                    v = clean[srt] + v
-                if v.is_zero():
-                    clean.pop(srt, None)
-                else:
-                    clean[srt] = v
-        self.comps = clean
+        self.comps = {k: v for k, v in (comps or {}).items() if not v.is_zero()}
 
     def get(self, idx):
-        srt, sign = _sort_sign(idx)
-        if sign == 0 or srt not in self.comps:
-            return ZERO
-        v = self.comps[srt]
-        return v if sign == 1 else -v
+        """The component at the sorted index tuple idx."""
+        return self.comps.get(idx, ZERO)
 
     def map_values(self, fn):
         return AlgebroidForm(
@@ -129,11 +103,9 @@ class AlgebroidForm:
     def __add__(self, other):
         assert (self.r, self.degree) == (other.r, other.degree)
         comps = dict(self.comps)
-        out = AlgebroidForm(self.r, self.degree)
         for k, v in other.comps.items():
             comps[k] = comps[k] + v if k in comps else v
-        out.comps = {k: v for k, v in comps.items() if not v.is_zero()}
-        return out
+        return AlgebroidForm(self.r, self.degree, comps)
 
     def __sub__(self, other):
         return self + (-other)
@@ -161,11 +133,6 @@ class AlgebroidForm:
 
     def __repr__(self):
         return f"AlgebroidForm(deg={self.degree}, {self.comps})"
-
-
-def basis_form(r: int, idx, value=ONE) -> AlgebroidForm:
-    """The monomial form e^{i_1} ^ ... ^ e^{i_k} scaled by value."""
-    return AlgebroidForm(r, len(idx), {tuple(idx): value})
 
 
 def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
@@ -220,62 +187,68 @@ def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     return violations
 
 
+def _leibniz(a: ConstantAlgebroid, monomials):
+    """d(e^I) for each sorted index tuple I, as {sorted key: coefficient}.
+
+    The generators give d e^m = -sum_{i<j} c_ij^m e^i ^ e^j, and d is a
+    derivation: d(e^I) = sum_s (-1)^s e^{I_0} ^ ... ^ d e^{I_s} ^ ... .
+    The 2-form e^i ^ e^j moves to the front without a sign, and
+    merge_sign((i, j), I minus I_s) sorts it in.  Coefficients that
+    cancel are kept as zeros.
+    """
+    table = [[] for _ in range(a.r)]
+    for i in range(a.r):
+        for j in range(i + 1, a.r):
+            for m, c in a.nonzero_brackets[i][j]:
+                table[m].append(((i, j), -c))
+    for idx in monomials:
+        d = {}
+        for s, m in enumerate(idx):
+            rest = idx[:s] + idx[s + 1:]
+            parity = -1 if s % 2 else 1
+            for pair, c in table[m]:
+                sign = merge_sign(pair, rest)
+                if sign == 0:
+                    continue
+                v = c if sign == parity else -c
+                key = tuple(sorted(pair + rest))
+                d[key] = d[key] + v if key in d else v
+        yield d
+
+
 def ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> AlgebroidForm:
-    """Chevalley-Eilenberg differential on the constant subcomplex.
+    """Chevalley-Eilenberg differential on the constant subcomplex,
+    sum_I omega_I d(e^I).
 
     For scalar-valued constant forms the covariant terms vanish (the
     anchor differentiates constants to zero) and only the bracket sum
     survives.
     """
-    r, k = a.r, omega.degree
-    out = AlgebroidForm(r, k + 1)
-    if k + 1 > r:
-        return out
     comps = {}
-    for idx in combinations(range(r), k + 1):
-        acc = ZERO
-        for s in range(k + 1):
-            for t in range(s + 1, k + 1):
-                rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
-                for m, coeff in a.nonzero_brackets[idx[s]][idx[t]]:
-                    v = omega.get((m,) + rest)
-                    if v.is_zero():
-                        continue
-                    term = v * coeff
-                    acc = acc + (-term if (s + t) % 2 else term)
-        if not acc.is_zero():
-            comps[idx] = acc
-    out.comps = comps
-    return out
+    for w, d in zip(omega.comps.values(), _leibniz(a, omega.comps)):
+        for key, v in d.items():
+            term = w * v
+            comps[key] = comps[key] + term if key in comps else term
+    return AlgebroidForm(a.r, omega.degree + 1, comps)
 
 
 def _diff_matrix(a: ConstantAlgebroid, k: int) -> Matrix:
-    """Matrix of d from degree k to degree k+1 on scalar constant forms."""
+    """Matrix of d from degree k to degree k+1 on scalar constant forms:
+    column j is d of the j-th basis k-form, in combinations order."""
     dom = list(combinations(range(a.r), k))
-    cod = list(combinations(range(a.r), k + 1))
-    cod_pos = {idx: i for i, idx in enumerate(cod)}
-    cols = []
-    for idx in dom:
-        d = ce_differential(a, basis_form(a.r, idx))
-        col = [ZERO] * len(cod)
-        for cidx, v in d.comps.items():
-            col[cod_pos[cidx]] = v
-        cols.append(col)
-    return Matrix(
-        [[cols[j][i] for j in range(len(dom))] for i in range(len(cod))],
-        ncols=len(dom),
-    )
+    cod_pos = {idx: i for i, idx in enumerate(combinations(range(a.r), k + 1))}
+    rows = [[ZERO] * len(dom) for _ in cod_pos]
+    for j, d in enumerate(_leibniz(a, dom)):
+        for key, v in d.items():
+            rows[cod_pos[key]][j] = v
+    return Matrix(rows, ncols=len(dom))
 
 
-def betti_number(a: ConstantAlgebroid, k: int) -> int:
-    if not 0 <= k <= a.r:
-        raise ValueError(f"degree {k} out of range 0..{a.r}")
-    from math import comb
-
-    dim_k = comb(a.r, k)
-    rank_dk = rank(_diff_matrix(a, k)) if k < a.r else 0
-    rank_dkm1 = rank(_diff_matrix(a, k - 1)) if k > 0 else 0
-    return dim_k - rank_dk - rank_dkm1
+def betti_numbers(a: ConstantAlgebroid) -> list[int]:
+    """b_k = C(r, k) - rank d_k - rank d_(k-1) for k = 0..r, ranking
+    each d_k once."""
+    ranks = [rank(_diff_matrix(a, k)) for k in range(a.r)] + [0]
+    return [comb(a.r, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(a.r + 1)]
 
 
 def coboundary_witness(a: ConstantAlgebroid, omega: AlgebroidForm):
@@ -283,21 +256,17 @@ def coboundary_witness(a: ConstantAlgebroid, omega: AlgebroidForm):
     exact in the constant subcomplex.  omega must be closed and
     scalar-valued."""
     k = omega.degree
-    if k <= a.r and not ce_differential(a, omega).is_zero():
+    if not ce_differential(a, omega).is_zero():
         raise ValueError("input form is not closed")
     if omega.is_zero():
         return AlgebroidForm(a.r, max(k - 1, 0))
     if k == 0:
         return None  # nonzero constants are never exact
-    cod = list(combinations(range(a.r), k))
-    target = [omega.get(idx) for idx in cod]
-    m = _diff_matrix(a, k - 1)
-    x = solve(m, target)
+    target = [omega.get(idx) for idx in combinations(range(a.r), k)]
+    x = solve(_diff_matrix(a, k - 1), target)
     if x is None:
         return None
-    dom = list(combinations(range(a.r), k - 1))
-    comps = {idx: x[i] for i, idx in enumerate(dom) if not x[i].is_zero()}
-    return AlgebroidForm(a.r, k - 1, comps)
+    return AlgebroidForm(a.r, k - 1, dict(zip(combinations(range(a.r), k - 1), x)))
 
 
 def direct_product(a: ConstantAlgebroid, b: ConstantAlgebroid) -> ConstantAlgebroid:

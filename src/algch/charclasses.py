@@ -152,9 +152,11 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
     is C_i + T_i rho, the odd block rho T_i, and theta_i = (-T_i, 0).
     """
     tm_conn = list(tm_conn)
-    assert len(tm_conn) == a.n
-    for g in tm_conn:
-        assert g.shape == (a.r, a.r), "tm connection coefficient must be r x r"
+    if len(tm_conn) != a.n:
+        raise ValueError(f"tm_conn needs {a.n} matrices, got {len(tm_conn)}")
+    for m, g in enumerate(tm_conn):
+        if g.shape != (a.r, a.r):
+            raise ValueError(f"tm_conn[{m}] must be {a.r} x {a.r}, got {g.nrows} x {g.ncols}")
     bundle = adjoint_bundle(a.anchor)
     rho = a.anchor
 

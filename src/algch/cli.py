@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .scalars import Scalar
 from .linalg import Matrix
-from .algebroid import betti_number
+from .algebroid import betti_numbers
 from .connections import HermitianMetric, h_dual
 from .transgression import cs_cochains
 from .charclasses import (
@@ -86,7 +86,7 @@ def cmd_validate(job):
 
 def cmd_cohomology(job):
     a, _ = fileio.load_algebroid(job["inputs"][0])
-    betti = [betti_number(a, k) for k in range(a.r + 1)]
+    betti = betti_numbers(a)
     return {"betti": betti}, 0, ["Betti: " + " ".join(map(str, betti))]
 
 
@@ -214,17 +214,23 @@ COMMANDS = {
     "product": (cmd_product, 2),
 }
 
+OPTIONS = ("max_q", "k", "seed")
+
 
 def run(job: dict):
     """Dispatch one job: {'command', 'inputs', 'options'}.
 
-    A job that cannot run (unknown command, wrong number of inputs,
-    unreadable or malformed input) gets an error report and status 1.
+    A job that cannot run (unknown command or option, wrong number of
+    inputs, unreadable or malformed input) gets an error report and
+    status 1.
     """
     command = job["command"]
     try:
         if command not in COMMANDS:
             raise ParseError(f"unknown command {command!r}")
+        for name in job["options"]:
+            if name not in OPTIONS:
+                raise ParseError(f"unknown option {name!r}; options are {', '.join(OPTIONS)}")
         fn, arity = COMMANDS[command]
         if len(job["inputs"]) != arity:
             raise ParseError(f"{command} takes {arity} input file(s)")

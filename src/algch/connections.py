@@ -148,10 +148,10 @@ class HermitianMetric:
     __slots__ = ("bundle", "h_even", "h_odd")
 
     def __init__(self, bundle: GradedBundle, h_even: Matrix, h_odd: Matrix):
-        assert h_even.shape == (bundle.rank_even, bundle.rank_even)
-        assert h_odd.shape == (bundle.rank_odd, bundle.rank_odd)
-        check_metric_block(h_even)
-        check_metric_block(h_odd)
+        for name, h, n in (("even", h_even, bundle.rank_even), ("odd", h_odd, bundle.rank_odd)):
+            if h.shape != (n, n):
+                raise ValueError(f"{name} metric block must be {n} x {n}, got {h.nrows} x {h.ncols}")
+            check_metric_block(h)
         self.bundle = bundle
         self.h_even = h_even
         self.h_odd = h_odd

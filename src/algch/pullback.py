@@ -40,7 +40,8 @@ class SubmersionSpec:
     def __post_init__(self):
         if self.g_v is None:
             object.__setattr__(self, "g_v", Matrix.identity(self.k))
-        assert self.g_v.shape == (self.k, self.k)
+        if self.g_v.shape != (self.k, self.k):
+            raise ValueError(f"g_v must be {self.k} x {self.k}, got {self.g_v.nrows} x {self.g_v.ncols}")
 
 
 def pullback_anchor(a: ConstantAlgebroid, s: SubmersionSpec) -> Matrix:

@@ -3,13 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from algch.scalars import Scalar, SimplexPolynomial, ZERO, ONE, I
-from algch.linalg import Matrix, det, nullspace, solve
+from algch.linalg import Matrix, det, nullspace, rank, solve
 from algch.algebroid import (
     AlgebroidForm,
     ConstantAlgebroid,
-    _sort_sign,
     coboundary_witness,
     direct_product,
     merge_sign,
@@ -397,9 +397,43 @@ def dense_validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     return violations
 
 
+def _sort_sign(indices):
+    """Sort an index tuple; return (sorted tuple, sign) or (None, 0) on repeats."""
+    idx = list(indices)
+    if len(set(idx)) != len(idx):
+        return None, 0
+    sign = 1
+    # insertion sort, counting swaps
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(idx), sign
+
+
+def form_value(omega: AlgebroidForm, idx):
+    """omega at any index tuple: zero on a repeat, and the sign of the
+    sorting permutation times the sorted component otherwise."""
+    srt, sign = _sort_sign(idx)
+    if sign == 0:
+        return ZERO
+    v = omega.get(srt)
+    return v if sign == 1 else -v
+
+
+def basis_form(r: int, idx, value=ONE) -> AlgebroidForm:
+    """The monomial form e^{i_1} ^ ... ^ e^{i_k} scaled by value; idx is
+    sorted."""
+    return AlgebroidForm(r, len(idx), {tuple(idx): value})
+
+
 def dense_ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> AlgebroidForm:
     """CE differential of a scalar form, reading all r bracket
-    coefficients of every pair."""
+    coefficients of every pair: (d omega)(e_I) is the sum over s < t of
+    (-1)^(s+t) omega([e_{I_s}, e_{I_t}], e_{I minus I_s, I_t}).  Terms
+    where omega vanishes are skipped, zero brackets are not."""
     r, k = a.r, omega.degree
     comps = {}
     for idx in combinations(range(r), k + 1):
@@ -408,10 +442,27 @@ def dense_ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> Algebro
             for t in range(s + 1, k + 1):
                 rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
                 for m in range(r):
-                    term = omega.get((m,) + rest) * a.brackets[idx[s]][idx[t]][m]
+                    v = form_value(omega, (m,) + rest)
+                    if v.is_zero():
+                        continue
+                    term = v * a.brackets[idx[s]][idx[t]][m]
                     acc = acc + (-term if (s + t) % 2 else term)
         comps[idx] = acc
     return AlgebroidForm(r, k + 1, comps)
+
+
+def reference_betti_number(a: ConstantAlgebroid, k: int) -> int:
+    """b_k = C(r, k) - rank d_k - rank d_(k-1), with each column of d
+    taken from dense_ce_differential of a basis form."""
+
+    def d_rank(j):
+        if not 0 <= j < a.r:
+            return 0
+        cod = list(combinations(range(a.r), j + 1))
+        cols = [dense_ce_differential(a, basis_form(a.r, idx)) for idx in combinations(range(a.r), j)]
+        return rank(Matrix([[col.get(c) for col in cols] for c in cod], ncols=len(cols)))
+
+    return comb(a.r, k) - d_rank(k) - d_rank(k - 1)
 
 
 def dense_matmul(a: Matrix, b: Matrix) -> Matrix:

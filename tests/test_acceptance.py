@@ -15,16 +15,13 @@ from algch.connections import (
     GradedEndo,
     Connection,
     HermitianMetric,
-    h_dual,
 )
-from algch.transgression import cs_cochain
 from algch.charclasses import (
     KAPPA,
     chern_character,
     secondary_class,
     adjoint_setup,
     intrinsic_char,
-    default_max_q,
 )
 from algch.pullback import (
     SubmersionSpec,

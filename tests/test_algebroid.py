@@ -8,10 +8,9 @@ from algch.linalg import Matrix
 from algch.algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
-    basis_form,
     validate_algebroid,
     ce_differential,
-    betti_number,
+    betti_numbers,
     coboundary_witness,
     direct_product,
     _diff_matrix,
@@ -25,6 +24,8 @@ from helpers import (
     rand_scalar,
     dense_validate_algebroid,
     dense_ce_differential,
+    basis_form,
+    reference_betti_number,
 )
 
 
@@ -52,6 +53,12 @@ class TestValidate:
         # an explicit check, so it also runs under python -O
         with pytest.raises(ValueError, match=r"Jacobi broken at \(i,j,k,l\)=\(1,2,3,1\)"):
             lie_algebra(3, {(0, 1): [0, 0, 1], (1, 2): [0, 0, 1], (0, 2): [1, 0, 0]})
+
+    def test_anchor_shape_enforced(self):
+        # an explicit check, so it also runs under python -O
+        c = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
+        with pytest.raises(ValueError, match="anchor must be 1 x 3, got 1 x 2"):
+            ConstantAlgebroid(1, 3, Matrix.zeros(1, 2), c)
 
     def test_anchor_compatibility_failure(self):
         # [e_1,e_2] = e_3 with rho(e_3) = d/dx: constant fields commute,
@@ -115,18 +122,32 @@ class TestDifferential:
 class TestBetti:
     def test_abelian_rank_two(self):
         a = abelian(2)
-        assert [betti_number(a, k) for k in range(3)] == [1, 2, 1]
+        assert betti_numbers(a) == [1, 2, 1]
 
     def test_q_family_invertible(self):
-        assert betti_number(q_family(1, 0, 0, 1), 1) == 1
+        assert betti_numbers(q_family(1, 0, 0, 1))[1] == 1
 
     def test_so3(self):
         a = so3()
-        assert [betti_number(a, k) for k in range(4)] == [1, 0, 0, 1]
+        assert betti_numbers(a) == [1, 0, 0, 1]
 
     def test_b0_is_one_on_corpus(self):
         for a in small_corpus().values():
-            assert betti_number(a, 0) == 1
+            assert betti_numbers(a)[0] == 1
+
+    def test_matches_reference_on_corpus(self):
+        for a in small_corpus().values():
+            assert betti_numbers(a) == [reference_betti_number(a, k) for k in range(a.r + 1)]
+
+    def test_matches_reference_on_rank_6_to_8_products(self):
+        rng = random.Random(18)
+        for a in (
+            direct_product(rand_q_family(rng), rand_q_family(rng, trace_zero=True)),
+            direct_product(tangent_torus(1), direct_product(rand_q_family(rng), so3())),
+            direct_product(heisenberg(), direct_product(rand_q_family(rng), abelian(2))),
+        ):
+            assert a.r in (6, 7, 8)
+            assert betti_numbers(a) == [reference_betti_number(a, k) for k in range(a.r + 1)]
 
 
 class TestCoboundaryWitness:
@@ -190,15 +211,16 @@ class TestDirectProduct:
 
     def test_kunneth_tt1_so3(self):
         prod = direct_product(tangent_torus(1), so3())
-        tt1_betti = [betti_number(tangent_torus(1), k) for k in range(2)]
-        so3_betti = [betti_number(so3(), k) for k in range(4)]
+        tt1_betti = betti_numbers(tangent_torus(1))
+        so3_betti = betti_numbers(so3())
+        prod_betti = betti_numbers(prod)
         for d in range(5):
             expected = sum(
                 tt1_betti[i] * so3_betti[d - i]
                 for i in range(2)
                 if 0 <= d - i < 4
             )
-            assert betti_number(prod, d) == expected
+            assert prod_betti[d] == expected
 
 
 def wide_products(rng):
@@ -322,7 +344,8 @@ class TestSparseAgainstDense:
 
     def test_d_squared_zero_on_wide_products(self):
         rng = random.Random(17)
-        for a in wide_products(rng):
+        rank_8 = direct_product(so3(), direct_product(heisenberg(), abelian(2)))
+        for a in wide_products(rng) + [rank_8]:
             if a.r < 5:
                 continue
             for k in range(a.r - 1):

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from algch.scalars import Scalar, ZERO, ONE
+from algch.scalars import Scalar, ONE
 from algch.linalg import Matrix
 from algch.algebroid import (
     AlgebroidForm,
-    basis_form,
     ce_differential,
     coboundary_witness,
     direct_product,
@@ -16,7 +15,6 @@ from algch.connections import (
     GradedEndo,
     Connection,
     HermitianMetric,
-    h_dual,
 )
 from algch import charclasses
 from algch.scalars import I
@@ -39,12 +37,11 @@ from helpers import (
     direct_sum_connections,
     rand_bundle,
     rand_connection,
-    rand_metric,
     rand_algebroid,
     rand_tm_conn,
     rand_pd_matrix,
     rand_q_family,
-    boundary_commutant,
+    basis_form,
     small_corpus,
     fake_cs_cochains,
     trace_character,
@@ -189,6 +186,14 @@ class TestVerdictChecks:
 
 
 class TestAdjointSetup:
+    def test_tm_conn_count_and_shapes_enforced(self):
+        # explicit checks, so they also run under python -O
+        a = tangent_torus(2)
+        with pytest.raises(ValueError, match="tm_conn needs 2 matrices, got 1"):
+            adjoint_setup(a, [Matrix.zeros(2, 2)])
+        with pytest.raises(ValueError, match=r"tm_conn\[1\] must be 2 x 2, got 3 x 2"):
+            adjoint_setup(a, [Matrix.zeros(2, 2), Matrix.zeros(3, 2)])
+
     def test_lie_algebra_basic_is_adjoint(self):
         for a in (heisenberg(), so3(), q_family(2, 3, 5, 7)):
             setup = adjoint_setup(a, [])

@@ -325,8 +325,19 @@ class TestBatchDocuments:
                 {"command": "morita-check", "inputs": [str(INPUTS / "tt2.json")], "options": {"seed": [1]}},
                 "--seed must be an integer",
             ),
+            (
+                {"command": "cs", "inputs": [str(INPUTS / "q_family.json")], "options": {"max-q": 1}},
+                "unknown option 'max-q'",
+            ),
         ],
-        ids=["unknown command", "wrong input count", "missing input", "directory input", "list seed"],
+        ids=[
+            "unknown command",
+            "wrong input count",
+            "missing input",
+            "directory input",
+            "list seed",
+            "unknown option",
+        ],
     )
     def test_bad_job_fails_only_itself(self, capsys, tmp_path, job, message):
         out_file = tmp_path / "report.json"

@@ -26,7 +26,6 @@ from helpers import (
     rand_matrix,
     rand_algebroid,
     rand_tm_conn,
-    boundary_commutant,
     small_corpus,
     curvature,
     covariant_differential,
@@ -122,6 +121,14 @@ class TestMetric:
         not_herm = Matrix([[ONE, I], [I, ONE]], ncols=2)
         with pytest.raises(ValueError):
             HermitianMetric(b, not_herm, Matrix.identity(1))
+
+    def test_block_shapes_enforced(self):
+        # explicit checks, so they also run under python -O
+        b = GradedBundle(2, 1)
+        with pytest.raises(ValueError, match="even metric block must be 2 x 2, got 3 x 3"):
+            HermitianMetric(b, Matrix.identity(3), Matrix.identity(1))
+        with pytest.raises(ValueError, match="odd metric block must be 1 x 1, got 2 x 2"):
+            HermitianMetric(b, Matrix.identity(2), Matrix.identity(2))
 
     def test_pivots_match_leading_minors(self):
         # Hermitian m + m^* + c: positive-definite, singular and

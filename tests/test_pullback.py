@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from algch.scalars import Scalar, ZERO, ONE
+from algch.scalars import ZERO, ONE
 from algch.linalg import Matrix
 from algch.algebroid import (
     AlgebroidForm,
-    basis_form,
     validate_algebroid,
     coboundary_witness,
     direct_product,
@@ -24,9 +23,10 @@ from algch.pullback import (
     morita_check,
     _check_basic_splitting,
 )
-from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
+from algch.library import tangent_torus, heisenberg, so3, q_family
 
 from helpers import (
+    basis_form,
     rand_bundle,
     rand_connection,
     rand_pd_matrix,
@@ -88,6 +88,13 @@ class TestPullbackAlgebroid:
                     pb = pullback_algebroid(a, SubmersionSpec(k))
                     assert (pb.n, pb.r) == (n + k, k + n + 3)
                     assert validate_algebroid(pb) == []
+
+
+class TestSubmersionSpec:
+    def test_g_v_shape_enforced(self):
+        # an explicit check, so it also runs under python -O
+        with pytest.raises(ValueError, match="g_v must be 2 x 2, got 1 x 1"):
+            SubmersionSpec(2, Matrix.identity(1))
 
 
 class TestPullbackData:

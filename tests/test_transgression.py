@@ -1,12 +1,11 @@
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algch.scalars import Scalar, SimplexPolynomial, ZERO, ONE
 from algch.linalg import Matrix
-from algch.algebroid import AlgebroidForm, ce_differential, basis_form
+from algch.algebroid import AlgebroidForm, ce_differential
 from algch.connections import (
     GradedBundle,
     GradedEndo,
