@@ -1,6 +1,6 @@
 """Exact characteristic classes of constant-coefficient Lie algebroids."""
 
-from .scalars import Scalar, SimplexPolynomial, simplex_integrate
+from .scalars import Scalar
 from .linalg import Matrix
 from .algebroid import (
     ConstantAlgebroid,

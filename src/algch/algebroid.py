@@ -255,9 +255,15 @@ def coboundary_witness(a: ConstantAlgebroid, omega: AlgebroidForm):
     """A constant form eta with d eta = omega, or None if omega is not
     exact in the constant subcomplex.  omega must be closed and
     scalar-valued."""
-    k = omega.degree
     if not ce_differential(a, omega).is_zero():
         raise ValueError("input form is not closed")
+    return _solve_coboundary(a, omega)
+
+
+def _solve_coboundary(a: ConstantAlgebroid, omega: AlgebroidForm):
+    """coboundary_witness for a form the caller has already found
+    closed: the linear solve without computing d omega again."""
+    k = omega.degree
     if omega.is_zero():
         return AlgebroidForm(a.r, max(k - 1, 0))
     if k == 0:

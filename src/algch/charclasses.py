@@ -18,6 +18,7 @@ from .algebroid import (
     AlgebroidForm,
     ce_differential,
     coboundary_witness,
+    _solve_coboundary,
 )
 from .connections import (
     GradedBundle,
@@ -99,7 +100,7 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
             raise IdentityFailure(
                 "closedness", f"secondary representative q={q} is not closed"
             )
-        witness = coboundary_witness(a, rep)
+        witness = _solve_coboundary(a, rep)
         reports.append(ClassReport(q, rep, witness is not None, witness))
     return reports
 

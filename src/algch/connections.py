@@ -8,8 +8,10 @@ simplifies to Omega |-> -Omega^T (the Lie-derivative term vanishes).
 
 from __future__ import annotations
 
+from operator import add
+
 from .scalars import Scalar, ZERO, ONE
-from .linalg import Matrix, inverse
+from .linalg import ClearedMatrix, Matrix
 from .algebroid import ConstantAlgebroid
 
 
@@ -27,8 +29,12 @@ class GradedBundle:
             d01 = Matrix.zeros(rank_odd, rank_even)
         if d10 is None:
             d10 = Matrix.zeros(rank_even, rank_odd)
-        assert d01.shape == (rank_odd, rank_even)
-        assert d10.shape == (rank_even, rank_odd)
+        if d01.shape != (rank_odd, rank_even) or d10.shape != (rank_even, rank_odd):
+            raise ValueError(
+                f"boundary blocks must be {rank_odd} x {rank_even} and "
+                f"{rank_even} x {rank_odd}, got {d01.nrows} x {d01.ncols} "
+                f"and {d10.nrows} x {d10.ncols}"
+            )
         if not (d10 * d01).is_zero() or not (d01 * d10).is_zero():
             raise ValueError("boundary does not square to zero")
         self.rank_even = rank_even
@@ -137,9 +143,39 @@ def supertrace(t: GradedEndo) -> Scalar:
     return t.ee.trace() - t.oo.trace()
 
 
-def supertrace_product(t1: GradedEndo, t2: GradedEndo):
-    """supertrace(t1 * t2) in O(n^2), without forming the product."""
-    return t1.ee.trace_mul(t2.ee) - t1.oo.trace_mul(t2.oo)
+# The transgression's values are polynomials in the simplex coordinates
+# with graded-endomorphism coefficients, {exponent tuple: (even block,
+# odd block)} with ClearedMatrix blocks; their supertraces are
+# {exponent tuple: (re, im)} with exact rational parts.  Zero monomials
+# are left out of both.
+
+
+def supertrace_terms(v: dict) -> dict:
+    """The supertrace of each coefficient of the polynomial v."""
+    out = {}
+    for e, (ee, oo) in v.items():
+        r1, i1 = ee.trace()
+        r2, i2 = oo.trace()
+        if r1 != r2 or i1 != i2:
+            out[e] = (r1 - r2, i1 - i2)
+    return out
+
+
+def supertrace_product(v1: dict, v2: dict) -> dict:
+    """supertrace_terms(v1 * v2) without forming the product: O(n^2)
+    per block and pair of monomials."""
+    out = {}
+    for e1, (ee1, oo1) in v1.items():
+        for e2, (ee2, oo2) in v2.items():
+            e = tuple(map(add, e1, e2))
+            r1, i1 = ee1.trace_mul(ee2)
+            r2, i2 = oo1.trace_mul(oo2)
+            if e in out:
+                r0, i0 = out[e]
+                out[e] = (r0 + r1 - r2, i0 + i1 - i2)
+            else:
+                out[e] = (r1 - r2, i1 - i2)
+    return {e: t for e, t in out.items() if t[0] or t[1]}
 
 
 class HermitianMetric:
@@ -197,10 +233,16 @@ class Connection:
 
     def __init__(self, algebroid: ConstantAlgebroid, bundle: GradedBundle, omega):
         omega = list(omega)
-        assert len(omega) == algebroid.r
-        for om in omega:
-            assert om.ee.shape == (bundle.rank_even, bundle.rank_even)
-            assert om.oo.shape == (bundle.rank_odd, bundle.rank_odd)
+        if len(omega) != algebroid.r:
+            raise ValueError(f"a connection needs {algebroid.r} frame matrices, got {len(omega)}")
+        shape = ((bundle.rank_even,) * 2, (bundle.rank_odd,) * 2)
+        for i, om in enumerate(omega):
+            if (om.ee.shape, om.oo.shape) != shape:
+                raise ValueError(
+                    f"frame matrix {i + 1} has blocks {om.ee.nrows} x {om.ee.ncols} and "
+                    f"{om.oo.nrows} x {om.oo.ncols}, not {bundle.rank_even} x "
+                    f"{bundle.rank_even} and {bundle.rank_odd} x {bundle.rank_odd}"
+                )
         self.algebroid = algebroid
         self.bundle = bundle
         self.omega = omega
@@ -242,13 +284,17 @@ def h_dual(c: Connection, h: HermitianMetric) -> Connection:
     """
     if h.bundle != c.bundle:
         raise ValueError("connection and metric live on different bundles")
-    he_inv = inverse(h.h_even)
-    ho_inv = inverse(h.h_odd)
+    # the products in integer form, each block converted once
+    factors = []
+    for hb in (h.h_even, h.h_odd):
+        hc = ClearedMatrix.from_matrix(hb)
+        factors.append((-hc.inverse(), hc))
+
+    def dual(m, neg_inv, hb):
+        return (neg_inv * ClearedMatrix.from_matrix(m).conj_transpose() * hb).to_matrix()
+
     omega = [
-        GradedEndo(
-            -(he_inv * om.ee.conj_transpose() * h.h_even),
-            -(ho_inv * om.oo.conj_transpose() * h.h_odd),
-        )
+        GradedEndo(dual(om.ee, *factors[0]), dual(om.oo, *factors[1]))
         for om in c.omega
     ]
     return Connection(c.algebroid, c.bundle, omega)

@@ -1,12 +1,17 @@
 """Small exact matrices.
 
 Matrices are immutable tuples-of-tuples over any ring whose elements
-support +, -, * and .conj() (Scalar or SimplexPolynomial here).  The
-field-only routines (rref, rank, solve, inverse, det) assume Scalar
-entries, i.e. work over Q(i).
+support +, -, * and .conj() (Scalar here; the tests also use
+polynomials).  The field-only routines (rref, rank, solve, inverse,
+det) assume Scalar entries, i.e. work over Q(i).  ClearedMatrix is the
+integer form of a Q(i) matrix that the transgression computes with.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .scalars import Scalar, ZERO, ONE
 
@@ -130,21 +135,6 @@ class Matrix:
             acc = acc + self.rows[i][i]
         return acc
 
-    def trace_mul(self, other: "Matrix"):
-        """tr(self * other) as the sum of a_ij b_ji, without the product."""
-        assert self.nrows == other.ncols and self.ncols == other.nrows
-        acc = None
-        right = other.rows
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if a.is_zero():
-                    continue
-                b = right[j][i]
-                if b.is_zero():
-                    continue
-                acc = a * b if acc is None else acc + a * b
-        return self.zero if acc is None else acc
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
 
@@ -165,6 +155,225 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix([" + ", ".join(str(list(r)) for r in self.rows) + "])"
+
+
+class ClearedMatrix:
+    """A Q(i) matrix as integer rows over one positive common denominator.
+
+    Entry (k, l) is (re[k][l] + i * im[k][l]) / den.  im is None when
+    every imaginary part is zero, so real data does real integer
+    arithmetic only.  As in FLINT's fmpq_mat_mul_cleared, a product
+    multiplies integer rows and denominators and then divides out one
+    gcd over all its entries; sums bring both operands to the lcm of the
+    denominators.  The form is not canonical (a sum is not reduced), so
+    compare values through their entries over den.  Rows are lists that
+    are never mutated.
+    """
+
+    __slots__ = ("re", "im", "den", "ncols")
+
+    def __init__(self, re: list, im, den: int, ncols: int):
+        self.re = re
+        self.im = im if im is not None and any(map(any, im)) else None
+        self.den = den
+        self.ncols = ncols
+
+    @staticmethod
+    def from_matrix(m: Matrix) -> "ClearedMatrix":
+        entries = [x for row in m.rows for x in row]
+        complex_ = any(x.im for x in entries)
+        den = lcm(*(x.re.denominator for x in entries))
+        if complex_:
+            den = lcm(den, *(x.im.denominator for x in entries))
+        re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in m.rows]
+        if not complex_:
+            return ClearedMatrix(re, None, den, m.ncols)
+        im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in m.rows]
+        return ClearedMatrix(re, im, den, m.ncols)
+
+    def to_matrix(self) -> Matrix:
+        den, ncols = self.den, self.ncols
+        if self.im is None:
+            rows = [[Scalar(Fraction(x, den)) for x in row] for row in self.re]
+        else:
+            rows = [
+                [Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(r1, r2)]
+                for r1, r2 in zip(self.re, self.im)
+            ]
+        return Matrix(rows, ncols=ncols)
+
+    def conj_transpose(self) -> "ClearedMatrix":
+        re = [list(col) for col in zip(*self.re)] or [[] for _ in range(self.ncols)]
+        im = None if self.im is None else [[-x for x in col] for col in zip(*self.im)]
+        return ClearedMatrix(re, im, self.den, len(self.re))
+
+    def is_zero(self) -> bool:
+        return self.im is None and not any(map(any, self.re))
+
+    def __neg__(self):
+        im = None if self.im is None else _lin(self.im, -1)
+        return ClearedMatrix(_lin(self.re, -1), im, self.den, self.ncols)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        if self.den == other.den:
+            den, f1, f2 = self.den, 1, sign
+        else:
+            den = lcm(self.den, other.den)
+            f1, f2 = den // self.den, sign * (den // other.den)
+        re = _lin(self.re, f1, other.re, f2)
+        if other.im is None:
+            im = self.im if f1 == 1 or self.im is None else _lin(self.im, f1)
+        elif self.im is None:
+            im = _lin(other.im, f2)
+        else:
+            im = _lin(self.im, f1, other.im, f2)
+        return ClearedMatrix(re, im, den, self.ncols)
+
+    def scale(self, c: Scalar) -> "ClearedMatrix":
+        den = lcm(c.re.denominator, c.im.denominator)
+        u = c.re.numerator * (den // c.re.denominator)
+        v = c.im.numerator * (den // c.im.denominator)
+        if self.im is None:
+            re = _lin(self.re, u)
+            im = None if not v else _lin(self.re, v)
+        else:
+            re = _lin(self.re, u, self.im, -v)
+            im = _lin(self.im, u, self.re, v)
+        return ClearedMatrix(re, im, self.den * den, self.ncols)
+
+    def __mul__(self, other: "ClearedMatrix") -> "ClearedMatrix":
+        """The matrix product, reduced by the gcd of entries and den."""
+        n = other.ncols
+        a, b = self.im, other.im
+        re = _matmul(self.re, other.re, n)
+        if a is None and b is None:
+            im = None
+        elif a is None:
+            im = _matmul(self.re, b, n)
+        elif b is None:
+            im = _matmul(a, other.re, n)
+        else:
+            re = _lin(re, 1, _matmul(a, b, n), -1)
+            im = _lin(_matmul(self.re, b, n), 1, _matmul(a, other.re, n), 1)
+        return _reduced(re, im, self.den * other.den, n)
+
+    def inverse(self) -> "ClearedMatrix":
+        """The inverse of a square matrix; ZeroDivisionError if singular.
+
+        A Gaussian N = A + iB is inverted through the real matrix
+        [[A, -B], [B, A]], whose inverse has the same block form.
+        """
+        n = len(self.re)
+        if self.im is None:
+            adj, det = _fraction_free_inverse(self.re)
+            re, im = adj, None
+        else:
+            top = [r + [-x for x in i] for r, i in zip(self.re, self.im)]
+            bottom = [i + r for r, i in zip(self.re, self.im)]
+            adj, det = _fraction_free_inverse(top + bottom)
+            re = [row[:n] for row in adj[:n]]
+            im = [row[:n] for row in adj[n:]]
+        # self^-1 = den * N^-1 = den * adj / det
+        f = self.den if det > 0 else -self.den
+        re = _lin(re, f)
+        im = None if im is None else _lin(im, f)
+        return _reduced(re, im, abs(det), n)
+
+    def trace(self) -> tuple:
+        """(re, im) of the trace, exact rationals (im is the int 0 on
+        real data)."""
+        re = sum(row[k] for k, row in enumerate(self.re))
+        im = 0 if self.im is None else sum(row[k] for k, row in enumerate(self.im))
+        return Fraction(re, self.den), Fraction(im, self.den) if im else 0
+
+    def trace_mul(self, other: "ClearedMatrix") -> tuple:
+        """(re, im) of tr(self * other), the sum of a_kl b_lk, without
+        the product."""
+        a, b = self.im, other.im
+        re = _trace_mul(self.re, other.re)
+        if a is None and b is None:
+            im = 0
+        elif a is None:
+            im = _trace_mul(self.re, b)
+        elif b is None:
+            im = _trace_mul(a, other.re)
+        else:
+            re -= _trace_mul(a, b)
+            im = _trace_mul(self.re, b) + _trace_mul(a, other.re)
+        den = self.den * other.den
+        return Fraction(re, den), Fraction(im, den) if im else 0
+
+
+def _reduced(re: list, im, den: int, ncols: int) -> ClearedMatrix:
+    """The ClearedMatrix re + i im over den, divided by the gcd of its
+    entries and den."""
+    g = den
+    for row in re:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    if im is not None:
+        for row in im:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+    if g > 1:
+        re = [[x // g for x in row] for row in re]
+        if im is not None:
+            im = [[x // g for x in row] for row in im]
+        den //= g
+    return ClearedMatrix(re, im, den, ncols)
+
+
+def _fraction_free_inverse(rows: list) -> tuple:
+    """(X, d) with rows^-1 = X / d for a square integer matrix.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [rows | I]: every entry
+    stays an integer (a minor of the row-permuted matrix), so each
+    division by the previous pivot is exact, and the left block ends as
+    d * I with d the last pivot, +-det.
+    """
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        m[k], m[piv] = m[piv], m[k]
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return [row[n:] for row in m], prev
+
+
+def _lin(x: list, f: int, y: list = None, g: int = 0) -> list:
+    """f * x + g * y for integer rows of one shape."""
+    if not g:
+        return [[f * s for s in row] for row in x]
+    return [[f * s + g * t for s, t in zip(r1, r2)] for r1, r2 in zip(x, y)]
+
+
+def _matmul(x: list, y: list, ncols: int) -> list:
+    if not y:
+        return [[0] * ncols for _ in x]
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _trace_mul(x: list, y: list) -> int:
+    return sum(sum(map(mul, row, col)) for row, col in zip(x, zip(*y)))
 
 
 def _rref(rows):

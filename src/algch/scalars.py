@@ -1,16 +1,9 @@
-"""Exact coefficient arithmetic.
-
-Two rings live here: Gaussian rationals (the coefficient field of every
-complex in this package) and polynomials in the barycentric coordinates
-t_0, ..., t_p of the standard p-simplex, together with exact integration
-over the simplex.
-"""
+"""Exact coefficient arithmetic: the Gaussian rationals, the coefficient
+field of every complex in this package."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from operator import add
 
 
 def _frac(x) -> Fraction:
@@ -177,152 +170,3 @@ def _make(re: Fraction, im: Fraction) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
-
-
-class SimplexPolynomial:
-    """Polynomial in t_1, ..., t_p on the standard p-simplex.
-
-    t_0 is always eliminated through t_0 = 1 - t_1 - ... - t_p, so the
-    term map keyed by length-p exponent tuples is a canonical form: two
-    polynomials agree on the simplex iff their term maps are equal.
-    """
-
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms=None):
-        self.p = p
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                assert len(exps) == p and all(e >= 0 for e in exps)
-                coeff = Scalar.coerce(coeff)
-                if not coeff.is_zero():
-                    clean[exps] = clean.get(exps, ZERO) + coeff
-                    if clean[exps].is_zero():
-                        del clean[exps]
-        self.terms = clean
-
-    @staticmethod
-    def constant(p: int, c) -> "SimplexPolynomial":
-        c = Scalar.coerce(c)
-        if c.is_zero():
-            return SimplexPolynomial(p)
-        return SimplexPolynomial(p, {(0,) * p: c})
-
-    @staticmethod
-    def variable(i: int, p: int) -> "SimplexPolynomial":
-        """The coordinate t_i; t_0 comes back as 1 - t_1 - ... - t_p."""
-        if not 0 <= i <= p:
-            raise ValueError(f"t_{i} is not a coordinate on the {p}-simplex")
-        if i == 0:
-            terms = {(0,) * p: ONE}
-            for m in range(p):
-                e = [0] * p
-                e[m] = 1
-                terms[tuple(e)] = -ONE
-            return SimplexPolynomial(p, terms)
-        e = [0] * p
-        e[i - 1] = 1
-        return SimplexPolynomial(p, {tuple(e): ONE})
-
-    @staticmethod
-    def _from_terms(p: int, terms: dict) -> "SimplexPolynomial":
-        """Wrap a term map that is already canonical: right-length
-        exponent tuples and nonzero Scalar coefficients."""
-        out = object.__new__(SimplexPolynomial)
-        out.p = p
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        assert self.p == other.p
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in terms:
-                s = terms[e] + c
-                if s.is_zero():
-                    del terms[e]
-                else:
-                    terms[e] = s
-            else:
-                terms[e] = c
-        return SimplexPolynomial._from_terms(self.p, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SimplexPolynomial._from_terms(
-            self.p, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = Scalar.coerce(other)
-            if c.is_zero():
-                return SimplexPolynomial(self.p)
-            return SimplexPolynomial._from_terms(
-                self.p, {e: v * c for e, v in self.terms.items()}
-            )
-        assert self.p == other.p
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                v = c1 * c2
-                terms[e] = terms[e] + v if e in terms else v
-        return SimplexPolynomial._from_terms(
-            self.p, {e: c for e, c in terms.items() if not c.is_zero()}
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "SimplexPolynomial":
-        return SimplexPolynomial._from_terms(
-            self.p, {e: c.conj() for e, c in self.terms.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = SimplexPolynomial.constant(self.p, other)
-        if not isinstance(other, SimplexPolynomial):
-            return NotImplemented
-        return self.p == other.p and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"t{i + 1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(e)
-                if k
-            )
-            bits.append(f"({c})" + ("*" + mono if mono else ""))
-        return " + ".join(bits)
-
-
-def simplex_integrate(f: SimplexPolynomial, p: int) -> Scalar:
-    """Integrate f over the standard p-simplex, exactly.
-
-    The simplex is oriented by the chart (t_1, ..., t_p).  Since t_0 is
-    already eliminated, each monomial t_1^a1 ... t_p^ap contributes the
-    Dirichlet value a1! ... ap! / (a1 + ... + ap + p)!.
-    """
-    if f.p != p:
-        raise ValueError(f"polynomial lives on a {f.p}-simplex, not {p}")
-    total = ZERO
-    for exps, coeff in f.terms.items():
-        num = 1
-        for a in exps:
-            num *= factorial(a)
-        total = total + coeff * Fraction(num, factorial(sum(exps) + p))
-    return total

@@ -1,8 +1,8 @@
 """Transgression cochains.
 
 The affine family sum_i t_i nabla_i over M x Delta^p has a curvature
-with simplex-polynomial coefficients and an extra dt-leg; fibre
-integration of supertraces of its powers produces the cs cochains.
+that is polynomial in the simplex coordinates, plus an extra dt-leg;
+fibre integration of supertraces of its powers produces the cs cochains.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
 form on (e_{i_1}, ..., e_{i_k}, d/dt_{j_1+1}, ..., d/dt_{j_s+1}),
@@ -10,40 +10,37 @@ algebroid arguments first, indices strictly increasing.  Every
 generator (frame covector or dt) is odd, so moving a dt past an
 algebroid 1-form costs a sign.  t_0 is eliminated before anything is
 differentiated or integrated, hence dt_0 never appears.
+
+Values: a component of the curvature or of one of its powers is a
+polynomial in t_1, ..., t_p with graded-endomorphism coefficients,
+{exponent tuple: (even block, odd block)} with ClearedMatrix blocks, so
+at p = 1 the curvature is R0 + t R1 + t^2 R2.  Its supertrace is
+{exponent tuple: (re, im)} with exact rational parts; the fibre
+integral weights each monomial once, and Scalars are built only for the
+resulting AlgebroidForm.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from fractions import Fraction
+from math import factorial, prod
+from operator import add
 
-from .scalars import Scalar, SimplexPolynomial, simplex_integrate
-from .linalg import Matrix
+from .scalars import Scalar
+from .linalg import ClearedMatrix
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
-from .connections import GradedEndo, supertrace, supertrace_product
-
-
-def _poly_matrix(m: Matrix, p: int) -> Matrix:
-    zero = SimplexPolynomial(p)
-    return Matrix(
-        [[SimplexPolynomial.constant(p, a) for a in row] for row in m.rows],
-        zero,
-        ncols=m.ncols,
-    )
-
-
-def _poly_endo(ge: GradedEndo, p: int) -> GradedEndo:
-    return GradedEndo(_poly_matrix(ge.ee, p), _poly_matrix(ge.oo, p))
+from .connections import GradedBundle, GradedEndo, supertrace_terms, supertrace_product
 
 
 class AffineForm:
     """Form on the algebroid frame and the simplex directions.
 
     comps maps (I, J) pairs of strictly increasing index tuples to
-    values (polynomial-entried GradedEndos, or SimplexPolynomials after
-    a supertrace).  Components of different bidegree may coexist as
-    long as the total degree |I| + |J| is constant.  The constructor
-    takes the keys as given (callers build them sorted) and drops zero
-    values.
+    values: polynomial values as above, or their supertraces.
+    Components of different bidegree may coexist as long as the total
+    degree |I| + |J| is constant.  The constructor takes the components
+    as given: callers build the keys sorted and leave zero values out.
+    wedge and power work on any values with +, unary -, * and is_zero.
     """
 
     __slots__ = ("r", "p", "degree", "comps")
@@ -52,15 +49,20 @@ class AffineForm:
         self.r = r
         self.p = p
         self.degree = degree
-        self.comps = {k: v for k, v in (comps or {}).items() if not v.is_zero()}
+        self.comps = dict(comps or {})
 
     def is_zero(self) -> bool:
         return not self.comps
 
     def wedge(self, other: "AffineForm") -> "AffineForm":
         """Bigraded wedge; values multiply (matrix composition)."""
-        assert (self.r, self.p) == (other.r, other.p)
-        comps = _combine(_products(self.comps, other.comps, 0), mul)
+        if (self.r, self.p) != (other.r, other.p):
+            raise ValueError("forms live on different algebroids or simplices")
+        comps = {}
+        for key, sign, v1, v2 in _products(self.comps, other.comps, 0):
+            term = v1 * v2 if sign == 1 else -(v1 * v2)
+            comps[key] = comps[key] + term if key in comps else term
+        comps = {k: v for k, v in comps.items() if not v.is_zero()}
         return AffineForm(self.r, self.p, self.degree + other.degree, comps)
 
     def power(self, q: int, identity) -> "AffineForm":
@@ -95,19 +97,55 @@ def _products(left: dict, right: dict, lo: int) -> list:
     return out
 
 
-def _combine(products: list, value) -> dict:
-    """Sum sign * value(v1, v2) per key; zero sums are dropped."""
-    comps = {}
+def _poly_products(terms) -> dict:
+    """The polynomial sum of sign * v1 * v2 over (sign, v1, v2) in terms;
+    zero coefficients are left out."""
+    out = {}
+    for sign, v1, v2 in terms:
+        for e1, (a1, b1) in v1.items():
+            for e2, (a2, b2) in v2.items():
+                e = tuple(map(add, e1, e2))
+                x, y = a1 * a2, b1 * b2
+                if e in out:
+                    x0, y0 = out[e]
+                    out[e] = (x0 + x, y0 + y) if sign == 1 else (x0 - x, y0 - y)
+                else:
+                    out[e] = (x, y) if sign == 1 else (-x, -y)
+    return {e: v for e, v in out.items() if not _is_zero(v)}
+
+
+def _is_zero(pair) -> bool:
+    return pair[0].is_zero() and pair[1].is_zero()
+
+
+def _wedge_values(products: list) -> dict:
+    """Sum sign * v1 * v2 per key; zero sums are left out."""
+    grouped = {}
     for key, sign, v1, v2 in products:
-        term = value(v1, v2)
-        if sign == -1:
-            term = -term
-        comps[key] = comps[key] + term if key in comps else term
-    return {k: v for k, v in comps.items() if not v.is_zero()}
+        grouped.setdefault(key, []).append((sign, v1, v2))
+    return {k: v for k, terms in grouped.items() if (v := _poly_products(terms))}
 
 
-def _check_family(conns) -> tuple[ConstantAlgebroid, GradedEndo]:
-    assert conns, "empty connection list"
+def _traced_values(products: list) -> dict:
+    """Sum sign * supertrace(v1 * v2) per key; zero sums are left out."""
+    out = {}
+    for key, sign, v1, v2 in products:
+        acc = out.setdefault(key, {})
+        for e, (re, im) in supertrace_product(v1, v2).items():
+            if sign == -1:
+                re, im = -re, -im
+            if e in acc:
+                r0, i0 = acc[e]
+                acc[e] = (r0 + re, i0 + im)
+            else:
+                acc[e] = (re, im)
+    out = {k: {e: t for e, t in acc.items() if t[0] or t[1]} for k, acc in out.items()}
+    return {k: acc for k, acc in out.items() if acc}
+
+
+def _check_family(conns) -> tuple[ConstantAlgebroid, GradedBundle]:
+    if not conns:
+        raise ValueError("a transgression needs at least one connection")
     a = conns[0].algebroid
     b = conns[0].bundle
     for c in conns[1:]:
@@ -116,53 +154,72 @@ def _check_family(conns) -> tuple[ConstantAlgebroid, GradedEndo]:
     return a, b
 
 
+def _cleared(om: GradedEndo) -> tuple:
+    return ClearedMatrix.from_matrix(om.ee), ClearedMatrix.from_matrix(om.oo)
+
+
 def _affine_curvature(conns) -> AffineForm:
     """Curvature of the affine family, any p >= 0; at p = 0, of the one
     connection: R(e_i, e_j) = [Omega_i, Omega_j] - sum_k c_ij^k Omega_k."""
     a, _ = _check_family(conns)
     p = len(conns) - 1
-    base = [_poly_endo(om, p) for om in conns[0].omega]
-    diffs = [
-        [_poly_endo(cm.omega[i] - conns[0].omega[i], p) for i in range(a.r)]
-        for cm in conns[1:]
-    ]
-    aff = []
-    for i in range(a.r):
-        om = base[i]
-        for m in range(p):
-            t = SimplexPolynomial.variable(m + 1, p)
-            om = om + diffs[m][i] * t
-        aff.append(om)
+    base = [_cleared(om) for om in conns[0].omega]
+    const = (0,) * p
+    aff = [{} if _is_zero(b) else {const: b} for b in base]
+    mixed = [{} for _ in range(a.r)]
+    for m, cm in enumerate(conns[1:]):
+        e = tuple(int(k == m) for k in range(p))
+        for i, om in enumerate(cm.omega):
+            ee, oo = _cleared(om)
+            diff = (ee - base[i][0], oo - base[i][1])
+            if _is_zero(diff):
+                continue
+            aff[i][e] = diff
+            # d/dt_m of the affine family gives the mixed leg; the value
+            # on (e_i, d/dt_m) is minus the value on (d/dt_m, e_i)
+            mixed[i][((i,), (m,))] = {const: (-diff[0], -diff[1])}
     comps = {}
     for i in range(a.r):
         for j in range(i + 1, a.r):
-            val = aff[i].commutator(aff[j])
+            terms = [(1, aff[i], aff[j]), (-1, aff[j], aff[i])]
+            val = _poly_products(terms)
             for k, coeff in a.nonzero_brackets[i][j]:
-                val = val - aff[k].scale(coeff)
-            comps[((i, j), ())] = val
-        # d/dt_m of the affine family gives the mixed leg; the value on
-        # (e_i, d/dt_m) is minus the value on (d/dt_m, e_i)
-        for m in range(p):
-            comps[((i,), (m,))] = -diffs[m][i]
+                for e, (x, y) in aff[k].items():
+                    x, y = x.scale(coeff), y.scale(coeff)
+                    val[e] = (val[e][0] - x, val[e][1] - y) if e in val else (-x, -y)
+            val = {e: v for e, v in val.items() if not _is_zero(v)}
+            if val:
+                comps[((i, j), ())] = val
+        comps.update(mixed[i])
     return AffineForm(a.r, p, 2, comps)
+
+
+def _dirichlet(e: tuple, p: int) -> Fraction:
+    """The integral of t_1^a1 ... t_p^ap over the p-simplex in the chart
+    (t_1, ..., t_p): a1! ... ap! / (a1 + ... + ap + p)!."""
+    return Fraction(prod(map(factorial, e)), factorial(sum(e) + p))
 
 
 def fibre_integrate(omega: AffineForm, p: int) -> AlgebroidForm:
     """Integrate the dt_1 ^ ... ^ dt_p component over the simplex.
 
-    Components of lower simplex degree map to zero.  Values must be
-    SimplexPolynomials (apply a supertrace first for endomorphism
-    values).
+    Components of lower simplex degree map to zero.  Values are
+    supertraced polynomials {exponent tuple: (re, im)}.
     """
-    assert omega.p == p
+    if omega.p != p:
+        raise ValueError(f"the form lives over a {omega.p}-simplex, not a {p}-simplex")
     top = tuple(range(p))
     comps = {}
     for (i_idx, j_idx), v in omega.comps.items():
         if j_idx != top:
             continue
-        val = simplex_integrate(v, p)
-        if not val.is_zero():
-            comps[i_idx] = val
+        re = im = 0
+        for e, (x, y) in v.items():
+            w = _dirichlet(e, p)
+            re += w * x
+            im += w * y
+        if re or im:
+            comps[i_idx] = Scalar(re, im)
     return AlgebroidForm(omega.r, omega.degree - p, comps)
 
 
@@ -196,14 +253,14 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
         1: {
             k: w
             for k, v in curv.items()
-            if len(k[1]) == p and not (w := supertrace(v)).is_zero()
+            if len(k[1]) == p and (w := supertrace_terms(v))
         }
     }
     power = {k: v for k, v in curv.items() if len(k[1]) >= p - (max_q - 1)}
     for q in range(2, max_q + 1):
-        traced[q] = _combine(_products(power, curv, p), supertrace_product)
+        traced[q] = _traced_values(_products(power, curv, p))
         if q < max_q:
-            power = _combine(_products(power, curv, p - (max_q - q)), mul)
+            power = _wedge_values(_products(power, curv, p - (max_q - q)))
     flip = p > 0 and ((p + 1) // 2) % 2 == 1
     for q, top in traced.items():
         if 2 * q < p:

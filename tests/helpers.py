@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
+from operator import add
 
-from algch.scalars import Scalar, SimplexPolynomial, ZERO, ONE, I
-from algch.linalg import Matrix, det, nullspace, rank, solve
+from algch.scalars import Scalar, ZERO, ONE, I
+from algch.linalg import ClearedMatrix, Matrix, det, nullspace, rank, solve
 from algch.algebroid import (
     AlgebroidForm,
     ConstantAlgebroid,
@@ -31,12 +32,7 @@ from algch.pullback import (
     pullback_form,
     submersion_recipe,
 )
-from algch.transgression import (
-    AffineForm,
-    _affine_curvature,
-    _check_family,
-    fibre_integrate,
-)
+from algch.transgression import AffineForm, _check_family
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
 
 
@@ -552,21 +548,251 @@ def supertrace_curvature_power(c: Connection, q: int) -> AlgebroidForm:
     return AlgebroidForm(c.algebroid.r, 2 * q, {k: supertrace(v) for k, v in acc.items()})
 
 
+# ---------------------------------------------------------------------------
+# The transgression the way it was computed before the integer core:
+# matrices with polynomial entries, one SimplexPolynomial product per
+# pair of entries, and the integral taken per traced component.
+
+
+class SimplexPolynomial:
+    """Polynomial in t_1, ..., t_p on the standard p-simplex.
+
+    t_0 is always eliminated through t_0 = 1 - t_1 - ... - t_p, so the
+    term map keyed by length-p exponent tuples is a canonical form: two
+    polynomials agree on the simplex iff their term maps are equal.
+    """
+
+    __slots__ = ("p", "terms")
+
+    def __init__(self, p: int, terms=None):
+        self.p = p
+        clean = {}
+        if terms:
+            for exps, coeff in terms.items():
+                exps = tuple(exps)
+                assert len(exps) == p and all(e >= 0 for e in exps)
+                coeff = Scalar.coerce(coeff)
+                if not coeff.is_zero():
+                    clean[exps] = clean.get(exps, ZERO) + coeff
+                    if clean[exps].is_zero():
+                        del clean[exps]
+        self.terms = clean
+
+    @staticmethod
+    def constant(p: int, c) -> "SimplexPolynomial":
+        c = Scalar.coerce(c)
+        if c.is_zero():
+            return SimplexPolynomial(p)
+        return SimplexPolynomial(p, {(0,) * p: c})
+
+    @staticmethod
+    def variable(i: int, p: int) -> "SimplexPolynomial":
+        """The coordinate t_i; t_0 comes back as 1 - t_1 - ... - t_p."""
+        if not 0 <= i <= p:
+            raise ValueError(f"t_{i} is not a coordinate on the {p}-simplex")
+        if i == 0:
+            terms = {(0,) * p: ONE}
+            for m in range(p):
+                e = [0] * p
+                e[m] = 1
+                terms[tuple(e)] = -ONE
+            return SimplexPolynomial(p, terms)
+        e = [0] * p
+        e[i - 1] = 1
+        return SimplexPolynomial(p, {tuple(e): ONE})
+
+    @staticmethod
+    def _from_terms(p: int, terms: dict) -> "SimplexPolynomial":
+        """Wrap a term map that is already canonical: right-length
+        exponent tuples and nonzero Scalar coefficients."""
+        out = object.__new__(SimplexPolynomial)
+        out.p = p
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        assert self.p == other.p
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            if e in terms:
+                s = terms[e] + c
+                if s.is_zero():
+                    del terms[e]
+                else:
+                    terms[e] = s
+            else:
+                terms[e] = c
+        return SimplexPolynomial._from_terms(self.p, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return SimplexPolynomial._from_terms(
+            self.p, {e: -c for e, c in self.terms.items()}
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Scalar)):
+            c = Scalar.coerce(other)
+            if c.is_zero():
+                return SimplexPolynomial(self.p)
+            return SimplexPolynomial._from_terms(
+                self.p, {e: v * c for e, v in self.terms.items()}
+            )
+        assert self.p == other.p
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                v = c1 * c2
+                terms[e] = terms[e] + v if e in terms else v
+        return SimplexPolynomial._from_terms(
+            self.p, {e: c for e, c in terms.items() if not c.is_zero()}
+        )
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "SimplexPolynomial":
+        return SimplexPolynomial._from_terms(
+            self.p, {e: c.conj() for e, c in self.terms.items()}
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, Scalar)):
+            other = SimplexPolynomial.constant(self.p, other)
+        if not isinstance(other, SimplexPolynomial):
+            return NotImplemented
+        return self.p == other.p and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.p, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for e, c in sorted(self.terms.items()):
+            mono = "*".join(
+                f"t{i + 1}" + (f"^{k}" if k > 1 else "")
+                for i, k in enumerate(e)
+                if k
+            )
+            bits.append(f"({c})" + ("*" + mono if mono else ""))
+        return " + ".join(bits)
+
+
+def simplex_integrate(f: SimplexPolynomial, p: int) -> Scalar:
+    """Integrate f over the standard p-simplex, exactly.
+
+    The simplex is oriented by the chart (t_1, ..., t_p).  Since t_0 is
+    already eliminated, each monomial t_1^a1 ... t_p^ap contributes the
+    Dirichlet value a1! ... ap! / (a1 + ... + ap + p)!.
+    """
+    if f.p != p:
+        raise ValueError(f"polynomial lives on a {f.p}-simplex, not {p}")
+    total = ZERO
+    for exps, coeff in f.terms.items():
+        num = 1
+        for a in exps:
+            num *= factorial(a)
+        total = total + coeff * Fraction(num, factorial(sum(exps) + p))
+    return total
+
+
+def constant_poly_matrix(m: Matrix, p: int) -> Matrix:
+    """m with each entry embedded as a constant polynomial on Delta^p."""
+    zero = SimplexPolynomial(p)
+    return Matrix(
+        [[SimplexPolynomial.constant(p, a) for a in row] for row in m.rows],
+        zero,
+        ncols=m.ncols,
+    )
+
+
+def constant_poly_endo(ge: GradedEndo, p: int) -> GradedEndo:
+    return GradedEndo(constant_poly_matrix(ge.ee, p), constant_poly_matrix(ge.oo, p))
+
+
+def scalar_endo(pair) -> GradedEndo:
+    """The GradedEndo of Scalar matrices of an (even, odd) ClearedMatrix
+    pair."""
+    return GradedEndo(pair[0].to_matrix(), pair[1].to_matrix())
+
+
+def poly_endo_value(v: dict, p: int) -> GradedEndo:
+    """A polynomial value {exponent: (even, odd)} of the transgression as
+    a GradedEndo with SimplexPolynomial entries."""
+
+    out = None
+    for e, pair in v.items():
+        term = constant_poly_endo(scalar_endo(pair), p).scale(SimplexPolynomial(p, {e: ONE}))
+        out = term if out is None else out + term
+    return out
+
+
+def reference_affine_curvature(conns) -> AffineForm:
+    """Curvature of the affine family, with polynomial matrix entries:
+    R(e_i, e_j) = [A_i, A_j] - sum_k c_ij^k A_k for the frame matrices
+    A_i = Omega^0_i + sum_m t_m (Omega^m_i - Omega^0_i), and the mixed
+    leg -(Omega^m_i - Omega^0_i) on (e_i, d/dt_m)."""
+    a, _ = _check_family(conns)
+    p = len(conns) - 1
+    base = [constant_poly_endo(om, p) for om in conns[0].omega]
+    diffs = [
+        [constant_poly_endo(cm.omega[i] - conns[0].omega[i], p) for i in range(a.r)]
+        for cm in conns[1:]
+    ]
+    aff = []
+    for i in range(a.r):
+        om = base[i]
+        for m in range(p):
+            t = SimplexPolynomial.variable(m + 1, p)
+            om = om + diffs[m][i] * t
+        aff.append(om)
+    comps = {}
+    for i in range(a.r):
+        for j in range(i + 1, a.r):
+            val = aff[i].commutator(aff[j])
+            for k, coeff in a.nonzero_brackets[i][j]:
+                val = val - aff[k].scale(coeff)
+            comps[((i, j), ())] = val
+        for m in range(p):
+            comps[((i,), (m,))] = -diffs[m][i]
+    comps = {k: v for k, v in comps.items() if not v.is_zero()}
+    return AffineForm(a.r, p, 2, comps)
+
+
+def reference_fibre_integrate(omega: AffineForm, p: int) -> AlgebroidForm:
+    """Integrate the dt_1 ^ ... ^ dt_p component, with SimplexPolynomial
+    values, over the simplex."""
+    top = tuple(range(p))
+    comps = {
+        i_idx: simplex_integrate(v, p)
+        for (i_idx, j_idx), v in omega.comps.items()
+        if j_idx == top
+    }
+    return AlgebroidForm(omega.r, omega.degree - p, comps)
+
+
 def reference_cs_cochain(conns, q: int) -> AlgebroidForm:
     """The transgression cochain for one q, the way it was computed
     before cs_cochains: the q-th power of a freshly built affine
-    curvature, the supertrace of every component, then the fibre
-    integral."""
+    curvature with polynomial matrix entries, the supertrace of every
+    component, then the fibre integral."""
     a, bundle = _check_family(conns)
     p = len(conns) - 1
     if 2 * q < p:
         return AlgebroidForm(a.r, 0)
-    r_aff = _affine_curvature(conns)
+    r_aff = reference_affine_curvature(conns)
     one = SimplexPolynomial.constant(p, 1)
     ident = GradedEndo.identity(bundle.rank_even, bundle.rank_odd, one, SimplexPolynomial(p))
     rq = r_aff.power(q, ident)
     traced = AffineForm(a.r, p, 2 * q, {k: supertrace(v) for k, v in rq.comps.items()})
-    result = fibre_integrate(traced, p)
+    result = reference_fibre_integrate(traced, p)
     if p > 0 and ((p + 1) // 2) % 2 == 1:
         result = -result
     return result

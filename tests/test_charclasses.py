@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from algch.connections import (
     Connection,
     HermitianMetric,
 )
-from algch import charclasses
+from algch import algebroid, charclasses, cli
 from algch.scalars import I
 from algch.charclasses import (
     IdentityFailure,
@@ -136,6 +137,24 @@ class TestSecondaryClass:
             for rep in intrinsic_char(a, tm, g, max_q=2):
                 if rep.q % 2 == 0:
                     assert rep.is_zero_class, name
+
+
+    def test_one_differential_per_representative(self, monkeypatch, capsys):
+        # the closedness check computes d of each representative; the
+        # witness solve does not compute it again
+        degrees = []
+        real = algebroid.ce_differential
+
+        def counted(a, omega):
+            degrees.append(omega.degree)
+            return real(a, omega)
+
+        monkeypatch.setattr(algebroid, "ce_differential", counted)
+        monkeypatch.setattr(charclasses, "ce_differential", counted)
+        path = Path(__file__).resolve().parent.parent / "inputs" / "q_family.json"
+        assert cli.main(["char", "--max-q", "2", str(path)]) == 0
+        assert "char^2" in capsys.readouterr().out
+        assert degrees == [1, 3]
 
 
 class TestVerdictChecks:

@@ -1,10 +1,12 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algch import charclasses
-from algch.algebroid import AlgebroidForm
+from algch.algebroid import AlgebroidForm, direct_product
 from algch.cli import main
 from algch.fileio import (
     ParseError,
@@ -16,7 +18,9 @@ from algch.fileio import (
 )
 from algch.scalars import Scalar, I, ONE
 
-from helpers import fake_cs_cochains
+from algch.library import abelian, heisenberg, so3, tangent_torus
+
+from helpers import fake_cs_cochains, rand_pd_matrix, rand_q_family, rand_tm_conn
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -52,6 +56,31 @@ class TestFileio:
             a2, extras2 = parse_algebroid(doc)
             assert a2 == a
             assert serialize_algebroid(a2, extras2) == doc
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    def test_roundtrip_with_extras(self, seed, nfactors):
+        # random library products with a Gaussian g_A, a real g_M and a
+        # real tm_conn survive serialize then parse unchanged
+        rng = random.Random(seed)
+        makers = (
+            lambda: abelian(rng.randint(1, 2)),
+            lambda: tangent_torus(rng.randint(1, 2)),
+            heisenberg,
+            so3,
+            lambda: rand_q_family(rng, trace_zero=rng.random() < 0.5),
+        )
+        a = rng.choice(makers)()
+        for _ in range(nfactors - 1):
+            a = direct_product(a, rng.choice(makers)())
+        extras = {
+            "g_A": rand_pd_matrix(a.r, rng, real=False),
+            "g_M": rand_pd_matrix(a.n, rng, real=True),
+            "tm_conn": rand_tm_conn(a, rng, real=True),
+        }
+        a2, extras2 = parse_algebroid(serialize_algebroid(a, extras))
+        assert a2 == a
+        assert extras2 == extras
 
     def test_rank_zero(self, tmp_path):
         f = tmp_path / "zero.json"

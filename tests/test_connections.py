@@ -16,7 +16,7 @@ from algch.connections import (
     check_metric_block,
 )
 from algch.charclasses import adjoint_setup, adjoint_connection
-from algch.transgression import _affine_curvature, _poly_endo, _poly_matrix
+from algch.transgression import _affine_curvature
 from algch.library import abelian, heisenberg, so3, q_family
 
 from helpers import (
@@ -34,7 +34,13 @@ from helpers import (
     metric_average,
     equivalence_witness,
     zero_connection,
+    scalar_endo,
 )
+
+
+def single_curvature(c) -> dict:
+    """_affine_curvature([c]) as {(I, ()): GradedEndo of Scalar matrices}."""
+    return {k: scalar_endo(v[()]) for k, v in _affine_curvature([c]).comps.items()}
 
 
 class TestCurvature:
@@ -53,7 +59,7 @@ class TestCurvature:
         c = rand_connection(a, b, rng)
         comm = c.omega[0].commutator(c.omega[1])
         assert not comm.is_zero()
-        assert _affine_curvature([c]).comps == {((0, 1), ()): _poly_endo(comm, 0)}
+        assert single_curvature(c) == {((0, 1), ()): comm}
 
     def test_rank_one_zero(self):
         rng = random.Random(12)
@@ -67,8 +73,8 @@ class TestCurvature:
             a = rand_algebroid(rng)
             b = rand_bundle(rng)
             c = rand_connection(a, b, rng)
-            d01, d10 = _poly_matrix(b.d01, 0), _poly_matrix(b.d10, 0)
-            for v in _affine_curvature([c]).comps.values():
+            d01, d10 = b.d01, b.d10
+            for v in single_curvature(c).values():
                 ee = v.ee * d10 - d10 * v.oo
                 oo = v.oo * d01 - d01 * v.ee
                 assert ee.is_zero() and oo.is_zero()
@@ -78,8 +84,29 @@ class TestCurvature:
         for _ in range(8):
             a = rand_algebroid(rng, max_rank=4)
             c = rand_connection(a, rand_bundle(rng), rng)
-            want = {(k, ()): _poly_endo(v, 0) for k, v in curvature(c).items()}
-            assert _affine_curvature([c]).comps == want
+            want = {(k, ()): v for k, v in curvature(c).items()}
+            assert single_curvature(c) == want
+
+
+class TestShapes:
+    """Explicit checks, so they also run under python -O."""
+
+    def test_bundle_boundary_shapes_enforced(self):
+        with pytest.raises(ValueError, match="boundary blocks must be 1 x 2 and 2 x 1, got 2 x 1"):
+            GradedBundle(2, 1, d01=Matrix.zeros(2, 1))
+        with pytest.raises(ValueError, match="got 1 x 2 and 1 x 1"):
+            GradedBundle(2, 1, d10=Matrix.zeros(1, 1))
+
+    def test_connection_shapes_enforced(self):
+        a = abelian(2)
+        b = GradedBundle(2, 1)
+        ok = GradedEndo.zeros(2, 1)
+        with pytest.raises(ValueError, match="needs 2 frame matrices, got 1"):
+            Connection(a, b, [ok])
+        with pytest.raises(ValueError, match="frame matrix 2 has blocks 1 x 1 and 1 x 1"):
+            Connection(a, b, [ok, GradedEndo.zeros(1, 1)])
+        with pytest.raises(ValueError, match="frame matrix 1 has blocks 2 x 2 and 2 x 2"):
+            Connection(a, b, [GradedEndo.zeros(2, 2), ok])
 
 
 class TestSupertrace:

@@ -5,16 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algch.scalars import (
-    Scalar,
-    SimplexPolynomial,
-    simplex_integrate,
-    ZERO,
-    ONE,
-    I,
-)
+from algch.scalars import Scalar, ZERO, ONE, I
 
-from helpers import PairScalar
+from helpers import PairScalar, SimplexPolynomial, simplex_integrate
 
 fractions_st = st.fractions(
     min_value=-5, max_value=5, max_denominator=6

@@ -1,17 +1,20 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from algch.scalars import Scalar, SimplexPolynomial, ZERO, ONE
-from algch.linalg import Matrix
-from algch.algebroid import AlgebroidForm, ce_differential
+from algch.scalars import Scalar, ZERO
+from algch.linalg import ClearedMatrix, Matrix
+from algch.algebroid import AlgebroidForm, ce_differential, direct_product
 from algch.connections import (
     GradedBundle,
     GradedEndo,
     Connection,
     supertrace,
     supertrace_product,
+    supertrace_terms,
     h_dual,
 )
 from algch import transgression
@@ -29,11 +32,16 @@ from helpers import (
     rand_connection,
     rand_metric,
     rand_algebroid,
-    rand_scalar,
+    rand_matrix,
     boundary_commutant,
+    reference_affine_curvature,
     reference_cs_cochain,
     curvature,
     supertrace_curvature_power,
+    SimplexPolynomial,
+    simplex_integrate,
+    constant_poly_endo,
+    poly_endo_value,
 )
 
 
@@ -44,6 +52,33 @@ def perm_sign(perm) -> int:
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
+
+
+def rand_family(seed, p, real, rank_even=2, rank_odd=1):
+    """p+1 connections on a bundle with odd rank > 0: a random
+    connection, its metric dual, then further random connections; all
+    real when real is set, Gaussian otherwise.  Half the algebroids get
+    an abelian factor that brings the rank up to 6 - p at most, the
+    degree of the cochain at q = 3, so that it can be nonzero."""
+    rng = random.Random(seed)
+    a = rand_algebroid(rng)
+    if rng.random() < 0.5:
+        a = direct_product(a, abelian(rng.randint(1, max(1, 6 - p - a.r))))
+    b = rand_bundle(rng, re=rank_even, ro=rank_odd)
+    basis = boundary_commutant(b)
+    c = rand_connection(a, b, rng, basis, real=real)
+    conns = [c, h_dual(c, rand_metric(b, rng, real=real))]
+    conns += [rand_connection(a, b, rng, basis, real=real) for _ in range(p - 1)]
+    return conns[: p + 1]
+
+
+family_args = (
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.integers(0, 2),
+    st.integers(1, 2),
+)
 
 
 class TestAffineCurvature:
@@ -57,15 +92,13 @@ class TestAffineCurvature:
         for (i_idx, j_idx) in r_aff.comps:
             assert j_idx == (), "constant family has no dt component"
         # compare through the polynomial embedding
-        from algch.transgression import _poly_endo
-
         for (i, j) in [(i, j) for i in range(a.r) for j in range(i + 1, a.r)]:
             got = r_aff.comps.get(((i, j), ()))
             want = plain.get((i, j))
             if want is None:
                 assert got is None
             else:
-                assert got == _poly_endo(want, 1)
+                assert poly_endo_value(got, 1) == constant_poly_endo(want, 1)
 
     def test_rank_one_mixed_leg(self):
         rng = random.Random(32)
@@ -75,8 +108,6 @@ class TestAffineCurvature:
         c0 = rand_connection(a, b, rng, basis)
         c1 = rand_connection(a, b, rng, basis)
         r_aff = _affine_curvature([c0, c1])
-        from algch.transgression import _poly_endo
-
         keys = set(r_aff.comps)
         assert keys <= {((0,), (0,))}, "no algebroid 2-forms in rank one"
         # stored as the value on (e_1, d/dt_1), i.e. minus the dt-first display
@@ -84,7 +115,7 @@ class TestAffineCurvature:
         if diff.is_zero():
             assert not keys
         else:
-            assert r_aff.comps[((0,), (0,))] == _poly_endo(-diff, 1)
+            assert poly_endo_value(r_aff.comps[((0,), (0,))], 1) == constant_poly_endo(-diff, 1)
 
     def test_commuting_flat_family_has_no_two_form(self):
         # three flat connections with pairwise commuting (diagonal)
@@ -112,23 +143,48 @@ class TestAffineCurvature:
         for (i_idx, j_idx) in r_aff.comps:
             assert len(i_idx) != 2, "(2,0) part should vanish for a commuting family"
 
+    @settings(max_examples=30, deadline=None)
+    @given(*family_args)
+    def test_matches_reference(self, p, real, seed, re, ro):
+        conns = rand_family(seed, p, real, re, ro)
+        got = {k: poly_endo_value(v, p) for k, v in _affine_curvature(conns).comps.items()}
+        assert got == reference_affine_curvature(conns).comps
+
 
 class TestFibreIntegrate:
     def test_no_dt_component(self):
-        f = AffineForm(2, 1, 1, {((0,), ()): SimplexPolynomial.constant(1, ONE)})
+        f = AffineForm(2, 1, 1, {((0,), ()): {(0,): (Fraction(1), 0)}})
         assert fibre_integrate(f, 1).is_zero()
 
     def test_constant_on_interval(self):
         lam = Scalar(3, -2)
-        f = AffineForm(2, 1, 1, {((), (0,)): SimplexPolynomial.constant(1, lam)})
+        f = AffineForm(2, 1, 1, {((), (0,)): {(0,): (lam.re, lam.im)}})
         out = fibre_integrate(f, 1)
         assert out.degree == 0 and out.get(()) == lam
 
     def test_t0_t1_on_interval(self):
-        t0 = SimplexPolynomial.variable(0, 1)
-        t1 = SimplexPolynomial.variable(1, 1)
-        f = AffineForm(2, 1, 1, {((), (0,)): t0 * t1})
+        # t0 * t1 = t1 - t1^2 once t0 is eliminated
+        f = AffineForm(2, 1, 1, {((), (0,)): {(1,): (Fraction(1), 0), (2,): (Fraction(-1), 0)}})
         assert fibre_integrate(f, 1).get(()) == Scalar(1) / Scalar(6)
+
+    def test_simplex_of_the_form_enforced(self):
+        # an explicit check, so it also runs under python -O
+        f = AffineForm(2, 1, 1, {((), (0,)): {(0,): (Fraction(1), 0)}})
+        with pytest.raises(ValueError, match="over a 1-simplex, not a 2-simplex"):
+            fibre_integrate(f, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3), st.data())
+    def test_matches_simplex_integrate(self, p, data):
+        # the Dirichlet weight of each monomial against the polynomial
+        # integral, on sums of monomials of degree up to 4
+        exps = st.lists(st.integers(0, 2), min_size=p, max_size=p).map(tuple)
+        parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        terms = data.draw(st.dictionaries(exps, st.tuples(parts, parts), max_size=5))
+        top = tuple(range(p))
+        got = fibre_integrate(AffineForm(1, p, p, {((), top): terms}), p).get(())
+        f = SimplexPolynomial(p, {e: Scalar(x, y) for e, (x, y) in terms.items()})
+        assert got == simplex_integrate(f, p)
 
 
 class TestCsCochain:
@@ -174,6 +230,13 @@ class TestCsCochain:
                 want = supertrace(c1.omega[i] - c0.omega[i])
                 assert cs1.get((i,)) == want
 
+    def test_empty_family(self):
+        # an explicit check, so it also runs under python -O
+        with pytest.raises(ValueError, match="at least one connection"):
+            cs_cochains([], 1)
+        with pytest.raises(ValueError, match="at least one connection"):
+            _affine_curvature([])
+
     def test_incompatible_connections(self):
         rng = random.Random(38)
         a = abelian(2)
@@ -183,69 +246,62 @@ class TestCsCochain:
             cs_cochain([c0, c1], 1)
 
 
-def rand_poly_endo(re, ro, p, rng, density=0.6):
-    zero = SimplexPolynomial(p)
-
-    def entry():
-        if rng.random() >= density:
-            return zero
-        f = SimplexPolynomial.constant(p, rand_scalar(rng, real=rng.random() < 0.5))
-        for i in range(1, p + 1):
-            f = f + SimplexPolynomial.variable(i, p) * rand_scalar(rng)
-        return f
+def rand_poly_value(re, ro, p, rng, density=0.6):
+    """A random polynomial value {exponent: (even, odd)} with every
+    monomial that has each t_m to the power 0 or 1, so that products of
+    two values reach most exponents in more than one way."""
 
     def block(n):
-        return Matrix([[entry() for _ in range(n)] for _ in range(n)], zero, ncols=n)
+        m = rand_matrix(n, n, rng, real=rng.random() < 0.5)
+        rows = [[v if rng.random() < density else ZERO for v in row] for row in m.rows]
+        return ClearedMatrix.from_matrix(Matrix(rows, ncols=n))
 
-    return GradedEndo(block(re), block(ro))
+    return {e: (block(re), block(ro)) for e in product((0, 1), repeat=p)}
+
+
+def traced_poly(f: SimplexPolynomial) -> dict:
+    return {e: (c.re, c.im) for e, c in f.terms.items()}
 
 
 class TestSupertraceProduct:
-    """The fused last factor: supertrace(v1 * v2) without the product."""
+    """The fused last factor: supertrace(v1 * v2) without the product,
+    against the supertrace of the product of polynomial matrices."""
 
     def test_polynomial_endos(self):
         rng = random.Random(40)
         for p in (0, 1, 2):
             for re, ro in ((2, 1), (1, 2), (3, 2), (0, 2), (2, 0)):
                 for density in (0.0, 0.5, 1.0):
-                    v1 = rand_poly_endo(re, ro, p, rng, density)
-                    v2 = rand_poly_endo(re, ro, p, rng, density)
-                    got = supertrace_product(v1, v2)
-                    assert got == supertrace(v1 * v2)
-                    assert got.p == p
+                    v1 = rand_poly_value(re, ro, p, rng, density)
+                    v2 = rand_poly_value(re, ro, p, rng, density)
+                    want = supertrace(poly_endo_value(v1, p) * poly_endo_value(v2, p))
+                    assert supertrace_product(v1, v2) == traced_poly(want)
+                    assert supertrace_terms(v1) == traced_poly(supertrace(poly_endo_value(v1, p)))
 
     def test_odd_block_enters_with_minus_sign(self):
-        one = SimplexPolynomial.constant(1, 1)
-        zero = SimplexPolynomial(1)
-        empty = Matrix([], zero, ncols=0)
-        v = GradedEndo(empty, Matrix([[one]], zero))
-        assert supertrace_product(v, v) == SimplexPolynomial.constant(1, -1)
-
-
-def rand_family(data, p, real_metric):
-    """p+1 connections on a bundle with odd rank > 0: a random
-    connection, its metric dual, then further random connections."""
-    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    a = rand_algebroid(rng)
-    b = rand_bundle(
-        rng,
-        re=data.draw(st.integers(0, 2), label="rank_even"),
-        ro=data.draw(st.integers(1, 2), label="rank_odd"),
-    )
-    basis = boundary_commutant(b)
-    c = rand_connection(a, b, rng, basis, real=real_metric)
-    conns = [c, h_dual(c, rand_metric(b, rng, real=real_metric))]
-    conns += [rand_connection(a, b, rng, basis) for _ in range(p - 1)]
-    return conns[: p + 1]
+        empty = ClearedMatrix.from_matrix(Matrix([], ncols=0))
+        one = ClearedMatrix.from_matrix(Matrix([[Scalar(1)]]))
+        v = {(0,): (empty, one)}
+        assert supertrace_product(v, v) == {(0,): (-1, 0)}
+        assert supertrace_terms(v) == {(0,): (-1, 0)}
 
 
 class TestCsCochainsOnePass:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 2), st.integers(0, 3), st.booleans(), st.data()
-    )
-    def test_matches_per_q_reference(self, p, max_q, real_metric, data):
-        conns = rand_family(data, p, real_metric)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), *family_args)
+    # families whose top nonzero cochain has the largest q possible
+    @example(3, 0, True, 8, 2, 1)
+    @example(3, 0, False, 8, 2, 1)
+    @example(3, 1, True, 8, 2, 1)
+    @example(3, 1, False, 8, 2, 1)
+    @example(3, 2, True, 4, 2, 1)
+    @example(3, 2, False, 4, 2, 1)
+    @example(3, 3, True, 0, 2, 1)
+    @example(3, 3, False, 0, 2, 1)
+    def test_matches_per_q_reference(self, max_q, p, real, seed, re, ro):
+        # the integer core against the polynomial-matrix reference; the
+        # q/p factors and the sign flip differ across p = 0..3
+        conns = rand_family(seed, p, real, re, ro)
         got = cs_cochains(conns, max_q)
         assert len(got) == max_q + 1
         for q in range(max_q + 1):
