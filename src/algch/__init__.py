@@ -17,7 +17,6 @@ from .connections import (
     OddMap,
     Connection,
     HermitianMetric,
-    supertrace,
     h_dual,
 )
 from .transgression import (

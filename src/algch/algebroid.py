@@ -101,7 +101,11 @@ class AlgebroidForm:
         )
 
     def __add__(self, other):
-        assert (self.r, self.degree) == (other.r, other.degree)
+        if (self.r, self.degree) != (other.r, other.degree):
+            raise ValueError(
+                f"cannot add a degree-{self.degree} form on rank {self.r} and a "
+                f"degree-{other.degree} form on rank {other.r}"
+            )
         comps = dict(self.comps)
         for k, v in other.comps.items():
             comps[k] = comps[k] + v if k in comps else v
@@ -144,6 +148,7 @@ def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     r = a.r
     c = a.brackets
     nz = a.nonzero_brackets
+    anchor = a.anchor.rows
     for i in range(r):
         for j in range(r):
             for k in range(r):
@@ -179,7 +184,7 @@ def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
             for m in range(a.n):
                 acc = ZERO
                 for k, ck in nz[i][j]:
-                    acc = acc + ck * a.anchor[m, k]
+                    acc = acc + ck * anchor[m][k]
                 if not acc.is_zero():
                     violations.append(
                         f"anchor compatibility broken at (i,j), coordinate {m+1}"
@@ -237,11 +242,11 @@ def _diff_matrix(a: ConstantAlgebroid, k: int) -> Matrix:
     column j is d of the j-th basis k-form, in combinations order."""
     dom = list(combinations(range(a.r), k))
     cod_pos = {idx: i for i, idx in enumerate(combinations(range(a.r), k + 1))}
-    rows = [[ZERO] * len(dom) for _ in cod_pos]
+    entries = {}
     for j, d in enumerate(_leibniz(a, dom)):
         for key, v in d.items():
-            rows[cod_pos[key]][j] = v
-    return Matrix(rows, ncols=len(dom))
+            entries[cod_pos[key], j] = v
+    return Matrix.from_entries(entries, len(cod_pos), len(dom))
 
 
 def betti_numbers(a: ConstantAlgebroid) -> list[int]:

@@ -125,15 +125,15 @@ def adjoint_bundle(anchor: Matrix) -> GradedBundle:
     return GradedBundle(anchor.ncols, anchor.nrows, d01=anchor)
 
 
+def _ad(a: ConstantAlgebroid, i: int) -> Matrix:
+    """ad_{e_i}: column j holds the coefficients of [e_i, e_j]."""
+    entries = {(k, j): v for j in range(a.r) for k, v in a.nonzero_brackets[i][j]}
+    return Matrix.from_entries(entries, a.r, a.r)
+
+
 def adjoint_connection(a: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
     """Even block ad_{e_i}; odd block zero (constant fields commute)."""
-    omega = []
-    for i in range(a.r):
-        ad = Matrix(
-            [[a.brackets[i][j][k] for j in range(a.r)] for k in range(a.r)],
-            ncols=a.r,
-        )
-        omega.append(GradedEndo(ad, Matrix.zeros(a.n, a.n)))
+    omega = [GradedEndo(_ad(a, i), Matrix.zeros(a.n, a.n)) for i in range(a.r)]
     return Connection(a, bundle, omega)
 
 
@@ -165,8 +165,7 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
     thetas = []
     for i in range(a.r):
         t = Matrix([[g[k, i] for g in tm_conn] for k in range(a.r)], ncols=a.n)
-        c = Matrix([[a.brackets[i][j][k] for j in range(a.r)] for k in range(a.r)], ncols=a.r)
-        omega.append(GradedEndo(c + t * rho, rho * t))
+        omega.append(GradedEndo(_ad(a, i) + t * rho, rho * t))
         thetas.append(OddMap(-t, Matrix.zeros(a.n, a.r)))
 
     basic = Connection(a, bundle, omega)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .scalars import Scalar, ZERO, ONE
-from .linalg import ClearedMatrix, Matrix
+from .linalg import Matrix, inverse, positive_definite
 from .algebroid import ConstantAlgebroid
 
 
@@ -62,17 +61,17 @@ class GradedEndo:
     __slots__ = ("ee", "oo")
 
     def __init__(self, ee: Matrix, oo: Matrix):
-        assert ee.nrows == ee.ncols and oo.nrows == oo.ncols
+        if ee.nrows != ee.ncols or oo.nrows != oo.ncols:
+            raise ValueError(
+                f"graded endomorphism blocks must be square, got {ee.nrows} x {ee.ncols} "
+                f"and {oo.nrows} x {oo.ncols}"
+            )
         self.ee = ee
         self.oo = oo
 
     @staticmethod
-    def zeros(re: int, ro: int, zero=ZERO) -> "GradedEndo":
-        return GradedEndo(Matrix.zeros(re, re, zero), Matrix.zeros(ro, ro, zero))
-
-    @staticmethod
-    def identity(re: int, ro: int, one=ONE, zero=ZERO) -> "GradedEndo":
-        return GradedEndo(Matrix.identity(re, one, zero), Matrix.identity(ro, one, zero))
+    def zeros(re: int, ro: int) -> "GradedEndo":
+        return GradedEndo(Matrix.zeros(re, re), Matrix.zeros(ro, ro))
 
     def __add__(self, other):
         return GradedEndo(self.ee + other.ee, self.oo + other.oo)
@@ -96,9 +95,6 @@ class GradedEndo:
 
     def commutator(self, other: "GradedEndo") -> "GradedEndo":
         return self * other - other * self
-
-    def conj(self) -> "GradedEndo":
-        return GradedEndo(self.ee.conj(), self.oo.conj())
 
     def is_zero(self) -> bool:
         return self.ee.is_zero() and self.oo.is_zero()
@@ -139,13 +135,9 @@ class OddMap:
         return f"OddMap(eo={self.eo}, oe={self.oe})"
 
 
-def supertrace(t: GradedEndo) -> Scalar:
-    return t.ee.trace() - t.oo.trace()
-
-
 # The transgression's values are polynomials in the simplex coordinates
 # with graded-endomorphism coefficients, {exponent tuple: (even block,
-# odd block)} with ClearedMatrix blocks; their supertraces are
+# odd block)} with Matrix blocks; their supertraces are
 # {exponent tuple: (re, im)} with exact rational parts.  Zero monomials
 # are left out of both.
 
@@ -154,10 +146,9 @@ def supertrace_terms(v: dict) -> dict:
     """The supertrace of each coefficient of the polynomial v."""
     out = {}
     for e, (ee, oo) in v.items():
-        r1, i1 = ee.trace()
-        r2, i2 = oo.trace()
-        if r1 != r2 or i1 != i2:
-            out[e] = (r1 - r2, i1 - i2)
+        s = ee.trace() - oo.trace()
+        if not s.is_zero():
+            out[e] = (s.re, s.im)
     return out
 
 
@@ -192,38 +183,16 @@ class HermitianMetric:
         self.h_even = h_even
         self.h_odd = h_odd
 
-    @staticmethod
-    def identity(bundle: GradedBundle) -> "HermitianMetric":
-        return HermitianMetric(
-            bundle,
-            Matrix.identity(bundle.rank_even),
-            Matrix.identity(bundle.rank_odd),
-        )
-
     def __repr__(self):
         return f"HermitianMetric({self.bundle})"
 
 
 def check_metric_block(h: Matrix):
-    """ValueError unless h is Hermitian and positive-definite.
-
-    Sylvester's criterion, all leading principal minors positive, in one
-    elimination without row exchanges: the k-th pivot is the ratio of
-    the k-th and (k-1)-th leading minors, so the minors are all positive
-    exactly when the pivots are.
-    """
+    """ValueError unless h is Hermitian and positive-definite."""
     if h != h.conj_transpose():
         raise ValueError("metric block is not Hermitian")
-    rows = [list(r) for r in h.rows]
-    for k, pivot_row in enumerate(rows):
-        pivot = pivot_row[k]
-        if not pivot.is_real() or not pivot.re > 0:
-            raise ValueError("metric block is not positive-definite")
-        for row in rows[k + 1:]:
-            f = row[k] / pivot
-            if not f.is_zero():
-                for j in range(k + 1, len(row)):
-                    row[j] = row[j] - f * pivot_row[j]
+    if not positive_definite(h):
+        raise ValueError("metric block is not positive-definite")
 
 
 class Connection:
@@ -284,14 +253,10 @@ def h_dual(c: Connection, h: HermitianMetric) -> Connection:
     """
     if h.bundle != c.bundle:
         raise ValueError("connection and metric live on different bundles")
-    # the products in integer form, each block converted once
-    factors = []
-    for hb in (h.h_even, h.h_odd):
-        hc = ClearedMatrix.from_matrix(hb)
-        factors.append((-hc.inverse(), hc))
+    factors = [(-inverse(hb), hb) for hb in (h.h_even, h.h_odd)]
 
     def dual(m, neg_inv, hb):
-        return (neg_inv * ClearedMatrix.from_matrix(m).conj_transpose() * hb).to_matrix()
+        return neg_inv * m.conj_transpose() * hb
 
     omega = [
         GradedEndo(dual(om.ee, *factors[0]), dual(om.oo, *factors[1]))

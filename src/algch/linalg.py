@@ -1,10 +1,17 @@
-"""Small exact matrices.
+"""Exact matrices over the Gaussian rationals Q(i).
 
-Matrices are immutable tuples-of-tuples over any ring whose elements
-support +, -, * and .conj() (Scalar here; the tests also use
-polynomials).  The field-only routines (rref, rank, solve, inverse,
-det) assume Scalar entries, i.e. work over Q(i).  ClearedMatrix is the
-integer form of a Q(i) matrix that the transgression computes with.
+A Matrix keeps its entries as integer rows over one positive common
+denominator: entry (k, l) is (re[k][l] + i * im[k][l]) / den, and im is
+None when every imaginary part is zero, so real data does real integer
+arithmetic only.  As in FLINT's fmpq_mat_mul_cleared, a product
+multiplies integer rows and denominators and then divides out one gcd
+over all its entries; sums bring both operands to the lcm of the
+denominators and are not reduced, so == compares values by
+cross-multiplying and hash uses the reduced form.  m[i, j] and m.rows
+give Scalars.  Rows are lists that are never mutated.
+
+One fraction-free elimination, _eliminate, serves rank, solve,
+nullspace, inverse, det and positive_definite.
 """
 
 from __future__ import annotations
@@ -17,202 +24,86 @@ from .scalars import Scalar, ZERO, ONE
 
 
 class Matrix:
-    __slots__ = ("rows", "nrows", "ncols", "zero")
+    __slots__ = ("re", "im", "den", "ncols")
 
-    def __init__(self, rows, zero=ZERO, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
-        self.rows = rows
-        self.nrows = len(rows)
-        if rows:
-            self.ncols = len(rows[0])
-            assert all(len(r) == self.ncols for r in rows)
-        else:
-            assert ncols is not None, "empty matrix needs explicit ncols"
-            self.ncols = ncols
-        self.zero = zero
+    def __init__(self, rows, ncols=None):
+        """rows of Scalar, int or Fraction entries; ncols is needed only
+        when there are no rows."""
+        rows = [list(r) for r in rows]
+        if ncols is None:
+            if not rows:
+                raise ValueError("a matrix without rows needs an explicit ncols")
+            ncols = len(rows[0])
+        entries = {}
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError(f"row {i + 1} has {len(row)} entries, not {ncols}")
+            for j, x in enumerate(row):
+                entries[i, j] = Scalar.coerce(x)
+        self.re, self.im, self.den = _cleared(entries, len(rows), ncols)
+        self.ncols = ncols
 
     @staticmethod
-    def zeros(nrows: int, ncols: int, zero=ZERO) -> "Matrix":
-        return Matrix([[zero] * ncols for _ in range(nrows)], zero, ncols=ncols)
+    def from_entries(entries: dict, nrows: int, ncols: int) -> "Matrix":
+        """The matrix with Scalar entries {(i, j): value}, zero elsewhere."""
+        return _matrix(*_cleared(entries, nrows, ncols), ncols)
 
     @staticmethod
-    def identity(n: int, one=ONE, zero=ZERO) -> "Matrix":
-        return Matrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-            zero,
-            ncols=n,
-        )
+    def zeros(nrows: int, ncols: int) -> "Matrix":
+        return _matrix([[0] * ncols for _ in range(nrows)], None, 1, ncols)
+
+    @staticmethod
+    def identity(n: int) -> "Matrix":
+        return _matrix([[int(i == j) for j in range(n)] for i in range(n)], None, 1, n)
 
     @staticmethod
     def block_diag(m0: "Matrix", m1: "Matrix") -> "Matrix":
         """[[m0, 0], [0, m1]]; either block may have no rows or columns."""
-        right = (m0.zero,) * m1.ncols
-        left = (m0.zero,) * m0.ncols
-        return Matrix(
-            [row + right for row in m0.rows] + [left + row for row in m1.rows],
-            m0.zero,
-            ncols=m0.ncols + m1.ncols,
-        )
+        den = lcm(m0.den, m1.den)
+        f0, f1 = den // m0.den, den // m1.den
+        right, left = [0] * m1.ncols, [0] * m0.ncols
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __add__(self, other):
-        assert self.shape == other.shape
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            self.zero,
-            ncols=self.ncols,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Matrix(
-            [[-a for a in r] for r in self.rows], self.zero, ncols=self.ncols
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            assert self.ncols == other.nrows, "shape mismatch"
-            # only products of two nonzero entries can contribute
-            right = [
-                [(j, b) for j, b in enumerate(row) if not b.is_zero()]
-                for row in other.rows
+        def place(x0, x1):
+            return [[f0 * v for v in r] + right for r in x0] + [
+                left + [f1 * v for v in r] for r in x1
             ]
-            out = []
-            for lrow in self.rows:
-                row = [None] * other.ncols
-                for k, a in enumerate(lrow):
-                    if a.is_zero():
-                        continue
-                    for j, b in right[k]:
-                        acc = row[j]
-                        row[j] = a * b if acc is None else acc + a * b
-                out.append([self.zero if v is None else v for v in row])
-            return Matrix(out, self.zero, ncols=other.ncols)
-        return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+        im = None
+        if m0.im is not None or m1.im is not None:
+            im = place(_imag(m0), _imag(m1))
+        return _matrix(place(m0.re, m1.re), im, den, m0.ncols + m1.ncols)
 
-    def scale(self, c) -> "Matrix":
-        return Matrix(
-            [[a * c for a in r] for r in self.rows], self.zero, ncols=self.ncols
-        )
+    @property
+    def nrows(self) -> int:
+        return len(self.re)
 
     @property
     def shape(self):
-        return (self.nrows, self.ncols)
+        return (len(self.re), self.ncols)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [
-                [self.rows[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ],
-            self.zero,
-            ncols=self.nrows,
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of tuples of Scalars."""
+        return tuple(
+            tuple(self[i, j] for j in range(self.ncols)) for i in range(len(self.re))
         )
 
-    def conj(self) -> "Matrix":
-        return Matrix(
-            [[a.conj() for a in r] for r in self.rows], self.zero, ncols=self.ncols
-        )
+    def __getitem__(self, ij) -> Scalar:
+        i, j = ij
+        im = 0 if self.im is None else Fraction(self.im[i][j], self.den)
+        return Scalar(Fraction(self.re[i][j], self.den), im)
 
     def conj_transpose(self) -> "Matrix":
-        return self.transpose().conj()
-
-    def trace(self):
-        assert self.nrows == self.ncols
-        acc = self.zero
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
-
-    def column(self, j: int):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.shape == other.shape and all(
-            a == b
-            for r1, r2 in zip(self.rows, other.rows)
-            for a, b in zip(r1, r2)
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
-
-    def __repr__(self):
-        return "Matrix([" + ", ".join(str(list(r)) for r in self.rows) + "])"
-
-
-class ClearedMatrix:
-    """A Q(i) matrix as integer rows over one positive common denominator.
-
-    Entry (k, l) is (re[k][l] + i * im[k][l]) / den.  im is None when
-    every imaginary part is zero, so real data does real integer
-    arithmetic only.  As in FLINT's fmpq_mat_mul_cleared, a product
-    multiplies integer rows and denominators and then divides out one
-    gcd over all its entries; sums bring both operands to the lcm of the
-    denominators.  The form is not canonical (a sum is not reduced), so
-    compare values through their entries over den.  Rows are lists that
-    are never mutated.
-    """
-
-    __slots__ = ("re", "im", "den", "ncols")
-
-    def __init__(self, re: list, im, den: int, ncols: int):
-        self.re = re
-        self.im = im if im is not None and any(map(any, im)) else None
-        self.den = den
-        self.ncols = ncols
-
-    @staticmethod
-    def from_matrix(m: Matrix) -> "ClearedMatrix":
-        entries = [x for row in m.rows for x in row]
-        complex_ = any(x.im for x in entries)
-        den = lcm(*(x.re.denominator for x in entries))
-        if complex_:
-            den = lcm(den, *(x.im.denominator for x in entries))
-        re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in m.rows]
-        if not complex_:
-            return ClearedMatrix(re, None, den, m.ncols)
-        im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in m.rows]
-        return ClearedMatrix(re, im, den, m.ncols)
-
-    def to_matrix(self) -> Matrix:
-        den, ncols = self.den, self.ncols
-        if self.im is None:
-            rows = [[Scalar(Fraction(x, den)) for x in row] for row in self.re]
-        else:
-            rows = [
-                [Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.re, self.im)
-            ]
-        return Matrix(rows, ncols=ncols)
-
-    def conj_transpose(self) -> "ClearedMatrix":
         re = [list(col) for col in zip(*self.re)] or [[] for _ in range(self.ncols)]
         im = None if self.im is None else [[-x for x in col] for col in zip(*self.im)]
-        return ClearedMatrix(re, im, self.den, len(self.re))
+        return _matrix(re, im, self.den, len(self.re))
 
     def is_zero(self) -> bool:
         return self.im is None and not any(map(any, self.re))
 
     def __neg__(self):
         im = None if self.im is None else _lin(self.im, -1)
-        return ClearedMatrix(_lin(self.re, -1), im, self.den, self.ncols)
+        return _matrix(_lin(self.re, -1), im, self.den, self.ncols)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -222,6 +113,8 @@ class ClearedMatrix:
 
     def _plus(self, other, sign):
         """self + sign * other over the lcm of the two denominators."""
+        if self.shape != other.shape:
+            raise ValueError(f"cannot add a {_dims(self)} and a {_dims(other)} matrix")
         if self.den == other.den:
             den, f1, f2 = self.den, 1, sign
         else:
@@ -234,9 +127,10 @@ class ClearedMatrix:
             im = _lin(other.im, f2)
         else:
             im = _lin(self.im, f1, other.im, f2)
-        return ClearedMatrix(re, im, den, self.ncols)
+        return _matrix(re, im, den, self.ncols)
 
-    def scale(self, c: Scalar) -> "ClearedMatrix":
+    def scale(self, c) -> "Matrix":
+        c = Scalar.coerce(c)
         den = lcm(c.re.denominator, c.im.denominator)
         u = c.re.numerator * (den // c.re.denominator)
         v = c.im.numerator * (den // c.im.denominator)
@@ -246,10 +140,17 @@ class ClearedMatrix:
         else:
             re = _lin(self.re, u, self.im, -v)
             im = _lin(self.im, u, self.re, v)
-        return ClearedMatrix(re, im, self.den * den, self.ncols)
+        return _matrix(re, im, self.den * den, self.ncols)
 
-    def __mul__(self, other: "ClearedMatrix") -> "ClearedMatrix":
-        """The matrix product, reduced by the gcd of entries and den."""
+    __rmul__ = scale
+
+    def __mul__(self, other) -> "Matrix":
+        """The matrix product, reduced by the gcd of entries and den; a
+        Scalar, int or Fraction scales."""
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        if self.ncols != len(other.re):
+            raise ValueError(f"cannot multiply a {_dims(self)} by a {_dims(other)} matrix")
         n = other.ncols
         a, b = self.im, other.im
         re = _matmul(self.re, other.re, n)
@@ -264,38 +165,17 @@ class ClearedMatrix:
             im = _lin(_matmul(self.re, b, n), 1, _matmul(a, other.re, n), 1)
         return _reduced(re, im, self.den * other.den, n)
 
-    def inverse(self) -> "ClearedMatrix":
-        """The inverse of a square matrix; ZeroDivisionError if singular.
-
-        A Gaussian N = A + iB is inverted through the real matrix
-        [[A, -B], [B, A]], whose inverse has the same block form.
-        """
-        n = len(self.re)
-        if self.im is None:
-            adj, det = _fraction_free_inverse(self.re)
-            re, im = adj, None
-        else:
-            top = [r + [-x for x in i] for r, i in zip(self.re, self.im)]
-            bottom = [i + r for r, i in zip(self.re, self.im)]
-            adj, det = _fraction_free_inverse(top + bottom)
-            re = [row[:n] for row in adj[:n]]
-            im = [row[:n] for row in adj[n:]]
-        # self^-1 = den * N^-1 = den * adj / det
-        f = self.den if det > 0 else -self.den
-        re = _lin(re, f)
-        im = None if im is None else _lin(im, f)
-        return _reduced(re, im, abs(det), n)
-
-    def trace(self) -> tuple:
-        """(re, im) of the trace, exact rationals (im is the int 0 on
-        real data)."""
+    def trace(self) -> Scalar:
+        _square(self, "a trace")
         re = sum(row[k] for k, row in enumerate(self.re))
         im = 0 if self.im is None else sum(row[k] for k, row in enumerate(self.im))
-        return Fraction(re, self.den), Fraction(im, self.den) if im else 0
+        return Scalar(Fraction(re, self.den), Fraction(im, self.den))
 
-    def trace_mul(self, other: "ClearedMatrix") -> tuple:
-        """(re, im) of tr(self * other), the sum of a_kl b_lk, without
-        the product."""
+    def trace_mul(self, other: "Matrix") -> tuple:
+        """tr(self * other), the sum of a_kl b_lk, without the product, as
+        exact (re, im) rationals (im is the int 0 on real data)."""
+        if (self.ncols, len(self.re)) != other.shape:
+            raise ValueError(f"cannot multiply a {_dims(self)} by a {_dims(other)} matrix")
         a, b = self.im, other.im
         re = _trace_mul(self.re, other.re)
         if a is None and b is None:
@@ -310,10 +190,58 @@ class ClearedMatrix:
         den = self.den * other.den
         return Fraction(re, den), Fraction(im, den) if im else 0
 
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.shape != other.shape or (self.im is None) != (other.im is None):
+            return False
+        f, g = (1, 1) if self.den == other.den else (other.den, self.den)
 
-def _reduced(re: list, im, den: int, ncols: int) -> ClearedMatrix:
-    """The ClearedMatrix re + i im over den, divided by the gcd of its
-    entries and den."""
+        def same(x, y):
+            return all(f * s == g * t for r1, r2 in zip(x, y) for s, t in zip(r1, r2))
+
+        return same(self.re, other.re) and (self.im is None or same(self.im, other.im))
+
+    def __hash__(self):
+        m = _reduced(self.re, self.im, self.den, self.ncols)
+        im = None if m.im is None else tuple(map(tuple, m.im))
+        return hash((self.shape, m.den, tuple(map(tuple, m.re)), im))
+
+    def __repr__(self):
+        return "Matrix([" + ", ".join(str(list(r)) for r in self.rows) + "])"
+
+
+_new = object.__new__
+
+
+def _matrix(re: list, im, den: int, ncols: int) -> Matrix:
+    """The Matrix (re + i im) / den, built without clearing; im is
+    dropped when it is all zero."""
+    m = _new(Matrix)
+    m.re = re
+    m.im = im if im is not None and any(map(any, im)) else None
+    m.den = den
+    m.ncols = ncols
+    return m
+
+
+def _cleared(entries: dict, nrows: int, ncols: int) -> tuple:
+    """(re, im, den) of the Scalar entries {(i, j): value} over the lcm
+    of their denominators, which leaves them in lowest terms."""
+    values = entries.values()
+    den = lcm(*(x.re.denominator for x in values), *(x.im.denominator for x in values))
+    re = [[0] * ncols for _ in range(nrows)]
+    im = [[0] * ncols for _ in range(nrows)] if any(x.im for x in values) else None
+    for (i, j), x in entries.items():
+        re[i][j] = x.re.numerator * (den // x.re.denominator)
+        if im is not None:
+            im[i][j] = x.im.numerator * (den // x.im.denominator)
+    return re, im, den
+
+
+def _reduced(re: list, im, den: int, ncols: int) -> Matrix:
+    """The Matrix re + i im over den, divided by the gcd of its entries
+    and den."""
     g = den
     for row in re:
         if g == 1:
@@ -329,33 +257,20 @@ def _reduced(re: list, im, den: int, ncols: int) -> ClearedMatrix:
         if im is not None:
             im = [[x // g for x in row] for row in im]
         den //= g
-    return ClearedMatrix(re, im, den, ncols)
+    return _matrix(re, im, den, ncols)
 
 
-def _fraction_free_inverse(rows: list) -> tuple:
-    """(X, d) with rows^-1 = X / d for a square integer matrix.
+def _imag(m: Matrix) -> list:
+    return m.im if m.im is not None else [[0] * m.ncols for _ in m.re]
 
-    Fraction-free Gauss-Jordan (Bareiss) on [rows | I]: every entry
-    stays an integer (a minor of the row-permuted matrix), so each
-    division by the previous pivot is exact, and the left block ends as
-    d * I with d the last pivot, +-det.
-    """
-    n = len(rows)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        pivot_row = m[k]
-        p = pivot_row[k]
-        for i, row in enumerate(m):
-            if i != k:
-                f = row[k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = p
-    return [row[n:] for row in m], prev
+
+def _dims(m: Matrix) -> str:
+    return f"{len(m.re)} x {m.ncols}"
+
+
+def _square(m: Matrix, what: str):
+    if len(m.re) != m.ncols:
+        raise ValueError(f"{what} needs a square matrix, got {_dims(m)}")
 
 
 def _lin(x: list, f: int, y: list = None, g: int = 0) -> list:
@@ -376,121 +291,221 @@ def _trace_mul(x: list, y: list) -> int:
     return sum(sum(map(mul, row, col)) for row, col in zip(x, zip(*y)))
 
 
-def _rref(rows):
-    """Row-reduce a list of Scalar lists in place; return pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+# ---------------------------------------------------------------------------
+# Elimination
+
+
+class _GaussInt:
+    """A Gaussian integer: the entries _eliminate works with when a
+    matrix has imaginary parts.  It has int's attribute names (real,
+    imag, conjugate), so code reading an entry works on both."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real = real
+        self.imag = imag
+
+    def __mul__(self, other):
+        if other.__class__ is int:
+            return _GaussInt(self.real * other, self.imag * other)
+        return _GaussInt(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return _GaussInt(self.real - other.real, self.imag - other.imag)
+
+    def __floordiv__(self, g: int):
+        return _GaussInt(self.real // g, self.imag // g)
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def conjugate(self):
+        return _GaussInt(self.real, -self.imag)
+
+
+def _entries(m: Matrix) -> list:
+    """The rows of den * m as elimination entries: ints, or Gaussian
+    integers when m has imaginary parts."""
+    if m.im is None:
+        return list(m.re)
+    return [[_GaussInt(x, y) for x, y in zip(r, i)] for r, i in zip(m.re, m.im)]
+
+
+def _content(row: list) -> int:
+    """The gcd of the integer parts of a row."""
+    if row[0].__class__ is int:
+        return gcd(*row)
+    return gcd(*(x.real for x in row), *(x.imag for x in row))
+
+
+def _eliminate(rows: list) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of rows, in place.
+
+    A pivot p in row k turns every other row with f = row[c] != 0 into
+    (a * row - f * s * rows[k]) / g, where s is sign(p) for an int and
+    conj(p) for a Gaussian integer, a = p * s > 0, and g > 0 is the gcd
+    of the result.  Every row therefore stays a positive multiple of the
+    row that rational Gauss-Jordan elimination (no normalisation) would
+    hold, and rows with f = 0 are left alone.  In particular pivot row k
+    ends with a positive multiple of the k-th rational pivot in its
+    pivot column; without row exchanges, that pivot is the ratio of the
+    k-th to the (k-1)-th leading principal minor.
+
+    Returns (pivots, exchanges, scale): the pivot columns in order, the
+    number of row exchanges, and the product of a / g over all row
+    combinations.  For a square matrix of full rank, det = (-1) **
+    exchanges * (product of the final diagonal) / scale.
+    """
     pivots = []
-    row = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(row, nrows):
-            if not rows[i][col].is_zero():
-                pr = i
-                break
+    exchanges = 0
+    a_prod = g_prod = 1
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        pr = next((i for i in range(k, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[row], rows[pr] = rows[pr], rows[row]
-        inv = ONE / rows[row][col]
-        rows[row] = [a * inv for a in rows[row]]
-        for i in range(nrows):
-            if i != row and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
+        if pr != k:
+            rows[k], rows[pr] = rows[pr], rows[k]
+            exchanges += 1
+        pivot_row = rows[k]
+        p = pivot_row[c]
+        if p.__class__ is int:
+            a, s = (p, 1) if p > 0 else (-p, -1)
+        else:
+            s = p.conjugate()
+            a = (p * s).real
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == k or not f:
+                continue
+            b = f * s
+            new = [a * x - b * y for x, y in zip(row, pivot_row)]
+            g = _content(new)
+            if g > 1:
+                new = [x // g for x in new]
+                g_prod *= g
+            rows[i] = new
+            a_prod *= a
+        pivots.append(c)
+        if len(pivots) == len(rows):
             break
-    return pivots
+    return pivots, exchanges, Fraction(a_prod, g_prod)
+
+
+def _quotient(x, d) -> Scalar:
+    """x / d for ints or Gaussian integers x and d != 0."""
+    s = d.conjugate()
+    n = (d * s).real
+    q = x * s
+    return Scalar(Fraction(q.real, n), Fraction(q.imag, n))
+
+
+def _beside(m: Matrix, rhs: Matrix) -> Matrix:
+    """[m | rhs] over the lcm of the two denominators."""
+    den = lcm(m.den, rhs.den)
+    f, g = den // m.den, den // rhs.den
+
+    def join(x, y):
+        return [[f * v for v in r] + [g * v for v in s] for r, s in zip(x, y)]
+
+    im = None
+    if m.im is not None or rhs.im is not None:
+        im = join(_imag(m), _imag(rhs))
+    return _matrix(join(m.re, rhs.re), im, den, m.ncols + rhs.ncols)
 
 
 def rank(m: Matrix) -> int:
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    rows = [list(r) for r in m.rows]
-    return len(_rref(rows))
+    return len(_eliminate(_entries(m))[0])
 
 
 def solve(m: Matrix, b) -> tuple | None:
     """One exact solution x of m x = b, or None if inconsistent.
 
-    b is a sequence of Scalars of length m.nrows.
+    b is a sequence of m.nrows Scalars; x is a tuple of Scalars.
     """
     b = list(b)
-    assert len(b) == m.nrows
-    if m.ncols == 0:
-        return () if all(x.is_zero() for x in b) else None
-    if m.nrows == 0:
-        return (ZERO,) * m.ncols
-    rows = [list(r) + [bi] for r, bi in zip(m.rows, b)]
-    pivots = _rref(rows)
-    if m.ncols in pivots:
+    if len(b) != m.nrows:
+        raise ValueError(f"a {_dims(m)} system needs {m.nrows} right-hand sides, got {len(b)}")
+    n = m.ncols
+    rows = _entries(_beside(m, Matrix([[x] for x in b], ncols=1)))
+    pivots, _, _ = _eliminate(rows)
+    if pivots and pivots[-1] == n:
         return None
-    x = [ZERO] * m.ncols
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][m.ncols]
+    x = [ZERO] * n
+    for row, c in zip(rows, pivots):
+        x[c] = _quotient(row[n], row[c])
     return tuple(x)
 
 
 def nullspace(m: Matrix) -> list[tuple]:
-    """A basis of ker(m) as tuples of Scalars."""
-    if m.ncols == 0:
-        return []
-    if m.nrows == 0:
-        return [
-            tuple(ONE if i == j else ZERO for j in range(m.ncols))
-            for i in range(m.ncols)
-        ]
-    rows = [list(r) for r in m.rows]
-    pivots = _rref(rows)
-    free = [j for j in range(m.ncols) if j not in pivots]
+    """A basis of ker(m) as tuples of Scalars, one per free column."""
+    rows = _entries(m)
+    pivots, _, _ = _eliminate(rows)
     basis = []
-    for f in free:
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
         v = [ZERO] * m.ncols
         v[f] = ONE
-        for i, col in enumerate(pivots):
-            v[col] = -rows[i][f]
+        for row, c in zip(rows, pivots):
+            v[c] = -_quotient(row[f], row[c])
         basis.append(tuple(v))
     return basis
 
 
 def inverse(m: Matrix) -> Matrix:
-    assert m.nrows == m.ncols
-    n = m.nrows
-    if n == 0:
-        return Matrix([], ncols=0)
-    aug = [
-        list(r) + [ONE if i == j else ZERO for j in range(n)]
-        for i, r in enumerate(m.rows)
-    ]
-    pivots = _rref(aug)
+    """The inverse of a square matrix; ZeroDivisionError if singular."""
+    _square(m, "an inverse")
+    n = m.ncols
+    rows = _entries(_beside(m, Matrix.identity(n)))
+    pivots, _, _ = _eliminate(rows)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return Matrix([row[n:] for row in aug], ncols=n)
+    # row k of m^-1 is the right half of row k over its diagonal entry d,
+    # that is times conj(d) over the positive integer d * conj(d)
+    conj = [row[k].conjugate() for k, row in enumerate(rows)]
+    norms = [(row[k] * s).real for k, (row, s) in enumerate(zip(rows, conj))]
+    den = lcm(*norms)
+    out = [[x * (s * (den // nk)) for x in row[n:]] for row, s, nk in zip(rows, conj, norms)]
+    re = [[x.real for x in r] for r in out]
+    im = [[x.imag for x in r] for r in out]
+    return _reduced(re, im, den, n)
 
 
 def det(m: Matrix) -> Scalar:
-    assert m.nrows == m.ncols
-    n = m.nrows
-    if n == 0:
-        return ONE
-    rows = [list(r) for r in m.rows]
-    d = ONE
-    for col in range(n):
-        pr = None
-        for i in range(col, n):
-            if not rows[i][col].is_zero():
-                pr = i
-                break
-        if pr is None:
-            return ZERO
-        if pr != col:
-            rows[col], rows[pr] = rows[pr], rows[col]
-            d = -d
-        d = d * rows[col][col]
-        inv = ONE / rows[col][col]
-        for i in range(col + 1, n):
-            f = rows[i][col] * inv
-            if not f.is_zero():
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return d
+    _square(m, "a determinant")
+    n = m.ncols
+    rows = _entries(m)
+    pivots, exchanges, scale = _eliminate(rows)
+    if len(pivots) < n:
+        return ZERO
+    d = 1
+    for k, row in enumerate(rows):
+        d = row[k] * d
+    if exchanges % 2:
+        scale = -scale
+    return Scalar(d.real, d.imag) / (scale * m.den**n)
+
+
+def positive_definite(h: Matrix) -> bool:
+    """Whether the Hermitian matrix h is positive-definite.
+
+    Sylvester's criterion: every leading principal minor is positive.
+    These minors are positive exactly when an elimination without row
+    exchanges finds a pivot in every column and every pivot, a positive
+    multiple of the ratio of two consecutive minors, is positive.
+    """
+    _square(h, "a definiteness test")
+    rows = _entries(h)
+    pivots, exchanges, _ = _eliminate(rows)
+    return (
+        not exchanges
+        and len(pivots) == h.ncols
+        and all(not row[k].imag and row[k].real > 0 for k, row in enumerate(rows))
+    )

@@ -68,7 +68,8 @@ def pullback_algebroid(a: ConstantAlgebroid, s: SubmersionSpec) -> ConstantAlgeb
 
 def pullback_form(a: ConstantAlgebroid, s: SubmersionSpec, omega: AlgebroidForm) -> AlgebroidForm:
     """Precompose with the frame projection v_j |-> 0, hor(e_i) |-> e_i."""
-    assert omega.r == a.r
+    if omega.r != a.r:
+        raise ValueError(f"the form lives on rank {omega.r}, not on the base rank {a.r}")
     comps = {
         tuple(s.k + i for i in idx): v for idx, v in omega.comps.items()
     }

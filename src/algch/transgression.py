@@ -13,7 +13,7 @@ differentiated or integrated, hence dt_0 never appears.
 
 Values: a component of the curvature or of one of its powers is a
 polynomial in t_1, ..., t_p with graded-endomorphism coefficients,
-{exponent tuple: (even block, odd block)} with ClearedMatrix blocks, so
+{exponent tuple: (even block, odd block)} with Matrix blocks, so
 at p = 1 the curvature is R0 + t R1 + t^2 R2.  Its supertrace is
 {exponent tuple: (re, im)} with exact rational parts; the fibre
 integral weights each monomial once, and Scalars are built only for the
@@ -27,9 +27,8 @@ from math import factorial, prod
 from operator import add
 
 from .scalars import Scalar
-from .linalg import ClearedMatrix
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
-from .connections import GradedBundle, GradedEndo, supertrace_terms, supertrace_product
+from .connections import GradedBundle, supertrace_terms, supertrace_product
 
 
 class AffineForm:
@@ -154,24 +153,19 @@ def _check_family(conns) -> tuple[ConstantAlgebroid, GradedBundle]:
     return a, b
 
 
-def _cleared(om: GradedEndo) -> tuple:
-    return ClearedMatrix.from_matrix(om.ee), ClearedMatrix.from_matrix(om.oo)
-
-
 def _affine_curvature(conns) -> AffineForm:
     """Curvature of the affine family, any p >= 0; at p = 0, of the one
     connection: R(e_i, e_j) = [Omega_i, Omega_j] - sum_k c_ij^k Omega_k."""
     a, _ = _check_family(conns)
     p = len(conns) - 1
-    base = [_cleared(om) for om in conns[0].omega]
+    base = [(om.ee, om.oo) for om in conns[0].omega]
     const = (0,) * p
     aff = [{} if _is_zero(b) else {const: b} for b in base]
     mixed = [{} for _ in range(a.r)]
     for m, cm in enumerate(conns[1:]):
         e = tuple(int(k == m) for k in range(p))
         for i, om in enumerate(cm.omega):
-            ee, oo = _cleared(om)
-            diff = (ee - base[i][0], oo - base[i][1])
+            diff = (om.ee - base[i][0], om.oo - base[i][1])
             if _is_zero(diff):
                 continue
             aff[i][e] = diff

@@ -7,7 +7,7 @@ from math import comb, factorial
 from operator import add
 
 from algch.scalars import Scalar, ZERO, ONE, I
-from algch.linalg import ClearedMatrix, Matrix, det, nullspace, rank, solve
+from algch.linalg import Matrix, nullspace, solve
 from algch.algebroid import (
     AlgebroidForm,
     ConstantAlgebroid,
@@ -22,7 +22,6 @@ from algch.connections import (
     Connection,
     HermitianMetric,
     h_dual,
-    supertrace,
 )
 from algch import charclasses
 from algch.charclasses import adjoint_setup
@@ -168,8 +167,29 @@ def rand_algebroid(rng, max_rank=3) -> ConstantAlgebroid:
 
 # ---------------------------------------------------------------------------
 # Constructions only the tests use: the connection-level identities they
-# check (equivalence, metric averages, direct sums, pullbacks) and the
-# trace character of a Lie algebra.
+# check (equivalence, metric averages, direct sums, pullbacks), the trace
+# character of a Lie algebra, the supertrace, matrix columns and identity
+# endomorphisms and metrics.
+
+
+def column(m, j: int) -> tuple:
+    """Column j of a Matrix or RingMatrix."""
+    return tuple(m[i, j] for i in range(m.nrows))
+
+
+def identity_endo(re: int, ro: int) -> GradedEndo:
+    return GradedEndo(Matrix.identity(re), Matrix.identity(ro))
+
+
+def identity_metric(bundle: GradedBundle) -> HermitianMetric:
+    return HermitianMetric(
+        bundle, Matrix.identity(bundle.rank_even), Matrix.identity(bundle.rank_odd)
+    )
+
+
+def supertrace(t: GradedEndo):
+    """tr(even block) - tr(odd block), for Matrix or RingMatrix blocks."""
+    return t.ee.trace() - t.oo.trace()
 
 
 def zero_connection(algebroid: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
@@ -344,11 +364,288 @@ class PairScalar:
         return out
 
 
+class RingMatrix:
+    """Immutable tuple-of-tuples matrix over any ring whose elements
+    support +, -, * and .conj(): Scalar, or SimplexPolynomial with
+    zero = SimplexPolynomial(p).  The matrix type algch had before its
+    entries were cleared to integers, kept as the ring-entry oracle.
+    """
+
+    __slots__ = ("rows", "nrows", "ncols", "zero")
+
+    def __init__(self, rows, zero=ZERO, ncols=None):
+        rows = tuple(tuple(r) for r in rows)
+        self.rows = rows
+        self.nrows = len(rows)
+        if rows:
+            self.ncols = len(rows[0])
+            assert all(len(r) == self.ncols for r in rows)
+        else:
+            assert ncols is not None, "empty matrix needs explicit ncols"
+            self.ncols = ncols
+        self.zero = zero
+
+    @staticmethod
+    def zeros(nrows: int, ncols: int, zero=ZERO) -> "RingMatrix":
+        return RingMatrix([[zero] * ncols for _ in range(nrows)], zero, ncols=ncols)
+
+    @staticmethod
+    def identity(n: int, one=ONE, zero=ZERO) -> "RingMatrix":
+        return RingMatrix(
+            [[one if i == j else zero for j in range(n)] for i in range(n)],
+            zero,
+            ncols=n,
+        )
+
+    @staticmethod
+    def block_diag(m0: "RingMatrix", m1: "RingMatrix") -> "RingMatrix":
+        """[[m0, 0], [0, m1]]; either block may have no rows or columns."""
+        right = (m0.zero,) * m1.ncols
+        left = (m0.zero,) * m0.ncols
+        return RingMatrix(
+            [row + right for row in m0.rows] + [left + row for row in m1.rows],
+            m0.zero,
+            ncols=m0.ncols + m1.ncols,
+        )
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i][j]
+
+    def __add__(self, other):
+        assert self.shape == other.shape
+        return RingMatrix(
+            [
+                [a + b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.rows, other.rows)
+            ],
+            self.zero,
+            ncols=self.ncols,
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return RingMatrix(
+            [[-a for a in r] for r in self.rows], self.zero, ncols=self.ncols
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, RingMatrix):
+            assert self.ncols == other.nrows, "shape mismatch"
+            # only products of two nonzero entries can contribute
+            right = [
+                [(j, b) for j, b in enumerate(row) if not b.is_zero()]
+                for row in other.rows
+            ]
+            out = []
+            for lrow in self.rows:
+                row = [None] * other.ncols
+                for k, a in enumerate(lrow):
+                    if a.is_zero():
+                        continue
+                    for j, b in right[k]:
+                        acc = row[j]
+                        row[j] = a * b if acc is None else acc + a * b
+                out.append([self.zero if v is None else v for v in row])
+            return RingMatrix(out, self.zero, ncols=other.ncols)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c) -> "RingMatrix":
+        return RingMatrix(
+            [[a * c for a in r] for r in self.rows], self.zero, ncols=self.ncols
+        )
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    def transpose(self) -> "RingMatrix":
+        return RingMatrix(
+            [
+                [self.rows[i][j] for i in range(self.nrows)]
+                for j in range(self.ncols)
+            ],
+            self.zero,
+            ncols=self.nrows,
+        )
+
+    def conj(self) -> "RingMatrix":
+        return RingMatrix(
+            [[a.conj() for a in r] for r in self.rows], self.zero, ncols=self.ncols
+        )
+
+    def conj_transpose(self) -> "RingMatrix":
+        return self.transpose().conj()
+
+    def trace(self):
+        assert self.nrows == self.ncols
+        acc = self.zero
+        for i in range(self.nrows):
+            acc = acc + self.rows[i][i]
+        return acc
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero() for r in self.rows for a in r)
+
+    def column(self, j: int):
+        return tuple(self.rows[i][j] for i in range(self.nrows))
+
+    def __eq__(self, other):
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
+        return self.shape == other.shape and all(
+            a == b
+            for r1, r2 in zip(self.rows, other.rows)
+            for a, b in zip(r1, r2)
+        )
+
+    def __hash__(self):
+        return hash((self.shape, self.rows))
+
+    def __repr__(self):
+        return "RingMatrix([" + ", ".join(str(list(r)) for r in self.rows) + "])"
+
+
+def ring_matrix(m: Matrix) -> RingMatrix:
+    """The RingMatrix of Scalars with the entries of m."""
+    return RingMatrix(m.rows, ncols=m.ncols)
+
+
+# The Scalar row reduction algch used before its one fraction-free
+# elimination; rank, solve, nullspace, inverse and det are references
+# for the integer routines.
+
+
+def _rref(rows):
+    """Row-reduce a list of Scalar lists in place; return pivot columns."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pr = None
+        for i in range(row, nrows):
+            if not rows[i][col].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[row], rows[pr] = rows[pr], rows[row]
+        inv = ONE / rows[row][col]
+        rows[row] = [a * inv for a in rows[row]]
+        for i in range(nrows):
+            if i != row and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return pivots
+
+
+def reference_rank(m) -> int:
+    if m.nrows == 0 or m.ncols == 0:
+        return 0
+    rows = [list(r) for r in m.rows]
+    return len(_rref(rows))
+
+
+def reference_solve(m, b) -> tuple | None:
+    """One exact solution x of m x = b, or None if inconsistent.
+
+    b is a sequence of Scalars of length m.nrows.
+    """
+    b = list(b)
+    assert len(b) == m.nrows
+    if m.ncols == 0:
+        return () if all(x.is_zero() for x in b) else None
+    if m.nrows == 0:
+        return (ZERO,) * m.ncols
+    rows = [list(r) + [bi] for r, bi in zip(m.rows, b)]
+    pivots = _rref(rows)
+    if m.ncols in pivots:
+        return None
+    x = [ZERO] * m.ncols
+    for i, col in enumerate(pivots):
+        x[col] = rows[i][m.ncols]
+    return tuple(x)
+
+
+def reference_nullspace(m) -> list[tuple]:
+    """A basis of ker(m) as tuples of Scalars."""
+    if m.ncols == 0:
+        return []
+    if m.nrows == 0:
+        return [
+            tuple(ONE if i == j else ZERO for j in range(m.ncols))
+            for i in range(m.ncols)
+        ]
+    rows = [list(r) for r in m.rows]
+    pivots = _rref(rows)
+    free = [j for j in range(m.ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [ZERO] * m.ncols
+        v[f] = ONE
+        for i, col in enumerate(pivots):
+            v[col] = -rows[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_inverse(m) -> "RingMatrix":
+    assert m.nrows == m.ncols
+    n = m.nrows
+    if n == 0:
+        return RingMatrix([], ncols=0)
+    aug = [
+        list(r) + [ONE if i == j else ZERO for j in range(n)]
+        for i, r in enumerate(m.rows)
+    ]
+    pivots = _rref(aug)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return RingMatrix([row[n:] for row in aug], ncols=n)
+
+
+def reference_det(m) -> Scalar:
+    assert m.nrows == m.ncols
+    n = m.nrows
+    if n == 0:
+        return ONE
+    rows = [list(r) for r in m.rows]
+    d = ONE
+    for col in range(n):
+        pr = None
+        for i in range(col, n):
+            if not rows[i][col].is_zero():
+                pr = i
+                break
+        if pr is None:
+            return ZERO
+        if pr != col:
+            rows[col], rows[pr] = rows[pr], rows[col]
+            d = -d
+        d = d * rows[col][col]
+        inv = ONE / rows[col][col]
+        for i in range(col + 1, n):
+            f = rows[i][col] * inv
+            if not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return d
+
+
 def leading_minors_positive(h: Matrix) -> bool:
     """Sylvester's criterion minor by minor: every leading principal
     minor of h is real and positive."""
     for k in range(1, h.nrows + 1):
-        minor = det(Matrix([row[:k] for row in h.rows[:k]], ncols=k))
+        minor = reference_det(RingMatrix([row[:k] for row in h.rows[:k]], ncols=k))
         if not minor.is_real() or not minor.re > 0:
             return False
     return True
@@ -456,12 +753,12 @@ def reference_betti_number(a: ConstantAlgebroid, k: int) -> int:
             return 0
         cod = list(combinations(range(a.r), j + 1))
         cols = [dense_ce_differential(a, basis_form(a.r, idx)) for idx in combinations(range(a.r), j)]
-        return rank(Matrix([[col.get(c) for col in cols] for c in cod], ncols=len(cols)))
+        return reference_rank(RingMatrix([[col.get(c) for col in cols] for c in cod], ncols=len(cols)))
 
     return comb(a.r, k) - d_rank(k) - d_rank(k - 1)
 
 
-def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+def dense_matmul(a: "RingMatrix", b: "RingMatrix") -> "RingMatrix":
     """Row-by-column product summing all ncols terms of every entry."""
     rows = []
     for i in range(a.nrows):
@@ -472,7 +769,7 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
                 acc = acc + a[i, k] * b[k, j]
             row.append(acc)
         rows.append(row)
-    return Matrix(rows, a.zero, ncols=b.ncols)
+    return RingMatrix(rows, a.zero, ncols=b.ncols)
 
 
 def curvature(c: Connection) -> dict:
@@ -703,10 +1000,10 @@ def simplex_integrate(f: SimplexPolynomial, p: int) -> Scalar:
     return total
 
 
-def constant_poly_matrix(m: Matrix, p: int) -> Matrix:
+def constant_poly_matrix(m: Matrix, p: int) -> "RingMatrix":
     """m with each entry embedded as a constant polynomial on Delta^p."""
     zero = SimplexPolynomial(p)
-    return Matrix(
+    return RingMatrix(
         [[SimplexPolynomial.constant(p, a) for a in row] for row in m.rows],
         zero,
         ncols=m.ncols,
@@ -717,19 +1014,13 @@ def constant_poly_endo(ge: GradedEndo, p: int) -> GradedEndo:
     return GradedEndo(constant_poly_matrix(ge.ee, p), constant_poly_matrix(ge.oo, p))
 
 
-def scalar_endo(pair) -> GradedEndo:
-    """The GradedEndo of Scalar matrices of an (even, odd) ClearedMatrix
-    pair."""
-    return GradedEndo(pair[0].to_matrix(), pair[1].to_matrix())
-
-
 def poly_endo_value(v: dict, p: int) -> GradedEndo:
     """A polynomial value {exponent: (even, odd)} of the transgression as
     a GradedEndo with SimplexPolynomial entries."""
 
     out = None
     for e, pair in v.items():
-        term = constant_poly_endo(scalar_endo(pair), p).scale(SimplexPolynomial(p, {e: ONE}))
+        term = constant_poly_endo(GradedEndo(*pair), p).scale(SimplexPolynomial(p, {e: ONE}))
         out = term if out is None else out + term
     return out
 
@@ -788,8 +1079,11 @@ def reference_cs_cochain(conns, q: int) -> AlgebroidForm:
     if 2 * q < p:
         return AlgebroidForm(a.r, 0)
     r_aff = reference_affine_curvature(conns)
-    one = SimplexPolynomial.constant(p, 1)
-    ident = GradedEndo.identity(bundle.rank_even, bundle.rank_odd, one, SimplexPolynomial(p))
+    one, zero = SimplexPolynomial.constant(p, 1), SimplexPolynomial(p)
+    ident = GradedEndo(
+        RingMatrix.identity(bundle.rank_even, one, zero),
+        RingMatrix.identity(bundle.rank_odd, one, zero),
+    )
     rq = r_aff.power(q, ident)
     traced = AffineForm(a.r, p, 2 * q, {k: supertrace(v) for k, v in rq.comps.items()})
     result = reference_fibre_integrate(traced, p)

@@ -46,6 +46,7 @@ from helpers import (
     pullback_connection,
     supertrace_curvature_power,
     trace_character,
+    identity_metric,
 )
 from test_transgression import check_cs_axioms
 
@@ -209,7 +210,7 @@ def test_so3_triviality():
     from algch.charclasses import adjoint_connection
 
     c = adjoint_connection(a, bundle)
-    h = HermitianMetric.identity(bundle)
+    h = identity_metric(bundle)
     for rep in secondary_class(c, h, 2):
         assert rep.representative.is_zero()
         assert rep.is_zero_class

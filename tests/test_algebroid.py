@@ -26,6 +26,7 @@ from helpers import (
     dense_ce_differential,
     basis_form,
     reference_betti_number,
+    column,
 )
 
 
@@ -119,6 +120,16 @@ class TestDifferential:
         assert ce_differential(a, top).is_zero()
 
 
+class TestFormShapes:
+    def test_sum_of_different_degrees_refused(self):
+        # an explicit check, so it also runs under python -O
+        one, two = basis_form(3, (0,)), basis_form(3, (0, 1))
+        with pytest.raises(ValueError, match="cannot add a degree-1 form on rank 3 and a degree-2"):
+            one + two
+        with pytest.raises(ValueError, match="rank 3 and a degree-1 form on rank 4"):
+            one - basis_form(4, (0,))
+
+
 class TestBetti:
     def test_abelian_rank_two(self):
         a = abelian(2)
@@ -189,7 +200,7 @@ class TestDirectProduct:
         q = q_family(1, 2, 3, 4)
         prod = direct_product(tangent_torus(1), q)
         assert (prod.n, prod.r) == (1, 4)
-        assert prod.anchor.column(0) == (ONE,)
+        assert column(prod.anchor, 0) == (ONE,)
         assert all(prod.anchor[0, i].is_zero() for i in range(1, 4))
         for i in range(3):
             for j in range(3):

@@ -46,6 +46,7 @@ from helpers import (
     small_corpus,
     fake_cs_cochains,
     trace_character,
+    identity_metric,
 )
 
 
@@ -114,7 +115,7 @@ class TestSecondaryClass:
             m_o = rand_matrix(2, 2, rng)
             omega.append(GradedEndo(m_e - m_e.conj_transpose(), m_o - m_o.conj_transpose()))
         c = Connection(a, b, omega)
-        h = HermitianMetric.identity(b)
+        h = identity_metric(b)
         for rep in secondary_class(c, h, 2):
             assert rep.representative.is_zero()
             assert rep.is_zero_class
@@ -123,7 +124,7 @@ class TestSecondaryClass:
         a = so3()
         bundle = GradedBundle(3, 0)
         c = adjoint_connection(a, bundle)
-        h = HermitianMetric.identity(bundle)
+        h = identity_metric(bundle)
         for rep in secondary_class(c, h, 2):
             assert rep.is_zero_class
 
@@ -164,7 +165,7 @@ class TestVerdictChecks:
     def so3_adjoint(self):
         a = so3()
         bundle = GradedBundle(3, 0)
-        return adjoint_connection(a, bundle), HermitianMetric.identity(bundle)
+        return adjoint_connection(a, bundle), identity_metric(bundle)
 
     def test_imaginary_representative(self, monkeypatch):
         # i^2 * i is imaginary
@@ -189,7 +190,7 @@ class TestVerdictChecks:
         bundle = GradedBundle(1, 0)
         c = zero_connection(a, bundle)
         with pytest.raises(PrimaryObstruction, match="q=1"):
-            secondary_class(c, HermitianMetric.identity(bundle), 1)
+            secondary_class(c, identity_metric(bundle), 1)
 
     def test_adjoint_equivalence(self, monkeypatch):
         monkeypatch.setattr(charclasses, "adjoint_connection", zero_connection)

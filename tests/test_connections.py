@@ -11,7 +11,6 @@ from algch.connections import (
     OddMap,
     Connection,
     HermitianMetric,
-    supertrace,
     h_dual,
     check_metric_block,
 )
@@ -34,13 +33,15 @@ from helpers import (
     metric_average,
     equivalence_witness,
     zero_connection,
-    scalar_endo,
+    identity_endo,
+    identity_metric,
+    supertrace,
 )
 
 
 def single_curvature(c) -> dict:
-    """_affine_curvature([c]) as {(I, ()): GradedEndo of Scalar matrices}."""
-    return {k: scalar_endo(v[()]) for k, v in _affine_curvature([c]).comps.items()}
+    """_affine_curvature([c]) as {(I, ()): GradedEndo}."""
+    return {k: GradedEndo(*v[()]) for k, v in _affine_curvature([c]).comps.items()}
 
 
 class TestCurvature:
@@ -97,6 +98,12 @@ class TestShapes:
         with pytest.raises(ValueError, match="got 1 x 2 and 1 x 1"):
             GradedBundle(2, 1, d10=Matrix.zeros(1, 1))
 
+    def test_endo_blocks_must_be_square(self):
+        with pytest.raises(ValueError, match="blocks must be square, got 2 x 1 and 1 x 1"):
+            GradedEndo(Matrix.zeros(2, 1), Matrix.zeros(1, 1))
+        with pytest.raises(ValueError, match="got 1 x 1 and 0 x 2"):
+            GradedEndo(Matrix.zeros(1, 1), Matrix.zeros(0, 2))
+
     def test_connection_shapes_enforced(self):
         a = abelian(2)
         b = GradedBundle(2, 1)
@@ -111,12 +118,13 @@ class TestShapes:
 
 class TestSupertrace:
     def test_identity_two_three(self):
-        assert supertrace(GradedEndo.identity(2, 3)) == Scalar(-1)
+        assert supertrace(identity_endo(2, 3)) == Scalar(-1)
 
     def test_block_formula(self):
         rng = random.Random(14)
         t = GradedEndo(rand_matrix(2, 2, rng), rand_matrix(3, 3, rng))
-        assert supertrace(t) == t.ee.trace() - t.oo.trace()
+        diagonal = [t.ee[i, i] for i in range(2)] + [-t.oo[i, i] for i in range(3)]
+        assert supertrace(t) == sum(diagonal, ZERO)
 
     def test_vanishes_on_parity_preserving_commutators(self):
         rng = random.Random(15)
@@ -199,7 +207,7 @@ class TestHDual:
                 )
             )
         c = Connection(a, b, omega)
-        assert h_dual(c, HermitianMetric.identity(b)) == c
+        assert h_dual(c, identity_metric(b)) == c
 
     def test_involution(self):
         rng = random.Random(18)

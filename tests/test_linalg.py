@@ -4,10 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algch.scalars import Scalar, ZERO
-from algch.linalg import ClearedMatrix, Matrix, inverse
+from algch.scalars import Scalar, ZERO, ONE, I
+from algch.linalg import Matrix, det, inverse, nullspace, positive_definite, rank, solve
 
-from helpers import SimplexPolynomial, dense_matmul, rand_matrix, rand_scalar
+from helpers import (
+    RingMatrix,
+    dense_matmul,
+    rand_matrix,
+    rand_scalar,
+    reference_det,
+    reference_inverse,
+    reference_nullspace,
+    reference_rank,
+    reference_solve,
+    ring_matrix,
+)
 
 
 def sparse_matrix(nrows, ncols, rng, entry, density):
@@ -24,21 +35,9 @@ def scalar_matrix(nrows, ncols, rng, density):
     return Matrix([[v or ZERO for v in row] for row in rows], ncols=ncols)
 
 
-def poly_matrix(nrows, ncols, p, rng, density):
-    zero = SimplexPolynomial(p)
-
-    def entry():
-        f = SimplexPolynomial.constant(p, rand_scalar(rng, real=True))
-        for i in range(1, p + 1):
-            f = f + SimplexPolynomial.variable(i, p) * rand_scalar(rng)
-        return f
-
-    rows = sparse_matrix(nrows, ncols, rng, entry, density)
-    return Matrix([[v or zero for v in row] for row in rows], zero, ncols=ncols)
-
-
 class TestMatmulAgainstDense:
-    """Matrix.__mul__ skips zero factors; the oracle sums every term."""
+    """Matrix.__mul__ multiplies integer rows; the oracle sums every
+    Scalar term."""
 
     @settings(max_examples=60)
     @given(
@@ -49,18 +48,8 @@ class TestMatmulAgainstDense:
         rng = random.Random(seed)
         a = scalar_matrix(n, m, rng, density)
         b = scalar_matrix(m, k, rng, density)
-        assert a * b == dense_matmul(a, b)
+        assert ring_matrix(a * b) == dense_matmul(ring_matrix(a), ring_matrix(b))
         assert (a * b).shape == (n, k)
-
-    def test_polynomial_entries(self):
-        rng = random.Random(3)
-        for p in (0, 1, 2):
-            for density in (0.0, 0.4, 1.0):
-                a = poly_matrix(3, 3, p, rng, density)
-                b = poly_matrix(3, 2, p, rng, density)
-                got = a * b
-                assert got == dense_matmul(a, b)
-                assert all(v.p == p for row in got.rows for v in row)
 
     def test_cancellation_leaves_zero(self):
         a = Matrix([[Scalar(1), Scalar(1)]])
@@ -69,7 +58,7 @@ class TestMatmulAgainstDense:
 
 
 class TestTraceMul:
-    """ClearedMatrix.trace_mul sums a_ij b_ji without forming the product."""
+    """Matrix.trace_mul sums a_ij b_ji without forming the product."""
 
     @settings(max_examples=60)
     @given(
@@ -80,27 +69,26 @@ class TestTraceMul:
         rng = random.Random(seed)
         a = scalar_matrix(n, m, rng, density)
         b = scalar_matrix(m, n, rng, density)
-        want = dense_matmul(a, b).trace()
-        got = ClearedMatrix.from_matrix(a).trace_mul(ClearedMatrix.from_matrix(b))
-        assert got == (want.re, want.im)
+        want = dense_matmul(ring_matrix(a), ring_matrix(b)).trace()
+        assert a.trace_mul(b) == (want.re, want.im)
 
     def test_cancellation_gives_zero(self):
-        a = ClearedMatrix.from_matrix(Matrix([[Scalar(1), Scalar(1)]]))
-        b = ClearedMatrix.from_matrix(Matrix([[Scalar(Fraction(1, 2))], [Scalar(Fraction(-1, 2))]]))
+        a = Matrix([[Scalar(1), Scalar(1)]])
+        b = Matrix([[Scalar(Fraction(1, 2))], [Scalar(Fraction(-1, 2))]])
         assert a.trace_mul(b) == (0, 0)
 
 
 def dense_block_diag(m0, m1):
     """[[m0, 0], [0, m1]] written entry by entry."""
     nrows, ncols = m0.nrows + m1.nrows, m0.ncols + m1.ncols
-    rows = [[m0.zero] * ncols for _ in range(nrows)]
+    rows = [[ZERO] * ncols for _ in range(nrows)]
     for i in range(m0.nrows):
         for j in range(m0.ncols):
             rows[i][j] = m0[i, j]
     for i in range(m1.nrows):
         for j in range(m1.ncols):
             rows[m0.nrows + i][m0.ncols + j] = m1[i, j]
-    return Matrix(rows, m0.zero, ncols=ncols)
+    return RingMatrix(rows, ncols=ncols)
 
 
 class TestBlockDiag:
@@ -114,20 +102,8 @@ class TestBlockDiag:
         m0 = scalar_matrix(*shape0, rng, 0.7)
         m1 = scalar_matrix(*shape1, rng, 0.7)
         got = Matrix.block_diag(m0, m1)
-        assert got == dense_block_diag(m0, m1)
+        assert ring_matrix(got) == dense_block_diag(m0, m1)
         assert got.shape == (shape0[0] + shape1[0], shape0[1] + shape1[1])
-
-    def test_polynomial_entries(self):
-        rng = random.Random(5)
-        for p in (0, 1, 2):
-            zero = SimplexPolynomial(p)
-            for shape0, shape1 in (((2, 2), (1, 1)), ((0, 2), (2, 1)), ((2, 0), (1, 3))):
-                m0 = poly_matrix(*shape0, p, rng, 0.6)
-                m1 = poly_matrix(*shape1, p, rng, 0.6)
-                got = Matrix.block_diag(m0, m1)
-                assert got == dense_block_diag(m0, m1)
-                assert got.zero == zero
-                assert all(v.p == p for row in got.rows for v in row)
 
 
 def gaussian_matrix(nrows, ncols, rng, density, real):
@@ -136,8 +112,9 @@ def gaussian_matrix(nrows, ncols, rng, density, real):
 
 
 class TestClearedMatrix:
-    """ClearedMatrix against Matrix of Scalar on the same entries, on
-    real, Gaussian and mixed operands and empty shapes."""
+    """The cleared-denominator integer form of Matrix against the
+    RingMatrix oracle on the same Scalar entries, on real, Gaussian and
+    mixed operands and empty shapes."""
 
     @settings(max_examples=80)
     @given(
@@ -150,37 +127,35 @@ class TestClearedMatrix:
         a = gaussian_matrix(n, m, rng, density, real_a)
         b = gaussian_matrix(m, k, rng, density, real_b)
         a2 = gaussian_matrix(n, m, rng, density, real_b)
-        ca, cb, ca2 = (ClearedMatrix.from_matrix(x) for x in (a, b, a2))
-        assert ca.to_matrix() == a
-        assert (ca * cb).to_matrix() == a * b
-        assert (ca + ca2).to_matrix() == a + a2
-        assert (ca - ca2).to_matrix() == a - a2
-        assert (-ca).to_matrix() == -a
-        assert ca.conj_transpose().to_matrix() == a.conj_transpose()
+        ra, rb, ra2 = (ring_matrix(x) for x in (a, b, a2))
+        assert Matrix(ra.rows, ncols=m) == a
+        assert ring_matrix(a * b) == ra * rb
+        assert ring_matrix(a + a2) == ra + ra2
+        assert ring_matrix(a - a2) == ra - ra2
+        assert ring_matrix(-a) == -ra
+        assert ring_matrix(a.conj_transpose()) == ra.conj_transpose()
         c = rand_scalar(rng, real=real_b)
-        assert ca.scale(c).to_matrix() == a.scale(c)
-        assert ca.is_zero() == a.is_zero()
-        assert (ca - ca).is_zero()
+        assert ring_matrix(a.scale(c)) == ra.scale(c)
+        assert a.is_zero() == ra.is_zero()
+        assert (a - a).is_zero()
         bt = gaussian_matrix(m, n, rng, density, real_b)
-        want = dense_matmul(bt, a).trace()
-        assert ClearedMatrix.from_matrix(bt).trace_mul(ca) == (want.re, want.im)
+        want = (ring_matrix(bt) * ra).trace()
+        assert bt.trace_mul(a) == (want.re, want.im)
         if n == m:
-            want = a.trace()
-            assert ca.trace() == (want.re, want.im)
+            assert a.trace() == ra.trace()
 
     def test_real_data_has_no_imaginary_rows(self):
         a = Matrix([[Scalar(Fraction(1, 2)), Scalar(0, 1)], [Scalar(2), Scalar(0)]])
         b = Matrix([[Scalar(0, 1), Scalar(0)], [Scalar(0), Scalar(1)]])
-        ca, cb = ClearedMatrix.from_matrix(a), ClearedMatrix.from_matrix(b)
-        assert ca.im is not None
-        assert (ca - ca).im is None
+        assert a.im is not None
+        assert (a - a).im is None
         # i * i = -1: the product of two Gaussian matrices can be real
-        assert (cb * cb).im is None
-        assert (cb * cb).to_matrix() == b * b
+        assert (b * b).im is None
+        assert ring_matrix(b * b) == ring_matrix(b) * ring_matrix(b)
 
     def test_product_is_reduced(self):
-        a = ClearedMatrix.from_matrix(Matrix([[Scalar(Fraction(1, 2)), Scalar(Fraction(3, 4))]]))
-        b = ClearedMatrix.from_matrix(Matrix([[Scalar(2)], [Scalar(Fraction(4, 3))]]))
+        a = Matrix([[Scalar(Fraction(1, 2)), Scalar(Fraction(3, 4))]])
+        b = Matrix([[Scalar(2)], [Scalar(Fraction(4, 3))]])
         assert (a.den, b.den) == (4, 3)
         got = a * b
         assert (got.re, got.im, got.den) == ([[2]], None, 1)
@@ -191,15 +166,14 @@ class TestClearedMatrix:
         # sparse matrices need row exchanges; singular ones must raise
         rng = random.Random(seed)
         a = gaussian_matrix(n, n, rng, density, real)
-        ca = ClearedMatrix.from_matrix(a)
         try:
-            want = inverse(a)
+            want = reference_inverse(a)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
-                ca.inverse()
+                inverse(a)
             return
-        got = ca.inverse()
-        assert got.to_matrix() == want
+        got = inverse(a)
+        assert ring_matrix(got) == want
         assert got.den > 0
 
     def test_inverse_of_gaussian_metric(self):
@@ -207,4 +181,150 @@ class TestClearedMatrix:
         for n in (1, 3, 5):
             m = rand_matrix(n, n, rng)
             h = m.conj_transpose() * m + Matrix.identity(n)
-            assert ClearedMatrix.from_matrix(h).inverse().to_matrix() == inverse(h)
+            assert ring_matrix(inverse(h)) == reference_inverse(h)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.integers(0, 2**32))
+    def test_unreduced_sum_equals_reduced_product(self, n, m, real, seed):
+        # a sum keeps the lcm of the denominators; a product divides out
+        # the gcd, so the same value can be held over two denominators
+        rng = random.Random(seed)
+        a = gaussian_matrix(n, m, rng, 0.7, real)
+        half = Matrix.identity(m).scale(Fraction(1, 2))
+        total = a.scale(Fraction(1, 6)) + a.scale(Fraction(1, 3))
+        product = a * half
+        assert total == product
+        assert ring_matrix(total) == ring_matrix(product)
+        assert hash(total) == hash(product)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.integers(0, 2**32))
+    def test_equal_matrices_hash_equal(self, n, m, real, seed):
+        rng = random.Random(seed)
+        a = gaussian_matrix(n, m, rng, 0.6, real)
+        b = gaussian_matrix(n, m, rng, 0.6, real)
+        # a + b - b is a over the square of a's denominator, or larger
+        c = a + b - b
+        assert c == a and a == c
+        assert hash(c) == hash(a)
+        assert {a: 1}[c] == 1
+        if not (a - b).is_zero():
+            assert a != b
+
+
+def rand_ranked(nrows, ncols, inner, rng, real, density):
+    """A random matrix of rank at most inner: a product of random
+    nrows x inner and inner x ncols factors, formed by the oracle."""
+    left = ring_matrix(gaussian_matrix(nrows, inner, rng, density, real))
+    right = ring_matrix(gaussian_matrix(inner, ncols, rng, density, real))
+    return Matrix(dense_matmul(left, right).rows, ncols=ncols)
+
+
+elimination_args = (
+    st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+    st.booleans(), st.sampled_from([0.3, 0.7, 1.0]), st.integers(0, 2**32),
+)
+
+
+class TestElimination:
+    """rank, solve, nullspace, inverse and det, all from the one
+    fraction-free elimination, against the Scalar row reduction, on
+    real and Gaussian data: rectangular, rank-deficient and singular
+    matrices and 0 x k and k x 0 shapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(*elimination_args)
+    def test_rank_and_nullspace(self, n, m, inner, real, density, seed):
+        a = rand_ranked(n, m, inner, random.Random(seed), real, density)
+        assert rank(a) == reference_rank(a)
+        basis = nullspace(a)
+        assert basis == reference_nullspace(a)
+        assert len(basis) == m - rank(a)
+        for v in basis:
+            assert (a * Matrix([[x] for x in v], ncols=1)).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(*elimination_args, st.booleans())
+    def test_solve(self, n, m, inner, real, density, seed, consistent):
+        rng = random.Random(seed)
+        a = rand_ranked(n, m, inner, rng, real, density)
+        if consistent:
+            # b in the column space of a
+            x0 = gaussian_matrix(m, 1, rng, density, real)
+            b = [v for (v,) in (a * x0).rows]
+        else:
+            b = [rand_scalar(rng, real=real) for _ in range(n)]
+        got = solve(a, b)
+        assert got == reference_solve(a, b)
+        if consistent:
+            assert got is not None
+        if got is not None:
+            assert [v for (v,) in (a * Matrix([[x] for x in got], ncols=1)).rows] == b
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.booleans(), st.sampled_from([0.3, 0.7, 1.0]), st.integers(0, 2**32))
+    def test_det_and_inverse(self, n, inner, real, density, seed):
+        a = rand_ranked(n, n, inner, random.Random(seed), real, density)
+        assert det(a) == reference_det(a)
+        try:
+            want = reference_inverse(a)
+        except ZeroDivisionError:
+            assert det(a).is_zero()
+            with pytest.raises(ZeroDivisionError):
+                inverse(a)
+            return
+        assert ring_matrix(inverse(a)) == want
+
+    def test_det_needs_the_phase(self):
+        # |det|^2 would not tell these apart
+        assert det(Matrix([[I, ZERO], [ZERO, ONE]])) == I
+        assert det(Matrix([[ZERO, I], [ONE, ZERO]])) == -I
+        assert det(Matrix([[Scalar(1, 1), Scalar(2)], [Scalar(0, 1), Scalar(1, -1)]])) == Scalar(2, -2)
+
+    def test_empty_shapes(self):
+        for n in range(4):
+            tall, wide = Matrix.zeros(n, 0), Matrix.zeros(0, n)
+            assert rank(tall) == rank(wide) == 0
+            assert nullspace(tall) == []
+            assert nullspace(wide) == reference_nullspace(wide)
+            assert solve(wide, []) == (ZERO,) * n
+            assert solve(tall, [ZERO] * n) == ()
+            if n:
+                assert solve(tall, [ONE] + [ZERO] * (n - 1)) is None
+        assert det(Matrix([], ncols=0)) == ONE
+        assert inverse(Matrix([], ncols=0)).shape == (0, 0)
+        assert positive_definite(Matrix([], ncols=0))
+
+
+class TestShapes:
+    """Shape errors raise ValueError (under python -O too) instead of
+    truncating."""
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError, match="row 2 has 1 entries, not 2"):
+            Matrix([[ONE, ONE], [ONE]])
+        with pytest.raises(ValueError, match="needs an explicit ncols"):
+            Matrix([])
+
+    def test_sum_and_difference(self):
+        a, b = Matrix([[ONE, ONE, ONE]]), Matrix([[ONE]])
+        with pytest.raises(ValueError, match="cannot add a 1 x 3 and a 1 x 1 matrix"):
+            a + b
+        with pytest.raises(ValueError, match="cannot add"):
+            a - b
+
+    def test_product(self):
+        a, b = Matrix.zeros(2, 3), Matrix.zeros(2, 2)
+        with pytest.raises(ValueError, match="cannot multiply a 2 x 3 by a 2 x 2 matrix"):
+            a * b
+        with pytest.raises(ValueError, match="cannot multiply"):
+            a.trace_mul(b)
+
+    @pytest.mark.parametrize("fn", [Matrix.trace, inverse, det, positive_definite])
+    def test_square_only(self, fn):
+        with pytest.raises(ValueError, match="needs a square matrix, got 2 x 3"):
+            fn(Matrix.zeros(2, 3))
+
+    def test_right_hand_side_length(self):
+        with pytest.raises(ValueError, match="a 2 x 3 system needs 2 right-hand sides, got 3"):
+            solve(Matrix.zeros(2, 3), [ZERO] * 3)

@@ -37,6 +37,7 @@ from helpers import (
     rand_q_family,
     reference_morita_verdicts,
     pullback_connection,
+    column,
 )
 
 
@@ -57,8 +58,8 @@ class TestPullbackAlgebroid:
                     for row in plane
                 )
                 # the anchor permutes the coordinate fields
-                cols = {pb.anchor.column(i) for i in range(pb.r)}
-                ident = {Matrix.identity(n + k).column(i) for i in range(n + k)}
+                cols = {column(pb.anchor, i) for i in range(pb.r)}
+                ident = {column(Matrix.identity(n + k), i) for i in range(n + k)}
                 assert cols == ident
 
     def test_q_family_rank_five(self):
@@ -106,6 +107,12 @@ class TestPullbackData:
         a = q_family(1, 0, 0, 1)
         pulled = pullback_form(a, SubmersionSpec(1), basis_form(3, (0,)))
         assert pulled == basis_form(4, (1,))
+
+    def test_form_rank_enforced(self):
+        # an explicit check, so it also runs under python -O
+        a = q_family(1, 0, 0, 1)
+        with pytest.raises(ValueError, match="the form lives on rank 2, not on the base rank 3"):
+            pullback_form(a, SubmersionSpec(1), basis_form(2, (0,)))
 
     def test_cs1_naturality(self):
         rng = random.Random(62)

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from algch.scalars import Scalar, ZERO
-from algch.linalg import ClearedMatrix, Matrix
+from algch.linalg import Matrix
 from algch.algebroid import AlgebroidForm, ce_differential, direct_product
 from algch.connections import (
     GradedBundle,
     GradedEndo,
     Connection,
-    supertrace,
     supertrace_product,
     supertrace_terms,
     h_dual,
@@ -42,6 +41,7 @@ from helpers import (
     simplex_integrate,
     constant_poly_endo,
     poly_endo_value,
+    supertrace,
 )
 
 
@@ -254,7 +254,7 @@ def rand_poly_value(re, ro, p, rng, density=0.6):
     def block(n):
         m = rand_matrix(n, n, rng, real=rng.random() < 0.5)
         rows = [[v if rng.random() < density else ZERO for v in row] for row in m.rows]
-        return ClearedMatrix.from_matrix(Matrix(rows, ncols=n))
+        return Matrix(rows, ncols=n)
 
     return {e: (block(re), block(ro)) for e in product((0, 1), repeat=p)}
 
@@ -279,8 +279,8 @@ class TestSupertraceProduct:
                     assert supertrace_terms(v1) == traced_poly(supertrace(poly_endo_value(v1, p)))
 
     def test_odd_block_enters_with_minus_sign(self):
-        empty = ClearedMatrix.from_matrix(Matrix([], ncols=0))
-        one = ClearedMatrix.from_matrix(Matrix([[Scalar(1)]]))
+        empty = Matrix([], ncols=0)
+        one = Matrix([[Scalar(1)]])
         v = {(0,): (empty, one)}
         assert supertrace_product(v, v) == {(0,): (-1, 0)}
         assert supertrace_terms(v) == {(0,): (-1, 0)}
