@@ -30,37 +30,38 @@ def merge_sign(a, b):
 
 
 class ConstantAlgebroid:
-    """Base dimension n, rank r, anchor rho (n x r), brackets c[i][j][k].
+    """Base dimension n, rank r, anchor rho (n x r), structure constants
+    [e_i, e_j] = sum_k c_ij^k e_k given as {(i, j): {k: c_ij^k}} (0-based).
 
-    brackets is the dense r x r x r tensor.  nonzero_brackets[i][j]
-    lists the (k, c[i][j][k]) with c[i][j][k] != 0 in increasing k; the
-    checks and differentials walk it instead of testing all r entries.
-    Both are tuples, so neither can drift from the other.
+    Zeros are dropped.  A pair given in one orientation only gets its
+    partner c_ji^k = -c_ij^k; a pair given in both is stored as given, for
+    validate_algebroid to check.  brackets[i][j] is the tuple of the
+    (k, c_ij^k) with c_ij^k != 0 in increasing k.
     """
 
-    __slots__ = ("n", "r", "anchor", "brackets", "nonzero_brackets")
+    __slots__ = ("n", "r", "anchor", "brackets")
 
-    def __init__(self, n: int, r: int, anchor: Matrix, brackets):
+    def __init__(self, n: int, r: int, anchor: Matrix, brackets: dict):
         if anchor.shape != (n, r):
             raise ValueError(f"anchor must be {n} x {r}, got {anchor.nrows} x {anchor.ncols}")
-        c = tuple(
-            tuple(
-                tuple(Scalar.coerce(brackets[i][j][k]) for k in range(r))
-                for j in range(r)
-            )
-            for i in range(r)
-        )
+        table = [[()] * r for _ in range(r)]
+        for (i, j), coeffs in brackets.items():
+            if not (0 <= i < r and 0 <= j < r):
+                raise ValueError(f"bracket pair ({i}, {j}) out of range 0..{r - 1}")
+            row = []
+            for k, v in sorted(coeffs.items()):
+                if not 0 <= k < r:
+                    raise ValueError(f"bracket ({i}, {j}): index {k} out of range 0..{r - 1}")
+                v = Scalar.coerce(v)
+                if not v.is_zero():
+                    row.append((k, v))
+            table[i][j] = tuple(row)
+            if (j, i) not in brackets:
+                table[j][i] = tuple((k, -v) for k, v in row)
         self.n = n
         self.r = r
         self.anchor = anchor
-        self.brackets = c
-        self.nonzero_brackets = tuple(
-            tuple(
-                tuple((k, v) for k, v in enumerate(coeffs) if not v.is_zero())
-                for coeffs in plane
-            )
-            for plane in c
-        )
+        self.brackets = tuple(map(tuple, table))
 
     def __eq__(self, other):
         if not isinstance(other, ConstantAlgebroid):
@@ -146,14 +147,15 @@ def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     """
     violations = []
     r = a.r
-    c = a.brackets
-    nz = a.nonzero_brackets
+    nz = a.brackets
     anchor = a.anchor.rows
     for i in range(r):
         for j in range(r):
-            for k in range(r):
-                if c[i][j][k] != -c[j][i][k]:
-                    violations.append(f"antisymmetry broken at (i,j,k)=({i+1},{j+1},{k+1})")
+            if nz[i][j] or nz[j][i]:
+                got, want = dict(nz[i][j]), {k: -v for k, v in nz[j][i]}
+                for k in sorted(got.keys() | want.keys()):
+                    if got.get(k, ZERO) != want.get(k, ZERO):
+                        violations.append(f"antisymmetry broken at (i,j,k)=({i+1},{j+1},{k+1})")
     # t[(i, j, k, l)] = sum_m c_ij^m c_mk^l, summed over nonzero factors
     # only; the Jacobiator at (i, j, k, l) is t at its three cyclic
     # rotations of (i, j, k)
@@ -204,7 +206,7 @@ def _leibniz(a: ConstantAlgebroid, monomials):
     table = [[] for _ in range(a.r)]
     for i in range(a.r):
         for j in range(i + 1, a.r):
-            for m, c in a.nonzero_brackets[i][j]:
+            for m, c in a.brackets[i][j]:
                 table[m].append(((i, j), -c))
     for idx in monomials:
         d = {}
@@ -280,17 +282,23 @@ def _solve_coboundary(a: ConstantAlgebroid, omega: AlgebroidForm):
     return AlgebroidForm(a.r, k - 1, dict(zip(combinations(range(a.r), k - 1), x)))
 
 
+def shifted_brackets(a: ConstantAlgebroid, off: int) -> dict:
+    """a's structure constants with every index raised by off, as
+    constructor input giving both orientations of every nonzero pair."""
+    c = a.brackets
+    return {
+        (i + off, j + off): {k + off: v for k, v in c[i][j]}
+        for i in range(a.r)
+        for j in range(a.r)
+        if c[i][j] or c[j][i]
+    }
+
+
 def direct_product(a: ConstantAlgebroid, b: ConstantAlgebroid) -> ConstantAlgebroid:
     """Block product: base T^{n_a+n_b}, brackets vanish across factors.
 
     The product of valid factors is valid, so it is not checked again;
     documents from outside are checked when they are parsed.
     """
-    r = a.r + b.r
-    c = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
-    for off, f in ((0, a), (a.r, b)):
-        for i in range(f.r):
-            for j in range(f.r):
-                for k, v in f.nonzero_brackets[i][j]:
-                    c[off + i][off + j][off + k] = v
-    return ConstantAlgebroid(a.n + b.n, r, Matrix.block_diag(a.anchor, b.anchor), c)
+    brackets = shifted_brackets(a, 0) | shifted_brackets(b, a.r)
+    return ConstantAlgebroid(a.n + b.n, a.r + b.r, Matrix.block_diag(a.anchor, b.anchor), brackets)

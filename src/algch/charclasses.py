@@ -127,7 +127,7 @@ def adjoint_bundle(anchor: Matrix) -> GradedBundle:
 
 def _ad(a: ConstantAlgebroid, i: int) -> Matrix:
     """ad_{e_i}: column j holds the coefficients of [e_i, e_j]."""
-    entries = {(k, j): v for j in range(a.r) for k, v in a.nonzero_brackets[i][j]}
+    entries = {(k, j): v for j in range(a.r) for k, v in a.brackets[i][j]}
     return Matrix.from_entries(entries, a.r, a.r)
 
 

@@ -11,8 +11,10 @@ An algebroid document looks like
       "connection": {"tm_conn": [[[...]]]}     # n matrices, r x r
     }
 
-Bracket indices are 1-based (e_1.. e_r); only i < j entries are needed,
-the antisymmetric partner is filled in.  Scalar entries are rational
+Bracket indices are 1-based (e_1.. e_r).  Only i < j entries are needed:
+a pair given in one orientation gets its antisymmetric partner, a pair
+given in both is kept as given and checked, and a pair given twice is
+an error, as is any key not shown above.  Scalar entries are rational
 strings like "3/2" or {"re": "...", "im": "..."} for Gaussian values.
 """
 
@@ -45,9 +47,7 @@ def _rational(v) -> Fraction:
 
 def scalar_from_json(v) -> Scalar:
     if isinstance(v, dict):
-        unknown = set(v) - {"re", "im"}
-        if unknown:
-            raise ParseError(f"bad scalar entry {v!r}: unknown keys {sorted(unknown)}")
+        _known_keys(v, ("re", "im"), f"bad scalar entry {v!r}")
         return Scalar(_rational(v.get("re", "0")), _rational(v.get("im", "0")))
     return Scalar(_rational(v))
 
@@ -79,6 +79,13 @@ def _int_field(obj: dict, key: str, what: str) -> int:
     return v
 
 
+def _known_keys(obj: dict, known, what: str):
+    """A misspelt key would otherwise be ignored and its default used."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ParseError(f"{what}: unknown keys {sorted(unknown)}")
+
+
 def matrix_to_json(m: Matrix):
     return [[scalar_to_json(v) for v in row] for row in m.rows]
 
@@ -87,37 +94,34 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
     """Returns the algebroid plus the optional metric/connection blocks."""
     if not isinstance(doc, dict):
         raise ParseError("an algebroid document must be a JSON object")
+    _known_keys(
+        doc, ("base_dim", "rank", "anchor", "brackets", "metric", "connection"), "algebroid"
+    )
     n = _int_field(doc, "base_dim", "algebroid")
     r = _int_field(doc, "rank", "algebroid")
     if n < 0 or r < 0:
         raise ParseError("base_dim and rank must be non-negative")
     anchor = matrix_from_json(doc.get("anchor", [[ "0"] * r] * n), n, r, "anchor")
-    c = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
-    given = set()
+    c = {}
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list")
     for entry in brackets:
         if not isinstance(entry, dict):
             raise ParseError(f"bracket entry {entry!r} is not an object")
+        _known_keys(entry, ("i", "j", "coeffs"), "bracket entry")
         i = _int_field(entry, "i", "bracket entry") - 1
         j = _int_field(entry, "j", "bracket entry") - 1
         if not (0 <= i < r and 0 <= j < r):
             raise ParseError(f"bracket index ({i+1},{j+1}) out of range 1..{r}")
+        if (i, j) in c:
+            raise ParseError(f"bracket ({i+1},{j+1}) is given twice")
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list):
             raise ParseError(f"bracket ({i+1},{j+1}) needs a coeffs list")
         if len(coeffs) != r:
             raise ParseError(f"bracket ({i+1},{j+1}) needs {r} coefficients")
-        given.add((i, j))
-        for k, v in enumerate(coeffs):
-            c[i][j][k] = scalar_from_json(v)
-    # fill antisymmetric partners where only one direction was written;
-    # explicitly inconsistent pairs are left for validation to flag
-    for i, j in list(given):
-        if (j, i) not in given:
-            for k in range(r):
-                c[j][i][k] = -c[i][j][k]
+        c[i, j] = {k: scalar_from_json(v) for k, v in enumerate(coeffs)}
     a = ConstantAlgebroid(n, r, anchor, c)
     violations = validate_algebroid(a)
     if violations:
@@ -127,6 +131,7 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
     metric = doc.get("metric", {})
     if not isinstance(metric, dict):
         raise ParseError("metric must be an object")
+    _known_keys(metric, ("g_A", "g_M", "g_V"), "metric")
     if "g_A" in metric:
         extras["g_A"] = matrix_from_json(metric["g_A"], r, r, "g_A")
     if "g_M" in metric:
@@ -144,6 +149,7 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
     conn = doc.get("connection", {})
     if not isinstance(conn, dict):
         raise ParseError("connection must be an object")
+    _known_keys(conn, ("tm_conn",), "connection")
     if "tm_conn" in conn:
         mats = conn["tm_conn"]
         if not isinstance(mats, list) or len(mats) != n:
@@ -155,21 +161,13 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
 
 
 def serialize_algebroid(a: ConstantAlgebroid, extras: dict = None) -> dict:
-    doc = {
-        "base_dim": a.n,
-        "rank": a.r,
-        "anchor": matrix_to_json(a.anchor),
-        "brackets": [
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "coeffs": [scalar_to_json(a.brackets[i][j][k]) for k in range(a.r)],
-            }
-            for i in range(a.r)
-            for j in range(i + 1, a.r)
-            if a.nonzero_brackets[i][j]
-        ],
-    }
+    doc = {"base_dim": a.n, "rank": a.r, "anchor": matrix_to_json(a.anchor), "brackets": []}
+    for i in range(a.r):
+        for j in range(i + 1, a.r):
+            if a.brackets[i][j]:
+                row = dict(a.brackets[i][j])
+                coeffs = [scalar_to_json(row.get(k, ZERO)) for k in range(a.r)]
+                doc["brackets"].append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
     if extras:
         metric = {}
         for key in ("g_A", "g_M", "g_V"):

@@ -18,7 +18,7 @@ from .algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
     coboundary_witness,
-    direct_product,
+    shifted_brackets,
 )
 from .connections import Connection, HermitianMetric, h_dual
 from .charclasses import (
@@ -27,7 +27,6 @@ from .charclasses import (
     IdentityFailure,
     secondary_representatives,
 )
-from .library import abelian
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,9 @@ def pullback_algebroid(a: ConstantAlgebroid, s: SubmersionSpec) -> ConstantAlgeb
     connection is flat.  Valid by construction when a is valid, so it
     is not checked again.
     """
-    brackets = direct_product(abelian(s.k), a).brackets
-    return ConstantAlgebroid(a.n + s.k, s.k + a.r, pullback_anchor(a, s), brackets)
+    return ConstantAlgebroid(
+        a.n + s.k, s.k + a.r, pullback_anchor(a, s), shifted_brackets(a, s.k)
+    )
 
 
 def pullback_form(a: ConstantAlgebroid, s: SubmersionSpec, omega: AlgebroidForm) -> AlgebroidForm:

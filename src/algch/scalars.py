@@ -26,6 +26,8 @@ class Scalar:
     imaginary parts and, when they are all zero, does rational arithmetic
     on the real parts only.  A real result carries im == Fraction(0), so
     values built here and through the constructor compare and hash alike.
+    + - * / take Scalar, int and Fraction operands and return
+    NotImplemented for any other (a Matrix then scales, a string fails).
     """
 
     __slots__ = ("re", "im")
@@ -45,7 +47,9 @@ class Scalar:
 
     def __add__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar.coerce(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _real(Fraction(other))
         if self.im or other.im:
             return _make(self.re + other.re, self.im + other.im)
         return _real(self.re + other.re)
@@ -54,13 +58,15 @@ class Scalar:
 
     def __sub__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar.coerce(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _real(Fraction(other))
         if self.im or other.im:
             return _make(self.re - other.re, self.im - other.im)
         return _real(self.re - other.re)
 
     def __rsub__(self, other):
-        return Scalar.coerce(other) - self
+        return (-self).__add__(other)
 
     def __neg__(self):
         if self.im:
@@ -73,7 +79,7 @@ class Scalar:
                 if self.im:
                     return _make(self.re * other, self.im * other)
                 return _real(self.re * other)
-            other = Scalar.coerce(other)
+            return NotImplemented
         if other.im:
             if self.im:
                 return _make(
@@ -89,7 +95,9 @@ class Scalar:
 
     def __truediv__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar.coerce(other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _real(Fraction(other))
         if not other.im:
             if not other.re:
                 raise ZeroDivisionError("division by zero Scalar")
@@ -103,7 +111,9 @@ class Scalar:
         )
 
     def __rtruediv__(self, other):
-        return Scalar.coerce(other) / self
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return _real(Fraction(other)) / self
 
     def __pow__(self, n: int):
         if n < 0:

@@ -172,6 +172,24 @@ def rand_algebroid(rng, max_rank=3) -> ConstantAlgebroid:
 # endomorphisms and metrics.
 
 
+def dense_brackets(a: ConstantAlgebroid) -> list:
+    """The r x r x r tensor c[i][j][k] of a's sparse bracket table, as
+    nested lists that a test may change."""
+    c = [[[ZERO] * a.r for _ in range(a.r)] for _ in range(a.r)]
+    for i, rows in enumerate(a.brackets):
+        for j, row in enumerate(rows):
+            for k, v in row:
+                c[i][j][k] = v
+    return c
+
+
+def from_dense(n: int, r: int, anchor: Matrix, c) -> ConstantAlgebroid:
+    """The algebroid with the dense tensor c, every pair given in both
+    orientations so that the constructor stores c exactly."""
+    table = {(i, j): dict(enumerate(c[i][j])) for i in range(r) for j in range(r)}
+    return ConstantAlgebroid(n, r, anchor, table)
+
+
 def column(m, j: int) -> tuple:
     """Column j of a Matrix or RingMatrix."""
     return tuple(m[i, j] for i in range(m.nrows))
@@ -289,9 +307,8 @@ def pullback_connection(a: ConstantAlgebroid, s: SubmersionSpec, c: Connection, 
 
 def trace_character(a: ConstantAlgebroid) -> AlgebroidForm:
     """The 1-form e_i |-> Tr(ad_{e_i})."""
-    comps = {
-        (i,): sum((a.brackets[i][j][j] for j in range(a.r)), ZERO) for i in range(a.r)
-    }
+    c = dense_brackets(a)
+    comps = {(i,): sum((c[i][j][j] for j in range(a.r)), ZERO) for i in range(a.r)}
     return AlgebroidForm(a.r, 1, comps)
 
 
@@ -655,7 +672,7 @@ def dense_validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     """Axiom check over every index tuple: O(r^5) for Jacobi."""
     violations = []
     r = a.r
-    c = a.brackets
+    c = dense_brackets(a)
     for i in range(r):
         for j in range(r):
             for k in range(r):
@@ -728,6 +745,7 @@ def dense_ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> Algebro
     (-1)^(s+t) omega([e_{I_s}, e_{I_t}], e_{I minus I_s, I_t}).  Terms
     where omega vanishes are skipped, zero brackets are not."""
     r, k = a.r, omega.degree
+    c = dense_brackets(a)
     comps = {}
     for idx in combinations(range(r), k + 1):
         acc = ZERO
@@ -738,7 +756,7 @@ def dense_ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> Algebro
                     v = form_value(omega, (m,) + rest)
                     if v.is_zero():
                         continue
-                    term = v * a.brackets[idx[s]][idx[t]][m]
+                    term = v * c[idx[s]][idx[t]][m]
                     acc = acc + (-term if (s + t) % 2 else term)
         comps[idx] = acc
     return AlgebroidForm(r, k + 1, comps)
@@ -781,7 +799,7 @@ def curvature(c: Connection) -> dict:
     comps = {}
     for i, j in combinations(range(a.r), 2):
         val = c.omega[i].commutator(c.omega[j])
-        for k, coeff in a.nonzero_brackets[i][j]:
+        for k, coeff in a.brackets[i][j]:
             val = val - c.omega[k].scale(coeff)
         if not val.is_zero():
             comps[(i, j)] = val
@@ -810,7 +828,7 @@ def covariant_differential(c: Connection, omega: dict, k: int) -> dict:
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
                 rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
-                for m, coeff in a.nonzero_brackets[idx[s]][idx[t]]:
+                for m, coeff in a.brackets[idx[s]][idx[t]]:
                     v = value((m,) + rest)
                     if v is not None:
                         term = v.scale(coeff)
@@ -1048,7 +1066,7 @@ def reference_affine_curvature(conns) -> AffineForm:
     for i in range(a.r):
         for j in range(i + 1, a.r):
             val = aff[i].commutator(aff[j])
-            for k, coeff in a.nonzero_brackets[i][j]:
+            for k, coeff in a.brackets[i][j]:
                 val = val - aff[k].scale(coeff)
             comps[((i, j), ())] = val
         for m in range(p):

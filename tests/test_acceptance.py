@@ -223,8 +223,8 @@ def test_kappa_universality():
         q_family(1, 0, 0, 1),
         q_family(2, 1, -1, 3),
         q_family(-1, 0, 0, 3),
-        lie_algebra(2, {(0, 1): [1, 0]}),
-        lie_algebra(3, {(0, 2): [1, 0, 0], (1, 2): [0, 2, 0]}),
+        lie_algebra(2, {(0, 1): {0: 1}}),
+        lie_algebra(3, {(0, 2): {0: 1}, (1, 2): {1: 2}}),
     ]
     for a in algebras:
         tc = trace_character(a)

@@ -24,6 +24,8 @@ from helpers import (
     rand_scalar,
     dense_validate_algebroid,
     dense_ce_differential,
+    dense_brackets,
+    from_dense,
     basis_form,
     reference_betti_number,
     column,
@@ -53,20 +55,17 @@ class TestValidate:
     def test_lie_algebra_checks_its_brackets(self):
         # an explicit check, so it also runs under python -O
         with pytest.raises(ValueError, match=r"Jacobi broken at \(i,j,k,l\)=\(1,2,3,1\)"):
-            lie_algebra(3, {(0, 1): [0, 0, 1], (1, 2): [0, 0, 1], (0, 2): [1, 0, 0]})
+            lie_algebra(3, {(0, 1): {2: 1}, (1, 2): {2: 1}, (0, 2): {0: 1}})
 
     def test_anchor_shape_enforced(self):
         # an explicit check, so it also runs under python -O
-        c = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
         with pytest.raises(ValueError, match="anchor must be 1 x 3, got 1 x 2"):
-            ConstantAlgebroid(1, 3, Matrix.zeros(1, 2), c)
+            ConstantAlgebroid(1, 3, Matrix.zeros(1, 2), {})
 
     def test_anchor_compatibility_failure(self):
         # [e_1,e_2] = e_3 with rho(e_3) = d/dx: constant fields commute,
         # so the anchor must kill the bracket
-        c = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
-        c[0][1][2], c[1][0][2] = ONE, -ONE
-        a = ConstantAlgebroid(1, 3, Matrix([[ZERO, ZERO, ONE]], ncols=3), c)
+        a = ConstantAlgebroid(1, 3, Matrix([[ZERO, ZERO, ONE]], ncols=3), {(0, 1): {2: ONE}})
         bad = validate_algebroid(a)
         assert any("anchor" in v for v in bad)
 
@@ -77,14 +76,50 @@ class TestValidate:
     def test_antisymmetry_mutations_fail(self):
         base = so3()
         for (i, j, k) in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-            c = [
-                [[base.brackets[x][y][z] for z in range(3)] for y in range(3)]
-                for x in range(3)
-            ]
+            c = dense_brackets(base)
             c[i][j][k] = c[i][j][k] + ONE  # break c[i][j][k] = -c[j][i][k]
-            mutated = ConstantAlgebroid(0, 3, Matrix.zeros(0, 3), c)
+            mutated = from_dense(0, 3, Matrix.zeros(0, 3), c)
             bad = validate_algebroid(mutated)
             assert any("antisym" in v for v in bad)
+
+
+class TestConstructor:
+    """ConstantAlgebroid takes {(i, j): {k: c_ij^k}} (0-based)."""
+
+    def test_fills_partner_of_one_orientation(self):
+        a = ConstantAlgebroid(0, 3, Matrix.zeros(0, 3), {(2, 0): {1: Scalar(3), 0: ONE}})
+        assert a.brackets[2][0] == ((0, ONE), (1, Scalar(3)))
+        assert a.brackets[0][2] == ((0, -ONE), (1, Scalar(-3)))
+        assert validate_algebroid(a) == []
+
+    def test_drops_explicit_zeros(self):
+        a = ConstantAlgebroid(0, 2, Matrix.zeros(0, 2), {(0, 1): {0: ZERO, 1: 0}})
+        assert a.brackets == (((), ()), ((), ()))
+        assert a == abelian(2)
+
+    def test_keeps_both_orientations_as_given(self):
+        # [e_1,e_2] = e_2 and [e_2,e_1] = e_2: stored as given, and the
+        # check names the broken antisymmetry
+        a = ConstantAlgebroid(0, 2, Matrix.zeros(0, 2), {(0, 1): {1: ONE}, (1, 0): {1: ONE}})
+        assert a.brackets[0][1] == a.brackets[1][0] == ((1, ONE),)
+        bad = validate_algebroid(a)
+        assert bad == dense_validate_algebroid(a)
+        assert [v for v in bad if "antisymmetry" in v] == [
+            "antisymmetry broken at (i,j,k)=(1,2,2)",
+            "antisymmetry broken at (i,j,k)=(2,1,2)",
+        ]
+
+    @pytest.mark.parametrize("brackets", [
+        {(0, 3): {0: ONE}},
+        {(-1, 0): {0: ONE}},
+        {(3, 1): {}},
+        {(0, 1): {3: ONE}},
+        {(0, 1): {-1: ONE}},
+    ])
+    def test_out_of_range_index_raises(self, brackets):
+        # an explicit check, so it also runs under python -O
+        with pytest.raises(ValueError, match="out of range 0..2"):
+            ConstantAlgebroid(0, 3, Matrix.zeros(0, 3), brackets)
 
 
 class TestDifferential:
@@ -204,8 +239,7 @@ class TestDirectProduct:
         assert all(prod.anchor[0, i].is_zero() for i in range(1, 4))
         for i in range(3):
             for j in range(3):
-                for k in range(3):
-                    assert prod.brackets[1 + i][1 + j][1 + k] == q.brackets[i][j][k]
+                assert prod.brackets[1 + i][1 + j] == tuple((1 + k, v) for k, v in q.brackets[i][j])
         assert validate_algebroid(prod) == []
         # direct_product does not check its result: products of valid
         # factors with a torus factor on either side come out valid
@@ -249,25 +283,37 @@ def wide_products(rng):
 
 
 def with_brackets(a, c, anchor=None):
-    return ConstantAlgebroid(a.n, a.r, a.anchor if anchor is None else anchor, c)
-
-
-def mutable_brackets(a):
-    return [[list(plane) for plane in rows] for rows in a.brackets]
+    return from_dense(a.n, a.r, a.anchor if anchor is None else anchor, c)
 
 
 class TestSparseAgainstDense:
-    """validate_algebroid and ce_differential walk the nonzero bracket
-    index; the dense loops in helpers read every coefficient."""
+    """validate_algebroid and ce_differential walk the sparse bracket
+    table; the dense loops in helpers read every coefficient."""
 
     def test_index_lists_exactly_the_nonzero_coefficients(self):
-        for a in list(small_corpus().values()) + wide_products(random.Random(10)):
-            for i in range(a.r):
-                for j in range(a.r):
-                    want = [
-                        (k, v) for k, v in enumerate(a.brackets[i][j]) if not v.is_zero()
-                    ]
-                    assert list(a.nonzero_brackets[i][j]) == want
+        # random constructor input with explicit zeros, some pairs given
+        # in one orientation and some in both
+        rng = random.Random(10)
+        for _ in range(40):
+            r = rng.randint(1, 5)
+            given = {}
+            for i in range(r):
+                for j in range(r):
+                    if rng.random() < 0.4:
+                        ks = rng.sample(range(r), rng.randint(0, r))
+                        given[i, j] = {
+                            k: ZERO if rng.random() < 0.3 else rand_scalar(rng) for k in ks
+                        }
+            a = ConstantAlgebroid(0, r, Matrix.zeros(0, r), given)
+            for i in range(r):
+                for j in range(r):
+                    if (i, j) in given:
+                        want = sorted((k, v) for k, v in given[i, j].items() if not v.is_zero())
+                    elif (j, i) in given:
+                        want = sorted((k, -v) for k, v in given[j, i].items() if not v.is_zero())
+                    else:
+                        want = []
+                    assert list(a.brackets[i][j]) == want
 
     def test_validate_on_valid_algebroids(self):
         rng = random.Random(11)
@@ -278,9 +324,9 @@ class TestSparseAgainstDense:
         # [e_1,e_3] = [e_2,e_3] = e_1 + e_2, and rho(e_1) = -rho(e_2):
         # the anchor kills each bracket only through a sum of two terms
         q = q_family(1, 1, 1, 1)
-        a = ConstantAlgebroid(1, 3, Matrix([[ONE, -ONE, ZERO]], ncols=3), q.brackets)
+        a = from_dense(1, 3, Matrix([[ONE, -ONE, ZERO]], ncols=3), dense_brackets(q))
         assert validate_algebroid(a) == dense_validate_algebroid(a) == []
-        b = ConstantAlgebroid(1, 3, Matrix([[ONE, ONE, ZERO]], ncols=3), q.brackets)
+        b = from_dense(1, 3, Matrix([[ONE, ONE, ZERO]], ncols=3), dense_brackets(q))
         assert validate_algebroid(b) == dense_validate_algebroid(b) != []
 
     def test_validate_on_broken_antisymmetry(self):
@@ -288,7 +334,7 @@ class TestSparseAgainstDense:
         seen = 0
         for a in [so3(), heisenberg(), rand_q_family(rng)] + wide_products(rng)[:3]:
             for _ in range(3):
-                c = mutable_brackets(a)
+                c = dense_brackets(a)
                 i, j, k = (rng.randrange(a.r) for _ in range(3))
                 c[i][j][k] = c[i][j][k] + rand_scalar(rng) + ONE
                 b = with_brackets(a, c)
@@ -304,7 +350,7 @@ class TestSparseAgainstDense:
         seen = 0
         for a in [so3(), heisenberg(), rand_q_family(rng)] + wide_products(rng)[:3]:
             for _ in range(3):
-                c = mutable_brackets(a)
+                c = dense_brackets(a)
                 i, j = rng.sample(range(a.r), 2)
                 k = rng.randrange(a.r)
                 x = rand_scalar(rng, real=rng.random() < 0.5)
@@ -326,7 +372,7 @@ class TestSparseAgainstDense:
             for _ in range(4):
                 rows = [list(row) for row in a.anchor.rows]
                 rows[rng.randrange(a.n)][rng.randrange(a.r)] = rand_scalar(rng) + ONE
-                b = with_brackets(a, a.brackets, Matrix(rows, ncols=a.r))
+                b = with_brackets(a, dense_brackets(a), Matrix(rows, ncols=a.r))
                 bad = validate_algebroid(b)
                 assert bad == dense_validate_algebroid(b)
                 seen += any("anchor" in v for v in bad)

@@ -46,6 +46,7 @@ from helpers import (
     small_corpus,
     fake_cs_cochains,
     trace_character,
+    dense_brackets,
     identity_metric,
 )
 
@@ -252,7 +253,7 @@ class TestIntrinsic:
     def test_q_family_trace_nonzero(self):
         rng = random.Random(47)
         a = rand_q_family(rng)
-        while (a.brackets[0][2][0] + a.brackets[1][2][1]).is_zero():
+        while trace_character(a).is_zero():
             a = rand_q_family(rng)
         reports = intrinsic_char(a, [], identity_adjoint_metric(a), max_q=1)
         assert not reports[0].is_zero_class
@@ -331,7 +332,8 @@ class TestModular:
         for _ in range(8):
             a = rand_q_family(rng)
             # normalized representative is e_3 |-> Tr(ad_{e_3}) = -(a+d)
-            tr = a.brackets[0][2][0] + a.brackets[1][2][1]  # = a + d
+            c = dense_brackets(a)
+            tr = c[0][2][0] + c[1][2][1]  # = a + d
             res = modular_class(a, [], identity_adjoint_metric(a))
             assert res.normalized == AlgebroidForm(3, 1, {(2,): -tr})
 
@@ -342,7 +344,7 @@ class TestModular:
         algebras = [
             q_family(1, 0, 0, 1),
             q_family(2, 1, -1, 3),
-            lie_algebra(2, {(0, 1): [1, 0]}),  # [e_1,e_2] = e_1, solvable
+            lie_algebra(2, {(0, 1): {0: 1}}),  # [e_1,e_2] = e_1, solvable
         ]
         for a in algebras:
             tc = trace_character(a)

@@ -133,6 +133,25 @@ MALFORMED_DOCS = {
     "tm_conn not a list": {"base_dim": 1, "rank": 1, "anchor": [["0"]], "connection": {"tm_conn": 3}},
     "metric not an object": {"base_dim": 0, "rank": 1, "metric": [["1"]]},
     "connection not an object": {"base_dim": 0, "rank": 1, "connection": "none"},
+    "bracket pair given twice": {
+        "base_dim": 0, "rank": 3, "brackets": [
+            {"i": 1, "j": 2, "coeffs": ["0", "0", "1"]},
+            {"i": 1, "j": 2, "coeffs": ["0", "0", "2"]},
+        ],
+    },
+    "misspelt top-level key": {"base_dim": 0, "rank": 2, "bracket": [{"i": 1, "j": 2, "coeffs": ["0", "1"]}]},
+    "misspelt metric key": {"base_dim": 0, "rank": 1, "metric": {"g_a": [["2"]]}},
+    "unknown bracket key": {"base_dim": 0, "rank": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["0", "0"], "k": 1}]},
+    "unknown connection key": {"base_dim": 1, "rank": 1, "anchor": [["0"]], "connection": {"tm": [[["1"]]]}},
+}
+
+# what the ParseError of each silently-dropped input names
+DROPPED_INPUT_ERRORS = {
+    "bracket pair given twice": r"bracket \(1,2\) is given twice",
+    "misspelt top-level key": r"algebroid: unknown keys \['bracket'\]",
+    "misspelt metric key": r"metric: unknown keys \['g_a'\]",
+    "unknown bracket key": r"bracket entry: unknown keys \['k'\]",
+    "unknown connection key": r"connection: unknown keys \['tm'\]",
 }
 
 
@@ -149,6 +168,11 @@ class TestMalformedDocuments:
         status, out = run_cli(capsys, "validate", f)
         assert status == 1
         assert out.startswith("INVALID")
+
+    @pytest.mark.parametrize("name", sorted(DROPPED_INPUT_ERRORS))
+    def test_error_names_the_pair_or_key(self, name):
+        with pytest.raises(ParseError, match=DROPPED_INPUT_ERRORS[name]):
+            parse_algebroid(MALFORMED_DOCS[name])
 
     def test_gaussian_floats_rejected(self):
         with pytest.raises(ParseError, match="floats are not accepted"):
@@ -437,6 +461,19 @@ class TestCommands:
         status, out = run_cli(capsys, "validate", f)
         assert status == 1
         assert "antisymmetry" in out
+
+    def test_validate_rank_200(self, capsys, tmp_path):
+        # one bracket on rank 200: parsing and the axiom check read the
+        # sparse table only, with no r^3 tensor to allocate
+        coeffs = ["0"] * 200
+        coeffs[2] = "1"
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps(
+            {"base_dim": 0, "rank": 200, "brackets": [{"i": 1, "j": 2, "coeffs": coeffs}]}
+        ))
+        status, out = run_cli(capsys, "validate", f)
+        assert status == 0
+        assert "VALID (base_dim=0, rank=200)" in out
 
     def test_cohomology_so3(self, capsys):
         status, out = run_cli(capsys, "cohomology", INPUTS / "so3.json")

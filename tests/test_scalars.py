@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algch.linalg import Matrix
 from algch.scalars import Scalar, ZERO, ONE, I
 
 from helpers import PairScalar, SimplexPolynomial, simplex_integrate
@@ -155,6 +156,21 @@ class TestScalarOracle:
                 s.re = Fraction(1)
             with pytest.raises(AttributeError):
                 s.im = Fraction(1)
+
+    def test_foreign_operands_are_not_implemented(self):
+        # a Matrix on the right gets its own reflected method; a string
+        # is refused instead of parsed
+        m = Matrix.identity(2)
+        assert Scalar(2) * m == 2 * m == Matrix([[2, 0], [0, 2]])
+        assert I * m == m * I
+        for op in BINARY_OPS:
+            with pytest.raises(TypeError):
+                op(ONE, "1/2")
+            with pytest.raises(TypeError):
+                op("1/2", ONE)
+            with pytest.raises(TypeError):
+                op(ONE, 0.5)
+        assert Scalar("1/2") + ONE == Scalar.coerce("3/2")
 
     def test_real_results_have_zero_imaginary_fraction(self):
         a, b = Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 5))
