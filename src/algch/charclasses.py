@@ -164,7 +164,7 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
     omega = []
     thetas = []
     for i in range(a.r):
-        t = Matrix([[g[k, i] for g in tm_conn] for k in range(a.r)], ncols=a.n)
+        t = Matrix.column_stack(tm_conn, i, a.r)
         omega.append(GradedEndo(_ad(a, i) + t * rho, rho * t))
         thetas.append(OddMap(-t, Matrix.zeros(a.n, a.r)))
 

@@ -5,13 +5,18 @@ denominator: entry (k, l) is (re[k][l] + i * im[k][l]) / den, and im is
 None when every imaginary part is zero, so real data does real integer
 arithmetic only.  As in FLINT's fmpq_mat_mul_cleared, a product
 multiplies integer rows and denominators and then divides out one gcd
-over all its entries; sums bring both operands to the lcm of the
-denominators and are not reduced, so == compares values by
-cross-multiplying and hash uses the reduced form.  m[i, j] and m.rows
-give Scalars.  Rows are lists that are never mutated.
+over all its entries; it skips the zero rows of its left factor and the
+zero columns of its right factor, so block_diag(0_k, X) and sparse ad
+matrices cost only their nonzero rows and columns.  Sums bring both
+operands to the lcm of the denominators and are not reduced, so ==
+compares values by cross-multiplying and hash uses the reduced form.
+m[i, j] and m.rows give Scalars.  Rows are lists that are never
+mutated; a product's zero rows may be one shared list.
 
 One fraction-free elimination, _eliminate, serves rank, solve,
-nullspace, inverse, det and positive_definite.
+nullspace, inverse, det and positive_definite.  It works on the same
+integer rows, the real parts alone for real data and the pairs (re,
+im) otherwise.
 """
 
 from __future__ import annotations
@@ -73,6 +78,20 @@ class Matrix:
             im = place(_imag(m0), _imag(m1))
         return _matrix(place(m0.re, m1.re), im, den, m0.ncols + m1.ncols)
 
+    @staticmethod
+    def column_stack(mats: list, j: int, nrows: int) -> "Matrix":
+        """The nrows x len(mats) matrix whose column m is column j of
+        mats[m], taken from their integer rows over one denominator."""
+        den = lcm(*(g.den for g in mats))
+
+        def stack(parts):
+            return [[f * x[k][j] for f, x in parts] for k in range(nrows)]
+
+        im = None
+        if any(g.im is not None for g in mats):
+            im = stack([(den // g.den, _imag(g)) for g in mats])
+        return _reduced(stack([(den // g.den, g.re) for g in mats]), im, den, len(mats))
+
     @property
     def nrows(self) -> int:
         return len(self.re)
@@ -130,6 +149,9 @@ class Matrix:
         return _matrix(re, im, den, self.ncols)
 
     def scale(self, c) -> "Matrix":
+        """c * self for a Scalar, int or Fraction c."""
+        if not isinstance(c, _SCALARS):
+            raise TypeError(f"cannot scale a matrix by {c!r}")
         c = Scalar.coerce(c)
         den = lcm(c.re.denominator, c.im.denominator)
         u = c.re.numerator * (den // c.re.denominator)
@@ -142,13 +164,14 @@ class Matrix:
             im = _lin(self.im, u, self.re, v)
         return _matrix(re, im, self.den * den, self.ncols)
 
-    __rmul__ = scale
+    def __rmul__(self, c):
+        return self.scale(c) if isinstance(c, _SCALARS) else NotImplemented
 
     def __mul__(self, other) -> "Matrix":
         """The matrix product, reduced by the gcd of entries and den; a
         Scalar, int or Fraction scales."""
         if not isinstance(other, Matrix):
-            return self.scale(other)
+            return self.__rmul__(other)
         if self.ncols != len(other.re):
             raise ValueError(f"cannot multiply a {_dims(self)} by a {_dims(other)} matrix")
         n = other.ncols
@@ -212,6 +235,7 @@ class Matrix:
 
 
 _new = object.__new__
+_SCALARS = (Scalar, int, Fraction)
 
 
 def _matrix(re: list, im, den: int, ncols: int) -> Matrix:
@@ -281,10 +305,21 @@ def _lin(x: list, f: int, y: list = None, g: int = 0) -> list:
 
 
 def _matmul(x: list, y: list, ncols: int) -> list:
-    if not y:
-        return [[0] * ncols for _ in x]
+    """x * y for integer rows: each zero row of x gives the one shared
+    zero row, and only the nonzero columns of y are dotted."""
+    zero = [0] * ncols
     cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+    nz = [j for j, col in enumerate(cols) if any(col)]
+    if len(nz) == ncols:
+        return [[sum(map(mul, row, col)) for col in cols] if any(row) else zero for row in x]
+    out = [zero] * len(x)
+    if nz:
+        for i, row in enumerate(x):
+            if any(row):
+                out[i] = new = zero.copy()
+                for j in nz:
+                    new[j] = sum(map(mul, row, cols[j]))
+    return out
 
 
 def _trace_mul(x: list, y: list) -> int:
@@ -295,67 +330,26 @@ def _trace_mul(x: list, y: list) -> int:
 # Elimination
 
 
-class _GaussInt:
-    """A Gaussian integer: the entries _eliminate works with when a
-    matrix has imaginary parts.  It has int's attribute names (real,
-    imag, conjugate), so code reading an entry works on both."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real = real
-        self.imag = imag
-
-    def __mul__(self, other):
-        if other.__class__ is int:
-            return _GaussInt(self.real * other, self.imag * other)
-        return _GaussInt(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return _GaussInt(self.real - other.real, self.imag - other.imag)
-
-    def __floordiv__(self, g: int):
-        return _GaussInt(self.real // g, self.imag // g)
-
-    def __bool__(self):
-        return bool(self.real or self.imag)
-
-    def conjugate(self):
-        return _GaussInt(self.real, -self.imag)
+def _rows(m: Matrix) -> tuple:
+    """New outer lists of m's integer rows (re, im), for _eliminate to
+    reorder and replace; the rows themselves are never written to."""
+    return list(m.re), None if m.im is None else list(m.im)
 
 
-def _entries(m: Matrix) -> list:
-    """The rows of den * m as elimination entries: ints, or Gaussian
-    integers when m has imaginary parts."""
-    if m.im is None:
-        return list(m.re)
-    return [[_GaussInt(x, y) for x, y in zip(r, i)] for r, i in zip(m.re, m.im)]
-
-
-def _content(row: list) -> int:
-    """The gcd of the integer parts of a row."""
-    if row[0].__class__ is int:
-        return gcd(*row)
-    return gcd(*(x.real for x in row), *(x.imag for x in row))
-
-
-def _eliminate(rows: list) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of rows, in place.
+def _eliminate(re: list, im) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of the integer rows re + i
+    im (im is None for real data), in place.
 
     A pivot p in row k turns every other row with f = row[c] != 0 into
-    (a * row - f * s * rows[k]) / g, where s is sign(p) for an int and
-    conj(p) for a Gaussian integer, a = p * s > 0, and g > 0 is the gcd
-    of the result.  Every row therefore stays a positive multiple of the
-    row that rational Gauss-Jordan elimination (no normalisation) would
-    hold, and rows with f = 0 are left alone.  In particular pivot row k
-    ends with a positive multiple of the k-th rational pivot in its
-    pivot column; without row exchanges, that pivot is the ratio of the
-    k-th to the (k-1)-th leading principal minor.
+    (a * row - f * s * rows[k]) / g, where s is sign(p) for real data
+    and conj(p) otherwise, a = p * s > 0, and g > 0 is the gcd of the
+    real and imaginary parts of the result.  Every row therefore stays
+    a positive multiple of the row that rational Gauss-Jordan
+    elimination (no normalisation) would hold, and rows with f = 0 are
+    left alone.  In particular pivot row k ends with a positive
+    multiple of the k-th rational pivot in its pivot column; without
+    row exchanges, that pivot is the ratio of the k-th to the (k-1)-th
+    leading principal minor.
 
     Returns (pivots, exchanges, scale): the pivot columns in order, the
     number of row exchanges, and the product of a / g over all row
@@ -365,45 +359,67 @@ def _eliminate(rows: list) -> tuple:
     pivots = []
     exchanges = 0
     a_prod = g_prod = 1
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(len(re[0]) if re else 0):
         k = len(pivots)
-        pr = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if im is None:
+            pr = next((i for i in range(k, len(re)) if re[i][c]), None)
+        else:
+            pr = next((i for i in range(k, len(re)) if re[i][c] or im[i][c]), None)
         if pr is None:
             continue
         if pr != k:
-            rows[k], rows[pr] = rows[pr], rows[k]
+            re[k], re[pr] = re[pr], re[k]
+            if im is not None:
+                im[k], im[pr] = im[pr], im[k]
             exchanges += 1
-        pivot_row = rows[k]
-        p = pivot_row[c]
-        if p.__class__ is int:
+        pivot_re = re[k]
+        if im is None:
+            p = pivot_re[c]
             a, s = (p, 1) if p > 0 else (-p, -1)
+            for i, row in enumerate(re):
+                f = row[c]
+                if i == k or not f:
+                    continue
+                b = f * s
+                new = [a * x - b * y for x, y in zip(row, pivot_re)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                    g_prod *= g
+                re[i] = new
+                a_prod *= a
         else:
-            s = p.conjugate()
-            a = (p * s).real
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i == k or not f:
-                continue
-            b = f * s
-            new = [a * x - b * y for x, y in zip(row, pivot_row)]
-            g = _content(new)
-            if g > 1:
-                new = [x // g for x in new]
-                g_prod *= g
-            rows[i] = new
-            a_prod *= a
+            pivot_im = im[k]
+            u, v = pivot_re[c], pivot_im[c]
+            a = u * u + v * v
+            for i, (row_re, row_im) in enumerate(zip(re, im)):
+                fr, fi = row_re[c], row_im[c]
+                if i == k or not (fr or fi):
+                    continue
+                # b = f * conj(p); the new row is a * row - b * pivot_row
+                br, bi = fr * u + fi * v, fi * u - fr * v
+                new_re = [a * x - br * y + bi * z for x, y, z in zip(row_re, pivot_re, pivot_im)]
+                new_im = [a * x - br * z - bi * y for x, y, z in zip(row_im, pivot_re, pivot_im)]
+                g = gcd(*new_re, *new_im)
+                if g > 1:
+                    new_re = [x // g for x in new_re]
+                    new_im = [x // g for x in new_im]
+                    g_prod *= g
+                re[i], im[i] = new_re, new_im
+                a_prod *= a
         pivots.append(c)
-        if len(pivots) == len(rows):
+        if len(pivots) == len(re):
             break
     return pivots, exchanges, Fraction(a_prod, g_prod)
 
 
-def _quotient(x, d) -> Scalar:
-    """x / d for ints or Gaussian integers x and d != 0."""
-    s = d.conjugate()
-    n = (d * s).real
-    q = x * s
-    return Scalar(Fraction(q.real, n), Fraction(q.imag, n))
+def _quotient(re: list, im, k: int, j: int, c: int) -> Scalar:
+    """Entry (k, j) over entry (k, c) != 0 of eliminated rows."""
+    if im is None:
+        return Scalar(Fraction(re[k][j], re[k][c]))
+    x, y, d, e = re[k][j], im[k][j], re[k][c], im[k][c]
+    n = d * d + e * e
+    return Scalar(Fraction(x * d + y * e, n), Fraction(y * d - x * e, n))
 
 
 def _beside(m: Matrix, rhs: Matrix) -> Matrix:
@@ -421,7 +437,7 @@ def _beside(m: Matrix, rhs: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(_entries(m))[0])
+    return len(_eliminate(*_rows(m))[0])
 
 
 def solve(m: Matrix, b) -> tuple | None:
@@ -433,28 +449,28 @@ def solve(m: Matrix, b) -> tuple | None:
     if len(b) != m.nrows:
         raise ValueError(f"a {_dims(m)} system needs {m.nrows} right-hand sides, got {len(b)}")
     n = m.ncols
-    rows = _entries(_beside(m, Matrix([[x] for x in b], ncols=1)))
-    pivots, _, _ = _eliminate(rows)
+    re, im = _rows(_beside(m, Matrix([[x] for x in b], ncols=1)))
+    pivots, _, _ = _eliminate(re, im)
     if pivots and pivots[-1] == n:
         return None
     x = [ZERO] * n
-    for row, c in zip(rows, pivots):
-        x[c] = _quotient(row[n], row[c])
+    for k, c in enumerate(pivots):
+        x[c] = _quotient(re, im, k, n, c)
     return tuple(x)
 
 
 def nullspace(m: Matrix) -> list[tuple]:
     """A basis of ker(m) as tuples of Scalars, one per free column."""
-    rows = _entries(m)
-    pivots, _, _ = _eliminate(rows)
+    re, im = _rows(m)
+    pivots, _, _ = _eliminate(re, im)
     basis = []
     for f in range(m.ncols):
         if f in pivots:
             continue
         v = [ZERO] * m.ncols
         v[f] = ONE
-        for row, c in zip(rows, pivots):
-            v[c] = -_quotient(row[f], row[c])
+        for k, c in enumerate(pivots):
+            v[c] = -_quotient(re, im, k, f, c)
         basis.append(tuple(v))
     return basis
 
@@ -463,34 +479,42 @@ def inverse(m: Matrix) -> Matrix:
     """The inverse of a square matrix; ZeroDivisionError if singular."""
     _square(m, "an inverse")
     n = m.ncols
-    rows = _entries(_beside(m, Matrix.identity(n)))
-    pivots, _, _ = _eliminate(rows)
+    re, im = _rows(_beside(m, Matrix.identity(n)))
+    pivots, _, _ = _eliminate(re, im)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    # row k of m^-1 is the right half of row k over its diagonal entry d,
-    # that is times conj(d) over the positive integer d * conj(d)
-    conj = [row[k].conjugate() for k, row in enumerate(rows)]
-    norms = [(row[k] * s).real for k, (row, s) in enumerate(zip(rows, conj))]
+    # row k of m^-1 is the right half of row k over its diagonal entry d
+    if im is None:
+        den = lcm(*(abs(row[k]) for k, row in enumerate(re)))
+        out = [[x * (den // row[k]) for x in row[n:]] for k, row in enumerate(re)]
+        return _reduced(out, None, den, n)
+    # that is times conj(d) / |d|^2, or u + i v = conj(d) * den / |d|^2 over den
+    norms = [re[k][k] ** 2 + im[k][k] ** 2 for k in range(n)]
     den = lcm(*norms)
-    out = [[x * (s * (den // nk)) for x in row[n:]] for row, s, nk in zip(rows, conj, norms)]
-    re = [[x.real for x in r] for r in out]
-    im = [[x.imag for x in r] for r in out]
-    return _reduced(re, im, den, n)
+    out_re, out_im = [], []
+    for k, norm in enumerate(norms):
+        f = den // norm
+        u, v = re[k][k] * f, -im[k][k] * f
+        pairs = list(zip(re[k][n:], im[k][n:]))
+        out_re.append([x * u - y * v for x, y in pairs])
+        out_im.append([x * v + y * u for x, y in pairs])
+    return _reduced(out_re, out_im, den, n)
 
 
 def det(m: Matrix) -> Scalar:
     _square(m, "a determinant")
     n = m.ncols
-    rows = _entries(m)
-    pivots, exchanges, scale = _eliminate(rows)
+    re, im = _rows(m)
+    pivots, exchanges, scale = _eliminate(re, im)
     if len(pivots) < n:
         return ZERO
-    d = 1
-    for k, row in enumerate(rows):
-        d = row[k] * d
+    d, e = 1, 0
+    for k in range(n):
+        u, v = re[k][k], 0 if im is None else im[k][k]
+        d, e = d * u - e * v, d * v + e * u
     if exchanges % 2:
         scale = -scale
-    return Scalar(d.real, d.imag) / (scale * m.den**n)
+    return Scalar(d, e) / (scale * m.den**n)
 
 
 def positive_definite(h: Matrix) -> bool:
@@ -502,10 +526,10 @@ def positive_definite(h: Matrix) -> bool:
     multiple of the ratio of two consecutive minors, is positive.
     """
     _square(h, "a definiteness test")
-    rows = _entries(h)
-    pivots, exchanges, _ = _eliminate(rows)
+    re, im = _rows(h)
+    pivots, exchanges, _ = _eliminate(re, im)
     return (
         not exchanges
         and len(pivots) == h.ncols
-        and all(not row[k].imag and row[k].real > 0 for k, row in enumerate(rows))
+        and all(re[k][k] > 0 and (im is None or not im[k][k]) for k in range(h.ncols))
     )

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from algch.linalg import Matrix, det, inverse, nullspace, positive_definite, ran
 from helpers import (
     RingMatrix,
     dense_matmul,
+    leading_minors_positive,
     rand_matrix,
+    rand_pd_matrix,
     rand_scalar,
     reference_det,
     reference_inverse,
@@ -294,6 +297,170 @@ class TestElimination:
         assert det(Matrix([], ncols=0)) == ONE
         assert inverse(Matrix([], ncols=0)).shape == (0, 0)
         assert positive_definite(Matrix([], ncols=0))
+
+
+def zero_structured(nrows, ncols, rng, real):
+    """A random matrix whose rows and columns are each zero with
+    probability 0.35."""
+    zero_rows = {i for i in range(nrows) if rng.random() < 0.35}
+    zero_cols = {j for j in range(ncols) if rng.random() < 0.35}
+    return Matrix(
+        [
+            [ZERO if i in zero_rows or j in zero_cols else rand_scalar(rng, real) for j in range(ncols)]
+            for i in range(nrows)
+        ],
+        ncols=ncols,
+    )
+
+
+def padded(k, x):
+    """block_diag(0_k, x), the shape of a pullback's blocks."""
+    return Matrix.block_diag(Matrix.zeros(k, k), x)
+
+
+def snapshot(*ms):
+    return copy.deepcopy([(m.re, m.im, m.den) for m in ms])
+
+
+class TestZeroStructure:
+    """The product skips zero rows of its left factor and zero columns of
+    its right factor, and the elimination works on the integer rows in
+    place; whole zero rows and columns, block_diag(0_k, X) and 0 x n /
+    n x 0 shapes must give the oracles' answers on real and Gaussian
+    data, and no kernel may write to its operands' rows (a product
+    shares one zero row among all its zero rows)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 2),
+        st.booleans(), st.booleans(), st.integers(0, 2**32),
+    )
+    def test_product_and_trace(self, n, m, k, pad, real_a, real_b, seed):
+        rng = random.Random(seed)
+        a = padded(pad, zero_structured(n, m, rng, real_a))
+        b = padded(pad, zero_structured(m, k, rng, real_b))
+        bt = padded(pad, zero_structured(m, n, rng, real_b))
+        before = snapshot(a, b, bt)
+        ab = a * b
+        assert ring_matrix(ab) == ring_matrix(a) * ring_matrix(b)
+        assert ab.shape == (n + pad, k + pad)
+        want = (ring_matrix(a) * ring_matrix(bt)).trace()
+        assert a.trace_mul(bt) == (want.re, want.im)
+        assert snapshot(a, b, bt) == before
+        # the product's shared zero rows feed further kernels unchanged
+        after = snapshot(ab)
+        ab2 = ab * ab.conj_transpose()
+        assert ring_matrix(ab2) == ring_matrix(ab) * ring_matrix(ab).conj_transpose()
+        assert rank(ab) == reference_rank(ab)
+        assert nullspace(ab) == reference_nullspace(ab)
+        assert snapshot(ab) == after
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 2),
+        st.booleans(), st.booleans(), st.integers(0, 2**32),
+    )
+    def test_elimination(self, n, m, k, pad, real, consistent, seed):
+        rng = random.Random(seed)
+        a = padded(pad, zero_structured(n, m, rng, real) * zero_structured(m, k, rng, real))
+        if consistent:
+            x0 = zero_structured(a.ncols, 1, rng, real)
+            b = [v for (v,) in (a * x0).rows]
+        else:
+            b = [rand_scalar(rng, real=real) for _ in range(a.nrows)]
+        before = snapshot(a)
+        assert rank(a) == reference_rank(a)
+        assert nullspace(a) == reference_nullspace(a)
+        assert solve(a, b) == reference_solve(a, b)
+        square = padded(pad, zero_structured(n, n, rng, real))
+        assert det(square) == reference_det(square)
+        try:
+            want = reference_inverse(square)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                inverse(square)
+        else:
+            assert ring_matrix(inverse(square)) == want
+        assert snapshot(a) == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.booleans(), st.integers(0, 2**32))
+    def test_positive_definite(self, n, m, pad, real, seed):
+        rng = random.Random(seed)
+        c = zero_structured(m, n, rng, real)
+        gram = c.conj_transpose() * c
+        candidates = [
+            gram,
+            gram + Matrix.identity(n),
+            padded(pad, gram + Matrix.identity(n)),
+            Matrix.block_diag(rand_pd_matrix(pad, rng, real), gram + Matrix.identity(n)),
+            Matrix.block_diag(gram + Matrix.identity(n), padded(pad, rand_pd_matrix(m, rng, real))),
+        ]
+        for h in candidates:
+            before = snapshot(h)
+            assert positive_definite(h) == leading_minors_positive(h)
+            assert snapshot(h) == before
+        assert positive_definite(candidates[1])
+        assert positive_definite(candidates[3])
+        assert positive_definite(candidates[2]) == (pad == 0)
+
+    def test_shared_zero_rows(self):
+        a = Matrix([[ZERO, ZERO], [ONE, 2], [ZERO, ZERO]])
+        b = Matrix([[ONE, ZERO], [I, ZERO]])
+        ab = a * b
+        assert ab.re[0] is ab.re[2] and ab.im[0] is ab.im[2]
+        before = snapshot(ab)
+        assert rank(ab) == 1
+        assert det(Matrix.block_diag(ab, Matrix.zeros(0, 1))) == ZERO
+        assert inverse(ab * ab.conj_transpose() + Matrix.identity(3)).shape == (3, 3)
+        assert snapshot(ab) == before
+
+
+class TestScalingOperands:
+    """A matrix scales by a Scalar, int or Fraction; anything else, a
+    string in particular, is a TypeError and is never parsed."""
+
+    def test_scalars_scale(self):
+        m = Matrix.identity(2)
+        half = Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+        for c in (Fraction(1, 2), Scalar(Fraction(1, 2))):
+            assert m * c == c * m == m.scale(c) == half
+        assert 3 * m == m * 3 == m + m + m
+        assert I * m == m.scale(I) == Matrix([[I, ZERO], [ZERO, I]])
+
+    @pytest.mark.parametrize("c", ["1/2", 0.5, None, [1]])
+    def test_other_operands_raise(self, c):
+        m = Matrix.identity(2)
+        with pytest.raises(TypeError):
+            m * c
+        with pytest.raises(TypeError):
+            c * m
+        with pytest.raises(TypeError):
+            m.scale(c)
+        assert m.__mul__(c) is NotImplemented
+        assert m.__rmul__(c) is NotImplemented
+
+
+class TestColumnStack:
+    """Matrix.column_stack(mats, j, nrows) reads column j of each matrix
+    from its integer rows; it equals the matrix built entry by entry
+    from Scalars, representation included."""
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 4), st.integers(1, 4), st.booleans(), st.integers(0, 2**32))
+    def test_matches_scalar_construction(self, n, r, real, seed):
+        rng = random.Random(seed)
+        mats = [
+            gaussian_matrix(r, r, rng, 0.6, real or rng.random() < 0.5).scale(
+                Fraction(1, rng.randint(1, 6))
+            )
+            for _ in range(n)
+        ]
+        for j in range(r):
+            got = Matrix.column_stack(mats, j, r)
+            want = Matrix([[g[k, j] for g in mats] for k in range(r)], ncols=n)
+            assert got == want
+            assert (got.re, got.im, got.den, got.ncols) == (want.re, want.im, want.den, want.ncols)
 
 
 class TestShapes:
