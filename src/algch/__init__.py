@@ -22,7 +22,6 @@ from .connections import (
 from .transgression import (
     AffineForm,
     fibre_integrate,
-    cs_cochain,
     cs_cochains,
 )
 from .charclasses import (
@@ -37,7 +36,6 @@ from .charclasses import (
     KAPPA,
 )
 from .pullback import (
-    SubmersionSpec,
     pullback_algebroid,
     submersion_recipe,
     morita_check,

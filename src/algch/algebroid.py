@@ -52,7 +52,7 @@ class ConstantAlgebroid:
             for k, v in sorted(coeffs.items()):
                 if not 0 <= k < r:
                     raise ValueError(f"bracket ({i}, {j}): index {k} out of range 0..{r - 1}")
-                v = Scalar.coerce(v)
+                v = Scalar.exact(v)
                 if not v.is_zero():
                     row.append((k, v))
             table[i][j] = tuple(row)

@@ -8,7 +8,6 @@ algebra it is proportional to the trace character x |-> Tr(ad_x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .scalars import Scalar, ONE, I
@@ -39,12 +38,14 @@ from math import factorial
 KAPPA = Scalar(2)
 
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
     q: int
     representative: AlgebroidForm
-    is_zero_class: bool
-    witness: Optional[AlgebroidForm]
+    witness: Optional[AlgebroidForm]  # d witness = representative, if any
+
+    @property
+    def is_zero_class(self) -> bool:
+        return self.witness is not None
 
 
 def default_max_q(a: ConstantAlgebroid) -> int:
@@ -100,8 +101,7 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
             raise IdentityFailure(
                 "closedness", f"secondary representative q={q} is not closed"
             )
-        witness = _solve_coboundary(a, rep)
-        reports.append(ClassReport(q, rep, witness is not None, witness))
+        reports.append(ClassReport(q, rep, _solve_coboundary(a, rep)))
     return reports
 
 

@@ -30,14 +30,19 @@ from .charclasses import (
     modular_class,
     default_max_q,
 )
-from .pullback import SubmersionSpec, pullback_anchor, morita_check
+from .pullback import pullback_anchor, morita_check
 from . import fileio
 from .fileio import ParseError
 
 
-def _metric_blocks(extras, a):
-    """g_A and g_M of the document, identity where not given."""
-    return extras.get("g_A", Matrix.identity(a.r)), extras.get("g_M", Matrix.identity(a.n))
+def _metric(extras, bundle):
+    """The document's metric on the adjoint bundle: g_A and g_M,
+    identity where not given."""
+    return HermitianMetric(
+        bundle,
+        extras.get("g_A", Matrix.identity(bundle.rank_even)),
+        extras.get("g_M", Matrix.identity(bundle.rank_odd)),
+    )
 
 
 def _tm_conn(extras, a):
@@ -94,8 +99,7 @@ def cmd_char(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
-    g = HermitianMetric(adjoint_bundle(a.anchor), *_metric_blocks(extras, a))
-    reports = intrinsic_char(a, tm, g, max_q)
+    reports = intrinsic_char(a, tm, _metric(extras, adjoint_bundle(a.anchor)), max_q)
     lines, out = [], []
     for rep in reports:
         verdict = "ZERO" if rep.is_zero_class else "NONZERO"
@@ -116,8 +120,7 @@ def cmd_char(job):
 def cmd_modular(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     tm = _tm_conn(extras, a)
-    g = HermitianMetric(adjoint_bundle(a.anchor), *_metric_blocks(extras, a))
-    result = modular_class(a, tm, g)
+    result = modular_class(a, tm, _metric(extras, adjoint_bundle(a.anchor)))
     rep = result.report
     verdict = "ZERO" if rep.is_zero_class else "NONZERO"
     return (
@@ -140,7 +143,7 @@ def cmd_cs(job):
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
     setup = adjoint_setup(a, tm)
-    dual = h_dual(setup.basic, HermitianMetric(setup.bundle, *_metric_blocks(extras, a)))
+    dual = h_dual(setup.basic, _metric(extras, setup.bundle))
     out, lines = [], []
     forms = cs_cochains([setup.basic, dual], max_q)
     for q in range(1, max_q + 1):
@@ -162,16 +165,15 @@ def cmd_morita_check(job):
         raise ParseError(f"--seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     tm = _tm_conn(extras, a)
-    g_a, g_m = _metric_blocks(extras, a)
+    g = _metric(extras, adjoint_bundle(a.anchor))
     g_v = extras.get("g_V", Matrix.identity(k))
     if g_v.nrows != k:
         raise ParseError(f"g_V must be {k} x {k} for k={k}")
-    spec = SubmersionSpec(k, g_v)
-    anchor = pullback_anchor(a, spec)
+    anchor = pullback_anchor(a, k)
     alt = HermitianMetric(
         adjoint_bundle(anchor), _random_pd(anchor.ncols, rng), _random_pd(anchor.nrows, rng)
     )
-    report = morita_check(a, spec, tm, g_a, g_m, max_q=max_q, alt_metric=alt)
+    report = morita_check(a, k, tm, g, g_v, max_q=max_q, alt_metric=alt)
     lines = []
     for q, res in report.per_q.items():
         verdict = "EQUAL" if res["equal"] else "DIFFER"

@@ -8,8 +8,6 @@ simplifies to Omega |-> -Omega^T (the Lie-derivative term vanishes).
 
 from __future__ import annotations
 
-from operator import add
-
 from .linalg import Matrix, inverse, positive_definite
 from .algebroid import ConstantAlgebroid
 
@@ -133,40 +131,6 @@ class OddMap:
 
     def __repr__(self):
         return f"OddMap(eo={self.eo}, oe={self.oe})"
-
-
-# The transgression's values are polynomials in the simplex coordinates
-# with graded-endomorphism coefficients, {exponent tuple: (even block,
-# odd block)} with Matrix blocks; their supertraces are
-# {exponent tuple: (re, im)} with exact rational parts.  Zero monomials
-# are left out of both.
-
-
-def supertrace_terms(v: dict) -> dict:
-    """The supertrace of each coefficient of the polynomial v."""
-    out = {}
-    for e, (ee, oo) in v.items():
-        s = ee.trace() - oo.trace()
-        if not s.is_zero():
-            out[e] = (s.re, s.im)
-    return out
-
-
-def supertrace_product(v1: dict, v2: dict) -> dict:
-    """supertrace_terms(v1 * v2) without forming the product: O(n^2)
-    per block and pair of monomials."""
-    out = {}
-    for e1, (ee1, oo1) in v1.items():
-        for e2, (ee2, oo2) in v2.items():
-            e = tuple(map(add, e1, e2))
-            r1, i1 = ee1.trace_mul(ee2)
-            r2, i2 = oo1.trace_mul(oo2)
-            if e in out:
-                r0, i0 = out[e]
-                out[e] = (r0 + r1 - r2, i0 + i1 - i2)
-            else:
-                out[e] = (r1 - r2, i1 - i2)
-    return {e: t for e, t in out.items() if t[0] or t[1]}
 
 
 class HermitianMetric:

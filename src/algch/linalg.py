@@ -32,8 +32,8 @@ class Matrix:
     __slots__ = ("re", "im", "den", "ncols")
 
     def __init__(self, rows, ncols=None):
-        """rows of Scalar, int or Fraction entries; ncols is needed only
-        when there are no rows."""
+        """rows of Scalar, int or Fraction entries (TypeError for any
+        other); ncols is needed only when there are no rows."""
         rows = [list(r) for r in rows]
         if ncols is None:
             if not rows:
@@ -44,7 +44,7 @@ class Matrix:
             if len(row) != ncols:
                 raise ValueError(f"row {i + 1} has {len(row)} entries, not {ncols}")
             for j, x in enumerate(row):
-                entries[i, j] = Scalar.coerce(x)
+                entries[i, j] = Scalar.exact(x)
         self.re, self.im, self.den = _cleared(entries, len(rows), ncols)
         self.ncols = ncols
 
@@ -150,9 +150,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         """c * self for a Scalar, int or Fraction c."""
-        if not isinstance(c, _SCALARS):
-            raise TypeError(f"cannot scale a matrix by {c!r}")
-        c = Scalar.coerce(c)
+        c = Scalar.exact(c)
         den = lcm(c.re.denominator, c.im.denominator)
         u = c.re.numerator * (den // c.re.denominator)
         v = c.im.numerator * (den // c.im.denominator)

@@ -10,7 +10,6 @@ the base data verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .linalg import Matrix
@@ -29,31 +28,17 @@ from .charclasses import (
 )
 
 
-@dataclass(frozen=True)
-class SubmersionSpec:
-    """k new fibre coordinates with a vertical metric (default identity)."""
-
-    k: int
-    g_v: Matrix = None
-
-    def __post_init__(self):
-        if self.g_v is None:
-            object.__setattr__(self, "g_v", Matrix.identity(self.k))
-        if self.g_v.shape != (self.k, self.k):
-            raise ValueError(f"g_v must be {self.k} x {self.k}, got {self.g_v.nrows} x {self.g_v.ncols}")
-
-
-def pullback_anchor(a: ConstantAlgebroid, s: SubmersionSpec) -> Matrix:
+def pullback_anchor(a: ConstantAlgebroid, k: int) -> Matrix:
     """Anchor of p^!(A): (n+k) x (k+r), frame (v_1..v_k, hor(e_1)..hor(e_r)).
 
     v_j |-> d/dy_j and hor(e_i) |-> h(rho e_i): the anchor of TT^k x A
     with the k fibre rows moved below the n base rows.
     """
-    rows = Matrix.block_diag(Matrix.identity(s.k), a.anchor).rows
-    return Matrix(rows[s.k:] + rows[:s.k], ncols=s.k + a.r)
+    rows = Matrix.block_diag(Matrix.identity(k), a.anchor).rows
+    return Matrix(rows[k:] + rows[:k], ncols=k + a.r)
 
 
-def pullback_algebroid(a: ConstantAlgebroid, s: SubmersionSpec) -> ConstantAlgebroid:
+def pullback_algebroid(a: ConstantAlgebroid, k: int) -> ConstantAlgebroid:
     """Frame (v_1..v_k, hor(e_1)..hor(e_r)) over T^{n+k}.
 
     Vertical sections bracket to zero with everything; horizontal lifts
@@ -62,18 +47,18 @@ def pullback_algebroid(a: ConstantAlgebroid, s: SubmersionSpec) -> ConstantAlgeb
     is not checked again.
     """
     return ConstantAlgebroid(
-        a.n + s.k, s.k + a.r, pullback_anchor(a, s), shifted_brackets(a, s.k)
+        a.n + k, k + a.r, pullback_anchor(a, k), shifted_brackets(a, k)
     )
 
 
-def pullback_form(a: ConstantAlgebroid, s: SubmersionSpec, omega: AlgebroidForm) -> AlgebroidForm:
+def pullback_form(a: ConstantAlgebroid, k: int, omega: AlgebroidForm) -> AlgebroidForm:
     """Precompose with the frame projection v_j |-> 0, hor(e_i) |-> e_i."""
     if omega.r != a.r:
         raise ValueError(f"the form lives on rank {omega.r}, not on the base rank {a.r}")
     comps = {
-        tuple(s.k + i for i in idx): v for idx, v in omega.comps.items()
+        tuple(k + i for i in idx): v for idx, v in omega.comps.items()
     }
-    return AlgebroidForm(s.k + a.r, omega.degree, comps)
+    return AlgebroidForm(k + a.r, omega.degree, comps)
 
 
 class RecipeResult(NamedTuple):
@@ -83,10 +68,10 @@ class RecipeResult(NamedTuple):
     setup: AdjointSetup  # adjoint data and basic connection of p^!(A)
     dual: Connection  # g-bar dual of the basic connection
     base: AdjointSetup  # adjoint data and basic connection of A
-    base_dual: Connection  # (g_a, g_m) dual of the base basic connection
+    base_dual: Connection  # g dual of the base basic connection
 
 
-def submersion_recipe(a: ConstantAlgebroid, s: SubmersionSpec, tm_conn, g_a: Matrix, g_m: Matrix) -> RecipeResult:
+def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric, g_v: Matrix) -> RecipeResult:
     """Connection and metric on the pullback realizing exact naturality.
 
     On constant data the recipe reduces to: nabla-bar acts by the base
@@ -95,29 +80,33 @@ def submersion_recipe(a: ConstantAlgebroid, s: SubmersionSpec, tm_conn, g_a: Mat
     The basic connection of nabla-bar then splits as the (zero) vertical
     subconnection plus the pullback of the base basic connection, a
     block identity checked below (IdentityFailure if it does not hold).
+
+    g is the metric on the adjoint bundle of a, g_v the k x k metric on
+    the fibre directions.
     """
+    if g_v.shape != (k, k):
+        raise ValueError(f"g_v must be {k} x {k}, got {g_v.nrows} x {g_v.ncols}")
     base = adjoint_setup(a, tm_conn)
-    base_dual = h_dual(base.basic, HermitianMetric(base.bundle, g_a, g_m))
-    pb = pullback_algebroid(a, s)
-    vertical = Matrix.zeros(s.k, s.k)
+    base_dual = h_dual(base.basic, g)
+    pb = pullback_algebroid(a, k)
+    vertical = Matrix.zeros(k, k)
     # horizontal coordinate directions, then vertical ones acting by zero
-    nabla_bar = [Matrix.block_diag(vertical, g) for g in tm_conn]
-    nabla_bar += [Matrix.zeros(pb.r, pb.r)] * s.k
+    nabla_bar = [Matrix.block_diag(vertical, m) for m in tm_conn]
+    nabla_bar += [Matrix.zeros(pb.r, pb.r)] * k
 
     setup = adjoint_setup(pb, nabla_bar)
-    g_even = Matrix.block_diag(s.g_v, g_a)  # on p^!(A): vertical block first
-    g_odd = Matrix.block_diag(g_m, s.g_v)  # on T(T^{n+k}): x block first
+    g_even = Matrix.block_diag(g_v, g.h_even)  # on p^!(A): vertical block first
+    g_odd = Matrix.block_diag(g.h_odd, g_v)  # on T(T^{n+k}): x block first
     gbar = HermitianMetric(setup.bundle, g_even, g_odd)
     dual = h_dual(setup.basic, gbar)
 
-    _check_basic_splitting(s, base, base_dual, setup, dual)
+    _check_basic_splitting(k, base, base_dual, setup, dual)
     return RecipeResult(pb, nabla_bar, gbar, setup, dual, base, base_dual)
 
 
-def _check_basic_splitting(s, base, base_dual, setup, dual):
+def _check_basic_splitting(k, base, base_dual, setup, dual):
     """nabla-bar^bas = vertical (+) pullback(nabla^bas), and the same
     splitting for the g-bar dual against the base dual."""
-    k = s.k
     vertical = Matrix.zeros(k, k)
     pairs = [(setup.basic, base.basic), (dual, base_dual)]
     for i in range(k):  # vertical frame sections act by zero
@@ -139,21 +128,21 @@ def _check_basic_splitting(s, base, base_dual, setup, dual):
                 )
 
 
-@dataclass
-class MoritaReport:
-    k: int
-    max_q: int
+class MoritaReport(NamedTuple):
     per_q: dict  # q -> {"equal": bool, "both_zero": bool}
-    cohomologous: dict = field(default_factory=dict)  # q -> bool (perturbed metrics)
-    passed: bool = True
+    cohomologous: dict  # q -> bool (perturbed metric); empty without one
+
+    @property
+    def passed(self) -> bool:
+        return all(v["equal"] for v in self.per_q.values()) and all(self.cohomologous.values())
 
 
 def morita_check(
     a: ConstantAlgebroid,
-    s: SubmersionSpec,
+    k: int,
     tm_conn,
-    g_a: Matrix,
-    g_m: Matrix,
+    g: HermitianMetric,
+    g_v: Matrix,
     max_q: int = 2,
     alt_metric: HermitianMetric = None,
 ) -> MoritaReport:
@@ -164,28 +153,22 @@ def morita_check(
     given, also check that the intrinsic representatives it produces
     differ from the pulled-back ones by exact forms.
     """
-    recipe = submersion_recipe(a, s, tm_conn, g_a, g_m)
+    recipe = submersion_recipe(a, k, tm_conn, g, g_v)
     basic = recipe.setup.basic
     # the intrinsic representatives i^(q+1) cs^q; the phase changes
     # neither equality nor vanishing
     base_reps = secondary_representatives(recipe.base.basic, recipe.base_dual, max_q)
     bar_reps = secondary_representatives(basic, recipe.dual, max_q)
 
-    report = MoritaReport(k=s.k, max_q=max_q, per_q={})
+    per_q, cohomologous = {}, {}
     for q in range(1, max_q + 1):
         lhs = bar_reps[q]
-        rhs = pullback_form(a, s, base_reps[q])
-        equal = lhs == rhs
-        report.per_q[q] = {"equal": equal, "both_zero": lhs.is_zero() and rhs.is_zero()}
-        if not equal:
-            report.passed = False
+        rhs = pullback_form(a, k, base_reps[q])
+        per_q[q] = {"equal": lhs == rhs, "both_zero": lhs.is_zero() and rhs.is_zero()}
 
     if alt_metric is not None:
         alt_reps = secondary_representatives(basic, h_dual(basic, alt_metric), max_q)
         for q in range(1, max_q + 1):
-            diff = alt_reps[q] - pullback_form(a, s, base_reps[q])
-            witness = coboundary_witness(recipe.algebroid, diff)
-            report.cohomologous[q] = witness is not None
-            if witness is None:
-                report.passed = False
-    return report
+            diff = alt_reps[q] - pullback_form(a, k, base_reps[q])
+            cohomologous[q] = coboundary_witness(recipe.algebroid, diff) is not None
+    return MoritaReport(per_q, cohomologous)

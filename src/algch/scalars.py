@@ -45,6 +45,16 @@ class Scalar:
             return x
         return _real(_frac(x))
 
+    @staticmethod
+    def exact(x) -> "Scalar":
+        """x as a Scalar if it is a Scalar, int or Fraction; TypeError for
+        anything else, so unlike coerce it never parses a string."""
+        if isinstance(x, Scalar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return _real(Fraction(x))
+        raise TypeError(f"expected a Scalar, int or Fraction, got {x!r}")
+
     def __add__(self, other):
         if other.__class__ is not Scalar:
             if not isinstance(other, (int, Fraction)):

@@ -15,9 +15,9 @@ Values: a component of the curvature or of one of its powers is a
 polynomial in t_1, ..., t_p with graded-endomorphism coefficients,
 {exponent tuple: (even block, odd block)} with Matrix blocks, so
 at p = 1 the curvature is R0 + t R1 + t^2 R2.  Its supertrace is
-{exponent tuple: (re, im)} with exact rational parts; the fibre
-integral weights each monomial once, and Scalars are built only for the
-resulting AlgebroidForm.
+{exponent tuple: (re, im)} with exact rational parts.  Zero monomials
+are left out of both.  The fibre integral weights each monomial once,
+and Scalars are built only for the resulting AlgebroidForm.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import add
 
 from .scalars import Scalar
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
-from .connections import GradedBundle, supertrace_terms, supertrace_product
+from .connections import GradedBundle
 
 
 class AffineForm:
@@ -140,6 +140,33 @@ def _traced_values(products: list) -> dict:
                 acc[e] = (re, im)
     out = {k: {e: t for e, t in acc.items() if t[0] or t[1]} for k, acc in out.items()}
     return {k: acc for k, acc in out.items() if acc}
+
+
+def supertrace_terms(v: dict) -> dict:
+    """The supertrace of each coefficient of the polynomial v."""
+    out = {}
+    for e, (ee, oo) in v.items():
+        s = ee.trace() - oo.trace()
+        if not s.is_zero():
+            out[e] = (s.re, s.im)
+    return out
+
+
+def supertrace_product(v1: dict, v2: dict) -> dict:
+    """supertrace_terms(v1 * v2) without forming the product: O(n^2)
+    per block and pair of monomials."""
+    out = {}
+    for e1, (ee1, oo1) in v1.items():
+        for e2, (ee2, oo2) in v2.items():
+            e = tuple(map(add, e1, e2))
+            r1, i1 = ee1.trace_mul(ee2)
+            r2, i2 = oo1.trace_mul(oo2)
+            if e in out:
+                r0, i0 = out[e]
+                out[e] = (r0 + r1 - r2, i0 + i1 - i2)
+            else:
+                out[e] = (r1 - r2, i1 - i2)
+    return {e: t for e, t in out.items() if t[0] or t[1]}
 
 
 def _check_family(conns) -> tuple[ConstantAlgebroid, GradedBundle]:
@@ -262,8 +289,3 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
         integral = fibre_integrate(AffineForm(a.r, p, 2 * q, top), p)
         out[q] = -integral if flip else integral
     return out
-
-
-def cs_cochain(conns, q: int) -> AlgebroidForm:
-    """The transgression cochain of degree 2q - p; see cs_cochains."""
-    return cs_cochains(conns, q)[q]

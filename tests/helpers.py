@@ -24,9 +24,8 @@ from algch.connections import (
     h_dual,
 )
 from algch import charclasses
-from algch.charclasses import adjoint_setup
+from algch.charclasses import adjoint_bundle, adjoint_setup
 from algch.pullback import (
-    SubmersionSpec,
     pullback_algebroid,
     pullback_form,
     submersion_recipe,
@@ -205,6 +204,11 @@ def identity_metric(bundle: GradedBundle) -> HermitianMetric:
     )
 
 
+def adjoint_metric(a: ConstantAlgebroid, g_a: Matrix, g_m: Matrix) -> HermitianMetric:
+    """The metric with blocks g_a and g_m on the adjoint bundle of a."""
+    return HermitianMetric(adjoint_bundle(a.anchor), g_a, g_m)
+
+
 def supertrace(t: GradedEndo):
     """tr(even block) - tr(odd block), for Matrix or RingMatrix blocks."""
     return t.ee.trace() - t.oo.trace()
@@ -295,14 +299,14 @@ def direct_sum_connections(c0: Connection, c1: Connection) -> Connection:
     return Connection(c0.algebroid, direct_sum_bundles(c0.bundle, c1.bundle), omega)
 
 
-def pullback_connection(a: ConstantAlgebroid, s: SubmersionSpec, c: Connection, pb: ConstantAlgebroid = None) -> Connection:
+def pullback_connection(a: ConstantAlgebroid, k: int, c: Connection, pb: ConstantAlgebroid = None) -> Connection:
     """Pullback to p^!(A) acting on the pulled-back (same) bundle:
     vertical sections act by zero, horizontal lifts as in c."""
     assert c.algebroid == a
     if pb is None:
-        pb = pullback_algebroid(a, s)
+        pb = pullback_algebroid(a, k)
     z = GradedEndo.zeros(c.bundle.rank_even, c.bundle.rank_odd)
-    return Connection(pb, c.bundle, [z] * s.k + list(c.omega))
+    return Connection(pb, c.bundle, [z] * k + list(c.omega))
 
 
 def trace_character(a: ConstantAlgebroid) -> AlgebroidForm:
@@ -1110,24 +1114,23 @@ def reference_cs_cochain(conns, q: int) -> AlgebroidForm:
     return result
 
 
-def reference_morita_verdicts(a, s, tm_conn, g_a, g_m, max_q, alt_metric):
+def reference_morita_verdicts(a, k, tm_conn, g, g_v, max_q, alt_metric):
     """(per_q, cohomologous) of morita_check, with every cochain computed
     on its own by reference_cs_cochain and every setup and dual rebuilt
     where it is used."""
     base = adjoint_setup(a, tm_conn)
-    g = HermitianMetric(base.bundle, g_a, g_m)
-    recipe = submersion_recipe(a, s, tm_conn, g_a, g_m)
+    recipe = submersion_recipe(a, k, tm_conn, g, g_v)
     basic = recipe.setup.basic
     per_q, cohomologous = {}, {}
     for q in range(1, max_q + 1):
         base_cs = reference_cs_cochain([base.basic, h_dual(base.basic, g)], q)
         lhs = reference_cs_cochain([basic, h_dual(basic, recipe.metric)], q)
-        rhs = pullback_form(a, s, base_cs)
+        rhs = pullback_form(a, k, base_cs)
         per_q[q] = {"equal": lhs == rhs, "both_zero": lhs.is_zero() and rhs.is_zero()}
         if alt_metric is not None:
             phase = I ** (q + 1)
             rep = reference_cs_cochain([basic, h_dual(basic, alt_metric)], q)
-            diff = rep.scale(phase) - pullback_form(a, s, base_cs.scale(phase))
+            diff = rep.scale(phase) - pullback_form(a, k, base_cs.scale(phase))
             cohomologous[q] = coboundary_witness(recipe.algebroid, diff) is not None
     return per_q, cohomologous
 

@@ -24,7 +24,6 @@ from algch.charclasses import (
     intrinsic_char,
 )
 from algch.pullback import (
-    SubmersionSpec,
     pullback_algebroid,
     pullback_form,
     morita_check,
@@ -47,6 +46,7 @@ from helpers import (
     supertrace_curvature_power,
     trace_character,
     identity_metric,
+    adjoint_metric,
 )
 from test_transgression import check_cs_axioms
 
@@ -133,11 +133,11 @@ def test_primary_classes():
             for q in range(1, 4):
                 assert coboundary_witness(a, ch0[q]) is not None
         # naturality under pullback
-        s = SubmersionSpec(rng.randint(1, 2))
-        pb = pullback_algebroid(a, s)
-        ch_pulled = chern_character(pullback_connection(a, s, c0, pb), 3)
+        k = rng.randint(1, 2)
+        pb = pullback_algebroid(a, k)
+        ch_pulled = chern_character(pullback_connection(a, k, c0, pb), 3)
         for q in range(4):
-            assert ch_pulled[q] == pullback_form(a, s, ch0[q])
+            assert ch_pulled[q] == pullback_form(a, k, ch0[q])
     report("PASS primary classes: closed, additive, exact over algebras, natural")
 
 
@@ -188,16 +188,16 @@ def test_morita_invariance():
         tm = rand_tm_conn(a, rng, real=True)
         g_a = rand_pd_matrix(a.r, rng, real=True)
         g_m = rand_pd_matrix(a.n, rng, real=True)
+        g = adjoint_metric(a, g_a, g_m)
         for k in (1, 2):
-            s = SubmersionSpec(k)
-            pb = pullback_algebroid(a, s)
+            pb = pullback_algebroid(a, k)
             bundle = GradedBundle(pb.r, pb.n, d01=pb.anchor)
             alt = HermitianMetric(
                 bundle,
                 rand_pd_matrix(pb.r, rng, real=True),
                 rand_pd_matrix(pb.n, rng, real=True),
             )
-            rep = morita_check(a, s, tm, g_a, g_m, max_q=2, alt_metric=alt)
+            rep = morita_check(a, k, tm, g, Matrix.identity(k), max_q=2, alt_metric=alt)
             assert rep.passed, (name, k)
             assert all(v["equal"] for v in rep.per_q.values())
             assert all(rep.cohomologous.values())

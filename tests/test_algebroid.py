@@ -121,6 +121,12 @@ class TestConstructor:
         with pytest.raises(ValueError, match="out of range 0..2"):
             ConstantAlgebroid(0, 3, Matrix.zeros(0, 3), brackets)
 
+    @pytest.mark.parametrize("value", ["1/2", 0.5])
+    def test_inexact_coefficient_raises(self, value):
+        # a string is never parsed here, a float never rounded
+        with pytest.raises(TypeError, match="expected a Scalar, int or Fraction"):
+            ConstantAlgebroid(0, 2, Matrix.zeros(0, 2), {(0, 1): {1: value}})
+
 
 class TestDifferential:
     def test_abelian_zero(self):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from algch.library import abelian, heisenberg, so3, tangent_torus
 from helpers import fake_cs_cochains, rand_pd_matrix, rand_q_family, rand_tm_conn
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -576,3 +580,16 @@ class TestCommands:
         assert out.index("VALID") < out.index("Betti") < out.index("char^1")
         report = json.loads(out_file.read_text())
         assert [r["command"] for r in report["batch"]] == ["validate", "cohomology", "char"]
+
+
+class TestColdStart:
+    def test_cli_import_skips_dataclasses_and_inspect(self):
+        # every algch command pays for its imports; -S leaves out the
+        # site hooks, whose imports are not algch's
+        code = "import sys, algch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -417,8 +417,9 @@ class TestZeroStructure:
 
 
 class TestScalingOperands:
-    """A matrix scales by a Scalar, int or Fraction; anything else, a
-    string in particular, is a TypeError and is never parsed."""
+    """A matrix is built from and scales by Scalar, int or Fraction
+    values; anything else, a string in particular, is a TypeError and is
+    never parsed."""
 
     def test_scalars_scale(self):
         m = Matrix.identity(2)
@@ -439,6 +440,11 @@ class TestScalingOperands:
             m.scale(c)
         assert m.__mul__(c) is NotImplemented
         assert m.__rmul__(c) is NotImplemented
+
+    @pytest.mark.parametrize("x", ["1/2", 0.5])
+    def test_constructor_refuses_inexact_entries(self, x):
+        with pytest.raises(TypeError, match="expected a Scalar, int or Fraction"):
+            Matrix([[x, 0], [0, 3]])
 
 
 class TestColumnStack:

@@ -12,8 +12,6 @@ from algch.connections import (
     GradedBundle,
     GradedEndo,
     Connection,
-    supertrace_product,
-    supertrace_terms,
     h_dual,
 )
 from algch import transgression
@@ -21,8 +19,9 @@ from algch.transgression import (
     AffineForm,
     _affine_curvature,
     fibre_integrate,
-    cs_cochain,
     cs_cochains,
+    supertrace_product,
+    supertrace_terms,
 )
 from algch.library import abelian, so3
 
@@ -195,7 +194,7 @@ class TestCsCochain:
             b = rand_bundle(rng)
             c = rand_connection(a, b, rng)
             for q in (1, 2, 3):
-                assert cs_cochain([c], q) == supertrace_curvature_power(c, q)
+                assert cs_cochains([c], q)[q] == supertrace_curvature_power(c, q)
 
     def test_q0_p1_vanishes(self):
         rng = random.Random(35)
@@ -204,7 +203,7 @@ class TestCsCochain:
         basis = boundary_commutant(b)
         c0 = rand_connection(a, b, rng, basis)
         c1 = rand_connection(a, b, rng, basis)
-        assert cs_cochain([c0, c1], 0).is_zero()
+        assert cs_cochains([c0, c1], 0)[0].is_zero()
 
     def test_low_power_vanishes(self):
         # 2q < p leaves no top simplex component to integrate
@@ -213,8 +212,8 @@ class TestCsCochain:
         b = rand_bundle(rng)
         basis = boundary_commutant(b)
         conns = [rand_connection(a, b, rng, basis) for _ in range(3)]
-        assert cs_cochain(conns, 0).is_zero()
-        assert cs_cochain(conns, 1).degree == 0
+        assert cs_cochains(conns, 0)[0].is_zero()
+        assert cs_cochains(conns, 1)[1].degree == 0
 
     def test_universal_sign_frozen(self):
         # regression pin: cs^1(c0, c1)(e_i) = +supertrace(Omega1_i - Omega0_i)
@@ -225,7 +224,7 @@ class TestCsCochain:
             basis = boundary_commutant(b)
             c0 = rand_connection(a, b, rng, basis)
             c1 = rand_connection(a, b, rng, basis)
-            cs1 = cs_cochain([c0, c1], 1)
+            cs1 = cs_cochains([c0, c1], 1)[1]
             for i in range(a.r):
                 want = supertrace(c1.omega[i] - c0.omega[i])
                 assert cs1.get((i,)) == want
@@ -243,7 +242,7 @@ class TestCsCochain:
         c0 = rand_connection(a, GradedBundle(2, 2), rng)
         c1 = rand_connection(a, GradedBundle(2, 1), rng)
         with pytest.raises(ValueError):
-            cs_cochain([c0, c1], 1)
+            cs_cochains([c0, c1], 1)
 
 
 def rand_poly_value(re, ro, p, rng, density=0.6):
@@ -316,7 +315,7 @@ class TestCsCochainsOnePass:
         conns = [rand_connection(a, b, rng, basis) for _ in range(3)]
         forms = cs_cochains(conns, 3)
         for q in range(4):
-            assert cs_cochain(conns, q) == forms[q]
+            assert cs_cochains(conns, q)[q] == forms[q]
 
     def test_curvature_built_once(self, monkeypatch):
         calls = []
@@ -351,15 +350,15 @@ class TestCsCochainsOnePass:
 def check_cs_axioms(a, b, conns, metric, q, rng):
     """One randomized instance of the four transgression axioms."""
     p = len(conns) - 1
-    cs = cs_cochain(conns, q)
+    cs = cs_cochains(conns, q)[q]
 
     # CS1: the p=0 cochain is the supertraced curvature power
-    assert cs_cochain([conns[0]], q) == supertrace_curvature_power(conns[0], q)
+    assert cs_cochains([conns[0]], q)[q] == supertrace_curvature_power(conns[0], q)
 
     # CS2: permutations act by their sign
     perm = list(range(p + 1))
     rng.shuffle(perm)
-    lhs = cs_cochain([conns[s] for s in perm], q)
+    lhs = cs_cochains([conns[s] for s in perm], q)[q]
     rhs = cs
     if perm_sign(perm) == -1:
         rhs = -rhs
@@ -369,7 +368,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
     if p >= 1:
         repeated = list(conns)
         repeated[-1] = repeated[0]
-        assert cs_cochain(repeated, q).is_zero()
+        assert cs_cochains(repeated, q)[q].is_zero()
 
     # CS3: d cs^q(c_0..c_p) = sum_i (-1)^i cs^q(c_0..omit i..c_p)
     if 2 * q >= p + 1:
@@ -377,7 +376,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
         rhs = AlgebroidForm(a.r, 2 * q - p + 1)
         for i in range(p + 1):
             omitted = conns[:i] + conns[i + 1:]
-            term = cs_cochain(omitted, q)
+            term = cs_cochains(omitted, q)[q]
             # degree bookkeeping: omitting one connection raises the
             # algebroid degree by one
             rhs = rhs + (term if i % 2 == 0 else -term)
@@ -385,7 +384,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
 
     # CS4: duals conjugate the cochain up to (-1)^q
     duals = [h_dual(c, metric) for c in conns]
-    lhs = cs_cochain(duals, q)
+    lhs = cs_cochains(duals, q)[q]
     rhs = cs.conj()
     if q % 2:
         rhs = -rhs
