@@ -188,10 +188,7 @@ def intrinsic_char(a: ConstantAlgebroid, tm_conn, g: HermitianMetric, max_q=None
     """Secondary classes of the basic connection: the intrinsic classes."""
     if max_q is None:
         max_q = default_max_q(a)
-    setup = adjoint_setup(a, tm_conn)
-    if g.bundle != setup.bundle:
-        raise ValueError("metric does not live on the adjoint bundle")
-    return secondary_class(setup.basic, g, max_q)
+    return secondary_class(adjoint_setup(a, tm_conn).basic, g, max_q)
 
 
 class ModularResult(NamedTuple):

@@ -282,8 +282,7 @@ def _batch_jobs(doc) -> list[dict]:
 
 def cmd_batch(path: str):
     """Run the jobs in input order; a job that fails fails only itself."""
-    with open(path, encoding="utf-8") as fh:
-        jobs = _batch_jobs(json.load(fh))
+    jobs = _batch_jobs(fileio.load_json(path))
     reports, status, lines = [], 0, []
     for job in jobs:
         report, st, ls = run(job)
@@ -322,7 +321,7 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2)
-    except (ParseError, OSError, json.JSONDecodeError) as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return status

@@ -134,7 +134,10 @@ class OddMap:
 
 
 class HermitianMetric:
-    """Block-diagonal positive-definite Hermitian metric on a graded bundle."""
+    """Block-diagonal positive-definite Hermitian metric on a graded bundle.
+
+    Blocks of the right shape are taken as given: parsing decides their
+    definiteness, and check_metric_block is the check for other blocks."""
 
     __slots__ = ("bundle", "h_even", "h_odd")
 
@@ -142,7 +145,6 @@ class HermitianMetric:
         for name, h, n in (("even", h_even, bundle.rank_even), ("odd", h_odd, bundle.rank_odd)):
             if h.shape != (n, n):
                 raise ValueError(f"{name} metric block must be {n} x {n}, got {h.nrows} x {h.ncols}")
-            check_metric_block(h)
         self.bundle = bundle
         self.h_even = h_even
         self.h_odd = h_odd

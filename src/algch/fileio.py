@@ -189,10 +189,17 @@ def form_to_json(omega: AlgebroidForm):
     ]
 
 
-def load_algebroid(path: str) -> tuple[ConstantAlgebroid, dict]:
+def load_json(path: str):
+    """The JSON document in a file; ParseError naming the file if it is
+    not UTF-8 JSON, nests too deep or has too long an integer."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from None
-    return parse_algebroid(doc)
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"{path}: {e}") from None
+
+
+def load_algebroid(path: str) -> tuple[ConstantAlgebroid, dict]:
+    return parse_algebroid(load_json(path))

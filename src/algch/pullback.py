@@ -86,6 +86,7 @@ def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric,
     """
     if g_v.shape != (k, k):
         raise ValueError(f"g_v must be {k} x {k}, got {g_v.nrows} x {g_v.ncols}")
+    tm_conn = list(tm_conn)  # read twice: by adjoint_setup and for nabla-bar
     base = adjoint_setup(a, tm_conn)
     base_dual = h_dual(base.basic, g)
     pb = pullback_algebroid(a, k)

@@ -11,9 +11,7 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+    raise TypeError(f"expected an int or Fraction, got {x!r}")
 
 
 _FZERO = Fraction(0)
@@ -26,8 +24,9 @@ class Scalar:
     imaginary parts and, when they are all zero, does rational arithmetic
     on the real parts only.  A real result carries im == Fraction(0), so
     values built here and through the constructor compare and hash alike.
-    + - * / take Scalar, int and Fraction operands and return
-    NotImplemented for any other (a Matrix then scales, a string fails).
+    The parts must be int or Fraction (TypeError otherwise: only fileio
+    parses strings).  + - * / take Scalar, int and Fraction operands and
+    return NotImplemented for any other (a Matrix scales, a string fails).
     """
 
     __slots__ = ("re", "im")
@@ -40,15 +39,9 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     @staticmethod
-    def coerce(x) -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        return _real(_frac(x))
-
-    @staticmethod
     def exact(x) -> "Scalar":
         """x as a Scalar if it is a Scalar, int or Fraction; TypeError for
-        anything else, so unlike coerce it never parses a string."""
+        anything else, a string in particular."""
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
@@ -167,7 +160,7 @@ class Scalar:
 
 
 # Results are built by writing the slots directly, which skips __init__'s
-# coercion and the immutability guard in __setattr__.
+# type check and the immutability guard in __setattr__.
 _set_re = Scalar.re.__set__
 _set_im = Scalar.im.__set__
 _new = object.__new__

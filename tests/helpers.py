@@ -890,7 +890,7 @@ class SimplexPolynomial:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 assert len(exps) == p and all(e >= 0 for e in exps)
-                coeff = Scalar.coerce(coeff)
+                coeff = Scalar.exact(coeff)
                 if not coeff.is_zero():
                     clean[exps] = clean.get(exps, ZERO) + coeff
                     if clean[exps].is_zero():
@@ -899,7 +899,7 @@ class SimplexPolynomial:
 
     @staticmethod
     def constant(p: int, c) -> "SimplexPolynomial":
-        c = Scalar.coerce(c)
+        c = Scalar.exact(c)
         if c.is_zero():
             return SimplexPolynomial(p)
         return SimplexPolynomial(p, {(0,) * p: c})
@@ -953,7 +953,7 @@ class SimplexPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            c = Scalar.coerce(other)
+            c = Scalar.exact(other)
             if c.is_zero():
                 return SimplexPolynomial(self.p)
             return SimplexPolynomial._from_terms(

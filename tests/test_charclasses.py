@@ -250,6 +250,13 @@ class TestAdjointSetup:
 
 
 class TestIntrinsic:
+    def test_metric_on_another_bundle_refused(self):
+        # refused by h_dual, the one place that pairs metric and connection
+        a = so3()
+        g = HermitianMetric(GradedBundle(3, 1), Matrix.identity(3), Matrix.identity(1))
+        with pytest.raises(ValueError, match="different bundles"):
+            intrinsic_char(a, [], g, max_q=1)
+
     def test_q_family_trace_nonzero(self):
         rng = random.Random(47)
         a = rand_q_family(rng)

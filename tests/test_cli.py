@@ -1,14 +1,17 @@
+import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algch import charclasses
+from algch import charclasses, cli, connections, fileio
 from algch.algebroid import AlgebroidForm, direct_product
 from algch.cli import main
 from algch.fileio import (
@@ -580,6 +583,193 @@ class TestCommands:
         assert out.index("VALID") < out.index("Betti") < out.index("char^1")
         report = json.loads(out_file.read_text())
         assert [r["command"] for r in report["batch"]] == ["validate", "cohomology", "char"]
+
+
+class TestDefinitenessDecidedOnce:
+    """Each metric block of a document is decided once, at parsing; the
+    metrics a command builds itself are positive-definite by
+    construction and are not decided again."""
+
+    @pytest.mark.parametrize("with_g_v", [False, True])
+    @pytest.mark.parametrize(
+        "argv", [("cs", "--max-q", "2"), ("morita-check", "--k", "1", "--seed", "3")]
+    )
+    def test_one_decision_per_document_block(self, capsys, monkeypatch, tmp_path, argv, with_g_v):
+        rng = random.Random(11)
+        a = tangent_torus(2)
+        extras = {"g_A": rand_pd_matrix(a.r, rng), "g_M": rand_pd_matrix(a.n, rng, real=True)}
+        if with_g_v:
+            extras["g_V"] = rand_pd_matrix(1, rng)
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(serialize_algebroid(a, extras)))
+        decided = []
+        original = connections.check_metric_block
+
+        def counted(h):
+            decided.append(h)
+            return original(h)
+
+        for module in (connections, fileio):
+            monkeypatch.setattr(module, "check_metric_block", counted)
+        status, _ = run_cli(capsys, *argv, f)
+        assert status == 0
+        assert len(decided) == 2 + with_g_v
+
+
+class TestUndecodableDocuments:
+    """Bytes that are not UTF-8, JSON nested deeper than the recursion
+    limit and integers too long to convert are a ParseError that names
+    the file, not a traceback."""
+
+    CONTENTS = {
+        "not utf-8": b"\xff\xfe\x00bad",
+        "deep list": b"[" * 200000,
+        "deep object": b'{"a": ' * 200000,
+        "long integer": b'{"base_dim": ' + b"1" * 5000 + b"}",
+    }
+
+    @pytest.fixture(params=sorted(CONTENTS))
+    def undecodable(self, request, tmp_path):
+        f = tmp_path / "undecodable.json"
+        f.write_bytes(self.CONTENTS[request.param])
+        return f
+
+    @pytest.mark.parametrize("command", ["validate", "cohomology", "cs"])
+    def test_single_command(self, capsys, undecodable, command):
+        status, out = run_cli(capsys, command, undecodable)
+        assert status == 1
+        prefix = "INVALID: " if command == "validate" else "error: "
+        assert out.startswith(f"{prefix}{undecodable}: ")
+
+    def test_load_raises_parse_error(self, undecodable):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(undecodable))}: "):
+            load_algebroid(str(undecodable))
+
+    def test_batch_job_fails_only_itself(self, capsys, tmp_path, undecodable):
+        out_file = tmp_path / "report.json"
+        job = {"command": "char", "inputs": [str(undecodable)]}
+        status, out = run_cli(
+            capsys, "batch", "--out", out_file, write_batch(tmp_path, [job, SO3_COHOMOLOGY])
+        )
+        assert status == 1
+        reports = json.loads(out_file.read_text())["batch"]
+        assert reports[0]["error"].startswith(f"{undecodable}: ")
+        assert reports[1]["betti"] == [1, 0, 0, 1]
+
+    def test_batch_document(self, capsys, undecodable):
+        status = main(["batch", str(undecodable)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {undecodable}: ")
+
+
+REPO = INPUTS.parent
+SHIPPED = {
+    f.name: json.loads(f.read_text())
+    for f in sorted(INPUTS.glob("*.json"))
+    if f.name != "batch_example.json"
+}
+
+
+class TestShippedInputs:
+    @pytest.mark.parametrize("command", ["validate", "cohomology", "char", "modular", "cs", "morita-check"])
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_every_input_runs(self, capsys, name, command):
+        status, _ = run_cli(capsys, command, INPUTS / name)
+        assert status == 0
+
+    def test_batch_example_runs(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO)  # its input paths are relative to the repository
+        status, out = run_cli(capsys, "batch", "inputs/batch_example.json")
+        assert status == 0
+        assert "error" not in out and "FAILED" not in out
+
+
+def _nodes(node, path=()):
+    """Every (path, value) in a JSON tree, the root included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# replacement values: none of them can make a shape larger than rank + 1
+ODD_VALUES = [0.5, -2.0, True, False, None, "x", "1/0", "-3/4", "", [], [["1"]], [["0", "1"], []]]
+
+
+def _pick(draw, wanted):
+    """A shipped document and a path in it whose value satisfies wanted.
+    The role of the node (its path with list indices starred) is drawn
+    first, over all documents, so that structural nodes, and those only
+    a few documents have, are drawn as often as the many scalar entries."""
+    by_role = {}
+    for name, doc in SHIPPED.items():
+        for path, value in _nodes(doc):
+            if wanted(value):
+                role = tuple("*" if isinstance(k, int) else k for k in path)
+                by_role.setdefault(role, []).append((name, path))
+    name, path = draw(st.sampled_from(by_role[draw(st.sampled_from(sorted(by_role)))]))
+    return copy.deepcopy(SHIPPED[name]), path
+
+
+@st.composite
+def mutated_documents(draw):
+    """A shipped document with exactly one change: a key dropped, a value
+    replaced, a list truncated or extended by one element, or base_dim
+    or rank shifted by one."""
+    kind = draw(st.sampled_from(["drop", "replace", "resize", "shift"]))
+    if kind == "shift":
+        doc = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+        doc[draw(st.sampled_from(["base_dim", "rank"]))] += draw(st.sampled_from([-1, 1]))
+    elif kind == "drop":
+        doc, path = _pick(draw, lambda v: isinstance(v, dict) and v)
+        node = _at(doc, path)
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif kind == "replace":
+        doc, path = _pick(draw, lambda v: True)
+        value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        if path:
+            _at(doc, path[:-1])[path[-1]] = value
+        else:
+            doc = value
+    else:
+        doc, path = _pick(draw, lambda v: isinstance(v, list))
+        node = _at(doc, path)
+        if node and draw(st.booleans()):
+            node.pop()
+        else:
+            node.append(copy.deepcopy(node[-1]) if node else "0")
+    return doc
+
+
+class TestFuzzedDocuments:
+    """A malformed document gets a structured report, never a traceback."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    def test_structured_outcome(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            f = Path(d) / "mutant.json"
+            f.write_text(json.dumps(doc))
+            statuses = {}
+            for command, options in (("validate", {}), ("cohomology", {}), ("char", {"max_q": 1})):
+                report, status, _ = cli.run({"command": command, "inputs": [str(f)], "options": options})
+                assert status in (0, 1)
+                if command == "validate":
+                    # validate reports a document it refuses as INVALID
+                    assert report["verdict"] == ("VALID" if status == 0 else "INVALID")
+                else:
+                    assert ("error" in report) == (status == 1)
+                statuses[command] = status
+        # a document that parses also runs
+        assert statuses["validate"] == statuses["cohomology"]
 
 
 class TestColdStart:

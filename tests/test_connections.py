@@ -145,17 +145,18 @@ class TestSupertrace:
 
 
 class TestMetric:
+    # definiteness is decided by check_metric_block, which parsing calls;
+    # HermitianMetric takes its blocks as given and checks shapes only
+
     def test_positive_definite_enforced(self):
-        b = GradedBundle(2, 1)
         bad = Matrix([[ONE, ZERO], [ZERO, -ONE]], ncols=2)
-        with pytest.raises(ValueError):
-            HermitianMetric(b, bad, Matrix.identity(1))
+        with pytest.raises(ValueError, match="not positive-definite"):
+            check_metric_block(bad)
 
     def test_hermitian_enforced(self):
-        b = GradedBundle(2, 1)
         not_herm = Matrix([[ONE, I], [I, ONE]], ncols=2)
-        with pytest.raises(ValueError):
-            HermitianMetric(b, not_herm, Matrix.identity(1))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_metric_block(not_herm)
 
     def test_block_shapes_enforced(self):
         # explicit checks, so they also run under python -O

@@ -182,6 +182,19 @@ class TestSubmersionRecipe:
         recipe = submersion_recipe(a, 1, [], g, Matrix.identity(1))
         assert recipe.dual == h_dual(recipe.setup.basic, recipe.metric)
 
+    def test_tm_conn_iterator_same_as_list(self):
+        rng = random.Random(67)
+        a = tangent_torus(2)
+        tm = rand_tm_conn(a, rng)
+        g = adjoint_metric(a, rand_pd_matrix(2, rng), rand_pd_matrix(2, rng))
+        g_v = rand_pd_matrix(1, rng)
+        want = submersion_recipe(a, 1, tm, g, g_v)
+        got = submersion_recipe(a, 1, iter(tm), g, g_v)
+        for field in ("algebroid", "tm_conn", "setup", "dual", "base", "base_dual"):
+            assert getattr(got, field) == getattr(want, field)
+        for block in ("bundle", "h_even", "h_odd"):
+            assert getattr(got.metric, block) == getattr(want.metric, block)
+
     def test_base_data(self):
         rng = random.Random(66)
         a = tangent_torus(1)

@@ -170,7 +170,14 @@ class TestScalarOracle:
                 op("1/2", ONE)
             with pytest.raises(TypeError):
                 op(ONE, 0.5)
-        assert Scalar("1/2") + ONE == Scalar.coerce("3/2")
+        assert Scalar(Fraction(1, 2)) + ONE == Scalar.exact(Fraction(3, 2))
+
+    @pytest.mark.parametrize("parts", [("1/2",), (0.5,), (1, "1"), (ONE,)])
+    def test_constructor_takes_int_and_fraction_parts_only(self, parts):
+        # strings are parsed only where documents are read
+        with pytest.raises(TypeError, match="expected an int or Fraction"):
+            Scalar(*parts)
+        assert not hasattr(Scalar, "coerce")
 
     def test_real_results_have_zero_imaginary_fraction(self):
         a, b = Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 5))
