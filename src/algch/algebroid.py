@@ -10,11 +10,12 @@ over Q(i).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
-from .scalars import Scalar, ZERO
-from .linalg import Matrix, rank, solve
+from .scalars import Scalar, ZERO, I
+from .linalg import Matrix, _matrix, _rank, solve
 
 
 def merge_sign(a, b):
@@ -36,10 +37,11 @@ class ConstantAlgebroid:
     Zeros are dropped.  A pair given in one orientation only gets its
     partner c_ji^k = -c_ij^k; a pair given in both is stored as given, for
     validate_algebroid to check.  brackets[i][j] is the tuple of the
-    (k, c_ij^k) with c_ij^k != 0 in increasing k.
+    (k, c_ij^k) with c_ij^k != 0 in increasing k; ints[i][j] holds them
+    as (k, re, im), c_ij^k = (re + i * im) / den with one den for all.
     """
 
-    __slots__ = ("n", "r", "anchor", "brackets")
+    __slots__ = ("n", "r", "anchor", "brackets", "den", "ints")
 
     def __init__(self, n: int, r: int, anchor: Matrix, brackets: dict):
         if anchor.shape != (n, r):
@@ -62,6 +64,12 @@ class ConstantAlgebroid:
         self.r = r
         self.anchor = anchor
         self.brackets = tuple(map(tuple, table))
+        parts = [x for row in table for cell in row for _, v in cell for x in (v.re, v.im)]
+        self.den = den = lcm(*[x.denominator for x in parts])
+        num = iter([x.numerator * den // x.denominator for x in parts])  # in the order of the cells
+        self.ints = tuple(
+            tuple(tuple([(k, next(num), next(num)) for k, _ in c]) if c else () for c in row) for row in table
+        )
 
     def __eq__(self, other):
         if not isinstance(other, ConstantAlgebroid):
@@ -147,80 +155,76 @@ def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     """
     violations = []
     r = a.r
-    nz = a.brackets
-    anchor = a.anchor.rows
+    nz = a.ints
     for i in range(r):
         for j in range(r):
             if nz[i][j] or nz[j][i]:
-                got, want = dict(nz[i][j]), {k: -v for k, v in nz[j][i]}
+                got, want = {k: (x, y) for k, x, y in nz[i][j]}, {k: (-x, -y) for k, x, y in nz[j][i]}
                 for k in sorted(got.keys() | want.keys()):
-                    if got.get(k, ZERO) != want.get(k, ZERO):
+                    if got.get(k, (0, 0)) != want.get(k, (0, 0)):
                         violations.append(f"antisymmetry broken at (i,j,k)=({i+1},{j+1},{k+1})")
-    # t[(i, j, k, l)] = sum_m c_ij^m c_mk^l, summed over nonzero factors
-    # only; the Jacobiator at (i, j, k, l) is t at its three cyclic
-    # rotations of (i, j, k)
-    t = {}
+    # t[key] + i * ti[key] = sum_m c_ij^m c_mk^l * den ** 2 at key (i, j, k, l), over
+    # nonzero factors only; the Jacobiator at key is t at its rotations of (i, j, k)
+    t, ti = {}, {}
     for i in range(r):
         for j in range(r):
-            for m, cm in nz[i][j]:
+            for m, ur, ui in nz[i][j]:
                 for k in range(r):
-                    for l, cl in nz[m][k]:
+                    for l, vr, vi in nz[m][k]:
                         key = (i, j, k, l)
-                        term = cm * cl
-                        t[key] = t[key] + term if key in t else term
+                        t[key] = t.get(key, 0) + ur * vr - ui * vi
+                        if ui or vi:
+                            ti[key] = ti.get(key, 0) + ur * vi + ui * vr
     keys = set()
     for i, j, k, l in t:
         keys.update(((i, j, k, l), (k, i, j, l), (j, k, i, l)))
     for i, j, k, l in sorted(keys):
-        acc = ZERO
-        for key in ((i, j, k, l), (j, k, i, l), (k, i, j, l)):
-            if key in t:
-                acc = acc + t[key]
-        if not acc.is_zero():
+        rotations = ((i, j, k, l), (j, k, i, l), (k, i, j, l))
+        if sum(t.get(x, 0) for x in rotations) or sum(ti.get(x, 0) for x in rotations):
             violations.append(
                 f"Jacobi broken at (i,j,k,l)=({i+1},{j+1},{k+1},{l+1})"
             )
     # constant coordinate fields commute, so the anchor must kill brackets
+    anchor_im = a.anchor.im or [[0] * r for _ in range(a.n)]
     for i in range(r):
         for j in range(r):
-            for m in range(a.n):
-                acc = ZERO
-                for k, ck in nz[i][j]:
-                    acc = acc + ck * anchor[m][k]
-                if not acc.is_zero():
+            for m, (xr, xi) in enumerate(zip(a.anchor.re, anchor_im)):
+                acc_re = sum(ur * xr[k] - ui * xi[k] for k, ur, ui in nz[i][j])
+                acc_im = sum(ur * xi[k] + ui * xr[k] for k, ur, ui in nz[i][j])
+                if acc_re or acc_im:
                     violations.append(
                         f"anchor compatibility broken at (i,j), coordinate {m+1}"
                     )
     return violations
 
 
-def _leibniz(a: ConstantAlgebroid, monomials):
-    """d(e^I) for each sorted index tuple I, as {sorted key: coefficient}.
-
-    The generators give d e^m = -sum_{i<j} c_ij^m e^i ^ e^j, and d is a
-    derivation: d(e^I) = sum_s (-1)^s e^{I_0} ^ ... ^ d e^{I_s} ^ ... .
-    The 2-form e^i ^ e^j moves to the front without a sign, and
-    merge_sign((i, j), I minus I_s) sorts it in.  Coefficients that
-    cancel are kept as zeros.
-    """
+def _leibniz(a: ConstantAlgebroid) -> list:
+    """Per m, the terms of d e^m = -sum_{i<j} c_ij^m e^i ^ e^j: (bitmask of {i, j},
+    bitmask of the indices between i and j, nonzero (part, value) of -c_ij^m * den)."""
     table = [[] for _ in range(a.r)]
-    for i in range(a.r):
+    for i, row in enumerate(a.ints):
         for j in range(i + 1, a.r):
-            for m, c in a.brackets[i][j]:
-                table[m].append(((i, j), -c))
-    for idx in monomials:
-        d = {}
-        for s, m in enumerate(idx):
-            rest = idx[:s] + idx[s + 1:]
-            parity = -1 if s % 2 else 1
-            for pair, c in table[m]:
-                sign = merge_sign(pair, rest)
-                if sign == 0:
-                    continue
-                v = c if sign == parity else -c
-                key = tuple(sorted(pair + rest))
-                d[key] = d[key] + v if key in d else v
-        yield d
+            for m, re, im in row[j]:
+                parts = tuple((p, -x) for p, x in enumerate((re, im)) if x)
+                table[m].append(((1 << i) | (1 << j), (1 << j) - (2 << i), parts))
+    return table
+
+
+def _column(table: list, idx) -> dict:
+    """d(e^I) = sum_s (-1)^s e^{I_0} ^ ... ^ d e^{I_s} ^ ... for sorted I, as its nonzero
+    {2 * J + part: value * den}, J a bitmask; e^i ^ e^j moves to the front without a
+    sign and sorts into the rest R of I with sign (-1) ** #(R between i and j)."""
+    mask = sum(map((1).__lshift__, idx))
+    d = {}
+    for s, m in enumerate(idx):
+        rest = mask ^ (1 << m)
+        for pair, between, parts in table[m]:
+            if not rest & pair:
+                key = (rest | pair) << 1
+                odd = ((rest & between).bit_count() + s) & 1
+                for part, x in parts:
+                    d[key | part] = d.get(key | part, 0) + (-x if odd else x)
+    return {key: x for key, x in d.items() if x}
 
 
 def ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> AlgebroidForm:
@@ -231,30 +235,35 @@ def ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> AlgebroidForm
     anchor differentiates constants to zero) and only the bracket sum
     survives.
     """
-    comps = {}
-    for w, d in zip(omega.comps.values(), _leibniz(a, omega.comps)):
-        for key, v in d.items():
-            term = w * v
-            comps[key] = comps[key] + term if key in comps else term
+    table = _leibniz(a)
+    sums = {}
+    for idx, w in omega.comps.items():
+        for key, x in _column(table, idx).items():
+            term, key = w * I * x if key & 1 else w * x, key >> 1
+            sums[key] = sums[key] + term if key in sums else term
+    comps = {tuple(i for i in range(a.r) if key >> i & 1): v / a.den for key, v in sums.items()}
     return AlgebroidForm(a.r, omega.degree + 1, comps)
 
 
 def _diff_matrix(a: ConstantAlgebroid, k: int) -> Matrix:
     """Matrix of d from degree k to degree k+1 on scalar constant forms:
     column j is d of the j-th basis k-form, in combinations order."""
+    table = _leibniz(a)
     dom = list(combinations(range(a.r), k))
-    cod_pos = {idx: i for i, idx in enumerate(combinations(range(a.r), k + 1))}
-    entries = {}
-    for j, d in enumerate(_leibniz(a, dom)):
-        for key, v in d.items():
-            entries[cod_pos[key], j] = v
-    return Matrix.from_entries(entries, len(cod_pos), len(dom))
+    cod_pos = {sum(map((1).__lshift__, c)): i for i, c in enumerate(combinations(range(a.r), k + 1))}
+    re, im = [[0] * len(dom) for _ in cod_pos], [[0] * len(dom) for _ in cod_pos]
+    for j, idx in enumerate(dom):
+        for key, x in _column(table, idx).items():
+            (im if key & 1 else re)[cod_pos[key >> 1]][j] = x
+    return _matrix(re, im, a.den, len(dom))
 
 
 def betti_numbers(a: ConstantAlgebroid) -> list[int]:
     """b_k = C(r, k) - rank d_k - rank d_(k-1) for k = 0..r, ranking
-    each d_k once."""
-    ranks = [rank(_diff_matrix(a, k)) for k in range(a.r)] + [0]
+    the sparse integer columns of each d_k once."""
+    table = _leibniz(a)
+    real = not any(im for row in a.ints for cell in row for _, _, im in cell)
+    ranks = [_rank(map(partial(_column, table), combinations(range(a.r), k)), real) for k in range(a.r)] + [0]
     return [comb(a.r, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(a.r + 1)]
 
 

@@ -81,7 +81,7 @@ def cmd_validate(job):
     try:
         a, _ = fileio.load_algebroid(job["inputs"][0])
     except ParseError as e:
-        return {"verdict": "INVALID", "violations": str(e)}, 1, [f"INVALID: {e}"]
+        return {"verdict": "INVALID", "violations": str(e), "error": str(e)}, 1, [f"INVALID: {e}"]
     return (
         {"verdict": "VALID", "base_dim": a.n, "rank": a.r},
         0,

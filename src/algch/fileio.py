@@ -14,13 +14,14 @@ An algebroid document looks like
 Bracket indices are 1-based (e_1.. e_r).  Only i < j entries are needed:
 a pair given in one orientation gets its antisymmetric partner, a pair
 given in both is kept as given and checked, and a pair given twice is
-an error, as is any key not shown above.  Scalar entries are rational
-strings like "3/2" or {"re": "...", "im": "..."} for Gaussian values.
+an error, as is any key not shown above.  Scalar entries are integers,
+strings matching [+-]?[0-9]+(/[0-9]+)? like "-3/2", or {"re": x, "im": y}.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO
@@ -33,14 +34,19 @@ class ParseError(ValueError):
     pass
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(v) -> Fraction:
-    """A JSON integer or rational string; floats and booleans are refused."""
-    if isinstance(v, bool) or not isinstance(v, (str, int)):
-        raise ParseError(
-            f"bad rational {v!r} (only integers and rational strings; floats are not accepted)"
-        )
-    try:
+    """A JSON integer or a string matching [+-]?[0-9]+(/[0-9]+)?; floats,
+    booleans and decimal or exponent notation are refused."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
+    m = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
+    if not m:
+        raise ParseError(f'bad rational {v!r} (integers or strings like "-3/2"; floats are not accepted)')
+    try:  # int() refuses more digits than its limit
+        return Fraction(int(m[1])) if m[2] is None else Fraction(int(m[1]), int(m[2]))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {v!r}: {e}") from None
 

@@ -13,10 +13,10 @@ compares values by cross-multiplying and hash uses the reduced form.
 m[i, j] and m.rows give Scalars.  Rows are lists that are never
 mutated; a product's zero rows may be one shared list.
 
-One fraction-free elimination, _eliminate, serves rank, solve,
+One dense fraction-free elimination, _eliminate, serves solve,
 nullspace, inverse, det and positive_definite.  It works on the same
 integer rows, the real parts alone for real data and the pairs (re,
-im) otherwise.
+im) otherwise; rank runs the sparse _rank that betti_numbers runs.
 """
 
 from __future__ import annotations
@@ -434,8 +434,32 @@ def _beside(m: Matrix, rhs: Matrix) -> Matrix:
     return _matrix(join(m.re, rhs.re), im, den, m.ncols + rhs.ncols)
 
 
+def _rank(vectors, real: bool) -> int:
+    """Rank over Q(i) of integer vectors {2 * index + part: value != 0}, part 1
+    imaginary (real: no odd key), by fraction-free echelon insertion.  Gaussian data
+    is ranked over Q with i * v beside each v: Q-dimension is 2 * Q(i)-dimension."""
+    if not real:
+        vectors = (w for v in vectors for w in ({k ^ 1: -x if k & 1 else x for k, x in v.items()}, v))
+    pivots = {}
+    for v in vectors:
+        while v and min(v) in pivots:
+            # v <- (a * v - f * p) / g cancels the lead and divides out the content
+            p = pivots[lead := min(v)]
+            a, f = p[lead], v[lead]
+            v = {k: x for k in v.keys() | p.keys() if (x := a * v.get(k, 0) - f * p.get(k, 0))}
+            g = gcd(*v.values())
+            if g > 1:
+                v = {k: x // g for k, x in v.items()}
+        if v:
+            pivots[min(v)] = v
+    return len(pivots) if real else len(pivots) // 2
+
+
 def rank(m: Matrix) -> int:
-    return len(_eliminate(*_rows(m))[0])
+    rows = [{2 * j: x for j, x in enumerate(row) if x} for row in m.re]
+    for row, im in zip(rows, m.im or ()):
+        row.update((2 * j + 1, x) for j, x in enumerate(im) if x)
+    return _rank(rows, m.im is None)
 
 
 def solve(m: Matrix, b) -> tuple | None:

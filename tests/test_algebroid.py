@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from algch.scalars import Scalar, ZERO, ONE
+from algch.scalars import Scalar, ZERO, ONE, I
 from algch.linalg import Matrix
 from algch.algebroid import (
     ConstantAlgebroid,
@@ -200,6 +200,34 @@ class TestBetti:
         ):
             assert a.r in (6, 7, 8)
             assert betti_numbers(a) == [reference_betti_number(a, k) for k in range(a.r + 1)]
+
+    def test_gaussian_brackets(self):
+        # sl2 with every bracket scaled by i: [h,e] = 2i e, [h,f] = -2i f, [e,f] = i h
+        isl2 = lie_algebra(3, {(0, 1): {1: 2 * I}, (0, 2): {2: -2 * I}, (1, 2): {0: I}})
+        assert betti_numbers(isl2) == [reference_betti_number(isl2, k) for k in range(4)] == [1, 0, 0, 1]
+        a = direct_product(isl2, heisenberg())
+        assert betti_numbers(a) == [reference_betti_number(a, k) for k in range(a.r + 1)]
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (q_family(1, 2, 3, 4),) * 2 + (heisenberg(),) * 2 + (abelian(2),),
+            (so3(),) * 4 + (abelian(3),),
+        ],
+        ids=["rank 14", "rank 15"],
+    )
+    def test_kunneth_on_rank_14_and_15_products(self, factors):
+        a = factors[0]
+        want = [reference_betti_number(a, k) for k in range(a.r + 1)]
+        for f in factors[1:]:
+            a = direct_product(a, f)
+            b = [reference_betti_number(f, k) for k in range(f.r + 1)]
+            want = [
+                sum(want[i] * b[d - i] for i in range(len(want)) if 0 <= d - i < len(b))
+                for d in range(len(want) + len(b) - 1)
+            ]
+        assert a.r in (14, 15)
+        assert betti_numbers(a) == want
 
 
 class TestCoboundaryWitness:

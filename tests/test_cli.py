@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,35 @@ class TestFileio:
     def test_floats_rejected(self):
         with pytest.raises(ParseError):
             scalar_from_json(0.5)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1e1000000", 'integers or strings like "-3/2"'),
+            ("0.5", 'integers or strings like "-3/2"'),
+            (" 1", 'integers or strings like "-3/2"'),
+            ("1_000", 'integers or strings like "-3/2"'),
+            ("1/-2", 'integers or strings like "-3/2"'),
+            ("3/0", ""),
+        ],
+    )
+    def test_refused_rational_strings(self, value, message):
+        # exponent notation is refused before any number is built
+        with pytest.raises(ParseError, match=f"bad rational '{re.escape(value)}'.*{message}"):
+            scalar_from_json(value)
+
+    @pytest.mark.parametrize("value, want", [("+4/6", Fraction(2, 3)), ("-007", -7), ("12/1", 12)])
+    def test_accepted_rational_strings(self, value, want):
+        assert scalar_from_json(value) == Scalar(want)
+
+    def test_integer_digit_limit(self):
+        digits = "7" * 5000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < len(digits):
+            with pytest.raises(ParseError, match="bad rational"):
+                scalar_from_json(digits)
+        else:
+            assert scalar_from_json(digits) == Scalar(int(digits))
 
     def test_parse_serialize_parse_identity(self):
         for name in ("q_family.json", "so3.json", "heisenberg.json", "tt2.json", "abelian2.json"):
@@ -410,6 +440,20 @@ class TestBatchDocuments:
         assert reports[1]["betti"] == [1, 0, 0, 1]
         assert "Betti: 1 0 0 1" in out
 
+    def test_invalid_validate_job_carries_error(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(
+            json.dumps({"base_dim": 0, "rank": 2, "brackets": [{"i": 1, "j": 2, "coeffs": ["0", "1", "0"]}]})
+        )
+        jobs = [{"command": "validate", "inputs": [str(doc)]}, SO3_COHOMOLOGY]
+        out_file = tmp_path / "report.json"
+        status, _ = run_cli(capsys, "batch", "--out", out_file, write_batch(tmp_path, jobs))
+        assert status == 1
+        reports = json.loads(out_file.read_text())["batch"]
+        assert reports[0]["verdict"] == "INVALID"
+        assert reports[0]["error"] == reports[0]["violations"] == "bracket (1,2) needs 2 coefficients"
+        assert reports[1]["betti"] == [1, 0, 0, 1]
+
     def test_single_command_missing_input(self, capsys, tmp_path):
         status, out = run_cli(capsys, "cs", tmp_path / "missing.json")
         assert status == 1
@@ -762,11 +806,9 @@ class TestFuzzedDocuments:
             for command, options in (("validate", {}), ("cohomology", {}), ("char", {"max_q": 1})):
                 report, status, _ = cli.run({"command": command, "inputs": [str(f)], "options": options})
                 assert status in (0, 1)
+                assert ("error" in report) == (status == 1)
                 if command == "validate":
-                    # validate reports a document it refuses as INVALID
                     assert report["verdict"] == ("VALID" if status == 0 else "INVALID")
-                else:
-                    assert ("error" in report) == (status == 1)
                 statuses[command] = status
         # a document that parses also runs
         assert statuses["validate"] == statuses["cohomology"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algch.scalars import Scalar, ZERO, ONE, I
-from algch.linalg import Matrix, det, inverse, nullspace, positive_definite, rank, solve
+from algch.linalg import Matrix, _rank, det, inverse, nullspace, positive_definite, rank, solve
 
 from helpers import (
     RingMatrix,
@@ -414,6 +414,29 @@ class TestZeroStructure:
         assert det(Matrix.block_diag(ab, Matrix.zeros(0, 1))) == ZERO
         assert inverse(ab * ab.conj_transpose() + Matrix.identity(3)).shape == (3, 3)
         assert snapshot(ab) == before
+
+
+class TestSparseRank:
+    """_rank, the sparse echelon insertion behind rank and betti_numbers,
+    on integer columns keyed as betti_numbers keys them and through rank
+    on rows, against the Scalar row reduction: real and Gaussian data,
+    zero rows and columns, 0 x k and k x 0 shapes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 6), st.integers(0, 6), st.integers(0, 4), st.integers(0, 2),
+        st.booleans(), st.sampled_from([0.3, 0.7, 1.0]), st.integers(0, 2**32),
+    )
+    def test_matches_reference(self, n, m, inner, pad, real, density, seed):
+        a = padded(pad, rand_ranked(n, m, inner, random.Random(seed), real, density))
+        want = reference_rank(a)
+        im = a.im or [[0] * a.ncols for _ in a.re]
+        columns = [
+            {2 * i + part: x for i in range(a.nrows) for part, x in enumerate((a.re[i][j], im[i][j])) if x}
+            for j in range(a.ncols)
+        ]
+        assert _rank(columns, a.im is None) == want
+        assert rank(a) == rank(a.conj_transpose()) == want
 
 
 class TestScalingOperands:
