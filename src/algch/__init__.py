@@ -14,7 +14,6 @@ from .algebroid import (
 from .connections import (
     GradedBundle,
     GradedEndo,
-    OddMap,
     Connection,
     HermitianMetric,
     h_dual,

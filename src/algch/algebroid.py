@@ -5,11 +5,15 @@ constants in the canonical frame e_1, ..., e_r; a Lie algebra is the
 base-dimension-0 case.  All cohomology is computed on the constant
 (translation-invariant) subcomplex, which is finite-dimensional and
 closed under the differential, so everything is exact linear algebra
-over Q(i).
+over Q(i).  The structure constants are stored once, as integers over
+one common denominator (ConstantAlgebroid.ints); the axiom checks, the
+CE differential and the Betti numbers read that table directly, and
+ConstantAlgebroid.bracket gives its entries as Scalars.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import comb, lcm
@@ -36,17 +40,19 @@ class ConstantAlgebroid:
 
     Zeros are dropped.  A pair given in one orientation only gets its
     partner c_ji^k = -c_ij^k; a pair given in both is stored as given, for
-    validate_algebroid to check.  brackets[i][j] is the tuple of the
-    (k, c_ij^k) with c_ij^k != 0 in increasing k; ints[i][j] holds them
-    as (k, re, im), c_ij^k = (re + i * im) / den with one den for all.
+    validate_algebroid to check.  The one table of structure constants is
+    ints: ints[i][j] is the tuple of the (k, re, im) with c_ij^k =
+    (re + i * im) / den != 0 in increasing k, over one den for all, the
+    lcm of the denominators of the parts.  The table is thus determined by
+    the values, and == compares it directly.
     """
 
-    __slots__ = ("n", "r", "anchor", "brackets", "den", "ints")
+    __slots__ = ("n", "r", "anchor", "den", "ints")
 
     def __init__(self, n: int, r: int, anchor: Matrix, brackets: dict):
         if anchor.shape != (n, r):
             raise ValueError(f"anchor must be {n} x {r}, got {anchor.nrows} x {anchor.ncols}")
-        table = [[()] * r for _ in range(r)]
+        cells = {}
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < r and 0 <= j < r):
                 raise ValueError(f"bracket pair ({i}, {j}) out of range 0..{r - 1}")
@@ -55,21 +61,27 @@ class ConstantAlgebroid:
                 if not 0 <= k < r:
                     raise ValueError(f"bracket ({i}, {j}): index {k} out of range 0..{r - 1}")
                 v = Scalar.exact(v)
-                if not v.is_zero():
-                    row.append((k, v))
-            table[i][j] = tuple(row)
+                if v.re or v.im:
+                    row.append((k, v.re, v.im))
+            cells[i, j] = row
+        den = lcm(*[x.denominator for row in cells.values() for _, re, im in row for x in (re, im)])
+        table = [[()] * r for _ in range(r)]
+        for (i, j), row in cells.items():
+            table[i][j] = cell = tuple(
+                [(k, x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for k, x, y in row]
+            )
             if (j, i) not in brackets:
-                table[j][i] = tuple((k, -v) for k, v in row)
+                table[j][i] = tuple([(k, -x, -y) for k, x, y in cell])
         self.n = n
         self.r = r
         self.anchor = anchor
-        self.brackets = tuple(map(tuple, table))
-        parts = [x for row in table for cell in row for _, v in cell for x in (v.re, v.im)]
-        self.den = den = lcm(*[x.denominator for x in parts])
-        num = iter([x.numerator * den // x.denominator for x in parts])  # in the order of the cells
-        self.ints = tuple(
-            tuple(tuple([(k, next(num), next(num)) for k, _ in c]) if c else () for c in row) for row in table
-        )
+        self.den = den
+        self.ints = tuple(map(tuple, table))
+
+    def bracket(self, i: int, j: int) -> list:
+        """[e_i, e_j] as the (k, c_ij^k) with c_ij^k != 0, in increasing k."""
+        den = self.den
+        return [(k, Scalar(Fraction(x, den), Fraction(y, den))) for k, x, y in self.ints[i][j]]
 
     def __eq__(self, other):
         if not isinstance(other, ConstantAlgebroid):
@@ -78,7 +90,8 @@ class ConstantAlgebroid:
             self.n == other.n
             and self.r == other.r
             and self.anchor == other.anchor
-            and self.brackets == other.brackets
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __repr__(self):
@@ -128,9 +141,6 @@ class AlgebroidForm:
 
     def scale(self, c):
         return self.map_values(lambda v: v * c)
-
-    def conj(self):
-        return self.map_values(lambda v: v.conj())
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -294,9 +304,9 @@ def _solve_coboundary(a: ConstantAlgebroid, omega: AlgebroidForm):
 def shifted_brackets(a: ConstantAlgebroid, off: int) -> dict:
     """a's structure constants with every index raised by off, as
     constructor input giving both orientations of every nonzero pair."""
-    c = a.brackets
+    c = a.ints
     return {
-        (i + off, j + off): {k + off: v for k, v in c[i][j]}
+        (i + off, j + off): {k + off: v for k, v in a.bracket(i, j)}
         for i in range(a.r)
         for j in range(a.r)
         if c[i][j] or c[j][i]

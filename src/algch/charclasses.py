@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .scalars import Scalar, ONE, I
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 from .algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
@@ -22,7 +22,6 @@ from .algebroid import (
 from .connections import (
     GradedBundle,
     GradedEndo,
-    OddMap,
     Connection,
     HermitianMetric,
     h_dual,
@@ -116,7 +115,7 @@ def secondary_representatives(c: Connection, dual: Connection, max_q: int) -> li
 class AdjointSetup(NamedTuple):
     bundle: GradedBundle  # A even, TM odd, boundary = anchor
     basic: Connection
-    theta: list[OddMap]
+    theta: list[Matrix]  # theta_i, r x n: TM (odd) -> A (even)
     adjoint: Connection
 
 
@@ -126,9 +125,13 @@ def adjoint_bundle(anchor: Matrix) -> GradedBundle:
 
 
 def _ad(a: ConstantAlgebroid, i: int) -> Matrix:
-    """ad_{e_i}: column j holds the coefficients of [e_i, e_j]."""
-    entries = {(k, j): v for j in range(a.r) for k, v in a.brackets[i][j]}
-    return Matrix.from_entries(entries, a.r, a.r)
+    """ad_{e_i}: column j holds the coefficients of [e_i, e_j], read as
+    integers over a.den."""
+    re, im = [[0] * a.r for _ in range(a.r)], [[0] * a.r for _ in range(a.r)]
+    for j, cell in enumerate(a.ints[i]):
+        for k, x, y in cell:
+            re[k][j], im[k][j] = x, y
+    return _matrix(re, im, a.den, a.r)
 
 
 def adjoint_connection(a: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
@@ -148,9 +151,10 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
         odd:   u |-> rho(nabla_u e_i)
 
     and differs from the adjoint action by the graded commutator of the
-    boundary with theta_i = (u |-> -nabla_u e_i, 0).  With the r x n
-    matrix T_i[k, m] = Gamma_m[k, i] and C_i = ad_{e_i}, the even block
-    is C_i + T_i rho, the odd block rho T_i, and theta_i = (-T_i, 0).
+    boundary with theta_i: u |-> -nabla_u e_i, from TM to A.  With the
+    r x n matrix T_i[k, m] = Gamma_m[k, i] and C_i = ad_{e_i}, the even
+    block is C_i + T_i rho, the odd block rho T_i, and theta_i = -T_i, so
+    ad - basic = (theta_i rho, rho theta_i).
     """
     tm_conn = list(tm_conn)
     if len(tm_conn) != a.n:
@@ -166,7 +170,7 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
     for i in range(a.r):
         t = Matrix.column_stack(tm_conn, i, a.r)
         omega.append(GradedEndo(_ad(a, i) + t * rho, rho * t))
-        thetas.append(OddMap(-t, Matrix.zeros(a.n, a.r)))
+        thetas.append(-t)
 
     basic = Connection(a, bundle, omega)
     if not basic.commutes_with_boundary():
@@ -175,8 +179,8 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
         )
     ad = adjoint_connection(a, bundle)
     for i in range(a.r):
-        delta = ad.omega[i] - basic.omega[i]
-        if delta != thetas[i].anticommutator_with_boundary(bundle):
+        theta = thetas[i]
+        if ad.omega[i] - basic.omega[i] != GradedEndo(theta * rho, rho * theta):
             raise IdentityFailure(
                 "adjoint equivalence",
                 f"basic and adjoint connections differ from the stated theta at e_{i + 1}",

@@ -1,9 +1,12 @@
 """Graded bundles with odd boundary and constant-coefficient connections.
 
-A connection is stored through its action on the constant frame: one
-parity-preserving endomorphism per algebroid frame section.  The
-Leibniz rule is vacuous on constant data, and the dual connection
-simplifies to Omega |-> -Omega^T (the Lie-derivative term vanishes).
+A graded bundle is a two-term complex E_0 -> E_1, such as the adjoint
+representation up to homotopy A -> TM with the anchor as its boundary,
+so the boundary is one matrix.  A connection is stored through its
+action on the constant frame: one parity-preserving endomorphism per
+algebroid frame section.  The Leibniz rule is vacuous on constant
+data, and the dual connection simplifies to Omega |-> -Omega^T (the
+Lie-derivative term vanishes).
 """
 
 from __future__ import annotations
@@ -13,31 +16,25 @@ from .algebroid import ConstantAlgebroid
 
 
 class GradedBundle:
-    """Even/odd ranks plus the odd boundary, with boundary^2 = 0.
+    """Even and odd ranks plus the boundary d01 from the even part into
+    the odd part (shape odd x even, zero when not given).
 
-    d01 maps the even part into the odd part (shape odd x even);
-    d10 maps the odd part into the even part (shape even x odd).
+    The complex has two terms, so d01 is its one differential and
+    squares to zero by degree.
     """
 
-    __slots__ = ("rank_even", "rank_odd", "d01", "d10")
+    __slots__ = ("rank_even", "rank_odd", "d01")
 
-    def __init__(self, rank_even: int, rank_odd: int, d01: Matrix = None, d10: Matrix = None):
+    def __init__(self, rank_even: int, rank_odd: int, d01: Matrix = None):
         if d01 is None:
             d01 = Matrix.zeros(rank_odd, rank_even)
-        if d10 is None:
-            d10 = Matrix.zeros(rank_even, rank_odd)
-        if d01.shape != (rank_odd, rank_even) or d10.shape != (rank_even, rank_odd):
+        if d01.shape != (rank_odd, rank_even):
             raise ValueError(
-                f"boundary blocks must be {rank_odd} x {rank_even} and "
-                f"{rank_even} x {rank_odd}, got {d01.nrows} x {d01.ncols} "
-                f"and {d10.nrows} x {d10.ncols}"
+                f"the boundary must be {rank_odd} x {rank_even}, got {d01.nrows} x {d01.ncols}"
             )
-        if not (d10 * d01).is_zero() or not (d01 * d10).is_zero():
-            raise ValueError("boundary does not square to zero")
         self.rank_even = rank_even
         self.rank_odd = rank_odd
         self.d01 = d01
-        self.d10 = d10
 
     def __eq__(self, other):
         if not isinstance(other, GradedBundle):
@@ -46,7 +43,6 @@ class GradedBundle:
             self.rank_even == other.rank_even
             and self.rank_odd == other.rank_odd
             and self.d01 == other.d01
-            and self.d10 == other.d10
         )
 
     def __repr__(self):
@@ -67,32 +63,8 @@ class GradedEndo:
         self.ee = ee
         self.oo = oo
 
-    @staticmethod
-    def zeros(re: int, ro: int) -> "GradedEndo":
-        return GradedEndo(Matrix.zeros(re, re), Matrix.zeros(ro, ro))
-
-    def __add__(self, other):
-        return GradedEndo(self.ee + other.ee, self.oo + other.oo)
-
     def __sub__(self, other):
         return GradedEndo(self.ee - other.ee, self.oo - other.oo)
-
-    def __neg__(self):
-        return GradedEndo(-self.ee, -self.oo)
-
-    def __mul__(self, other):
-        if isinstance(other, GradedEndo):
-            return GradedEndo(self.ee * other.ee, self.oo * other.oo)
-        return GradedEndo(self.ee.scale(other), self.oo.scale(other))
-
-    def __rmul__(self, other):
-        return self * other
-
-    def scale(self, c):
-        return GradedEndo(self.ee.scale(c), self.oo.scale(c))
-
-    def commutator(self, other: "GradedEndo") -> "GradedEndo":
-        return self * other - other * self
 
     def is_zero(self) -> bool:
         return self.ee.is_zero() and self.oo.is_zero()
@@ -104,33 +76,6 @@ class GradedEndo:
 
     def __repr__(self):
         return f"GradedEndo(ee={self.ee}, oo={self.oo})"
-
-
-class OddMap:
-    """Parity-reversing endomorphism: blocks eo (odd -> even), oe (even -> odd)."""
-
-    __slots__ = ("eo", "oe")
-
-    def __init__(self, eo: Matrix, oe: Matrix):
-        self.eo = eo
-        self.oe = oe
-
-    def anticommutator_with_boundary(self, bundle: GradedBundle) -> GradedEndo:
-        """The graded commutator [theta, boundary] = theta d + d theta."""
-        ee = self.eo * bundle.d01 + bundle.d10 * self.oe
-        oo = self.oe * bundle.d10 + bundle.d01 * self.eo
-        return GradedEndo(ee, oo)
-
-    def is_zero(self) -> bool:
-        return self.eo.is_zero() and self.oe.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, OddMap):
-            return NotImplemented
-        return self.eo == other.eo and self.oe == other.oe
-
-    def __repr__(self):
-        return f"OddMap(eo={self.eo}, oe={self.oe})"
 
 
 class HermitianMetric:
@@ -183,19 +128,15 @@ class Connection:
         self.omega = omega
 
     def commutes_with_boundary(self) -> bool:
-        """Whether every frame matrix commutes with the odd boundary.
+        """Whether every frame matrix commutes with the boundary:
+        d01 * ee = oo * d01.
 
         Holds for any connection coming from a representation on the
         graded bundle; the h-dual of such a connection need not satisfy
         it unless the boundary is self-adjoint for h.
         """
-        b = self.bundle
-        for om in self.omega:
-            if (b.d01 * om.ee) != (om.oo * b.d01):
-                return False
-            if (b.d10 * om.oo) != (om.ee * b.d10):
-                return False
-        return True
+        d01 = self.bundle.d01
+        return all(d01 * om.ee == om.oo * d01 for om in self.omega)
 
     def __eq__(self, other):
         if not isinstance(other, Connection):

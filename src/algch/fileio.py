@@ -170,8 +170,8 @@ def serialize_algebroid(a: ConstantAlgebroid, extras: dict = None) -> dict:
     doc = {"base_dim": a.n, "rank": a.r, "anchor": matrix_to_json(a.anchor), "brackets": []}
     for i in range(a.r):
         for j in range(i + 1, a.r):
-            if a.brackets[i][j]:
-                row = dict(a.brackets[i][j])
+            if a.ints[i][j]:
+                row = dict(a.bracket(i, j))
                 coeffs = [scalar_to_json(row.get(k, ZERO)) for k in range(a.r)]
                 doc["brackets"].append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
     if extras:

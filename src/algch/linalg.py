@@ -34,24 +34,22 @@ class Matrix:
     def __init__(self, rows, ncols=None):
         """rows of Scalar, int or Fraction entries (TypeError for any
         other); ncols is needed only when there are no rows."""
-        rows = [list(r) for r in rows]
+        rows = [[Scalar.exact(x) for x in r] for r in rows]
         if ncols is None:
             if not rows:
                 raise ValueError("a matrix without rows needs an explicit ncols")
             ncols = len(rows[0])
-        entries = {}
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError(f"row {i + 1} has {len(row)} entries, not {ncols}")
-            for j, x in enumerate(row):
-                entries[i, j] = Scalar.exact(x)
-        self.re, self.im, self.den = _cleared(entries, len(rows), ncols)
+        # over the lcm of the denominators, which leaves the entries in lowest terms
+        parts = [x for row in rows for x in row]
+        self.den = den = lcm(*[x.re.denominator for x in parts], *[x.im.denominator for x in parts])
+        self.re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in rows]
+        self.im = None
+        if any(x.im for x in parts):
+            self.im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in rows]
         self.ncols = ncols
-
-    @staticmethod
-    def from_entries(entries: dict, nrows: int, ncols: int) -> "Matrix":
-        """The matrix with Scalar entries {(i, j): value}, zero elsewhere."""
-        return _matrix(*_cleared(entries, nrows, ncols), ncols)
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Matrix":
@@ -245,20 +243,6 @@ def _matrix(re: list, im, den: int, ncols: int) -> Matrix:
     m.den = den
     m.ncols = ncols
     return m
-
-
-def _cleared(entries: dict, nrows: int, ncols: int) -> tuple:
-    """(re, im, den) of the Scalar entries {(i, j): value} over the lcm
-    of their denominators, which leaves them in lowest terms."""
-    values = entries.values()
-    den = lcm(*(x.re.denominator for x in values), *(x.im.denominator for x in values))
-    re = [[0] * ncols for _ in range(nrows)]
-    im = [[0] * ncols for _ in range(nrows)] if any(x.im for x in values) else None
-    for (i, j), x in entries.items():
-        re[i][j] = x.re.numerator * (den // x.re.denominator)
-        if im is not None:
-            im[i][j] = x.im.numerator * (den // x.im.denominator)
-    return re, im, den
 
 
 def _reduced(re: list, im, den: int, ncols: int) -> Matrix:

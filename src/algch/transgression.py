@@ -204,7 +204,7 @@ def _affine_curvature(conns) -> AffineForm:
         for j in range(i + 1, a.r):
             terms = [(1, aff[i], aff[j]), (-1, aff[j], aff[i])]
             val = _poly_products(terms)
-            for k, coeff in a.brackets[i][j]:
+            for k, coeff in a.bracket(i, j):
                 for e, (x, y) in aff[k].items():
                     x, y = x.scale(coeff), y.scale(coeff)
                     val[e] = (val[e][0] - x, val[e][1] - y) if e in val else (-x, -y)

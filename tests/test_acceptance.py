@@ -31,6 +31,7 @@ from algch.pullback import (
 from algch.library import tangent_torus, q_family, so3, lie_algebra
 
 from helpers import (
+    boundary_commutator,
     direct_sum_connections,
     rand_bundle,
     rand_connection,
@@ -174,7 +175,7 @@ def test_main_example_equivalence():
         b = setup.bundle
         for i in range(a.r):
             delta = setup.adjoint.omega[i] - setup.basic.omega[i]
-            assert delta == setup.theta[i].anticommutator_with_boundary(b), name
+            assert delta == boundary_commutator(setup.theta[i], b), name
         for q in (1, 2, 3):
             lhs = supertrace_curvature_power(setup.basic, q)
             rhs = supertrace_curvature_power(setup.adjoint, q)

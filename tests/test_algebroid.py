@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -88,26 +90,51 @@ class TestConstructor:
 
     def test_fills_partner_of_one_orientation(self):
         a = ConstantAlgebroid(0, 3, Matrix.zeros(0, 3), {(2, 0): {1: Scalar(3), 0: ONE}})
-        assert a.brackets[2][0] == ((0, ONE), (1, Scalar(3)))
-        assert a.brackets[0][2] == ((0, -ONE), (1, Scalar(-3)))
+        assert a.den == 1
+        assert a.ints[2][0] == ((0, 1, 0), (1, 3, 0))
+        assert a.ints[0][2] == ((0, -1, 0), (1, -3, 0))
         assert validate_algebroid(a) == []
 
     def test_drops_explicit_zeros(self):
         a = ConstantAlgebroid(0, 2, Matrix.zeros(0, 2), {(0, 1): {0: ZERO, 1: 0}})
-        assert a.brackets == (((), ()), ((), ()))
+        assert a.ints == (((), ()), ((), ()))
+        assert a.den == 1
         assert a == abelian(2)
 
     def test_keeps_both_orientations_as_given(self):
         # [e_1,e_2] = e_2 and [e_2,e_1] = e_2: stored as given, and the
         # check names the broken antisymmetry
         a = ConstantAlgebroid(0, 2, Matrix.zeros(0, 2), {(0, 1): {1: ONE}, (1, 0): {1: ONE}})
-        assert a.brackets[0][1] == a.brackets[1][0] == ((1, ONE),)
+        assert a.ints[0][1] == a.ints[1][0] == ((1, 1, 0),)
         bad = validate_algebroid(a)
         assert bad == dense_validate_algebroid(a)
         assert [v for v in bad if "antisymmetry" in v] == [
             "antisymmetry broken at (i,j,k)=(1,2,2)",
             "antisymmetry broken at (i,j,k)=(2,1,2)",
         ]
+
+    def test_equality_by_value(self):
+        def heis(c, partner=None):
+            """[e_1, e_2] = c e_3, and [e_2, e_1] = partner e_3 if given."""
+            brackets = {(0, 1): {2: c}}
+            if partner is not None:
+                brackets[1, 0] = {2: partner}
+            return ConstantAlgebroid(0, 3, Matrix.zeros(0, 3), brackets)
+
+        # int, Fraction and Scalar coefficients that agree
+        assert heis(2) == heis(Fraction(4, 2)) == heis(Scalar(2)) == heis(Scalar(2, 0))
+        assert heis(Fraction(1, 2)) == heis(Scalar(Fraction(1, 2)))
+        assert heis(Scalar(Fraction(1, 2), Fraction(-3, 4))) == heis(Scalar(Fraction(2, 4), Fraction(-6, 8)))
+        # one orientation and both consistent orientations
+        assert heis(Fraction(1, 2)) == heis(Fraction(1, 2), Fraction(-1, 2))
+        assert heis(I) == heis(I, -I)
+        # a different imaginary part, or the same numerators over another den
+        assert heis(Scalar(1, 1)) != heis(Scalar(1, 2))
+        assert heis(ONE) != heis(Scalar(1, 1))
+        assert heis(Fraction(1, 2)) != heis(Fraction(1, 3))
+        assert heis(Scalar(0, Fraction(1, 2))) != heis(Scalar(0, Fraction(1, 3)))
+        # inconsistent orientations differ from the consistent ones
+        assert heis(ONE) != heis(ONE, ONE)
 
     @pytest.mark.parametrize("brackets", [
         {(0, 3): {0: ONE}},
@@ -271,9 +298,11 @@ class TestDirectProduct:
         assert (prod.n, prod.r) == (1, 4)
         assert column(prod.anchor, 0) == (ONE,)
         assert all(prod.anchor[0, i].is_zero() for i in range(1, 4))
+        assert prod.den == q.den
         for i in range(3):
             for j in range(3):
-                assert prod.brackets[1 + i][1 + j] == tuple((1 + k, v) for k, v in q.brackets[i][j])
+                assert prod.ints[1 + i][1 + j] == tuple((1 + k, x, y) for k, x, y in q.ints[i][j])
+        assert all(not cell for cell in prod.ints[0]) and all(not row[0] for row in prod.ints)
         assert validate_algebroid(prod) == []
         # direct_product does not check its result: products of valid
         # factors with a torus factor on either side come out valid
@@ -339,6 +368,7 @@ class TestSparseAgainstDense:
                             k: ZERO if rng.random() < 0.3 else rand_scalar(rng) for k in ks
                         }
             a = ConstantAlgebroid(0, r, Matrix.zeros(0, r), given)
+            wants = {}
             for i in range(r):
                 for j in range(r):
                     if (i, j) in given:
@@ -347,7 +377,13 @@ class TestSparseAgainstDense:
                         want = sorted((k, -v) for k, v in given[j, i].items() if not v.is_zero())
                     else:
                         want = []
-                    assert list(a.brackets[i][j]) == want
+                    wants[i, j] = want
+            # one den, the lcm of the denominators of every nonzero part
+            parts = [x for want in wants.values() for _, v in want for x in (v.re, v.im)]
+            assert a.den == lcm(*(x.denominator for x in parts))
+            for (i, j), want in wants.items():
+                assert [k for k, _, _ in a.ints[i][j]] == [k for k, _ in want]
+                assert [(x, y) for _, x, y in a.ints[i][j]] == [(v.re * a.den, v.im * a.den) for _, v in want]
 
     def test_validate_on_valid_algebroids(self):
         rng = random.Random(11)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from algch.charclasses import (
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 from helpers import (
+    boundary_commutator,
     zero_connection,
     direct_sum_connections,
     rand_bundle,
@@ -47,6 +49,7 @@ from helpers import (
     fake_cs_cochains,
     trace_character,
     dense_brackets,
+    dense_ad,
     identity_metric,
 )
 
@@ -222,6 +225,18 @@ class TestAdjointSetup:
             assert setup.basic == setup.adjoint
             assert all(t.is_zero() for t in setup.theta)
 
+    def test_ad_matches_dense_brackets(self):
+        # Gaussian brackets (sl2 with every bracket times i) and fractional
+        # ones (a q_family with entries +-1/2), alone and beside a torus
+        half = Fraction(1, 2)
+        isl2 = lie_algebra(3, {(0, 1): {1: 2 * I}, (0, 2): {2: -2 * I}, (1, 2): {0: I}})
+        for g in (isl2, q_family(half, -half, -half, half)):
+            for a in (g, direct_product(tangent_torus(1), g)):
+                ad = adjoint_connection(a, GradedBundle(a.r, a.n, d01=a.anchor))
+                for i in range(a.r):
+                    assert ad.omega[i].ee == dense_ad(a, i)
+                    assert ad.omega[i].oo == Matrix.zeros(a.n, a.n)
+
     def test_tangent_torus_flat_recipe(self):
         for n in (1, 2, 3):
             a = tangent_torus(n)
@@ -246,7 +261,7 @@ class TestAdjointSetup:
             b = setup.bundle
             for i in range(a.r):
                 delta = setup.adjoint.omega[i] - setup.basic.omega[i]
-                assert delta == setup.theta[i].anticommutator_with_boundary(b)
+                assert delta == boundary_commutator(setup.theta[i], b)
 
 
 class TestIntrinsic:

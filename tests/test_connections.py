@@ -8,7 +8,6 @@ from algch.algebroid import ce_differential
 from algch.connections import (
     GradedBundle,
     GradedEndo,
-    OddMap,
     Connection,
     HermitianMetric,
     h_dual,
@@ -36,6 +35,9 @@ from helpers import (
     identity_endo,
     identity_metric,
     supertrace,
+    Endo,
+    boundary_commutator,
+    form_conj,
 )
 
 
@@ -74,11 +76,8 @@ class TestCurvature:
             a = rand_algebroid(rng)
             b = rand_bundle(rng)
             c = rand_connection(a, b, rng)
-            d01, d10 = b.d01, b.d10
             for v in single_curvature(c).values():
-                ee = v.ee * d10 - d10 * v.oo
-                oo = v.oo * d01 - d01 * v.ee
-                assert ee.is_zero() and oo.is_zero()
+                assert (v.oo * b.d01 - b.d01 * v.ee).is_zero()
 
     def test_matches_single_connection_oracle(self):
         rng = random.Random(16)
@@ -93,10 +92,8 @@ class TestShapes:
     """Explicit checks, so they also run under python -O."""
 
     def test_bundle_boundary_shapes_enforced(self):
-        with pytest.raises(ValueError, match="boundary blocks must be 1 x 2 and 2 x 1, got 2 x 1"):
+        with pytest.raises(ValueError, match="boundary must be 1 x 2, got 2 x 1"):
             GradedBundle(2, 1, d01=Matrix.zeros(2, 1))
-        with pytest.raises(ValueError, match="got 1 x 2 and 1 x 1"):
-            GradedBundle(2, 1, d10=Matrix.zeros(1, 1))
 
     def test_endo_blocks_must_be_square(self):
         with pytest.raises(ValueError, match="blocks must be square, got 2 x 1 and 1 x 1"):
@@ -107,13 +104,13 @@ class TestShapes:
     def test_connection_shapes_enforced(self):
         a = abelian(2)
         b = GradedBundle(2, 1)
-        ok = GradedEndo.zeros(2, 1)
+        ok = Endo.zeros(2, 1)
         with pytest.raises(ValueError, match="needs 2 frame matrices, got 1"):
             Connection(a, b, [ok])
         with pytest.raises(ValueError, match="frame matrix 2 has blocks 1 x 1 and 1 x 1"):
-            Connection(a, b, [ok, GradedEndo.zeros(1, 1)])
+            Connection(a, b, [ok, Endo.zeros(1, 1)])
         with pytest.raises(ValueError, match="frame matrix 1 has blocks 2 x 2 and 2 x 2"):
-            Connection(a, b, [GradedEndo.zeros(2, 2), ok])
+            Connection(a, b, [Endo.zeros(2, 2), ok])
 
 
 class TestSupertrace:
@@ -129,18 +126,18 @@ class TestSupertrace:
     def test_vanishes_on_parity_preserving_commutators(self):
         rng = random.Random(15)
         for _ in range(10):
-            s = GradedEndo(rand_matrix(2, 2, rng), rand_matrix(2, 2, rng))
-            t = GradedEndo(rand_matrix(2, 2, rng), rand_matrix(2, 2, rng))
+            s = Endo(rand_matrix(2, 2, rng), rand_matrix(2, 2, rng))
+            t = Endo(rand_matrix(2, 2, rng), rand_matrix(2, 2, rng))
             assert supertrace(s.commutator(t)).is_zero()
 
     def test_vanishes_on_odd_anticommutators(self):
-        # the graded commutator of two odd maps is the anticommutator
+        # the graded commutator of two odd maps s, t, each given by its
+        # block odd -> even (eo) and even -> odd (oe), is the anticommutator
         rng = random.Random(16)
         for _ in range(10):
-            s = OddMap(rand_matrix(2, 2, rng), rand_matrix(2, 2, rng))
-            t = OddMap(rand_matrix(2, 2, rng), rand_matrix(2, 2, rng))
-            ee = s.eo * t.oe + t.eo * s.oe
-            oo = s.oe * t.eo + t.oe * s.eo
+            s_eo, s_oe, t_eo, t_oe = (rand_matrix(2, 2, rng) for _ in range(4))
+            ee = s_eo * t_oe + t_eo * s_oe
+            oo = s_oe * t_eo + t_oe * s_eo
             assert supertrace(GradedEndo(ee, oo)).is_zero()
 
 
@@ -240,7 +237,7 @@ class TestHDual:
             dual = h_dual(c, h)
             for q in (1, 2, 3):
                 lhs = supertrace_curvature_power(dual, q)
-                rhs = supertrace_curvature_power(c, q).conj()
+                rhs = form_conj(supertrace_curvature_power(c, q))
                 if q % 2:
                     rhs = -rhs
                 assert lhs == rhs
@@ -254,7 +251,7 @@ class TestEquivalence:
         c = rand_connection(a, b, rng)
         theta = equivalence_witness(c, c)
         assert theta is not None
-        assert all(t.anticommutator_with_boundary(b).is_zero() for t in theta)
+        assert all(boundary_commutator(t, b).is_zero() for t in theta)
 
     def test_zero_boundary_means_equal(self):
         rng = random.Random(22)
@@ -275,16 +272,13 @@ class TestEquivalence:
             c0 = rand_connection(a, b, rng)
             omega1 = []
             for i in range(a.r):
-                th = OddMap(
-                    rand_matrix(b.rank_even, b.rank_odd, rng),
-                    rand_matrix(b.rank_odd, b.rank_even, rng),
-                )
-                omega1.append(c0.omega[i] + th.anticommutator_with_boundary(b))
+                th = rand_matrix(b.rank_even, b.rank_odd, rng)
+                omega1.append(c0.omega[i] + boundary_commutator(th, b))
             c1 = Connection(a, b, omega1)
             theta = equivalence_witness(c0, c1)
             assert theta is not None
             for i in range(a.r):
-                delta = theta[i].anticommutator_with_boundary(b)
+                delta = boundary_commutator(theta[i], b)
                 assert delta == c1.omega[i] - c0.omega[i]
             # equivalent connections share the closed characteristic forms
             for q in (1, 2, 3):
@@ -300,7 +294,7 @@ class TestEquivalence:
             assert theta is not None, name
             b = setup.bundle
             for i in range(a.r):
-                delta = theta[i].anticommutator_with_boundary(b)
+                delta = boundary_commutator(theta[i], b)
                 assert delta == setup.adjoint.omega[i] - setup.basic.omega[i]
 
 

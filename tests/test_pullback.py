@@ -53,7 +53,7 @@ class TestPullbackAlgebroid:
             for k in (1, 2):
                 pb = pullback_algebroid(tangent_torus(n), k)
                 assert (pb.n, pb.r) == (n + k, n + k)
-                assert all(not row for rows in pb.brackets for row in rows)
+                assert all(not cell for row in pb.ints for cell in row)
                 # the anchor permutes the coordinate fields
                 cols = {column(pb.anchor, i) for i in range(pb.r)}
                 ident = {column(Matrix.identity(n + k), i) for i in range(n + k)}
@@ -63,9 +63,12 @@ class TestPullbackAlgebroid:
         a = q_family(1, 2, 3, 4)
         pb = pullback_algebroid(a, 2)
         assert (pb.n, pb.r) == (2, 5)
+        assert pb.den == a.den
         for i in range(3):
             for j in range(3):
-                assert pb.brackets[2 + i][2 + j] == tuple((2 + m, v) for m, v in a.brackets[i][j])
+                assert pb.ints[2 + i][2 + j] == tuple((2 + m, x, y) for m, x, y in a.ints[i][j])
+        assert all(not cell for row in pb.ints[:2] for cell in row)
+        assert all(not cell for row in pb.ints for cell in row[:2])
         assert validate_algebroid(pb) == []
 
     def test_validity_preserved(self):

@@ -26,6 +26,7 @@ from algch.transgression import (
 from algch.library import abelian, so3
 
 from helpers import (
+    form_conj,
     rand_bundle,
     rand_connection,
     rand_metric,
@@ -385,7 +386,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
     # CS4: duals conjugate the cochain up to (-1)^q
     duals = [h_dual(c, metric) for c in conns]
     lhs = cs_cochains(duals, q)[q]
-    rhs = cs.conj()
+    rhs = form_conj(cs)
     if q % 2:
         rhs = -rhs
     assert lhs == rhs
