@@ -62,21 +62,12 @@ class ConstantAlgebroid:
                     raise ValueError(f"bracket ({i}, {j}): index {k} out of range 0..{r - 1}")
                 v = Scalar.exact(v)
                 if v.re or v.im:
-                    row.append((k, v.re, v.im))
+                    row.append((k, v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator))
             cells[i, j] = row
-        den = lcm(*[x.denominator for row in cells.values() for _, re, im in row for x in (re, im)])
-        table = [[()] * r for _ in range(r)]
-        for (i, j), row in cells.items():
-            table[i][j] = cell = tuple(
-                [(k, x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)) for k, x, y in row]
-            )
-            if (j, i) not in brackets:
-                table[j][i] = tuple([(k, -x, -y) for k, x, y in cell])
         self.n = n
         self.r = r
         self.anchor = anchor
-        self.den = den
-        self.ints = tuple(map(tuple, table))
+        self.den, self.ints = _table(r, cells)
 
     def bracket(self, i: int, j: int) -> list:
         """[e_i, e_j] as the (k, c_ij^k) with c_ij^k != 0, in increasing k."""
@@ -96,6 +87,36 @@ class ConstantAlgebroid:
 
     def __repr__(self):
         return f"ConstantAlgebroid(n={self.n}, r={self.r})"
+
+
+def _table(r: int, cells: dict) -> tuple:
+    """(den, ints) of ConstantAlgebroid from cells {(i, j): [(k, x, u, y, v)]}, the
+    nonzero c_ij^k = x/u + i y/v in lowest terms in increasing k; a pair given
+    without its partner (j, i) gets the partner's cell negated."""
+    den = lcm(*[d for row in cells.values() for _, _, u, _, v in row for d in (u, v)])
+    table = [[()] * r for _ in range(r)]
+    for (i, j), row in cells.items():
+        table[i][j] = cell = tuple([(k, x * (den // u), y * (den // v)) for k, x, u, y, v in row])
+        if (j, i) not in cells:
+            table[j][i] = tuple([(k, -x, -y) for k, x, y in cell])
+    return den, tuple(map(tuple, table))
+
+
+def _algebroid(n: int, r: int, anchor: Matrix, den: int, ints: tuple) -> ConstantAlgebroid:
+    """The ConstantAlgebroid with the table (den, ints), taken as built by _table."""
+    a = object.__new__(ConstantAlgebroid)
+    a.n, a.r, a.anchor, a.den, a.ints = n, r, anchor, den, ints
+    return a
+
+
+def _padded(a: ConstantAlgebroid, lead: int, trail: int, f: int = 1) -> list:
+    """The rows of a's table in a frame with lead sections before a's and
+    trail after them: every index raised by lead, every value times f."""
+    pre, post = ((),) * lead, ((),) * trail
+    return [
+        pre + tuple([tuple([(k + lead, f * x, f * y) for k, x, y in cell]) for cell in row]) + post
+        for row in a.ints
+    ]
 
 
 class AlgebroidForm:
@@ -301,23 +322,13 @@ def _solve_coboundary(a: ConstantAlgebroid, omega: AlgebroidForm):
     return AlgebroidForm(a.r, k - 1, dict(zip(combinations(range(a.r), k - 1), x)))
 
 
-def shifted_brackets(a: ConstantAlgebroid, off: int) -> dict:
-    """a's structure constants with every index raised by off, as
-    constructor input giving both orientations of every nonzero pair."""
-    c = a.ints
-    return {
-        (i + off, j + off): {k + off: v for k, v in a.bracket(i, j)}
-        for i in range(a.r)
-        for j in range(a.r)
-        if c[i][j] or c[j][i]
-    }
-
-
 def direct_product(a: ConstantAlgebroid, b: ConstantAlgebroid) -> ConstantAlgebroid:
     """Block product: base T^{n_a+n_b}, brackets vanish across factors.
 
     The product of valid factors is valid, so it is not checked again;
     documents from outside are checked when they are parsed.
     """
-    brackets = shifted_brackets(a, 0) | shifted_brackets(b, a.r)
-    return ConstantAlgebroid(a.n + b.n, a.r + b.r, Matrix.block_diag(a.anchor, b.anchor), brackets)
+    den = lcm(a.den, b.den)
+    table = _padded(a, 0, b.r, den // a.den) + _padded(b, a.r, 0, den // b.den)
+    anchor = Matrix.block_diag(a.anchor, b.anchor)
+    return _algebroid(a.n + b.n, a.r + b.r, anchor, den, tuple(table))

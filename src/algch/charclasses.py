@@ -134,10 +134,10 @@ def _ad(a: ConstantAlgebroid, i: int) -> Matrix:
     return _matrix(re, im, a.den, a.r)
 
 
-def adjoint_connection(a: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
-    """Even block ad_{e_i}; odd block zero (constant fields commute)."""
-    omega = [GradedEndo(_ad(a, i), Matrix.zeros(a.n, a.n)) for i in range(a.r)]
-    return Connection(a, bundle, omega)
+def adjoint_connection(a: ConstantAlgebroid, bundle: GradedBundle, ads) -> Connection:
+    """Even block ad_{e_i}, given as ads; odd block zero (constant fields commute)."""
+    zero = Matrix.zeros(a.n, a.n)
+    return Connection(a, bundle, [GradedEndo(x, zero) for x in ads])
 
 
 def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
@@ -165,11 +165,12 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
     bundle = adjoint_bundle(a.anchor)
     rho = a.anchor
 
+    ads = [_ad(a, i) for i in range(a.r)]
     omega = []
     thetas = []
     for i in range(a.r):
         t = Matrix.column_stack(tm_conn, i, a.r)
-        omega.append(GradedEndo(_ad(a, i) + t * rho, rho * t))
+        omega.append(GradedEndo(ads[i] + t * rho, rho * t))
         thetas.append(-t)
 
     basic = Connection(a, bundle, omega)
@@ -177,7 +178,7 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
         raise IdentityFailure(
             "boundary commutation", "the basic connection does not commute with the anchor"
         )
-    ad = adjoint_connection(a, bundle)
+    ad = adjoint_connection(a, bundle, ads)
     for i in range(a.r):
         theta = thetas[i]
         if ad.omega[i] - basic.omega[i] != GradedEndo(theta * rho, rho * theta):

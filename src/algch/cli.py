@@ -14,10 +14,8 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
-from .scalars import Scalar
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 from .algebroid import betti_numbers
 from .connections import HermitianMetric, h_dual
 from .transgression import cs_cochains
@@ -61,19 +59,15 @@ def _count_option(opts, name: str, default: int) -> int:
 
 
 def _random_pd(n: int, rng: random.Random) -> Matrix:
-    m = Matrix(
-        [
-            [
-                Scalar(
-                    Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
-                    Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
-                )
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ],
-        ncols=n,
-    )
+    """m^H m + 1 for an n x n matrix m of entries x/u + i y/v, the four
+    drawn in that order per entry, held as integer rows over 6."""
+    draws = [
+        [(rng.randint(-2, 2), rng.randint(1, 3), rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+        for _ in range(n)
+    ]
+    re = [[x * (6 // u) for x, u, _, _ in row] for row in draws]
+    im = [[y * (6 // v) for _, _, y, v in row] for row in draws]
+    m = _matrix(re, im, 6, n)
     return m.conj_transpose() * m + Matrix.identity(n)
 
 
@@ -218,6 +212,18 @@ COMMANDS = {
 
 OPTIONS = ("max_q", "k", "seed")
 
+# built once per process, so that every call of main pays only for parse_args
+PARSER = argparse.ArgumentParser(
+    prog="algch",
+    description="Exact characteristic classes of constant-coefficient Lie algebroids",
+)
+PARSER.add_argument("command", choices=list(COMMANDS) + ["batch"])
+PARSER.add_argument("inputs", nargs="+", help="input JSON file(s)")
+PARSER.add_argument("--max-q", type=int, default=None)
+PARSER.add_argument("--k", type=int, default=None, help="fibre coordinates for morita-check")
+PARSER.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+PARSER.add_argument("--out", default=None, help="write the JSON report here")
+
 
 def run(job: dict):
     """Dispatch one job: {'command', 'inputs', 'options'}.
@@ -294,17 +300,7 @@ def cmd_batch(path: str):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="algch",
-        description="Exact characteristic classes of constant-coefficient Lie algebroids",
-    )
-    parser.add_argument("command", choices=list(COMMANDS) + ["batch"])
-    parser.add_argument("inputs", nargs="+", help="input JSON file(s)")
-    parser.add_argument("--max-q", type=int, default=None)
-    parser.add_argument("--k", type=int, default=None, help="fibre coordinates for morita-check")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    parser.add_argument("--out", default=None, help="write the JSON report here")
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     try:
         if args.command == "batch":

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
+from math import gcd
 
 from .scalars import Scalar, ZERO
-from .linalg import Matrix
-from .algebroid import ConstantAlgebroid, AlgebroidForm, validate_algebroid
+from .linalg import Matrix, _cleared, _matrix
+from .algebroid import ConstantAlgebroid, AlgebroidForm, validate_algebroid, _algebroid, _table
 from .connections import check_metric_block
 
 
@@ -37,25 +37,31 @@ class ParseError(ValueError):
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(v) -> Fraction:
-    """A JSON integer or a string matching [+-]?[0-9]+(/[0-9]+)?; floats,
-    booleans and decimal or exponent notation are refused."""
+def _rational(v) -> tuple:
+    """(numerator, denominator) in lowest terms of a JSON integer or a
+    string matching [+-]?[0-9]+(/[0-9]+)?; floats, booleans and decimal
+    or exponent notation are refused."""
     if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+        return v, 1
     m = _RATIONAL.fullmatch(v) if isinstance(v, str) else None
     if not m:
         raise ParseError(f'bad rational {v!r} (integers or strings like "-3/2"; floats are not accepted)')
     try:  # int() refuses more digits than its limit
-        return Fraction(int(m[1])) if m[2] is None else Fraction(int(m[1]), int(m[2]))
-    except (ValueError, ZeroDivisionError) as e:
+        x, u = int(m[1]), int(m[2] or 1)
+    except ValueError as e:
         raise ParseError(f"bad rational {v!r}: {e}") from None
+    if not u:  # in the words Fraction uses for a zero denominator
+        raise ParseError(f"bad rational {v!r}: Fraction({x}, 0)")
+    g = gcd(x, u)
+    return x // g, u // g
 
 
-def scalar_from_json(v) -> Scalar:
+def _entry(v) -> tuple:
+    """(x, u, y, w) of a scalar entry x/u + i y/w, each part in lowest terms."""
     if isinstance(v, dict):
         _known_keys(v, ("re", "im"), f"bad scalar entry {v!r}")
-        return Scalar(_rational(v.get("re", "0")), _rational(v.get("im", "0")))
-    return Scalar(_rational(v))
+        return _rational(v.get("re", 0)) + _rational(v.get("im", 0))
+    return _rational(v) + (0, 1)
 
 
 def scalar_to_json(s: Scalar):
@@ -71,9 +77,8 @@ def matrix_from_json(rows, nrows: int, ncols: int, what: str) -> Matrix:
         or any(not isinstance(r, list) or len(r) != ncols for r in rows)
     ):
         raise ParseError(f"{what} must be {nrows} x {ncols}")
-    return Matrix(
-        [[scalar_from_json(v) for v in row] for row in rows], ncols=ncols
-    )
+    re, im, den = _cleared([[_entry(v) for v in row] for row in rows])
+    return _matrix(re, im, den, ncols)
 
 
 def _int_field(obj: dict, key: str, what: str) -> int:
@@ -107,7 +112,7 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
     r = _int_field(doc, "rank", "algebroid")
     if n < 0 or r < 0:
         raise ParseError("base_dim and rank must be non-negative")
-    anchor = matrix_from_json(doc.get("anchor", [[ "0"] * r] * n), n, r, "anchor")
+    anchor = matrix_from_json(doc.get("anchor", [[0] * r] * n), n, r, "anchor")
     c = {}
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
@@ -127,8 +132,8 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
             raise ParseError(f"bracket ({i+1},{j+1}) needs a coeffs list")
         if len(coeffs) != r:
             raise ParseError(f"bracket ({i+1},{j+1}) needs {r} coefficients")
-        c[i, j] = {k: scalar_from_json(v) for k, v in enumerate(coeffs)}
-    a = ConstantAlgebroid(n, r, anchor, c)
+        c[i, j] = [(k, *e) for k, e in enumerate(map(_entry, coeffs)) if e[0] or e[2]]
+    a = _algebroid(n, r, anchor, *_table(r, c))
     violations = validate_algebroid(a)
     if violations:
         raise ParseError("; ".join(violations))

@@ -42,13 +42,9 @@ class Matrix:
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError(f"row {i + 1} has {len(row)} entries, not {ncols}")
-        # over the lcm of the denominators, which leaves the entries in lowest terms
-        parts = [x for row in rows for x in row]
-        self.den = den = lcm(*[x.re.denominator for x in parts], *[x.im.denominator for x in parts])
-        self.re = [[x.re.numerator * (den // x.re.denominator) for x in row] for row in rows]
-        self.im = None
-        if any(x.im for x in parts):
-            self.im = [[x.im.numerator * (den // x.im.denominator) for x in row] for row in rows]
+        self.re, self.im, self.den = _cleared(
+            [[(x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator) for x in row] for row in rows]
+        )
         self.ncols = ncols
 
     @staticmethod
@@ -243,6 +239,18 @@ def _matrix(re: list, im, den: int, ncols: int) -> Matrix:
     m.den = den
     m.ncols = ncols
     return m
+
+
+def _cleared(rows: list) -> tuple:
+    """(re, im, den) for rows of entries (x, u, y, v) = x/u + i y/v in lowest
+    terms: integer rows over the lcm of the denominators, which leaves the
+    entries in lowest terms; im is None when every y is 0."""
+    den = lcm(*{d for row in rows for _, u, _, v in row for d in (u, v)})
+    re = [[x * (den // u) for x, u, _, _ in row] for row in rows]
+    im = None
+    if any(y for row in rows for _, _, y, _ in row):
+        im = [[y * (den // v) for _, _, y, v in row] for row in rows]
+    return re, im, den
 
 
 def _reduced(re: list, im, den: int, ncols: int) -> Matrix:

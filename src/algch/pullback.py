@@ -17,7 +17,8 @@ from .algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
     coboundary_witness,
-    shifted_brackets,
+    _algebroid,
+    _padded,
 )
 from .connections import Connection, HermitianMetric, h_dual
 from .charclasses import (
@@ -46,9 +47,8 @@ def pullback_algebroid(a: ConstantAlgebroid, k: int) -> ConstantAlgebroid:
     connection is flat.  Valid by construction when a is valid, so it
     is not checked again.
     """
-    return ConstantAlgebroid(
-        a.n + k, k + a.r, pullback_anchor(a, k), shifted_brackets(a, k)
-    )
+    table = [((),) * (k + a.r)] * k + _padded(a, k, 0)
+    return _algebroid(a.n + k, k + a.r, pullback_anchor(a, k), a.den, tuple(table))
 
 
 def pullback_form(a: ConstantAlgebroid, k: int, omega: AlgebroidForm) -> AlgebroidForm:

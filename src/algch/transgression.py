@@ -126,13 +126,25 @@ def _wedge_values(products: list) -> dict:
 
 
 def _traced_values(products: list) -> dict:
-    """Sum sign * supertrace(v1 * v2) per key; zero sums are left out."""
-    out = {}
+    """Sum sign * supertrace(v1 * v2) per key; zero sums are left out.
+
+    str(v1 * v2) = str(v2 * v1) block by block, so the two orders of one
+    pair of values under one key are traced once, weighted by the sum of
+    their signs, and not at all when that sum is 0.
+    """
+    pairs = {}
     for key, sign, v1, v2 in products:
+        if id(v2) < id(v1):
+            v1, v2 = v2, v1
+        pairs.setdefault((key, id(v1), id(v2)), [0, v1, v2])[0] += sign
+    out = {}
+    for (key, _, _), (weight, v1, v2) in pairs.items():
+        if not weight:
+            continue
         acc = out.setdefault(key, {})
         for e, (re, im) in supertrace_product(v1, v2).items():
-            if sign == -1:
-                re, im = -re, -im
+            if weight != 1:
+                re, im = weight * re, weight * im
             if e in acc:
                 r0, i0 = acc[e]
                 acc[e] = (r0 + re, i0 + im)

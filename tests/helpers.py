@@ -22,7 +22,7 @@ from algch.connections import (
     HermitianMetric,
     h_dual,
 )
-from algch import charclasses
+from algch import charclasses, fileio
 from algch.charclasses import adjoint_bundle, adjoint_setup
 from algch.pullback import (
     pullback_algebroid,
@@ -31,6 +31,17 @@ from algch.pullback import (
 )
 from algch.transgression import AffineForm, _check_family
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
+
+
+def scalar_from_json(v) -> Scalar:
+    """One JSON scalar entry as a Scalar, read by the document parser's reader."""
+    x, u, y, w = fileio._entry(v)
+    return Scalar(Fraction(x, u), Fraction(y, w))
+
+
+def adjoint_connection(a: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
+    """The adjoint connection with its ad_{e_i} built here."""
+    return charclasses.adjoint_connection(a, bundle, [charclasses._ad(a, i) for i in range(a.r)])
 
 
 def rand_rational(rng: random.Random, span=3) -> Fraction:

@@ -31,6 +31,7 @@ from algch.pullback import (
 from algch.library import tangent_torus, q_family, so3, lie_algebra
 
 from helpers import (
+    adjoint_connection,
     boundary_commutator,
     direct_sum_connections,
     rand_bundle,
@@ -208,8 +209,6 @@ def test_morita_invariance():
 def test_so3_triviality():
     a = so3()
     bundle = GradedBundle(3, 0)
-    from algch.charclasses import adjoint_connection
-
     c = adjoint_connection(a, bundle)
     h = identity_metric(bundle)
     for rep in secondary_class(c, h, 2):

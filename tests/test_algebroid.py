@@ -313,6 +313,22 @@ class TestDirectProduct:
                     assert (prod.n, prod.r) == (k, k + 3)
                     assert validate_algebroid(prod) == dense_validate_algebroid(prod) == []
 
+    def test_factors_over_different_denominators(self):
+        # each factor's integers are brought to the lcm of the two
+        # denominators; the oracle is the constructor on the factors'
+        # Scalar brackets with the second factor's indices shifted
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        a, b = q_family(half, 1, 2, -half), q_family(third, -1, 0, -third)
+        prod = direct_product(a, b)
+        brackets = {}
+        for x, off in ((a, 0), (b, a.r)):
+            for i in range(x.r):
+                for j in range(x.r):
+                    brackets[i + off, j + off] = {k + off: v for k, v in x.bracket(i, j)}
+        assert (a.den, b.den, prod.den) == (2, 3, 6)
+        assert prod == ConstantAlgebroid(0, 6, Matrix.zeros(0, 6), brackets)
+        assert validate_algebroid(prod) == []
+
     def test_abelian_product(self):
         prod = direct_product(abelian(2), abelian(3))
         assert prod == abelian(5)

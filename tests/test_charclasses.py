@@ -27,7 +27,6 @@ from algch.charclasses import (
     chern_character,
     secondary_class,
     adjoint_setup,
-    adjoint_connection,
     intrinsic_char,
     modular_class,
     default_max_q,
@@ -35,6 +34,7 @@ from algch.charclasses import (
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 from helpers import (
+    adjoint_connection,
     boundary_commutator,
     zero_connection,
     direct_sum_connections,
@@ -197,7 +197,7 @@ class TestVerdictChecks:
             secondary_class(c, identity_metric(bundle), 1)
 
     def test_adjoint_equivalence(self, monkeypatch):
-        monkeypatch.setattr(charclasses, "adjoint_connection", zero_connection)
+        monkeypatch.setattr(charclasses, "adjoint_connection", lambda a, bundle, ads: zero_connection(a, bundle))
         with pytest.raises(IdentityFailure, match="theta at e_1") as info:
             adjoint_setup(so3(), [])
         assert info.value.identity == "adjoint equivalence"
@@ -236,6 +236,22 @@ class TestAdjointSetup:
                 for i in range(a.r):
                     assert ad.omega[i].ee == dense_ad(a, i)
                     assert ad.omega[i].oo == Matrix.zeros(a.n, a.n)
+
+    def test_ad_built_once_per_setup(self, monkeypatch):
+        # the basic connection and the adjoint one share each ad_{e_i}
+        calls = []
+        original = charclasses._ad
+
+        def counted(a, i):
+            calls.append(i)
+            return original(a, i)
+
+        monkeypatch.setattr(charclasses, "_ad", counted)
+        a = direct_product(direct_product(tangent_torus(2), q_family(1, 2, 3, 4)), so3())
+        assert a.r == 8
+        setup = adjoint_setup(a, rand_tm_conn(a, random.Random(0)))
+        assert sorted(calls) == list(range(a.r))
+        assert all(setup.adjoint.omega[i].ee == charclasses._ad(a, i) for i in range(a.r))
 
     def test_tangent_torus_flat_recipe(self):
         for n in (1, 2, 3):

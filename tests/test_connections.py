@@ -13,11 +13,12 @@ from algch.connections import (
     h_dual,
     check_metric_block,
 )
-from algch.charclasses import adjoint_setup, adjoint_connection
+from algch.charclasses import adjoint_setup
 from algch.transgression import _affine_curvature
 from algch.library import abelian, heisenberg, so3, q_family
 
 from helpers import (
+    adjoint_connection,
     rand_bundle,
     rand_connection,
     rand_metric,

@@ -337,6 +337,30 @@ class TestCsCochainsOnePass:
             cs_cochains(conns, 3)
             assert calls == [p + 1]
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_unordered_pairs_traced_once(self, monkeypatch, real):
+        # at q = 2 both factors are components of R, whose pairs come in
+        # both orders under one key, and str(v1 v2) = str(v2 v1)
+        calls = []
+        original = transgression.supertrace_product
+
+        def counted(v1, v2):
+            calls.append(1)
+            return original(v1, v2)
+
+        monkeypatch.setattr(transgression, "supertrace_product", counted)
+        ordered = 0
+        for seed in range(6):
+            conns = rand_family(seed, 1, real)
+            curv = _affine_curvature(conns).comps
+            pairs = len(transgression._products(curv, curv, 1))
+            calls.clear()
+            got = cs_cochains(conns, 2)
+            assert 2 * len(calls) == pairs
+            assert got[2] == reference_cs_cochain(conns, 2)
+            ordered += pairs
+        assert ordered > 0
+
     def test_q0_entry_is_superdimension(self):
         rng = random.Random(43)
         a = so3()
