@@ -3,6 +3,9 @@
 The affine family sum_i t_i nabla_i over M x Delta^p has a curvature
 that is polynomial in the simplex coordinates, plus an extra dt-leg;
 fibre integration of supertraces of its powers produces the cs cochains.
+A pair (p = 1), the case of every secondary class, takes the
+Chern-Simons formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt instead,
+on frame 2-forms alone; cs_cochains states the identity it computes.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
 form on (e_{i_1}, ..., e_{i_k}, d/dt_{j_1+1}, ..., d/dt_{j_s+1}),
@@ -17,7 +20,8 @@ polynomial in t_1, ..., t_p with graded-endomorphism coefficients,
 at p = 1 the curvature is R0 + t R1 + t^2 R2.  Its supertrace is
 {exponent tuple: (re, im)} with exact rational parts.  Zero monomials
 are left out of both.  The fibre integral weights each monomial once,
-and Scalars are built only for the resulting AlgebroidForm.
+and Scalars are built only for the resulting AlgebroidForm.  The pair
+path keys its values the same way, by the exponent (m,) of u = 2t - 1.
 """
 
 from __future__ import annotations
@@ -192,6 +196,28 @@ def _check_family(conns) -> tuple[ConstantAlgebroid, GradedBundle]:
     return a, b
 
 
+def _curvature_values(a: ConstantAlgebroid, parts, lin, scale=1) -> dict:
+    """The 2-form sum_x [x_i, x_j] - scale * sum_k c_ij^k lin_k, x over
+    parts, for frame polynomials x and lin ({exponent: (ee, oo)} per
+    frame index), keyed ((i, j), ()); zero values are left out."""
+    comps = {}
+    for i in range(a.r):
+        for j in range(i + 1, a.r):
+            val = _poly_products(
+                [t for x in parts for t in ((1, x[i], x[j]), (-1, x[j], x[i]))]
+            )
+            for k, coeff in a.bracket(i, j):
+                if scale != 1:
+                    coeff = coeff * scale
+                for e, (x, y) in lin[k].items():
+                    x, y = x.scale(coeff), y.scale(coeff)
+                    val[e] = (val[e][0] - x, val[e][1] - y) if e in val else (-x, -y)
+            val = {e: v for e, v in val.items() if not _is_zero(v)}
+            if val:
+                comps[((i, j), ())] = val
+    return comps
+
+
 def _affine_curvature(conns) -> AffineForm:
     """Curvature of the affine family, any p >= 0; at p = 0, of the one
     connection: R(e_i, e_j) = [Omega_i, Omega_j] - sum_k c_ij^k Omega_k."""
@@ -200,7 +226,7 @@ def _affine_curvature(conns) -> AffineForm:
     base = [(om.ee, om.oo) for om in conns[0].omega]
     const = (0,) * p
     aff = [{} if _is_zero(b) else {const: b} for b in base]
-    mixed = [{} for _ in range(a.r)]
+    mixed = {}
     for m, cm in enumerate(conns[1:]):
         e = tuple(int(k == m) for k in range(p))
         for i, om in enumerate(cm.omega):
@@ -210,20 +236,9 @@ def _affine_curvature(conns) -> AffineForm:
             aff[i][e] = diff
             # d/dt_m of the affine family gives the mixed leg; the value
             # on (e_i, d/dt_m) is minus the value on (d/dt_m, e_i)
-            mixed[i][((i,), (m,))] = {const: (-diff[0], -diff[1])}
-    comps = {}
-    for i in range(a.r):
-        for j in range(i + 1, a.r):
-            terms = [(1, aff[i], aff[j]), (-1, aff[j], aff[i])]
-            val = _poly_products(terms)
-            for k, coeff in a.bracket(i, j):
-                for e, (x, y) in aff[k].items():
-                    x, y = x.scale(coeff), y.scale(coeff)
-                    val[e] = (val[e][0] - x, val[e][1] - y) if e in val else (-x, -y)
-            val = {e: v for e, v in val.items() if not _is_zero(v)}
-            if val:
-                comps[((i, j), ())] = val
-        comps.update(mixed[i])
+            mixed[((i,), (m,))] = {const: (-diff[0], -diff[1])}
+    comps = _curvature_values(a, [aff], aff)
+    comps.update(mixed)
     return AffineForm(a.r, p, 2, comps)
 
 
@@ -265,11 +280,33 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     chart.  A q with 2q < p gives the zero 0-form: the q-th curvature
     power has no simplex-degree-p component to integrate.
 
-    One pass: the curvature is built once and R^q = R^{q-1} ^ R.  Every
-    factor of R has simplex degree 0 or 1, so a component of R^k below
-    simplex degree p - (max_q - k) cannot reach degree p and is dropped.
-    The last factor of each power is never formed: the supertrace of
-    v1 * v2 is taken directly, and only for pairs landing in degree p.
+    A pair (p = 1) takes the Chern-Simons formula on 2-forms.  With
+    theta = c_1 - c_0 and N = c_0 + c_1, the connection c_0 + t theta at
+    t = (1 + u)/2 has frame matrices (N_i + u theta_i)/2, so its
+    curvature is F_t = (X + u Y + u^2 C)/4 with
+
+        X = [N_i, N_j] - 2 sum_k c_ij^k N_k,
+        Y = [N_i, theta_j] + [theta_i, N_j] - 2 sum_k c_ij^k theta_k,
+        C = [theta_i, theta_j].
+
+    Then dt = du/2 over u in [-1, 1], where u^m integrates to 2/(m + 1)
+    for even m and to 0 for odd m, so
+
+        cs^q = q 4^(1-q) sum_(m even) str(theta ^ [u^m](X + u Y + u^2 C)^(q-1)) / (m + 1),
+
+    [u^m] taking the coefficient of u^m.  The odd powers drop, so Y is
+    built only when max_q >= 3: at q = 2 it enters str(theta ^ F) at u^1
+    alone, and only from q = 3 on does Y ^ Y reach an even power.  A
+    frame pair then costs 4 matrix products (8 with Y), against 8 for
+    the affine curvature, and no form has a dt-leg.
+    N is used and not the midpoint M = N/2: each factor 1/2 would cost
+    a scaled matrix per frame index and a doubled denominator per
+    product, where 4^(1-q) is one rational per component at the end.
+    A theta_i or N_i that is zero, such as a pullback's vertical
+    section, takes no products at all.
+
+    Every other p takes the affine family over the simplex, in
+    _simplex_cochains, which at p = 1 is the pair path's oracle.
     """
     a, bundle = _check_family(conns)
     p = len(conns) - 1
@@ -280,6 +317,24 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
         )
     if max_q < 1 or 2 * max_q < p:
         return out
+    cochains = _pair_cochains if p == 1 else _simplex_cochains
+    for q, form in cochains(conns, max_q).items():
+        out[q] = form
+    return out
+
+
+def _simplex_cochains(conns, max_q: int) -> dict:
+    """{q: cs^q} for every q = 1..max_q with 2q >= p, by the affine
+    family over M x Delta^p.
+
+    One pass: the curvature is built once and R^q = R^{q-1} ^ R.  Every
+    factor of R has simplex degree 0 or 1, so a component of R^k below
+    simplex degree p - (max_q - k) cannot reach degree p and is dropped.
+    The last factor of each power is never formed: the supertrace of
+    v1 * v2 is taken directly, and only for pairs landing in degree p.
+    """
+    a = conns[0].algebroid
+    p = len(conns) - 1
     curv = _affine_curvature(conns).comps
     # traced[q]: the supertraced simplex-degree-p components of R^q
     traced = {
@@ -295,9 +350,50 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
         if q < max_q:
             power = _wedge_values(_products(power, curv, p - (max_q - q)))
     flip = p > 0 and ((p + 1) // 2) % 2 == 1
+    out = {}
     for q, top in traced.items():
         if 2 * q < p:
             continue
         integral = fibre_integrate(AffineForm(a.r, p, 2 * q, top), p)
         out[q] = -integral if flip else integral
+    return out
+
+
+def _pair_cochains(conns, max_q: int) -> dict:
+    """{q: cs^q} of a pair for q = 1..max_q, by the Chern-Simons
+    identity in cs_cochains."""
+    a = conns[0].algebroid
+    n, theta, form = [], [], {}
+    for i, (o0, o1) in enumerate(zip(conns[0].omega, conns[1].omega)):
+        s = (o0.ee + o1.ee, o0.oo + o1.oo)
+        d = (o1.ee - o0.ee, o1.oo - o0.oo)
+        n.append({} if _is_zero(s) else {(0,): s})
+        theta.append({} if _is_zero(d) else {(1,): d})
+        if theta[i]:
+            form[((i,), ())] = {(0,): d}
+    if max_q >= 3:
+        both = [{**x, **y} for x, y in zip(n, theta)]
+        curv = _curvature_values(a, [both], both, 2)
+    else:
+        curv = _curvature_values(a, [n, theta], n, 2)
+    # form runs through theta ^ F^(q-1); traced[q] is its supertrace, a
+    # polynomial in u per component
+    traced = {1: {k: w for k, v in form.items() if (w := supertrace_terms(v))}}
+    for q in range(2, max_q + 1):
+        products = _products(form, curv, 0)
+        traced[q] = _traced_values(products)
+        if q < max_q:
+            form = _wedge_values(products)
+    out = {}
+    for q, top in traced.items():
+        comps = {}
+        for (i_idx, _), v in top.items():
+            re = im = 0
+            for (m,), (x, y) in v.items():
+                if m % 2 == 0:
+                    w = Fraction(q, 4 ** (q - 1) * (m + 1))
+                    re += w * x
+                    im += w * y
+            comps[i_idx] = Scalar(re, im)
+        out[q] = AlgebroidForm(a.r, 2 * q - 1, comps)
     return out

@@ -23,7 +23,8 @@ from algch.transgression import (
     supertrace_product,
     supertrace_terms,
 )
-from algch.library import abelian, so3
+from algch.library import abelian, heisenberg, so3, tangent_torus
+from algch.charclasses import adjoint_setup
 
 from helpers import (
     form_conj,
@@ -33,6 +34,8 @@ from helpers import (
     rand_algebroid,
     rand_matrix,
     boundary_commutant,
+    pullback_connection,
+    rand_q_family,
     reference_affine_curvature,
     reference_cs_cochain,
     curvature,
@@ -319,6 +322,8 @@ class TestCsCochainsOnePass:
             assert cs_cochains(conns, q)[q] == forms[q]
 
     def test_curvature_built_once(self, monkeypatch):
+        # the simplex path builds the affine curvature once; a pair takes
+        # the Chern-Simons path, which builds none
         calls = []
         original = transgression._affine_curvature
 
@@ -335,12 +340,14 @@ class TestCsCochainsOnePass:
             calls.clear()
             conns = [rand_connection(a, b, rng, basis) for _ in range(p + 1)]
             cs_cochains(conns, 3)
-            assert calls == [p + 1]
+            assert calls == ([] if p == 1 else [p + 1])
 
     @pytest.mark.parametrize("real", [True, False])
     def test_unordered_pairs_traced_once(self, monkeypatch, real):
-        # at q = 2 both factors are components of R, whose pairs come in
-        # both orders under one key, and str(v1 v2) = str(v2 v1)
+        # at q = 2 the simplex path's R ^ R holds each pair of a dt-leg
+        # and a 2-form in both orders under one key, and str(v1 v2) =
+        # str(v2 v1); the pair path traces theta ^ F, where each theta_k
+        # stands for one dt-leg and meets each 2-form in one order only
         calls = []
         original = transgression.supertrace_product
 
@@ -370,6 +377,79 @@ class TestCsCochainsOnePass:
             q0 = cs_cochains([c], 0)[0]
             assert q0.degree == 0 and q0.get(()) == Scalar(re - ro)
             assert cs_cochains([c, c], 0)[0].is_zero()
+
+
+PAIR_KINDS = ("dual", "lie", "torus", "equal", "pullback", "mixed")
+
+
+def rand_pair(kind, seed, real, rank_even, rank_odd):
+    """A pair of connections of one kind, real or Gaussian:
+    dual, a random connection and its metric dual;
+    lie, the flat adjoint connection of a Lie algebra, whose bundle has
+    a 0 x 0 odd block, and its dual;
+    torus, the basic connection of a torus times a Lie algebra with a
+    zero tm_conn, flat as well, and its dual;
+    equal, one connection twice;
+    pullback, a pullback connection and its dual, so that theta_i and
+    N_i are zero on the vertical sections;
+    mixed, theta_i = 0, N_i = 0 or neither, index by index.
+    The other kinds draw algebroids of rank up to 5 and bundles of the
+    given ranks, where 0 gives a 0 x 0 block."""
+    rng = random.Random(seed)
+    if kind in ("lie", "torus"):
+        a = rng.choice([so3(), heisenberg(), rand_q_family(rng)])
+        if kind == "torus":
+            a = direct_product(tangent_torus(rng.randint(1, 2)), a)
+        c = adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n).basic
+        return [c, h_dual(c, rand_metric(c.bundle, rng, real=real))]
+    a = rand_algebroid(rng)
+    if rng.random() < 0.5:
+        a = direct_product(a, abelian(rng.randint(1, max(1, 5 - a.r))))
+    b = rand_bundle(rng, re=rank_even, ro=rank_odd)
+    c = rand_connection(a, b, rng, real=real)
+    if kind == "equal":
+        return [c, c]
+    if kind == "mixed":
+        d = rand_connection(a, b, rng, real=real)
+        omega = [rng.choice((om, -om, dm)) for om, dm in zip(c.omega, d.omega)]
+        return [c, Connection(a, b, omega)]
+    if kind == "pullback":
+        c = pullback_connection(a, rng.randint(1, 2), c)
+    return [c, h_dual(c, rand_metric(b, rng, real=real))]
+
+
+class TestPairPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(PAIR_KINDS),
+        st.integers(0, 5),
+        st.booleans(),
+        st.integers(0, 2**32),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    # rank-5 pairs whose cs^3 is nonzero, so that Y and u^4 count
+    @example("dual", 5, True, 8, 2, 1)
+    @example("dual", 3, False, 8, 2, 1)
+    @example("mixed", 4, False, 22, 2, 2)
+    @example("pullback", 3, True, 25, 2, 1)
+    @example("torus", 3, False, 0, 0, 0)
+    @example("lie", 2, True, 0, 0, 0)
+    def test_matches_simplex_path_and_reference(self, kind, max_q, real, seed, re, ro):
+        conns = rand_pair(kind, seed, real, re, ro)
+        got = cs_cochains(conns, max_q)
+        assert len(got) == max_q + 1 and got[0].is_zero()
+        simplex = transgression._simplex_cochains(conns, max_q) if max_q else {}
+        for q in range(1, max_q + 1):
+            assert got[q] == simplex[q], (kind, q)
+            assert got[q] == reference_cs_cochain(conns, q), (kind, q)
+
+    def test_examples_reach_every_term(self):
+        # the examples above keep the differential test sharp: each
+        # reaches a nonzero cs^3, where Y ^ Y and u^4 enter
+        for kind, seed, re, ro in (("dual", 8, 2, 1), ("mixed", 22, 2, 2), ("pullback", 25, 2, 1)):
+            for real in (True, False):
+                assert not cs_cochains(rand_pair(kind, seed, real, re, ro), 3)[3].is_zero()
 
 
 def check_cs_axioms(a, b, conns, metric, q, rng):
