@@ -290,12 +290,35 @@ def _diff_matrix(a: ConstantAlgebroid, k: int) -> Matrix:
 
 
 def betti_numbers(a: ConstantAlgebroid) -> list[int]:
-    """b_k = C(r, k) - rank d_k - rank d_(k-1) for k = 0..r, ranking
-    the sparse integer columns of each d_k once."""
+    """b_k = C(r, k) - rank d_k - rank d_(k-1) for k = 0..r, ranking the
+    sparse integer columns of a d_k at most once.
+
+    Two identities spare ranks; both hold for Gaussian brackets (the
+    trace is the complex trace, the pairing is bilinear) and for n > 0
+    (the anchor kills constants, so the constant complex sees only the
+    bracket):
+    - d e^(all but i) = +-tr(ad e_i) vol with tr ad e_i = sum_j c_ij^j,
+      so rank d_(r-1) is 0 if every trace is zero (a unimodular bracket)
+      and 1 otherwise;
+    - on a unimodular bracket d(alpha ^ beta) = 0 for every (r-1)-form
+      alpha ^ beta, so under the wedge pairing Lambda^k x Lambda^(r-k) ->
+      Lambda^r the map d_(r-1-k) is +-the transpose of d_k (Koszul 1950):
+      rank d_k = rank d_(r-1-k), and only the d_k with k < (r+1)//2 are
+      ranked.
+    """
+    r = a.r
     table = _leibniz(a)
     real = not any(im for row in a.ints for cell in row for _, _, im in cell)
-    ranks = [_rank(map(partial(_column, table), combinations(range(a.r), k)), real) for k in range(a.r)] + [0]
-    return [comb(a.r, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(a.r + 1)]
+    # the terms (re, im) of tr ad e_i * den, one list per row i of the table
+    traces = [[(x, y) for j, cell in enumerate(row) for k, x, y in cell if k == j] for row in a.ints]
+    unimodular = not any(sum(x for x, _ in t) or sum(y for _, y in t) for t in traces)
+    ranks = [
+        _rank(map(partial(_column, table), combinations(range(r), k)), real)
+        for k in range((r + 1) // 2 if unimodular else r - 1)
+    ]
+    # rank d_k = rank d_(r-1-k), or rank d_(r-1) = 1; then d_r = 0
+    ranks += (ranks[: r // 2][::-1] if unimodular else [1]) + [0]
+    return [comb(r, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(r + 1)]
 
 
 def coboundary_witness(a: ConstantAlgebroid, omega: AlgebroidForm):

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from algch import algebroid
 from algch.scalars import Scalar, ZERO, ONE, I
 from algch.linalg import Matrix
 from algch.algebroid import (
@@ -32,6 +35,30 @@ from helpers import (
     reference_betti_number,
     column,
 )
+
+
+def isl2():
+    # sl2 with every bracket scaled by i: [h,e] = 2i e, [h,f] = -2i f, [e,f] = i h
+    return lie_algebra(3, {(0, 1): {1: 2 * I}, (0, 2): {2: -2 * I}, (1, 2): {0: I}})
+
+
+def imaginary_trace():
+    # [e_1, e_2] = i e_2: tr ad e_1 = i, with a zero real part
+    return lie_algebra(2, {(0, 1): {1: I}})
+
+
+# factors of the random products, each drawn from an rng; q both with and
+# without trace zero, real and Gaussian brackets, n = 0 and n > 0
+PROPERTY_FACTORS = {
+    "q": lambda rng: rand_q_family(rng),
+    "q trace 0": lambda rng: rand_q_family(rng, trace_zero=True),
+    "isl2": lambda rng: isl2(),
+    "imaginary trace": lambda rng: imaginary_trace(),
+    "so3": lambda rng: so3(),
+    "heisenberg": lambda rng: heisenberg(),
+    "abelian": lambda rng: abelian(rng.randint(1, 2)),
+    "tt": lambda rng: tangent_torus(rng.randint(1, 2)),
+}
 
 
 def rand_form(a, degree, rng):
@@ -229,11 +256,68 @@ class TestBetti:
             assert betti_numbers(a) == [reference_betti_number(a, k) for k in range(a.r + 1)]
 
     def test_gaussian_brackets(self):
-        # sl2 with every bracket scaled by i: [h,e] = 2i e, [h,f] = -2i f, [e,f] = i h
-        isl2 = lie_algebra(3, {(0, 1): {1: 2 * I}, (0, 2): {2: -2 * I}, (1, 2): {0: I}})
-        assert betti_numbers(isl2) == [reference_betti_number(isl2, k) for k in range(4)] == [1, 0, 0, 1]
-        a = direct_product(isl2, heisenberg())
-        assert betti_numbers(a) == [reference_betti_number(a, k) for k in range(a.r + 1)]
+        a = isl2()
+        assert betti_numbers(a) == [reference_betti_number(a, k) for k in range(4)] == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "factors, unimodular",
+        [
+            pytest.param((isl2(), heisenberg()), True, id="isl2 x heisenberg"),
+            pytest.param((imaginary_trace(),), False, id="imaginary trace"),
+            pytest.param((imaginary_trace(), abelian(1)), False, id="imaginary trace x abelian1"),
+            pytest.param((q_family(1, 0, 0, 1), so3()), False, id="q trace 2 x so3"),
+            pytest.param((q_family(1, 0, 0, 1), so3(), abelian(1)), False, id="q trace 2 x so3 x abelian1"),
+            pytest.param((q_family(1, 2, 3, -1), so3(), abelian(1)), True, id="q trace 0 x so3 x abelian1"),
+            pytest.param((tangent_torus(2), so3()), True, id="tt2 x so3"),
+            pytest.param((abelian(0),), True, id="rank 0"),
+            pytest.param((abelian(1),), True, id="rank 1"),
+            pytest.param((lie_algebra(2, {(0, 1): {1: 1}}),), False, id="rank 2 affine"),
+        ],
+    )
+    def test_matches_reference_on_both_branches(self, factors, unimodular):
+        # b_r = 1 exactly when every tr ad e_i is zero: then the upper
+        # half of the ranks is mirrored, otherwise rank d_(r-1) is 1
+        a = reduce(direct_product, factors)
+        got = betti_numbers(a)
+        assert got == [reference_betti_number(a, k) for k in range(a.r + 1)]
+        assert got[-1] == unimodular
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(sorted(PROPERTY_FACTORS)), min_size=1, max_size=3))
+    def test_duality_on_random_products(self, seed, names):
+        rng = random.Random(seed)
+        a = None
+        for name in names:
+            f = PROPERTY_FACTORS[name](rng)
+            if a is not None and a.r + f.r > 6:
+                break
+            a = f if a is None else direct_product(a, f)
+        c = dense_brackets(a)
+        unimodular = all(sum((c[i][j][j] for j in range(a.r)), ZERO).is_zero() for i in range(a.r))
+        got = betti_numbers(a)
+        assert got == [reference_betti_number(a, k) for k in range(a.r + 1)]
+        if unimodular:
+            assert got == got[::-1] and got[-1] == 1
+        else:
+            assert got[-1] == 0
+
+    @pytest.mark.parametrize(
+        "factors, calls",
+        [((so3(), so3(), abelian(2)), 4), ((q_family(1, 0, 0, 1), so3()), 5)],
+        ids=["unimodular rank 8", "not unimodular rank 6"],
+    )
+    def test_rank_calls(self, monkeypatch, factors, calls):
+        # d_0..d_3 on the first; d_0..d_4 on the second, d_5 from the trace
+        counted = []
+        rank = algebroid._rank
+
+        def counting(vectors, real):
+            counted.append(1)
+            return rank(vectors, real)
+
+        monkeypatch.setattr(algebroid, "_rank", counting)
+        betti_numbers(reduce(direct_product, factors))
+        assert len(counted) == calls
 
     @pytest.mark.parametrize(
         "factors",
