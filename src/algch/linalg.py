@@ -166,19 +166,8 @@ class Matrix:
             return self.__rmul__(other)
         if self.ncols != len(other.re):
             raise ValueError(f"cannot multiply a {_dims(self)} by a {_dims(other)} matrix")
-        n = other.ncols
-        a, b = self.im, other.im
-        re = _matmul(self.re, other.re, n)
-        if a is None and b is None:
-            im = None
-        elif a is None:
-            im = _matmul(self.re, b, n)
-        elif b is None:
-            im = _matmul(a, other.re, n)
-        else:
-            re = _lin(re, 1, _matmul(a, b, n), -1)
-            im = _lin(_matmul(self.re, b, n), 1, _matmul(a, other.re, n), 1)
-        return _reduced(re, im, self.den * other.den, n)
+        re, im = _cmatmul((self.re, self.im), (other.re, other.im), other.ncols)
+        return _reduced(re, im, self.den * other.den, other.ncols)
 
     def trace(self) -> Scalar:
         _square(self, "a trace")
@@ -314,6 +303,19 @@ def _matmul(x: list, y: list, ncols: int) -> list:
 
 def _trace_mul(x: list, y: list) -> int:
     return sum(sum(map(mul, row, col)) for row, col in zip(x, zip(*y)))
+
+
+def _cmatmul(x: tuple, y: tuple, ncols: int) -> tuple:
+    """x * y for Gaussian integer rows x = (re, im) and y = (re, im), an
+    im None when it is zero; the product's im is None on real data."""
+    (a, b), (c, d) = x, y
+    re = _matmul(a, c, ncols)
+    if b is None:
+        return re, None if d is None else _matmul(a, d, ncols)
+    if d is None:
+        return re, _matmul(b, c, ncols)
+    return _lin(re, 1, _matmul(b, d, ncols), -1), _lin(_matmul(a, d, ncols), 1, _matmul(b, c, ncols), 1)
+
 
 
 # ---------------------------------------------------------------------------

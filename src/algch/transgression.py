@@ -4,8 +4,10 @@ The affine family sum_i t_i nabla_i over M x Delta^p has a curvature
 that is polynomial in the simplex coordinates, plus an extra dt-leg;
 fibre integration of supertraces of its powers produces the cs cochains.
 A pair (p = 1), the case of every secondary class, takes the
-Chern-Simons formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt instead,
-on frame 2-forms alone; cs_cochains states the identity it computes.
+Chern-Simons formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt instead:
+up to q = 2 as a difference of Chern-Simons forms, which needs traces of
+frame matrices and of products of one connection's frame matrices, and
+from q = 3 on frame 2-forms; cs_cochains states both identities.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
 form on (e_{i_1}, ..., e_{i_k}, d/dt_{j_1+1}, ..., d/dt_{j_s+1}),
@@ -21,16 +23,18 @@ at p = 1 the curvature is R0 + t R1 + t^2 R2.  Its supertrace is
 {exponent tuple: (re, im)} with exact rational parts.  Zero monomials
 are left out of both.  The fibre integral weights each monomial once,
 and Scalars are built only for the resulting AlgebroidForm.  The pair
-path keys its values the same way, by the exponent (m,) of u = 2t - 1.
+chain keys its values the same way, by the exponent (m,) of u = 2t - 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
-from operator import add
+from itertools import chain, combinations
+from math import factorial, lcm, prod
+from operator import add, mul
 
 from .scalars import Scalar
+from .linalg import _cmatmul, _lin
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
 from .connections import GradedBundle
 
@@ -196,22 +200,20 @@ def _check_family(conns) -> tuple[ConstantAlgebroid, GradedBundle]:
     return a, b
 
 
-def _curvature_values(a: ConstantAlgebroid, parts, lin, scale=1) -> dict:
-    """The 2-form sum_x [x_i, x_j] - scale * sum_k c_ij^k lin_k, x over
-    parts, for frame polynomials x and lin ({exponent: (ee, oo)} per
-    frame index), keyed ((i, j), ()); zero values are left out."""
+def _curvature_values(a: ConstantAlgebroid, x, scale=1) -> dict:
+    """The 2-form [x_i, x_j] - scale * sum_k c_ij^k x_k for the frame
+    polynomial x ({exponent: (ee, oo)} per frame index), keyed
+    ((i, j), ()); zero values are left out."""
     comps = {}
     for i in range(a.r):
         for j in range(i + 1, a.r):
-            val = _poly_products(
-                [t for x in parts for t in ((1, x[i], x[j]), (-1, x[j], x[i]))]
-            )
+            val = _poly_products([(1, x[i], x[j]), (-1, x[j], x[i])])
             for k, coeff in a.bracket(i, j):
                 if scale != 1:
                     coeff = coeff * scale
-                for e, (x, y) in lin[k].items():
-                    x, y = x.scale(coeff), y.scale(coeff)
-                    val[e] = (val[e][0] - x, val[e][1] - y) if e in val else (-x, -y)
+                for e, (y, z) in x[k].items():
+                    y, z = y.scale(coeff), z.scale(coeff)
+                    val[e] = (val[e][0] - y, val[e][1] - z) if e in val else (-y, -z)
             val = {e: v for e, v in val.items() if not _is_zero(v)}
             if val:
                 comps[((i, j), ())] = val
@@ -237,7 +239,7 @@ def _affine_curvature(conns) -> AffineForm:
             # d/dt_m of the affine family gives the mixed leg; the value
             # on (e_i, d/dt_m) is minus the value on (d/dt_m, e_i)
             mixed[((i,), (m,))] = {const: (-diff[0], -diff[1])}
-    comps = _curvature_values(a, [aff], aff)
+    comps = _curvature_values(a, aff)
     comps.update(mixed)
     return AffineForm(a.r, p, 2, comps)
 
@@ -280,10 +282,33 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     chart.  A q with 2q < p gives the zero 0-form: the q-th curvature
     power has no simplex-degree-p component to integrate.
 
-    A pair (p = 1) takes the Chern-Simons formula on 2-forms.  With
-    theta = c_1 - c_0 and N = c_0 + c_1, the connection c_0 + t theta at
-    t = (1 + u)/2 has frame matrices (N_i + u theta_i)/2, so its
-    curvature is F_t = (X + u Y + u^2 C)/4 with
+    A pair (p = 1) takes the Chern-Simons formula
+    cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt, with theta = c_1 - c_0
+    and F_t the curvature of c_0 + t theta, on frame forms alone.
+
+    Up to max_q = 2 it takes the difference of Chern-Simons forms
+    (Chern and Simons, Ann. Math. 99, 1974): cs^1 = str(c_1,i) - str(c_0,i),
+    and CS3 for (z, c_0, c_1), z the zero connection, gives
+
+        cs^2(c_0, c_1) = CS(c_1) - CS(c_0) + dT,
+        CS(A) = cs^2(z, A),  T = cs^2(z, c_0, c_1).
+
+    With dA_jk = -sum_l c_jk^l A_l and P_jk = A_j A_k, on components,
+
+        CS(A)_ijk = str(A_i dA_jk) - str(A_j dA_ik) + str(A_k dA_ij)
+                    + 2 [str(A_i P_jk) - str(A_j P_ik)]        (i < j < k),
+        T_ij = str(c_0,i c_1,j) - str(c_0,j c_1,i).
+
+    The last term is 2/3 of the six orders of str(A_i A_j A_k), which
+    cyclicity leaves at two.  A connection costs one product P_jk per
+    frame pair j < k and O(n^2) per trace; no product mixes c_0 and c_1,
+    so the sparse basic connection c_0 multiplies only its nonzero rows.
+    Traces run on integer rows over one denominator per connection, and
+    each component becomes a rational once, at the end.
+
+    From max_q = 3 on every q takes the chain on F_t.  With
+    N = c_0 + c_1, the connection at t = (1 + u)/2 has frame matrices
+    (N_i + u theta_i)/2, so F_t = (X + u Y + u^2 C)/4 with
 
         X = [N_i, N_j] - 2 sum_k c_ij^k N_k,
         Y = [N_i, theta_j] + [theta_i, N_j] - 2 sum_k c_ij^k theta_k,
@@ -294,11 +319,8 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
 
         cs^q = q 4^(1-q) sum_(m even) str(theta ^ [u^m](X + u Y + u^2 C)^(q-1)) / (m + 1),
 
-    [u^m] taking the coefficient of u^m.  The odd powers drop, so Y is
-    built only when max_q >= 3: at q = 2 it enters str(theta ^ F) at u^1
-    alone, and only from q = 3 on does Y ^ Y reach an even power.  A
-    frame pair then costs 4 matrix products (8 with Y), against 8 for
-    the affine curvature, and no form has a dt-leg.
+    [u^m] taking the coefficient of u^m.  A frame pair costs 8 matrix
+    products, as in the affine curvature, but no form has a dt-leg.
     N is used and not the midpoint M = N/2: each factor 1/2 would cost
     a scaled matrix per frame index and a doubled denominator per
     product, where 4^(1-q) is one rational per component at the end.
@@ -360,22 +382,181 @@ def _simplex_cochains(conns, max_q: int) -> dict:
 
 
 def _pair_cochains(conns, max_q: int) -> dict:
-    """{q: cs^q} of a pair for q = 1..max_q, by the Chern-Simons
-    identity in cs_cochains."""
+    """{q: cs^q} of a pair for q = 1..max_q, by the identities in
+    cs_cochains: the Chern-Simons difference when max_q <= 2, the chain
+    on theta ^ F_t otherwise."""
+    if max_q >= 3:
+        return _pair_chain(conns, max_q)
     a = conns[0].algebroid
-    n, theta, form = [], [], {}
+    (d0, f0), (d1, f1) = _integer_frames(conns[0]), _integer_frames(conns[1])
+    den = d0 * d1
+    comps = {}
+    for i, (x0, x1) in enumerate(zip(f0, f1)):
+        (u0, v0), (u1, v1) = _supertrace(x0), _supertrace(x1)
+        comps[(i,)] = Scalar(Fraction(u1 * d0 - u0 * d1, den), Fraction(v1 * d0 - v0 * d1, den))
+    out = {1: AlgebroidForm(a.r, 1, comps)}
+    if max_q == 2:
+        # CS(c_1) - CS(c_0) + dT over a.den * lcm(d0^3, d1^3), which d0 * d1
+        # divides; _contract gives -dT
+        den = lcm(d0**3, d1**3)
+        parts = (
+            (den // d1**3, _chern_simons(a, d1, f1)),
+            (-(den // d0**3), _chern_simons(a, d0, f0)),
+            (-(den // (d0 * d1)), _contract(a, _transgression_form(f0, f1))),
+        )
+        sums = {}
+        for w, part in parts:
+            for key, (x, y) in part.items():
+                x0, y0 = sums.get(key, (0, 0))
+                sums[key] = (x0 + w * x, y0 + w * y)
+        den *= a.den
+        out[2] = AlgebroidForm(a.r, 3, {
+            key: Scalar(Fraction(x, den), Fraction(y, den)) for key, (x, y) in sums.items()
+        })
+    return out
+
+
+def _integer_frames(c) -> tuple:
+    """(den, frames) for the connection c, with den the lcm of the
+    denominators of its frame matrices.  frames[i] is None when frame
+    matrix i is zero, and otherwise (blocks, left, right): blocks holds
+    its even and odd blocks as Gaussian integer rows (re, im) over den,
+    and left and right are its _flat vectors."""
+    den = lcm(*(m.den for om in c.omega for m in (om.ee, om.oo)))
+    frames = []
+    for om in c.omega:
+        if om.ee.is_zero() and om.oo.is_zero():
+            frames.append(None)
+            continue
+        blocks = []
+        for m in (om.ee, om.oo):
+            f = den // m.den
+            if f == 1:
+                blocks.append((m.re, m.im))
+            else:
+                blocks.append((_lin(m.re, f), None if m.im is None else _lin(m.im, f)))
+        frames.append((blocks, _flat(blocks), _flat(blocks, True)))
+    return den, frames
+
+
+def _flat(blocks, right=False) -> tuple:
+    """The entries of the even and odd blocks as one vector (re, im),
+    im None on real data: row by row, or with right, those of the
+    transposed blocks with the odd one negated.  Then str(x y) is
+    _dot(_flat(x), _flat(y, True))."""
+    out = []
+    for part in (0, 1):
+        if part and blocks[0][1] is None and blocks[1][1] is None:
+            return out[0], None
+        ee, oo = [b[part] if b[part] is not None else [[0] * len(b[0])] * len(b[0]) for b in blocks]
+        if right:
+            out.append([*chain.from_iterable(zip(*ee)), *[-v for v in chain.from_iterable(zip(*oo))]])
+        else:
+            out.append([*chain.from_iterable(ee), *chain.from_iterable(oo)])
+    return tuple(out)
+
+
+def _dot(x: tuple, y: tuple) -> tuple:
+    """sum_k x_k y_k for Gaussian integer vectors (re, im), as (re, im)."""
+    (a, b), (c, d) = x, y
+    re = sum(map(mul, a, c))
+    if b is None:
+        return re, 0 if d is None else sum(map(mul, a, d))
+    if d is None:
+        return re, sum(map(mul, b, c))
+    return re - sum(map(mul, b, d)), sum(map(mul, a, d)) + sum(map(mul, b, c))
+
+
+def _supertrace(frame) -> tuple:
+    """str of an integer frame, or of None (zero), as (re, im)."""
+    if frame is None:
+        return 0, 0
+    t = [[sum(row[k] for k, row in enumerate(rows)) if rows else 0 for rows in b] for b in frame[0]]
+    return t[0][0] - t[1][0], t[0][1] - t[1][1]
+
+
+def _chern_simons(a: ConstantAlgebroid, den: int, frames: list) -> dict:
+    """CS(A) = cs^2(0, A) for the connection A with the integer frames
+    over den, by the formula in cs_cochains, as {(i, j, k): (re, im)}
+    with integer parts over a.den * den^3.  One product A_j A_k per
+    pair j < k, except (0, 1), which is never a P_jk or a P_ik."""
+    live = [i for i, x in enumerate(frames) if x is not None]
+    gram = {}
+    for n, i in enumerate(live):
+        for l in live[n:]:
+            gram[i, l] = gram[l, i] = _dot(frames[i][1], frames[l][2])
+    prods = {}
+    for j, k in combinations(live, 2):
+        if k >= 2:
+            x, y = frames[j][0], frames[k][0]
+            prods[j, k] = _flat([_cmatmul(x[b], y[b], len(x[b][0])) for b in (0, 1)])
+    out = {key: (den * x, den * y) for key, (x, y) in _contract(a, gram).items()}
+    two = 2 * a.den
+    for i, j, k in combinations(live, 3):
+        # str(A_m P_uv) = str(P_uv A_m)
+        x1, y1 = _dot(prods[j, k], frames[i][2])
+        x2, y2 = _dot(prods[i, k], frames[j][2])
+        x, y = out.get((i, j, k), (0, 0))
+        out[i, j, k] = (x + two * (x1 - x2), y + two * (y1 - y2))
+    return out
+
+
+def _contract(a: ConstantAlgebroid, t: dict) -> dict:
+    """{(i, j, k): sum_l (-c_jk^l t_il + c_ik^l t_jl - c_ij^l t_kl)} for
+    i < j < k and a table t {(m, l): (re, im)} of Gaussian integers
+    (a missing entry is 0), with integer parts over a.den times the
+    table's denominator; zero sums are left out.  With
+    t_ml = str(A_m A_l) it is the part of CS(A) linear in dA, and for a
+    2-form T (t_ml = T_ml) it is -dT, since
+    (dT)_ijk = -T([e_i, e_j], e_k) + T([e_i, e_k], e_j) - T([e_j, e_k], e_i)."""
+    out = {}
+    for i, j, k in combinations(range(a.r), 3):
+        re = im = 0
+        for sign, m, u, v in ((-1, i, j, k), (1, j, i, k), (-1, k, i, j)):
+            for l, x, y in a.ints[u][v]:
+                if (m, l) in t:
+                    tr, ti = t[m, l]
+                    re += sign * (x * tr - y * ti)
+                    im += sign * (x * ti + y * tr)
+        if re or im:
+            out[i, j, k] = (re, im)
+    return out
+
+
+def _transgression_form(f0: list, f1: list) -> dict:
+    """T = cs^2(0, c_0, c_1) for the integer frames of c_0 and c_1, by
+    the formula in cs_cochains, as {(i, j): (re, im)} for every ordered
+    pair with T_ij != 0, integer parts over the product of the two
+    denominators."""
+    cross = {
+        (i, j): _dot(x[1], y[2])
+        for i, x in enumerate(f0) if x is not None
+        for j, y in enumerate(f1) if y is not None
+    }
+    out = {}
+    for i, j in combinations(range(len(f0)), 2):
+        (x1, y1), (x2, y2) = cross.get((i, j), (0, 0)), cross.get((j, i), (0, 0))
+        if x1 != x2 or y1 != y2:
+            out[i, j] = (x1 - x2, y1 - y2)
+            out[j, i] = (x2 - x1, y2 - y1)
+    return out
+
+
+def _pair_chain(conns, max_q: int) -> dict:
+    """{q: cs^q} of a pair for q = 1..max_q >= 3, by the chain on
+    theta ^ F_t in cs_cochains."""
+    a = conns[0].algebroid
+    both, form = [], {}
     for i, (o0, o1) in enumerate(zip(conns[0].omega, conns[1].omega)):
         s = (o0.ee + o1.ee, o0.oo + o1.oo)
         d = (o1.ee - o0.ee, o1.oo - o0.oo)
-        n.append({} if _is_zero(s) else {(0,): s})
-        theta.append({} if _is_zero(d) else {(1,): d})
-        if theta[i]:
+        both.append({})
+        if not _is_zero(s):
+            both[i][(0,)] = s
+        if not _is_zero(d):
+            both[i][(1,)] = d
             form[((i,), ())] = {(0,): d}
-    if max_q >= 3:
-        both = [{**x, **y} for x, y in zip(n, theta)]
-        curv = _curvature_values(a, [both], both, 2)
-    else:
-        curv = _curvature_values(a, [n, theta], n, 2)
+    curv = _curvature_values(a, both, 2)
     # form runs through theta ^ F^(q-1); traced[q] is its supertrace, a
     # polynomial in u per component
     traced = {1: {k: w for k, v in form.items() if (w := supertrace_terms(v))}}

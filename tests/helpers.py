@@ -30,7 +30,7 @@ from algch.pullback import (
     submersion_recipe,
 )
 from algch.transgression import AffineForm, _check_family
-from algch.library import abelian, tangent_torus, heisenberg, so3, q_family
+from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 
 def scalar_from_json(v) -> Scalar:
@@ -134,6 +134,16 @@ def rand_q_family(rng, trace_zero=False):
     a, b, c = rand_rational(rng), rand_rational(rng), rand_rational(rng)
     d = -a if trace_zero else rand_rational(rng)
     return q_family(a, b, c, d)
+
+
+def isl2() -> ConstantAlgebroid:
+    """sl2 with every bracket scaled by i: [h,e] = 2i e, [h,f] = -2i f, [e,f] = i h."""
+    return lie_algebra(3, {(0, 1): {1: 2 * I}, (0, 2): {2: -2 * I}, (1, 2): {0: I}})
+
+
+def imaginary_trace() -> ConstantAlgebroid:
+    """[e_1, e_2] = i e_2: tr ad e_1 = i, with a zero real part."""
+    return lie_algebra(2, {(0, 1): {1: I}})
 
 
 def small_corpus() -> dict[str, ConstantAlgebroid]:

@@ -34,17 +34,9 @@ from helpers import (
     basis_form,
     reference_betti_number,
     column,
+    isl2,
+    imaginary_trace,
 )
-
-
-def isl2():
-    # sl2 with every bracket scaled by i: [h,e] = 2i e, [h,f] = -2i f, [e,f] = i h
-    return lie_algebra(3, {(0, 1): {1: 2 * I}, (0, 2): {2: -2 * I}, (1, 2): {0: I}})
-
-
-def imaginary_trace():
-    # [e_1, e_2] = i e_2: tr ad e_1 = i, with a zero real part
-    return lie_algebra(2, {(0, 1): {1: I}})
 
 
 # factors of the random products, each drawn from an rng; q both with and

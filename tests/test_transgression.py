@@ -45,6 +45,9 @@ from helpers import (
     constant_poly_endo,
     poly_endo_value,
     supertrace,
+    zero_connection,
+    isl2,
+    imaginary_trace,
 )
 
 
@@ -346,27 +349,61 @@ class TestCsCochainsOnePass:
     def test_unordered_pairs_traced_once(self, monkeypatch, real):
         # at q = 2 the simplex path's R ^ R holds each pair of a dt-leg
         # and a 2-form in both orders under one key, and str(v1 v2) =
-        # str(v2 v1); the pair path traces theta ^ F, where each theta_k
-        # stands for one dt-leg and meets each 2-form in one order only
-        calls = []
-        original = transgression.supertrace_product
+        # str(v2 v1); the pair chain (max_q >= 3) traces theta ^ F at
+        # q = 2, where each theta_k stands for one dt-leg and meets each
+        # 2-form in one order only
+        calls, per_q = [], []
+        original, traced = transgression.supertrace_product, transgression._traced_values
 
         def counted(v1, v2):
             calls.append(1)
             return original(v1, v2)
 
+        def traced_q(products):
+            calls.clear()
+            out = traced(products)
+            per_q.append(len(calls))
+            return out
+
         monkeypatch.setattr(transgression, "supertrace_product", counted)
+        monkeypatch.setattr(transgression, "_traced_values", traced_q)
         ordered = 0
         for seed in range(6):
             conns = rand_family(seed, 1, real)
             curv = _affine_curvature(conns).comps
             pairs = len(transgression._products(curv, curv, 1))
-            calls.clear()
-            got = cs_cochains(conns, 2)
-            assert 2 * len(calls) == pairs
+            per_q.clear()
+            got = cs_cochains(conns, 3)
+            assert len(per_q) == 2 and 2 * per_q[0] == pairs
             assert got[2] == reference_cs_cochain(conns, 2)
             ordered += pairs
         assert ordered > 0
+
+    def test_no_matrix_products_below_max_q_3(self, monkeypatch):
+        # cs^1 takes traces alone; cs^2 multiplies integer rows, one
+        # product per block and frame pair of each connection
+        calls = []
+        matrix_mul, row_mul = Matrix.__mul__, transgression._cmatmul
+
+        def counted_matrix(x, y):
+            calls.append("Matrix")
+            return matrix_mul(x, y)
+
+        def counted_rows(x, y, ncols):
+            calls.append("rows")
+            return row_mul(x, y, ncols)
+
+        monkeypatch.setattr(Matrix, "__mul__", counted_matrix)
+        monkeypatch.setattr(transgression, "_cmatmul", counted_rows)
+        for kind in PAIR_KINDS:
+            for real in (True, False):
+                conns = rand_pair(kind, 5, real, 2, 1)
+                r = conns[0].algebroid.r
+                calls.clear()
+                cs_cochains(conns, 1)
+                assert calls == [], kind
+                cs_cochains(conns, 2)
+                assert "Matrix" not in calls and len(calls) <= 2 * r * (r - 1), kind
 
     def test_q0_entry_is_superdimension(self):
         rng = random.Random(43)
@@ -379,7 +416,7 @@ class TestCsCochainsOnePass:
             assert cs_cochains([c, c], 0)[0].is_zero()
 
 
-PAIR_KINDS = ("dual", "lie", "torus", "equal", "pullback", "mixed")
+PAIR_KINDS = ("dual", "lie", "torus", "equal", "pullback", "mixed", "gaussian")
 
 
 def rand_pair(kind, seed, real, rank_even, rank_odd):
@@ -392,7 +429,9 @@ def rand_pair(kind, seed, real, rank_even, rank_odd):
     equal, one connection twice;
     pullback, a pullback connection and its dual, so that theta_i and
     N_i are zero on the vertical sections;
-    mixed, theta_i = 0, N_i = 0 or neither, index by index.
+    mixed, theta_i = 0, N_i = 0 or neither, index by index;
+    gaussian, as dual, on isl2 or the imaginary-trace algebra times a
+    small factor, so that the structure constants are complex.
     The other kinds draw algebroids of rank up to 5 and bundles of the
     given ranks, where 0 gives a 0 x 0 block."""
     rng = random.Random(seed)
@@ -402,9 +441,16 @@ def rand_pair(kind, seed, real, rank_even, rank_odd):
             a = direct_product(tangent_torus(rng.randint(1, 2)), a)
         c = adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n).basic
         return [c, h_dual(c, rand_metric(c.bundle, rng, real=real))]
-    a = rand_algebroid(rng)
-    if rng.random() < 0.5:
-        a = direct_product(a, abelian(rng.randint(1, max(1, 5 - a.r))))
+    if kind == "gaussian":
+        a = rng.choice([
+            isl2(),
+            direct_product(isl2(), abelian(rng.randint(1, 2))),
+            direct_product(imaginary_trace(), rng.choice([abelian(1), so3(), heisenberg()])),
+        ])
+    else:
+        a = rand_algebroid(rng)
+        if rng.random() < 0.5:
+            a = direct_product(a, abelian(rng.randint(1, max(1, 5 - a.r))))
     b = rand_bundle(rng, re=rank_even, ro=rank_odd)
     c = rand_connection(a, b, rng, real=real)
     if kind == "equal":
@@ -416,6 +462,45 @@ def rand_pair(kind, seed, real, rank_even, rank_odd):
     if kind == "pullback":
         c = pullback_connection(a, rng.randint(1, 2), c)
     return [c, h_dual(c, rand_metric(b, rng, real=real))]
+
+
+def integer_form(r, degree, nums, den):
+    """The AlgebroidForm of the integer parts {key: (re, im)} over den,
+    at the sorted keys."""
+    return AlgebroidForm(r, degree, {
+        k: Scalar(Fraction(x, den), Fraction(y, den))
+        for k, (x, y) in nums.items()
+        if list(k) == sorted(k)
+    })
+
+
+class TestChernSimonsDifference:
+    # cs^2(c_0, c_1) = CS(c_1) - CS(c_0) + dT and its parts on every kind
+    # of pair, with the simplex path as the oracle: CS(A) = cs^2(z, A)
+    # for the zero connection z, T = cs^2(z, c_0, c_1), and dT
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_sum_and_parts_match_simplex_path(self, kind, real):
+        nonzero = 0
+        # seeds 4 to 7 reach so3, where a flat pair's CS forms are nonzero
+        for seed in range(4, 8):
+            c0, c1 = rand_pair(kind, seed, real, seed % 3, (seed + 1) % 3)
+            a = c0.algebroid
+            z = zero_connection(a, c0.bundle)
+            want = transgression._simplex_cochains([c0, c1], 2)
+            assert cs_cochains([c0, c1], 2)[1:] == [want[1], want[2]], (kind, seed)
+            (d0, f0), (d1, f1) = transgression._integer_frames(c0), transgression._integer_frames(c1)
+            for d, f, c in ((d0, f0, c0), (d1, f1, c1)):
+                cs = integer_form(a.r, 3, transgression._chern_simons(a, d, f), a.den * d**3)
+                assert cs == transgression._simplex_cochains([z, c], 2)[2], (kind, seed)
+                nonzero += not cs.is_zero()
+            t = transgression._transgression_form(f0, f1)
+            form = integer_form(a.r, 2, t, d0 * d1)
+            assert form == transgression._simplex_cochains([z, c0, c1], 2)[2], (kind, seed)
+            nonzero += not form.is_zero()
+            minus_dt = integer_form(a.r, 3, transgression._contract(a, t), a.den * d0 * d1)
+            assert minus_dt == -ce_differential(a, form), (kind, seed)
+        assert nonzero > 0, kind
 
 
 class TestPairPath:
