@@ -107,9 +107,12 @@ def check_metric_block(h: Matrix):
 
 
 class Connection:
-    """Action of nabla_{e_i} on constant sections: one GradedEndo per i."""
+    """Action of nabla_{e_i} on constant sections: one GradedEndo per i.
 
-    __slots__ = ("algebroid", "bundle", "omega")
+    dual_of is the connection that h_dual dualised to make this one, and
+    None on every other connection."""
+
+    __slots__ = ("algebroid", "bundle", "omega", "dual_of")
 
     def __init__(self, algebroid: ConstantAlgebroid, bundle: GradedBundle, omega):
         omega = list(omega)
@@ -126,6 +129,7 @@ class Connection:
         self.algebroid = algebroid
         self.bundle = bundle
         self.omega = omega
+        self.dual_of = None
 
     def commutes_with_boundary(self) -> bool:
         """Whether every frame matrix commutes with the boundary:
@@ -154,19 +158,23 @@ class Connection:
 def h_dual(c: Connection, h: HermitianMetric) -> Connection:
     """Metric dual: Omega |-> -H^{-1} conj(Omega)^T H blockwise.
 
-    The result acts on the same graded bundle but need not commute with
-    the boundary; the cs machinery never uses the boundary, so this is
-    harmless downstream.
+    A zero block is its own dual and takes no products.  The result acts
+    on the same graded bundle but need not commute with the boundary;
+    the cs machinery never uses the boundary, so this is harmless
+    downstream.  Its dual_of is c, which lets cs_cochains take a pair
+    (c, h_dual(c, h)) by the identities of a dual pair.
     """
     if h.bundle != c.bundle:
         raise ValueError("connection and metric live on different bundles")
     factors = [(-inverse(hb), hb) for hb in (h.h_even, h.h_odd)]
 
     def dual(m, neg_inv, hb):
-        return neg_inv * m.conj_transpose() * hb
+        return m if m.is_zero() else neg_inv * m.conj_transpose() * hb
 
     omega = [
         GradedEndo(dual(om.ee, *factors[0]), dual(om.oo, *factors[1]))
         for om in c.omega
     ]
-    return Connection(c.algebroid, c.bundle, omega)
+    out = Connection(c.algebroid, c.bundle, omega)
+    out.dual_of = c
+    return out

@@ -306,6 +306,22 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     Traces run on integer rows over one denominator per connection, and
     each component becomes a rational once, at the end.
 
+    A dual pair, c_1 = h_dual(c_0, h) with frames -H^-1 c_0,i^* H, takes
+    nothing from c_1 but T.  Supertraces are similarity-invariant, so
+    str(c_1,i) = -conj str(c_0,i), str(c_1,i c_1,l) = conj str(c_0,i c_0,l)
+    and str(c_1,i c_1,j c_1,k) = -conj str(c_0,k c_0,j c_0,i), which
+    cyclicity turns into -conj str(c_0,j c_0,i c_0,k): the triple term of
+    CS(c_1) is the conjugate of that of CS(c_0).  Hence
+    cs^1 = -2 Re str(c_0,i), and CS(c_1) - CS(c_0) is the formula for
+    CS on -2i times the imaginary parts of c_0's traces, zero on a real
+    c_0.  The cross
+    traces are Hermitian, str(c_0,j c_1,i) = conj str(c_0,i c_1,j), so
+    T_ij = 2i Im str(c_0,i c_1,j), zero on a real pair.  The pair is
+    known to be dual by construction: h_dual records c_0 as c_1.dual_of.
+    A flag could be set on a pair that is not dual, which would give a
+    wrong class, and deciding duality from the frames would cost the
+    products it saves; provenance can be neither wrong nor forgotten.
+
     From max_q = 3 on every q takes the chain on F_t.  With
     N = c_0 + c_1, the connection at t = (1 + u)/2 has frame matrices
     (N_i + u theta_i)/2, so F_t = (X + u Y + u^2 C)/4 with
@@ -383,12 +399,31 @@ def _simplex_cochains(conns, max_q: int) -> dict:
 
 def _pair_cochains(conns, max_q: int) -> dict:
     """{q: cs^q} of a pair for q = 1..max_q, by the identities in
-    cs_cochains: the Chern-Simons difference when max_q <= 2, the chain
-    on theta ^ F_t otherwise."""
+    cs_cochains: the Chern-Simons difference when max_q <= 2, from c_0's
+    traces alone on a dual pair, the chain on theta ^ F_t otherwise."""
     if max_q >= 3:
         return _pair_chain(conns, max_q)
-    a = conns[0].algebroid
-    (d0, f0), (d1, f1) = _integer_frames(conns[0]), _integer_frames(conns[1])
+    c0, c1 = conns
+    a = c0.algebroid
+    d0, f0 = _integer_frames(c0)
+    if c1.dual_of is c0:
+        out = {1: AlgebroidForm(a.r, 1, {
+            (i,): Scalar(Fraction(-2 * _supertrace(x)[0], d0)) for i, x in enumerate(f0)
+        })}
+        if max_q == 2:
+            # conj(z) - z = -2i Im z for the gram and triple terms; a real
+            # c_0 has none, a real pair no T either
+            linear, cubic, real = [], [], _is_real(c0)
+            if not real:
+                gram, tri = _cs_traces(f0)
+                linear.append((-2, d0**2, _imaginary(gram)))
+                cubic.append((-2, d0**3, _imaginary(tri)))
+            if not (real and _is_real(c1)):
+                d1, f1 = _integer_frames(c1)
+                linear.append((-1, d0 * d1, _transgression_form(f0, f1, True)))
+            out[2] = _cs2_form(a, linear, cubic)
+        return out
+    d1, f1 = _integer_frames(c1)
     den = d0 * d1
     comps = {}
     for i, (x0, x1) in enumerate(zip(f0, f1)):
@@ -396,24 +431,49 @@ def _pair_cochains(conns, max_q: int) -> dict:
         comps[(i,)] = Scalar(Fraction(u1 * d0 - u0 * d1, den), Fraction(v1 * d0 - v0 * d1, den))
     out = {1: AlgebroidForm(a.r, 1, comps)}
     if max_q == 2:
-        # CS(c_1) - CS(c_0) + dT over a.den * lcm(d0^3, d1^3), which d0 * d1
-        # divides; _contract gives -dT
-        den = lcm(d0**3, d1**3)
-        parts = (
-            (den // d1**3, _chern_simons(a, d1, f1)),
-            (-(den // d0**3), _chern_simons(a, d0, f0)),
-            (-(den // (d0 * d1)), _contract(a, _transgression_form(f0, f1))),
+        (g0, t0), (g1, t1) = _cs_traces(f0), _cs_traces(f1)
+        out[2] = _cs2_form(
+            a,
+            [(1, d1**2, g1), (-1, d0**2, g0), (-1, d0 * d1, _transgression_form(f0, f1, False))],
+            [(1, d1**3, t1), (-1, d0**3, t0)],
         )
-        sums = {}
-        for w, part in parts:
-            for key, (x, y) in part.items():
-                x0, y0 = sums.get(key, (0, 0))
-                sums[key] = (x0 + w * x, y0 + w * y)
-        den *= a.den
-        out[2] = AlgebroidForm(a.r, 3, {
-            key: Scalar(Fraction(x, den), Fraction(y, den)) for key, (x, y) in sums.items()
-        })
     return out
+
+
+def _is_real(c) -> bool:
+    return all(m.im is None for om in c.omega for m in (om.ee, om.oo))
+
+
+def _imaginary(t: dict) -> dict:
+    """The imaginary parts of a table {key: (re, im)}, as (0, im)."""
+    return {k: (0, y) for k, (_, y) in t.items() if y}
+
+
+def _cs2_form(a: ConstantAlgebroid, linear: list, cubic: list) -> AlgebroidForm:
+    """The 3-form _contract(a, sum of linear) + a.den * sum of cubic, for
+    terms (weight, den, table): Gaussian integer tables over den, each
+    multiplied by the integer weight.  It is CS(c_1) - CS(c_0) + dT for
+    linear gram_1, -gram_0 and -T, and cubic tri_1 and -tri_0."""
+    den = lcm(*(d for _, d, _ in chain(linear, cubic)))
+    lin = _weighted((w * (den // d), t) for w, d, t in linear)
+    sums = _weighted(chain(
+        ((1, _contract(a, lin)),) if lin else (),
+        ((w * a.den * (den // d), t) for w, d, t in cubic),
+    ))
+    den *= a.den
+    return AlgebroidForm(a.r, 3, {
+        key: Scalar(Fraction(x, den), Fraction(y, den)) for key, (x, y) in sums.items()
+    })
+
+
+def _weighted(parts) -> dict:
+    """sum of w * table over (w, table) in parts, for tables {key: (re, im)}."""
+    sums = {}
+    for w, part in parts:
+        for key, (x, y) in part.items():
+            x0, y0 = sums.get(key, (0, 0))
+            sums[key] = (x0 + w * x, y0 + w * y)
+    return sums
 
 
 def _integer_frames(c) -> tuple:
@@ -475,11 +535,13 @@ def _supertrace(frame) -> tuple:
     return t[0][0] - t[1][0], t[0][1] - t[1][1]
 
 
-def _chern_simons(a: ConstantAlgebroid, den: int, frames: list) -> dict:
-    """CS(A) = cs^2(0, A) for the connection A with the integer frames
-    over den, by the formula in cs_cochains, as {(i, j, k): (re, im)}
-    with integer parts over a.den * den^3.  One product A_j A_k per
-    pair j < k, except (0, 1), which is never a P_jk or a P_ik."""
+def _cs_traces(frames: list) -> tuple:
+    """(gram, tri) for the connection A with the integer frames over den:
+    gram {(i, l): str(A_i A_l)} over den^2, in both orders, and tri
+    {(i, j, k): 2 [str(A_i P_jk) - str(A_j P_ik)]} over den^3 for
+    i < j < k, so that CS(A) = _contract(a, gram) + a.den * tri as in
+    cs_cochains.  One product A_j A_k per pair j < k, except (0, 1),
+    which is never a P_jk or a P_ik."""
     live = [i for i, x in enumerate(frames) if x is not None]
     gram = {}
     for n, i in enumerate(live):
@@ -490,15 +552,13 @@ def _chern_simons(a: ConstantAlgebroid, den: int, frames: list) -> dict:
         if k >= 2:
             x, y = frames[j][0], frames[k][0]
             prods[j, k] = _flat([_cmatmul(x[b], y[b], len(x[b][0])) for b in (0, 1)])
-    out = {key: (den * x, den * y) for key, (x, y) in _contract(a, gram).items()}
-    two = 2 * a.den
+    tri = {}
     for i, j, k in combinations(live, 3):
         # str(A_m P_uv) = str(P_uv A_m)
         x1, y1 = _dot(prods[j, k], frames[i][2])
         x2, y2 = _dot(prods[i, k], frames[j][2])
-        x, y = out.get((i, j, k), (0, 0))
-        out[i, j, k] = (x + two * (x1 - x2), y + two * (y1 - y2))
-    return out
+        tri[i, j, k] = (2 * (x1 - x2), 2 * (y1 - y2))
+    return gram, tri
 
 
 def _contract(a: ConstantAlgebroid, t: dict) -> dict:
@@ -523,19 +583,21 @@ def _contract(a: ConstantAlgebroid, t: dict) -> dict:
     return out
 
 
-def _transgression_form(f0: list, f1: list) -> dict:
+def _transgression_form(f0: list, f1: list, dual: bool) -> dict:
     """T = cs^2(0, c_0, c_1) for the integer frames of c_0 and c_1, by
     the formula in cs_cochains, as {(i, j): (re, im)} for every ordered
     pair with T_ij != 0, integer parts over the product of the two
-    denominators."""
-    cross = {
-        (i, j): _dot(x[1], y[2])
-        for i, x in enumerate(f0) if x is not None
-        for j, y in enumerate(f1) if y is not None
-    }
+    denominators.  A dual pair takes one cross trace per i < j, since
+    str(c_0,j c_1,i) = conj str(c_0,i c_1,j) there."""
+
+    def cross(i, j):
+        x, y = f0[i], f1[j]
+        return (0, 0) if x is None or y is None else _dot(x[1], y[2])
+
     out = {}
     for i, j in combinations(range(len(f0)), 2):
-        (x1, y1), (x2, y2) = cross.get((i, j), (0, 0)), cross.get((j, i), (0, 0))
+        x1, y1 = cross(i, j)
+        x2, y2 = (x1, -y1) if dual else cross(j, i)
         if x1 != x2 or y1 != y2:
             out[i, j] = (x1 - x2, y1 - y2)
             out[j, i] = (x2 - x1, y2 - y1)

@@ -630,6 +630,14 @@ class TestCommands:
         assert status == 0
         assert "cs^1:" in out
 
+    def test_cs_hermitian_metric(self, capsys):
+        # a Gaussian g_A: cs^2 is nonzero, and both pair branches print it
+        want = ['cs^1: 0', 'cs^2: [{"indices": [1, 2, 4], "value": {"re": "0", "im": "2"}}]']
+        for max_q in ("2", "3"):
+            status, out = run_cli(capsys, "cs", "--max-q", max_q, INPUTS / "tt1_so3_hermitian.json")
+            assert status == 0
+            assert out.splitlines()[:2] == want, max_q
+
     def test_morita_tangent(self, capsys):
         status, out = run_cli(capsys, "morita-check", "--k", "1", "--seed", "3", INPUTS / "tt2.json")
         assert status == 0

@@ -381,9 +381,10 @@ class TestCsCochainsOnePass:
 
     def test_no_matrix_products_below_max_q_3(self, monkeypatch):
         # cs^1 takes traces alone; cs^2 multiplies integer rows, one
-        # product per block and frame pair of each connection
-        calls = []
-        matrix_mul, row_mul = Matrix.__mul__, transgression._cmatmul
+        # product per block and frame pair of each connection, and of c_0
+        # alone on a dual pair; h_dual multiplies only nonzero blocks
+        calls, traced = [], []
+        matrix_mul, row_mul, cs_traces = Matrix.__mul__, transgression._cmatmul, transgression._cs_traces
 
         def counted_matrix(x, y):
             calls.append("Matrix")
@@ -393,8 +394,13 @@ class TestCsCochainsOnePass:
             calls.append("rows")
             return row_mul(x, y, ncols)
 
+        def recorded_traces(frames):
+            traced.append(frames)
+            return cs_traces(frames)
+
         monkeypatch.setattr(Matrix, "__mul__", counted_matrix)
         monkeypatch.setattr(transgression, "_cmatmul", counted_rows)
+        monkeypatch.setattr(transgression, "_cs_traces", recorded_traces)
         for kind in PAIR_KINDS:
             for real in (True, False):
                 conns = rand_pair(kind, 5, real, 2, 1)
@@ -402,8 +408,22 @@ class TestCsCochainsOnePass:
                 calls.clear()
                 cs_cochains(conns, 1)
                 assert calls == [], kind
+                traced.clear()
                 cs_cochains(conns, 2)
-                assert "Matrix" not in calls and len(calls) <= 2 * r * (r - 1), kind
+                assert "Matrix" not in calls, kind
+                if conns[1].dual_of is conns[0]:
+                    assert len(calls) <= r * (r - 1), kind
+                    f0 = transgression._integer_frames(conns[0])[1]
+                    assert all(frames == f0 for frames in traced), kind
+                else:
+                    assert len(calls) <= 2 * r * (r - 1) and len(traced) == 2, kind
+                if kind == "pullback":
+                    h = rand_metric(conns[0].bundle, random.Random(5), real=real)
+                    calls.clear()
+                    h_dual(conns[0], h)
+                    blocks = [m for om in conns[0].omega for m in (om.ee, om.oo)]
+                    assert any(m.is_zero() for m in blocks)
+                    assert calls == ["Matrix"] * 2 * sum(not m.is_zero() for m in blocks)
 
     def test_q0_entry_is_superdimension(self):
         rng = random.Random(43)
@@ -477,7 +497,8 @@ def integer_form(r, degree, nums, den):
 class TestChernSimonsDifference:
     # cs^2(c_0, c_1) = CS(c_1) - CS(c_0) + dT and its parts on every kind
     # of pair, with the simplex path as the oracle: CS(A) = cs^2(z, A)
-    # for the zero connection z, T = cs^2(z, c_0, c_1), and dT
+    # for the zero connection z, T = cs^2(z, c_0, c_1), and dT; T of a
+    # dual pair both ways
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("kind", PAIR_KINDS)
     def test_sum_and_parts_match_simplex_path(self, kind, real):
@@ -491,20 +512,23 @@ class TestChernSimonsDifference:
             assert cs_cochains([c0, c1], 2)[1:] == [want[1], want[2]], (kind, seed)
             (d0, f0), (d1, f1) = transgression._integer_frames(c0), transgression._integer_frames(c1)
             for d, f, c in ((d0, f0, c0), (d1, f1, c1)):
-                cs = integer_form(a.r, 3, transgression._chern_simons(a, d, f), a.den * d**3)
+                gram, tri = transgression._cs_traces(f)
+                cs = transgression._cs2_form(a, [(1, d**2, gram)], [(1, d**3, tri)])
                 assert cs == transgression._simplex_cochains([z, c], 2)[2], (kind, seed)
                 nonzero += not cs.is_zero()
-            t = transgression._transgression_form(f0, f1)
-            form = integer_form(a.r, 2, t, d0 * d1)
-            assert form == transgression._simplex_cochains([z, c0, c1], 2)[2], (kind, seed)
-            nonzero += not form.is_zero()
-            minus_dt = integer_form(a.r, 3, transgression._contract(a, t), a.den * d0 * d1)
-            assert minus_dt == -ce_differential(a, form), (kind, seed)
+            want_t = transgression._simplex_cochains([z, c0, c1], 2)[2]
+            for dual in {False, c1.dual_of is c0}:
+                t = transgression._transgression_form(f0, f1, dual)
+                form = integer_form(a.r, 2, t, d0 * d1)
+                assert form == want_t, (kind, seed, dual)
+                dt = transgression._cs2_form(a, [(-1, d0 * d1, t)], [])
+                assert dt == ce_differential(a, form), (kind, seed, dual)
+            nonzero += not want_t.is_zero()
         assert nonzero > 0, kind
 
 
 class TestPairPath:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         st.sampled_from(PAIR_KINDS),
         st.integers(0, 5),
@@ -535,6 +559,68 @@ class TestPairPath:
         for kind, seed, re, ro in (("dual", 8, 2, 1), ("mixed", 22, 2, 2), ("pullback", 25, 2, 1)):
             for real in (True, False):
                 assert not cs_cochains(rand_pair(kind, seed, real, re, ro), 3)[3].is_zero()
+
+
+# the kinds of rand_pair whose c_1 is h_dual(c_0, h)
+DUAL_KINDS = ("dual", "lie", "torus", "pullback", "gaussian")
+
+
+class TestDualPair:
+    # a pair (c, h_dual(c, h)) takes cs^1 and cs^2 from c's own traces;
+    # the same frames in a Connection that h_dual did not make take the
+    # general path, and the simplex path is the oracle of both
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(DUAL_KINDS),
+        st.integers(1, 2),
+        st.booleans(),
+        st.integers(0, 2**32),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    # pairs with a nonzero cs^2: Gaussian brackets, metrics and frames
+    @example("gaussian", 2, True, 1, 2, 1)
+    @example("dual", 2, False, 3, 2, 1)
+    @example("lie", 2, False, 3, 2, 1)
+    @example("pullback", 2, True, 0, 2, 1)
+    def test_matches_general_path_and_simplex_path(self, kind, max_q, real, seed, re, ro):
+        c0, c1 = rand_pair(kind, seed, real, re, ro)
+        assert c1.dual_of is c0
+        general = Connection(c1.algebroid, c1.bundle, c1.omega)
+        assert general.dual_of is None
+        got = cs_cochains([c0, c1], max_q)
+        assert got == cs_cochains([c0, general], max_q), kind
+        simplex = transgression._simplex_cochains([c0, c1], max_q)
+        assert got[1:] == [simplex[q] for q in range(1, max_q + 1)], kind
+
+    @pytest.mark.parametrize("kind", DUAL_KINDS)
+    def test_examples_reach_a_nonzero_cs2(self, kind):
+        # a dual pair's cs^2 is -2i Im of c_0's terms plus dT; with real
+        # data it is zero, so Gaussian metrics or frames must reach it
+        nonzero = 0
+        for seed in range(6):
+            for real in (True, False):
+                c0, c1 = rand_pair(kind, seed, real, 2, 1)
+                got = cs_cochains([c0, c1], 2)
+                general = Connection(c1.algebroid, c1.bundle, c1.omega)
+                assert got == cs_cochains([c0, general], 2), (kind, seed, real)
+                nonzero += not got[2].is_zero()
+        assert nonzero > 0, kind
+
+    def test_real_pair_takes_no_trace(self, monkeypatch):
+        # a real basic connection and its dual under a real metric: cs^2
+        # is decided zero from the provenance and the im of every block
+        a = direct_product(tangent_torus(1), so3())
+        c = adjoint_setup(a, [Matrix.identity(a.r)]).basic
+        h = rand_metric(c.bundle, random.Random(3), real=True)
+        pair = [c, h_dual(c, h)]
+        calls = []
+        monkeypatch.setattr(transgression, "_dot", lambda x, y: calls.append(1))
+        got = cs_cochains(pair, 2)
+        assert calls == [] and got[2].is_zero()
+        monkeypatch.undo()
+        simplex = transgression._simplex_cochains(pair, 2)
+        assert got[1:] == [simplex[1], simplex[2]]
 
 
 def check_cs_axioms(a, b, conns, metric, q, rng):
