@@ -109,10 +109,13 @@ def check_metric_block(h: Matrix):
 class Connection:
     """Action of nabla_{e_i} on constant sections: one GradedEndo per i.
 
-    dual_of is the connection that h_dual dualised to make this one, and
-    None on every other connection."""
+    dual_of and dual_metric are the connection and the metric that
+    h_dual dualised to make this one, and None on every other
+    connection.  A connection made by h_dual builds its frames on the
+    first read of omega and keeps them; every other connection holds
+    them from the start."""
 
-    __slots__ = ("algebroid", "bundle", "omega", "dual_of")
+    __slots__ = ("algebroid", "bundle", "_omega", "dual_of", "dual_metric")
 
     def __init__(self, algebroid: ConstantAlgebroid, bundle: GradedBundle, omega):
         omega = list(omega)
@@ -128,8 +131,15 @@ class Connection:
                 )
         self.algebroid = algebroid
         self.bundle = bundle
-        self.omega = omega
-        self.dual_of = None
+        self._omega = omega
+        self.dual_of = self.dual_metric = None
+
+    @property
+    def omega(self) -> list:
+        """The frame matrices, one GradedEndo per frame section."""
+        if self._omega is None:
+            self._omega = _dual_frames(self.dual_of, self.dual_metric)
+        return self._omega
 
     def commutes_with_boundary(self) -> bool:
         """Whether every frame matrix commutes with the boundary:
@@ -158,23 +168,32 @@ class Connection:
 def h_dual(c: Connection, h: HermitianMetric) -> Connection:
     """Metric dual: Omega |-> -H^{-1} conj(Omega)^T H blockwise.
 
-    A zero block is its own dual and takes no products.  The result acts
-    on the same graded bundle but need not commute with the boundary;
-    the cs machinery never uses the boundary, so this is harmless
-    downstream.  Its dual_of is c, which lets cs_cochains take a pair
-    (c, h_dual(c, h)) by the identities of a dual pair.
+    The bundles are checked here; the frames, and the inverses of the
+    metric blocks they need, are built on the first read of the
+    result's omega.  The result acts on the same graded bundle but need
+    not commute with the boundary; the cs machinery never uses the
+    boundary, so this is harmless downstream.  Its dual_of is c and its
+    dual_metric h, which lets cs_cochains take a pair (c, h_dual(c, h))
+    by the identities of a dual pair.  A real c under a real h has a real
+    dual, so at max_q <= 2 such a pair never reads the frames.
     """
     if h.bundle != c.bundle:
         raise ValueError("connection and metric live on different bundles")
+    out = Connection.__new__(Connection)
+    out.algebroid, out.bundle, out._omega = c.algebroid, c.bundle, None
+    out.dual_of, out.dual_metric = c, h
+    return out
+
+
+def _dual_frames(c: Connection, h: HermitianMetric) -> list:
+    """The frames of h_dual(c, h).  A zero block is its own dual and
+    takes no products."""
     factors = [(-inverse(hb), hb) for hb in (h.h_even, h.h_odd)]
 
     def dual(m, neg_inv, hb):
         return m if m.is_zero() else neg_inv * m.conj_transpose() * hb
 
-    omega = [
+    return [
         GradedEndo(dual(om.ee, *factors[0]), dual(om.oo, *factors[1]))
         for om in c.omega
     ]
-    out = Connection(c.algebroid, c.bundle, omega)
-    out.dual_of = c
-    return out

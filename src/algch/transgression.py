@@ -316,7 +316,12 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     CS on -2i times the imaginary parts of c_0's traces, zero on a real
     c_0.  The cross
     traces are Hermitian, str(c_0,j c_1,i) = conj str(c_0,i c_1,j), so
-    T_ij = 2i Im str(c_0,i c_1,j), zero on a real pair.  The pair is
+    T_ij = 2i Im str(c_0,i c_1,j), zero on a real pair.  c_1 is real
+    when c_0 and the metric c_1.dual_metric are, a product of real
+    matrices being real, so a real pair is decided without c_1's frames
+    and never builds them (h_dual leaves them to the first read of
+    c_1.omega); a real c_0 under a Gaussian metric takes T, which is
+    empty if c_1 is real after all.  The pair is
     known to be dual by construction: h_dual records c_0 as c_1.dual_of.
     A flag could be set on a pair that is not dual, which would give a
     wrong class, and deciding duality from the frames would cost the
@@ -412,13 +417,15 @@ def _pair_cochains(conns, max_q: int) -> dict:
         })}
         if max_q == 2:
             # conj(z) - z = -2i Im z for the gram and triple terms; a real
-            # c_0 has none, a real pair no T either
+            # c_0 has none, and a real c_0 under a real metric has a real
+            # dual, so no T either and c_1's frames are never built
             linear, cubic, real = [], [], _is_real(c0)
             if not real:
                 gram, tri = _cs_traces(f0)
                 linear.append((-2, d0**2, _imaginary(gram)))
                 cubic.append((-2, d0**3, _imaginary(tri)))
-            if not (real and _is_real(c1)):
+            h = c1.dual_metric
+            if not (real and h.h_even.im is None and h.h_odd.im is None):
                 d1, f1 = _integer_frames(c1)
                 linear.append((-1, d0 * d1, _transgression_form(f0, f1, True)))
             out[2] = _cs2_form(a, linear, cubic)

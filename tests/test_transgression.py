@@ -14,7 +14,7 @@ from algch.connections import (
     Connection,
     h_dual,
 )
-from algch import transgression
+from algch import connections, transgression
 from algch.transgression import (
     AffineForm,
     _affine_curvature,
@@ -24,7 +24,7 @@ from algch.transgression import (
     supertrace_terms,
 )
 from algch.library import abelian, heisenberg, so3, tangent_torus
-from algch.charclasses import adjoint_setup
+from algch.charclasses import adjoint_setup, modular_class
 
 from helpers import (
     form_conj,
@@ -36,7 +36,10 @@ from helpers import (
     boundary_commutant,
     pullback_connection,
     rand_q_family,
+    rand_tm_conn,
     reference_affine_curvature,
+    reference_inverse,
+    ring_matrix,
     reference_cs_cochain,
     curvature,
     supertrace_curvature_power,
@@ -382,7 +385,8 @@ class TestCsCochainsOnePass:
     def test_no_matrix_products_below_max_q_3(self, monkeypatch):
         # cs^1 takes traces alone; cs^2 multiplies integer rows, one
         # product per block and frame pair of each connection, and of c_0
-        # alone on a dual pair; h_dual multiplies only nonzero blocks
+        # alone on a dual pair; a dual's frames are built on first read,
+        # here before counting, and multiply only nonzero blocks
         calls, traced = [], []
         matrix_mul, row_mul, cs_traces = Matrix.__mul__, transgression._cmatmul, transgression._cs_traces
 
@@ -404,6 +408,7 @@ class TestCsCochainsOnePass:
         for kind in PAIR_KINDS:
             for real in (True, False):
                 conns = rand_pair(kind, 5, real, 2, 1)
+                conns[1].omega
                 r = conns[0].algebroid.r
                 calls.clear()
                 cs_cochains(conns, 1)
@@ -419,8 +424,9 @@ class TestCsCochainsOnePass:
                     assert len(calls) <= 2 * r * (r - 1) and len(traced) == 2, kind
                 if kind == "pullback":
                     h = rand_metric(conns[0].bundle, random.Random(5), real=real)
+                    dual = h_dual(conns[0], h)
                     calls.clear()
-                    h_dual(conns[0], h)
+                    dual.omega
                     blocks = [m for om in conns[0].omega for m in (om.ee, om.oo)]
                     assert any(m.is_zero() for m in blocks)
                     assert calls == ["Matrix"] * 2 * sum(not m.is_zero() for m in blocks)
@@ -561,6 +567,17 @@ class TestPairPath:
                 assert not cs_cochains(rand_pair(kind, seed, real, re, ro), 3)[3].is_zero()
 
 
+def real_basic_connection(seed):
+    """The basic connection of a real algebroid tangent_torus(k) x g under
+    a real random tm_conn, so not flat, pulled back by one fibre
+    direction on odd seeds: a real c_0, as in morita-check."""
+    rng = random.Random(seed)
+    a = rng.choice([so3(), heisenberg(), rand_q_family(rng)])
+    a = direct_product(tangent_torus(rng.randint(1, 2)), a)
+    c = adjoint_setup(a, rand_tm_conn(a, rng)).basic
+    return pullback_connection(a, 1, c) if seed % 2 else c
+
+
 # the kinds of rand_pair whose c_1 is h_dual(c_0, h)
 DUAL_KINDS = ("dual", "lie", "torus", "pullback", "gaussian")
 
@@ -621,6 +638,108 @@ class TestDualPair:
         monkeypatch.undo()
         simplex = transgression._simplex_cochains(pair, 2)
         assert got[1:] == [simplex[1], simplex[2]]
+
+    def test_real_connection_under_gaussian_metric(self):
+        # the morita-check case: a real c_0 has a Gaussian dual under a
+        # Gaussian metric, so the dual branch must take T although c_0
+        # alone is real
+        nonzero = 0
+        for seed in range(4):
+            c0 = real_basic_connection(seed)
+            assert transgression._is_real(c0)
+            h = rand_metric(c0.bundle, random.Random(seed), real=False)
+            dual = h_dual(c0, h)
+            got = cs_cochains([c0, dual], 2)
+            general = Connection(c0.algebroid, c0.bundle, dual.omega)
+            assert got == cs_cochains([c0, general], 2), seed
+            simplex = transgression._simplex_cochains([c0, dual], 2)
+            assert got[1:] == [simplex[1], simplex[2]], seed
+            nonzero += not got[2].is_zero()
+        assert nonzero > 0
+
+
+class TestLazyDual:
+    # the frames -H^-1 Omega^* H and the inverses of the metric blocks
+    # wait for the first read of omega; the bundle check does not (see
+    # test_charclasses.py TestIntrinsic, at max_q 1)
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """Record every Matrix product and every inverse h_dual takes."""
+        calls = []
+        matrix_mul, inverse = Matrix.__mul__, connections.inverse
+
+        def counted_mul(x, y):
+            calls.append("mul")
+            return matrix_mul(x, y)
+
+        def counted_inverse(m):
+            calls.append("inverse")
+            return inverse(m)
+
+        monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+        monkeypatch.setattr(connections, "inverse", counted_inverse)
+        return calls
+
+    def test_no_products_where_the_frames_are_not_read(self, monkeypatch):
+        # a real pair at max_q 2 and any dual pair at max_q 1 take cs^1
+        # and cs^2 from c_0 and the metric alone
+        calls = self.counted(monkeypatch)
+        real_pairs = 0
+        for kind in DUAL_KINDS:
+            for seed in range(4):
+                for real in (True, False):
+                    c0, c1 = rand_pair(kind, seed, real, 2, 1)
+                    h = c1.dual_metric
+                    blocks = [m for om in c0.omega for m in (om.ee, om.oo)]
+                    blocks += [h.h_even, h.h_odd]
+                    both_real = all(m.im is None for m in blocks)
+                    real_pairs += both_real
+                    for max_q in (1, 2) if both_real else (1,):
+                        calls.clear()
+                        cs_cochains([c0, h_dual(c0, h)], max_q)
+                        assert calls == [], (kind, seed, max_q)
+        assert real_pairs > 0
+
+    def test_modular_class_builds_no_dual_frames(self, monkeypatch):
+        # max_q 1 under a Gaussian metric: the Chern character multiplies
+        # c's own frames, but the dual's are never built
+        calls = self.counted(monkeypatch)
+        built = []
+        dual_frames = connections._dual_frames
+
+        def recorded(c, h):
+            built.append(1)
+            return dual_frames(c, h)
+
+        monkeypatch.setattr(connections, "_dual_frames", recorded)
+        for seed in range(3):
+            rng = random.Random(seed)
+            a = direct_product(tangent_torus(1), rng.choice([so3(), rand_q_family(rng)]))
+            tm = rand_tm_conn(a, rng)
+            g = rand_metric(adjoint_setup(a, tm).bundle, rng, real=False)
+            calls.clear()
+            modular_class(a, tm, g)
+            assert "inverse" not in calls and built == [], seed
+
+    def test_frames_built_once_on_first_read(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        for kind in DUAL_KINDS:
+            for real in (True, False):
+                c0, c1 = rand_pair(kind, 3, real, 2, 1)
+                h = c1.dual_metric
+                calls.clear()
+                dual = h_dual(c0, h)
+                assert calls == [], kind
+                frames = dual.omega
+                assert calls.count("inverse") == 2, kind
+                calls.clear()
+                assert dual.omega is frames and calls == [], kind
+                for om, dom in zip(c0.omega, frames):
+                    for m, dm, hb in ((om.ee, dom.ee, h.h_even), (om.oo, dom.oo, h.h_odd)):
+                        hr = ring_matrix(hb)
+                        want = -(reference_inverse(hr) * ring_matrix(m).conj_transpose() * hr)
+                        assert ring_matrix(dm) == want, kind
 
 
 def check_cs_axioms(a, b, conns, metric, q, rng):
