@@ -89,9 +89,9 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
         if not entry.is_zero() and coboundary_witness(a, entry) is None:
             raise PrimaryObstruction(f"Chern character entry q={q} is a nonzero class")
     reports = []
-    for q, rep in enumerate(secondary_representatives(c, h_dual(c, h), max_q)):
-        if q == 0:
-            continue
+    forms = cs_cochains([c, h_dual(c, h)], max_q)
+    for q in range(1, max_q + 1):
+        rep = forms[q].scale(I ** (q + 1))
         if not all(v.is_real() for v in rep.comps.values()):
             raise IdentityFailure(
                 "reality", f"secondary representative q={q} has an imaginary part"
@@ -102,21 +102,6 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
             )
         reports.append(ClassReport(q, rep, _solve_coboundary(a, rep)))
     return reports
-
-
-def secondary_representatives(c: Connection, dual: Connection, max_q: int) -> list[AlgebroidForm]:
-    """i^{q+1} cs^q(c, dual) for q = 0..max_q, where dual is the metric
-    dual of c: the representatives of the secondary classes."""
-    return [
-        form.scale(I ** (q + 1)) for q, form in enumerate(cs_cochains([c, dual], max_q))
-    ]
-
-
-class AdjointSetup(NamedTuple):
-    bundle: GradedBundle  # A even, TM odd, boundary = anchor
-    basic: Connection
-    theta: list[Matrix]  # theta_i, r x n: TM (odd) -> A (even)
-    adjoint: Connection
 
 
 def adjoint_bundle(anchor: Matrix) -> GradedBundle:
@@ -134,14 +119,8 @@ def _ad(a: ConstantAlgebroid, i: int) -> Matrix:
     return _matrix(re, im, a.den, a.r)
 
 
-def adjoint_connection(a: ConstantAlgebroid, bundle: GradedBundle, ads) -> Connection:
-    """Even block ad_{e_i}, given as ads; odd block zero (constant fields commute)."""
-    zero = Matrix.zeros(a.n, a.n)
-    return Connection(a, bundle, [GradedEndo(x, zero) for x in ads])
-
-
-def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
-    """Adjoint bundle, basic connection and the equivalence witness.
+def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
+    """The basic connection on the adjoint bundle of a valid algebroid.
 
     tm_conn is a list of n matrices Gamma_m (r x r): the action of
     covariant differentiation along the m-th coordinate field on the
@@ -150,11 +129,12 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
         even:  b |-> nabla_{rho(b)} e_i + [e_i, b]
         odd:   u |-> rho(nabla_u e_i)
 
-    and differs from the adjoint action by the graded commutator of the
-    boundary with theta_i: u |-> -nabla_u e_i, from TM to A.  With the
-    r x n matrix T_i[k, m] = Gamma_m[k, i] and C_i = ad_{e_i}, the even
-    block is C_i + T_i rho, the odd block rho T_i, and theta_i = -T_i, so
-    ad - basic = (theta_i rho, rho theta_i).
+    With the r x n matrix T_i[k, m] = Gamma_m[k, i], the even block is
+    ad_{e_i} + T_i rho and the odd block rho T_i.  It differs from the
+    adjoint connection (ad_{e_i}, 0) by the graded commutator of the
+    anchor with theta_i = -T_i, so the two are equivalent, and it
+    commutes with the anchor because rho ad_{e_i} = 0, the anchor axiom
+    that parsing decides.
     """
     tm_conn = list(tm_conn)
     if len(tm_conn) != a.n:
@@ -162,38 +142,19 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> AdjointSetup:
     for m, g in enumerate(tm_conn):
         if g.shape != (a.r, a.r):
             raise ValueError(f"tm_conn[{m}] must be {a.r} x {a.r}, got {g.nrows} x {g.ncols}")
-    bundle = adjoint_bundle(a.anchor)
     rho = a.anchor
-
-    ads = [_ad(a, i) for i in range(a.r)]
     omega = []
-    thetas = []
     for i in range(a.r):
         t = Matrix.column_stack(tm_conn, i, a.r)
-        omega.append(GradedEndo(ads[i] + t * rho, rho * t))
-        thetas.append(-t)
-
-    basic = Connection(a, bundle, omega)
-    if not basic.commutes_with_boundary():
-        raise IdentityFailure(
-            "boundary commutation", "the basic connection does not commute with the anchor"
-        )
-    ad = adjoint_connection(a, bundle, ads)
-    for i in range(a.r):
-        theta = thetas[i]
-        if ad.omega[i] - basic.omega[i] != GradedEndo(theta * rho, rho * theta):
-            raise IdentityFailure(
-                "adjoint equivalence",
-                f"basic and adjoint connections differ from the stated theta at e_{i + 1}",
-            )
-    return AdjointSetup(bundle, basic, thetas, ad)
+        omega.append(GradedEndo(_ad(a, i) + t * rho, rho * t))
+    return Connection(a, adjoint_bundle(rho), omega)
 
 
 def intrinsic_char(a: ConstantAlgebroid, tm_conn, g: HermitianMetric, max_q=None) -> list[ClassReport]:
     """Secondary classes of the basic connection: the intrinsic classes."""
     if max_q is None:
         max_q = default_max_q(a)
-    return secondary_class(adjoint_setup(a, tm_conn).basic, g, max_q)
+    return secondary_class(adjoint_setup(a, tm_conn), g, max_q)
 
 
 class ModularResult(NamedTuple):

@@ -136,10 +136,10 @@ def cmd_cs(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
-    setup = adjoint_setup(a, tm)
-    dual = h_dual(setup.basic, _metric(extras, setup.bundle))
+    basic = adjoint_setup(a, tm)
+    dual = h_dual(basic, _metric(extras, basic.bundle))
     out, lines = [], []
-    forms = cs_cochains([setup.basic, dual], max_q)
+    forms = cs_cochains([basic, dual], max_q)
     for q in range(1, max_q + 1):
         form = forms[q]
         out.append({"q": q, "form": fileio.form_to_json(form)})

@@ -63,9 +63,6 @@ class GradedEndo:
         self.ee = ee
         self.oo = oo
 
-    def __sub__(self, other):
-        return GradedEndo(self.ee - other.ee, self.oo - other.oo)
-
     def is_zero(self) -> bool:
         return self.ee.is_zero() and self.oo.is_zero()
 
@@ -140,17 +137,6 @@ class Connection:
         if self._omega is None:
             self._omega = _dual_frames(self.dual_of, self.dual_metric)
         return self._omega
-
-    def commutes_with_boundary(self) -> bool:
-        """Whether every frame matrix commutes with the boundary:
-        d01 * ee = oo * d01.
-
-        Holds for any connection coming from a representation on the
-        graded bundle; the h-dual of such a connection need not satisfy
-        it unless the boundary is self-adjoint for h.
-        """
-        d01 = self.bundle.d01
-        return all(d01 * om.ee == om.oo * d01 for om in self.omega)
 
     def __eq__(self, other):
         if not isinstance(other, Connection):

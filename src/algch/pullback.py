@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 from .algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
@@ -21,12 +21,8 @@ from .algebroid import (
     _padded,
 )
 from .connections import Connection, HermitianMetric, h_dual
-from .charclasses import (
-    adjoint_setup,
-    AdjointSetup,
-    IdentityFailure,
-    secondary_representatives,
-)
+from .charclasses import adjoint_setup, IdentityFailure
+from .transgression import cs_cochains
 
 
 def pullback_anchor(a: ConstantAlgebroid, k: int) -> Matrix:
@@ -35,8 +31,9 @@ def pullback_anchor(a: ConstantAlgebroid, k: int) -> Matrix:
     v_j |-> d/dy_j and hor(e_i) |-> h(rho e_i): the anchor of TT^k x A
     with the k fibre rows moved below the n base rows.
     """
-    rows = Matrix.block_diag(Matrix.identity(k), a.anchor).rows
-    return Matrix(rows[k:] + rows[:k], ncols=k + a.r)
+    m = Matrix.block_diag(Matrix.identity(k), a.anchor)
+    im = None if m.im is None else m.im[k:] + m.im[:k]
+    return _matrix(m.re[k:] + m.re[:k], im, m.den, k + a.r)
 
 
 def pullback_algebroid(a: ConstantAlgebroid, k: int) -> ConstantAlgebroid:
@@ -65,9 +62,9 @@ class RecipeResult(NamedTuple):
     algebroid: ConstantAlgebroid  # p^!(A)
     tm_conn: list  # nabla-bar: one (k+r) matrix per coordinate of T^{n+k}
     metric: HermitianMetric  # g-bar on Ad(p^!(A))
-    setup: AdjointSetup  # adjoint data and basic connection of p^!(A)
+    basic: Connection  # basic connection of p^!(A)
     dual: Connection  # g-bar dual of the basic connection
-    base: AdjointSetup  # adjoint data and basic connection of A
+    base: Connection  # basic connection of A
     base_dual: Connection  # g dual of the base basic connection
 
 
@@ -88,35 +85,35 @@ def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric,
         raise ValueError(f"g_v must be {k} x {k}, got {g_v.nrows} x {g_v.ncols}")
     tm_conn = list(tm_conn)  # read twice: by adjoint_setup and for nabla-bar
     base = adjoint_setup(a, tm_conn)
-    base_dual = h_dual(base.basic, g)
+    base_dual = h_dual(base, g)
     pb = pullback_algebroid(a, k)
     vertical = Matrix.zeros(k, k)
     # horizontal coordinate directions, then vertical ones acting by zero
     nabla_bar = [Matrix.block_diag(vertical, m) for m in tm_conn]
     nabla_bar += [Matrix.zeros(pb.r, pb.r)] * k
 
-    setup = adjoint_setup(pb, nabla_bar)
+    basic = adjoint_setup(pb, nabla_bar)
     g_even = Matrix.block_diag(g_v, g.h_even)  # on p^!(A): vertical block first
     g_odd = Matrix.block_diag(g.h_odd, g_v)  # on T(T^{n+k}): x block first
-    gbar = HermitianMetric(setup.bundle, g_even, g_odd)
-    dual = h_dual(setup.basic, gbar)
+    gbar = HermitianMetric(basic.bundle, g_even, g_odd)
+    dual = h_dual(basic, gbar)
 
-    _check_basic_splitting(k, base, base_dual, setup, dual)
-    return RecipeResult(pb, nabla_bar, gbar, setup, dual, base, base_dual)
+    _check_basic_splitting(k, base, base_dual, basic, dual)
+    return RecipeResult(pb, nabla_bar, gbar, basic, dual, base, base_dual)
 
 
-def _check_basic_splitting(k, base, base_dual, setup, dual):
+def _check_basic_splitting(k, base, base_dual, basic, dual):
     """nabla-bar^bas = vertical (+) pullback(nabla^bas), and the same
     splitting for the g-bar dual against the base dual."""
     vertical = Matrix.zeros(k, k)
-    pairs = [(setup.basic, base.basic), (dual, base_dual)]
+    pairs = [(basic, base), (dual, base_dual)]
     for i in range(k):  # vertical frame sections act by zero
         for conn, _ in pairs:
             if not conn.omega[i].is_zero():
                 raise IdentityFailure(
                     "basic splitting", f"vertical section v_{i + 1} does not act by zero"
                 )
-    for i in range(base.basic.algebroid.r):
+    for i in range(base.algebroid.r):
         for conn, base_conn in pairs:
             om, bom = conn.omega[k + i], base_conn.omega[i]
             if om.ee != Matrix.block_diag(vertical, bom.ee):
@@ -152,24 +149,24 @@ def morita_check(
     Equality of representatives is bit-exact by construction of the
     recipe.  When alt_metric (an independent metric on Ad(p^!(A))) is
     given, also check that the intrinsic representatives it produces
-    differ from the pulled-back ones by exact forms.
+    differ from the pulled-back ones by exact forms.  The cochains cs^q
+    are compared directly: the phase i^(q+1) of the representatives
+    changes neither equality, vanishing nor exactness.
     """
     recipe = submersion_recipe(a, k, tm_conn, g, g_v)
-    basic = recipe.setup.basic
-    # the intrinsic representatives i^(q+1) cs^q; the phase changes
-    # neither equality nor vanishing
-    base_reps = secondary_representatives(recipe.base.basic, recipe.base_dual, max_q)
-    bar_reps = secondary_representatives(basic, recipe.dual, max_q)
+    basic = recipe.basic
+    base_cs = cs_cochains([recipe.base, recipe.base_dual], max_q)
+    bar_cs = cs_cochains([basic, recipe.dual], max_q)
 
     per_q, cohomologous = {}, {}
     for q in range(1, max_q + 1):
-        lhs = bar_reps[q]
-        rhs = pullback_form(a, k, base_reps[q])
+        lhs = bar_cs[q]
+        rhs = pullback_form(a, k, base_cs[q])
         per_q[q] = {"equal": lhs == rhs, "both_zero": lhs.is_zero() and rhs.is_zero()}
 
     if alt_metric is not None:
-        alt_reps = secondary_representatives(basic, h_dual(basic, alt_metric), max_q)
+        alt_cs = cs_cochains([basic, h_dual(basic, alt_metric)], max_q)
         for q in range(1, max_q + 1):
-            diff = alt_reps[q] - pullback_form(a, k, base_reps[q])
+            diff = alt_cs[q] - pullback_form(a, k, base_cs[q])
             cohomologous[q] = coboundary_witness(recipe.algebroid, diff) is not None
     return MoritaReport(per_q, cohomologous)

@@ -40,8 +40,27 @@ def scalar_from_json(v) -> Scalar:
 
 
 def adjoint_connection(a: ConstantAlgebroid, bundle: GradedBundle) -> Connection:
-    """The adjoint connection with its ad_{e_i} built here."""
-    return charclasses.adjoint_connection(a, bundle, [charclasses._ad(a, i) for i in range(a.r)])
+    """The adjoint connection: ad_{e_i} from dense_ad on the even block
+    and zero on the odd block, since constant fields commute."""
+    zero = Matrix.zeros(a.n, a.n)
+    return Connection(a, bundle, [GradedEndo(dense_ad(a, i), zero) for i in range(a.r)])
+
+
+def tm_theta(a: ConstantAlgebroid, tm_conn) -> list[Matrix]:
+    """theta_i = -T_i for each frame index i, where the r x n matrix T_i
+    holds column i of each tm_conn matrix: T_i[k, m] = Gamma_m[k, i]."""
+    return [
+        Matrix([[-tm_conn[m][k, i] for m in range(a.n)] for k in range(a.r)], ncols=a.n)
+        for i in range(a.r)
+    ]
+
+
+def commutes_with_boundary(c: Connection) -> bool:
+    """Whether every frame matrix commutes with the boundary:
+    d01 * ee = oo * d01.  Holds for a connection that comes from a
+    representation on the graded bundle; the h-dual of one need not."""
+    d01 = c.bundle.d01
+    return all(d01 * om.ee == om.oo * d01 for om in c.omega)
 
 
 def rand_rational(rng: random.Random, span=3) -> Fraction:
@@ -64,13 +83,14 @@ def rand_pd_matrix(n, rng, real=False) -> Matrix:
     return m.conj_transpose() * m + Matrix.identity(n)
 
 
-def rand_bundle(rng, re=2, ro=2) -> GradedBundle:
+def rand_bundle(rng, re=2, ro=2, real=False) -> GradedBundle:
     """Random graded bundle: zero boundary one time in three, a random
-    one otherwise.  The draw is three-way, and both nonzero outcomes draw
-    the same matrix, so that the seeded tests keep their random streams."""
+    one otherwise, real when real is set.  The draw is three-way, and
+    both nonzero outcomes draw the same matrix, so that the seeded tests
+    keep their random streams."""
     if rng.randrange(3) == 0 or re == 0 or ro == 0:
         return GradedBundle(re, ro)
-    return GradedBundle(re, ro, d01=rand_matrix(ro, re, rng))
+    return GradedBundle(re, ro, d01=rand_matrix(ro, re, rng, real))
 
 
 def boundary_commutant(b: GradedBundle) -> list[GradedEndo]:
@@ -114,7 +134,7 @@ def rand_connection(a: ConstantAlgebroid, b: GradedBundle, rng, basis=None, real
             om = om + e.scale(rand_scalar(rng, real))
         omega.append(om)
     c = Connection(a, b, omega)
-    assert c.commutes_with_boundary()
+    assert commutes_with_boundary(c)
     return c
 
 
@@ -1184,10 +1204,10 @@ def reference_morita_verdicts(a, k, tm_conn, g, g_v, max_q, alt_metric):
     where it is used."""
     base = adjoint_setup(a, tm_conn)
     recipe = submersion_recipe(a, k, tm_conn, g, g_v)
-    basic = recipe.setup.basic
+    basic = recipe.basic
     per_q, cohomologous = {}, {}
     for q in range(1, max_q + 1):
-        base_cs = reference_cs_cochain([base.basic, h_dual(base.basic, g)], q)
+        base_cs = reference_cs_cochain([base, h_dual(base, g)], q)
         lhs = reference_cs_cochain([basic, h_dual(basic, recipe.metric)], q)
         rhs = pullback_form(a, k, base_cs)
         per_q[q] = {"equal": lhs == rhs, "both_zero": lhs.is_zero() and rhs.is_zero()}

@@ -49,6 +49,8 @@ from helpers import (
     trace_character,
     identity_metric,
     adjoint_metric,
+    tm_theta,
+    Endo,
 )
 from test_transgression import check_cs_axioms
 
@@ -172,14 +174,15 @@ def test_main_example_equivalence():
     rng = random.Random(106)
     for name, a in small_corpus().items():
         tm = rand_tm_conn(a, rng)
-        setup = adjoint_setup(a, tm)
-        b = setup.bundle
-        for i in range(a.r):
-            delta = setup.adjoint.omega[i] - setup.basic.omega[i]
-            assert delta == boundary_commutator(setup.theta[i], b), name
+        basic = adjoint_setup(a, tm)
+        b = basic.bundle
+        ad = adjoint_connection(a, b)
+        for i, theta in enumerate(tm_theta(a, tm)):
+            delta = Endo.of(ad.omega[i]) - basic.omega[i]
+            assert delta == boundary_commutator(theta, b), name
         for q in (1, 2, 3):
-            lhs = supertrace_curvature_power(setup.basic, q)
-            rhs = supertrace_curvature_power(setup.adjoint, q)
+            lhs = supertrace_curvature_power(basic, q)
+            rhs = supertrace_curvature_power(ad, q)
             assert lhs == rhs, name
     report("PASS adjoint equivalence: theta witnesses and matching traces, full corpus")
 

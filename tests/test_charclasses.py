@@ -31,6 +31,7 @@ from algch.charclasses import (
     modular_class,
     default_max_q,
 )
+from algch.pullback import pullback_algebroid
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 from helpers import (
@@ -51,6 +52,9 @@ from helpers import (
     dense_brackets,
     dense_ad,
     identity_metric,
+    tm_theta,
+    commutes_with_boundary,
+    Endo,
 )
 
 
@@ -196,18 +200,6 @@ class TestVerdictChecks:
         with pytest.raises(PrimaryObstruction, match="q=1"):
             secondary_class(c, identity_metric(bundle), 1)
 
-    def test_adjoint_equivalence(self, monkeypatch):
-        monkeypatch.setattr(charclasses, "adjoint_connection", lambda a, bundle, ads: zero_connection(a, bundle))
-        with pytest.raises(IdentityFailure, match="theta at e_1") as info:
-            adjoint_setup(so3(), [])
-        assert info.value.identity == "adjoint equivalence"
-
-    def test_boundary_commutation(self, monkeypatch):
-        monkeypatch.setattr(Connection, "commutes_with_boundary", lambda self: False)
-        with pytest.raises(IdentityFailure) as info:
-            adjoint_setup(tangent_torus(1), [Matrix.zeros(1, 1)])
-        assert info.value.identity == "boundary commutation"
-
 
 class TestAdjointSetup:
     def test_tm_conn_count_and_shapes_enforced(self):
@@ -220,10 +212,9 @@ class TestAdjointSetup:
 
     def test_lie_algebra_basic_is_adjoint(self):
         for a in (heisenberg(), so3(), q_family(2, 3, 5, 7)):
-            setup = adjoint_setup(a, [])
-            assert setup.bundle.d01.is_zero()
-            assert setup.basic == setup.adjoint
-            assert all(t.is_zero() for t in setup.theta)
+            basic = adjoint_setup(a, [])
+            assert basic.bundle.d01.is_zero()
+            assert basic == adjoint_connection(a, basic.bundle)
 
     def test_ad_matches_dense_brackets(self):
         # Gaussian brackets (sl2 with every bracket times i) and fractional
@@ -232,13 +223,15 @@ class TestAdjointSetup:
         isl2 = lie_algebra(3, {(0, 1): {1: 2 * I}, (0, 2): {2: -2 * I}, (1, 2): {0: I}})
         for g in (isl2, q_family(half, -half, -half, half)):
             for a in (g, direct_product(tangent_torus(1), g)):
-                ad = adjoint_connection(a, GradedBundle(a.r, a.n, d01=a.anchor))
+                # a zero tm_conn leaves the adjoint action alone
+                basic = adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n)
                 for i in range(a.r):
-                    assert ad.omega[i].ee == dense_ad(a, i)
-                    assert ad.omega[i].oo == Matrix.zeros(a.n, a.n)
+                    assert basic.omega[i].ee == dense_ad(a, i)
+                    assert basic.omega[i].oo == Matrix.zeros(a.n, a.n)
 
     def test_ad_built_once_per_setup(self, monkeypatch):
-        # the basic connection and the adjoint one share each ad_{e_i}
+        # each frame takes its ad_{e_i} once: even block ad - theta rho,
+        # odd block -rho theta
         calls = []
         original = charclasses._ad
 
@@ -249,21 +242,24 @@ class TestAdjointSetup:
         monkeypatch.setattr(charclasses, "_ad", counted)
         a = direct_product(direct_product(tangent_torus(2), q_family(1, 2, 3, 4)), so3())
         assert a.r == 8
-        setup = adjoint_setup(a, rand_tm_conn(a, random.Random(0)))
+        tm = rand_tm_conn(a, random.Random(0))
+        basic = adjoint_setup(a, tm)
         assert sorted(calls) == list(range(a.r))
-        assert all(setup.adjoint.omega[i].ee == charclasses._ad(a, i) for i in range(a.r))
+        rho = a.anchor
+        for i, theta in enumerate(tm_theta(a, tm)):
+            assert basic.omega[i].ee == dense_ad(a, i) - theta * rho
+            assert basic.omega[i].oo == -(rho * theta)
 
     def test_tangent_torus_flat_recipe(self):
         for n in (1, 2, 3):
             a = tangent_torus(n)
-            setup = adjoint_setup(a, [Matrix.zeros(n, n)] * n)
-            assert all(om.is_zero() for om in setup.basic.omega)
+            basic = adjoint_setup(a, [Matrix.zeros(n, n)] * n)
+            assert all(om.is_zero() for om in basic.omega)
 
     def test_q_family_e3_block(self):
         qa, qb, qc, qd = Scalar(1), Scalar(2), Scalar(3), Scalar(4)
         a = q_family(qa, qb, qc, qd)
-        setup = adjoint_setup(a, [])
-        ee = setup.basic.omega[2].ee
+        ee = adjoint_setup(a, []).omega[2].ee
         # upper-left 2x2 block acts by -Q^T on span(e_1, e_2)
         assert ee[0, 0] == -qa and ee[0, 1] == -qc
         assert ee[1, 0] == -qb and ee[1, 1] == -qd
@@ -273,11 +269,25 @@ class TestAdjointSetup:
         rng = random.Random(46)
         for a in small_corpus().values():
             tm = rand_tm_conn(a, rng)
-            setup = adjoint_setup(a, tm)
-            b = setup.bundle
-            for i in range(a.r):
-                delta = setup.adjoint.omega[i] - setup.basic.omega[i]
-                assert delta == boundary_commutator(setup.theta[i], b)
+            basic = adjoint_setup(a, tm)
+            b = basic.bundle
+            ad = adjoint_connection(a, b)
+            for i, theta in enumerate(tm_theta(a, tm)):
+                delta = Endo.of(ad.omega[i]) - basic.omega[i]
+                assert delta == boundary_commutator(theta, b)
+
+    def test_basic_commutes_with_boundary(self):
+        # rho (ad_i + T_i rho) = (rho T_i) rho because rho ad_i = 0, the
+        # anchor axiom of a valid algebroid
+        rng = random.Random(48)
+        products = [
+            direct_product(tangent_torus(rng.randint(1, 2)), rand_algebroid(rng)) for _ in range(4)
+        ] + [pullback_algebroid(a, 1) for a in (heisenberg(), q_family(1, 2, 3, 4))]
+        assert all(a.n > 0 for a in products)
+        for a in list(small_corpus().values()) + products:
+            for real in (True, False):
+                basic = adjoint_setup(a, rand_tm_conn(a, rng, real=real))
+                assert commutes_with_boundary(basic)
 
 
 class TestIntrinsic:

@@ -29,7 +29,15 @@ from algch.scalars import Scalar, I, ONE
 
 from algch.library import abelian, heisenberg, so3, tangent_torus
 
-from helpers import fake_cs_cochains, rand_pd_matrix, rand_q_family, rand_tm_conn, scalar_from_json
+from helpers import (
+    fake_cs_cochains,
+    imaginary_trace,
+    isl2,
+    rand_pd_matrix,
+    rand_q_family,
+    rand_tm_conn,
+    scalar_from_json,
+)
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -563,6 +571,76 @@ class TestCommandSetups:
         status, _ = run_cli(capsys, *argv[:-1], INPUTS / argv[-1])
         assert status == 0
         assert len(calls) == setups
+
+
+class TestModularAgainstTopBetti:
+    """cs^1 = -2 Re tr ad e_i, since the A- and TM-parts of tm_conn cancel
+    in the supertrace, so on real data the modular class vanishes exactly
+    when the bracket is unimodular, that is when the top Betti number
+    b_r is 1 rather than 0."""
+
+    def verdicts(self, capsys, tmp_path, a, extras):
+        """(modular class is ZERO, top Betti number), each read from the
+        printed line of its command."""
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(serialize_algebroid(a, extras)))
+        status, modular = run_cli(capsys, "modular", f)
+        assert status == 0
+        status, betti = run_cli(capsys, "cohomology", f)
+        assert status == 0 and betti.startswith("Betti: ")
+        return modular.splitlines()[0] == "modular class: ZERO", int(betti.split()[-1])
+
+    def extras(self, a, rng, with_tm_conn):
+        extras = {}
+        if with_tm_conn:
+            extras["tm_conn"] = rand_tm_conn(a, rng, real=True)
+        if rng.random() < 0.5:
+            extras["g_A"] = rand_pd_matrix(a.r, rng, real=True)
+            extras["g_M"] = rand_pd_matrix(a.n, rng, real=True)
+        return extras
+
+    def test_real_products(self, capsys, tmp_path):
+        rng = random.Random(12)
+        seen = set()
+        for seed in range(2):
+            def q():
+                return rand_q_family(rng, trace_zero=rng.random() < 0.5)
+
+            for factors in (
+                (tangent_torus(1), q()),
+                (tangent_torus(2), q()),
+                (tangent_torus(1), so3()),
+                (q(), abelian(1)),
+                (tangent_torus(2), heisenberg()),
+                (q(), heisenberg()),
+                (q(), q()),
+                (tangent_torus(1), q(), abelian(1)),
+            ):
+                a = factors[0]
+                for f in factors[1:]:
+                    a = direct_product(a, f)
+                assert a.r <= 6
+                for with_tm_conn in (False, True):
+                    zero, top = self.verdicts(capsys, tmp_path, a, self.extras(a, rng, with_tm_conn))
+                    assert top in (0, 1)
+                    assert zero == (top == 1), (seed, a.r, a.n, with_tm_conn)
+                    seen.add((zero, a.n > 0))
+        assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+    def test_gaussian_brackets_one_direction(self, capsys, tmp_path):
+        # b_r = 1 implies ZERO; the converse needs a real trace
+        rng = random.Random(13)
+        for a in (
+            isl2(),
+            direct_product(tangent_torus(1), isl2()),
+            direct_product(isl2(), abelian(1)),
+            direct_product(tangent_torus(1), imaginary_trace()),
+        ):
+            for with_tm_conn in (False, True):
+                zero, top = self.verdicts(capsys, tmp_path, a, self.extras(a, rng, with_tm_conn))
+                assert zero or top != 1
+        # tr ad e_1 = i: Re tr ad is zero, and the bracket is not unimodular
+        assert self.verdicts(capsys, tmp_path, imaginary_trace(), {}) == (True, 0)
 
 
 class TestCommands:

@@ -290,13 +290,14 @@ class TestEquivalence:
         for name, a in small_corpus().items():
             if a.r + a.n > 5:
                 continue
-            setup = adjoint_setup(a, rand_tm_conn(a, rng))
-            theta = equivalence_witness(setup.basic, setup.adjoint)
+            basic = adjoint_setup(a, rand_tm_conn(a, rng))
+            b = basic.bundle
+            ad = adjoint_connection(a, b)
+            theta = equivalence_witness(basic, ad)
             assert theta is not None, name
-            b = setup.bundle
             for i in range(a.r):
                 delta = boundary_commutator(theta[i], b)
-                assert delta == setup.adjoint.omega[i] - setup.basic.omega[i]
+                assert delta == Endo.of(ad.omega[i]) - basic.omega[i]
 
 
 class TestDifferentialIdentities:

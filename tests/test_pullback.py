@@ -146,12 +146,12 @@ class TestSubmersionRecipe:
             )
             base = adjoint_setup(g, [])
             # vertical section acts by zero; horizontal lifts act by ad
-            assert recipe.setup.basic.omega[0].is_zero()
+            assert recipe.basic.omega[0].is_zero()
             for i in range(3):
-                om = recipe.setup.basic.omega[1 + i].ee
+                om = recipe.basic.omega[1 + i].ee
                 for p in range(4):
                     for q in range(4):
-                        want = base.basic.omega[i].ee[p - 1, q - 1] if p and q else ZERO
+                        want = base.omega[i].ee[p - 1, q - 1] if p and q else ZERO
                         assert om[p, q] == want
 
     def test_tangent_torus_all_zero(self):
@@ -164,7 +164,7 @@ class TestSubmersionRecipe:
                 adjoint_metric(a, Matrix.identity(n), Matrix.identity(n)),
                 Matrix.identity(1),
             )
-            assert all(om.is_zero() for om in recipe.setup.basic.omega)
+            assert all(om.is_zero() for om in recipe.basic.omega)
 
     def test_vertical_subconnection_is_metric(self):
         rng = random.Random(63)
@@ -172,9 +172,9 @@ class TestSubmersionRecipe:
         g_v = rand_pd_matrix(2, rng, real=True)
         g = adjoint_metric(a, rand_pd_matrix(3, rng, real=True), Matrix.identity(0))
         recipe = submersion_recipe(a, 2, [], g, g_v)
-        dual = h_dual(recipe.setup.basic, recipe.metric)
+        dual = h_dual(recipe.basic, recipe.metric)
         for j in range(2):  # vertical frame sections
-            assert recipe.setup.basic.omega[j].is_zero()
+            assert recipe.basic.omega[j].is_zero()
             assert dual.omega[j].is_zero()
 
 
@@ -183,7 +183,7 @@ class TestSubmersionRecipe:
         a = q_family(1, 2, 3, 4)
         g = adjoint_metric(a, rand_pd_matrix(3, rng), Matrix.identity(0))
         recipe = submersion_recipe(a, 1, [], g, Matrix.identity(1))
-        assert recipe.dual == h_dual(recipe.setup.basic, recipe.metric)
+        assert recipe.dual == h_dual(recipe.basic, recipe.metric)
 
     def test_tm_conn_iterator_same_as_list(self):
         rng = random.Random(67)
@@ -193,7 +193,7 @@ class TestSubmersionRecipe:
         g_v = rand_pd_matrix(1, rng)
         want = submersion_recipe(a, 1, tm, g, g_v)
         got = submersion_recipe(a, 1, iter(tm), g, g_v)
-        for field in ("algebroid", "tm_conn", "setup", "dual", "base", "base_dual"):
+        for field in ("algebroid", "tm_conn", "basic", "dual", "base", "base_dual"):
             assert getattr(got, field) == getattr(want, field)
         for block in ("bundle", "h_even", "h_odd"):
             assert getattr(got.metric, block) == getattr(want.metric, block)
@@ -205,8 +205,8 @@ class TestSubmersionRecipe:
         g_a, g_m = rand_pd_matrix(1, rng), rand_pd_matrix(1, rng)
         recipe = submersion_recipe(a, 1, tm, adjoint_metric(a, g_a, g_m), Matrix.identity(1))
         base = adjoint_setup(a, tm)
-        assert recipe.base.basic == base.basic
-        assert recipe.base_dual == h_dual(base.basic, HermitianMetric(base.bundle, g_a, g_m))
+        assert recipe.base == base
+        assert recipe.base_dual == h_dual(base, HermitianMetric(base.bundle, g_a, g_m))
 
 
 class TestBasicSplittingFailures:
@@ -222,14 +222,14 @@ class TestBasicSplittingFailures:
         r = self.recipe()
         with pytest.raises(IdentityFailure, match="basic splitting") as info:
             # the basic connection itself is not its dual for this metric
-            _check_basic_splitting(1, r.base, r.base.basic, r.setup, r.dual)
+            _check_basic_splitting(1, r.base, r.base, r.basic, r.dual)
         assert info.value.identity == "basic splitting"
 
     def test_wrong_base_connection(self):
         r = self.recipe()
         other = adjoint_setup(q_family(1, 0, 0, 1), [])
         with pytest.raises(IdentityFailure, match="even block of hor"):
-            _check_basic_splitting(1, other, r.base_dual, r.setup, r.dual)
+            _check_basic_splitting(1, other, r.base_dual, r.basic, r.dual)
 
     def test_vertical_section_acting(self):
         a = tangent_torus(1)
@@ -241,7 +241,7 @@ class TestBasicSplittingFailures:
         nabla[1] = Matrix([[ONE, ZERO], [ZERO, ZERO]])
         bad = adjoint_setup(r.algebroid, nabla)
         with pytest.raises(IdentityFailure, match="vertical section v_1"):
-            _check_basic_splitting(1, r.base, r.base_dual, bad, h_dual(bad.basic, r.metric))
+            _check_basic_splitting(1, r.base, r.base_dual, bad, h_dual(bad, r.metric))
 
 
 class TestMoritaCheck:
@@ -253,7 +253,7 @@ class TestMoritaCheck:
         assert report.per_q[1]["equal"] and not report.per_q[1]["both_zero"]
         # the shared q=1 form is a nonzero class upstairs
         base = adjoint_setup(a, [])
-        form = pullback_form(a, 1, cs_cochains([base.basic, h_dual(base.basic, g)], 1)[1])
+        form = pullback_form(a, 1, cs_cochains([base, h_dual(base, g)], 1)[1])
         pb = pullback_algebroid(a, 1)
         assert coboundary_witness(pb, form) is None
 

@@ -465,7 +465,7 @@ def rand_pair(kind, seed, real, rank_even, rank_odd):
         a = rng.choice([so3(), heisenberg(), rand_q_family(rng)])
         if kind == "torus":
             a = direct_product(tangent_torus(rng.randint(1, 2)), a)
-        c = adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n).basic
+        c = adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n)
         return [c, h_dual(c, rand_metric(c.bundle, rng, real=real))]
     if kind == "gaussian":
         a = rng.choice([
@@ -477,7 +477,7 @@ def rand_pair(kind, seed, real, rank_even, rank_odd):
         a = rand_algebroid(rng)
         if rng.random() < 0.5:
             a = direct_product(a, abelian(rng.randint(1, max(1, 5 - a.r))))
-    b = rand_bundle(rng, re=rank_even, ro=rank_odd)
+    b = rand_bundle(rng, re=rank_even, ro=rank_odd, real=real)
     c = rand_connection(a, b, rng, real=real)
     if kind == "equal":
         return [c, c]
@@ -574,7 +574,7 @@ def real_basic_connection(seed):
     rng = random.Random(seed)
     a = rng.choice([so3(), heisenberg(), rand_q_family(rng)])
     a = direct_product(tangent_torus(rng.randint(1, 2)), a)
-    c = adjoint_setup(a, rand_tm_conn(a, rng)).basic
+    c = adjoint_setup(a, rand_tm_conn(a, rng))
     return pullback_connection(a, 1, c) if seed % 2 else c
 
 
@@ -628,7 +628,7 @@ class TestDualPair:
         # a real basic connection and its dual under a real metric: cs^2
         # is decided zero from the provenance and the im of every block
         a = direct_product(tangent_torus(1), so3())
-        c = adjoint_setup(a, [Matrix.identity(a.r)]).basic
+        c = adjoint_setup(a, [Matrix.identity(a.r)])
         h = rand_metric(c.bundle, random.Random(3), real=True)
         pair = [c, h_dual(c, h)]
         calls = []
