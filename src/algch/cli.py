@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -302,6 +303,7 @@ def cmd_batch(path: str):
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
 
+    lines, failure = [], None
     try:
         if args.command == "batch":
             report, status, lines = cmd_batch(args.inputs[0])
@@ -312,13 +314,24 @@ def main(argv=None) -> int:
                 "options": {"max_q": args.max_q, "k": args.k, "seed": args.seed},
             }
             report, status, lines = run(job)
-        for line in lines:
-            print(line)
+        # written first, since a reader that stops early (head) cuts the printing short
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2)
     except (ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        failure = e
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the run keeps its status; stdout goes to devnull, so that the
+        # flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         return 1
     return status
 

@@ -160,8 +160,10 @@ def h_dual(c: Connection, h: HermitianMetric) -> Connection:
     not commute with the boundary; the cs machinery never uses the
     boundary, so this is harmless downstream.  Its dual_of is c and its
     dual_metric h, which lets cs_cochains take a pair (c, h_dual(c, h))
-    by the identities of a dual pair.  A real c under a real h has a real
-    dual, so at max_q <= 2 such a pair never reads the frames.
+    by the identities of a dual pair: at max_q <= 2 it reads c and h
+    alone, so the frames are built only where something else reads
+    them, such as the chain at max_q >= 3, a pair that h_dual did not
+    make, or a check of the frames themselves.
     """
     if h.bundle != c.bundle:
         raise ValueError("connection and metric live on different bundles")

@@ -14,9 +14,11 @@ m[i, j] and m.rows give Scalars.  Rows are lists that are never
 mutated; a product's zero rows may be one shared list.
 
 One dense fraction-free elimination, _eliminate, serves solve,
-nullspace, inverse, det and positive_definite.  It works on the same
-integer rows, the real parts alone for real data and the pairs (re,
-im) otherwise; rank runs the sparse _rank that betti_numbers runs.
+nullspace, det and positive_definite.  It works on the same integer
+rows, the real parts alone for real data and the pairs (re, im)
+otherwise; inverse runs the same elimination of [m | I] in place, on
+n + 1 entries a row, and rank runs the sparse _rank that betti_numbers
+runs.
 """
 
 from __future__ import annotations
@@ -492,28 +494,68 @@ def nullspace(m: Matrix) -> list[tuple]:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """The inverse of a square matrix; ZeroDivisionError if singular."""
+    """The inverse of a square matrix; ZeroDivisionError if singular.
+
+    _eliminate's elimination of the integer rows [m.re | m.den I], in
+    place on n + 1 entries a row.  When column c is reached, row k holds
+    column order[j] of the right half in slot j < c, the left half from
+    slot c on, and in slot n its pivot if k < c, else its own identity
+    entry, in right-half column order[k]; its other entries are 0.
+    """
     _square(m, "an inverse")
     n = m.ncols
-    re, im = _rows(_beside(m, Matrix.identity(n)))
-    pivots, _, _ = _eliminate(re, im)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    # row k of m^-1 is the right half of row k over its diagonal entry d
+    re = [[*row, m.den] for row in m.re]
+    im = None if m.im is None else [[*row, 0] for row in m.im]
+    order = list(range(n))
+    for c in range(n):
+        pr = next((i for i in range(c, n) if re[i][c] or im and im[i][c]), None)
+        if pr is None:
+            raise ZeroDivisionError("matrix is singular")
+        for x in (re, order) if im is None else (re, im, order):
+            x[c], x[pr] = x[pr], x[c]
+        # the pivot moves to slot n and the identity entry to slot c; the
+        # other rows take y + i z, the pivot row without its pivot, and
+        # their slot c becomes their entry in right-half column order[c]
+        for x in (re[c],) if im is None else (re[c], im[c]):
+            x[c], x[n] = x[n], x[c]
+        p, y = re[c][n], re[c][:n] + [0]
+        if im is None:
+            a, s = (p, 1) if p > 0 else (-p, -1)
+            for i, row in enumerate(re):
+                if i != c and row[c]:
+                    b = row[c] * s
+                    new = [a * x - b * t for x, t in zip(row, y)]
+                    new[c] -= a * row[c]
+                    g = gcd(*new)
+                    re[i] = [x // g for x in new] if g > 1 else new
+            continue
+        v, z = im[c][n], im[c][:n] + [0]
+        a = p * p + v * v
+        for i, (row_re, row_im) in enumerate(zip(re, im)):
+            fr, fi = row_re[c], row_im[c]
+            if i != c and (fr or fi):
+                # b = f * conj(pivot); the new row is a * row - b * (y + i z)
+                br, bi = fr * p + fi * v, fi * p - fr * v
+                new_re = [a * x - br * t + bi * w for x, t, w in zip(row_re, y, z)]
+                new_im = [a * x - br * w - bi * t for x, t, w in zip(row_im, y, z)]
+                new_re[c] -= a * fr
+                new_im[c] -= a * fi
+                g = gcd(*new_re, *new_im)
+                re[i] = [x // g for x in new_re] if g > 1 else new_re
+                im[i] = [x // g for x in new_im] if g > 1 else new_im
+    # row k of m^-1 is row k of the right half over its pivot d
+    slot = sorted(range(n), key=order.__getitem__)
     if im is None:
-        den = lcm(*(abs(row[k]) for k, row in enumerate(re)))
-        out = [[x * (den // row[k]) for x in row[n:]] for k, row in enumerate(re)]
-        return _reduced(out, None, den, n)
+        den = lcm(*(abs(row[n]) for row in re))
+        return _reduced([[row[j] * (den // row[n]) for j in slot] for row in re], None, den, n)
     # that is times conj(d) / |d|^2, or u + i v = conj(d) * den / |d|^2 over den
-    norms = [re[k][k] ** 2 + im[k][k] ** 2 for k in range(n)]
-    den = lcm(*norms)
+    den = lcm(*(row[n] ** 2 + row_im[n] ** 2 for row, row_im in zip(re, im)))
     out_re, out_im = [], []
-    for k, norm in enumerate(norms):
-        f = den // norm
-        u, v = re[k][k] * f, -im[k][k] * f
-        pairs = list(zip(re[k][n:], im[k][n:]))
-        out_re.append([x * u - y * v for x, y in pairs])
-        out_im.append([x * v + y * u for x, y in pairs])
+    for row, row_im in zip(re, im):
+        f = den // (row[n] ** 2 + row_im[n] ** 2)
+        u, v = row[n] * f, -row_im[n] * f
+        out_re.append([row[j] * u - row_im[j] * v for j in slot])
+        out_im.append([row[j] * v + row_im[j] * u for j in slot])
     return _reduced(out_re, out_im, den, n)
 
 

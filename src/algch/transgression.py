@@ -34,7 +34,7 @@ from math import factorial, lcm, prod
 from operator import add, mul
 
 from .scalars import Scalar
-from .linalg import _cmatmul, _lin
+from .linalg import _cmatmul, _lin, inverse
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
 from .connections import GradedBundle
 
@@ -321,7 +321,11 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     matrices being real, so a real pair is decided without c_1's frames
     and never builds them (h_dual leaves them to the first read of
     c_1.omega); a real c_0 under a Gaussian metric takes T, which is
-    empty if c_1 is real after all.  The pair is
+    empty if c_1 is real after all.  Every other dual pair takes T from
+    c_0's frames and the inverse of the metric, with
+    str(c_0,i c_1,j) = -str(c_0,i H^-1 c_0,j^* H), and reads c_1's frames
+    only if they were read before, where the cross traces are cheaper.
+    At max_q <= 2, then, a dual pair never builds c_1's frames.  The pair is
     known to be dual by construction: h_dual records c_0 as c_1.dual_of.
     A flag could be set on a pair that is not dual, which would give a
     wrong class, and deciding duality from the frames would cost the
@@ -426,8 +430,11 @@ def _pair_cochains(conns, max_q: int) -> dict:
                 cubic.append((-2, d0**3, _imaginary(tri)))
             h = c1.dual_metric
             if not (real and h.h_even.im is None and h.h_odd.im is None):
-                d1, f1 = _integer_frames(c1)
-                linear.append((-1, d0 * d1, _transgression_form(f0, f1, True)))
+                if c1._omega is None:
+                    linear.append((-1, *_metric_transgression(f0, d0, h)))
+                else:
+                    d1, f1 = _integer_frames(c1)
+                    linear.append((-1, d0 * d1, _transgression_form(f0, f1, True)))
             out[2] = _cs2_form(a, linear, cubic)
         return out
     d1, f1 = _integer_frames(c1)
@@ -609,6 +616,54 @@ def _transgression_form(f0: list, f1: list, dual: bool) -> dict:
             out[i, j] = (x1 - x2, y1 - y2)
             out[j, i] = (x2 - x1, y2 - y1)
     return out
+
+
+def _metric_transgression(f0: list, d0: int, h) -> tuple:
+    """(den, T) for the dual pair (c_0, h_dual(c_0, h)), T as
+    _transgression_form gives it, from the integer frames f0 of c_0 over
+    d0 and the metric: with A = c_0 and G = H^-1, c_1,j = -G A_j^* H
+    blockwise, so str(c_0,i c_1,j) = -str(U_i V_j) for U = A G and
+    V = A^* H.  Each parity takes one product for all U and one for all
+    V, and a parity whose blocks are all zero takes no inverse.  G is
+    negated and brought to the common denominator, so that
+    _dot(U_i, V_j) of the _flat vectors is str(c_0,i c_1,j) over den."""
+    live = [i for i, x in enumerate(f0) if x is not None]
+    parts = []
+    for b, hb in enumerate((h.h_even, h.h_odd)):
+        blocks = [f0[i][0][b] for i in live]
+        zero = all(y is None and not any(map(any, x)) for x, y in blocks)
+        parts.append((None if zero else inverse(hb), hb, blocks))
+    den = lcm(*(g.den * hb.den for g, hb, _ in parts if g is not None))
+    u, v = [], []  # per parity, per frame: U's and V's block (re, im)
+    for g, hb, blocks in parts:
+        if g is None:  # U and V are zero with A
+            u.append(blocks)
+            v.append(blocks)
+            continue
+        n, f = hb.ncols, -(den // (g.den * hb.den))
+        for dest, (x, y) in (
+            (u, _cmatmul(_stacked(blocks), (_lin(g.re, f), None if g.im is None else _lin(g.im, f)), n)),
+            (v, _cmatmul(_stacked(blocks, True), (hb.re, hb.im), n)),
+        ):
+            dest.append([(x[k:k + n], None if y is None else y[k:k + n]) for k in range(0, len(x), n)])
+    left, right = [_flat(x) for x in zip(*u)], [_flat(x, True) for x in zip(*v)]
+    out = {}
+    for (k, i), (l, j) in combinations(enumerate(live), 2):
+        im = _dot(left[k], right[l])[1]
+        if im:
+            out[i, j], out[j, i] = (0, 2 * im), (0, -2 * im)
+    return den * d0 * d0, out
+
+
+def _stacked(blocks: list, star=False) -> tuple:
+    """The square blocks (re, im) one above the other, or with star their
+    conjugate transposes; im None when every block's is."""
+    if star:
+        blocks = [(list(zip(*x)), None if y is None else [[-t for t in c] for c in zip(*y)]) for x, y in blocks]
+    re = [row for x, _ in blocks for row in x]
+    if all(y is None for _, y in blocks):
+        return re, None
+    return re, [row for x, y in blocks for row in ([[0] * len(x)] * len(x) if y is None else y)]
 
 
 def _pair_chain(conns, max_q: int) -> dict:

@@ -757,6 +757,24 @@ class TestCommands:
         assert captured.err.startswith("error: ") and "nodir" in captured.err
         assert not out_file.exists()
 
+    def test_closed_stdout_keeps_status_and_report(self, capsys, monkeypatch, tmp_path):
+        # a reader that stopped early, as head does: stdout is a pipe
+        # whose read end is closed, so the first flush raises
+        # BrokenPipeError
+        argv = ["modular", str(INPUTS / "q_family.json"), "--out"]
+        assert main([*argv, str(tmp_path / "want.json")]) == 0
+        capsys.readouterr()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            status = main([*argv, str(tmp_path / "got.json")])
+            monkeypatch.undo()
+        assert status == 0
+        assert capsys.readouterr().err == ""
+        got = json.loads((tmp_path / "got.json").read_text())
+        assert got == json.loads((tmp_path / "want.json").read_text())
+
     def test_report_out(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         status, _ = run_cli(

@@ -1,6 +1,8 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +187,45 @@ class TestClearedMatrix:
             m = rand_matrix(n, n, rng)
             h = m.conj_transpose() * m + Matrix.identity(n)
             assert ring_matrix(inverse(h)) == reference_inverse(h)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[3]],
+        [[Fraction(-2, 7)]],
+        [[Scalar(1, 2)]],
+        [[Scalar(0, Fraction(1, 3))]],
+        # zero leading entries take row exchanges, one or two
+        [[0, 2], [3, 1]],
+        [[0, 1, 2], [3, 0, 1], [1, 2, 0]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[0, 0, 2, 1], [0, 3, 0, 0], [1, 0, 0, 5], [4, 0, 1, 0]],
+        [[0, I], [Scalar(1, 1), 2]],
+        [[0, 0, Scalar(2, -1)], [I, 1, 0], [Scalar(1, 1), 0, 3]],
+        # negative pivots, pivots that scale later rows, and den != 1
+        [[-2, 1], [1, -3]],
+        [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]],
+        [[Scalar(0, Fraction(1, 2)), Fraction(1, 3)], [1, Fraction(2, 5)]],
+        [[Scalar(2, 1), Scalar(0, 3), 1], [Scalar(1, -1), 2, I], [0, Scalar(1, 2), 5]],
+        # singular: real, Gaussian, a zero column, a zero 1 x 1
+        [[1, 2], [2, 4]],
+        [[1, I], [I, -1]],
+        [[0, 1], [0, 2]],
+        [[Scalar(1, 1), 2, 0], [I, Scalar(1, -1), 1], [I, Scalar(3, 1), I]],
+        [[0]],
+    ])
+    def test_inverse_cases(self, rows):
+        m = Matrix(rows, ncols=len(rows))
+        try:
+            want = reference_inverse(m)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                inverse(m)
+            return
+        got = inverse(m)
+        assert ring_matrix(got) == want
+        # the reduced form, so equal values give equal integer rows
+        assert got.den > 0 and gcd(got.den, *chain.from_iterable(got.re), *chain.from_iterable(got.im or ())) == 1
 
     @settings(max_examples=60)
     @given(st.integers(0, 4), st.integers(0, 4), st.booleans(), st.integers(0, 2**32))

@@ -658,6 +658,85 @@ class TestDualPair:
         assert nonzero > 0
 
 
+# (kind, real c_0, real metric, seed, even rank, odd rank) with a nonzero
+# T: a real c_0 under a Gaussian metric, zero frames (pullback, lie,
+# torus), a 0 x 0 odd block (lie, and odd rank 0) and a 0 x 0 even block
+METRIC_T_EXAMPLES = (
+    ("dual", True, False, 0, 2, 1),
+    ("dual", False, True, 1, 1, 0),
+    ("dual", False, False, 0, 0, 2),
+    ("gaussian", False, False, 1, 2, 1),
+    ("pullback", False, False, 0, 2, 1),
+    ("lie", False, False, 0, 2, 1),
+    ("torus", True, False, 0, 1, 1),
+)
+
+
+class TestMetricTransgression:
+    # a dual pair whose c_1 frames were never read takes T from c_0's
+    # frames and the metric inverse; T from the forced frames, both ways,
+    # and the simplex path are its oracles
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(DUAL_KINDS),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    @example(*METRIC_T_EXAMPLES[0])
+    @example(*METRIC_T_EXAMPLES[1])
+    @example(*METRIC_T_EXAMPLES[2])
+    @example(*METRIC_T_EXAMPLES[3])
+    @example(*METRIC_T_EXAMPLES[4])
+    @example(*METRIC_T_EXAMPLES[5])
+    @example(*METRIC_T_EXAMPLES[6])
+    def test_matches_frames_general_path_and_simplex_path(self, kind, real, real_metric, seed, re, ro):
+        c0, _ = rand_pair(kind, seed, real, re, ro)
+        h = rand_metric(c0.bundle, random.Random(seed), real=real_metric)
+        a = c0.algebroid
+        d0, f0 = transgression._integer_frames(c0)
+        den, t = transgression._metric_transgression(f0, d0, h)
+        assert all(t[j, i] == (-x, -y) for (i, j), (x, y) in t.items())
+        got = integer_form(a.r, 2, t, den)
+        dual = h_dual(c0, h)
+        d1, f1 = transgression._integer_frames(dual)
+        for is_dual in (True, False):
+            t1 = transgression._transgression_form(f0, f1, is_dual)
+            assert got == integer_form(a.r, 2, t1, d0 * d1), (kind, is_dual)
+        z = zero_connection(a, c0.bundle)
+        assert got == transgression._simplex_cochains([z, c0, dual], 2)[2], kind
+
+    def test_examples_reach_a_nonzero_t(self):
+        for kind, real, real_metric, seed, re, ro in METRIC_T_EXAMPLES:
+            c0, _ = rand_pair(kind, seed, real, re, ro)
+            h = rand_metric(c0.bundle, random.Random(seed), real=real_metric)
+            d0, f0 = transgression._integer_frames(c0)
+            assert transgression._metric_transgression(f0, d0, h)[1], kind
+
+    def test_gaussian_pair_builds_no_dual_frames(self, monkeypatch):
+        built = []
+        dual_frames = connections._dual_frames
+
+        def recorded(c, h):
+            built.append(1)
+            return dual_frames(c, h)
+
+        monkeypatch.setattr(connections, "_dual_frames", recorded)
+        nonzero = 0
+        for kind in DUAL_KINDS:
+            for seed in range(3):
+                c0, c1 = rand_pair(kind, seed, False, 2, 1)
+                got = cs_cochains([c0, c1], 2)
+                assert built == [] and c1._omega is None, (kind, seed)
+                general = Connection(c1.algebroid, c1.bundle, c1.omega)
+                built.clear()
+                assert got == cs_cochains([c0, general], 2), (kind, seed)
+                nonzero += not got[2].is_zero()
+        assert nonzero > 0
+
+
 class TestLazyDual:
     # the frames -H^-1 Omega^* H and the inverses of the metric blocks
     # wait for the first read of omega; the bundle check does not (see
