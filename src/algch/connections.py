@@ -161,9 +161,7 @@ def h_dual(c: Connection, h: HermitianMetric) -> Connection:
     boundary, so this is harmless downstream.  Its dual_of is c and its
     dual_metric h, which lets cs_cochains take a pair (c, h_dual(c, h))
     by the identities of a dual pair: at max_q <= 2 it reads c and h
-    alone, so the frames are built only where something else reads
-    them, such as the chain at max_q >= 3, a pair that h_dual did not
-    make, or a check of the frames themselves.
+    alone.  The frames are built where read, as by the chain at max_q >= 3.
     """
     if h.bundle != c.bundle:
         raise ValueError("connection and metric live on different bundles")
@@ -175,8 +173,10 @@ def h_dual(c: Connection, h: HermitianMetric) -> Connection:
 
 def _dual_frames(c: Connection, h: HermitianMetric) -> list:
     """The frames of h_dual(c, h).  A zero block is its own dual and
-    takes no products."""
-    factors = [(-inverse(hb), hb) for hb in (h.h_even, h.h_odd)]
+    takes no products, and a parity whose blocks are all zero takes no
+    inverse."""
+    live = [any(not getattr(om, b).is_zero() for om in c.omega) for b in ("ee", "oo")]
+    factors = [(-inverse(hb) if x else None, hb) for x, hb in zip(live, (h.h_even, h.h_odd))]
 
     def dual(m, neg_inv, hb):
         return m if m.is_zero() else neg_inv * m.conj_transpose() * hb

@@ -4,10 +4,11 @@ The affine family sum_i t_i nabla_i over M x Delta^p has a curvature
 that is polynomial in the simplex coordinates, plus an extra dt-leg;
 fibre integration of supertraces of its powers produces the cs cochains.
 A pair (p = 1), the case of every secondary class, takes the
-Chern-Simons formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt instead:
-up to q = 2 as a difference of Chern-Simons forms, which needs traces of
-frame matrices and of products of one connection's frame matrices, and
-from q = 3 on frame 2-forms; cs_cochains states both identities.
+Chern-Simons formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt instead,
+on frame 2-forms; a dual pair (c, h_dual(c, h)) up to q = 2 takes it as
+a difference of Chern-Simons forms, from traces of c's frame matrices
+and of their products and from the metric inverse.  cs_cochains states
+both identities.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
 form on (e_{i_1}, ..., e_{i_k}, d/dt_{j_1+1}, ..., d/dt_{j_s+1}),
@@ -286,9 +287,10 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt, with theta = c_1 - c_0
     and F_t the curvature of c_0 + t theta, on frame forms alone.
 
-    Up to max_q = 2 it takes the difference of Chern-Simons forms
-    (Chern and Simons, Ann. Math. 99, 1974): cs^1 = str(c_1,i) - str(c_0,i),
-    and CS3 for (z, c_0, c_1), z the zero connection, gives
+    A dual pair, c_1 = h_dual(c_0, h) with frames -H^-1 c_0,i^* H, takes
+    it up to max_q = 2 as the difference of Chern-Simons forms (Chern and
+    Simons, Ann. Math. 99, 1974): cs^1 = str(c_1,i) - str(c_0,i), and
+    CS3 for (z, c_0, c_1), z the zero connection, gives
 
         cs^2(c_0, c_1) = CS(c_1) - CS(c_0) + dT,
         CS(A) = cs^2(z, A),  T = cs^2(z, c_0, c_1).
@@ -300,40 +302,29 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
         T_ij = str(c_0,i c_1,j) - str(c_0,j c_1,i).
 
     The last term is 2/3 of the six orders of str(A_i A_j A_k), which
-    cyclicity leaves at two.  A connection costs one product P_jk per
-    frame pair j < k and O(n^2) per trace; no product mixes c_0 and c_1,
-    so the sparse basic connection c_0 multiplies only its nonzero rows.
-    Traces run on integer rows over one denominator per connection, and
-    each component becomes a rational once, at the end.
-
-    A dual pair, c_1 = h_dual(c_0, h) with frames -H^-1 c_0,i^* H, takes
-    nothing from c_1 but T.  Supertraces are similarity-invariant, so
+    cyclicity leaves at two.  Supertraces are similarity-invariant, so
     str(c_1,i) = -conj str(c_0,i), str(c_1,i c_1,l) = conj str(c_0,i c_0,l)
     and str(c_1,i c_1,j c_1,k) = -conj str(c_0,k c_0,j c_0,i), which
     cyclicity turns into -conj str(c_0,j c_0,i c_0,k): the triple term of
     CS(c_1) is the conjugate of that of CS(c_0).  Hence
     cs^1 = -2 Re str(c_0,i), and CS(c_1) - CS(c_0) is the formula for
     CS on -2i times the imaginary parts of c_0's traces, zero on a real
-    c_0.  The cross
-    traces are Hermitian, str(c_0,j c_1,i) = conj str(c_0,i c_1,j), so
-    T_ij = 2i Im str(c_0,i c_1,j), zero on a real pair.  c_1 is real
-    when c_0 and the metric c_1.dual_metric are, a product of real
-    matrices being real, so a real pair is decided without c_1's frames
-    and never builds them (h_dual leaves them to the first read of
-    c_1.omega); a real c_0 under a Gaussian metric takes T, which is
-    empty if c_1 is real after all.  Every other dual pair takes T from
-    c_0's frames and the inverse of the metric, with
-    str(c_0,i c_1,j) = -str(c_0,i H^-1 c_0,j^* H), and reads c_1's frames
-    only if they were read before, where the cross traces are cheaper.
-    At max_q <= 2, then, a dual pair never builds c_1's frames.  The pair is
-    known to be dual by construction: h_dual records c_0 as c_1.dual_of.
-    A flag could be set on a pair that is not dual, which would give a
-    wrong class, and deciding duality from the frames would cost the
-    products it saves; provenance can be neither wrong nor forgotten.
+    c_0: one product P_jk per frame pair j < k, on c_0's nonzero rows.
+    The cross traces are Hermitian, so T_ij = 2i Im str(c_0,i c_1,j), and
+    with G = H^-1 blockwise str(c_0,i c_1,j) = -str(c_0,i G c_0,j^* H)
+    takes c_0 and the metric inverse; T is zero when c_0 and the metric
+    c_1.dual_metric are real, c_1 being real then.  c_1's frames are
+    never built.  Traces run on integer rows over one denominator, and
+    each component becomes a rational once, at the end.  The pair is
+    known to be dual by construction: h_dual records c_0 as c_1.dual_of,
+    provenance that can be neither wrong nor forgotten, where a flag
+    could be set on a pair that is not dual and a test of the frames
+    would cost the products it saves.
 
-    From max_q = 3 on every q takes the chain on F_t.  With
-    N = c_0 + c_1, the connection at t = (1 + u)/2 has frame matrices
-    (N_i + u theta_i)/2, so F_t = (X + u Y + u^2 C)/4 with
+    Every other pair, and a dual pair from max_q = 3 on, takes the
+    chain on F_t.  With N = c_0 + c_1, the connection at t = (1 + u)/2
+    has frame matrices (N_i + u theta_i)/2, so F_t = (X + u Y + u^2 C)/4
+    with
 
         X = [N_i, N_j] - 2 sum_k c_ij^k N_k,
         Y = [N_i, theta_j] + [theta_i, N_j] - 2 sum_k c_ij^k theta_k,
@@ -350,7 +341,8 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     a scaled matrix per frame index and a doubled denominator per
     product, where 4^(1-q) is one rational per component at the end.
     A theta_i or N_i that is zero, such as a pullback's vertical
-    section, takes no products at all.
+    section, takes no products at all, and at max_q = 1, where
+    cs^1 = str(theta_i) is a trace, X, Y and C are not built.
 
     Every other p takes the affine family over the simplex, in
     _simplex_cochains, which at p = 1 is the pair path's oracle.
@@ -408,49 +400,29 @@ def _simplex_cochains(conns, max_q: int) -> dict:
 
 def _pair_cochains(conns, max_q: int) -> dict:
     """{q: cs^q} of a pair for q = 1..max_q, by the identities in
-    cs_cochains: the Chern-Simons difference when max_q <= 2, from c_0's
-    traces alone on a dual pair, the chain on theta ^ F_t otherwise."""
-    if max_q >= 3:
-        return _pair_chain(conns, max_q)
+    cs_cochains: a dual pair up to max_q = 2 from c_0's traces and the
+    metric, every other pair by the chain on theta ^ F_t."""
     c0, c1 = conns
+    if max_q >= 3 or c1.dual_of is not c0:
+        return _pair_chain(conns, max_q)
     a = c0.algebroid
     d0, f0 = _integer_frames(c0)
-    if c1.dual_of is c0:
-        out = {1: AlgebroidForm(a.r, 1, {
-            (i,): Scalar(Fraction(-2 * _supertrace(x)[0], d0)) for i, x in enumerate(f0)
-        })}
-        if max_q == 2:
-            # conj(z) - z = -2i Im z for the gram and triple terms; a real
-            # c_0 has none, and a real c_0 under a real metric has a real
-            # dual, so no T either and c_1's frames are never built
-            linear, cubic, real = [], [], _is_real(c0)
-            if not real:
-                gram, tri = _cs_traces(f0)
-                linear.append((-2, d0**2, _imaginary(gram)))
-                cubic.append((-2, d0**3, _imaginary(tri)))
-            h = c1.dual_metric
-            if not (real and h.h_even.im is None and h.h_odd.im is None):
-                if c1._omega is None:
-                    linear.append((-1, *_metric_transgression(f0, d0, h)))
-                else:
-                    d1, f1 = _integer_frames(c1)
-                    linear.append((-1, d0 * d1, _transgression_form(f0, f1, True)))
-            out[2] = _cs2_form(a, linear, cubic)
-        return out
-    d1, f1 = _integer_frames(c1)
-    den = d0 * d1
-    comps = {}
-    for i, (x0, x1) in enumerate(zip(f0, f1)):
-        (u0, v0), (u1, v1) = _supertrace(x0), _supertrace(x1)
-        comps[(i,)] = Scalar(Fraction(u1 * d0 - u0 * d1, den), Fraction(v1 * d0 - v0 * d1, den))
-    out = {1: AlgebroidForm(a.r, 1, comps)}
+    out = {1: AlgebroidForm(a.r, 1, {
+        (i,): Scalar(Fraction(-2 * _supertrace(x)[0], d0)) for i, x in enumerate(f0)
+    })}
     if max_q == 2:
-        (g0, t0), (g1, t1) = _cs_traces(f0), _cs_traces(f1)
-        out[2] = _cs2_form(
-            a,
-            [(1, d1**2, g1), (-1, d0**2, g0), (-1, d0 * d1, _transgression_form(f0, f1, False))],
-            [(1, d1**3, t1), (-1, d0**3, t0)],
-        )
+        # conj(z) - z = -2i Im z for the gram and triple terms; a real
+        # c_0 has none, and a real c_0 under a real metric has a real
+        # dual, so no T either
+        linear, cubic, real = [], [], _is_real(c0)
+        if not real:
+            gram, tri = _cs_traces(f0)
+            linear.append((-2, d0**2, _imaginary(gram)))
+            cubic.append((-2, d0**3, _imaginary(tri)))
+        h = c1.dual_metric
+        if not (real and h.h_even.im is None and h.h_odd.im is None):
+            linear.append((-1, *_metric_transgression(f0, d0, h)))
+        out[2] = _cs2_form(a, linear, cubic)
     return out
 
 
@@ -466,8 +438,9 @@ def _imaginary(t: dict) -> dict:
 def _cs2_form(a: ConstantAlgebroid, linear: list, cubic: list) -> AlgebroidForm:
     """The 3-form _contract(a, sum of linear) + a.den * sum of cubic, for
     terms (weight, den, table): Gaussian integer tables over den, each
-    multiplied by the integer weight.  It is CS(c_1) - CS(c_0) + dT for
-    linear gram_1, -gram_0 and -T, and cubic tri_1 and -tri_0."""
+    multiplied by the integer weight.  It is CS(A) for linear gram and
+    cubic tri of A (_cs_traces), and CS(c_1) - CS(c_0) + dT of a dual
+    pair for linear -2i Im gram_0 and -T and cubic -2i Im tri_0."""
     den = lcm(*(d for _, d, _ in chain(linear, cubic)))
     lin = _weighted((w * (den // d), t) for w, d, t in linear)
     sums = _weighted(chain(
@@ -597,31 +570,12 @@ def _contract(a: ConstantAlgebroid, t: dict) -> dict:
     return out
 
 
-def _transgression_form(f0: list, f1: list, dual: bool) -> dict:
-    """T = cs^2(0, c_0, c_1) for the integer frames of c_0 and c_1, by
-    the formula in cs_cochains, as {(i, j): (re, im)} for every ordered
-    pair with T_ij != 0, integer parts over the product of the two
-    denominators.  A dual pair takes one cross trace per i < j, since
-    str(c_0,j c_1,i) = conj str(c_0,i c_1,j) there."""
-
-    def cross(i, j):
-        x, y = f0[i], f1[j]
-        return (0, 0) if x is None or y is None else _dot(x[1], y[2])
-
-    out = {}
-    for i, j in combinations(range(len(f0)), 2):
-        x1, y1 = cross(i, j)
-        x2, y2 = (x1, -y1) if dual else cross(j, i)
-        if x1 != x2 or y1 != y2:
-            out[i, j] = (x1 - x2, y1 - y2)
-            out[j, i] = (x2 - x1, y2 - y1)
-    return out
-
-
 def _metric_transgression(f0: list, d0: int, h) -> tuple:
-    """(den, T) for the dual pair (c_0, h_dual(c_0, h)), T as
-    _transgression_form gives it, from the integer frames f0 of c_0 over
-    d0 and the metric: with A = c_0 and G = H^-1, c_1,j = -G A_j^* H
+    """(den, T) for the dual pair (c_0, h_dual(c_0, h)), with
+    T = cs^2(z, c_0, c_1) of cs_cochains as {(i, j): (re, im)} for every
+    ordered pair with T_ij != 0, integer parts over den, from the
+    integer frames f0 of c_0 over d0 and the metric, never from c_1's
+    frames: with A = c_0 and G = H^-1, c_1,j = -G A_j^* H
     blockwise, so str(c_0,i c_1,j) = -str(U_i V_j) for U = A G and
     V = A^* H.  Each parity takes one product for all U and one for all
     V, and a parity whose blocks are all zero takes no inverse.  G is
@@ -667,8 +621,9 @@ def _stacked(blocks: list, star=False) -> tuple:
 
 
 def _pair_chain(conns, max_q: int) -> dict:
-    """{q: cs^q} of a pair for q = 1..max_q >= 3, by the chain on
-    theta ^ F_t in cs_cochains."""
+    """{q: cs^q} of a pair for q = 1..max_q, by the chain on
+    theta ^ F_t in cs_cochains: every pair but a dual one at
+    max_q <= 2."""
     a = conns[0].algebroid
     both, form = [], {}
     for i, (o0, o1) in enumerate(zip(conns[0].omega, conns[1].omega)):
@@ -680,7 +635,8 @@ def _pair_chain(conns, max_q: int) -> dict:
         if not _is_zero(d):
             both[i][(1,)] = d
             form[((i,), ())] = {(0,): d}
-    curv = _curvature_values(a, both, 2)
+    # cs^1 = str theta_i takes traces alone: X, Y and C from max_q = 2
+    curv = _curvature_values(a, both, 2) if max_q >= 2 else {}
     # form runs through theta ^ F^(q-1); traced[q] is its supertrace, a
     # polynomial in u per component
     traced = {1: {k: w for k, v in form.items() if (w := supertrace_terms(v))}}

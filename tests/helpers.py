@@ -713,6 +713,19 @@ def reference_inverse(m) -> "RingMatrix":
     return RingMatrix([row[n:] for row in aug], ncols=n)
 
 
+def reference_h_dual(c: Connection, h: HermitianMetric) -> list:
+    """The frames of h_dual(c, h) as [even, odd] RingMatrix pairs,
+    -H^-1 Omega^* H per block with H^-1 from reference_inverse."""
+    out = []
+    for om in c.omega:
+        blocks = []
+        for m, hb in ((om.ee, h.h_even), (om.oo, h.h_odd)):
+            hr = ring_matrix(hb)
+            blocks.append(-(reference_inverse(hr) * ring_matrix(m).conj_transpose() * hr))
+        out.append(blocks)
+    return out
+
+
 def reference_det(m) -> Scalar:
     assert m.nrows == m.ncols
     n = m.nrows

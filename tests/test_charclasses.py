@@ -137,15 +137,28 @@ class TestSecondaryClass:
             assert rep.is_zero_class
 
     def test_real_even_q_zero_class(self):
+        # the generators of the relative cohomology of (gl_n(R), O(n))
+        # lie in degrees 1, 5, 9, ... (Kamber and Tondeur), so on real
+        # brackets the q = 2 class is ZERO under any Hermitian metric,
+        # real or Gaussian, and any real tm_conn; the corpus and its
+        # products of rank up to 6
+        corpus = small_corpus()
+        cases = list(corpus.items())
+        names = sorted(corpus)
+        for i, x in enumerate(names):
+            for y in names[i:]:
+                if corpus[x].r + corpus[y].r <= 6:
+                    cases.append((f"{x} x {y}", direct_product(corpus[x], corpus[y])))
         rng = random.Random(45)
-        for name, a in small_corpus().items():
-            if a.r + a.n > 4:
-                continue
+        nonzero = 0
+        for name, a in cases:
             tm = rand_tm_conn(a, rng, real=True)
-            g = rand_adjoint_metric(a, rng, real=True)
-            for rep in intrinsic_char(a, tm, g, max_q=2):
-                if rep.q % 2 == 0:
-                    assert rep.is_zero_class, name
+            for real in (True, False):
+                g = rand_adjoint_metric(a, rng, real=real)
+                rep = intrinsic_char(a, tm, g, max_q=2)[1]
+                assert rep.q == 2 and rep.is_zero_class, (name, real)
+                nonzero += not rep.representative.is_zero()
+        assert nonzero > 0
 
 
     def test_one_differential_per_representative(self, monkeypatch, capsys):

@@ -10,10 +10,10 @@ from algch.algebroid import (
     coboundary_witness,
     direct_product,
 )
-from algch.connections import GradedBundle, HermitianMetric, h_dual
+from algch.connections import Connection, GradedBundle, GradedEndo, HermitianMetric, h_dual
 from algch.transgression import cs_cochains
 from algch.charclasses import adjoint_setup, IdentityFailure
-from algch import pullback
+from algch import connections, pullback
 from algch.pullback import (
     pullback_algebroid,
     pullback_anchor,
@@ -39,6 +39,8 @@ from helpers import (
     pullback_connection,
     adjoint_metric,
     column,
+    reference_h_dual,
+    ring_matrix,
 )
 
 
@@ -218,18 +220,23 @@ class TestBasicSplittingFailures:
         g = adjoint_metric(a, rand_pd_matrix(3, rng, real=True), Matrix.identity(0))
         return submersion_recipe(a, 1, [], g, Matrix.identity(1))
 
-    def test_wrong_base_dual(self):
-        r = self.recipe()
-        with pytest.raises(IdentityFailure, match="basic splitting") as info:
-            # the basic connection itself is not its dual for this metric
-            _check_basic_splitting(1, r.base, r.base, r.basic, r.dual)
-        assert info.value.identity == "basic splitting"
-
     def test_wrong_base_connection(self):
         r = self.recipe()
         other = adjoint_setup(q_family(1, 0, 0, 1), [])
-        with pytest.raises(IdentityFailure, match="even block of hor"):
-            _check_basic_splitting(1, other, r.base_dual, r.basic, r.dual)
+        with pytest.raises(IdentityFailure, match="even block of hor") as info:
+            _check_basic_splitting(1, other, r.basic)
+        assert info.value.identity == "basic splitting"
+
+    def test_wrong_odd_block(self):
+        a = tangent_torus(1)
+        g = Matrix.identity(1)
+        r = submersion_recipe(a, 1, [Matrix.identity(1)], adjoint_metric(a, g, g), g)
+        # the base connection with its odd blocks moved, its even ones kept
+        other = Connection(r.base.algebroid, r.base.bundle, [
+            GradedEndo(om.ee, om.oo + Matrix.identity(1)) for om in r.base.omega
+        ])
+        with pytest.raises(IdentityFailure, match="odd block of hor"):
+            _check_basic_splitting(1, other, r.basic)
 
     def test_vertical_section_acting(self):
         a = tangent_torus(1)
@@ -241,7 +248,64 @@ class TestBasicSplittingFailures:
         nabla[1] = Matrix([[ONE, ZERO], [ZERO, ZERO]])
         bad = adjoint_setup(r.algebroid, nabla)
         with pytest.raises(IdentityFailure, match="vertical section v_1"):
-            _check_basic_splitting(1, r.base, r.base_dual, bad, h_dual(bad, r.metric))
+            _check_basic_splitting(1, r.base, bad)
+
+
+class TestDualSplitting:
+    """The g-bar dual splits as zero (+) the base dual by block algebra,
+    so submersion_recipe does not check it; these tests do, on the
+    frames and against metric inverses taken by the reference
+    elimination."""
+
+    @staticmethod
+    def gaussian_recipe(a, k, rng):
+        tm = rand_tm_conn(a, rng)
+        g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
+        return submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+
+    def test_dual_is_zero_plus_base_dual(self):
+        rng = random.Random(70)
+        nonzero = 0
+        for name, a in small_corpus().items():
+            for k in (1, 2):
+                r = self.gaussian_recipe(a, k, rng)
+                vertical = Matrix.zeros(k, k)
+                want_base = reference_h_dual(r.base, r.base_dual.dual_metric)
+                want = reference_h_dual(r.basic, r.metric)
+                for i, om in enumerate(r.dual.omega):
+                    assert [ring_matrix(om.ee), ring_matrix(om.oo)] == want[i], (name, k, i)
+                    if i < k:
+                        assert om.is_zero(), (name, k, i)
+                        continue
+                    bom = r.base_dual.omega[i - k]
+                    assert [ring_matrix(bom.ee), ring_matrix(bom.oo)] == want_base[i - k]
+                    assert om.ee == Matrix.block_diag(vertical, bom.ee), (name, k, i)
+                    assert om.oo == Matrix.block_diag(bom.oo, vertical), (name, k, i)
+                    nonzero += not bom.is_zero() and bom.ee.im is not None
+        assert nonzero > 0
+
+    def test_morita_check_builds_dual_frames_only_for_the_chain(self, monkeypatch):
+        built = []
+        dual_frames = connections._dual_frames
+
+        def recorded(c, h):
+            built.append(1)
+            return dual_frames(c, h)
+
+        monkeypatch.setattr(connections, "_dual_frames", recorded)
+        rng = random.Random(71)
+        for name in ("heisenberg", "tt1", "tt1_x_so3"):
+            a = small_corpus()[name]
+            tm = rand_tm_conn(a, rng)
+            g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
+            for k in (1, 2):
+                g_v = rand_pd_matrix(k, rng)
+                built.clear()
+                assert morita_check(a, k, tm, g, g_v, max_q=2).passed, (name, k)
+                assert built == [], (name, k)
+            # the chain at max_q 3 reads the duals' frames
+            assert morita_check(a, 1, tm, g, rand_pd_matrix(1, rng), max_q=3).passed, name
+            assert built, name
 
 
 class TestMoritaCheck:
