@@ -25,9 +25,8 @@ from .transgression import (
 )
 from .charclasses import (
     ClassReport,
+    DomainError,
     IdentityFailure,
-    PrimaryObstruction,
-    chern_character,
     secondary_class,
     adjoint_setup,
     intrinsic_char,

@@ -179,6 +179,11 @@ class AlgebroidForm:
         return f"AlgebroidForm(deg={self.degree}, {self.comps})"
 
 
+def _real_brackets(a: ConstantAlgebroid) -> bool:
+    """Whether every structure constant of a is real."""
+    return not any(im for row in a.ints for cell in row for _, _, im in cell)
+
+
 def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     """Empty list means the Lie algebroid axioms hold on the nose.
 
@@ -308,7 +313,7 @@ def betti_numbers(a: ConstantAlgebroid) -> list[int]:
     """
     r = a.r
     table = _leibniz(a)
-    real = not any(im for row in a.ints for cell in row for _, _, im in cell)
+    real = _real_brackets(a)
     # the terms (re, im) of tr ad e_i * den, one list per row i of the table
     traces = [[(x, y) for j, cell in enumerate(row) for k, x, y in cell if k == j] for row in a.ints]
     unimodular = not any(sum(x for x, _ in t) or sum(y for _, y in t) for t in traces)
@@ -322,17 +327,9 @@ def betti_numbers(a: ConstantAlgebroid) -> list[int]:
 
 
 def coboundary_witness(a: ConstantAlgebroid, omega: AlgebroidForm):
-    """A constant form eta with d eta = omega, or None if omega is not
-    exact in the constant subcomplex.  omega must be closed and
-    scalar-valued."""
-    if not ce_differential(a, omega).is_zero():
-        raise ValueError("input form is not closed")
-    return _solve_coboundary(a, omega)
-
-
-def _solve_coboundary(a: ConstantAlgebroid, omega: AlgebroidForm):
-    """coboundary_witness for a form the caller has already found
-    closed: the linear solve without computing d omega again."""
+    """A constant scalar form eta with d eta = omega, or None if omega is
+    not exact in the constant subcomplex.  One linear solve; a form that
+    is not closed has no primitive, so it gets None as well."""
     k = omega.degree
     if omega.is_zero():
         return AlgebroidForm(a.r, max(k - 1, 0))

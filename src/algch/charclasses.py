@@ -1,9 +1,10 @@
-"""Primary, secondary and intrinsic characteristic classes.
+"""Secondary and intrinsic characteristic classes.
 
 The intrinsic classes of an algebroid are the secondary classes of its
 basic connection on the adjoint bundle A (+) TM, with the anchor as the
 odd boundary.  The degree-1 class is the modular class; for a Lie
 algebra it is proportional to the trace character x |-> Tr(ad_x).
+Their domain is a real algebroid, decided once, by adjoint_setup.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from .linalg import Matrix, _matrix
 from .algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
-    ce_differential,
     coboundary_witness,
-    _solve_coboundary,
+    _real_brackets,
 )
 from .connections import (
     GradedBundle,
@@ -27,9 +27,6 @@ from .connections import (
     h_dual,
 )
 from .transgression import cs_cochains
-
-from fractions import Fraction
-from math import factorial
 
 # Ratio between the degree-1 intrinsic representative and the trace
 # character.  Determined once by running the p=1, q=1 transgression
@@ -51,24 +48,17 @@ def default_max_q(a: ConstantAlgebroid) -> int:
     return -(-(a.r + a.n + 1) // 2)
 
 
-def chern_character(c: Connection, max_q: int) -> list[AlgebroidForm]:
-    """Entries i^q/q! * cs^q(c) for q = 0..max_q; each is d-closed."""
-    return [
-        form.scale(I ** q * Fraction(1, factorial(q)))
-        for q, form in enumerate(cs_cochains([c], max_q))
-    ]
-
-
-class PrimaryObstruction(ValueError):
-    """A q >= 1 Chern character entry does not vanish as a class."""
+class DomainError(ValueError):
+    """An algebroid whose anchor or structure constants are not real: it
+    is outside the intrinsic classes' domain, and adjoint_setup refuses it."""
 
 
 class IdentityFailure(Exception):
     """An identity that decides a verdict did not hold.
 
-    identity names it (for example "reality" or "basic splitting"); the
-    message says where.  Raised explicitly, so the check also runs
-    under python -O.
+    identity names it ("basic splitting", of a pullback's basic
+    connection); the message says where.  Raised explicitly, so the
+    check also runs under python -O.
     """
 
     def __init__(self, identity: str, detail: str):
@@ -77,30 +67,18 @@ class IdentityFailure(Exception):
 
 
 def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[ClassReport]:
-    """Reports for i^{q+1} cs^q(c, c^h), q = 1..max_q.
+    """Reports for i^(q+1) cs^q(c, c^h), q = 1..max_q, with witnesses.
 
-    Requires the primary classes to vanish; representatives are real,
-    d-closed odd-degree forms.
+    Assumes, unchecked, that str(R^q) = 0 as a form for q >= 1 and that
+    every representative is real and closed: theorems for the basic
+    connection of a real algebroid, whose curvature R = -[d01, K_bas]
+    commutes with d01 (Crainic 2003; Arias Abad and Crainic 2012).
     """
-    a = c.algebroid
-    for q, entry in enumerate(chern_character(c, max_q)):
-        if q == 0:
-            continue
-        if not entry.is_zero() and coboundary_witness(a, entry) is None:
-            raise PrimaryObstruction(f"Chern character entry q={q} is a nonzero class")
     reports = []
     forms = cs_cochains([c, h_dual(c, h)], max_q)
     for q in range(1, max_q + 1):
         rep = forms[q].scale(I ** (q + 1))
-        if not all(v.is_real() for v in rep.comps.values()):
-            raise IdentityFailure(
-                "reality", f"secondary representative q={q} has an imaginary part"
-            )
-        if not ce_differential(a, rep).is_zero():
-            raise IdentityFailure(
-                "closedness", f"secondary representative q={q} is not closed"
-            )
-        reports.append(ClassReport(q, rep, _solve_coboundary(a, rep)))
+        reports.append(ClassReport(q, rep, coboundary_witness(c.algebroid, rep)))
     return reports
 
 
@@ -110,13 +88,13 @@ def adjoint_bundle(anchor: Matrix) -> GradedBundle:
 
 
 def _ad(a: ConstantAlgebroid, i: int) -> Matrix:
-    """ad_{e_i}: column j holds the coefficients of [e_i, e_j], read as
-    integers over a.den."""
-    re, im = [[0] * a.r for _ in range(a.r)], [[0] * a.r for _ in range(a.r)]
+    """ad_{e_i} of a real algebroid: column j holds the coefficients of
+    [e_i, e_j], read as integers over a.den."""
+    re = [[0] * a.r for _ in range(a.r)]
     for j, cell in enumerate(a.ints[i]):
-        for k, x, y in cell:
-            re[k][j], im[k][j] = x, y
-    return _matrix(re, im, a.den, a.r)
+        for k, x, _ in cell:
+            re[k][j] = x
+    return _matrix(re, None, a.den, a.r)
 
 
 def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
@@ -135,7 +113,13 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
     anchor with theta_i = -T_i, so the two are equivalent, and it
     commutes with the anchor because rho ad_{e_i} = 0, the anchor axiom
     that parsing decides.
+
+    The intrinsic classes' domain is decided here, once: an algebroid
+    whose anchor or structure constants are not real gets DomainError.
+    On a real one, what secondary_class assumes holds as a theorem.
     """
+    if a.anchor.im is not None or not _real_brackets(a):
+        raise DomainError("the intrinsic classes need a real anchor and real structure constants")
     tm_conn = list(tm_conn)
     if len(tm_conn) != a.n:
         raise ValueError(f"tm_conn needs {a.n} matrices, got {len(tm_conn)}")
@@ -151,7 +135,8 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
 
 
 def intrinsic_char(a: ConstantAlgebroid, tm_conn, g: HermitianMetric, max_q=None) -> list[ClassReport]:
-    """Secondary classes of the basic connection: the intrinsic classes."""
+    """Secondary classes of the basic connection: the intrinsic classes.
+    DomainError if a is not real (adjoint_setup)."""
     if max_q is None:
         max_q = default_max_q(a)
     return secondary_class(adjoint_setup(a, tm_conn), g, max_q)

@@ -21,8 +21,8 @@ from .algebroid import betti_numbers
 from .connections import HermitianMetric, h_dual
 from .transgression import cs_cochains
 from .charclasses import (
+    DomainError,
     IdentityFailure,
-    PrimaryObstruction,
     adjoint_bundle,
     adjoint_setup,
     intrinsic_char,
@@ -230,8 +230,8 @@ def run(job: dict):
     """Dispatch one job: {'command', 'inputs', 'options'}.
 
     A job that cannot run (unknown command or option, wrong number of
-    inputs, unreadable or malformed input) gets an error report and
-    status 1.
+    inputs, unreadable or malformed input, an algebroid that is not real
+    for a class command) gets an error report and status 1.
     """
     command = job["command"]
     try:
@@ -244,13 +244,11 @@ def run(job: dict):
         if len(job["inputs"]) != arity:
             raise ParseError(f"{command} takes {arity} input file(s)")
         payload, status, lines = fn(job)
-    except (ParseError, OSError) as e:
+    except (ParseError, OSError, DomainError) as e:
         return {"command": command, "inputs": job["inputs"], "error": str(e)}, 1, [f"error: {e}"]
-    except (IdentityFailure, PrimaryObstruction) as e:
+    except IdentityFailure as e:
         # a failed identity is a verdict: reported like any other, exit 1
-        failure = {"kind": type(e).__name__}
-        if isinstance(e, IdentityFailure):
-            failure["identity"] = e.identity
+        failure = {"kind": "IdentityFailure", "identity": e.identity}
         report = {"command": command, "inputs": job["inputs"], "error": str(e), "failure": failure}
         return report, 1, [f"FAILED: {e}"]
     report = {

@@ -22,14 +22,14 @@ from algch.connections import (
     HermitianMetric,
     h_dual,
 )
-from algch import charclasses, fileio
+from algch import fileio
 from algch.charclasses import adjoint_bundle, adjoint_setup
 from algch.pullback import (
     pullback_algebroid,
     pullback_form,
     submersion_recipe,
 )
-from algch.transgression import AffineForm, _check_family
+from algch.transgression import AffineForm, _check_family, cs_cochains
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 
@@ -871,6 +871,45 @@ def reference_betti_number(a: ConstantAlgebroid, k: int) -> int:
     return comb(a.r, k) - d_rank(k) - d_rank(k - 1)
 
 
+def twisted_ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm, theta: AlgebroidForm) -> AlgebroidForm:
+    """d_theta omega = d omega + theta ^ omega: the CE differential with
+    values in the one-dimensional module on which e_i acts by theta_i,
+    built by its own loop over the bracket tensor,
+    (d_theta omega)(e_I) = sum_s (-1)^s theta_(I_s) omega(e_(I minus I_s))
+    + sum_(s<t) (-1)^(s+t) omega([e_(I_s), e_(I_t)], e_(I minus I_s, I_t))."""
+    r, k = a.r, omega.degree
+    c = dense_brackets(a)
+    comps = {}
+    for idx in combinations(range(r), k + 1):
+        acc = ZERO
+        for s in range(k + 1):
+            term = theta.get((idx[s],)) * omega.get(idx[:s] + idx[s + 1:])
+            acc = acc + (-term if s % 2 else term)
+            for t in range(s + 1, k + 1):
+                rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
+                for m, coeff in enumerate(c[idx[s]][idx[t]]):
+                    if not coeff.is_zero():
+                        term = coeff * form_value(omega, (m,) + rest)
+                        acc = acc + (-term if (s + t) % 2 else term)
+        comps[idx] = acc
+    return AlgebroidForm(r, k + 1, comps)
+
+
+def twisted_betti_numbers(a: ConstantAlgebroid, theta: AlgebroidForm) -> list[int]:
+    """[b_0, ..., b_r] of the constant complex under d_theta
+    (twisted_ce_differential), each rank by reference_rank."""
+
+    def d_rank(j):
+        if j == a.r:
+            return 0
+        cod = list(combinations(range(a.r), j + 1))
+        cols = [twisted_ce_differential(a, basis_form(a.r, idx), theta) for idx in combinations(range(a.r), j)]
+        return reference_rank(RingMatrix([[col.get(c) for col in cols] for c in cod], ncols=len(cols)))
+
+    ranks = [d_rank(j) for j in range(a.r + 1)]
+    return [comb(a.r, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(a.r + 1)]
+
+
 def dense_matmul(a: "RingMatrix", b: "RingMatrix") -> "RingMatrix":
     """Row-by-column product summing all ncols terms of every entry."""
     rows = []
@@ -950,6 +989,14 @@ def wedge_endo_forms(f: dict, g: dict) -> dict:
             term = (v1 * v2).scale(Scalar(sign))
             out[merged] = out[merged] + term if merged in out else term
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def chern_character(c: Connection, max_q: int) -> list[AlgebroidForm]:
+    """Entries i^q/q! * cs^q(c) for q = 0..max_q; each is d-closed."""
+    return [
+        form.scale(I ** q * Fraction(1, factorial(q)))
+        for q, form in enumerate(cs_cochains([c], max_q))
+    ]
 
 
 def supertrace_curvature_power(c: Connection, q: int) -> AlgebroidForm:
@@ -1230,17 +1277,3 @@ def reference_morita_verdicts(a, k, tm_conn, g, g_v, max_q, alt_metric):
             diff = rep.scale(phase) - pullback_form(a, k, base_cs.scale(phase))
             cohomologous[q] = coboundary_witness(recipe.algebroid, diff) is not None
     return per_q, cohomologous
-
-
-def fake_cs_cochains(monkeypatch, p, form):
-    """Make charclasses.cs_cochains return form(r) at every q >= 1 for
-    families of p+1 connections; other families are computed as usual."""
-    real = charclasses.cs_cochains
-
-    def patched(conns, max_q):
-        if len(conns) != p + 1:
-            return real(conns, max_q)
-        r = conns[0].algebroid.r
-        return [AlgebroidForm(r, 0)] + [form(r)] * max_q
-
-    monkeypatch.setattr(charclasses, "cs_cochains", patched)

@@ -18,7 +18,6 @@ from algch.connections import (
 )
 from algch.charclasses import (
     KAPPA,
-    chern_character,
     secondary_class,
     adjoint_setup,
     intrinsic_char,
@@ -43,6 +42,7 @@ from helpers import (
     rand_tm_conn,
     rand_q_family,
     boundary_commutant,
+    chern_character,
     small_corpus,
     pullback_connection,
     supertrace_curvature_power,

@@ -4,13 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from algch.scalars import Scalar, ONE
+from algch.scalars import Scalar
 from algch.linalg import Matrix
 from algch.algebroid import (
     AlgebroidForm,
+    ConstantAlgebroid,
     ce_differential,
     coboundary_witness,
     direct_product,
+    validate_algebroid,
 )
 from algch.connections import (
     GradedBundle,
@@ -21,10 +23,8 @@ from algch.connections import (
 from algch import algebroid, charclasses, cli
 from algch.scalars import I
 from algch.charclasses import (
-    IdentityFailure,
-    PrimaryObstruction,
+    DomainError,
     KAPPA,
-    chern_character,
     secondary_class,
     adjoint_setup,
     intrinsic_char,
@@ -37,6 +37,7 @@ from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie
 from helpers import (
     adjoint_connection,
     boundary_commutator,
+    chern_character,
     zero_connection,
     direct_sum_connections,
     rand_bundle,
@@ -46,14 +47,17 @@ from helpers import (
     rand_pd_matrix,
     rand_q_family,
     basis_form,
+    isl2,
     small_corpus,
-    fake_cs_cochains,
     trace_character,
     dense_brackets,
     dense_ad,
     identity_metric,
     tm_theta,
     commutes_with_boundary,
+    curvature,
+    dense_ce_differential,
+    supertrace_curvature_power,
     Endo,
 )
 
@@ -68,6 +72,18 @@ def rand_adjoint_metric(a, rng, real=True):
     return HermitianMetric(
         bundle, rand_pd_matrix(a.r, rng, real), rand_pd_matrix(a.n, rng, real)
     )
+
+
+def corpus_products():
+    """(name, algebroid) for the corpus and its products of rank up to 6."""
+    corpus = small_corpus()
+    cases = list(corpus.items())
+    names = sorted(corpus)
+    for i, x in enumerate(names):
+        for y in names[i:]:
+            if corpus[x].r + corpus[y].r <= 6:
+                cases.append((f"{x} x {y}", direct_product(corpus[x], corpus[y])))
+    return cases
 
 
 class TestChernCharacter:
@@ -142,16 +158,9 @@ class TestSecondaryClass:
         # brackets the q = 2 class is ZERO under any Hermitian metric,
         # real or Gaussian, and any real tm_conn; the corpus and its
         # products of rank up to 6
-        corpus = small_corpus()
-        cases = list(corpus.items())
-        names = sorted(corpus)
-        for i, x in enumerate(names):
-            for y in names[i:]:
-                if corpus[x].r + corpus[y].r <= 6:
-                    cases.append((f"{x} x {y}", direct_product(corpus[x], corpus[y])))
         rng = random.Random(45)
         nonzero = 0
-        for name, a in cases:
+        for name, a in corpus_products():
             tm = rand_tm_conn(a, rng, real=True)
             for real in (True, False):
                 g = rand_adjoint_metric(a, rng, real=real)
@@ -160,58 +169,28 @@ class TestSecondaryClass:
                 nonzero += not rep.representative.is_zero()
         assert nonzero > 0
 
-
     def test_one_differential_per_representative(self, monkeypatch, capsys):
-        # the closedness check computes d of each representative; the
-        # witness solve does not compute it again
-        degrees = []
-        real = algebroid.ce_differential
+        # d of a representative is never computed: closedness is a
+        # theorem; the witness solve builds one matrix of d per nonzero
+        # representative, d_(k-1) for degree k (here cs^2 is zero)
+        computed, built = [], []
+        real_d, real_matrix = algebroid.ce_differential, algebroid._diff_matrix
 
-        def counted(a, omega):
-            degrees.append(omega.degree)
-            return real(a, omega)
+        def counted_d(a, omega):
+            computed.append(omega.degree)
+            return real_d(a, omega)
 
-        monkeypatch.setattr(algebroid, "ce_differential", counted)
-        monkeypatch.setattr(charclasses, "ce_differential", counted)
+        def counted_matrix(a, k):
+            built.append(k)
+            return real_matrix(a, k)
+
+        monkeypatch.setattr(algebroid, "ce_differential", counted_d)
+        monkeypatch.setattr(algebroid, "_diff_matrix", counted_matrix)
         path = Path(__file__).resolve().parent.parent / "inputs" / "q_family.json"
         assert cli.main(["char", "--max-q", "2", str(path)]) == 0
         assert "char^2" in capsys.readouterr().out
-        assert degrees == [1, 3]
-
-
-class TestVerdictChecks:
-    """Verdict-deciding identities raise IdentityFailure, not assert, so
-    they also hold under python -O."""
-
-    def so3_adjoint(self):
-        a = so3()
-        bundle = GradedBundle(3, 0)
-        return adjoint_connection(a, bundle), identity_metric(bundle)
-
-    def test_imaginary_representative(self, monkeypatch):
-        # i^2 * i is imaginary
-        fake_cs_cochains(monkeypatch, 1, lambda r: AlgebroidForm(r, 1, {(0,): I}))
-        c, h = self.so3_adjoint()
-        with pytest.raises(IdentityFailure, match="q=1 has an imaginary part") as info:
-            secondary_class(c, h, 1)
-        assert info.value.identity == "reality"
-
-    def test_open_representative(self, monkeypatch):
-        # H^1(so3) = 0, so no nonzero 1-form is closed
-        fake_cs_cochains(monkeypatch, 1, lambda r: AlgebroidForm(r, 1, {(0,): ONE}))
-        c, h = self.so3_adjoint()
-        with pytest.raises(IdentityFailure, match="q=1 is not closed") as info:
-            secondary_class(c, h, 1)
-        assert info.value.identity == "closedness"
-
-    def test_primary_obstruction(self, monkeypatch):
-        # on an abelian algebra every form is closed and none is exact
-        fake_cs_cochains(monkeypatch, 0, lambda r: AlgebroidForm(r, 2, {(0, 1): ONE}))
-        a = abelian(2)
-        bundle = GradedBundle(1, 0)
-        c = zero_connection(a, bundle)
-        with pytest.raises(PrimaryObstruction, match="q=1"):
-            secondary_class(c, identity_metric(bundle), 1)
+        assert computed == []
+        assert built == [0]
 
 
 class TestAdjointSetup:
@@ -230,17 +209,27 @@ class TestAdjointSetup:
             assert basic == adjoint_connection(a, basic.bundle)
 
     def test_ad_matches_dense_brackets(self):
-        # Gaussian brackets (sl2 with every bracket times i) and fractional
-        # ones (a q_family with entries +-1/2), alone and beside a torus
+        # fractional brackets (a q_family with entries +-1/2), alone and
+        # beside a torus; Gaussian ones (sl2 with every bracket times i)
+        # are outside the domain and refused
         half = Fraction(1, 2)
-        isl2 = lie_algebra(3, {(0, 1): {1: 2 * I}, (0, 2): {2: -2 * I}, (1, 2): {0: I}})
-        for g in (isl2, q_family(half, -half, -half, half)):
-            for a in (g, direct_product(tangent_torus(1), g)):
-                # a zero tm_conn leaves the adjoint action alone
-                basic = adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n)
-                for i in range(a.r):
-                    assert basic.omega[i].ee == dense_ad(a, i)
-                    assert basic.omega[i].oo == Matrix.zeros(a.n, a.n)
+        g = q_family(half, -half, -half, half)
+        for a in (g, direct_product(tangent_torus(1), g)):
+            # a zero tm_conn leaves the adjoint action alone
+            basic = adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n)
+            for i in range(a.r):
+                assert basic.omega[i].ee == dense_ad(a, i)
+                assert basic.omega[i].oo == Matrix.zeros(a.n, a.n)
+        for a in (isl2(), direct_product(tangent_torus(1), isl2())):
+            with pytest.raises(DomainError, match="real structure constants"):
+                adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n)
+
+    def test_gaussian_anchor_refused(self):
+        # valid (no brackets), but the anchor d/dx |-> i d/dx is not real
+        a = ConstantAlgebroid(1, 1, Matrix([[I]], ncols=1), {})
+        assert validate_algebroid(a) == []
+        with pytest.raises(DomainError, match="real anchor"):
+            adjoint_setup(a, [Matrix.zeros(1, 1)])
 
     def test_ad_built_once_per_setup(self, monkeypatch):
         # each frame takes its ad_{e_i} once: even block ad - theta rho,
@@ -334,16 +323,32 @@ class TestIntrinsic:
                 assert rep.is_zero_class
 
     def test_reality_and_closedness(self):
-        rng = random.Random(48)
-        for a in small_corpus().values():
-            if a.r + a.n > 4:
-                continue
-            tm = rand_tm_conn(a, rng)
-            g = rand_adjoint_metric(a, rng, real=False)
-            for rep in intrinsic_char(a, tm, g, max_q=2):
-                for v in rep.representative.comps.values():
-                    assert v.is_real()
-                assert ce_differential(a, rep.representative).is_zero()
+        # secondary_class assumes three identities, which are theorems
+        # for the basic connection of a real algebroid and are checked
+        # here only: str(R^q) vanishes as a form (R = -[d01, K_bas]
+        # commutes with d01), and every representative is real and
+        # closed.  The corpus and its products of rank up to 6, each
+        # with a real and a Gaussian tm_conn and metric; the curvature
+        # oracle only where r + n <= 4
+        rng = random.Random(53)
+        curved = nonzero = 0
+        for name, a in corpus_products():
+            for real_tm in (True, False):
+                for real_g in (True, False):
+                    tm = rand_tm_conn(a, rng, real=real_tm)
+                    g = rand_adjoint_metric(a, rng, real=real_g)
+                    case = (name, real_tm, real_g)
+                    if a.r + a.n <= 4:
+                        basic = adjoint_setup(a, tm)
+                        curved += any(not v.is_zero() for v in curvature(basic).values())
+                        for q in (1, 2, 3):
+                            assert supertrace_curvature_power(basic, q).is_zero(), case + (q,)
+                    for rep in intrinsic_char(a, tm, g):
+                        form = rep.representative
+                        assert all(v.is_real() for v in form.comps.values()), case + (rep.q,)
+                        assert dense_ce_differential(a, form).is_zero(), case + (rep.q,)
+                        nonzero += not form.is_zero()
+        assert curved > 0 and nonzero > 0
 
     def test_metric_independence(self):
         rng = random.Random(49)

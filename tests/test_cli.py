@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algch import charclasses, cli, connections, fileio
-from algch.algebroid import AlgebroidForm, ConstantAlgebroid, direct_product
+from algch import charclasses, cli, connections, fileio, pullback
+from algch.algebroid import ConstantAlgebroid, direct_product
 from algch.cli import main
 from algch.fileio import (
     ParseError,
@@ -24,13 +24,13 @@ from algch.fileio import (
     serialize_algebroid,
     scalar_to_json,
 )
+from algch.connections import Connection, GradedEndo
 from algch.linalg import Matrix
-from algch.scalars import Scalar, I, ONE
+from algch.scalars import Scalar
 
 from algch.library import abelian, heisenberg, so3, tangent_torus
 
 from helpers import (
-    fake_cs_cochains,
     imaginary_trace,
     isl2,
     rand_pd_matrix,
@@ -406,41 +406,39 @@ class TestCountOptions:
         assert "error: --max-q must be an integer >= 1" in out
 
 
-def imaginary_one_form(r):
-    return AlgebroidForm(r, 1, {(0,): I})
+def vertical_acting(monkeypatch):
+    """Let every basic connection that morita-check builds act on its
+    first frame section by the identity.  On the pullback that section
+    is the vertical v_1, so the basic splitting identity fails."""
+    original = pullback.adjoint_setup
+
+    def patched(a, tm_conn):
+        c = original(a, tm_conn)
+        b = c.bundle
+        moved = GradedEndo(Matrix.identity(b.rank_even), Matrix.identity(b.rank_odd))
+        return Connection(a, b, [moved] + list(c.omega[1:]))
+
+    monkeypatch.setattr(pullback, "adjoint_setup", patched)
 
 
 class TestFailedIdentities:
-    """IdentityFailure and PrimaryObstruction are verdicts: a structured
-    error, exit 1, no traceback."""
+    """IdentityFailure is a verdict: a structured error, exit 1, no
+    traceback.  Its one identity is the basic splitting of morita-check."""
 
     def test_identity_failure(self, capsys, tmp_path, monkeypatch):
-        fake_cs_cochains(monkeypatch, 1, imaginary_one_form)
+        vertical_acting(monkeypatch)
         out_file = tmp_path / "report.json"
-        status, out = run_cli(
-            capsys, "char", "--max-q", "1", "--out", out_file, INPUTS / "q_family.json"
-        )
+        status, out = run_cli(capsys, "morita-check", "--out", out_file, INPUTS / "tt2.json")
         assert status == 1
-        assert out.startswith("FAILED: reality:")
+        assert out == "FAILED: basic splitting: vertical section v_1 does not act by zero\n"
         report = json.loads(out_file.read_text())
-        assert report["failure"] == {"kind": "IdentityFailure", "identity": "reality"}
-        assert "imaginary part" in report["error"]
-
-    def test_primary_obstruction(self, capsys, tmp_path, monkeypatch):
-        fake_cs_cochains(monkeypatch, 0, lambda r: AlgebroidForm(r, 2, {(0, 1): ONE}))
-        out_file = tmp_path / "report.json"
-        status, out = run_cli(
-            capsys, "modular", "--out", out_file, INPUTS / "abelian2.json"
-        )
-        assert status == 1
-        assert out.startswith("FAILED: Chern character entry q=1")
-        report = json.loads(out_file.read_text())
-        assert report["failure"] == {"kind": "PrimaryObstruction"}
+        assert report["failure"] == {"kind": "IdentityFailure", "identity": "basic splitting"}
+        assert report["error"] == "basic splitting: vertical section v_1 does not act by zero"
 
     def test_failure_in_batch_fails_only_that_job(self, capsys, tmp_path, monkeypatch):
-        fake_cs_cochains(monkeypatch, 1, imaginary_one_form)
+        vertical_acting(monkeypatch)
         jobs = [
-            {"command": "char", "inputs": [str(INPUTS / "q_family.json")], "options": {"max_q": 1}},
+            {"command": "morita-check", "inputs": [str(INPUTS / "tt2.json")]},
             {"command": "cohomology", "inputs": [str(INPUTS / "so3.json")]},
         ]
         batch = tmp_path / "batch.json"
@@ -449,7 +447,7 @@ class TestFailedIdentities:
         status, out = run_cli(capsys, "batch", "--out", out_file, batch)
         assert status == 1
         reports = json.loads(out_file.read_text())["batch"]
-        assert reports[0]["failure"]["identity"] == "reality"
+        assert reports[0]["failure"]["identity"] == "basic splitting"
         assert reports[1]["betti"] == [1, 0, 0, 1]
 
 
@@ -627,8 +625,21 @@ class TestModularAgainstTopBetti:
                     seen.add((zero, a.n > 0))
         assert seen == {(True, False), (True, True), (False, False), (False, True)}
 
-    def test_gaussian_brackets_one_direction(self, capsys, tmp_path):
-        # b_r = 1 implies ZERO; the converse needs a real trace
+
+# the one shipped input outside the intrinsic classes' domain: isl2 x tt1
+# with a real seeded tm_conn and metric; the class commands refuse it
+GAUSSIAN_INPUT = INPUTS / "isl2_tt1.json"
+OUT_OF_DOMAIN = "error: the intrinsic classes need a real anchor and real structure constants"
+CLASS_COMMANDS = ("char", "modular", "cs", "morita-check")
+
+
+class TestDomainRefusal:
+    """The intrinsic classes are defined for real algebroids.  The class
+    commands refuse Gaussian brackets like a malformed input: error,
+    exit 1, an error key and no failure key; validate, cohomology and
+    product take them."""
+
+    def test_gaussian_brackets_refused(self, capsys, tmp_path):
         rng = random.Random(13)
         for a in (
             isl2(),
@@ -637,10 +648,53 @@ class TestModularAgainstTopBetti:
             direct_product(tangent_torus(1), imaginary_trace()),
         ):
             for with_tm_conn in (False, True):
-                zero, top = self.verdicts(capsys, tmp_path, a, self.extras(a, rng, with_tm_conn))
-                assert zero or top != 1
-        # tr ad e_1 = i: Re tr ad is zero, and the bracket is not unimodular
-        assert self.verdicts(capsys, tmp_path, imaginary_trace(), {}) == (True, 0)
+                extras = {"tm_conn": rand_tm_conn(a, rng, real=True)} if with_tm_conn else {}
+                f = tmp_path / "doc.json"
+                f.write_text(json.dumps(serialize_algebroid(a, extras)))
+                assert run_cli(capsys, "modular", f) == (1, OUT_OF_DOMAIN + "\n")
+                status, betti = run_cli(capsys, "cohomology", f)
+                assert status == 0 and betti.startswith("Betti: 1 ")
+        # tr ad e_1 = i: the bracket is not unimodular, and b_r = 0
+        f.write_text(json.dumps(serialize_algebroid(imaginary_trace())))
+        assert run_cli(capsys, "cohomology", f) == (0, "Betti: 1 1 0\n")
+
+    def test_isl2_tt1(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        for command in CLASS_COMMANDS:
+            assert run_cli(capsys, command, "--out", out_file, GAUSSIAN_INPUT) == (1, OUT_OF_DOMAIN + "\n")
+            report = json.loads(out_file.read_text())
+            assert report["command"] == command
+            assert "error" in report and "failure" not in report
+        assert run_cli(capsys, "validate", GAUSSIAN_INPUT) == (0, "VALID (base_dim=1, rank=4)\n")
+        assert run_cli(capsys, "cohomology", GAUSSIAN_INPUT) == (0, "Betti: 1 1 0 1 1\n")
+        status, _ = run_cli(capsys, "product", GAUSSIAN_INPUT, INPUTS / "abelian2.json")
+        assert status == 0
+
+    def test_isl2_tt1_in_batch(self, capsys, tmp_path):
+        jobs = [
+            {"command": "char", "inputs": [str(GAUSSIAN_INPUT)]},
+            {"command": "cohomology", "inputs": [str(GAUSSIAN_INPUT)]},
+            {"command": "modular", "inputs": [str(INPUTS / "q_family.json")]},
+        ]
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(jobs))
+        out_file = tmp_path / "report.json"
+        status, out = run_cli(capsys, "batch", "--out", out_file, batch)
+        assert status == 1
+        assert OUT_OF_DOMAIN in out.splitlines()
+        first, second, third = json.loads(out_file.read_text())["batch"]
+        assert "error" in first and "failure" not in first
+        assert second["betti"] == [1, 1, 0, 1, 1]
+        assert "error" not in third and third["is_zero_class"] is False
+
+    def test_isl2_tt1_cold_no_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for command in CLASS_COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "algch.cli", command, str(GAUSSIAN_INPUT)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, OUT_OF_DOMAIN + "\n", "")
 
 
 class TestCommands:
@@ -898,7 +952,7 @@ SHIPPED = {
 
 class TestShippedInputs:
     @pytest.mark.parametrize("command", ["validate", "cohomology", "char", "modular", "cs", "morita-check"])
-    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    @pytest.mark.parametrize("name", sorted(set(SHIPPED) - {GAUSSIAN_INPUT.name}))
     def test_every_input_runs(self, capsys, name, command):
         status, _ = run_cli(capsys, command, INPUTS / name)
         assert status == 0
