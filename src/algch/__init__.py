@@ -18,11 +18,7 @@ from .connections import (
     HermitianMetric,
     h_dual,
 )
-from .transgression import (
-    AffineForm,
-    fibre_integrate,
-    cs_cochains,
-)
+from .transgression import cs_cochains
 from .charclasses import (
     ClassReport,
     DomainError,

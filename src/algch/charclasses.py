@@ -24,7 +24,6 @@ from .connections import (
     GradedEndo,
     Connection,
     HermitianMetric,
-    h_dual,
 )
 from .transgression import cs_cochains
 
@@ -75,7 +74,7 @@ def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[Class
     commutes with d01 (Crainic 2003; Arias Abad and Crainic 2012).
     """
     reports = []
-    forms = cs_cochains([c, h_dual(c, h)], max_q)
+    forms = cs_cochains(c, h, max_q)
     for q in range(1, max_q + 1):
         rep = forms[q].scale(I ** (q + 1))
         reports.append(ClassReport(q, rep, coboundary_witness(c.algebroid, rep)))

@@ -18,7 +18,7 @@ import sys
 
 from .linalg import Matrix, _matrix
 from .algebroid import betti_numbers
-from .connections import HermitianMetric, h_dual
+from .connections import HermitianMetric
 from .transgression import cs_cochains
 from .charclasses import (
     DomainError,
@@ -138,9 +138,8 @@ def cmd_cs(job):
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
     tm = _tm_conn(extras, a)
     basic = adjoint_setup(a, tm)
-    dual = h_dual(basic, _metric(extras, basic.bundle))
     out, lines = [], []
-    forms = cs_cochains([basic, dual], max_q)
+    forms = cs_cochains(basic, _metric(extras, basic.bundle), max_q)
     for q in range(1, max_q + 1):
         form = forms[q]
         out.append({"q": q, "form": fileio.form_to_json(form)})

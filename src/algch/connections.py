@@ -104,15 +104,9 @@ def check_metric_block(h: Matrix):
 
 
 class Connection:
-    """Action of nabla_{e_i} on constant sections: one GradedEndo per i.
+    """Action of nabla_{e_i} on constant sections: one GradedEndo per i."""
 
-    dual_of and dual_metric are the connection and the metric that
-    h_dual dualised to make this one, and None on every other
-    connection.  A connection made by h_dual builds its frames on the
-    first read of omega and keeps them; every other connection holds
-    them from the start."""
-
-    __slots__ = ("algebroid", "bundle", "_omega", "dual_of", "dual_metric")
+    __slots__ = ("algebroid", "bundle", "omega")
 
     def __init__(self, algebroid: ConstantAlgebroid, bundle: GradedBundle, omega):
         omega = list(omega)
@@ -128,15 +122,7 @@ class Connection:
                 )
         self.algebroid = algebroid
         self.bundle = bundle
-        self._omega = omega
-        self.dual_of = self.dual_metric = None
-
-    @property
-    def omega(self) -> list:
-        """The frame matrices, one GradedEndo per frame section."""
-        if self._omega is None:
-            self._omega = _dual_frames(self.dual_of, self.dual_metric)
-        return self._omega
+        self.omega = omega
 
     def __eq__(self, other):
         if not isinstance(other, Connection):
@@ -154,34 +140,20 @@ class Connection:
 def h_dual(c: Connection, h: HermitianMetric) -> Connection:
     """Metric dual: Omega |-> -H^{-1} conj(Omega)^T H blockwise.
 
-    The bundles are checked here; the frames, and the inverses of the
-    metric blocks they need, are built on the first read of the
-    result's omega.  The result acts on the same graded bundle but need
-    not commute with the boundary; the cs machinery never uses the
-    boundary, so this is harmless downstream.  Its dual_of is c and its
-    dual_metric h, which lets cs_cochains take a pair (c, h_dual(c, h))
-    by the identities of a dual pair: at max_q <= 2 it reads c and h
-    alone.  The frames are built where read, as by the chain at max_q >= 3.
+    The result acts on the same graded bundle but need not commute with
+    the boundary; the cs machinery never uses the boundary, so this is
+    harmless downstream.  A zero block is its own dual and takes no
+    products, and a parity whose blocks are all zero takes no inverse.
     """
     if h.bundle != c.bundle:
         raise ValueError("connection and metric live on different bundles")
-    out = Connection.__new__(Connection)
-    out.algebroid, out.bundle, out._omega = c.algebroid, c.bundle, None
-    out.dual_of, out.dual_metric = c, h
-    return out
-
-
-def _dual_frames(c: Connection, h: HermitianMetric) -> list:
-    """The frames of h_dual(c, h).  A zero block is its own dual and
-    takes no products, and a parity whose blocks are all zero takes no
-    inverse."""
     live = [any(not getattr(om, b).is_zero() for om in c.omega) for b in ("ee", "oo")]
     factors = [(-inverse(hb) if x else None, hb) for x, hb in zip(live, (h.h_even, h.h_odd))]
 
     def dual(m, neg_inv, hb):
         return m if m.is_zero() else neg_inv * m.conj_transpose() * hb
 
-    return [
+    return Connection(c.algebroid, c.bundle, [
         GradedEndo(dual(om.ee, *factors[0]), dual(om.oo, *factors[1]))
         for om in c.omega
-    ]
+    ])

@@ -20,7 +20,7 @@ from .algebroid import (
     _algebroid,
     _padded,
 )
-from .connections import Connection, HermitianMetric, h_dual
+from .connections import Connection, HermitianMetric
 from .charclasses import adjoint_setup, IdentityFailure
 from .transgression import cs_cochains
 
@@ -63,9 +63,7 @@ class RecipeResult(NamedTuple):
     tm_conn: list  # nabla-bar: one (k+r) matrix per coordinate of T^{n+k}
     metric: HermitianMetric  # g-bar on Ad(p^!(A))
     basic: Connection  # basic connection of p^!(A)
-    dual: Connection  # g-bar dual of the basic connection
     base: Connection  # basic connection of A
-    base_dual: Connection  # g dual of the base basic connection
 
 
 def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric, g_v: Matrix) -> RecipeResult:
@@ -85,7 +83,6 @@ def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric,
         raise ValueError(f"g_v must be {k} x {k}, got {g_v.nrows} x {g_v.ncols}")
     tm_conn = list(tm_conn)  # read twice: by adjoint_setup and for nabla-bar
     base = adjoint_setup(a, tm_conn)
-    base_dual = h_dual(base, g)
     pb = pullback_algebroid(a, k)
     vertical = Matrix.zeros(k, k)
     # horizontal coordinate directions, then vertical ones acting by zero
@@ -96,10 +93,9 @@ def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric,
     g_even = Matrix.block_diag(g_v, g.h_even)  # on p^!(A): vertical block first
     g_odd = Matrix.block_diag(g.h_odd, g_v)  # on T(T^{n+k}): x block first
     gbar = HermitianMetric(basic.bundle, g_even, g_odd)
-    dual = h_dual(basic, gbar)
 
     _check_basic_splitting(k, base, basic)
-    return RecipeResult(pb, nabla_bar, gbar, basic, dual, base, base_dual)
+    return RecipeResult(pb, nabla_bar, gbar, basic, base)
 
 
 def _check_basic_splitting(k, base, basic):
@@ -153,8 +149,8 @@ def morita_check(
     """
     recipe = submersion_recipe(a, k, tm_conn, g, g_v)
     basic = recipe.basic
-    base_cs = cs_cochains([recipe.base, recipe.base_dual], max_q)
-    bar_cs = cs_cochains([basic, recipe.dual], max_q)
+    base_cs = cs_cochains(recipe.base, g, max_q)
+    bar_cs = cs_cochains(basic, recipe.metric, max_q)
 
     per_q, cohomologous = {}, {}
     for q in range(1, max_q + 1):
@@ -163,7 +159,7 @@ def morita_check(
         per_q[q] = {"equal": lhs == rhs, "both_zero": lhs.is_zero() and rhs.is_zero()}
 
     if alt_metric is not None:
-        alt_cs = cs_cochains([basic, h_dual(basic, alt_metric)], max_q)
+        alt_cs = cs_cochains(basic, alt_metric, max_q)
         for q in range(1, max_q + 1):
             diff = alt_cs[q] - pullback_form(a, k, base_cs[q])
             cohomologous[q] = coboundary_witness(recipe.algebroid, diff) is not None

@@ -3,12 +3,13 @@
 The affine family sum_i t_i nabla_i over M x Delta^p has a curvature
 that is polynomial in the simplex coordinates, plus an extra dt-leg;
 fibre integration of supertraces of its powers produces the cs cochains.
-A pair (p = 1), the case of every secondary class, takes the
-Chern-Simons formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt instead,
-on frame 2-forms; a dual pair (c, h_dual(c, h)) up to q = 2 takes it as
-a difference of Chern-Simons forms, from traces of c's frame matrices
-and of their products and from the metric inverse.  cs_cochains states
-both identities.
+Every secondary class is the cochain of a connection c and its metric
+dual, which cs_cochains(c, h, max_q) takes without a dt-leg: up to
+q = 2 as a difference of Chern-Simons forms, from traces of c's frame
+matrices and of their products and from the metric inverse, and from
+q = 3 on by the Chern-Simons formula
+cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on frame 2-forms.
+cs_cochains states both identities.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
 form on (e_{i_1}, ..., e_{i_k}, d/dt_{j_1+1}, ..., d/dt_{j_s+1}),
@@ -37,7 +38,7 @@ from operator import add, mul
 from .scalars import Scalar
 from .linalg import _cmatmul, _lin, inverse
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
-from .connections import GradedBundle
+from .connections import Connection, GradedBundle, HermitianMetric, h_dual
 
 
 class AffineForm:
@@ -274,23 +275,16 @@ def fibre_integrate(omega: AffineForm, p: int) -> AlgebroidForm:
     return AlgebroidForm(omega.r, omega.degree - p, comps)
 
 
-def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
-    """The transgression cochains of degree 2q - p for p+1 connections,
-    as a list indexed by q = 0..max_q.
+def cs_cochains(c: Connection, h: HermitianMetric, max_q: int) -> list[AlgebroidForm]:
+    """The Chern-Simons cochains cs^q(c, c^h) of the connection c and its
+    metric dual c^h = h_dual(c, h), as a list indexed by q = 0..max_q,
+    with cs^0 the zero 0-form.
 
-    p = 0 gives the supertraces of the curvature powers; for p > 0 the
-    prefactor is (-1)^floor((p+1)/2) on the oriented (t_1, ..., t_p)
-    chart.  A q with 2q < p gives the zero 0-form: the q-th curvature
-    power has no simplex-degree-p component to integrate.
-
-    A pair (p = 1) takes the Chern-Simons formula
-    cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt, with theta = c_1 - c_0
-    and F_t the curvature of c_0 + t theta, on frame forms alone.
-
-    A dual pair, c_1 = h_dual(c_0, h) with frames -H^-1 c_0,i^* H, takes
-    it up to max_q = 2 as the difference of Chern-Simons forms (Chern and
-    Simons, Ann. Math. 99, 1974): cs^1 = str(c_1,i) - str(c_0,i), and
-    CS3 for (z, c_0, c_1), z the zero connection, gives
+    The route depends on max_q alone.  Up to max_q = 2 it takes the
+    difference of Chern-Simons forms (Chern and Simons, Ann. Math. 99,
+    1974) from c's frames and h: with c_0 = c and c_1 = c^h, frames
+    -H^-1 c_0,i^* H, cs^1 = str(c_1,i) - str(c_0,i), and CS3 for
+    (z, c_0, c_1), z the zero connection, gives
 
         cs^2(c_0, c_1) = CS(c_1) - CS(c_0) + dT,
         CS(A) = cs^2(z, A),  T = cs^2(z, c_0, c_1).
@@ -312,19 +306,17 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     c_0: one product P_jk per frame pair j < k, on c_0's nonzero rows.
     The cross traces are Hermitian, so T_ij = 2i Im str(c_0,i c_1,j), and
     with G = H^-1 blockwise str(c_0,i c_1,j) = -str(c_0,i G c_0,j^* H)
-    takes c_0 and the metric inverse; T is zero when c_0 and the metric
-    c_1.dual_metric are real, c_1 being real then.  c_1's frames are
-    never built.  Traces run on integer rows over one denominator, and
-    each component becomes a rational once, at the end.  The pair is
-    known to be dual by construction: h_dual records c_0 as c_1.dual_of,
-    provenance that can be neither wrong nor forgotten, where a flag
-    could be set on a pair that is not dual and a test of the frames
-    would cost the products it saves.
+    takes c_0 and the metric inverse; T is zero when c_0 and h are real,
+    c_1 being real then.  c_1's frames are never built.  Traces run on
+    integer rows over one denominator, and each component becomes a
+    rational once, at the end.
 
-    Every other pair, and a dual pair from max_q = 3 on, takes the
-    chain on F_t.  With N = c_0 + c_1, the connection at t = (1 + u)/2
-    has frame matrices (N_i + u theta_i)/2, so F_t = (X + u Y + u^2 C)/4
-    with
+    From max_q = 3 on it takes the chain on F_t, in _pair_chain, on
+    the frames of h_dual(c, h), built once there.  The Chern-Simons
+    formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt holds for any
+    pair, with theta = c_1 - c_0 and F_t the curvature of c_0 + t theta.
+    With N = c_0 + c_1, the connection at t = (1 + u)/2 has frame
+    matrices (N_i + u theta_i)/2, so F_t = (X + u Y + u^2 C)/4 with
 
         X = [N_i, N_j] - 2 sum_k c_ij^k N_k,
         Y = [N_i, theta_j] + [theta_i, N_j] - 2 sum_k c_ij^k theta_k,
@@ -341,30 +333,55 @@ def cs_cochains(conns, max_q: int) -> list[AlgebroidForm]:
     a scaled matrix per frame index and a doubled denominator per
     product, where 4^(1-q) is one rational per component at the end.
     A theta_i or N_i that is zero, such as a pullback's vertical
-    section, takes no products at all, and at max_q = 1, where
-    cs^1 = str(theta_i) is a trace, X, Y and C are not built.
+    section, takes no products at all.
 
-    Every other p takes the affine family over the simplex, in
-    _simplex_cochains, which at p = 1 is the pair path's oracle.
+    The affine family over the simplex, _simplex_cochains, is the
+    oracle of both routes.
     """
-    a, bundle = _check_family(conns)
-    p = len(conns) - 1
+    if h.bundle != c.bundle:
+        raise ValueError("connection and metric live on different bundles")
+    a = c.algebroid
     out = [AlgebroidForm(a.r, 0) for _ in range(max_q + 1)]
-    if p == 0:
-        out[0] = AlgebroidForm(
-            a.r, 0, {(): Scalar(bundle.rank_even - bundle.rank_odd)}
-        )
-    if max_q < 1 or 2 * max_q < p:
+    if max_q >= 3:
+        for q, form in _pair_chain([c, h_dual(c, h)], max_q).items():
+            out[q] = form
         return out
-    cochains = _pair_cochains if p == 1 else _simplex_cochains
-    for q, form in cochains(conns, max_q).items():
-        out[q] = form
+    if max_q < 1:
+        return out
+    d0, f0 = _integer_frames(c)
+    out[1] = AlgebroidForm(a.r, 1, {
+        (i,): Scalar(Fraction(-2 * _supertrace(x)[0], d0)) for i, x in enumerate(f0)
+    })
+    if max_q == 2:
+        # conj(z) - z = -2i Im z for the gram and triple terms; a real
+        # c_0 has none, and a real c_0 under a real metric has a real
+        # dual, so no T either
+        linear, cubic, real = [], [], _is_real(c)
+        if not real:
+            gram, tri = _cs_traces(f0)
+            linear.append((-2, d0**2, _imaginary(gram)))
+            cubic.append((-2, d0**3, _imaginary(tri)))
+        if not (real and h.h_even.im is None and h.h_odd.im is None):
+            linear.append((-1, *_metric_transgression(f0, d0, h)))
+        out[2] = _cs2_form(a, linear, cubic)
     return out
 
 
 def _simplex_cochains(conns, max_q: int) -> dict:
     """{q: cs^q} for every q = 1..max_q with 2q >= p, by the affine
-    family over M x Delta^p.
+    family of the p + 1 connections over M x Delta^p.
+
+    p = 0 gives the supertraces of the curvature powers; for p > 0 the
+    prefactor is (-1)^floor((p+1)/2) on the oriented (t_1, ..., t_p)
+    chart.  A q with 2q < p has no entry: the q-th curvature power has
+    no simplex-degree-p component to integrate.
+
+    It has no caller in the package: it is the tests' oracle of
+    cs_cochains, and of every family but a pair, until the simplex
+    family leaves for the tests (ROADMAP item 5).  The benchmark's
+    tracer, perfbench/spans.py, patches _affine_curvature,
+    AffineForm.wedge and .power and fibre_integrate by name, which
+    keeps them here.
 
     One pass: the curvature is built once and R^q = R^{q-1} ^ R.  Every
     factor of R has simplex degree 0 or 1, so a component of R^k below
@@ -395,34 +412,6 @@ def _simplex_cochains(conns, max_q: int) -> dict:
             continue
         integral = fibre_integrate(AffineForm(a.r, p, 2 * q, top), p)
         out[q] = -integral if flip else integral
-    return out
-
-
-def _pair_cochains(conns, max_q: int) -> dict:
-    """{q: cs^q} of a pair for q = 1..max_q, by the identities in
-    cs_cochains: a dual pair up to max_q = 2 from c_0's traces and the
-    metric, every other pair by the chain on theta ^ F_t."""
-    c0, c1 = conns
-    if max_q >= 3 or c1.dual_of is not c0:
-        return _pair_chain(conns, max_q)
-    a = c0.algebroid
-    d0, f0 = _integer_frames(c0)
-    out = {1: AlgebroidForm(a.r, 1, {
-        (i,): Scalar(Fraction(-2 * _supertrace(x)[0], d0)) for i, x in enumerate(f0)
-    })}
-    if max_q == 2:
-        # conj(z) - z = -2i Im z for the gram and triple terms; a real
-        # c_0 has none, and a real c_0 under a real metric has a real
-        # dual, so no T either
-        linear, cubic, real = [], [], _is_real(c0)
-        if not real:
-            gram, tri = _cs_traces(f0)
-            linear.append((-2, d0**2, _imaginary(gram)))
-            cubic.append((-2, d0**3, _imaginary(tri)))
-        h = c1.dual_metric
-        if not (real and h.h_even.im is None and h.h_odd.im is None):
-            linear.append((-1, *_metric_transgression(f0, d0, h)))
-        out[2] = _cs2_form(a, linear, cubic)
     return out
 
 
@@ -622,8 +611,8 @@ def _stacked(blocks: list, star=False) -> tuple:
 
 def _pair_chain(conns, max_q: int) -> dict:
     """{q: cs^q} of a pair for q = 1..max_q, by the chain on
-    theta ^ F_t in cs_cochains: every pair but a dual one at
-    max_q <= 2."""
+    theta ^ F_t in cs_cochains: the route of cs_cochains from max_q = 3
+    on, on the pair (c, h_dual(c, h)); any other pair takes it too."""
     a = conns[0].algebroid
     both, form = [], {}
     for i, (o0, o1) in enumerate(zip(conns[0].omega, conns[1].omega)):

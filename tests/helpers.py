@@ -1,6 +1,7 @@
 """Seeded generators and the corpus shared across the test modules."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -29,7 +30,7 @@ from algch.pullback import (
     pullback_form,
     submersion_recipe,
 )
-from algch.transgression import AffineForm, _check_family, cs_cochains
+from algch.transgression import AffineForm, _check_family, _pair_chain, _simplex_cochains
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 
@@ -995,8 +996,47 @@ def chern_character(c: Connection, max_q: int) -> list[AlgebroidForm]:
     """Entries i^q/q! * cs^q(c) for q = 0..max_q; each is d-closed."""
     return [
         form.scale(I ** q * Fraction(1, factorial(q)))
-        for q, form in enumerate(cs_cochains([c], max_q))
+        for q, form in enumerate(cs_family([c], max_q))
     ]
+
+
+def cs_family(conns, max_q: int) -> list[AlgebroidForm]:
+    """The transgression cochains of degree 2q - p of p + 1 connections,
+    as a list indexed by q = 0..max_q: a pair by the chain on
+    theta ^ F_t (_pair_chain), any other family by the affine family
+    over the simplex (_simplex_cochains).  At p = 0 the q = 0 entry is
+    the superdimension rank_even - rank_odd; every other entry that
+    does not reach degree 2q - p (q = 0, or 2q < p) is the zero 0-form.
+    cs_cochains(c, h, max_q) is the package's pair (c, h_dual(c, h))."""
+    a, bundle = _check_family(conns)
+    p = len(conns) - 1
+    out = [AlgebroidForm(a.r, 0) for _ in range(max_q + 1)]
+    if p == 0:
+        out[0] = AlgebroidForm(a.r, 0, {(): Scalar(bundle.rank_even - bundle.rank_odd)})
+    if max_q < 1 or 2 * max_q < p:
+        return out
+    cochains = _pair_chain if p == 1 else _simplex_cochains
+    for q, form in cochains(conns, max_q).items():
+        out[q] = form
+    return out
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace fn by a recording wrapper in every loaded algch module
+    that holds it, whatever the name; the returned list gets the
+    arguments of each call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "algch" or name.startswith("algch."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 def supertrace_curvature_power(c: Connection, q: int) -> AlgebroidForm:
@@ -1237,9 +1277,9 @@ def reference_fibre_integrate(omega: AffineForm, p: int) -> AlgebroidForm:
 
 def reference_cs_cochain(conns, q: int) -> AlgebroidForm:
     """The transgression cochain for one q, the way it was computed
-    before cs_cochains: the q-th power of a freshly built affine
-    curvature with polynomial matrix entries, the supertrace of every
-    component, then the fibre integral."""
+    before the one-pass transgression: the q-th power of a freshly
+    built affine curvature with polynomial matrix entries, the
+    supertrace of every component, then the fibre integral."""
     a, bundle = _check_family(conns)
     p = len(conns) - 1
     if 2 * q < p:

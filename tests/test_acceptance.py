@@ -4,9 +4,12 @@ Run with `pytest -v -s tests/test_acceptance.py` to see one PASS line
 per criterion.
 """
 
+import importlib.util
 import random
 import sys
+from pathlib import Path
 
+from algch import cli
 from algch.scalars import Scalar
 from algch.linalg import Matrix
 from algch.algebroid import ce_differential, coboundary_witness
@@ -239,3 +242,38 @@ def test_kappa_universality():
             assert rep == tc.scale(KAPPA)
     assert KAPPA == Scalar(2)
     report("PASS kappa universality: q=1 representative = 2 * trace character")
+
+
+def test_benchmark_tracer_names_present():
+    # perfbench/spans.py patches algch functions and methods by name:
+    # both of its instruments must find every name they patch, and
+    # restore must put every original back
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    def attributes():
+        """Every attribute of an algch module and of a class defined in
+        one, and the function of each cli command."""
+        out = {("cli", "COMMANDS", k): fn for k, (fn, _) in cli.COMMANDS.items()}
+        for name, mod in list(sys.modules.items()):
+            if name != "algch" and not name.startswith("algch."):
+                continue
+            for key, value in vars(mod).items():
+                out[name, key] = value
+                if isinstance(value, type) and value.__module__ == name:
+                    out.update(((name, key, a), v) for a, v in vars(value).items())
+        return out
+
+    before = attributes()
+    for instrument in (spans.SpanTracer(), spans.Counters()):
+        try:
+            instrument.install()
+        finally:
+            instrument.restore()
+        after = attributes()
+        assert after.keys() == before.keys(), type(instrument).__name__
+        moved = [k for k, v in before.items() if after[k] is not v]
+        assert moved == [], (type(instrument).__name__, moved)
+    report("PASS benchmark tracer: every patched name present and restored")

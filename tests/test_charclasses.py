@@ -32,6 +32,7 @@ from algch.charclasses import (
     default_max_q,
 )
 from algch.pullback import pullback_algebroid
+from algch.transgression import cs_cochains
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 from helpers import (
@@ -294,9 +295,13 @@ class TestAdjointSetup:
 
 class TestIntrinsic:
     def test_metric_on_another_bundle_refused(self):
-        # refused by h_dual, the one place that pairs metric and connection
+        # refused by cs_cochains on each route: the Chern-Simons
+        # difference at max_q 1 and 2 and the chain at 3
         a = so3()
         g = HermitianMetric(GradedBundle(3, 1), Matrix.identity(3), Matrix.identity(1))
+        for max_q in (1, 2, 3):
+            with pytest.raises(ValueError, match="different bundles"):
+                cs_cochains(adjoint_setup(a, []), g, max_q)
         with pytest.raises(ValueError, match="different bundles"):
             intrinsic_char(a, [], g, max_q=1)
 

@@ -31,6 +31,7 @@ from algch.scalars import Scalar
 from algch.library import abelian, heisenberg, so3, tangent_torus
 
 from helpers import (
+    count_calls,
     imaginary_trace,
     isl2,
     rand_pd_matrix,
@@ -543,7 +544,8 @@ class TestBatchDocuments:
 
 
 class TestCommandSetups:
-    """Each command builds its adjoint setups once."""
+    """Each command builds its adjoint setups once, and a metric dual
+    only where the chain of max_q >= 3 reads it."""
 
     @pytest.mark.parametrize(
         "argv, setups",
@@ -566,9 +568,20 @@ class TestCommandSetups:
 
         for module in (cli, charclasses, pullback):
             monkeypatch.setattr(module, "adjoint_setup", counted)
+        duals = count_calls(monkeypatch, connections.h_dual)
         status, _ = run_cli(capsys, *argv[:-1], INPUTS / argv[-1])
         assert status == 0
         assert len(calls) == setups
+        assert duals == []
+
+    @pytest.mark.parametrize("command", ["cs", "char"])
+    def test_h_dual_calls_at_max_q_3(self, capsys, monkeypatch, command):
+        # one per cochain; morita-check's three are counted in
+        # test_pullback.py TestMoritaAgainstReference
+        calls = count_calls(monkeypatch, connections.h_dual)
+        status, _ = run_cli(capsys, command, "--max-q", "3", INPUTS / "so3.json")
+        assert status == 0
+        assert len(calls) == 1
 
 
 class TestModularAgainstTopBetti:

@@ -39,6 +39,8 @@ from helpers import (
     pullback_connection,
     adjoint_metric,
     column,
+    count_calls,
+    cs_family,
     reference_h_dual,
     ring_matrix,
 )
@@ -118,14 +120,14 @@ class TestPullbackData:
             c0 = rand_connection(a, b, rng, basis)
             c1 = rand_connection(a, b, rng, basis)
             pb = pullback_algebroid(a, k)
-            lhs = cs_cochains(
+            lhs = cs_family(
                 [
                     pullback_connection(a, k, c0, pb),
                     pullback_connection(a, k, c1, pb),
                 ],
                 1,
             )[1]
-            rhs = pullback_form(a, k, cs_cochains([c0, c1], 1)[1])
+            rhs = pullback_form(a, k, cs_family([c0, c1], 1)[1])
             assert lhs == rhs
 
 
@@ -180,13 +182,6 @@ class TestSubmersionRecipe:
             assert dual.omega[j].is_zero()
 
 
-    def test_dual_is_metric_dual_of_basic(self):
-        rng = random.Random(65)
-        a = q_family(1, 2, 3, 4)
-        g = adjoint_metric(a, rand_pd_matrix(3, rng), Matrix.identity(0))
-        recipe = submersion_recipe(a, 1, [], g, Matrix.identity(1))
-        assert recipe.dual == h_dual(recipe.basic, recipe.metric)
-
     def test_tm_conn_iterator_same_as_list(self):
         rng = random.Random(67)
         a = tangent_torus(2)
@@ -195,7 +190,7 @@ class TestSubmersionRecipe:
         g_v = rand_pd_matrix(1, rng)
         want = submersion_recipe(a, 1, tm, g, g_v)
         got = submersion_recipe(a, 1, iter(tm), g, g_v)
-        for field in ("algebroid", "tm_conn", "basic", "dual", "base", "base_dual"):
+        for field in ("algebroid", "tm_conn", "basic", "base"):
             assert getattr(got, field) == getattr(want, field)
         for block in ("bundle", "h_even", "h_odd"):
             assert getattr(got.metric, block) == getattr(want.metric, block)
@@ -206,9 +201,7 @@ class TestSubmersionRecipe:
         tm = rand_tm_conn(a, rng)
         g_a, g_m = rand_pd_matrix(1, rng), rand_pd_matrix(1, rng)
         recipe = submersion_recipe(a, 1, tm, adjoint_metric(a, g_a, g_m), Matrix.identity(1))
-        base = adjoint_setup(a, tm)
-        assert recipe.base == base
-        assert recipe.base_dual == h_dual(base, HermitianMetric(base.bundle, g_a, g_m))
+        assert recipe.base == adjoint_setup(a, tm)
 
 
 class TestBasicSplittingFailures:
@@ -257,27 +250,24 @@ class TestDualSplitting:
     frames and against metric inverses taken by the reference
     elimination."""
 
-    @staticmethod
-    def gaussian_recipe(a, k, rng):
-        tm = rand_tm_conn(a, rng)
-        g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
-        return submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
-
     def test_dual_is_zero_plus_base_dual(self):
         rng = random.Random(70)
         nonzero = 0
         for name, a in small_corpus().items():
             for k in (1, 2):
-                r = self.gaussian_recipe(a, k, rng)
+                tm = rand_tm_conn(a, rng)
+                g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
+                r = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
                 vertical = Matrix.zeros(k, k)
-                want_base = reference_h_dual(r.base, r.base_dual.dual_metric)
+                want_base = reference_h_dual(r.base, g)
                 want = reference_h_dual(r.basic, r.metric)
-                for i, om in enumerate(r.dual.omega):
+                base_dual = h_dual(r.base, g)
+                for i, om in enumerate(h_dual(r.basic, r.metric).omega):
                     assert [ring_matrix(om.ee), ring_matrix(om.oo)] == want[i], (name, k, i)
                     if i < k:
                         assert om.is_zero(), (name, k, i)
                         continue
-                    bom = r.base_dual.omega[i - k]
+                    bom = base_dual.omega[i - k]
                     assert [ring_matrix(bom.ee), ring_matrix(bom.oo)] == want_base[i - k]
                     assert om.ee == Matrix.block_diag(vertical, bom.ee), (name, k, i)
                     assert om.oo == Matrix.block_diag(bom.oo, vertical), (name, k, i)
@@ -285,14 +275,7 @@ class TestDualSplitting:
         assert nonzero > 0
 
     def test_morita_check_builds_dual_frames_only_for_the_chain(self, monkeypatch):
-        built = []
-        dual_frames = connections._dual_frames
-
-        def recorded(c, h):
-            built.append(1)
-            return dual_frames(c, h)
-
-        monkeypatch.setattr(connections, "_dual_frames", recorded)
+        built = count_calls(monkeypatch, connections.h_dual)
         rng = random.Random(71)
         for name in ("heisenberg", "tt1", "tt1_x_so3"):
             a = small_corpus()[name]
@@ -303,9 +286,9 @@ class TestDualSplitting:
                 built.clear()
                 assert morita_check(a, k, tm, g, g_v, max_q=2).passed, (name, k)
                 assert built == [], (name, k)
-            # the chain at max_q 3 reads the duals' frames
+            # the chain at max_q 3 reads the duals' frames: base and pullback
             assert morita_check(a, 1, tm, g, rand_pd_matrix(1, rng), max_q=3).passed, name
-            assert built, name
+            assert len(built) == 2, name
 
 
 class TestMoritaCheck:
@@ -317,7 +300,7 @@ class TestMoritaCheck:
         assert report.per_q[1]["equal"] and not report.per_q[1]["both_zero"]
         # the shared q=1 form is a nonzero class upstairs
         base = adjoint_setup(a, [])
-        form = pullback_form(a, 1, cs_cochains([base, h_dual(base, g)], 1)[1])
+        form = pullback_form(a, 1, cs_cochains(base, g, 1)[1])
         pb = pullback_algebroid(a, 1)
         assert coboundary_witness(pb, form) is None
 
@@ -391,17 +374,8 @@ class TestMoritaAgainstReference:
             )
 
     def test_setups_and_duals_built_once(self, monkeypatch):
-        counts = {"adjoint_setup": 0, "h_dual": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(pullback, "adjoint_setup", counting("adjoint_setup", pullback.adjoint_setup))
-        monkeypatch.setattr(pullback, "h_dual", counting("h_dual", pullback.h_dual))
+        setups = count_calls(monkeypatch, pullback.adjoint_setup)
+        duals = count_calls(monkeypatch, connections.h_dual)
         rng = random.Random(69)
         a = heisenberg()
         anchor = pullback_anchor(a, 1)
@@ -411,6 +385,10 @@ class TestMoritaAgainstReference:
             rand_pd_matrix(anchor.nrows, rng),
         )
         g = adjoint_metric(a, Matrix.identity(3), Matrix.identity(0))
-        morita_check(a, 1, [], g, Matrix.identity(1), max_q=3, alt_metric=alt)
-        # base and pullback setups; base, pullback and alternative duals
-        assert counts == {"adjoint_setup": 2, "h_dual": 3}
+        # base and pullback setups; no dual up to max_q 2, and from
+        # max_q 3 one per cochain: base, pullback and alternative
+        for max_q, want in ((2, 0), (3, 3)):
+            setups.clear()
+            duals.clear()
+            morita_check(a, 1, [], g, Matrix.identity(1), max_q=max_q, alt_metric=alt)
+            assert (len(setups), len(duals)) == (2, want), max_q

@@ -12,6 +12,7 @@ from algch.connections import (
     GradedBundle,
     GradedEndo,
     Connection,
+    HermitianMetric,
     h_dual,
 )
 from algch import connections, transgression
@@ -33,7 +34,10 @@ from helpers import (
     rand_metric,
     rand_algebroid,
     rand_matrix,
+    rand_pd_matrix,
     boundary_commutant,
+    count_calls,
+    cs_family,
     pullback_connection,
     rand_q_family,
     rand_tm_conn,
@@ -64,8 +68,8 @@ def perm_sign(perm) -> int:
 
 
 def rand_family(seed, p, real, rank_even=2, rank_odd=1):
-    """p+1 connections on a bundle with odd rank > 0: a random
-    connection, its metric dual, then further random connections; all
+    """p+1 connections on a bundle with odd rank > 0, and a metric h: a
+    random connection, its h-dual, then further random connections; all
     real when real is set, Gaussian otherwise.  Half the algebroids get
     an abelian factor that brings the rank up to 6 - p at most, the
     degree of the cochain at q = 3, so that it can be nonzero."""
@@ -76,9 +80,10 @@ def rand_family(seed, p, real, rank_even=2, rank_odd=1):
     b = rand_bundle(rng, re=rank_even, ro=rank_odd)
     basis = boundary_commutant(b)
     c = rand_connection(a, b, rng, basis, real=real)
-    conns = [c, h_dual(c, rand_metric(b, rng, real=real))]
+    h = rand_metric(b, rng, real=real)
+    conns = [c, h_dual(c, h)]
     conns += [rand_connection(a, b, rng, basis, real=real) for _ in range(p - 1)]
-    return conns[: p + 1]
+    return conns[: p + 1], h
 
 
 family_args = (
@@ -155,7 +160,7 @@ class TestAffineCurvature:
     @settings(max_examples=30, deadline=None)
     @given(*family_args)
     def test_matches_reference(self, p, real, seed, re, ro):
-        conns = rand_family(seed, p, real, re, ro)
+        conns, _ = rand_family(seed, p, real, re, ro)
         got = {k: poly_endo_value(v, p) for k, v in _affine_curvature(conns).comps.items()}
         assert got == reference_affine_curvature(conns).comps
 
@@ -204,16 +209,21 @@ class TestCsCochain:
             b = rand_bundle(rng)
             c = rand_connection(a, b, rng)
             for q in (1, 2, 3):
-                assert cs_cochains([c], q)[q] == supertrace_curvature_power(c, q)
+                assert cs_family([c], q)[q] == supertrace_curvature_power(c, q)
 
     def test_q0_p1_vanishes(self):
+        # the q = 0 entry of a pair is the zero 0-form, on every route
         rng = random.Random(35)
         a = rand_algebroid(rng)
         b = rand_bundle(rng)
         basis = boundary_commutant(b)
         c0 = rand_connection(a, b, rng, basis)
         c1 = rand_connection(a, b, rng, basis)
-        assert cs_cochains([c0, c1], 0)[0].is_zero()
+        assert cs_family([c0, c1], 0)[0].is_zero()
+        h = rand_metric(b, rng)
+        for max_q in range(4):
+            q0 = cs_cochains(c0, h, max_q)[0]
+            assert q0.degree == 0 and q0.is_zero(), max_q
 
     def test_low_power_vanishes(self):
         # 2q < p leaves no top simplex component to integrate
@@ -222,11 +232,12 @@ class TestCsCochain:
         b = rand_bundle(rng)
         basis = boundary_commutant(b)
         conns = [rand_connection(a, b, rng, basis) for _ in range(3)]
-        assert cs_cochains(conns, 0)[0].is_zero()
-        assert cs_cochains(conns, 1)[1].degree == 0
+        assert cs_family(conns, 0)[0].is_zero()
+        assert cs_family(conns, 1)[1].degree == 0
 
     def test_universal_sign_frozen(self):
-        # regression pin: cs^1(c0, c1)(e_i) = +supertrace(Omega1_i - Omega0_i)
+        # regression pin: cs^1(c0, c1)(e_i) = +supertrace(Omega1_i - Omega0_i),
+        # on any pair and on (c, h_dual(c, h))
         rng = random.Random(37)
         for _ in range(6):
             a = rand_algebroid(rng)
@@ -234,15 +245,15 @@ class TestCsCochain:
             basis = boundary_commutant(b)
             c0 = rand_connection(a, b, rng, basis)
             c1 = rand_connection(a, b, rng, basis)
-            cs1 = cs_cochains([c0, c1], 1)[1]
-            for i in range(a.r):
-                want = supertrace(c1.omega[i] - c0.omega[i])
-                assert cs1.get((i,)) == want
+            h = rand_metric(b, rng)
+            dual = h_dual(c0, h)
+            for got, other in ((cs_family([c0, c1], 1)[1], c1), (cs_cochains(c0, h, 1)[1], dual)):
+                for i in range(a.r):
+                    want = supertrace(other.omega[i]) - supertrace(c0.omega[i])
+                    assert got.get((i,)) == want
 
     def test_empty_family(self):
         # an explicit check, so it also runs under python -O
-        with pytest.raises(ValueError, match="at least one connection"):
-            cs_cochains([], 1)
         with pytest.raises(ValueError, match="at least one connection"):
             _affine_curvature([])
 
@@ -251,8 +262,8 @@ class TestCsCochain:
         a = abelian(2)
         c0 = rand_connection(a, GradedBundle(2, 2), rng)
         c1 = rand_connection(a, GradedBundle(2, 1), rng)
-        with pytest.raises(ValueError):
-            cs_cochains([c0, c1], 1)
+        with pytest.raises(ValueError, match="not mutually compatible"):
+            _affine_curvature([c0, c1])
 
 
 def rand_poly_value(re, ro, p, rng, density=0.6):
@@ -309,23 +320,31 @@ class TestCsCochainsOnePass:
     @example(3, 3, False, 0, 2, 1)
     def test_matches_per_q_reference(self, max_q, p, real, seed, re, ro):
         # the integer core against the polynomial-matrix reference; the
-        # q/p factors and the sign flip differ across p = 0..3
-        conns = rand_family(seed, p, real, re, ro)
-        got = cs_cochains(conns, max_q)
+        # q/p factors and the sign flip differ across p = 0..3, and a
+        # pair, (c, h_dual(c, h)), is also the package's own
+        conns, h = rand_family(seed, p, real, re, ro)
+        got = cs_family(conns, max_q)
         assert len(got) == max_q + 1
         for q in range(max_q + 1):
             assert got[q] == reference_cs_cochain(conns, q), (p, q)
+        if p == 1:
+            assert cs_cochains(conns[0], h, max_q) == got
 
     def test_same_cochain_for_every_max_q(self):
-        # max_q sets how much of each power is pruned
+        # max_q sets how much of each power is pruned, and the route of
+        # cs_cochains: the Chern-Simons difference to 2, the chain from 3
         rng = random.Random(41)
         a = so3()
         b = rand_bundle(rng, re=2, ro=1)
         basis = boundary_commutant(b)
         conns = [rand_connection(a, b, rng, basis) for _ in range(3)]
-        forms = cs_cochains(conns, 3)
+        forms = cs_family(conns, 3)
         for q in range(4):
-            assert cs_cochains(conns, q)[q] == forms[q]
+            assert cs_family(conns, q)[q] == forms[q]
+        h = rand_metric(b, rng, real=False)
+        forms = cs_cochains(conns[0], h, 4)
+        for q in range(4):
+            assert cs_cochains(conns[0], h, q)[q] == forms[q]
 
     def test_curvature_built_once(self, monkeypatch):
         # the simplex path builds the affine curvature once; a pair takes
@@ -345,8 +364,11 @@ class TestCsCochainsOnePass:
         for p in (0, 1, 2):
             calls.clear()
             conns = [rand_connection(a, b, rng, basis) for _ in range(p + 1)]
-            cs_cochains(conns, 3)
+            cs_family(conns, 3)
             assert calls == ([] if p == 1 else [p + 1])
+        calls.clear()
+        cs_cochains(conns[0], rand_metric(b, rng), 3)
+        assert calls == []
 
     @pytest.mark.parametrize("real", [True, False])
     def test_unordered_pairs_traced_once(self, monkeypatch, real):
@@ -372,11 +394,11 @@ class TestCsCochainsOnePass:
         monkeypatch.setattr(transgression, "_traced_values", traced_q)
         ordered = 0
         for seed in range(6):
-            conns = rand_family(seed, 1, real)
+            conns, h = rand_family(seed, 1, real)
             curv = _affine_curvature(conns).comps
             pairs = len(transgression._products(curv, curv, 1))
             per_q.clear()
-            got = cs_cochains(conns, 3)
+            got = cs_cochains(conns[0], h, 3)
             assert len(per_q) == 2 and 2 * per_q[0] == pairs
             assert got[2] == reference_cs_cochain(conns, 2)
             ordered += pairs
@@ -386,8 +408,8 @@ class TestCsCochainsOnePass:
         # cs^1 takes traces alone on every pair; at max_q 2 a dual pair
         # multiplies integer rows of c_0 alone, one product per block and
         # frame pair, plus at most two stacked products per parity for T
-        # from the metric, and builds none of c_1's frames; a dual's
-        # frames, built on a read, multiply only nonzero blocks
+        # from the metric, and builds no dual; h_dual multiplies only
+        # nonzero blocks
         calls, traced = [], []
         matrix_mul, row_mul, cs_traces = Matrix.__mul__, transgression._cmatmul, transgression._cs_traces
 
@@ -406,53 +428,60 @@ class TestCsCochainsOnePass:
         monkeypatch.setattr(Matrix, "__mul__", counted_matrix)
         monkeypatch.setattr(transgression, "_cmatmul", counted_rows)
         monkeypatch.setattr(transgression, "_cs_traces", recorded_traces)
+        duals = count_calls(monkeypatch, connections.h_dual)
         for kind in PAIR_KINDS:
             for real in (True, False):
-                conns = rand_pair(kind, 5, real, 2, 1)
-                r = conns[0].algebroid.r
+                c0, c1, h = rand_pair(kind, 5, real, 2, 1)
+                r = c0.algebroid.r
                 calls.clear()
-                cs_cochains(conns, 1)
+                pair_cochains(c0, c1, h, 1)
                 assert calls == [], kind
-                if conns[1].dual_of is not conns[0]:
+                if h is None:
                     continue
                 traced.clear()
-                cs_cochains(conns, 2)
-                assert "Matrix" not in calls and conns[1]._omega is None, kind
+                pair_cochains(c0, c1, h, 2)
+                assert "Matrix" not in calls and duals == [], kind
                 assert len(calls) <= r * (r - 1) + 4, kind
-                f0 = transgression._integer_frames(conns[0])[1]
+                f0 = transgression._integer_frames(c0)[1]
                 assert all(frames == f0 for frames in traced), kind
                 if kind == "pullback":
                     calls.clear()
-                    conns[1].omega
-                    blocks = [m for om in conns[0].omega for m in (om.ee, om.oo)]
+                    h_dual(c0, h)
+                    blocks = [m for om in c0.omega for m in (om.ee, om.oo)]
                     assert any(m.is_zero() for m in blocks)
                     assert calls == ["Matrix"] * 2 * sum(not m.is_zero() for m in blocks)
 
     def test_q0_entry_is_superdimension(self):
+        # the Chern character's q = 0 entry; a pair's is zero
         rng = random.Random(43)
         a = so3()
         for re, ro in ((2, 1), (1, 1), (0, 2)):
             b = GradedBundle(re, ro)
             c = rand_connection(a, b, rng)
-            q0 = cs_cochains([c], 0)[0]
+            q0 = cs_family([c], 0)[0]
             assert q0.degree == 0 and q0.get(()) == Scalar(re - ro)
-            assert cs_cochains([c, c], 0)[0].is_zero()
+            assert cs_family([c, c], 0)[0].is_zero()
+            assert cs_cochains(c, rand_metric(b, rng), 0)[0].is_zero()
 
 
 PAIR_KINDS = ("dual", "lie", "torus", "equal", "pullback", "mixed", "gaussian")
 
+# the kinds of rand_pair whose c_1 is h_dual(c_0, h)
+DUAL_KINDS = ("dual", "lie", "torus", "pullback", "gaussian")
+
 
 def rand_pair(kind, seed, real, rank_even, rank_odd):
-    """A pair of connections of one kind, real or Gaussian:
+    """(c_0, c_1, h): a pair of connections of one kind, real or
+    Gaussian, and the metric h with c_1 = h_dual(c_0, h), or None:
     dual, a random connection and its metric dual;
     lie, the flat adjoint connection of a Lie algebra, whose bundle has
     a 0 x 0 odd block, and its dual;
     torus, the basic connection of a torus times a Lie algebra with a
     zero tm_conn, flat as well, and its dual;
-    equal, one connection twice;
+    equal, one connection twice (no h);
     pullback, a pullback connection and its dual, so that theta_i and
     N_i are zero on the vertical sections;
-    mixed, theta_i = 0, N_i = 0 or neither, index by index;
+    mixed, theta_i = 0, N_i = 0 or neither, index by index (no h);
     gaussian, as dual, on isl2 or the imaginary-trace algebra times a
     small factor, so that the structure constants are complex.
     The other kinds draw algebroids of rank up to 5 and bundles of the
@@ -463,7 +492,8 @@ def rand_pair(kind, seed, real, rank_even, rank_odd):
         if kind == "torus":
             a = direct_product(tangent_torus(rng.randint(1, 2)), a)
         c = adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n)
-        return [c, h_dual(c, rand_metric(c.bundle, rng, real=real))]
+        h = rand_metric(c.bundle, rng, real=real)
+        return c, h_dual(c, h), h
     if kind == "gaussian":
         a = rng.choice([
             isl2(),
@@ -477,14 +507,21 @@ def rand_pair(kind, seed, real, rank_even, rank_odd):
     b = rand_bundle(rng, re=rank_even, ro=rank_odd, real=real)
     c = rand_connection(a, b, rng, real=real)
     if kind == "equal":
-        return [c, c]
+        return c, c, None
     if kind == "mixed":
         d = rand_connection(a, b, rng, real=real)
         omega = [rng.choice((om, -om, dm)) for om, dm in zip(c.omega, d.omega)]
-        return [c, Connection(a, b, omega)]
+        return c, Connection(a, b, omega), None
     if kind == "pullback":
         c = pullback_connection(a, rng.randint(1, 2), c)
-    return [c, h_dual(c, rand_metric(b, rng, real=real))]
+    h = rand_metric(b, rng, real=real)
+    return c, h_dual(c, h), h
+
+
+def pair_cochains(c0, c1, h, max_q):
+    """The package's cs_cochains(c0, h, max_q) for a pair of rand_pair
+    with a metric, and the chain of cs_family for any other pair."""
+    return cs_family([c0, c1], max_q) if h is None else cs_cochains(c0, h, max_q)
 
 
 def integer_form(r, degree, nums, den):
@@ -508,21 +545,21 @@ class TestChernSimonsDifference:
         nonzero = 0
         # seeds 4 to 7 reach so3, where a flat pair's CS forms are nonzero
         for seed in range(4, 8):
-            c0, c1 = rand_pair(kind, seed, real, seed % 3, (seed + 1) % 3)
+            c0, c1, h = rand_pair(kind, seed, real, seed % 3, (seed + 1) % 3)
             a = c0.algebroid
             z = zero_connection(a, c0.bundle)
             want = transgression._simplex_cochains([c0, c1], 2)
-            assert cs_cochains([c0, c1], 2)[1:] == [want[1], want[2]], (kind, seed)
+            assert pair_cochains(c0, c1, h, 2)[1:] == [want[1], want[2]], (kind, seed)
             for c in (c0, c1):
                 d, f = transgression._integer_frames(c)
                 gram, tri = transgression._cs_traces(f)
                 cs = transgression._cs2_form(a, [(1, d**2, gram)], [(1, d**3, tri)])
                 assert cs == transgression._simplex_cochains([z, c], 2)[2], (kind, seed)
                 nonzero += not cs.is_zero()
-            if c1.dual_of is not c0:
+            if h is None:
                 continue
             d0, f0 = transgression._integer_frames(c0)
-            den, t = transgression._metric_transgression(f0, d0, c1.dual_metric)
+            den, t = transgression._metric_transgression(f0, d0, h)
             form = integer_form(a.r, 2, t, den)
             want_t = transgression._simplex_cochains([z, c0, c1], 2)[2]
             assert form == want_t, (kind, seed)
@@ -550,20 +587,20 @@ class TestPairPath:
     @example("torus", 3, False, 0, 0, 0)
     @example("lie", 2, True, 0, 0, 0)
     def test_matches_simplex_path_and_reference(self, kind, max_q, real, seed, re, ro):
-        conns = rand_pair(kind, seed, real, re, ro)
-        got = cs_cochains(conns, max_q)
+        c0, c1, h = rand_pair(kind, seed, real, re, ro)
+        got = pair_cochains(c0, c1, h, max_q)
         assert len(got) == max_q + 1 and got[0].is_zero()
-        simplex = transgression._simplex_cochains(conns, max_q) if max_q else {}
+        simplex = transgression._simplex_cochains([c0, c1], max_q) if max_q else {}
         for q in range(1, max_q + 1):
             assert got[q] == simplex[q], (kind, q)
-            assert got[q] == reference_cs_cochain(conns, q), (kind, q)
+            assert got[q] == reference_cs_cochain([c0, c1], q), (kind, q)
 
     def test_examples_reach_every_term(self):
         # the examples above keep the differential test sharp: each
         # reaches a nonzero cs^3, where Y ^ Y and u^4 enter
         for kind, seed, re, ro in (("dual", 8, 2, 1), ("mixed", 22, 2, 2), ("pullback", 25, 2, 1)):
             for real in (True, False):
-                assert not cs_cochains(rand_pair(kind, seed, real, re, ro), 3)[3].is_zero()
+                assert not pair_cochains(*rand_pair(kind, seed, real, re, ro), 3)[3].is_zero()
 
 
 def real_basic_connection(seed):
@@ -577,14 +614,10 @@ def real_basic_connection(seed):
     return pullback_connection(a, 1, c) if seed % 2 else c
 
 
-# the kinds of rand_pair whose c_1 is h_dual(c_0, h)
-DUAL_KINDS = ("dual", "lie", "torus", "pullback", "gaussian")
-
-
 class TestDualPair:
-    # a pair (c, h_dual(c, h)) takes cs^1 and cs^2 from c's own traces
-    # and the metric; the same frames in a Connection that h_dual did not
-    # make take the chain, and the simplex path is the oracle of both
+    # cs_cochains(c, h) takes cs^1 and cs^2 from c's own traces and the
+    # metric; the chain on the frames of h_dual(c, h) and the simplex
+    # path are its oracles
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         st.sampled_from(DUAL_KINDS),
@@ -600,12 +633,9 @@ class TestDualPair:
     @example("lie", 2, False, 3, 2, 1)
     @example("pullback", 2, True, 0, 2, 1)
     def test_matches_general_path_and_simplex_path(self, kind, max_q, real, seed, re, ro):
-        c0, c1 = rand_pair(kind, seed, real, re, ro)
-        assert c1.dual_of is c0
-        general = Connection(c1.algebroid, c1.bundle, c1.omega)
-        assert general.dual_of is None
-        got = cs_cochains([c0, c1], max_q)
-        assert got == cs_cochains([c0, general], max_q), kind
+        c0, c1, h = rand_pair(kind, seed, real, re, ro)
+        got = cs_cochains(c0, h, max_q)
+        assert got == cs_family([c0, c1], max_q), kind
         simplex = transgression._simplex_cochains([c0, c1], max_q)
         assert got[1:] == [simplex[q] for q in range(1, max_q + 1)], kind
 
@@ -616,45 +646,50 @@ class TestDualPair:
         nonzero = 0
         for seed in range(6):
             for real in (True, False):
-                c0, c1 = rand_pair(kind, seed, real, 2, 1)
-                got = cs_cochains([c0, c1], 2)
-                general = Connection(c1.algebroid, c1.bundle, c1.omega)
-                assert got == cs_cochains([c0, general], 2), (kind, seed, real)
+                c0, c1, h = rand_pair(kind, seed, real, 2, 1)
+                got = cs_cochains(c0, h, 2)
+                assert got == cs_family([c0, c1], 2), (kind, seed, real)
                 nonzero += not got[2].is_zero()
         assert nonzero > 0, kind
 
     def test_real_pair_takes_no_trace(self, monkeypatch):
-        # a real basic connection and its dual under a real metric: cs^2
-        # is decided zero from the provenance and the im of every block
+        # a real basic connection under a real metric: cs^2 is decided
+        # zero from the im of every block of c and h
         a = direct_product(tangent_torus(1), so3())
         c = adjoint_setup(a, [Matrix.identity(a.r)])
         h = rand_metric(c.bundle, random.Random(3), real=True)
-        pair = [c, h_dual(c, h)]
         calls = []
         monkeypatch.setattr(transgression, "_dot", lambda x, y: calls.append(1))
-        got = cs_cochains(pair, 2)
+        got = cs_cochains(c, h, 2)
         assert calls == [] and got[2].is_zero()
         monkeypatch.undo()
-        simplex = transgression._simplex_cochains(pair, 2)
+        simplex = transgression._simplex_cochains([c, h_dual(c, h)], 2)
         assert got[1:] == [simplex[1], simplex[2]]
 
     def test_real_connection_under_gaussian_metric(self):
         # the morita-check case: a real c_0 has a Gaussian dual under a
-        # Gaussian metric, so the dual branch must take T although c_0
-        # alone is real
-        nonzero = 0
+        # Gaussian metric, so cs_cochains must take T although c_0
+        # alone is real; a metric is real only when both of its blocks
+        # are, so a Gaussian block of either parity alone takes T too
+        nonzero = dict.fromkeys(("both", "even", "odd"), 0)
         for seed in range(4):
             c0 = real_basic_connection(seed)
             assert transgression._is_real(c0)
-            h = rand_metric(c0.bundle, random.Random(seed), real=False)
-            dual = h_dual(c0, h)
-            got = cs_cochains([c0, dual], 2)
-            general = Connection(c0.algebroid, c0.bundle, dual.omega)
-            assert got == cs_cochains([c0, general], 2), seed
-            simplex = transgression._simplex_cochains([c0, dual], 2)
-            assert got[1:] == [simplex[1], simplex[2]], seed
-            nonzero += not got[2].is_zero()
-        assert nonzero > 0
+            b = c0.bundle
+            for gaussian in nonzero:
+                rng = random.Random(seed)
+                h = HermitianMetric(
+                    b,
+                    rand_pd_matrix(b.rank_even, rng, real=gaussian == "odd"),
+                    rand_pd_matrix(b.rank_odd, rng, real=gaussian == "even"),
+                )
+                dual = h_dual(c0, h)
+                got = cs_cochains(c0, h, 2)
+                assert got == cs_family([c0, dual], 2), (seed, gaussian)
+                simplex = transgression._simplex_cochains([c0, dual], 2)
+                assert got[1:] == [simplex[1], simplex[2]], (seed, gaussian)
+                nonzero[gaussian] += not got[2].is_zero()
+        assert all(nonzero.values()), nonzero
 
 
 # (kind, real c_0, real metric, seed, even rank, odd rank) with a nonzero
@@ -672,8 +707,8 @@ METRIC_T_EXAMPLES = (
 
 
 class TestMetricTransgression:
-    # a dual pair takes T from c_0's frames and the metric inverse; T
-    # from the forced frames of c_1 by the general formula
+    # cs_cochains takes T from c_0's frames and the metric inverse; T
+    # from the frames of c_1 = h_dual(c_0, h) by the general formula
     # T_ij = str(c_0,i c_1,j) - str(c_0,j c_1,i), and the simplex path,
     # are its oracles
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -693,7 +728,7 @@ class TestMetricTransgression:
     @example(*METRIC_T_EXAMPLES[5])
     @example(*METRIC_T_EXAMPLES[6])
     def test_matches_frames_general_path_and_simplex_path(self, kind, real, real_metric, seed, re, ro):
-        c0, _ = rand_pair(kind, seed, real, re, ro)
+        c0 = rand_pair(kind, seed, real, re, ro)[0]
         h = rand_metric(c0.bundle, random.Random(seed), real=real_metric)
         a = c0.algebroid
         d0, f0 = transgression._integer_frames(c0)
@@ -714,37 +749,30 @@ class TestMetricTransgression:
 
     def test_examples_reach_a_nonzero_t(self):
         for kind, real, real_metric, seed, re, ro in METRIC_T_EXAMPLES:
-            c0, _ = rand_pair(kind, seed, real, re, ro)
+            c0 = rand_pair(kind, seed, real, re, ro)[0]
             h = rand_metric(c0.bundle, random.Random(seed), real=real_metric)
             d0, f0 = transgression._integer_frames(c0)
             assert transgression._metric_transgression(f0, d0, h)[1], kind
 
     def test_gaussian_pair_builds_no_dual_frames(self, monkeypatch):
-        built = []
-        dual_frames = connections._dual_frames
-
-        def recorded(c, h):
-            built.append(1)
-            return dual_frames(c, h)
-
-        monkeypatch.setattr(connections, "_dual_frames", recorded)
+        duals = count_calls(monkeypatch, connections.h_dual)
         nonzero = 0
         for kind in DUAL_KINDS:
             for seed in range(3):
-                c0, c1 = rand_pair(kind, seed, False, 2, 1)
-                got = cs_cochains([c0, c1], 2)
-                assert built == [] and c1._omega is None, (kind, seed)
-                general = Connection(c1.algebroid, c1.bundle, c1.omega)
-                built.clear()
-                assert got == cs_cochains([c0, general], 2), (kind, seed)
+                c0, c1, h = rand_pair(kind, seed, False, 2, 1)
+                got = cs_cochains(c0, h, 2)
+                assert duals == [], (kind, seed)
+                assert got == cs_family([c0, c1], 2), (kind, seed)
                 nonzero += not got[2].is_zero()
         assert nonzero > 0
 
 
 class TestLazyDual:
-    # the frames -H^-1 Omega^* H and the inverses of the metric blocks
-    # wait for the first read of omega; the bundle check does not (see
-    # test_charclasses.py TestIntrinsic, at max_q 1)
+    # cs_cochains builds the dual c^h = h_dual(c, h) only where the chain
+    # reads its frames, from max_q 3 on, and then once; h_dual builds the
+    # frames -H^-1 Omega^* H at once, with the inverses of the metric
+    # blocks they need (see test_charclasses.py TestIntrinsic for the
+    # bundle check)
 
     @staticmethod
     def counted(monkeypatch) -> list:
@@ -772,30 +800,22 @@ class TestLazyDual:
         for kind in DUAL_KINDS:
             for seed in range(4):
                 for real in (True, False):
-                    c0, c1 = rand_pair(kind, seed, real, 2, 1)
-                    h = c1.dual_metric
+                    c0, _, h = rand_pair(kind, seed, real, 2, 1)
                     blocks = [m for om in c0.omega for m in (om.ee, om.oo)]
                     blocks += [h.h_even, h.h_odd]
                     both_real = all(m.im is None for m in blocks)
                     real_pairs += both_real
                     for max_q in (1, 2) if both_real else (1,):
                         calls.clear()
-                        cs_cochains([c0, h_dual(c0, h)], max_q)
+                        cs_cochains(c0, h, max_q)
                         assert calls == [], (kind, seed, max_q)
         assert real_pairs > 0
 
     def test_modular_class_builds_no_dual_frames(self, monkeypatch):
         # max_q 1 under a Gaussian metric: the Chern character multiplies
-        # c's own frames, but the dual's are never built
+        # c's own frames, but no dual is built
         calls = self.counted(monkeypatch)
-        built = []
-        dual_frames = connections._dual_frames
-
-        def recorded(c, h):
-            built.append(1)
-            return dual_frames(c, h)
-
-        monkeypatch.setattr(connections, "_dual_frames", recorded)
+        duals = count_calls(monkeypatch, connections.h_dual)
         for seed in range(3):
             rng = random.Random(seed)
             a = direct_product(tangent_torus(1), rng.choice([so3(), rand_q_family(rng)]))
@@ -803,28 +823,28 @@ class TestLazyDual:
             g = rand_metric(adjoint_setup(a, tm).bundle, rng, real=False)
             calls.clear()
             modular_class(a, tm, g)
-            assert "inverse" not in calls and built == [], seed
+            assert "inverse" not in calls and duals == [], seed
 
-    def test_frames_built_once_on_first_read(self, monkeypatch):
+    def test_frames_built_once_where_the_chain_reads_them(self, monkeypatch):
         calls = self.counted(monkeypatch)
+        duals = count_calls(monkeypatch, connections.h_dual)
         skipped = 0
         for kind in DUAL_KINDS:
             for real in (True, False):
-                c0, c1 = rand_pair(kind, 3, real, 2, 1)
-                h = c1.dual_metric
+                c0, _, h = rand_pair(kind, 3, real, 2, 1)
+                duals.clear()
+                cs_cochains(c0, h, 3)
+                assert duals == [(c0, h)], kind
                 calls.clear()
-                dual = h_dual(c0, h)
-                assert calls == [], kind
-                frames = dual.omega
-                # one inverse per parity with a nonzero frame block
-                live = [
-                    any(not om.ee.is_zero() for om in c0.omega),
-                    any(not om.oo.is_zero() for om in c0.omega),
-                ]
+                frames = h_dual(c0, h).omega
+                # one inverse per parity with a nonzero frame block, and
+                # two products per nonzero block
+                blocks = [[om.ee for om in c0.omega], [om.oo for om in c0.omega]]
+                live = [any(not m.is_zero() for m in part) for part in blocks]
                 assert calls.count("inverse") == sum(live), kind
+                nonzero = sum(not m.is_zero() for part in blocks for m in part)
+                assert calls.count("mul") == 2 * nonzero, kind
                 skipped += not all(live)
-                calls.clear()
-                assert dual.omega is frames and calls == [], kind
                 want = reference_h_dual(c0, h)
                 assert [[ring_matrix(dom.ee), ring_matrix(dom.oo)] for dom in frames] == want, kind
         assert skipped > 0
@@ -833,15 +853,15 @@ class TestLazyDual:
 def check_cs_axioms(a, b, conns, metric, q, rng):
     """One randomized instance of the four transgression axioms."""
     p = len(conns) - 1
-    cs = cs_cochains(conns, q)[q]
+    cs = cs_family(conns, q)[q]
 
     # CS1: the p=0 cochain is the supertraced curvature power
-    assert cs_cochains([conns[0]], q)[q] == supertrace_curvature_power(conns[0], q)
+    assert cs_family([conns[0]], q)[q] == supertrace_curvature_power(conns[0], q)
 
     # CS2: permutations act by their sign
     perm = list(range(p + 1))
     rng.shuffle(perm)
-    lhs = cs_cochains([conns[s] for s in perm], q)[q]
+    lhs = cs_family([conns[s] for s in perm], q)[q]
     rhs = cs
     if perm_sign(perm) == -1:
         rhs = -rhs
@@ -851,7 +871,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
     if p >= 1:
         repeated = list(conns)
         repeated[-1] = repeated[0]
-        assert cs_cochains(repeated, q)[q].is_zero()
+        assert cs_family(repeated, q)[q].is_zero()
 
     # CS3: d cs^q(c_0..c_p) = sum_i (-1)^i cs^q(c_0..omit i..c_p)
     if 2 * q >= p + 1:
@@ -859,7 +879,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
         rhs = AlgebroidForm(a.r, 2 * q - p + 1)
         for i in range(p + 1):
             omitted = conns[:i] + conns[i + 1:]
-            term = cs_cochains(omitted, q)[q]
+            term = cs_family(omitted, q)[q]
             # degree bookkeeping: omitting one connection raises the
             # algebroid degree by one
             rhs = rhs + (term if i % 2 == 0 else -term)
@@ -867,7 +887,7 @@ def check_cs_axioms(a, b, conns, metric, q, rng):
 
     # CS4: duals conjugate the cochain up to (-1)^q
     duals = [h_dual(c, metric) for c in conns]
-    lhs = cs_cochains(duals, q)[q]
+    lhs = cs_family(duals, q)[q]
     rhs = form_conj(cs)
     if q % 2:
         rhs = -rhs
