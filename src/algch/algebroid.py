@@ -188,49 +188,51 @@ def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     """Empty list means the Lie algebroid axioms hold on the nose.
 
     Violations are listed per axiom, each in increasing index order.
+    Every loop walks the nonzero cells of the table only.
     """
     violations = []
     r = a.r
     nz = a.ints
     for i in range(r):
         for j in range(r):
-            if nz[i][j] or nz[j][i]:
+            # the cells are sorted by k with zeros dropped, so one
+            # comparison decides the pair; only a failing pair is split
+            if (nz[i][j] or nz[j][i]) and nz[i][j] != tuple([(k, -x, -y) for k, x, y in nz[j][i]]):
                 got, want = {k: (x, y) for k, x, y in nz[i][j]}, {k: (-x, -y) for k, x, y in nz[j][i]}
-                for k in sorted(got.keys() | want.keys()):
-                    if got.get(k, (0, 0)) != want.get(k, (0, 0)):
-                        violations.append(f"antisymmetry broken at (i,j,k)=({i+1},{j+1},{k+1})")
-    # t[key] + i * ti[key] = sum_m c_ij^m c_mk^l * den ** 2 at key (i, j, k, l), over
-    # nonzero factors only; the Jacobiator at key is t at its rotations of (i, j, k)
-    t, ti = {}, {}
-    for i in range(r):
-        for j in range(r):
-            for m, ur, ui in nz[i][j]:
-                for k in range(r):
-                    for l, vr, vi in nz[m][k]:
-                        key = (i, j, k, l)
-                        t[key] = t.get(key, 0) + ur * vr - ui * vi
-                        if ui or vi:
-                            ti[key] = ti.get(key, 0) + ur * vi + ui * vr
-    keys = set()
-    for i, j, k, l in t:
-        keys.update(((i, j, k, l), (k, i, j, l), (j, k, i, l)))
-    for i, j, k, l in sorted(keys):
-        rotations = ((i, j, k, l), (j, k, i, l), (k, i, j, l))
-        if sum(t.get(x, 0) for x in rotations) or sum(ti.get(x, 0) for x in rotations):
-            violations.append(
-                f"Jacobi broken at (i,j,k,l)=({i+1},{j+1},{k+1},{l+1})"
-            )
+                for k in sorted(k for k in got.keys() | want.keys() if got.get(k, (0, 0)) != want.get(k, (0, 0))):
+                    violations.append(f"antisymmetry broken at (i,j,k)=({i+1},{j+1},{k+1})")
+    # the Jacobiator at (i, j, k, l) is sum_m c_ij^m c_mk^l * den ** 2 summed over the
+    # rotations of (i, j, k), so it is the same at every rotation: one Gaussian
+    # integer sum per rotation class, kept at its least rotation
+    live = [[(k, cell) for k, cell in enumerate(row) if cell] for row in nz]
+    jacobi = {}
+    for i, row in enumerate(live):
+        for j, cell in row:
+            for m, ur, ui in cell:
+                for k, inner in live[m]:
+                    least = min((i, j, k), (j, k, i), (k, i, j))
+                    for l, vr, vi in inner:
+                        key = least + (l,)
+                        x, y = jacobi.get(key, (0, 0))
+                        jacobi[key] = (x + ur * vr - ui * vi, y + ur * vi + ui * vr)
+    broken = set()
+    for (i, j, k, l), sums in jacobi.items():
+        if sums != (0, 0):
+            broken.update(((i, j, k, l), (j, k, i, l), (k, i, j, l)))
+    for i, j, k, l in sorted(broken):
+        violations.append(f"Jacobi broken at (i,j,k,l)=({i+1},{j+1},{k+1},{l+1})")
     # constant coordinate fields commute, so the anchor must kill brackets
-    anchor_im = a.anchor.im or [[0] * r for _ in range(a.n)]
-    for i in range(r):
-        for j in range(r):
-            for m, (xr, xi) in enumerate(zip(a.anchor.re, anchor_im)):
-                acc_re = sum(ur * xr[k] - ui * xi[k] for k, ur, ui in nz[i][j])
-                acc_im = sum(ur * xi[k] + ui * xr[k] for k, ur, ui in nz[i][j])
-                if acc_re or acc_im:
-                    violations.append(
-                        f"anchor compatibility broken at (i,j), coordinate {m+1}"
-                    )
+    if a.n:
+        anchor_im = a.anchor.im or [[0] * r for _ in range(a.n)]
+        for row in live:
+            for _, cell in row:
+                for m, (xr, xi) in enumerate(zip(a.anchor.re, anchor_im)):
+                    acc_re = sum(ur * xr[k] - ui * xi[k] for k, ur, ui in cell)
+                    acc_im = sum(ur * xi[k] + ui * xr[k] for k, ur, ui in cell)
+                    if acc_re or acc_im:
+                        violations.append(
+                            f"anchor compatibility broken at (i,j), coordinate {m+1}"
+                        )
     return violations
 
 
@@ -295,13 +297,59 @@ def _diff_matrix(a: ConstantAlgebroid, k: int) -> Matrix:
 
 
 def betti_numbers(a: ConstantAlgebroid) -> list[int]:
-    """b_k = C(r, k) - rank d_k - rank d_(k-1) for k = 0..r, ranking the
-    sparse integer columns of a d_k at most once.
+    """b_k = dim H^k of the constant complex for k = 0..r, block by block.
+
+    The frame splits into the connected blocks of the bracket table:
+    i, j and k are joined whenever c_ij^k != 0, so each block spans an
+    ideal and two blocks bracket to zero.  The constant complex is then
+    the tensor product of the blocks' complexes, and its Betti vector is
+    the convolution of theirs: H*(g_1 + g_2) = H*(g_1) (x) H*(g_2)
+    (Kunneth; Hochschild and Serre, Trans. AMS 74, 1953).  The anchor
+    never enters: it differentiates constants to zero, so the constant
+    complex is that of the bracket alone, for any n.  A block of one
+    index gives [1, 1]; a larger one is ranked by _ranked_betti on its
+    own table, re-indexed, over the same den.
+    """
+    betti = [1]
+    for block in _blocks(a):
+        if len(block) == 1:
+            b = [1, 1]
+        else:
+            pos = {x: p for p, x in enumerate(block)}
+            table = tuple([
+                tuple([tuple([(pos[k], x, y) for k, x, y in row[j]]) if row[j] else () for j in block])
+                for row in map(a.ints.__getitem__, block)
+            ])
+            b = _ranked_betti(_algebroid(0, len(block), Matrix.zeros(0, len(block)), a.den, table))
+        out = [0] * (len(betti) + len(b) - 1)
+        for p, x in enumerate(betti):
+            for q, y in enumerate(b):
+                out[p + q] += x * y
+        betti = out
+    return betti
+
+
+def _blocks(a: ConstantAlgebroid) -> list:
+    """The connected blocks of a's bracket table, each a sorted index list,
+    in increasing first index: one pass over the nonzero cells joins the
+    blocks of i, j and k for every c_ij^k != 0."""
+    blocks = [{i} for i in range(a.r)]
+    for i, row in enumerate(a.ints):
+        for j, cell in enumerate(row):
+            for k, _, _ in cell:
+                if not blocks[i] is blocks[j] is blocks[k]:
+                    joined = blocks[i] | blocks[j] | blocks[k]
+                    for x in joined:
+                        blocks[x] = joined
+    return [sorted(b) for b in {min(b): b for b in blocks}.values()]
+
+
+def _ranked_betti(a: ConstantAlgebroid) -> list[int]:
+    """b_k = C(r, k) - rank d_k - rank d_(k-1) for k = 0..r on the whole
+    complex of a, ranking the sparse integer columns of a d_k at most once.
 
     Two identities spare ranks; both hold for Gaussian brackets (the
-    trace is the complex trace, the pairing is bilinear) and for n > 0
-    (the anchor kills constants, so the constant complex sees only the
-    bracket):
+    trace is the complex trace, the pairing is bilinear):
     - d e^(all but i) = +-tr(ad e_i) vol with tr ad e_i = sum_j c_ij^j,
       so rank d_(r-1) is 0 if every trace is zero (a unimodular bracket)
       and 1 otherwise;

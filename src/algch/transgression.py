@@ -455,9 +455,8 @@ def _weighted(parts) -> dict:
 def _integer_frames(c) -> tuple:
     """(den, frames) for the connection c, with den the lcm of the
     denominators of its frame matrices.  frames[i] is None when frame
-    matrix i is zero, and otherwise (blocks, left, right): blocks holds
-    its even and odd blocks as Gaussian integer rows (re, im) over den,
-    and left and right are its _flat vectors."""
+    matrix i is zero, and otherwise its even and odd blocks as Gaussian
+    integer rows (re, im) over den."""
     den = lcm(*(m.den for om in c.omega for m in (om.ee, om.oo)))
     frames = []
     for om in c.omega:
@@ -471,7 +470,7 @@ def _integer_frames(c) -> tuple:
                 blocks.append((m.re, m.im))
             else:
                 blocks.append((_lin(m.re, f), None if m.im is None else _lin(m.im, f)))
-        frames.append((blocks, _flat(blocks), _flat(blocks, True)))
+        frames.append(blocks)
     return den, frames
 
 
@@ -507,7 +506,7 @@ def _supertrace(frame) -> tuple:
     """str of an integer frame, or of None (zero), as (re, im)."""
     if frame is None:
         return 0, 0
-    t = [[sum(row[k] for k, row in enumerate(rows)) if rows else 0 for rows in b] for b in frame[0]]
+    t = [[sum(row[k] for k, row in enumerate(rows)) if rows else 0 for rows in b] for b in frame]
     return t[0][0] - t[1][0], t[0][1] - t[1][1]
 
 
@@ -519,20 +518,22 @@ def _cs_traces(frames: list) -> tuple:
     cs_cochains.  One product A_j A_k per pair j < k, except (0, 1),
     which is never a P_jk or a P_ik."""
     live = [i for i, x in enumerate(frames) if x is not None]
+    left = {i: _flat(frames[i]) for i in live}
+    right = {i: _flat(frames[i], True) for i in live}
     gram = {}
     for n, i in enumerate(live):
         for l in live[n:]:
-            gram[i, l] = gram[l, i] = _dot(frames[i][1], frames[l][2])
+            gram[i, l] = gram[l, i] = _dot(left[i], right[l])
     prods = {}
     for j, k in combinations(live, 2):
         if k >= 2:
-            x, y = frames[j][0], frames[k][0]
+            x, y = frames[j], frames[k]
             prods[j, k] = _flat([_cmatmul(x[b], y[b], len(x[b][0])) for b in (0, 1)])
     tri = {}
     for i, j, k in combinations(live, 3):
         # str(A_m P_uv) = str(P_uv A_m)
-        x1, y1 = _dot(prods[j, k], frames[i][2])
-        x2, y2 = _dot(prods[i, k], frames[j][2])
+        x1, y1 = _dot(prods[j, k], right[i])
+        x2, y2 = _dot(prods[i, k], right[j])
         tri[i, j, k] = (2 * (x1 - x2), 2 * (y1 - y2))
     return gram, tri
 
@@ -573,7 +574,7 @@ def _metric_transgression(f0: list, d0: int, h) -> tuple:
     live = [i for i, x in enumerate(f0) if x is not None]
     parts = []
     for b, hb in enumerate((h.h_even, h.h_odd)):
-        blocks = [f0[i][0][b] for i in live]
+        blocks = [f0[i][b] for i in live]
         zero = all(y is None and not any(map(any, x)) for x, y in blocks)
         parts.append((None if zero else inverse(hb), hb, blocks))
     den = lcm(*(g.den * hb.den for g, hb, _ in parts if g is not None))

@@ -20,7 +20,7 @@ from algch.algebroid import (
     direct_product,
     _diff_matrix,
 )
-from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
+from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra, sl3_r3
 
 from helpers import (
     small_corpus,
@@ -54,6 +54,25 @@ PROPERTY_FACTORS = {
     "abelian": lambda rng: abelian(rng.randint(1, 2)),
     "tt": lambda rng: tangent_torus(rng.randint(1, 2)),
 }
+
+
+def shuffled(a, perm):
+    """a in another order of its frame: index i of a becomes perm[i]."""
+    brackets = {
+        (perm[i], perm[j]): {perm[k]: v for k, v in a.bracket(i, j)}
+        for i in range(a.r) for j in range(a.r) if a.ints[i][j]
+    }
+    inv = sorted(range(a.r), key=perm.__getitem__)
+    anchor = Matrix([[row[i] for i in inv] for row in a.anchor.rows], ncols=a.r)
+    return ConstantAlgebroid(a.n, a.r, anchor, brackets)
+
+
+def convolution(x, y):
+    out = [0] * (len(x) + len(y) - 1)
+    for p, u in enumerate(x):
+        for q, v in enumerate(y):
+            out[p + q] += u * v
+    return out
 
 
 def rand_form(a, degree, rng):
@@ -336,13 +355,9 @@ class TestBetti:
         assert got[-1] == 0
         assert got == twisted_betti_numbers(a, trace_character(a))[::-1]
 
-    @pytest.mark.parametrize(
-        "factors, calls",
-        [((so3(), so3(), abelian(2)), 4), ((q_family(1, 0, 0, 1), so3()), 5)],
-        ids=["unimodular rank 8", "not unimodular rank 6"],
-    )
-    def test_rank_calls(self, monkeypatch, factors, calls):
-        # d_0..d_3 on the first; d_0..d_4 on the second, d_5 from the trace
+    @staticmethod
+    def rank_calls(monkeypatch, algebras) -> int:
+        """The _rank calls of betti_numbers over the algebras."""
         counted = []
         rank = algebroid._rank
 
@@ -351,8 +366,76 @@ class TestBetti:
             return rank(vectors, real)
 
         monkeypatch.setattr(algebroid, "_rank", counting)
-        betti_numbers(reduce(direct_product, factors))
-        assert len(counted) == calls
+        for a in algebras:
+            betti_numbers(a)
+        monkeypatch.setattr(algebroid, "_rank", rank)
+        return len(counted)
+
+    @pytest.mark.parametrize(
+        "a, calls",
+        [(so3(), 2), (sl3_r3(), 6), (q_family(1, 0, 0, 1), 2), (lie_algebra(2, {(0, 1): {1: 1}}), 1)],
+        ids=["unimodular rank 3", "unimodular rank 11", "not unimodular rank 3", "not unimodular rank 2"],
+    )
+    def test_rank_calls_on_one_block(self, monkeypatch, a, calls):
+        # d_0..d_((r-1)//2) on a unimodular bracket, and d_0..d_(r-2)
+        # otherwise, d_(r-1) from the trace
+        assert algebroid._blocks(a) == [list(range(a.r))]
+        assert self.rank_calls(monkeypatch, [a]) == calls
+
+    @pytest.mark.parametrize(
+        "factors, calls",
+        [
+            ((so3(), so3(), abelian(2)), 4),
+            ((q_family(1, 0, 0, 1), so3()), 4),
+            ((heisenberg(), abelian(1), isl2()), 4),
+        ],
+        ids=["unimodular rank 8", "not unimodular rank 6", "gaussian rank 7"],
+    )
+    def test_rank_calls(self, monkeypatch, factors, calls):
+        # a product ranks its blocks one by one: a singleton takes no
+        # rank, a larger block the ranks it takes alone
+        assert self.rank_calls(monkeypatch, factors) == calls
+        assert self.rank_calls(monkeypatch, [reduce(direct_product, factors)]) == calls
+
+    def test_sl3_r3(self):
+        # one block of rank 11; H*(sl3) (x) (Lambda R^3*)^sl3 (Hochschild
+        # and Serre 1953) gives (1 + t^3)(1 + t^5)(1 + t^3).  The dense
+        # reference is checked where it is quick: b_4 alone takes it
+        # about 45 s, and b_3 or b_9 several seconds
+        a = sl3_r3()
+        assert algebroid._blocks(a) == [list(range(11))]
+        got = betti_numbers(a)
+        assert got == [1, 0, 0, 2, 0, 1, 1, 0, 2, 0, 0, 1]
+        assert got == convolution(convolution([1, 0, 0, 1], [1, 0, 0, 0, 0, 1]), [1, 0, 0, 1])
+        for k in (0, 1, 2, 10, 11):
+            assert got[k] == reference_betti_number(a, k)
+
+    def test_sl3_r3_times_abelian2(self):
+        a = direct_product(sl3_r3(), abelian(2))
+        assert algebroid._blocks(a) == [list(range(11)), [11], [12]]
+        assert betti_numbers(a) == [1, 2, 1, 2, 4, 3, 3, 3, 3, 4, 2, 1, 2, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(sorted(PROPERTY_FACTORS)), min_size=1, max_size=3))
+    def test_blocks_of_shuffled_products(self, seed, names):
+        # the frame is shuffled, so that the factors' blocks interleave;
+        # the whole table ranked at once is the oracle of the split
+        rng = random.Random(seed)
+        a = reduce(direct_product, [PROPERTY_FACTORS[name](rng) for name in names])
+        perm = list(range(a.r))
+        rng.shuffle(perm)
+        b = shuffled(a, perm)
+        assert validate_algebroid(b) == []
+        blocks = algebroid._blocks(b)
+        assert sorted(i for block in blocks for i in block) == list(range(b.r))
+        for i in range(b.r):
+            for j in range(b.r):
+                for k, _, _ in b.ints[i][j]:
+                    assert any({i, j, k} <= set(block) for block in blocks)
+        got = betti_numbers(b)
+        assert got == betti_numbers(a) == algebroid._ranked_betti(b)
+        if b.r <= 6:
+            assert got == [reference_betti_number(b, k) for k in range(b.r + 1)]
 
     @pytest.mark.parametrize(
         "factors",

@@ -33,7 +33,7 @@ from algch.charclasses import (
 )
 from algch.pullback import pullback_algebroid
 from algch.transgression import cs_cochains
-from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
+from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra, sl3_r3
 
 from helpers import (
     adjoint_connection,
@@ -317,6 +317,14 @@ class TestIntrinsic:
         a = q_family(1, 0, 0, -1)
         for rep in intrinsic_char(a, [], identity_adjoint_metric(a), max_q=2):
             assert rep.is_zero_class
+
+    def test_sl3_r3_third_class_nonzero(self):
+        # sl3 semidirect R^3 is unimodular, so char^1 is ZERO; char^3 is
+        # closed but not exact in its constant complex, where b_3 = 2
+        a = sl3_r3()
+        reports = intrinsic_char(a, [], identity_adjoint_metric(a), max_q=3)
+        assert [rep.is_zero_class for rep in reports] == [True, True, False]
+        assert ce_differential(a, reports[2].representative).is_zero()
 
     def test_tangent_torus_vanishes_identically(self):
         for n in (1, 2, 3):
