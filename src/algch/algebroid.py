@@ -224,14 +224,14 @@ def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     # constant coordinate fields commute, so the anchor must kill brackets
     if a.n:
         anchor_im = a.anchor.im or [[0] * r for _ in range(a.n)]
-        for row in live:
-            for _, cell in row:
+        for i, row in enumerate(live):
+            for j, cell in row:
                 for m, (xr, xi) in enumerate(zip(a.anchor.re, anchor_im)):
                     acc_re = sum(ur * xr[k] - ui * xi[k] for k, ur, ui in cell)
                     acc_im = sum(ur * xi[k] + ui * xr[k] for k, ur, ui in cell)
                     if acc_re or acc_im:
                         violations.append(
-                            f"anchor compatibility broken at (i,j), coordinate {m+1}"
+                            f"anchor compatibility broken at (i,j)=({i+1},{j+1}), coordinate {m+1}"
                         )
     return violations
 

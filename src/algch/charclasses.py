@@ -4,7 +4,8 @@ The intrinsic classes of an algebroid are the secondary classes of its
 basic connection on the adjoint bundle A (+) TM, with the anchor as the
 odd boundary.  The degree-1 class is the modular class; for a Lie
 algebra it is proportional to the trace character x |-> Tr(ad_x).
-Their domain is a real algebroid, decided once, by adjoint_setup.
+Their domain is a real algebroid, decided once, by adjoint_setup.  No
+metric is read: the basic connection's Chern-Simons form alone gives them.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ from .algebroid import (
     coboundary_witness,
     _real_brackets,
 )
-from .connections import (
-    GradedBundle,
-    GradedEndo,
-    Connection,
-    HermitianMetric,
-)
-from .transgression import cs_cochains
+from .connections import GradedBundle, GradedEndo, Connection
+from .transgression import intrinsic_cochains
 
 # Ratio between the degree-1 intrinsic representative and the trace
 # character.  Determined once by running the p=1, q=1 transgression
@@ -65,16 +61,18 @@ class IdentityFailure(Exception):
         self.identity = identity
 
 
-def secondary_class(c: Connection, h: HermitianMetric, max_q: int) -> list[ClassReport]:
-    """Reports for i^(q+1) cs^q(c, c^h), q = 1..max_q, with witnesses.
+def secondary_class(c: Connection, max_q: int) -> list[ClassReport]:
+    """Reports for i^(q+1) ((-1)^q conj CS(c) - CS(c)), q = 1..max_q, with
+    witnesses: the classes of i^(q+1) cs^q(c, c^h) under any metric h,
+    from the Chern-Simons form CS(c) of c alone (intrinsic_cochains).
 
-    Assumes, unchecked, that str(R^q) = 0 as a form for q >= 1 and that
-    every representative is real and closed: theorems for the basic
-    connection of a real algebroid, whose curvature R = -[d01, K_bas]
-    commutes with d01 (Crainic 2003; Arias Abad and Crainic 2012).
+    Assumes, unchecked, real structure constants, str(R^q) = 0 as a form
+    for q >= 1 and every representative real and closed: theorems for
+    the basic connection of a real algebroid, whose curvature R =
+    -[d01, K_bas] commutes with d01 (Crainic 2003; Arias Abad and Crainic 2012).
     """
     reports = []
-    forms = cs_cochains(c, h, max_q)
+    forms = intrinsic_cochains(c, max_q)
     for q in range(1, max_q + 1):
         rep = forms[q].scale(I ** (q + 1))
         reports.append(ClassReport(q, rep, coboundary_witness(c.algebroid, rep)))
@@ -133,12 +131,12 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
     return Connection(a, adjoint_bundle(rho), omega)
 
 
-def intrinsic_char(a: ConstantAlgebroid, tm_conn, g: HermitianMetric, max_q=None) -> list[ClassReport]:
+def intrinsic_char(a: ConstantAlgebroid, tm_conn, max_q=None) -> list[ClassReport]:
     """Secondary classes of the basic connection: the intrinsic classes.
     DomainError if a is not real (adjoint_setup)."""
     if max_q is None:
         max_q = default_max_q(a)
-    return secondary_class(adjoint_setup(a, tm_conn), g, max_q)
+    return secondary_class(adjoint_setup(a, tm_conn), max_q)
 
 
 class ModularResult(NamedTuple):
@@ -146,9 +144,9 @@ class ModularResult(NamedTuple):
     normalized: AlgebroidForm  # for a Lie algebra, the trace character
 
 
-def modular_class(a: ConstantAlgebroid, tm_conn, g: HermitianMetric) -> ModularResult:
+def modular_class(a: ConstantAlgebroid, tm_conn) -> ModularResult:
     """The q=1 intrinsic report, and its representative rescaled so that
     for a Lie algebra it equals the trace character on the nose."""
-    report = intrinsic_char(a, tm_conn, g, max_q=1)[0]
+    report = intrinsic_char(a, tm_conn, max_q=1)[0]
     return ModularResult(report, report.representative.scale(ONE / KAPPA))
 

@@ -93,8 +93,7 @@ def cmd_cohomology(job):
 def cmd_char(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
-    tm = _tm_conn(extras, a)
-    reports = intrinsic_char(a, tm, _metric(extras, adjoint_bundle(a.anchor)), max_q)
+    reports = intrinsic_char(a, _tm_conn(extras, a), max_q)
     lines, out = [], []
     for rep in reports:
         verdict = "ZERO" if rep.is_zero_class else "NONZERO"
@@ -114,8 +113,7 @@ def cmd_char(job):
 
 def cmd_modular(job):
     a, extras = fileio.load_algebroid(job["inputs"][0])
-    tm = _tm_conn(extras, a)
-    result = modular_class(a, tm, _metric(extras, adjoint_bundle(a.anchor)))
+    result = modular_class(a, _tm_conn(extras, a))
     rep = result.report
     verdict = "ZERO" if rep.is_zero_class else "NONZERO"
     return (

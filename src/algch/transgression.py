@@ -3,13 +3,13 @@
 The affine family sum_i t_i nabla_i over M x Delta^p has a curvature
 that is polynomial in the simplex coordinates, plus an extra dt-leg;
 fibre integration of supertraces of its powers produces the cs cochains.
-Every secondary class is the cochain of a connection c and its metric
-dual, which cs_cochains(c, h, max_q) takes without a dt-leg: up to
-q = 2 as a difference of Chern-Simons forms, from traces of c's frame
-matrices and of their products and from the metric inverse, and from
-q = 3 on by the Chern-Simons formula
-cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on frame 2-forms.
-cs_cochains states both identities.
+cs_cochains(c, h, max_q) takes the cochain of a connection c and its
+metric dual without a dt-leg: up to q = 2 as a difference of
+Chern-Simons forms, from traces of c's frame matrices and of their
+products and from the metric inverse, and from q = 3 on by the
+Chern-Simons formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on
+frame 2-forms; it states both identities.  intrinsic_cochains(c, max_q)
+takes a cohomologous cochain from c alone, with no metric.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
 form on (e_{i_1}, ..., e_{i_k}, d/dt_{j_1+1}, ..., d/dt_{j_s+1}),
@@ -36,9 +36,9 @@ from math import factorial, lcm, prod
 from operator import add, mul
 
 from .scalars import Scalar
-from .linalg import _cmatmul, _lin, inverse
+from .linalg import Matrix, _cmatmul, _lin, inverse
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
-from .connections import Connection, GradedBundle, HermitianMetric, h_dual
+from .connections import Connection, GradedBundle, GradedEndo, HermitianMetric, h_dual
 
 
 class AffineForm:
@@ -340,12 +340,41 @@ def cs_cochains(c: Connection, h: HermitianMetric, max_q: int) -> list[Algebroid
     """
     if h.bundle != c.bundle:
         raise ValueError("connection and metric live on different bundles")
+    if max_q >= 3:
+        return _pair_chain([c, h_dual(c, h)], max_q)
+    real = _is_real(c) and h.h_even.im is None and h.h_odd.im is None  # a real dual: no T
+    return _trace_cochains(c, max_q, None if real else h)
+
+
+def intrinsic_cochains(c: Connection, max_q: int) -> list[AlgebroidForm]:
+    """(-1)^q conj CS(c) - CS(c) for q = 0..max_q, with CS(c) = cs^q(z, c)
+    the Chern-Simons form of c alone, z the zero connection.
+
+    On real structure constants it is cohomologous to cs_cochains(c, h)
+    under every metric h: by the triangle (z, c, c^h), cs(c, c^h) =
+    CS(c^h) - CS(c) modulo exact forms, the three being closed when
+    str(R^q) = 0 (Chern and Simons, Ann. Math. 99, 1974), and c^h is
+    similar to -c^* by the constant H, so CS(c^h) = (-1)^q conj CS(c)
+    as ch_q(E^*) = (-1)^q ch_q(E) (Crainic, Comment. Math. Helv. 78, 2003).
+    Up to max_q = 2 it is cs_cochains's trace branch without the metric
+    term, so it differs from cs_cochains(c, h, 2) by exactly dT.  From 3
+    on, CS(c) is _pair_chain on (z, c), and each q is folded with conj.
+    """
+    if max_q < 3:
+        return _trace_cochains(c, max_q)
+    z = [GradedEndo(Matrix.zeros(*om.ee.shape), Matrix.zeros(*om.oo.shape)) for om in c.omega]
+    out = _pair_chain([Connection(c.algebroid, c.bundle, z), c], max_q)
+    for q in range(1, max_q + 1):
+        folded = out[q].map_values(Scalar.conj)
+        out[q] = (folded if q % 2 == 0 else -folded) - out[q]
+    return out
+
+
+def _trace_cochains(c: Connection, max_q: int, h: HermitianMetric = None) -> list[AlgebroidForm]:
+    """cs_cochains's branch up to max_q = 2, CS(-c^*) - CS(c) from c's
+    frame traces, plus dT of the dual pair when the metric h is given."""
     a = c.algebroid
     out = [AlgebroidForm(a.r, 0) for _ in range(max_q + 1)]
-    if max_q >= 3:
-        for q, form in _pair_chain([c, h_dual(c, h)], max_q).items():
-            out[q] = form
-        return out
     if max_q < 1:
         return out
     d0, f0 = _integer_frames(c)
@@ -353,15 +382,14 @@ def cs_cochains(c: Connection, h: HermitianMetric, max_q: int) -> list[Algebroid
         (i,): Scalar(Fraction(-2 * _supertrace(x)[0], d0)) for i, x in enumerate(f0)
     })
     if max_q == 2:
-        # conj(z) - z = -2i Im z for the gram and triple terms; a real
-        # c_0 has none, and a real c_0 under a real metric has a real
-        # dual, so no T either
-        linear, cubic, real = [], [], _is_real(c)
-        if not real:
+        # conj(w) - w = -2i Im w for the gram and triple terms; a real
+        # c_0 has none
+        linear, cubic = [], []
+        if not _is_real(c):
             gram, tri = _cs_traces(f0)
             linear.append((-2, d0**2, _imaginary(gram)))
             cubic.append((-2, d0**3, _imaginary(tri)))
-        if not (real and h.h_even.im is None and h.h_odd.im is None):
+        if h is not None:
             linear.append((-1, *_metric_transgression(f0, d0, h)))
         out[2] = _cs2_form(a, linear, cubic)
     return out
@@ -610,10 +638,11 @@ def _stacked(blocks: list, star=False) -> tuple:
     return re, [row for x, y in blocks for row in ([[0] * len(x)] * len(x) if y is None else y)]
 
 
-def _pair_chain(conns, max_q: int) -> dict:
-    """{q: cs^q} of a pair for q = 1..max_q, by the chain on
-    theta ^ F_t in cs_cochains: the route of cs_cochains from max_q = 3
-    on, on the pair (c, h_dual(c, h)); any other pair takes it too."""
+def _pair_chain(conns, max_q: int) -> list:
+    """cs^q of a pair for q = 0..max_q, cs^0 the zero 0-form, by the
+    chain on theta ^ F_t in cs_cochains: the route of cs_cochains from
+    max_q = 3 on, on the pair (c, h_dual(c, h)), and of
+    intrinsic_cochains, on (z, c); any other pair takes it too."""
     a = conns[0].algebroid
     both, form = [], {}
     for i, (o0, o1) in enumerate(zip(conns[0].omega, conns[1].omega)):
@@ -635,7 +664,7 @@ def _pair_chain(conns, max_q: int) -> dict:
         traced[q] = _traced_values(products)
         if q < max_q:
             form = _wedge_values(products)
-    out = {}
+    out = [AlgebroidForm(a.r, 0)]
     for q, top in traced.items():
         comps = {}
         for (i_idx, _), v in top.items():
@@ -646,5 +675,5 @@ def _pair_chain(conns, max_q: int) -> dict:
                     re += w * x
                     im += w * y
             comps[i_idx] = Scalar(re, im)
-        out[q] = AlgebroidForm(a.r, 2 * q - 1, comps)
+        out.append(AlgebroidForm(a.r, 2 * q - 1, comps))
     return out

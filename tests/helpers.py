@@ -798,7 +798,7 @@ def dense_validate_algebroid(a: ConstantAlgebroid) -> list[str]:
                     acc = acc + c[i][j][k] * a.anchor[m, k]
                 if not acc.is_zero():
                     violations.append(
-                        f"anchor compatibility broken at (i,j), coordinate {m+1}"
+                        f"anchor compatibility broken at (i,j)=({i+1},{j+1}), coordinate {m+1}"
                     )
     return violations
 
@@ -1015,8 +1015,9 @@ def cs_family(conns, max_q: int) -> list[AlgebroidForm]:
         out[0] = AlgebroidForm(a.r, 0, {(): Scalar(bundle.rank_even - bundle.rank_odd)})
     if max_q < 1 or 2 * max_q < p:
         return out
-    cochains = _pair_chain if p == 1 else _simplex_cochains
-    for q, form in cochains(conns, max_q).items():
+    if p == 1:
+        return _pair_chain(conns, max_q)
+    for q, form in _simplex_cochains(conns, max_q).items():
         out[q] = form
     return out
 

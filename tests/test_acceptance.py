@@ -25,6 +25,8 @@ from algch.charclasses import (
     adjoint_setup,
     intrinsic_char,
 )
+from algch.scalars import I
+from algch.transgression import cs_cochains
 from algch.pullback import (
     pullback_algebroid,
     pullback_form,
@@ -50,7 +52,6 @@ from helpers import (
     pullback_connection,
     supertrace_curvature_power,
     trace_character,
-    identity_metric,
     adjoint_metric,
     tm_theta,
     Endo,
@@ -60,11 +61,6 @@ from test_transgression import check_cs_axioms
 
 def report(line):
     print(line, file=sys.stderr)
-
-
-def identity_adjoint_metric(a):
-    bundle = GradedBundle(a.r, a.n, d01=a.anchor)
-    return HermitianMetric(bundle, Matrix.identity(a.r), Matrix.identity(a.n))
 
 
 def balanced_connection(a, m, rng, real=False):
@@ -85,11 +81,11 @@ def test_q_family_dichotomy():
         a = rand_q_family(rng)
         while trace_character(a).is_zero():
             a = rand_q_family(rng)
-        rep = intrinsic_char(a, [], identity_adjoint_metric(a), max_q=1)[0]
+        rep = intrinsic_char(a, [], max_q=1)[0]
         assert not rep.is_zero_class and rep.witness is None
     for _ in range(20):
         a = rand_q_family(rng, trace_zero=True)
-        rep = intrinsic_char(a, [], identity_adjoint_metric(a), max_q=1)[0]
+        rep = intrinsic_char(a, [], max_q=1)[0]
         assert rep.is_zero_class and rep.witness is not None
         assert ce_differential(a, rep.witness) == rep.representative
     report("PASS q-family dichotomy: q=1 class is nonzero iff the trace is")
@@ -99,7 +95,7 @@ def test_tangent_algebroid_vanishing():
     for n in (1, 2, 3):
         a = tangent_torus(n)
         tm = [Matrix.zeros(n, n)] * n
-        for rep in intrinsic_char(a, tm, identity_adjoint_metric(a)):
+        for rep in intrinsic_char(a, tm):
             assert rep.representative.is_zero()
             assert rep.is_zero_class
     report("PASS tangent algebroids: all classes identically zero, n <= 3")
@@ -154,23 +150,23 @@ def test_secondary_classes():
         a = rand_algebroid(rng)
         real = trial % 2 == 0
         c, b = balanced_connection(a, rng.randint(1, 2), rng, real=real)
-        h0 = rand_metric(b, rng, real=real)
-        h1 = rand_metric(b, rng, real=real)
-        r0 = secondary_class(c, h0, 2)
-        r1 = secondary_class(c, h1, 2)
-        for rep0, rep1 in zip(r0, r1):
-            # reality of the representatives
-            for v in rep0.representative.comps.values():
-                assert v.is_real()
-            # metric independence with an explicit witness
-            diff = rep0.representative - rep1.representative
-            w = coboundary_witness(a, diff)
-            assert w is not None
-            assert ce_differential(a, w) == diff
-            # even powers die for real data
-            if real and rep0.q % 2 == 0:
-                assert rep0.is_zero_class
-    report("PASS secondary classes: real, metric-independent, even-q real vanishing")
+        reports = secondary_class(c, 2)
+        for h in (rand_metric(b, rng, real=real), rand_metric(b, rng, real=real)):
+            pair = cs_cochains(c, h, 2)
+            for rep in reports:
+                # reality of the representatives
+                for v in rep.representative.comps.values():
+                    assert v.is_real()
+                # the pair route under the metric h has the same class,
+                # with an explicit witness
+                diff = pair[rep.q].scale(I ** (rep.q + 1)) - rep.representative
+                w = coboundary_witness(a, diff)
+                assert w is not None
+                assert ce_differential(a, w) == diff
+                # even powers die for real data
+                if real and rep.q % 2 == 0:
+                    assert rep.is_zero_class
+    report("PASS secondary classes: real, metric-free, pair route cohomologous, even-q real vanishing")
 
 
 def test_main_example_equivalence():
@@ -216,8 +212,7 @@ def test_so3_triviality():
     a = so3()
     bundle = GradedBundle(3, 0)
     c = adjoint_connection(a, bundle)
-    h = identity_metric(bundle)
-    for rep in secondary_class(c, h, 2):
+    for rep in secondary_class(c, 2):
         assert rep.representative.is_zero()
         assert rep.is_zero_class
     report("PASS so(3): invariant metric kills every secondary representative")
@@ -235,11 +230,13 @@ def test_kappa_universality():
     for a in algebras:
         tc = trace_character(a)
         assert not tc.is_zero()
+        rep = intrinsic_char(a, [], max_q=1)[0].representative
+        assert rep == tc.scale(KAPPA)
         for _ in range(3):
+            # the pair route gives it on the nose under any metric
             bundle = GradedBundle(a.r, 0)
             g = HermitianMetric(bundle, rand_pd_matrix(a.r, rng), Matrix.identity(0))
-            rep = intrinsic_char(a, [], g, max_q=1)[0].representative
-            assert rep == tc.scale(KAPPA)
+            assert -cs_cochains(adjoint_setup(a, []), g, 1)[1] == rep
     assert KAPPA == Scalar(2)
     report("PASS kappa universality: q=1 representative = 2 * trace character")
 

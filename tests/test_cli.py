@@ -32,6 +32,9 @@ from algch.library import abelian, heisenberg, so3, tangent_torus
 
 from helpers import (
     count_calls,
+    dense_brackets,
+    dense_validate_algebroid,
+    from_dense,
     imaginary_trace,
     isl2,
     rand_pd_matrix,
@@ -291,6 +294,25 @@ class TestMalformedDocuments:
         assert status == 1
         assert out.startswith("INVALID")
 
+    def test_anchor_violations_name_their_bracket(self, capsys, tmp_path):
+        # rho(e_2) = rho(e_3) = d/dx on tt1 x so3 fails to kill [e_2, e_4]
+        # = -e_3 and [e_3, e_4] = e_2, in both orders: one distinct line
+        # per ordered pair, as the dense oracle prints them
+        doc = json.loads((INPUTS / "tt1_so3_hermitian.json").read_text())
+        doc["anchor"] = [["0", "1", "1", "0"]]
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        status, out = run_cli(capsys, "validate", f)
+        assert status == 1
+        lines = out.rstrip("\n").removeprefix("INVALID: ").split("; ")
+        a = direct_product(tangent_torus(1), so3())
+        anchor = Matrix([[Scalar(0), Scalar(1), Scalar(1), Scalar(0)]], ncols=4)
+        assert lines == dense_validate_algebroid(from_dense(1, 4, anchor, dense_brackets(a)))
+        assert lines == [
+            f"anchor compatibility broken at (i,j)=({i},{j}), coordinate 1"
+            for i, j in ((2, 4), (3, 4), (4, 2), (4, 3))
+        ]
+
     @pytest.mark.parametrize("name", sorted(DROPPED_INPUT_ERRORS))
     def test_error_names_the_pair_or_key(self, name):
         with pytest.raises(ParseError, match=DROPPED_INPUT_ERRORS[name]):
@@ -545,7 +567,8 @@ class TestBatchDocuments:
 
 class TestCommandSetups:
     """Each command builds its adjoint setups once, and a metric dual
-    only where the chain of max_q >= 3 reads it."""
+    only where the pair chain of cs at max_q >= 3 reads it: char reads
+    no metric."""
 
     @pytest.mark.parametrize(
         "argv, setups",
@@ -576,12 +599,13 @@ class TestCommandSetups:
 
     @pytest.mark.parametrize("command", ["cs", "char"])
     def test_h_dual_calls_at_max_q_3(self, capsys, monkeypatch, command):
-        # one per cochain; morita-check's three are counted in
-        # test_pullback.py TestMoritaAgainstReference
+        # one per cs cochain, none for char, whose chain runs on the basic
+        # connection and the zero connection; morita-check's three are
+        # counted in test_pullback.py TestMoritaAgainstReference
         calls = count_calls(monkeypatch, connections.h_dual)
         status, _ = run_cli(capsys, command, "--max-q", "3", INPUTS / "so3.json")
         assert status == 0
-        assert len(calls) == 1
+        assert len(calls) == {"cs": 1, "char": 0}[command]
 
 
 class TestModularAgainstTopBetti:

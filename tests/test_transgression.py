@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,17 +16,18 @@ from algch.connections import (
     HermitianMetric,
     h_dual,
 )
-from algch import connections, transgression
+from algch import cli, connections, linalg, transgression
 from algch.transgression import (
     AffineForm,
     _affine_curvature,
     fibre_integrate,
     cs_cochains,
+    intrinsic_cochains,
     supertrace_product,
     supertrace_terms,
 )
 from algch.library import abelian, heisenberg, so3, tangent_torus
-from algch.charclasses import adjoint_setup, modular_class
+from algch.charclasses import adjoint_setup, intrinsic_char, modular_class
 
 from helpers import (
     form_conj,
@@ -345,6 +347,11 @@ class TestCsCochainsOnePass:
         forms = cs_cochains(conns[0], h, 4)
         for q in range(4):
             assert cs_cochains(conns[0], h, q)[q] == forms[q]
+        # and of intrinsic_cochains: the trace branch to 2, the chain on
+        # (z, c) from 3, on the nose
+        forms = intrinsic_cochains(conns[0], 4)
+        for q in range(4):
+            assert intrinsic_cochains(conns[0], q)[q] == forms[q]
 
     def test_curvature_built_once(self, monkeypatch):
         # the simplex path builds the affine curvature once; a pair takes
@@ -771,8 +778,7 @@ class TestLazyDual:
     # cs_cochains builds the dual c^h = h_dual(c, h) only where the chain
     # reads its frames, from max_q 3 on, and then once; h_dual builds the
     # frames -H^-1 Omega^* H at once, with the inverses of the metric
-    # blocks they need (see test_charclasses.py TestIntrinsic for the
-    # bundle check)
+    # blocks they need
 
     @staticmethod
     def counted(monkeypatch) -> list:
@@ -791,6 +797,14 @@ class TestLazyDual:
         monkeypatch.setattr(Matrix, "__mul__", counted_mul)
         monkeypatch.setattr(connections, "inverse", counted_inverse)
         return calls
+
+    def test_metric_on_another_bundle_refused(self):
+        # refused by cs_cochains on each route: the Chern-Simons
+        # difference at max_q 1 and 2 and the chain at 3
+        g = HermitianMetric(GradedBundle(3, 1), Matrix.identity(3), Matrix.identity(1))
+        for max_q in (1, 2, 3):
+            with pytest.raises(ValueError, match="different bundles"):
+                cs_cochains(adjoint_setup(so3(), []), g, max_q)
 
     def test_no_products_where_the_frames_are_not_read(self, monkeypatch):
         # a real pair at max_q 2 and any dual pair at max_q 1 take cs^1
@@ -812,18 +826,23 @@ class TestLazyDual:
         assert real_pairs > 0
 
     def test_modular_class_builds_no_dual_frames(self, monkeypatch):
-        # max_q 1 under a Gaussian metric: the Chern character multiplies
-        # c's own frames, but no dual is built
+        # char and modular read no metric: neither h_dual nor an inverse
+        # runs, at any max_q, under the Gaussian g_A of
+        # tt1_so3_hermitian and under real and Gaussian tm_conn
         calls = self.counted(monkeypatch)
+        for module in (linalg, transgression):
+            monkeypatch.setattr(module, "inverse", connections.inverse)
         duals = count_calls(monkeypatch, connections.h_dual)
+        path = Path(__file__).resolve().parent.parent / "inputs" / "tt1_so3_hermitian.json"
+        for argv in (["modular"], ["char", "--max-q", "1"], ["char", "--max-q", "2"], ["char", "--max-q", "3"]):
+            assert cli.main(argv + [str(path)]) == 0
         for seed in range(3):
             rng = random.Random(seed)
             a = direct_product(tangent_torus(1), rng.choice([so3(), rand_q_family(rng)]))
-            tm = rand_tm_conn(a, rng)
-            g = rand_metric(adjoint_setup(a, tm).bundle, rng, real=False)
-            calls.clear()
-            modular_class(a, tm, g)
-            assert "inverse" not in calls and duals == [], seed
+            tm = rand_tm_conn(a, rng, real=seed != 1)
+            modular_class(a, tm)
+            intrinsic_char(a, tm, max_q=3)
+        assert "inverse" not in calls and duals == []
 
     def test_frames_built_once_where_the_chain_reads_them(self, monkeypatch):
         calls = self.counted(monkeypatch)
