@@ -10,10 +10,11 @@ metric is read: the basic connection's Chern-Simons form alone gives them.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .scalars import Scalar, ONE, I
-from .linalg import Matrix, _matrix
+from .linalg import Matrix, _cmatmul, _imag, _lin, _matrix, _reduced
 from .algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
@@ -124,10 +125,23 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
         if g.shape != (a.r, a.r):
             raise ValueError(f"tm_conn[{m}] must be {a.r} x {a.r}, got {g.nrows} x {g.ncols}")
     rho = a.anchor
+    if not a.n:  # T_i rho is zero and rho T_i is 0 x 0
+        zero = Matrix.zeros(0, 0)
+        return Connection(a, adjoint_bundle(rho), [GradedEndo(_ad(a, i), zero) for i in range(a.r)])
+    # T_i over gamma, the tm_conn denominators' lcm; T_i rho and rho T_i over gamma * pi
+    gamma = lcm(*(g.den for g in tm_conn))
+    gp = gamma * rho.den
+    parts = [[(gamma // g.den, g.re) for g in tm_conn], None]
+    if any(g.im is not None for g in tm_conn):
+        parts[1] = [(gamma // g.den, _imag(g)) for g in tm_conn]
     omega = []
     for i in range(a.r):
-        t = Matrix.column_stack(tm_conn, i, a.r)
-        omega.append(GradedEndo(_ad(a, i) + t * rho, rho * t))
+        t = [None if x is None else [[f * y[k][i] for f, y in x] for k in range(a.r)] for x in parts]
+        ad = _ad(a, i)
+        t_rho_re, t_rho_im = _cmatmul(t, (rho.re, None), a.r)
+        even_im = None if t_rho_im is None else _lin(t_rho_im, ad.den)
+        even = _reduced(_lin(ad.re, gp, t_rho_re, ad.den), even_im, ad.den * gp, a.r)
+        omega.append(GradedEndo(even, _reduced(*_cmatmul((rho.re, None), t, a.n), gp, a.n)))
     return Connection(a, adjoint_bundle(rho), omega)
 
 

@@ -139,9 +139,9 @@ def cmd_cs(job):
     out, lines = [], []
     forms = cs_cochains(basic, _metric(extras, basic.bundle), max_q)
     for q in range(1, max_q + 1):
-        form = forms[q]
-        out.append({"q": q, "form": fileio.form_to_json(form)})
-        lines.append(f"cs^{q}: " + ("0" if form.is_zero() else json.dumps(fileio.form_to_json(form))))
+        comps = fileio.form_to_json(forms[q])
+        out.append({"q": q, "form": comps})
+        lines.append(f"cs^{q}: " + (json.dumps(comps) if comps else "0"))
     return {"cochains": out}, 0, lines
 
 

@@ -96,8 +96,11 @@ class HermitianMetric:
 
 
 def check_metric_block(h: Matrix):
-    """ValueError unless h is Hermitian and positive-definite."""
-    if h != h.conj_transpose():
+    """ValueError unless h is Hermitian and positive-definite; Hermitian
+    is decided on the integer rows over h's one denominator."""
+    re, im, n = h.re, h.im, h.ncols
+    pairs = [(i, j) for i in range(n) for j in range(i + 1)]
+    if len(re) != n or any(re[i][j] != re[j][i] or im and im[i][j] != -im[j][i] for i, j in pairs):
         raise ValueError("metric block is not Hermitian")
     if not positive_definite(h):
         raise ValueError("metric block is not positive-definite")

@@ -13,12 +13,13 @@ compares values by cross-multiplying and hash uses the reduced form.
 m[i, j] and m.rows give Scalars.  Rows are lists that are never
 mutated; a product's zero rows may be one shared list.
 
-One dense fraction-free elimination, _eliminate, serves solve,
-nullspace, det and positive_definite.  It works on the same integer
-rows, the real parts alone for real data and the pairs (re, im)
-otherwise; inverse runs the same elimination of [m | I] in place, on
-n + 1 entries a row, and rank runs the sparse _rank that betti_numbers
-runs.
+One dense fraction-free Gauss-Jordan elimination, _eliminate, serves
+solve, nullspace and det.  It works on the same integer rows, the real
+parts alone for real data and the pairs (re, im) otherwise; inverse
+runs the same elimination of [m | I] in place, on n + 1 entries a row,
+and rank runs the sparse _rank that betti_numbers runs.
+positive_definite needs only the leading minors: one forward Bareiss
+pass over the upper triangle, with exact division and no gcd.
 """
 
 from __future__ import annotations
@@ -73,20 +74,6 @@ class Matrix:
         if m0.im is not None or m1.im is not None:
             im = place(_imag(m0), _imag(m1))
         return _matrix(place(m0.re, m1.re), im, den, m0.ncols + m1.ncols)
-
-    @staticmethod
-    def column_stack(mats: list, j: int, nrows: int) -> "Matrix":
-        """The nrows x len(mats) matrix whose column m is column j of
-        mats[m], taken from their integer rows over one denominator."""
-        den = lcm(*(g.den for g in mats))
-
-        def stack(parts):
-            return [[f * x[k][j] for f, x in parts] for k in range(nrows)]
-
-        im = None
-        if any(g.im is not None for g in mats):
-            im = stack([(den // g.den, _imag(g)) for g in mats])
-        return _reduced(stack([(den // g.den, g.re) for g in mats]), im, den, len(mats))
 
     @property
     def nrows(self) -> int:
@@ -579,15 +566,30 @@ def positive_definite(h: Matrix) -> bool:
     """Whether the Hermitian matrix h is positive-definite.
 
     Sylvester's criterion: every leading principal minor is positive.
-    These minors are positive exactly when an elimination without row
-    exchanges finds a pivot in every column and every pivot, a positive
-    multiple of the ratio of two consecutive minors, is positive.
+    Bareiss' fraction-free pass (Math. Comp. 22, 1968) finds them as its
+    pivots, with no row exchange or gcd: after step k, entry (i, j), i, j
+    > k, is the minor of h's integer rows on rows 0..k, i and columns
+    0..k, j, so the division by the previous pivot is exact and entry
+    (k, k) is the (k + 1)-th leading minor.  Entry (j, i) is conj(entry
+    (i, j)) for Hermitian h, so only the upper triangle is updated.
     """
     _square(h, "a definiteness test")
-    re, im = _rows(h)
-    pivots, exchanges, _ = _eliminate(re, im)
-    return (
-        not exchanges
-        and len(pivots) == h.ncols
-        and all(re[k][k] > 0 and (im is None or not im[k][k]) for k in range(h.ncols))
-    )
+    n, prev = h.ncols, 1
+    re, im = [list(row) for row in h.re], h.im and [list(row) for row in h.im]
+    for k in range(n):
+        p, rk = re[k][k], re[k]
+        if p <= 0 or im is not None and im[k][k]:
+            return False
+        for i in range(k + 1, n):
+            ri, f = re[i], rk[i]
+            if im is None:
+                for j in range(i, n):
+                    ri[j] = (p * ri[j] - f * rk[j]) // prev
+                continue
+            # entry (i, k) is conj(entry (k, i)) = f + i g
+            ii, ik, g = im[i], im[k], -im[k][i]
+            for j in range(i, n):
+                ri[j] = (p * ri[j] - f * rk[j] + g * ik[j]) // prev
+                ii[j] = (p * ii[j] - f * ik[j] - g * rk[j]) // prev
+        prev = p
+    return True

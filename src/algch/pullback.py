@@ -145,7 +145,10 @@ def morita_check(
     given, also check that the intrinsic representatives it produces
     differ from the pulled-back ones by exact forms.  The cochains cs^q
     are compared directly: the phase i^(q+1) of the representatives
-    changes neither equality, vanishing nor exactness.
+    changes neither equality, vanishing nor exactness.  At max_q <= 2
+    the perturbed verdict holds by construction (cs^1 reads no metric;
+    the cs^2 differ by d(T_alt - T_bar), T the 2-form cs_cochains takes
+    from alt_metric or g-bar); it has teeth only from max_q 3.
     """
     recipe = submersion_recipe(a, k, tm_conn, g, g_v)
     basic = recipe.basic

@@ -4,11 +4,11 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add
 
 from algch.scalars import Scalar, ZERO, ONE, I
-from algch.linalg import Matrix, nullspace, solve
+from algch.linalg import Matrix, _imag, _reduced, nullspace, solve
 from algch.algebroid import (
     AlgebroidForm,
     ConstantAlgebroid,
@@ -229,6 +229,20 @@ def from_dense(n: int, r: int, anchor: Matrix, c) -> ConstantAlgebroid:
 def column(m, j: int) -> tuple:
     """Column j of a Matrix or RingMatrix."""
     return tuple(m[i, j] for i in range(m.nrows))
+
+
+def column_stack(mats: list, j: int, nrows: int) -> Matrix:
+    """The nrows x len(mats) matrix whose column m is column j of
+    mats[m], taken from their integer rows over one denominator."""
+    den = lcm(*(g.den for g in mats))
+
+    def stack(parts):
+        return [[f * x[k][j] for f, x in parts] for k in range(nrows)]
+
+    im = None
+    if any(g.im is not None for g in mats):
+        im = stack([(den // g.den, _imag(g)) for g in mats])
+    return _reduced(stack([(den // g.den, g.re) for g in mats]), im, den, len(mats))
 
 
 class Endo(GradedEndo):

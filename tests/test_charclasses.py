@@ -32,12 +32,14 @@ from algch.charclasses import (
     modular_class,
     default_max_q,
 )
-from algch.pullback import pullback_algebroid
+from algch.pullback import pullback_algebroid, submersion_recipe
 from algch.transgression import cs_cochains
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra, sl3_r3
 
 from helpers import (
     adjoint_connection,
+    adjoint_metric,
+    rand_rational,
     boundary_commutator,
     chern_character,
     zero_connection,
@@ -248,6 +250,32 @@ class TestAdjointSetup:
         for i, theta in enumerate(tm_theta(a, tm)):
             assert basic.omega[i].ee == dense_ad(a, i) - theta * rho
             assert basic.omega[i].oo == -(rho * theta)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 2), st.booleans())
+    def test_frames_match_matrix_arithmetic(self, seed, n, k, real_tm):
+        # every frame against dense_ad - theta rho and -rho theta in Matrix
+        # arithmetic: a Lie algebra or torus beside an abelian factor with
+        # a random rational anchor on n coordinates, tm_conn matrices with
+        # their own denominators, and the basic connection of the pullback
+        # by k fibre coordinates that submersion_recipe builds
+        rng = random.Random(seed)
+        a = rand_algebroid(rng)
+        if n:
+            m = rng.randint(1, 3)
+            anchor = Matrix([[rand_rational(rng) for _ in range(m)] for _ in range(n)], ncols=m)
+            a = direct_product(ConstantAlgebroid(n, m, anchor, {}), a)
+        tm = [g.scale(Fraction(1, rng.randint(1, 7))) for g in rand_tm_conn(a, rng, real=real_tm)]
+        cases = [(a, tm, adjoint_setup(a, tm))]
+        if k:
+            g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
+            recipe = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+            cases.append((recipe.algebroid, recipe.tm_conn, recipe.basic))
+        for b, tm_b, basic in cases:
+            rho = b.anchor
+            for i, theta in enumerate(tm_theta(b, tm_b)):
+                assert basic.omega[i].ee == dense_ad(b, i) - theta * rho
+                assert basic.omega[i].oo == -(rho * theta)
 
     def test_tangent_torus_flat_recipe(self):
         for n in (1, 2, 3):

@@ -1,9 +1,12 @@
+import copy
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algch.scalars import Scalar, ZERO, ONE, I
-from algch.linalg import Matrix
+from algch.linalg import Matrix, positive_definite
 from algch.algebroid import ce_differential
 from algch.connections import (
     GradedBundle,
@@ -23,6 +26,7 @@ from helpers import (
     rand_connection,
     rand_metric,
     rand_matrix,
+    rand_pd_matrix,
     rand_algebroid,
     rand_tm_conn,
     small_corpus,
@@ -189,6 +193,52 @@ class TestMetric:
                     check_metric_block(h)
             outcomes.add(want)
         assert outcomes == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["definite", "singular", "shifted", "lower", "imaginary diagonal"]),
+    )
+    def test_agrees_with_minors_and_entrywise_test(self, n, seed, real, kind):
+        # Hermitian by conj on Scalars, definite by leading_minors_positive:
+        # c^* c + 1, a singular c^* c, m + m^* + s (either verdict), and a
+        # definite block with one lower or diagonal entry perturbed
+        rng = random.Random(seed)
+        if kind == "singular" and n:
+            c = rand_matrix(rng.randint(0, n - 1), n, rng, real)
+            h = c.conj_transpose() * c
+        elif kind == "shifted":
+            m = rand_matrix(n, n, rng, real)
+            h = m + m.conj_transpose() + Matrix.identity(n).scale(rng.randint(-3, 4))
+        else:
+            h = rand_pd_matrix(n, rng, real)
+        if kind in ("lower", "imaginary diagonal") and n:
+            i = rng.randrange(n)
+            j = i if kind == "imaginary diagonal" else rng.randrange(i + 1)
+            x = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+            d = Scalar(0, x) if j == i or rng.random() < 0.5 else Scalar(x)
+            rows = [list(row) for row in h.rows]
+            rows[i][j] = rows[i][j] + d
+            h = Matrix(rows, ncols=n)
+        e = h.rows
+        hermitian = all(e[i][j] == e[j][i].conj() for i in range(n) for j in range(n))
+        before = (copy.deepcopy(h.re), copy.deepcopy(h.im), h.den)
+        try:
+            check_metric_block(h)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        if not hermitian:
+            assert got == "metric block is not Hermitian"
+        elif not leading_minors_positive(h):
+            assert got == "metric block is not positive-definite"
+        else:
+            assert got is None
+        if hermitian:
+            assert positive_definite(h) == leading_minors_positive(h)
+        assert (h.re, h.im, h.den) == before
 
 
 class TestHDual:

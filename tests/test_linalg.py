@@ -12,6 +12,7 @@ from algch.linalg import Matrix, _rank, det, inverse, nullspace, positive_defini
 
 from helpers import (
     RingMatrix,
+    column_stack,
     dense_matmul,
     leading_minors_positive,
     rand_matrix,
@@ -512,7 +513,7 @@ class TestScalingOperands:
 
 
 class TestColumnStack:
-    """Matrix.column_stack(mats, j, nrows) reads column j of each matrix
+    """helpers.column_stack(mats, j, nrows) reads column j of each matrix
     from its integer rows; it equals the matrix built entry by entry
     from Scalars, representation included."""
 
@@ -527,7 +528,7 @@ class TestColumnStack:
             for _ in range(n)
         ]
         for j in range(r):
-            got = Matrix.column_stack(mats, j, r)
+            got = column_stack(mats, j, r)
             want = Matrix([[g[k, j] for g in mats] for k in range(r)], ncols=n)
             assert got == want
             assert (got.re, got.im, got.den, got.ncols) == (want.re, want.im, want.den, want.ncols)
