@@ -15,8 +15,9 @@ import json
 import os
 import random
 import sys
+from operator import mul
 
-from .linalg import Matrix, _matrix
+from .linalg import Matrix, _reduced
 from .algebroid import betti_numbers
 from .connections import HermitianMetric
 from .transgression import cs_cochains
@@ -61,15 +62,22 @@ def _count_option(opts, name: str, default: int) -> int:
 
 def _random_pd(n: int, rng: random.Random) -> Matrix:
     """m^H m + 1 for an n x n matrix m of entries x/u + i y/v, the four
-    drawn in that order per entry, held as integer rows over 6."""
+    drawn in that order per entry, held as integer rows over 6.  Entry
+    (i, j) over 36 is conj(column i) . column j; it is taken on the
+    upper triangle and mirrored, as m^H m is Hermitian."""
     draws = [
         [(rng.randint(-2, 2), rng.randint(1, 3), rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
         for _ in range(n)
     ]
-    re = [[x * (6 // u) for x, u, _, _ in row] for row in draws]
-    im = [[y * (6 // v) for _, _, y, v in row] for row in draws]
-    m = _matrix(re, im, 6, n)
-    return m.conj_transpose() * m + Matrix.identity(n)
+    a = list(zip(*[[x * (6 // u) for x, u, _, _ in row] for row in draws]))
+    b = list(zip(*[[y * (6 // v) for _, _, y, v in row] for row in draws]))
+    re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            re[i][j] = re[j][i] = sum(map(mul, a[i], a[j])) + sum(map(mul, b[i], b[j])) + 36 * (i == j)
+            im[i][j] = sum(map(mul, a[i], b[j])) - sum(map(mul, b[i], a[j]))
+            im[j][i] = -im[i][j]
+    return _reduced(re, im, 36, n)
 
 
 def cmd_validate(job):
@@ -311,8 +319,9 @@ def main(argv=None) -> int:
             report, status, lines = run(job)
         # written first, since a reader that stops early (head) cuts the printing short
         if args.out:
+            text = json.dumps(report, indent=2)  # a failed encoding leaves no file
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
+                fh.write(text)
     except (ParseError, OSError) as e:
         failure = e
     try:

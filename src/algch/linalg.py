@@ -15,11 +15,12 @@ mutated; a product's zero rows may be one shared list.
 
 One dense fraction-free Gauss-Jordan elimination, _eliminate, serves
 solve, nullspace and det.  It works on the same integer rows, the real
-parts alone for real data and the pairs (re, im) otherwise; inverse
-runs the same elimination of [m | I] in place, on n + 1 entries a row,
-and rank runs the sparse _rank that betti_numbers runs.
-positive_definite needs only the leading minors: one forward Bareiss
-pass over the upper triangle, with exact division and no gcd.
+parts alone for real data and the pairs (re, im) otherwise, and rank
+runs the sparse _rank that betti_numbers runs.  inverse and
+positive_definite take Bareiss passes instead, which divide exactly by
+the previous pivot and take no gcd: inverse one Gauss-Jordan pass that
+builds new rows of [m | den I], positive_definite the forward pass over
+the upper triangle alone, as it needs only the leading minors.
 """
 
 from __future__ import annotations
@@ -483,67 +484,64 @@ def nullspace(m: Matrix) -> list[tuple]:
 def inverse(m: Matrix) -> Matrix:
     """The inverse of a square matrix; ZeroDivisionError if singular.
 
-    _eliminate's elimination of the integer rows [m.re | m.den I], in
-    place on n + 1 entries a row.  When column c is reached, row k holds
-    column order[j] of the right half in slot j < c, the left half from
-    slot c on, and in slot n its pivot if k < c, else its own identity
-    entry, in right-half column order[k]; its other entries are 0.
+    One fraction-free Gauss-Jordan pass of Bareiss (Math. Comp. 22, 1968)
+    over the integer rows [m.re | m.den I], with a row exchange only at a
+    zero pivot.  Step k, with pivot p and previous pivot q, turns every
+    other row into (p * row - f * pivot_row) / q, f its entry in column
+    k, also when f = 0: each row is then the k-th leading minor (of the
+    exchanged rows) times the row that rational elimination holds, so
+    the division is exact and takes no gcd.  Column k is zero off the
+    pivot row from then on and is dropped.  The last pivot c leaves
+    [c I | c m^-1].  A Gaussian q divides as x conj(q) / |q|^2, with
+    conj(q) folded into p and f; on a Hermitian block without exchanges
+    the pivots are its leading minors, which are real.
     """
     _square(m, "an inverse")
     n = m.ncols
-    re = [[*row, m.den] for row in m.re]
-    im = None if m.im is None else [[*row, 0] for row in m.im]
-    order = list(range(n))
-    for c in range(n):
-        pr = next((i for i in range(c, n) if re[i][c] or im and im[i][c]), None)
+    re = [[*row, *(m.den if j == i else 0 for j in range(n))] for i, row in enumerate(m.re)]
+    im = None if m.im is None else [[*row] + [0] * n for row in m.im]
+    q, t = 1, 0
+    for k in range(n):
+        pr = next((i for i in range(k, n) if re[i][0] or im and im[i][0]), None)
         if pr is None:
             raise ZeroDivisionError("matrix is singular")
-        for x in (re, order) if im is None else (re, im, order):
-            x[c], x[pr] = x[pr], x[c]
-        # the pivot moves to slot n and the identity entry to slot c; the
-        # other rows take y + i z, the pivot row without its pivot, and
-        # their slot c becomes their entry in right-half column order[c]
-        for x in (re[c],) if im is None else (re[c], im[c]):
-            x[c], x[n] = x[n], x[c]
-        p, y = re[c][n], re[c][:n] + [0]
+        for x in (re,) if im is None else (re, im):
+            x[k], x[pr] = x[pr], x[k]
+        u, *y = re[k]
         if im is None:
-            a, s = (p, 1) if p > 0 else (-p, -1)
-            for i, row in enumerate(re):
-                if i != c and row[c]:
-                    b = row[c] * s
-                    new = [a * x - b * t for x, t in zip(row, y)]
-                    new[c] -= a * row[c]
-                    g = gcd(*new)
-                    re[i] = [x // g for x in new] if g > 1 else new
+            re = [
+                y if i == k else [(u * a - row[0] * b) // q for a, b in zip(row[1:], y)]
+                for i, row in enumerate(re)
+            ]
+            q = u
             continue
-        v, z = im[c][n], im[c][:n] + [0]
-        a = p * p + v * v
-        for i, (row_re, row_im) in enumerate(zip(re, im)):
-            fr, fi = row_re[c], row_im[c]
-            if i != c and (fr or fi):
-                # b = f * conj(pivot); the new row is a * row - b * (y + i z)
-                br, bi = fr * p + fi * v, fi * p - fr * v
-                new_re = [a * x - br * t + bi * w for x, t, w in zip(row_re, y, z)]
-                new_im = [a * x - br * w - bi * t for x, t, w in zip(row_im, y, z)]
-                new_re[c] -= a * fr
-                new_im[c] -= a * fi
-                g = gcd(*new_re, *new_im)
-                re[i] = [x // g for x in new_re] if g > 1 else new_re
-                im[i] = [x // g for x in new_im] if g > 1 else new_im
-    # row k of m^-1 is row k of the right half over its pivot d
-    slot = sorted(range(n), key=order.__getitem__)
-    if im is None:
-        den = lcm(*(abs(row[n]) for row in re))
-        return _reduced([[row[j] * (den // row[n]) for j in slot] for row in re], None, den, n)
-    # that is times conj(d) / |d|^2, or u + i v = conj(d) * den / |d|^2 over den
-    den = lcm(*(row[n] ** 2 + row_im[n] ** 2 for row, row_im in zip(re, im)))
-    out_re, out_im = [], []
-    for row, row_im in zip(re, im):
-        f = den // (row[n] ** 2 + row_im[n] ** 2)
-        u, v = row[n] * f, -row_im[n] * f
-        out_re.append([row[j] * u - row_im[j] * v for j in slot])
-        out_im.append([row[j] * v + row_im[j] * u for j in slot])
-    return _reduced(out_re, out_im, den, n)
+        v, *z = im[k]
+        pivot, e = (u, v), q
+        if t:
+            u, v, e = u * q + v * t, v * q - u * t, q * q + t * t
+        for i in range(n):
+            if i == k:
+                re[i], im[i] = y, z
+                continue
+            (fr, *xr), (fi, *xi) = re[i], im[i]
+            if t:
+                fr, fi = fr * q + fi * t, fi * q - fr * t
+            if v:
+                re[i] = [(u * a - v * w - fr * b + fi * c) // e for a, w, b, c in zip(xr, xi, y, z)]
+                im[i] = [(u * w + v * a - fr * c - fi * b) // e for a, w, b, c in zip(xr, xi, y, z)]
+            else:
+                re[i] = [(u * a - fr * b + fi * c) // e for a, b, c in zip(xr, y, z)]
+                im[i] = [(u * w - fr * c - fi * b) // e for w, b, c in zip(xi, y, z)]
+        q, t = pivot
+    if t:  # the right half times conj(c) over |c|^2
+        re, im = (
+            [[a * q + w * t for a, w in zip(x, xi)] for x, xi in zip(re, im)],
+            [[w * q - a * t for a, w in zip(x, xi)] for x, xi in zip(re, im)],
+        )
+        q = q * q + t * t
+    elif q < 0:
+        re, im = _lin(re, -1), im and _lin(im, -1)
+    return _reduced(re, im, abs(q), n)
 
 
 def det(m: Matrix) -> Scalar:

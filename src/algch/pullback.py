@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .linalg import Matrix, _matrix
+from .linalg import Matrix, _lin, _matrix
 from .algebroid import (
     ConstantAlgebroid,
     AlgebroidForm,
@@ -102,7 +102,6 @@ def _check_basic_splitting(k, base, basic):
     """nabla-bar^bas = vertical (+) pullback(nabla^bas).  The g-bar dual
     then splits against the base dual by exact block algebra, g-bar
     being block_diag(g_V, g) on each parity, so it is not checked."""
-    vertical = Matrix.zeros(k, k)
     for i in range(k):  # vertical frame sections act by zero
         if not basic.omega[i].is_zero():
             raise IdentityFailure(
@@ -110,14 +109,31 @@ def _check_basic_splitting(k, base, basic):
             )
     for i in range(base.algebroid.r):
         om, bom = basic.omega[k + i], base.omega[i]
-        if om.ee != Matrix.block_diag(vertical, bom.ee):
+        if not _places(om.ee, bom.ee, k, k):
             raise IdentityFailure(
                 "basic splitting", f"even block of hor(e_{i + 1}) does not split"
             )
-        if om.oo != Matrix.block_diag(bom.oo, vertical):
+        if not _places(om.oo, bom.oo, 0, k):
             raise IdentityFailure(
                 "basic splitting", f"odd block of hor(e_{i + 1}) does not split"
             )
+
+
+def _places(m: Matrix, b: Matrix, lo: int, k: int) -> bool:
+    """Whether m = block_diag(0_lo, b, 0_(k - lo)), on the integer rows
+    with the denominators cross-multiplied (im is None exactly when it
+    is zero)."""
+    f, g = b.den, m.den
+    if m.ncols != b.ncols + k or (m.im is None) != (b.im is None):
+        return False
+    zero, left, right = [0] * m.ncols, [0] * lo, [0] * (k - lo)
+    for x, y in ((m.re, b.re), (m.im, b.im)):
+        if x is None:
+            continue
+        want = [zero] * lo + [left + row + right for row in y] + [zero] * (k - lo)
+        if x != want if f == g else _lin(x, f) != _lin(want, g):
+            return False
+    return True
 
 
 class MoritaReport(NamedTuple):

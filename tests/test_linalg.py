@@ -169,18 +169,26 @@ class TestClearedMatrix:
     @settings(max_examples=60)
     @given(st.integers(0, 5), st.sampled_from([0.3, 0.7, 1.0]), st.booleans(), st.integers(0, 2**32))
     def test_inverse_matches_scalar_inverse(self, n, density, real, seed):
-        # sparse matrices need row exchanges; singular ones must raise
+        # sparse matrices need row exchanges; singular ones must raise;
+        # Gaussian ones are not Hermitian, so their pivots are complex in general
         rng = random.Random(seed)
         a = gaussian_matrix(n, n, rng, density, real)
+        # a metric shaped like g-bar, block_diag(g_V, g_A): the rows of
+        # one block have f = 0 at every step of the other
+        gbar = Matrix.block_diag(rand_pd_matrix(rng.randint(0, 2), rng, real=True), rand_pd_matrix(n, rng, real))
+        before = snapshot(a, gbar)
+        assert ring_matrix(inverse(gbar)) == reference_inverse(gbar)
         try:
             want = reference_inverse(a)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 inverse(a)
+            assert snapshot(a, gbar) == before
             return
         got = inverse(a)
         assert ring_matrix(got) == want
         assert got.den > 0
+        assert snapshot(a, gbar) == before
 
     def test_inverse_of_gaussian_metric(self):
         rng = random.Random(7)
@@ -214,16 +222,41 @@ class TestClearedMatrix:
         [[0, 1], [0, 2]],
         [[Scalar(1, 1), 2, 0], [I, Scalar(1, -1), 1], [I, Scalar(3, 1), I]],
         [[0]],
+        # block_diag(g_V, g_A), shaped like g-bar: a real g_V and a Gaussian
+        # Hermitian g_A over 2, whose pivots are its leading minors
+        [
+            [2, 1, 0, 0, 0],
+            [1, 1, 0, 0, 0],
+            [0, 0, 3, Scalar(1, 1), 0],
+            [0, 0, Scalar(1, -1), 2, Scalar(0, Fraction(1, 2))],
+            [0, 0, 0, Scalar(0, Fraction(-1, 2)), 1],
+        ],
+        # rows with f = 0 at steps where the pivot differs from the last
+        # (2 after 1, then 6 after 2): they are still scaled by p / q
+        [[2, 0, 1], [0, 3, 1], [1, 1, 5]],
+        # not Hermitian: the pivots 1 + i and then -3 + i are complex, so
+        # the rows divide by a complex previous pivot
+        [[Scalar(1, 1), 2, 0], [1, I, 3], [2, 1, Scalar(1, -2)]],
+        # the leading 3 x 3 block is singular: a zero pivot at the third
+        # step takes the one row exchange
+        [[2, 1, 0, 0], [1, 3, 0, I], [3, 4, 0, 1], [0, 1, 5, 0]],
+        # negative last pivots (the determinant of the integer rows),
+        # real and Gaussian
+        [[1, 2], [3, 4]],
+        [[-1, I], [-I, 2]],
     ])
     def test_inverse_cases(self, rows):
         m = Matrix(rows, ncols=len(rows))
+        before = snapshot(m)
         try:
             want = reference_inverse(m)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 inverse(m)
+            assert snapshot(m) == before
             return
         got = inverse(m)
+        assert snapshot(m) == before
         assert ring_matrix(got) == want
         # the reduced form, so equal values give equal integer rows
         assert got.den > 0 and gcd(got.den, *chain.from_iterable(got.re), *chain.from_iterable(got.im or ())) == 1

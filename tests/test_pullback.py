@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from algch.scalars import ZERO, ONE
+from algch.scalars import ZERO, ONE, I, Scalar
 from algch.linalg import Matrix
 from algch.algebroid import (
     AlgebroidForm,
@@ -27,6 +28,7 @@ from algch.library import tangent_torus, heisenberg, so3, q_family
 
 from helpers import (
     basis_form,
+    rand_scalar,
     rand_bundle,
     rand_connection,
     rand_pd_matrix,
@@ -230,6 +232,64 @@ class TestBasicSplittingFailures:
         ])
         with pytest.raises(IdentityFailure, match="odd block of hor"):
             _check_basic_splitting(1, other, r.basic)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("where", ["vertical row", "vertical column"])
+    @pytest.mark.parametrize("value", [ONE, Scalar(Fraction(1, 3))], ids=["same den", "den times 3"])
+    def test_even_block_with_one_vertical_entry(self, k, where, value):
+        rng = random.Random(68)
+        a = q_family(1, 2, 3, 4)
+        g = adjoint_metric(a, rand_pd_matrix(3, rng, real=True), Matrix.identity(0))
+        r = submersion_recipe(a, k, rand_tm_conn(a, rng), g, Matrix.identity(k))
+        # hor(e_2)'s even block is block_diag(0_k, the base block) but for
+        # one entry that couples v_k to hor(e_3)
+        omega = list(r.basic.omega)
+        rows = [list(row) for row in omega[k + 1].ee.rows]
+        i, j = (k - 1, k + 2) if where == "vertical row" else (k + 2, k - 1)
+        rows[i][j] = value
+        omega[k + 1] = GradedEndo(Matrix(rows), omega[k + 1].oo)
+        assert (omega[k + 1].ee.den == r.base.omega[1].ee.den) == (value == ONE)
+        bad = Connection(r.basic.algebroid, r.basic.bundle, omega)
+        with pytest.raises(IdentityFailure, match="even block of hor\\(e_2\\)"):
+            _check_basic_splitting(k, r.base, bad)
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+    def test_odd_block_differs_in_imaginary_part(self, gaussian):
+        # the base's odd blocks moved by i, their real parts kept; with a
+        # Gaussian tm_conn both sides have imaginary parts, which differ
+        a = tangent_torus(1)
+        g = Matrix.identity(1)
+        tm = Matrix([[Scalar(Fraction(1, 2), 2 if gaussian else 0)]])
+        r = submersion_recipe(a, 1, [tm], adjoint_metric(a, g, g), g)
+        assert (r.base.omega[0].oo.im is not None) == gaussian
+        other = Connection(r.base.algebroid, r.base.bundle, [
+            GradedEndo(om.ee, om.oo + Matrix([[I]])) for om in r.base.omega
+        ])
+        with pytest.raises(IdentityFailure, match="odd block of hor"):
+            _check_basic_splitting(1, other, r.basic)
+
+    def test_splits_across_denominators(self):
+        # equal values over other denominators: the pullback's frames over
+        # 101 times theirs (a sum with a zero over 101 is not reduced), and
+        # the base's over 103 times theirs, under a Gaussian tm_conn
+        a = small_corpus()["tt1_x_so3"]
+        rng = random.Random(69)
+        tm = [Matrix([[rand_scalar(rng) for _ in range(a.r)] for _ in range(a.r)]) for _ in range(a.n)]
+        g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
+
+        def over(c, d):
+            z = [Matrix.zeros(n, n).scale(Fraction(1, d)) for n in (c.bundle.rank_even, c.bundle.rank_odd)]
+            return Connection(c.algebroid, c.bundle, [GradedEndo(om.ee + z[0], om.oo + z[1]) for om in c.omega])
+
+        for k in (1, 2):
+            r = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+            basic101, base103 = over(r.basic, 101), over(r.base, 103)
+            assert any(om.oo.im is not None for om in r.base.omega)
+            assert all(om.ee.den == 101 * bom.ee.den for om, bom in zip(basic101.omega[k:], r.base.omega))
+            assert all(om.oo.den == 103 * bom.oo.den for om, bom in zip(base103.omega, r.basic.omega[k:]))
+            _check_basic_splitting(k, r.base, basic101)
+            _check_basic_splitting(k, base103, r.basic)
+            _check_basic_splitting(k, base103, basic101)
 
     def test_vertical_section_acting(self):
         a = tangent_torus(1)
