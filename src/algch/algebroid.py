@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb, lcm
 
 from .scalars import Scalar, ZERO, I
-from .linalg import Matrix, _matrix, _rank, solve
+from .linalg import Matrix, _rank, _solve
 
 
 def merge_sign(a, b):
@@ -283,19 +283,6 @@ def ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> AlgebroidForm
     return AlgebroidForm(a.r, omega.degree + 1, comps)
 
 
-def _diff_matrix(a: ConstantAlgebroid, k: int) -> Matrix:
-    """Matrix of d from degree k to degree k+1 on scalar constant forms:
-    column j is d of the j-th basis k-form, in combinations order."""
-    table = _leibniz(a)
-    dom = list(combinations(range(a.r), k))
-    cod_pos = {sum(map((1).__lshift__, c)): i for i, c in enumerate(combinations(range(a.r), k + 1))}
-    re, im = [[0] * len(dom) for _ in cod_pos], [[0] * len(dom) for _ in cod_pos]
-    for j, idx in enumerate(dom):
-        for key, x in _column(table, idx).items():
-            (im if key & 1 else re)[cod_pos[key >> 1]][j] = x
-    return _matrix(re, im, a.den, len(dom))
-
-
 def betti_numbers(a: ConstantAlgebroid) -> list[int]:
     """b_k = dim H^k of the constant complex for k = 0..r, block by block.
 
@@ -376,18 +363,24 @@ def _ranked_betti(a: ConstantAlgebroid) -> list[int]:
 
 def coboundary_witness(a: ConstantAlgebroid, omega: AlgebroidForm):
     """A constant scalar form eta with d eta = omega, or None if omega is
-    not exact in the constant subcomplex.  One linear solve; a form that
-    is not closed has no primitive, so it gets None as well."""
+    not exact in the constant subcomplex (a form that is not closed has no
+    primitive).  linalg._solve on the sparse columns of d_(k-1), as
+    betti_numbers ranks them, gives the one eta that is zero on each basis
+    form whose d is a combination of the d before it in combinations
+    order: the primitive that Gauss-Jordan elimination of the dense
+    matrix of d_(k-1) gives too."""
     k = omega.degree
     if omega.is_zero():
         return AlgebroidForm(a.r, max(k - 1, 0))
     if k == 0:
         return None  # nonzero constants are never exact
-    target = [omega.get(idx) for idx in combinations(range(a.r), k)]
-    x = solve(_diff_matrix(a, k - 1), target)
+    table = _leibniz(a)
+    dom = list(combinations(range(a.r), k - 1))
+    b = [(sum(map((1).__lshift__, idx)), x) for idx, x in omega.comps.items()]
+    x = _solve([_column(table, idx) for idx in dom], b, 2 << a.r, _real_brackets(a), a.den)
     if x is None:
         return None
-    return AlgebroidForm(a.r, k - 1, dict(zip(combinations(range(a.r), k - 1), x)))
+    return AlgebroidForm(a.r, k - 1, dict(zip(dom, x)))
 
 
 def direct_product(a: ConstantAlgebroid, b: ConstantAlgebroid) -> ConstantAlgebroid:

@@ -13,23 +13,27 @@ compares values by cross-multiplying and hash uses the reduced form.
 m[i, j] and m.rows give Scalars.  Rows are lists that are never
 mutated; a product's zero rows may be one shared list.
 
-One dense fraction-free Gauss-Jordan elimination, _eliminate, serves
-solve, nullspace and det.  It works on the same integer rows, the real
-parts alone for real data and the pairs (re, im) otherwise, and rank
-runs the sparse _rank that betti_numbers runs.  inverse and
-positive_definite take Bareiss passes instead, which divide exactly by
-the previous pivot and take no gcd: inverse one Gauss-Jordan pass that
-builds new rows of [m | den I], positive_definite the forward pass over
-the upper triangle alone, as it needs only the leading minors.
+Two eliminations serve the rest.  The sparse echelon insertion
+_echelon, with the gcd of each reduced vector divided out, ranks
+integer vectors keyed by row and part, the real parts alone for real
+data and each vector beside i times it otherwise; marker keys above the
+rows record the combination behind every dependency, so one pass gives
+rank, solve and nullspace here, and algebroid's Betti numbers and
+coboundary witnesses on the CE columns.  Bareiss' fraction-free passes,
+which divide exactly by the previous pivot and take no gcd, serve
+inverse and det (one Gauss-Jordan pass, _bareiss, over the dense rows)
+and positive_definite (the forward pass over the upper triangle alone,
+as it needs only the leading minors).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, inf, lcm
 from operator import mul
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO
 
 
 class Matrix:
@@ -312,201 +316,139 @@ def _cmatmul(x: tuple, y: tuple, ncols: int) -> tuple:
 # Elimination
 
 
-def _rows(m: Matrix) -> tuple:
-    """New outer lists of m's integer rows (re, im), for _eliminate to
-    reorder and replace; the rows themselves are never written to."""
-    return list(m.re), None if m.im is None else list(m.im)
+def _echelon(vectors, lim) -> tuple:
+    """Fraction-free echelon insertion of integer vectors {key: value != 0}
+    over Q, in order: (the pivots by lead, the reduced dependencies).
 
-
-def _eliminate(re: list, im) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of the integer rows re + i
-    im (im is None for real data), in place.
-
-    A pivot p in row k turns every other row with f = row[c] != 0 into
-    (a * row - f * s * rows[k]) / g, where s is sign(p) for real data
-    and conj(p) otherwise, a = p * s > 0, and g > 0 is the gcd of the
-    real and imaginary parts of the result.  Every row therefore stays
-    a positive multiple of the row that rational Gauss-Jordan
-    elimination (no normalisation) would hold, and rows with f = 0 are
-    left alone.  In particular pivot row k ends with a positive
-    multiple of the k-th rational pivot in its pivot column; without
-    row exchanges, that pivot is the ratio of the k-th to the (k-1)-th
-    leading principal minor.
-
-    Returns (pivots, exchanges, scale): the pivot columns in order, the
-    number of row exchanges, and the product of a / g over all row
-    combinations.  For a square matrix of full rank, det = (-1) **
-    exchanges * (product of the final diagonal) / scale.
+    A vector is reduced by the pivot at its least key, the lead, as
+    v <- (a * v - f * p) / g, a and f the leads' values and g the content
+    of the result.  It becomes a pivot if its lead ends below lim, and a
+    dependency if it vanishes or leads with a marker key >= lim: when
+    vector j carries {lim + 2j: 1}, the markers of a dependency are the
+    coefficients of a combination of the vectors that is zero.
     """
-    pivots = []
-    exchanges = 0
-    a_prod = g_prod = 1
-    for c in range(len(re[0]) if re else 0):
-        k = len(pivots)
-        if im is None:
-            pr = next((i for i in range(k, len(re)) if re[i][c]), None)
-        else:
-            pr = next((i for i in range(k, len(re)) if re[i][c] or im[i][c]), None)
-        if pr is None:
-            continue
-        if pr != k:
-            re[k], re[pr] = re[pr], re[k]
-            if im is not None:
-                im[k], im[pr] = im[pr], im[k]
-            exchanges += 1
-        pivot_re = re[k]
-        if im is None:
-            p = pivot_re[c]
-            a, s = (p, 1) if p > 0 else (-p, -1)
-            for i, row in enumerate(re):
-                f = row[c]
-                if i == k or not f:
-                    continue
-                b = f * s
-                new = [a * x - b * y for x, y in zip(row, pivot_re)]
-                g = gcd(*new)
-                if g > 1:
-                    new = [x // g for x in new]
-                    g_prod *= g
-                re[i] = new
-                a_prod *= a
-        else:
-            pivot_im = im[k]
-            u, v = pivot_re[c], pivot_im[c]
-            a = u * u + v * v
-            for i, (row_re, row_im) in enumerate(zip(re, im)):
-                fr, fi = row_re[c], row_im[c]
-                if i == k or not (fr or fi):
-                    continue
-                # b = f * conj(p); the new row is a * row - b * pivot_row
-                br, bi = fr * u + fi * v, fi * u - fr * v
-                new_re = [a * x - br * y + bi * z for x, y, z in zip(row_re, pivot_re, pivot_im)]
-                new_im = [a * x - br * z - bi * y for x, y, z in zip(row_im, pivot_re, pivot_im)]
-                g = gcd(*new_re, *new_im)
-                if g > 1:
-                    new_re = [x // g for x in new_re]
-                    new_im = [x // g for x in new_im]
-                    g_prod *= g
-                re[i], im[i] = new_re, new_im
-                a_prod *= a
-        pivots.append(c)
-        if len(pivots) == len(re):
-            break
-    return pivots, exchanges, Fraction(a_prod, g_prod)
-
-
-def _quotient(re: list, im, k: int, j: int, c: int) -> Scalar:
-    """Entry (k, j) over entry (k, c) != 0 of eliminated rows."""
-    if im is None:
-        return Scalar(Fraction(re[k][j], re[k][c]))
-    x, y, d, e = re[k][j], im[k][j], re[k][c], im[k][c]
-    n = d * d + e * e
-    return Scalar(Fraction(x * d + y * e, n), Fraction(y * d - x * e, n))
-
-
-def _beside(m: Matrix, rhs: Matrix) -> Matrix:
-    """[m | rhs] over the lcm of the two denominators."""
-    den = lcm(m.den, rhs.den)
-    f, g = den // m.den, den // rhs.den
-
-    def join(x, y):
-        return [[f * v for v in r] + [g * v for v in s] for r, s in zip(x, y)]
-
-    im = None
-    if m.im is not None or rhs.im is not None:
-        im = join(_imag(m), _imag(rhs))
-    return _matrix(join(m.re, rhs.re), im, den, m.ncols + rhs.ncols)
-
-
-def _rank(vectors, real: bool) -> int:
-    """Rank over Q(i) of integer vectors {2 * index + part: value != 0}, part 1
-    imaginary (real: no odd key), by fraction-free echelon insertion.  Gaussian data
-    is ranked over Q with i * v beside each v: Q-dimension is 2 * Q(i)-dimension."""
-    if not real:
-        vectors = (w for v in vectors for w in ({k ^ 1: -x if k & 1 else x for k, x in v.items()}, v))
-    pivots = {}
+    pivots, deps = {}, []
     for v in vectors:
-        while v and min(v) in pivots:
-            # v <- (a * v - f * p) / g cancels the lead and divides out the content
-            p = pivots[lead := min(v)]
+        while v and (lead := min(v)) in pivots:
+            p = pivots[lead]
             a, f = p[lead], v[lead]
             v = {k: x for k in v.keys() | p.keys() if (x := a * v.get(k, 0) - f * p.get(k, 0))}
             g = gcd(*v.values())
             if g > 1:
                 v = {k: x // g for k, x in v.items()}
-        if v:
-            pivots[min(v)] = v
+        if v and lead < lim:
+            pivots[lead] = v
+        else:
+            deps.append(v)
+    return pivots, deps
+
+
+def _doubled(vectors):
+    """Each Gaussian vector after i times it, which moves a marker m to m + 1."""
+    for v in vectors:
+        yield {k ^ 1: -x if k & 1 else x for k, x in v.items()}
+        yield v
+
+
+def _rank(vectors, real: bool) -> int:
+    """Rank over Q(i) of integer vectors {2 * index + part: value != 0}, part 1
+    imaginary (real: no odd key), by _echelon over Q, i * v beside each v."""
+    pivots, _ = _echelon(vectors if real else _doubled(vectors), inf)
     return len(pivots) if real else len(pivots) // 2
 
 
+def _marked(columns: list, lim: int, real: bool):
+    """Column j marked {lim + 2j: 1} in place, after i times it unless real."""
+    for j, v in enumerate(columns):
+        v[lim + 2 * j] = 1
+    return columns if real else _doubled(columns)
+
+
+def _coefficients(y: dict, lim: int, n: int, f: Fraction) -> tuple:
+    """f times the Q(i) coefficients of the n marked columns in y."""
+    return tuple(Scalar(y.get(lim + 2 * j, 0) * f, y.get(lim + 2 * j + 1, 0) * f) for j in range(n))
+
+
+def _solve(columns: list, b: list, lim: int, real: bool, den: int) -> tuple | None:
+    """The x over Q(i) with sum_j x_j * columns[j] / den = b that is zero off
+    the pivot columns, those outside the span of the columns before them,
+    or None.  Such an x is unique, so Gauss-Jordan elimination of
+    [columns | b] gives the same.  columns are integer vectors {2 * index
+    + part: value} with keys below the even lim (real: no odd key), marked
+    here; b lists (index, Scalar) pairs.  Cleared by the lcm s of its
+    denominators and marked lim + 2n, b ends a dependency y exactly when
+    it is in the span, and then x_j = -den * c_j / (s * y[lim + 2n]) with
+    c_j the coefficient of columns[j] in y.
+    """
+    n, s = len(columns), lcm(*[d for _, x in b for d in (x.re.denominator, x.im.denominator)])
+    rhs = {2 * i + p: v.numerator * (s // v.denominator) for i, x in b for p, v in enumerate((x.re, x.im)) if v}
+    real = real and not any(k & 1 for k in rhs)
+    rhs[lim + 2 * n] = 1
+    _, deps = _echelon(chain(_marked(columns, lim, real), (rhs,)), lim)
+    y = deps[-1] if deps else {}
+    if lim + 2 * n not in y:
+        return None
+    return _coefficients(y, lim, n, Fraction(-den, s * y[lim + 2 * n]))
+
+
+def _columns(m: Matrix) -> list:
+    """The integer columns of m as vectors {2 * row + part: value}."""
+    cols = [{} for _ in range(m.ncols)]
+    for part, rows in enumerate((m.re, m.im or ())):
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][2 * i + part] = x
+    return cols
+
+
 def rank(m: Matrix) -> int:
-    rows = [{2 * j: x for j, x in enumerate(row) if x} for row in m.re]
-    for row, im in zip(rows, m.im or ()):
-        row.update((2 * j + 1, x) for j, x in enumerate(im) if x)
-    return _rank(rows, m.im is None)
+    return _rank(_columns(m), m.im is None)
 
 
 def solve(m: Matrix, b) -> tuple | None:
-    """One exact solution x of m x = b, or None if inconsistent.
-
-    b is a sequence of m.nrows Scalars; x is a tuple of Scalars.
-    """
+    """One exact solution x of m x = b, or None if inconsistent: _solve's,
+    as a tuple of Scalars; b is a sequence of m.nrows Scalars."""
     b = list(b)
     if len(b) != m.nrows:
         raise ValueError(f"a {_dims(m)} system needs {m.nrows} right-hand sides, got {len(b)}")
-    n = m.ncols
-    re, im = _rows(_beside(m, Matrix([[x] for x in b], ncols=1)))
-    pivots, _, _ = _eliminate(re, im)
-    if pivots and pivots[-1] == n:
-        return None
-    x = [ZERO] * n
-    for k, c in enumerate(pivots):
-        x[c] = _quotient(re, im, k, n, c)
-    return tuple(x)
+    return _solve(_columns(m), list(enumerate(b)), 2 * m.nrows, m.im is None, m.den)
 
 
 def nullspace(m: Matrix) -> list[tuple]:
-    """A basis of ker(m) as tuples of Scalars, one per free column."""
-    re, im = _rows(m)
-    pivots, _, _ = _eliminate(re, im)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivots:
-            continue
-        v = [ZERO] * m.ncols
-        v[f] = ONE
-        for k, c in enumerate(pivots):
-            v[c] = -_quotient(re, im, k, f, c)
-        basis.append(tuple(v))
-    return basis
+    """A basis of ker(m) as tuples of Scalars, one per free column f: the
+    kernel vector with x_f = 1 that is zero off f and the pivot columns.
+    Column f ends a dependency in _echelon (after i times it unless real),
+    whose greatest key is its marker."""
+    n, lim, real = m.ncols, 2 * m.nrows, m.im is None
+    _, deps = _echelon(_marked(_columns(m), lim, real), lim)
+    return [_coefficients(y, lim, n, Fraction(1, y[max(y)])) for y in (deps if real else deps[1::2])]
 
 
-def inverse(m: Matrix) -> Matrix:
-    """The inverse of a square matrix; ZeroDivisionError if singular.
-
-    One fraction-free Gauss-Jordan pass of Bareiss (Math. Comp. 22, 1968)
-    over the integer rows [m.re | m.den I], with a row exchange only at a
+def _bareiss(re: list, im) -> tuple | None:
+    """Bareiss' fraction-free Gauss-Jordan pass (Math. Comp. 22, 1968) over
+    the first n = len(re) columns of the integer rows re + i im (im None
+    for real data), exchanging rows (the outer lists, in place) only at a
     zero pivot.  Step k, with pivot p and previous pivot q, turns every
-    other row into (p * row - f * pivot_row) / q, f its entry in column
-    k, also when f = 0: each row is then the k-th leading minor (of the
-    exchanged rows) times the row that rational elimination holds, so
-    the division is exact and takes no gcd.  Column k is zero off the
-    pivot row from then on and is dropped.  The last pivot c leaves
-    [c I | c m^-1].  A Gaussian q divides as x conj(q) / |q|^2, with
-    conj(q) folded into p and f; on a Hermitian block without exchanges
-    the pivots are its leading minors, which are real.
+    other row into (p * row - f * pivot_row) / q, f its entry in column k,
+    also when f = 0: each row is then the k-th leading minor of the
+    exchanged rows times its row under rational elimination, so q divides
+    exactly, with no gcd, and column k is dropped.  A Gaussian q divides
+    as x conj(q) / |q|^2, conj(q) folded into p and f; the pivots of a
+    Hermitian block are its leading minors, which are real.  Returns (the
+    rows left, the last pivot (q, t) = q + i t, the number of exchanges),
+    or None if the n columns are dependent.
     """
-    _square(m, "an inverse")
-    n = m.ncols
-    re = [[*row, *(m.den if j == i else 0 for j in range(n))] for i, row in enumerate(m.re)]
-    im = None if m.im is None else [[*row] + [0] * n for row in m.im]
-    q, t = 1, 0
+    n = len(re)
+    q, t, exchanges = 1, 0, 0
     for k in range(n):
         pr = next((i for i in range(k, n) if re[i][0] or im and im[i][0]), None)
         if pr is None:
-            raise ZeroDivisionError("matrix is singular")
-        for x in (re,) if im is None else (re, im):
-            x[k], x[pr] = x[pr], x[k]
+            return None
+        if pr != k:
+            exchanges += 1
+            for x in (re,) if im is None else (re, im):
+                x[k], x[pr] = x[pr], x[k]
         u, *y = re[k]
         if im is None:
             re = [
@@ -533,6 +475,21 @@ def inverse(m: Matrix) -> Matrix:
                 re[i] = [(u * a - fr * b + fi * c) // e for a, b, c in zip(xr, y, z)]
                 im[i] = [(u * w - fr * c - fi * b) // e for w, b, c in zip(xi, y, z)]
         q, t = pivot
+    return re, im, (q, t), exchanges
+
+
+def inverse(m: Matrix) -> Matrix:
+    """The inverse of a square matrix; ZeroDivisionError if singular.
+    _bareiss on the integer rows [m.re | m.den I] leaves c m^-1, c the last
+    pivot."""
+    _square(m, "an inverse")
+    n = m.ncols
+    re = [[*row, *(m.den if j == i else 0 for j in range(n))] for i, row in enumerate(m.re)]
+    im = None if m.im is None else [[*row] + [0] * n for row in m.im]
+    done = _bareiss(re, im)
+    if done is None:
+        raise ZeroDivisionError("matrix is singular")
+    re, im, (q, t), _ = done
     if t:  # the right half times conj(c) over |c|^2
         re, im = (
             [[a * q + w * t for a, w in zip(x, xi)] for x, xi in zip(re, im)],
@@ -545,19 +502,15 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> Scalar:
+    """+-c / den ** n, c the last pivot of _bareiss on m's integer rows, by
+    the parity of its row exchanges."""
     _square(m, "a determinant")
-    n = m.ncols
-    re, im = _rows(m)
-    pivots, exchanges, scale = _eliminate(re, im)
-    if len(pivots) < n:
+    done = _bareiss(list(m.re), m.im and list(m.im))
+    if done is None:
         return ZERO
-    d, e = 1, 0
-    for k in range(n):
-        u, v = re[k][k], 0 if im is None else im[k][k]
-        d, e = d * u - e * v, d * v + e * u
-    if exchanges % 2:
-        scale = -scale
-    return Scalar(d, e) / (scale * m.den**n)
+    _, _, (q, t), exchanges = done
+    d = m.den**m.ncols * (-1) ** exchanges
+    return Scalar(Fraction(q, d), Fraction(t, d))
 
 
 def positive_definite(h: Matrix) -> bool:

@@ -8,10 +8,12 @@ from math import comb, factorial, lcm
 from operator import add
 
 from algch.scalars import Scalar, ZERO, ONE, I
-from algch.linalg import Matrix, _imag, _reduced, nullspace, solve
+from algch.linalg import Matrix, _imag, _matrix, _reduced, nullspace, solve
 from algch.algebroid import (
     AlgebroidForm,
     ConstantAlgebroid,
+    _column,
+    _leibniz,
     coboundary_witness,
     direct_product,
     merge_sign,
@@ -768,6 +770,49 @@ def reference_det(m) -> Scalar:
     return d
 
 
+def _domain_matrix(rows: list, ncols: int):
+    """Scalar rows as a sparse sympy DomainMatrix over QQ, or over QQ_I if
+    any entry is not real."""
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    real = all(x.im == 0 for row in rows for x in row)
+
+    def entry(x):
+        re = QQ(x.re.numerator, x.re.denominator)
+        return re if real else QQ_I(re, QQ(x.im.numerator, x.im.denominator))
+
+    dod = {i: {j: entry(x) for j, x in enumerate(row) if not x.is_zero()} for i, row in enumerate(rows)}
+    return DomainMatrix.from_dod({i: row for i, row in dod.items() if row}, (len(rows), ncols), QQ if real else QQ_I)
+
+
+def _scalar(x) -> Scalar:
+    """A sympy QQ or QQ_I element as a Scalar."""
+    parts = (x.x, x.y) if hasattr(x, "y") else (x, 0)
+    return Scalar(*(Fraction(int(p.numerator), int(p.denominator)) if p else Fraction(0) for p in parts))
+
+
+def sympy_solve(m, b) -> tuple | None:
+    """reference_solve's answer, read off sympy's sparse rref of [m | b]:
+    x is zero off the pivot columns.  For systems too large for _rref."""
+    b = list(b)
+    rref, pivots = _domain_matrix([list(r) + [x] for r, x in zip(m.rows, b)], m.ncols + 1).rref()
+    if m.ncols in pivots:
+        return None
+    x = [ZERO] * m.ncols
+    rows = rref.to_sdm()
+    for i, col in enumerate(pivots):
+        x[col] = _scalar(rows[i][m.ncols]) if m.ncols in rows.get(i, {}) else ZERO
+    return tuple(x)
+
+
+def sympy_left_kernel(m) -> list[tuple]:
+    """A basis of the y with y m = 0, as tuples of Scalars, from sympy."""
+    columns = [[m[i, j] for i in range(m.nrows)] for j in range(m.ncols)]
+    basis = _domain_matrix(columns, m.nrows).nullspace().to_list()
+    return [tuple(_scalar(x) for x in y) for y in basis]
+
+
 def leading_minors_positive(h: Matrix) -> bool:
     """Sylvester's criterion minor by minor: every leading principal
     minor of h is real and positive."""
@@ -870,6 +915,40 @@ def dense_ce_differential(a: ConstantAlgebroid, omega: AlgebroidForm) -> Algebro
                     acc = acc + (-term if (s + t) % 2 else term)
         comps[idx] = acc
     return AlgebroidForm(r, k + 1, comps)
+
+
+def diff_matrix(a: ConstantAlgebroid, k: int) -> Matrix:
+    """The dense matrix of d from degree k to degree k+1 on scalar constant
+    forms: column j is d of the j-th basis k-form in combinations order,
+    from the sparse columns that betti_numbers ranks and
+    coboundary_witness solves on."""
+    table = _leibniz(a)
+    dom = list(combinations(range(a.r), k))
+    cod_pos = {sum(map((1).__lshift__, c)): i for i, c in enumerate(combinations(range(a.r), k + 1))}
+    re, im = [[0] * len(dom) for _ in cod_pos], [[0] * len(dom) for _ in cod_pos]
+    for j, idx in enumerate(dom):
+        for key, x in _column(table, idx).items():
+            (im if key & 1 else re)[cod_pos[key >> 1]][j] = x
+    return _matrix(re, im, a.den, len(dom))
+
+
+def dense_ce_transpose(a: ConstantAlgebroid, y: dict, k: int) -> dict:
+    """The functional beta -> y . d beta on k-forms, for y {sorted (k+1)-index:
+    Scalar}, from dense_ce_differential's formula read the other way:
+    (d e^I)(e_J) sums (-1)^(s+t) c_(J_s J_t)^m e^I((m,) + rest) over s < t
+    and m, so each (J, s, t, m) adds to the one I that sorts (m,) + rest.
+    Returns {I: value} without zeros."""
+    c = dense_brackets(a)
+    out = {}
+    for idx, w in y.items():
+        for s, t in combinations(range(k + 1), 2):
+            rest = idx[:s] + idx[s + 1:t] + idx[t + 1:]
+            for m in range(a.r):
+                srt, sign = _sort_sign((m,) + rest)
+                if sign and not c[idx[s]][idx[t]][m].is_zero():
+                    term = w * c[idx[s]][idx[t]][m] * (sign * (-1) ** (s + t))
+                    out[srt] = out[srt] + term if srt in out else term
+    return {i: v for i, v in out.items() if not v.is_zero()}
 
 
 def reference_betti_number(a: ConstantAlgebroid, k: int) -> int:

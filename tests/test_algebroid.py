@@ -18,11 +18,11 @@ from algch.algebroid import (
     betti_numbers,
     coboundary_witness,
     direct_product,
-    _diff_matrix,
 )
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra, sl3_r3
 
 from helpers import (
+    diff_matrix,
     small_corpus,
     rand_algebroid,
     rand_q_family,
@@ -33,6 +33,9 @@ from helpers import (
     from_dense,
     basis_form,
     reference_betti_number,
+    reference_nullspace,
+    reference_solve,
+    sympy_solve,
     column,
     isl2,
     imaginary_trace,
@@ -75,12 +78,10 @@ def convolution(x, y):
     return out
 
 
-def rand_form(a, degree, rng):
+def rand_form(a, degree, rng, real=False):
     f = AlgebroidForm(a.r, degree)
-    from itertools import combinations
-
     for idx in combinations(range(a.r), degree):
-        f = f + basis_form(a.r, idx, rand_scalar(rng))
+        f = f + basis_form(a.r, idx, rand_scalar(rng, real))
     return f
 
 
@@ -493,6 +494,58 @@ class TestCoboundaryWitness:
             assert w is not None
             assert ce_differential(a, w) == omega
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(sorted(PROPERTY_FACTORS)), min_size=2, max_size=4),
+        st.sampled_from(["exact", "closed", "not closed"]),
+        st.booleans(),
+    )
+    def test_witness_equals_dense_solve(self, seed, names, kind, real):
+        # the witness is the dense solve's own answer, zero off the pivot
+        # columns of d_(k-1), not merely some eta with d eta = omega
+        rng = random.Random(seed)
+        a = None
+        for name in names:
+            f = PROPERTY_FACTORS[name](rng)
+            if a is not None and a.r + f.r > 8:
+                break
+            a = f if a is None else direct_product(a, f)
+        k = rng.randint(1, a.r)
+        cod = list(combinations(range(a.r), k))
+        if kind == "exact":
+            omega = ce_differential(a, rand_form(a, k - 1, rng, real))
+        elif kind == "closed":
+            # a combination of a basis of ker d_k: closed, and not exact
+            # unless its class happens to vanish
+            comps = {}
+            for v in reference_nullspace(diff_matrix(a, k)):
+                c = rand_scalar(rng, real)
+                for idx, x in zip(cod, v):
+                    comps[idx] = comps.get(idx, ZERO) + c * x
+            omega = AlgebroidForm(a.r, k, comps)
+        else:
+            omega = rand_form(a, k, rng, real)
+        want = reference_solve(diff_matrix(a, k - 1), [omega.get(idx) for idx in cod])
+        got = coboundary_witness(a, omega)
+        if want is None:
+            assert got is None
+        else:
+            assert got == AlgebroidForm(a.r, k - 1, dict(zip(combinations(range(a.r), k - 1), want)))
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_witness_equals_dense_solve_sl3_r3(self, real):
+        # degree 5 on sl3_r3 x abelian1, rank 12: d_4 is 792 x 495, past
+        # the Scalar row reduction, so sympy's rref gives the dense solve
+        rng = random.Random(30)
+        a = direct_product(sl3_r3(), abelian(1))
+        dom = list(combinations(range(a.r), 4))
+        beta = AlgebroidForm(a.r, 4, {idx: rand_scalar(rng, real) for idx in rng.sample(dom, 12)})
+        omega = ce_differential(a, beta)
+        want = sympy_solve(diff_matrix(a, 4), [omega.get(idx) for idx in combinations(range(a.r), 5)])
+        assert want is not None
+        assert coboundary_witness(a, omega) == AlgebroidForm(a.r, 4, dict(zip(dom, want)))
+
 
 class TestDirectProduct:
     def test_tt1_times_q_family(self):
@@ -686,7 +739,7 @@ class TestSparseAgainstDense:
                 want = Matrix(
                     [[col.get(c) for col in cols] for c in cod], ncols=len(cols)
                 )
-                assert _diff_matrix(a, k) == want
+                assert diff_matrix(a, k) == want
 
     def test_d_squared_zero_on_wide_products(self):
         rng = random.Random(17)
@@ -695,4 +748,4 @@ class TestSparseAgainstDense:
             if a.r < 5:
                 continue
             for k in range(a.r - 1):
-                assert (_diff_matrix(a, k + 1) * _diff_matrix(a, k)).is_zero()
+                assert (diff_matrix(a, k + 1) * diff_matrix(a, k)).is_zero()

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algch.scalars import Scalar
+from algch.scalars import Scalar, ZERO, ONE
 from algch.linalg import Matrix
 from algch.algebroid import (
     AlgebroidForm,
@@ -60,7 +61,10 @@ from helpers import (
     commutes_with_boundary,
     curvature,
     dense_ce_differential,
+    dense_ce_transpose,
+    diff_matrix,
     supertrace_curvature_power,
+    sympy_left_kernel,
     Endo,
 )
 
@@ -170,26 +174,27 @@ class TestSecondaryClass:
 
     def test_one_differential_per_representative(self, monkeypatch, capsys):
         # d of a representative is never computed: closedness is a
-        # theorem; the witness solve builds one matrix of d per nonzero
-        # representative, d_(k-1) for degree k (here cs^2 is zero)
-        computed, built = [], []
-        real_d, real_matrix = algebroid.ce_differential, algebroid._diff_matrix
+        # theorem; the witness takes one elimination per nonzero
+        # representative, on the columns of d_(k-1) for degree k (here
+        # cs^2 is zero, and the one column of d_0 serves char^1)
+        computed, solved = [], []
+        real_d, real_solve = algebroid.ce_differential, algebroid._solve
 
         def counted_d(a, omega):
             computed.append(omega.degree)
             return real_d(a, omega)
 
-        def counted_matrix(a, k):
-            built.append(k)
-            return real_matrix(a, k)
+        def counted_solve(columns, *args):
+            solved.append(len(columns))
+            return real_solve(columns, *args)
 
         monkeypatch.setattr(algebroid, "ce_differential", counted_d)
-        monkeypatch.setattr(algebroid, "_diff_matrix", counted_matrix)
+        monkeypatch.setattr(algebroid, "_solve", counted_solve)
         path = Path(__file__).resolve().parent.parent / "inputs" / "q_family.json"
         assert cli.main(["char", "--max-q", "2", str(path)]) == 0
         assert "char^2" in capsys.readouterr().out
         assert computed == []
-        assert built == [0]
+        assert solved == [1]
 
 
 class TestAdjointSetup:
@@ -356,6 +361,38 @@ class TestIntrinsic:
         reports = intrinsic_char(a, [])
         assert [rep.is_zero_class for rep in reports] == [True, True, False, True, True, True]
         assert ce_differential(a, reports[2].representative).is_zero()
+
+    def test_sl3_r3_third_class_certificate(self):
+        # NONZERO with a certificate: by the Fredholm alternative omega is
+        # not exact exactly when some y has y . d_4 = 0 and y . omega != 0.
+        # y is the sparsest such vector of sympy's basis of the left kernel
+        # of the matrix of d_4; it is checked by dense_ce_differential's
+        # formula alone, so where it came from does not matter
+        a = sl3_r3()
+        rep = intrinsic_char(a, [], max_q=3)[2]
+        omega = rep.representative
+        assert not rep.is_zero_class and rep.witness is None
+
+        def pairing(y, form):
+            return sum((w * form.get(idx) for idx, w in y.items()), ZERO)
+
+        cod = list(combinations(range(a.r), 5))
+        kernel = [{i: w for i, w in zip(cod, v) if not w.is_zero()} for v in sympy_left_kernel(diff_matrix(a, 4))]
+        y = min((y for y in kernel if not pairing(y, omega).is_zero()), key=len)
+        # y . d e^I = 0 for every basis 4-form e^I, all 330 in one
+        # transposed loop rather than 330 full dense_ce_differential passes
+        assert dense_ce_transpose(a, y, 4) == {}
+        # the check has teeth: one coefficient of y changed leaves no
+        # cocycle, and on the 4-forms where that shows, the transposed
+        # loop agrees with dense_ce_differential itself
+        bad = dict(y)
+        bad[min(y)] += ONE
+        shows = dense_ce_transpose(a, bad, 4)
+        assert shows
+        for idx in sorted(shows)[:3]:
+            d = dense_ce_differential(a, basis_form(a.r, idx))
+            assert pairing(y, d).is_zero()
+            assert pairing(bad, d) == shows[idx]
 
     def test_tt1_x_sl3_r3_with_tm_conn(self):
         # the class does not depend on tm_conn: char^3 stays NONZERO

@@ -305,10 +305,10 @@ elimination_args = (
 
 
 class TestElimination:
-    """rank, solve, nullspace, inverse and det, all from the one
-    fraction-free elimination, against the Scalar row reduction, on
-    real and Gaussian data: rectangular, rank-deficient and singular
-    matrices and 0 x k and k x 0 shapes."""
+    """rank, solve and nullspace from the sparse echelon _echelon, and
+    inverse and det from the Bareiss pass _bareiss, against the Scalar
+    row reduction, on real and Gaussian data: rectangular, rank-deficient
+    and singular matrices and 0 x k and k x 0 shapes."""
 
     @settings(max_examples=150, deadline=None)
     @given(*elimination_args)
@@ -399,11 +399,11 @@ def snapshot(*ms):
 
 class TestZeroStructure:
     """The product skips zero rows of its left factor and zero columns of
-    its right factor, and the elimination works on the integer rows in
-    place; whole zero rows and columns, block_diag(0_k, X) and 0 x n /
-    n x 0 shapes must give the oracles' answers on real and Gaussian
-    data, and no kernel may write to its operands' rows (a product
-    shares one zero row among all its zero rows)."""
+    its right factor, and the eliminations build new integer vectors and
+    rows from the operands'; whole zero rows and columns, block_diag(0_k,
+    X) and 0 x n / n x 0 shapes must give the oracles' answers on real
+    and Gaussian data, and no kernel may write to its operands' rows (a
+    product shares one zero row among all its zero rows)."""
 
     @settings(max_examples=100, deadline=None)
     @given(
