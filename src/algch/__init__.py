@@ -23,7 +23,6 @@ from .charclasses import (
     ClassReport,
     DomainError,
     IdentityFailure,
-    secondary_class,
     adjoint_setup,
     intrinsic_char,
     modular_class,

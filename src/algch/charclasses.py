@@ -1,11 +1,12 @@
-"""Secondary and intrinsic characteristic classes.
+"""Intrinsic characteristic classes and the basic connection.
 
 The intrinsic classes of an algebroid are the secondary classes of its
 basic connection on the adjoint bundle A (+) TM, with the anchor as the
 odd boundary.  The degree-1 class is the modular class; for a Lie
 algebra it is proportional to the trace character x |-> Tr(ad_x).
-Their domain is a real algebroid, decided once, by adjoint_setup.  No
-metric is read: the basic connection's Chern-Simons form alone gives them.
+Their domain is a real algebroid, decided by _check_domain.  They are
+taken from the algebroid alone (intrinsic_cochains), with no tm_conn or
+metric; adjoint_setup builds the basic connection for cs and morita-check.
 """
 
 from __future__ import annotations
@@ -14,19 +15,14 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .scalars import Scalar, ONE, I
-from .linalg import Matrix, _cmatmul, _imag, _lin, _matrix, _reduced
-from .algebroid import (
-    ConstantAlgebroid,
-    AlgebroidForm,
-    coboundary_witness,
-    _real_brackets,
-)
+from .linalg import Matrix, _cmatmul, _imag, _lin, _reduced
+from .algebroid import ConstantAlgebroid, AlgebroidForm, coboundary_witness
 from .connections import GradedBundle, GradedEndo, Connection
-from .transgression import intrinsic_cochains
+from .transgression import DomainError, _ad, _check_domain, intrinsic_cochains
 
 # Ratio between the degree-1 intrinsic representative and the trace
-# character.  Determined once by running the p=1, q=1 transgression
-# symbolically (see the regression test); frozen here, not hand-derived.
+# character: the q = 1 class form is -2 c_1 tr ad_i with c_1 = 1
+# (intrinsic_cochains), and i^2 = -1 turns it into 2 tr ad_i.
 KAPPA = Scalar(2)
 
 
@@ -44,11 +40,6 @@ def default_max_q(a: ConstantAlgebroid) -> int:
     return -(-(a.r + a.n + 1) // 2)
 
 
-class DomainError(ValueError):
-    """An algebroid whose anchor or structure constants are not real: it
-    is outside the intrinsic classes' domain, and adjoint_setup refuses it."""
-
-
 class IdentityFailure(Exception):
     """An identity that decides a verdict did not hold.
 
@@ -62,37 +53,9 @@ class IdentityFailure(Exception):
         self.identity = identity
 
 
-def secondary_class(c: Connection, max_q: int) -> list[ClassReport]:
-    """Reports for i^(q+1) ((-1)^q conj CS(c) - CS(c)), q = 1..max_q, with
-    witnesses: the classes of i^(q+1) cs^q(c, c^h) under any metric h,
-    from the Chern-Simons form CS(c) of c alone (intrinsic_cochains).
-
-    Assumes, unchecked, real structure constants, str(R^q) = 0 as a form
-    for q >= 1 and every representative real and closed: theorems for
-    the basic connection of a real algebroid, whose curvature R =
-    -[d01, K_bas] commutes with d01 (Crainic 2003; Arias Abad and Crainic 2012).
-    """
-    reports = []
-    forms = intrinsic_cochains(c, max_q)
-    for q in range(1, max_q + 1):
-        rep = forms[q].scale(I ** (q + 1))
-        reports.append(ClassReport(q, rep, coboundary_witness(c.algebroid, rep)))
-    return reports
-
-
 def adjoint_bundle(anchor: Matrix) -> GradedBundle:
     """A (even) and TM (odd) with the anchor (n x r) as the boundary."""
     return GradedBundle(anchor.ncols, anchor.nrows, d01=anchor)
-
-
-def _ad(a: ConstantAlgebroid, i: int) -> Matrix:
-    """ad_{e_i} of a real algebroid: column j holds the coefficients of
-    [e_i, e_j], read as integers over a.den."""
-    re = [[0] * a.r for _ in range(a.r)]
-    for j, cell in enumerate(a.ints[i]):
-        for k, x, _ in cell:
-            re[k][j] = x
-    return _matrix(re, None, a.den, a.r)
 
 
 def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
@@ -112,12 +75,11 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
     commutes with the anchor because rho ad_{e_i} = 0, the anchor axiom
     that parsing decides.
 
-    The intrinsic classes' domain is decided here, once: an algebroid
-    whose anchor or structure constants are not real gets DomainError.
-    On a real one, what secondary_class assumes holds as a theorem.
+    cs and morita-check transgress it against its metric dual; the
+    intrinsic classes do not need it.  A non-real algebroid gets
+    DomainError (_check_domain), as from intrinsic_char.
     """
-    if a.anchor.im is not None or not _real_brackets(a):
-        raise DomainError("the intrinsic classes need a real anchor and real structure constants")
+    _check_domain(a)
     tm_conn = list(tm_conn)
     if len(tm_conn) != a.n:
         raise ValueError(f"tm_conn needs {a.n} matrices, got {len(tm_conn)}")
@@ -145,12 +107,15 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
     return Connection(a, adjoint_bundle(rho), omega)
 
 
-def intrinsic_char(a: ConstantAlgebroid, tm_conn, max_q=None) -> list[ClassReport]:
-    """Secondary classes of the basic connection: the intrinsic classes.
-    DomainError if a is not real (adjoint_setup)."""
+def intrinsic_char(a: ConstantAlgebroid, max_q=None) -> list[ClassReport]:
+    """Reports for i^(q+1) intrinsic_cochains(a)[q], q = 1..max_q, each
+    with its witness if it is exact: the classes of i^(q+1) cs^q(c, c^h)
+    for the basic connection c of any tm_conn and any metric h
+    (Crainic 2003).  DomainError if a is not real."""
     if max_q is None:
         max_q = default_max_q(a)
-    return secondary_class(adjoint_setup(a, tm_conn), max_q)
+    reps = [form.scale(I ** (q + 1)) for q, form in enumerate(intrinsic_cochains(a, max_q))]
+    return [ClassReport(q, rep, coboundary_witness(a, rep)) for q, rep in enumerate(reps) if q]
 
 
 class ModularResult(NamedTuple):
@@ -158,9 +123,9 @@ class ModularResult(NamedTuple):
     normalized: AlgebroidForm  # for a Lie algebra, the trace character
 
 
-def modular_class(a: ConstantAlgebroid, tm_conn) -> ModularResult:
+def modular_class(a: ConstantAlgebroid) -> ModularResult:
     """The q=1 intrinsic report, and its representative rescaled so that
     for a Lie algebra it equals the trace character on the nose."""
-    report = intrinsic_char(a, tm_conn, max_q=1)[0]
+    report = intrinsic_char(a, max_q=1)[0]
     return ModularResult(report, report.representative.scale(ONE / KAPPA))
 

@@ -99,9 +99,9 @@ def cmd_cohomology(job):
 
 
 def cmd_char(job):
-    a, extras = fileio.load_algebroid(job["inputs"][0])
+    a, _ = fileio.load_algebroid(job["inputs"][0])
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
-    reports = intrinsic_char(a, _tm_conn(extras, a), max_q)
+    reports = intrinsic_char(a, max_q)
     lines, out = [], []
     for rep in reports:
         verdict = "ZERO" if rep.is_zero_class else "NONZERO"
@@ -120,8 +120,8 @@ def cmd_char(job):
 
 
 def cmd_modular(job):
-    a, extras = fileio.load_algebroid(job["inputs"][0])
-    result = modular_class(a, _tm_conn(extras, a))
+    a, _ = fileio.load_algebroid(job["inputs"][0])
+    result = modular_class(a)
     rep = result.report
     verdict = "ZERO" if rep.is_zero_class else "NONZERO"
     return (

@@ -1,15 +1,12 @@
 """Transgression cochains.
 
-The affine family sum_i t_i nabla_i over M x Delta^p has a curvature
-that is polynomial in the simplex coordinates, plus an extra dt-leg;
-fibre integration of supertraces of its powers produces the cs cochains.
-cs_cochains(c, h, max_q) takes the cochain of a connection c and its
-metric dual without a dt-leg: up to q = 2 as a difference of
-Chern-Simons forms, from traces of c's frame matrices and of their
-products and from the metric inverse, and from q = 3 on by the
-Chern-Simons formula cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on
-frame 2-forms; it states both identities.  intrinsic_cochains(c, max_q)
-takes a cohomologous cochain from c alone, with no metric.
+cs_cochains(c, h, max_q) takes cs^q of a connection c and its metric
+dual: up to q = 2 as a difference of Chern-Simons forms from traces of
+c's frames and the metric inverse, from q = 3 on by the chain
+cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on frame 2-forms.
+intrinsic_cochains(a, max_q) runs the same chain on the flat ad (+) 0
+of the algebroid alone.  The affine family sum_i t_i nabla_i over
+M x Delta^p, whose curvature has an extra dt-leg, is the tests' oracle.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
 form on (e_{i_1}, ..., e_{i_k}, d/dt_{j_1+1}, ..., d/dt_{j_s+1}),
@@ -24,8 +21,9 @@ polynomial in t_1, ..., t_p with graded-endomorphism coefficients,
 at p = 1 the curvature is R0 + t R1 + t^2 R2.  Its supertrace is
 {exponent tuple: (re, im)} with exact rational parts.  Zero monomials
 are left out of both.  The fibre integral weights each monomial once,
-and Scalars are built only for the resulting AlgebroidForm.  The pair
-chain keys its values the same way, by the exponent (m,) of u = 2t - 1.
+and Scalars are built only for the resulting AlgebroidForm.  The chain
+keys its values the same way: by the exponent (m,) of u = 2t - 1 for
+a pair, and by (0,) for ad (+) 0.
 """
 
 from __future__ import annotations
@@ -36,9 +34,9 @@ from math import factorial, lcm, prod
 from operator import add, mul
 
 from .scalars import Scalar
-from .linalg import Matrix, _cmatmul, _lin, inverse
-from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign
-from .connections import Connection, GradedBundle, GradedEndo, HermitianMetric, h_dual
+from .linalg import Matrix, _cmatmul, _lin, _matrix, inverse
+from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign, _real_brackets
+from .connections import Connection, GradedBundle, HermitianMetric, h_dual
 
 
 class AffineForm:
@@ -346,27 +344,53 @@ def cs_cochains(c: Connection, h: HermitianMetric, max_q: int) -> list[Algebroid
     return _trace_cochains(c, max_q, None if real else h)
 
 
-def intrinsic_cochains(c: Connection, max_q: int) -> list[AlgebroidForm]:
-    """(-1)^q conj CS(c) - CS(c) for q = 0..max_q, with CS(c) = cs^q(z, c)
-    the Chern-Simons form of c alone, z the zero connection.
+class DomainError(ValueError):
+    """An algebroid whose anchor or structure constants are not real: it
+    is outside the intrinsic classes' domain, and _check_domain refuses it."""
 
-    On real structure constants it is cohomologous to cs_cochains(c, h)
-    under every metric h: by the triangle (z, c, c^h), cs(c, c^h) =
-    CS(c^h) - CS(c) modulo exact forms, the three being closed when
-    str(R^q) = 0 (Chern and Simons, Ann. Math. 99, 1974), and c^h is
-    similar to -c^* by the constant H, so CS(c^h) = (-1)^q conj CS(c)
-    as ch_q(E^*) = (-1)^q ch_q(E) (Crainic, Comment. Math. Helv. 78, 2003).
-    Up to max_q = 2 it is cs_cochains's trace branch without the metric
-    term, so it differs from cs_cochains(c, h, 2) by exactly dT.  From 3
-    on, CS(c) is _pair_chain on (z, c), and each q is folded with conj.
+
+def _check_domain(a: ConstantAlgebroid):
+    """DomainError unless the anchor and structure constants of a are real."""
+    if a.anchor.im is not None or not _real_brackets(a):
+        raise DomainError("the intrinsic classes need a real anchor and real structure constants")
+
+
+def _ad(a: ConstantAlgebroid, i: int) -> Matrix:
+    """ad_{e_i} of a real algebroid: column j holds the coefficients of
+    [e_i, e_j], read as integers over a.den."""
+    re = [[0] * a.r for _ in range(a.r)]
+    for j, cell in enumerate(a.ints[i]):
+        for k, x, _ in cell:
+            re[k][j] = x
+    return _matrix(re, None, a.den, a.r)
+
+
+def intrinsic_cochains(a: ConstantAlgebroid, max_q: int) -> list[AlgebroidForm]:
+    """(-1)^q conj CS(c) - CS(c) for q = 0..max_q, CS(c) the Chern-Simons
+    form of the basic connection c of the real algebroid a, from a alone.
+
+    For any tm_conn, c_i = (ad_i, 0) - [rho, theta_i], and both terms
+    commute with the odd boundary rho, so every product in CS(c) that
+    holds a theta is a graded commutator with rho, of supertrace 0:
+    CS(c) = CS(A) for A = ad (+) 0.  A is flat by Jacobi, so t A has
+    curvature F_t = (t^2 - t) A^2 and CS^q(A) = c_q str(A ^ (A^2)^(q-1)),
+    c_q = q (-1)^(q-1) ((q-1)!)^2 / (2q-1)!.  That form is real: the
+    class form is 0 at even q, which is not traced, and -2 CS^q at odd
+    q, so A^2 = [ad_i, ad_j] is built from max_q = 3 on.  It is
+    cohomologous to cs_cochains(c, h) under every metric h, as
+    CS(c^h) = (-1)^q conj CS(c) (Chern and Simons, Ann. Math. 99, 1974;
+    Crainic, Comment. Math. Helv. 78, 2003).  DomainError if a is not real.
     """
-    if max_q < 3:
-        return _trace_cochains(c, max_q)
-    z = [GradedEndo(Matrix.zeros(*om.ee.shape), Matrix.zeros(*om.oo.shape)) for om in c.omega]
-    out = _pair_chain([Connection(c.algebroid, c.bundle, z), c], max_q)
+    _check_domain(a)
+    zero = Matrix.zeros(a.n, a.n)
+    frames = [{} if (x := _ad(a, i)).is_zero() else {(0,): (x, zero)} for i in range(a.r)]
+    curv = _curvature_values(a, frames, 0) if max_q >= 3 else {}
+    traced = _chain({((i,), ()): x for i, x in enumerate(frames) if x}, curv, range(1, max_q + 1, 2))
+    out = [AlgebroidForm(a.r, 0)]
     for q in range(1, max_q + 1):
-        folded = out[q].map_values(Scalar.conj)
-        out[q] = (folded if q % 2 == 0 else -folded) - out[q]
+        w = Fraction(-2 * q * factorial(q - 1) ** 2, factorial(2 * q - 1))
+        comps = {idx: Scalar(w * v[(0,)][0]) for (idx, _), v in traced.get(q, {}).items()}
+        out.append(AlgebroidForm(a.r, 2 * q - 1, comps))
     return out
 
 
@@ -638,11 +662,25 @@ def _stacked(blocks: list, star=False) -> tuple:
     return re, [row for x, y in blocks for row in ([[0] * len(x)] * len(x) if y is None else y)]
 
 
+def _chain(form: dict, curv: dict, qs) -> dict:
+    """{q: str(form ^ curv^(q-1))} for q = 1 and each q in the range qs, on
+    frame-polynomial values, as {exponent: (re, im)} per nonzero
+    component; the powers stop at the last q, whose factor is not formed."""
+    top = max(qs, default=1)
+    traced = {1: {k: w for k, v in form.items() if (w := supertrace_terms(v))}}
+    for q in range(2, top + 1):
+        products = _products(form, curv, 0)
+        if q in qs:
+            traced[q] = _traced_values(products)
+        if q < top:
+            form = _wedge_values(products)
+    return traced
+
+
 def _pair_chain(conns, max_q: int) -> list:
     """cs^q of a pair for q = 0..max_q, cs^0 the zero 0-form, by the
-    chain on theta ^ F_t in cs_cochains: the route of cs_cochains from
-    max_q = 3 on, on the pair (c, h_dual(c, h)), and of
-    intrinsic_cochains, on (z, c); any other pair takes it too."""
+    chain on theta ^ F_t in cs_cochains: its route from max_q = 3 on, on
+    (c, h_dual(c, h)), and any other pair's."""
     a = conns[0].algebroid
     both, form = [], {}
     for i, (o0, o1) in enumerate(zip(conns[0].omega, conns[1].omega)):
@@ -656,16 +694,8 @@ def _pair_chain(conns, max_q: int) -> list:
             form[((i,), ())] = {(0,): d}
     # cs^1 = str theta_i takes traces alone: X, Y and C from max_q = 2
     curv = _curvature_values(a, both, 2) if max_q >= 2 else {}
-    # form runs through theta ^ F^(q-1); traced[q] is its supertrace, a
-    # polynomial in u per component
-    traced = {1: {k: w for k, v in form.items() if (w := supertrace_terms(v))}}
-    for q in range(2, max_q + 1):
-        products = _products(form, curv, 0)
-        traced[q] = _traced_values(products)
-        if q < max_q:
-            form = _wedge_values(products)
     out = [AlgebroidForm(a.r, 0)]
-    for q, top in traced.items():
+    for q, top in _chain(form, curv, range(1, max_q + 1)).items():
         comps = {}
         for (i_idx, _), v in top.items():
             re = im = 0

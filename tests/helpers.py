@@ -26,13 +26,19 @@ from algch.connections import (
     h_dual,
 )
 from algch import fileio
-from algch.charclasses import adjoint_bundle, adjoint_setup
+from algch.charclasses import ClassReport, adjoint_bundle, adjoint_setup
 from algch.pullback import (
     pullback_algebroid,
     pullback_form,
     submersion_recipe,
 )
-from algch.transgression import AffineForm, _check_family, _pair_chain, _simplex_cochains
+from algch.transgression import (
+    AffineForm,
+    _check_family,
+    _pair_chain,
+    _simplex_cochains,
+    _trace_cochains,
+)
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
 
@@ -157,6 +163,52 @@ def rand_q_family(rng, trace_zero=False):
     a, b, c = rand_rational(rng), rand_rational(rng), rand_rational(rng)
     d = -a if trace_zero else rand_rational(rng)
     return q_family(a, b, c, d)
+
+
+def sl3_semidirect(action) -> ConstantAlgebroid:
+    """sl3(R) semidirect V in the basis E_12, E_13, E_21, E_23, E_31, E_32,
+    H_1 = E_11 - E_22, H_2 = E_22 - E_33, then a basis of V: the matrix
+    commutator on sl3, [X, v] = action(X) v and [v, w] = 0, checked by
+    lie_algebra.  action maps a 3 x 3 integer matrix to its integer
+    matrix on V, linearly; the identity gives library.sl3_r3."""
+    units = [(i, j) for i in range(3) for j in range(3) if i != j]
+    mats = [[[int((p, q) == u) for q in range(3)] for p in range(3)] for u in units]
+    mats += [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
+    brackets = {}
+    for n, x in enumerate(mats):
+        for p, y in enumerate(mats[n + 1:], n + 1):
+            m = [[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+            coords = {u: m[i][j] for u, (i, j) in enumerate(units)}
+            # a H_1 + b H_2 has diagonal (a, b - a, -b)
+            coords[6], coords[7] = m[0][0], m[0][0] + m[1][1]
+            brackets[n, p] = coords
+        v = action(x)
+        for l in range(len(v)):
+            brackets[n, 8 + l] = {8 + k: v[k][l] for k in range(len(v))}
+    return lie_algebra(8 + len(action(mats[0])), brackets)
+
+
+def dual_action(x) -> list:
+    """The action -X^T of X on R^3*."""
+    return [[-x[j][i] for j in range(3)] for i in range(3)]
+
+
+def sum_action(x) -> list:
+    """The action of X on R^3 (+) R^3*, block-diagonal."""
+    y = dual_action(x)
+    return [row + [0] * 3 for row in x] + [[0] * 3 + row for row in y]
+
+
+def sym2_action(x) -> list:
+    """The action of X on Sym^2 R^3 in the basis v_i v_j, i <= j:
+    X (v_i v_j) = (X v_i) v_j + v_i (X v_j)."""
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    m = [[0] * 6 for _ in range(6)]
+    for col, (i, j) in enumerate(pairs):
+        for k in range(3):
+            m[pairs.index(tuple(sorted((k, j))))][col] += x[k][i]
+            m[pairs.index(tuple(sorted((i, k))))][col] += x[k][j]
+    return m
 
 
 def isl2() -> ConstantAlgebroid:
@@ -1113,6 +1165,37 @@ def cs_family(conns, max_q: int) -> list[AlgebroidForm]:
     for q, form in _simplex_cochains(conns, max_q).items():
         out[q] = form
     return out
+
+
+def secondary_cochains(c: Connection, max_q: int) -> list[AlgebroidForm]:
+    """(-1)^q conj CS(c) - CS(c) for q = 0..max_q, CS(c) = cs^q(z, c) the
+    Chern-Simons form of the connection c, z the zero connection: up to
+    max_q = 2 from c's frame traces (cs_cochains's branch without the
+    metric), from 3 on by the chain on the pair (z, c), each q folded
+    with its conjugate.  It reads c's frames, tm_conn included, and is
+    the oracle of intrinsic_cochains, which reads the algebroid alone."""
+    if max_q < 3:
+        return _trace_cochains(c, max_q)
+    z = [GradedEndo(Matrix.zeros(*om.ee.shape), Matrix.zeros(*om.oo.shape)) for om in c.omega]
+    out = _pair_chain([Connection(c.algebroid, c.bundle, z), c], max_q)
+    for q in range(1, max_q + 1):
+        folded = form_conj(out[q])
+        out[q] = (folded if q % 2 == 0 else -folded) - out[q]
+    return out
+
+
+def secondary_class(c: Connection, max_q: int) -> list[ClassReport]:
+    """Reports for i^(q+1) secondary_cochains(c, max_q)[q], q = 1..max_q,
+    with witnesses: the classes of i^(q+1) cs^q(c, c^h) under any metric
+    h when the structure constants are real, str(R^q) = 0 as a form and
+    every representative is real and closed (unchecked; theorems for a
+    basic connection)."""
+    forms = secondary_cochains(c, max_q)
+    reports = []
+    for q in range(1, max_q + 1):
+        rep = forms[q].scale(I ** (q + 1))
+        reports.append(ClassReport(q, rep, coboundary_witness(c.algebroid, rep)))
+    return reports
 
 
 def count_calls(monkeypatch, fn) -> list:

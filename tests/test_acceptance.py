@@ -21,7 +21,6 @@ from algch.connections import (
 )
 from algch.charclasses import (
     KAPPA,
-    secondary_class,
     adjoint_setup,
     intrinsic_char,
 )
@@ -50,6 +49,7 @@ from helpers import (
     chern_character,
     small_corpus,
     pullback_connection,
+    secondary_class,
     supertrace_curvature_power,
     trace_character,
     adjoint_metric,
@@ -81,11 +81,11 @@ def test_q_family_dichotomy():
         a = rand_q_family(rng)
         while trace_character(a).is_zero():
             a = rand_q_family(rng)
-        rep = intrinsic_char(a, [], max_q=1)[0]
+        rep = intrinsic_char(a, max_q=1)[0]
         assert not rep.is_zero_class and rep.witness is None
     for _ in range(20):
         a = rand_q_family(rng, trace_zero=True)
-        rep = intrinsic_char(a, [], max_q=1)[0]
+        rep = intrinsic_char(a, max_q=1)[0]
         assert rep.is_zero_class and rep.witness is not None
         assert ce_differential(a, rep.witness) == rep.representative
     report("PASS q-family dichotomy: q=1 class is nonzero iff the trace is")
@@ -94,8 +94,7 @@ def test_q_family_dichotomy():
 def test_tangent_algebroid_vanishing():
     for n in (1, 2, 3):
         a = tangent_torus(n)
-        tm = [Matrix.zeros(n, n)] * n
-        for rep in intrinsic_char(a, tm):
+        for rep in intrinsic_char(a):
             assert rep.representative.is_zero()
             assert rep.is_zero_class
     report("PASS tangent algebroids: all classes identically zero, n <= 3")
@@ -230,7 +229,7 @@ def test_kappa_universality():
     for a in algebras:
         tc = trace_character(a)
         assert not tc.is_zero()
-        rep = intrinsic_char(a, [], max_q=1)[0].representative
+        rep = intrinsic_char(a, max_q=1)[0].representative
         assert rep == tc.scale(KAPPA)
         for _ in range(3):
             # the pair route gives it on the nose under any metric

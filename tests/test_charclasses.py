@@ -27,14 +27,14 @@ from algch.scalars import I
 from algch.charclasses import (
     DomainError,
     KAPPA,
-    secondary_class,
     adjoint_setup,
     intrinsic_char,
     modular_class,
     default_max_q,
 )
 from algch.pullback import pullback_algebroid, submersion_recipe
-from algch.transgression import cs_cochains
+from algch import transgression
+from algch.transgression import cs_cochains, intrinsic_cochains
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra, sl3_r3
 
 from helpers import (
@@ -53,6 +53,7 @@ from helpers import (
     rand_q_family,
     basis_form,
     isl2,
+    imaginary_trace,
     small_corpus,
     trace_character,
     dense_brackets,
@@ -65,6 +66,12 @@ from helpers import (
     diff_matrix,
     supertrace_curvature_power,
     sympy_left_kernel,
+    secondary_class,
+    secondary_cochains,
+    sl3_semidirect,
+    dual_action,
+    sum_action,
+    sym2_action,
     Endo,
 )
 
@@ -155,17 +162,16 @@ class TestSecondaryClass:
     def test_real_even_q_zero_class(self):
         # the generators of the relative cohomology of (gl_n(R), O(n))
         # lie in degrees 1, 5, 9, ... (Kamber and Tondeur), so on real
-        # brackets the q = 2 class is ZERO for any tm_conn, real or
-        # Gaussian, and so is the pair route's under any Hermitian
-        # metric; the corpus and its products of rank up to 6
+        # brackets the q = 2 class is ZERO, and so is the pair route's
+        # for any tm_conn, real or Gaussian, under any Hermitian metric;
+        # the corpus and its products of rank up to 6
         rng = random.Random(45)
         nonzero = 0
         for name, a in corpus_products():
+            rep = intrinsic_char(a, max_q=2)[1]
+            assert rep.q == 2 and rep.is_zero_class, name
             for real in (True, False):
                 tm = rand_tm_conn(a, rng, real=real)
-                rep = intrinsic_char(a, tm, max_q=2)[1]
-                assert rep.q == 2 and rep.is_zero_class, (name, real)
-                nonzero += not rep.representative.is_zero()
                 g = rand_adjoint_metric(a, rng, real=real)
                 pair = cs_cochains(adjoint_setup(a, tm), g, 2)[2].scale(I**3)
                 assert coboundary_witness(a, pair) is not None, (name, real)
@@ -224,9 +230,13 @@ class TestAdjointSetup:
             for i in range(a.r):
                 assert basic.omega[i].ee == dense_ad(a, i)
                 assert basic.omega[i].oo == Matrix.zeros(a.n, a.n)
-        for a in (isl2(), direct_product(tangent_torus(1), isl2())):
+        # and so are they by intrinsic_cochains, which reads only the real
+        # parts (imaginary_trace has tr ad e_1 = i)
+        for a in (isl2(), direct_product(tangent_torus(1), isl2()), imaginary_trace()):
             with pytest.raises(DomainError, match="real structure constants"):
                 adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n)
+            with pytest.raises(DomainError, match="real structure constants"):
+                intrinsic_cochains(a, 1)
 
     def test_gaussian_anchor_refused(self):
         # valid (no brackets), but the anchor d/dx |-> i d/dx is not real
@@ -234,6 +244,8 @@ class TestAdjointSetup:
         assert validate_algebroid(a) == []
         with pytest.raises(DomainError, match="real anchor"):
             adjoint_setup(a, [Matrix.zeros(1, 1)])
+        with pytest.raises(DomainError, match="real anchor"):
+            intrinsic_char(a)
 
     def test_ad_built_once_per_setup(self, monkeypatch):
         # each frame takes its ad_{e_i} once: even block ad - theta rho,
@@ -345,12 +357,12 @@ class TestIntrinsic:
         a = rand_q_family(rng)
         while trace_character(a).is_zero():
             a = rand_q_family(rng)
-        reports = intrinsic_char(a, [], max_q=1)
+        reports = intrinsic_char(a, max_q=1)
         assert not reports[0].is_zero_class
 
     def test_q_family_trace_zero(self):
         a = q_family(1, 0, 0, -1)
-        for rep in intrinsic_char(a, [], max_q=2):
+        for rep in intrinsic_char(a, max_q=2):
             assert rep.is_zero_class
 
     def test_sl3_r3_third_class_nonzero(self):
@@ -358,7 +370,7 @@ class TestIntrinsic:
         # closed but not exact in its constant complex, where b_3 = 2;
         # every other class up to the default max_q 6 is ZERO
         a = sl3_r3()
-        reports = intrinsic_char(a, [])
+        reports = intrinsic_char(a)
         assert [rep.is_zero_class for rep in reports] == [True, True, False, True, True, True]
         assert ce_differential(a, reports[2].representative).is_zero()
 
@@ -369,7 +381,7 @@ class TestIntrinsic:
         # of the matrix of d_4; it is checked by dense_ce_differential's
         # formula alone, so where it came from does not matter
         a = sl3_r3()
-        rep = intrinsic_char(a, [], max_q=3)[2]
+        rep = intrinsic_char(a, max_q=3)[2]
         omega = rep.representative
         assert not rep.is_zero_class and rep.witness is None
 
@@ -395,28 +407,29 @@ class TestIntrinsic:
             assert pairing(bad, d) == shows[idx]
 
     def test_tt1_x_sl3_r3_with_tm_conn(self):
-        # the class does not depend on tm_conn: char^3 stays NONZERO
+        # the class does not depend on tm_conn: char^3 stays NONZERO,
+        # from the algebroid alone and from the basic connection of a
+        # real tm_conn
         a = direct_product(tangent_torus(1), sl3_r3())
         tm = rand_tm_conn(a, random.Random(0), real=True)
-        reports = intrinsic_char(a, tm, max_q=3)
-        assert [rep.is_zero_class for rep in reports] == [True, True, False]
+        for reports in (intrinsic_char(a, max_q=3), secondary_class(adjoint_setup(a, tm), 3)):
+            assert [rep.is_zero_class for rep in reports] == [True, True, False]
 
     def test_tangent_torus_vanishes_identically(self):
         for n in (1, 2, 3):
             a = tangent_torus(n)
-            tm = [Matrix.zeros(n, n)] * n
-            for rep in intrinsic_char(a, tm):
+            for rep in intrinsic_char(a):
                 assert rep.representative.is_zero()
                 assert rep.is_zero_class
 
     def test_reality_and_closedness(self):
-        # secondary_class assumes three identities, which are theorems
-        # for the basic connection of a real algebroid and are checked
-        # here only: str(R^q) vanishes as a form (R = -[d01, K_bas]
-        # commutes with d01), and every representative is real and
-        # closed.  The corpus and its products of rank up to 6, each
-        # with a real and a Gaussian tm_conn; the curvature oracle only
-        # where r + n <= 4
+        # the oracle secondary_class assumes three identities, which are
+        # theorems for the basic connection of a real algebroid and are
+        # checked here only: str(R^q) vanishes as a form
+        # (R = -[d01, K_bas] commutes with d01), and every representative
+        # is real and closed, here those of intrinsic_char.  The corpus
+        # and its products of rank up to 6, each with a real and a
+        # Gaussian tm_conn; the curvature oracle only where r + n <= 4
         rng = random.Random(53)
         curved = nonzero = 0
         for name, a in corpus_products():
@@ -428,11 +441,11 @@ class TestIntrinsic:
                     curved += any(not v.is_zero() for v in curvature(basic).values())
                     for q in (1, 2, 3):
                         assert supertrace_curvature_power(basic, q).is_zero(), case + (q,)
-                for rep in intrinsic_char(a, tm):
-                    form = rep.representative
-                    assert all(v.is_real() for v in form.comps.values()), case + (rep.q,)
-                    assert dense_ce_differential(a, form).is_zero(), case + (rep.q,)
-                    nonzero += not form.is_zero()
+            for rep in intrinsic_char(a):
+                form = rep.representative
+                assert all(v.is_real() for v in form.comps.values()), (name, rep.q)
+                assert dense_ce_differential(a, form).is_zero(), (name, rep.q)
+                nonzero += not form.is_zero()
         assert curved > 0 and nonzero > 0
 
     @settings(max_examples=60, deadline=None)
@@ -440,15 +453,15 @@ class TestIntrinsic:
     def test_pair_route_oracle(self, case, seed, real_g, real_tm):
         # the pair route, cs^q(c, c^h), under a real or Gaussian metric
         # is the independent oracle of the metric-free classes at
-        # max_q 3, over the corpus and its products of rank up to 6;
-        # the verdicts do not change between two tm_conn draws
+        # max_q 3, over the corpus and its products of rank up to 6,
+        # for the basic connection of a random tm_conn and for the
+        # classes from the algebroid alone
         _, a = case
         rng = random.Random(seed)
         c = adjoint_setup(a, rand_tm_conn(a, rng, real=real_tm))
-        reports = secondary_class(c, 3)
-        pair_oracle(a, c, rand_adjoint_metric(a, rng, real=real_g), reports)
-        other = intrinsic_char(a, rand_tm_conn(a, rng, real=not real_tm), max_q=3)
-        assert [r.is_zero_class for r in other] == [r.is_zero_class for r in reports]
+        h = rand_adjoint_metric(a, rng, real=real_g)
+        pair_oracle(a, c, h, secondary_class(c, 3))
+        pair_oracle(a, c, h, intrinsic_char(a, max_q=3))
 
     @pytest.mark.parametrize("real_g", [True, False], ids=["real metric", "gaussian metric"])
     def test_pair_route_oracle_sl3_r3(self, real_g):
@@ -457,7 +470,7 @@ class TestIntrinsic:
         # the oracle at q = 3
         a = sl3_r3()
         c = adjoint_setup(a, [])
-        reports = secondary_class(c, 3)
+        reports = intrinsic_char(a, max_q=3)
         pair_oracle(a, c, rand_adjoint_metric(a, random.Random(7), real=real_g), reports)
         assert [rep.is_zero_class for rep in reports] == [True, True, False]
 
@@ -467,40 +480,148 @@ class TestIntrinsic:
         rng = random.Random(49)
         for a in (q_family(1, 2, 3, 4), heisenberg(), direct_product(tangent_torus(1), so3())):
             c = adjoint_setup(a, rand_tm_conn(a, rng))
-            reports = secondary_class(c, 3)
             for _ in range(2):
-                pair_oracle(a, c, rand_adjoint_metric(a, rng, real=False), reports)
+                h = rand_adjoint_metric(a, rng, real=False)
+                for reports in (secondary_class(c, 3), intrinsic_char(a, max_q=3)):
+                    pair_oracle(a, c, h, reports)
 
     def test_connection_independence(self):
-        # two tm_conn draws, real or Gaussian, give cohomologous
-        # metric-free representatives at every q up to 3
+        # the basic connections of two tm_conn draws, real or Gaussian,
+        # give cohomologous metric-free representatives at every q up to
+        # 3, and so does the algebroid alone
         rng = random.Random(50)
         a = direct_product(tangent_torus(1), q_family(1, 2, 3, 4))
+        alone = intrinsic_char(a, max_q=3)
         for real in (True, False):
             tm0 = rand_tm_conn(a, rng, real=real)
             tm1 = rand_tm_conn(a, rng, real=not real)
-            r0 = intrinsic_char(a, tm0, max_q=3)
-            r1 = intrinsic_char(a, tm1, max_q=3)
-            for a0, a1 in zip(r0, r1):
-                assert a0.is_zero_class == a1.is_zero_class
-                diff = a0.representative - a1.representative
-                assert coboundary_witness(a, diff) is not None
+            r0 = secondary_class(adjoint_setup(a, tm0), 3)
+            r1 = secondary_class(adjoint_setup(a, tm1), 3)
+            for a0, a1, a2 in zip(r0, r1, alone):
+                assert a0.is_zero_class == a1.is_zero_class == a2.is_zero_class
+                for diff in (a0.representative - a1.representative, a0.representative - a2.representative):
+                    assert coboundary_witness(a, diff) is not None
 
     def test_default_max_q(self):
         assert default_max_q(so3()) == 2
         assert default_max_q(tangent_torus(2)) == 3
 
 
+class TestFlatRoute:
+    def test_matches_basic_connection_oracle(self):
+        """intrinsic_cochains(a, max_q), from the algebroid alone, equals
+        on the nose the oracle secondary_cochains(c, max_q) on the basic
+        connection c of a real or Gaussian tm_conn.
+
+        With the anchor rho as the odd boundary, c_i = (ad_i, 0) -
+        [rho, theta_i], a graded commutator.  Both terms commute with
+        rho (rho ad_i = 0, and [rho, [rho, theta]] = 0), so every product
+        in CS(c) that holds a theta is a graded commutator with rho, and
+        its supertrace is 0: CS(c) = CS(ad (+) 0) for every tm_conn.
+        ad (+) 0 is flat by Jacobi, which gives intrinsic_cochains its
+        closed form.
+
+        The corpus and its products of rank up to 6 at max_q 1 through
+        the default; tt1 x sl3_r3 up to 3, its first class above q = 1
+        (the oracle takes 40 s and more at its default 7).  From 3 on
+        the oracle's chain at the top max_q gives every smaller one
+        (test_same_cochain_for_every_max_q)."""
+        rng = random.Random(55)
+        cases = [(name, a, default_max_q(a)) for name, a in ORACLE_CASES]
+        cases.append(("tt1 x sl3_r3", direct_product(tangent_torus(1), sl3_r3()), 3))
+        nonzero = 0
+        for name, a, top in cases:
+            for real in (True, False):
+                c = adjoint_setup(a, rand_tm_conn(a, rng, real=real))
+                oracle = {1: secondary_cochains(c, 1), 2: secondary_cochains(c, 2)}
+                if top >= 3:
+                    chain = secondary_cochains(c, top)
+                    oracle.update((m, chain[:m + 1]) for m in range(3, top + 1))
+                for m in range(1, top + 1):
+                    got = intrinsic_cochains(a, m)
+                    assert got == oracle[m], (name, real, m)
+                nonzero += sum(not f.is_zero() for f in got)
+        assert nonzero > 0
+
+    def test_theta_terms_mutations(self):
+        # the classes cannot see theta: dropping both theta terms of the
+        # basic connection (the adjoint connection (ad_i, 0)) leaves every
+        # form of the oracle unchanged, while dropping only one of them,
+        # -theta_i rho or -rho theta_i, changes q = 1 by tr(rho theta_i)
+        rng = random.Random(56)
+        for a in (direct_product(tangent_torus(1), so3()), direct_product(tangent_torus(2), q_family(1, 2, 3, 4))):
+            tm = rand_tm_conn(a, rng)
+            basic = adjoint_setup(a, tm)
+            want = intrinsic_cochains(a, default_max_q(a))
+            assert secondary_cochains(adjoint_connection(a, basic.bundle), default_max_q(a)) == want
+            rho, zero = a.anchor, Matrix.zeros(a.n, a.n)
+            thetas = tm_theta(a, tm)
+            for one in (
+                [GradedEndo(dense_ad(a, i) - theta * rho, zero) for i, theta in enumerate(thetas)],
+                [GradedEndo(dense_ad(a, i), -(rho * theta)) for i, theta in enumerate(thetas)],
+            ):
+                assert secondary_cochains(Connection(a, basic.bundle, one), 1)[1] != want[1]
+
+    def test_dropped_structure_constant_caught(self, monkeypatch):
+        # one c_ij^k dropped from ad_i changes the forms: at max_q 1 each
+        # c_ij^j of a q-family, which tr ad_i reads, and at max_q 3 every
+        # ninth c_ij^k of sl3_r3 with e_i in sl3 (an ad_(v_l) entry can
+        # leave char^3's form alone)
+        original = transgression._ad
+        cases = [(q_family(1, 2, 3, 4), 1, lambda i, j, k: k == j), (sl3_r3(), 3, lambda i, j, k: i < 8)]
+        for a, max_q, read in cases:
+            want = intrinsic_cochains(a, max_q)
+            entries = [(i, j, k) for i in range(a.r) for j in range(a.r) for k, _, _ in a.ints[i][j] if read(i, j, k)]
+            assert entries
+            for i0, j0, k0 in entries[:: 1 if max_q == 1 else 9]:
+
+                def dropped(b, i, i0=i0, j0=j0, k0=k0):
+                    m = original(b, i)
+                    if i != i0:
+                        return m
+                    rows = [[ZERO if (k, j) == (k0, j0) else m[k, j] for j in range(b.r)] for k in range(b.r)]
+                    return Matrix(rows, ncols=b.r)
+
+                monkeypatch.setattr(transgression, "_ad", dropped)
+                assert intrinsic_cochains(a, max_q) != want, (i0, j0, k0)
+                monkeypatch.setattr(transgression, "_ad", original)
+
+
+class TestAnomalyFamily:
+    @pytest.mark.parametrize(
+        "action, anomaly",
+        [(dual_action, -1), (sum_action, 0), (sym2_action, 7)],
+        ids=["R3*", "R3 + R3*", "Sym2 R3"],
+    )
+    def test_cubic_anomaly_predicts_char3(self, action, anomaly):
+        # tr_V(X^3) = A(V) tr_R3(X^3) on sl3 (Okubo, Phys. Rev. D 16,
+        # 1977), and the adjoint representation has A = 0, so the
+        # degree-5 form of sl3 semidirect V restricted to sl3 is A(V)
+        # times that of sl3_r3 (V = R^3, A = 1) on the nose, and char^3
+        # is NONZERO exactly when A(V) != 0
+        assert sl3_semidirect(lambda x: x) == sl3_r3()
+
+        def on_sl3(b):
+            form = intrinsic_cochains(b, 3)[3]
+            return AlgebroidForm(8, 5, {k: v for k, v in form.comps.items() if k[-1] < 8})
+
+        reference = on_sl3(sl3_r3())
+        assert not reference.is_zero()
+        a = sl3_semidirect(action)
+        assert on_sl3(a) == reference.scale(anomaly)
+        assert intrinsic_char(a, max_q=3)[2].is_zero_class == (anomaly == 0)
+
+
 class TestModular:
     def test_abelian_zero(self):
         a = abelian(3)
-        res = modular_class(a, [])
+        res = modular_class(a)
         assert res.report.is_zero_class
         assert res.normalized.is_zero()
 
     def test_heisenberg_zero(self):
         a = heisenberg()
-        res = modular_class(a, [])
+        res = modular_class(a)
         assert res.report.is_zero_class
         assert res.normalized.is_zero()
 
@@ -511,7 +632,7 @@ class TestModular:
             # normalized representative is e_3 |-> Tr(ad_{e_3}) = -(a+d)
             c = dense_brackets(a)
             tr = c[0][2][0] + c[1][2][1]  # = a + d
-            res = modular_class(a, [])
+            res = modular_class(a)
             assert res.normalized == AlgebroidForm(3, 1, {(2,): -tr})
 
     def test_kappa_universality(self):
@@ -527,7 +648,7 @@ class TestModular:
         for a in algebras:
             tc = trace_character(a)
             assert not tc.is_zero()
-            rep = intrinsic_char(a, [], max_q=1)[0].representative
+            rep = intrinsic_char(a, max_q=1)[0].representative
             assert rep == tc.scale(KAPPA)
             for _ in range(3):
                 g = rand_adjoint_metric(a, rng, real=rng.random() < 0.5)

@@ -567,14 +567,14 @@ class TestBatchDocuments:
 
 class TestCommandSetups:
     """Each command builds its adjoint setups once, and a metric dual
-    only where the pair chain of cs at max_q >= 3 reads it: char reads
-    no metric."""
+    only where the pair chain of cs at max_q >= 3 reads it: char and
+    modular build neither, as they read the algebroid alone."""
 
     @pytest.mark.parametrize(
         "argv, setups",
         [
-            (["char", "--max-q", "2", "q_family.json"], 1),
-            (["modular", "q_family.json"], 1),
+            (["char", "--max-q", "2", "q_family.json"], 0),
+            (["modular", "q_family.json"], 0),
             (["cs", "--max-q", "2", "q_family.json"], 1),
             (["morita-check", "--k", "1", "--seed", "2", "tt2.json"], 2),
         ],
@@ -599,8 +599,8 @@ class TestCommandSetups:
 
     @pytest.mark.parametrize("command", ["cs", "char"])
     def test_h_dual_calls_at_max_q_3(self, capsys, monkeypatch, command):
-        # one per cs cochain, none for char, whose chain runs on the basic
-        # connection and the zero connection; morita-check's three are
+        # one per cs cochain, none for char, whose chain runs on ad (+) 0
+        # of the algebroid alone; morita-check's three are
         # counted in test_pullback.py TestMoritaAgainstReference
         calls = count_calls(monkeypatch, connections.h_dual)
         status, _ = run_cli(capsys, command, "--max-q", "3", INPUTS / "so3.json")

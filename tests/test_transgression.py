@@ -26,7 +26,7 @@ from algch.transgression import (
     supertrace_product,
     supertrace_terms,
 )
-from algch.library import abelian, heisenberg, so3, tangent_torus
+from algch.library import abelian, heisenberg, so3, sl3_r3, tangent_torus
 from algch.charclasses import adjoint_setup, intrinsic_char, modular_class
 
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     boundary_commutant,
     count_calls,
     cs_family,
+    secondary_cochains,
     pullback_connection,
     rand_q_family,
     rand_tm_conn,
@@ -347,11 +348,17 @@ class TestCsCochainsOnePass:
         forms = cs_cochains(conns[0], h, 4)
         for q in range(4):
             assert cs_cochains(conns[0], h, q)[q] == forms[q]
-        # and of intrinsic_cochains: the trace branch to 2, the chain on
-        # (z, c) from 3, on the nose
-        forms = intrinsic_cochains(conns[0], 4)
+        # and of the oracle of intrinsic_cochains: the trace branch to 2,
+        # the chain on (z, c) from 3, on the nose
+        forms = secondary_cochains(conns[0], 4)
         for q in range(4):
-            assert intrinsic_cochains(conns[0], q)[q] == forms[q]
+            assert secondary_cochains(conns[0], q)[q] == forms[q]
+        # intrinsic_cochains takes A^2 from max_q 3 on and stops its
+        # powers at the last odd q: sl3_r3, the first class above q = 1
+        forms = intrinsic_cochains(sl3_r3(), 5)
+        assert not forms[3].is_zero()
+        for q in range(6):
+            assert intrinsic_cochains(sl3_r3(), q)[q] == forms[q]
 
     def test_curvature_built_once(self, monkeypatch):
         # the simplex path builds the affine curvature once; a pair takes
@@ -840,9 +847,15 @@ class TestLazyDual:
             rng = random.Random(seed)
             a = direct_product(tangent_torus(1), rng.choice([so3(), rand_q_family(rng)]))
             tm = rand_tm_conn(a, rng, real=seed != 1)
-            modular_class(a, tm)
-            intrinsic_char(a, tm, max_q=3)
+            modular_class(a)
+            intrinsic_char(a, max_q=3)
         assert "inverse" not in calls and duals == []
+        # modular and char up to max-q 2 take traces of ad alone: no
+        # Matrix product, while max-q 3 builds A^2
+        for argv in (["modular"], ["char", "--max-q", "1"], ["char", "--max-q", "2"], ["char", "--max-q", "3"]):
+            calls.clear()
+            assert cli.main(argv + [str(path)]) == 0
+            assert ("mul" in calls) == (argv[-1] == "3"), argv
 
     def test_frames_built_once_where_the_chain_reads_them(self, monkeypatch):
         calls = self.counted(monkeypatch)
