@@ -130,16 +130,8 @@ class Scalar:
             n >>= 1
         return out
 
-    def conj(self) -> "Scalar":
-        if self.im:
-            return _make(self.re, -self.im)
-        return self
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    def is_real(self) -> bool:
-        return not self.im
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -2,7 +2,7 @@
 
 cs_cochains(c, h, max_q) takes cs^q of a connection c and its metric
 dual: up to q = 2 as a difference of Chern-Simons forms from traces of
-c's frames and the metric inverse, from q = 3 on by the chain
+c's frames and solves against the metric, from q = 3 on by the chain
 cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on frame 2-forms.
 intrinsic_cochains(a, max_q) runs the same chain on the flat ad (+) 0
 of the algebroid alone.  The affine family sum_i t_i nabla_i over
@@ -34,7 +34,7 @@ from math import factorial, lcm, prod
 from operator import add, mul
 
 from .scalars import Scalar
-from .linalg import Matrix, _cmatmul, _lin, _matrix, inverse
+from .linalg import Matrix, _bareiss, _cmatmul, _lin, _matrix
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign, _real_brackets
 from .connections import Connection, GradedBundle, HermitianMetric, h_dual
 
@@ -303,11 +303,13 @@ def cs_cochains(c: Connection, h: HermitianMetric, max_q: int) -> list[Algebroid
     CS on -2i times the imaginary parts of c_0's traces, zero on a real
     c_0: one product P_jk per frame pair j < k, on c_0's nonzero rows.
     The cross traces are Hermitian, so T_ij = 2i Im str(c_0,i c_1,j), and
-    with G = H^-1 blockwise str(c_0,i c_1,j) = -str(c_0,i G c_0,j^* H)
-    takes c_0 and the metric inverse; T is zero when c_0 and h are real,
-    c_1 being real then.  c_1's frames are never built.  Traces run on
-    integer rows over one denominator, and each component becomes a
-    rational once, at the end.
+    with G = H^-1 blockwise str(c_0,i c_1,j) = -str(c_0,i G c_0,j^* H) is
+    minus the pairing sum U_i conj(Z_j) of U_i = c_0,i G and Z_j = H c_0,j
+    on c_0's nonzero entries, which read only the columns of G at c_0's
+    nonzero columns: one solve per metric block; T is zero when c_0 and
+    h are real, c_1 being real then.  c_1's frames are never built.
+    Traces run on integer rows over one denominator, and each component
+    becomes a rational once, at the end.
 
     From max_q = 3 on it takes the chain on F_t, in _pair_chain, on
     the frames of h_dual(c, h), built once there.  The Chern-Simons
@@ -613,53 +615,69 @@ def _contract(a: ConstantAlgebroid, t: dict) -> dict:
 
 
 def _metric_transgression(f0: list, d0: int, h) -> tuple:
-    """(den, T) for the dual pair (c_0, h_dual(c_0, h)), with
-    T = cs^2(z, c_0, c_1) of cs_cochains as {(i, j): (re, im)} for every
-    ordered pair with T_ij != 0, integer parts over den, from the
-    integer frames f0 of c_0 over d0 and the metric, never from c_1's
-    frames: with A = c_0 and G = H^-1, c_1,j = -G A_j^* H
-    blockwise, so str(c_0,i c_1,j) = -str(U_i V_j) for U = A G and
-    V = A^* H.  Each parity takes one product for all U and one for all
-    V, and a parity whose blocks are all zero takes no inverse.  G is
-    negated and brought to the common denominator, so that
-    _dot(U_i, V_j) of the _flat vectors is str(c_0,i c_1,j) over den."""
+    """(den, T) for the dual pair (c_0, h_dual(c_0, h)), T = cs^2(z, c_0, c_1)
+    of cs_cochains as {(i, j): (re, im)} for every ordered pair with
+    T_ij != 0, integer parts over den, from c_0's integer frames f0 over d0
+    and the metric, never from c_1's frames.  With A = c_0, G = H^-1
+    blockwise and H Hermitian, (A_j^* H)[c, a] = conj((H A_j)[a, c]), so
+
+        str(c_0,i c_1,j) = -str(A_i G A_j^* H) = -sum_(a, c) U_i[a, c] conj(Z_j[a, c])
+
+    per parity, for U_i = A_i G on A_i's nonzero rows and Z_j = H A_j on
+    A_j's nonzero columns, from A's nonzero entries.  U reads G's rows at
+    the frames' nonzero columns B, the conjugates of its columns B: one
+    Bareiss pass on the integer rows [H | d E_B], d H's denominator, gives
+    them over its last pivot, det H d^n > 0 for a positive-definite block.
+    A parity with all-zero frames, or all-real frames and block, takes no
+    elimination."""
     live = [i for i, x in enumerate(f0) if x is not None]
-    parts = []
+    parts = []  # per parity: (den, {(i, j): T_ij's im over den})
     for b, hb in enumerate((h.h_even, h.h_odd)):
-        blocks = [f0[i][b] for i in live]
-        zero = all(y is None and not any(map(any, x)) for x, y in blocks)
-        parts.append((None if zero else inverse(hb), hb, blocks))
-    den = lcm(*(g.den * hb.den for g, hb, _ in parts if g is not None))
-    u, v = [], []  # per parity, per frame: U's and V's block (re, im)
-    for g, hb, blocks in parts:
-        if g is None:  # U and V are zero with A
-            u.append(blocks)
-            v.append(blocks)
+        nz = {i: _entries(*f0[i][b]) for i in live}
+        cols = sorted({c for es in nz.values() for _, c, _, _ in es})
+        if not cols or hb.im is None and all(f0[i][b][1] is None for i in live):
             continue
-        n, f = hb.ncols, -(den // (g.den * hb.den))
-        for dest, (x, y) in (
-            (u, _cmatmul(_stacked(blocks), (_lin(g.re, f), None if g.im is None else _lin(g.im, f)), n)),
-            (v, _cmatmul(_stacked(blocks, True), (hb.re, hb.im), n)),
-        ):
-            dest.append([(x[k:k + n], None if y is None else y[k:k + n]) for k in range(0, len(x), n)])
-    left, right = [_flat(x) for x in zip(*u)], [_flat(x, True) for x in zip(*v)]
-    out = {}
-    for (k, i), (l, j) in combinations(enumerate(live), 2):
-        im = _dot(left[k], right[l])[1]
-        if im:
-            out[i, j], out[j, i] = (0, 2 * im), (0, -2 * im)
+        n, pad = hb.ncols, [0] * len(cols)
+        rows = [[*x, *(hb.den if k == c else 0 for c in cols)] for k, x in enumerate(hb.re)]
+        xr, xi, (q, _), _ = _bareiss(rows, hb.im and [[*x, *pad] for x in hb.im])
+        g = {c: ([x[k] for x in xr], [-x[k] for x in xi or [pad] * n]) for k, c in enumerate(cols)}
+        hcols = [(x, [-t for t in y]) for x, y in zip(hb.re, hb.im or [[0] * n] * n)]  # conj(H[d, :])
+        u = {i: _combined((a, g[c], x, y) for a, c, x, y in nz[i]) for i in live[:-1]}
+        z = {j: _combined((c, hcols[d], x, y) for d, c, x, y in nz[j]) for j in live[1:]}
+        sign = 2 if b else -2  # T_ij = 2i Im str(c_0,i c_1,j), odd traces negated
+        parts.append((q * hb.den, {
+            (i, j): sign * sum(
+                ui[c] * zr[a] - ur[c] * zi[a] for a, (ur, ui) in u[i].items() for c, (zr, zi) in z[j].items()
+            )
+            for i, j in combinations(live, 2)
+        }))
+    den, acc, out = lcm(*(d for d, _ in parts)), {}, {}
+    for d, sums in parts:
+        for ij, y in sums.items():
+            acc[ij] = acc.get(ij, 0) + den // d * y
+    for (i, j), y in acc.items():
+        if y:
+            out[i, j], out[j, i] = (0, y), (0, -y)
     return den * d0 * d0, out
 
 
-def _stacked(blocks: list, star=False) -> tuple:
-    """The square blocks (re, im) one above the other, or with star their
-    conjugate transposes; im None when every block's is."""
-    if star:
-        blocks = [(list(zip(*x)), None if y is None else [[-t for t in c] for c in zip(*y)]) for x, y in blocks]
-    re = [row for x, _ in blocks for row in x]
-    if all(y is None for _, y in blocks):
-        return re, None
-    return re, [row for x, y in blocks for row in ([[0] * len(x)] * len(x) if y is None else y)]
+def _entries(re: list, im) -> list:
+    """(row, column, re, im) of every nonzero entry of re + i im."""
+    return [(a, c, x, im[a][c] if im else 0)
+            for a, row in enumerate(re) for c, x in enumerate(row) if x or im and im[a][c]]
+
+
+def _combined(terms) -> dict:
+    """{key: sum of (x + i y) v} over (key, v, x, y) in terms, for Gaussian
+    integer vectors v = (re, im), as (re, im) lists."""
+    out = {}
+    for k, (vr, vi), x, y in terms:
+        if y:
+            t = ([x * s - y * w for s, w in zip(vr, vi)], [x * w + y * s for s, w in zip(vr, vi)])
+        else:
+            t = ([x * s for s in vr], [x * w for w in vi])
+        out[k] = tuple([*map(add, p, r)] for p, r in zip(out[k], t)) if k in out else t
+    return out
 
 
 def _chain(form: dict, curv: dict, qs) -> dict:

@@ -348,9 +348,15 @@ def boundary_commutator(theta, b: GradedBundle) -> GradedEndo:
     return GradedEndo(theta * b.d01, b.d01 * theta)
 
 
+def conj(x):
+    """The complex conjugate of a Scalar, or of a helper polynomial or
+    matrix (their .conj())."""
+    return Scalar(x.re, -x.im) if isinstance(x, Scalar) else x.conj()
+
+
 def form_conj(f: AlgebroidForm) -> AlgebroidForm:
     """The complex conjugate of a scalar form."""
-    return AlgebroidForm(f.r, f.degree, {k: v.conj() for k, v in f.comps.items()})
+    return AlgebroidForm(f.r, f.degree, {k: conj(v) for k, v in f.comps.items()})
 
 
 def identity_endo(re: int, ro: int) -> Endo:
@@ -534,7 +540,7 @@ class PairScalar:
 
 class RingMatrix:
     """Immutable tuple-of-tuples matrix over any ring whose elements
-    support +, -, * and .conj(): Scalar, or SimplexPolynomial with
+    support +, -, * and conj(): Scalar, or SimplexPolynomial with
     zero = SimplexPolynomial(p).  The matrix type algch had before its
     entries were cleared to integers, kept as the ring-entry oracle.
     """
@@ -644,7 +650,7 @@ class RingMatrix:
 
     def conj(self) -> "RingMatrix":
         return RingMatrix(
-            [[a.conj() for a in r] for r in self.rows], self.zero, ncols=self.ncols
+            [[conj(a) for a in r] for r in self.rows], self.zero, ncols=self.ncols
         )
 
     def conj_transpose(self) -> "RingMatrix":
@@ -870,7 +876,7 @@ def leading_minors_positive(h: Matrix) -> bool:
     minor of h is real and positive."""
     for k in range(1, h.nrows + 1):
         minor = reference_det(RingMatrix([row[:k] for row in h.rows[:k]], ncols=k))
-        if not minor.is_real() or not minor.re > 0:
+        if minor.im != 0 or not minor.re > 0:
             return False
     return True
 
@@ -1333,7 +1339,7 @@ class SimplexPolynomial:
 
     def conj(self) -> "SimplexPolynomial":
         return SimplexPolynomial._from_terms(
-            self.p, {e: c.conj() for e, c in self.terms.items()}
+            self.p, {e: conj(c) for e, c in self.terms.items()}
         )
 
     def is_zero(self) -> bool:

@@ -443,7 +443,7 @@ class TestIntrinsic:
                         assert supertrace_curvature_power(basic, q).is_zero(), case + (q,)
             for rep in intrinsic_char(a):
                 form = rep.representative
-                assert all(v.is_real() for v in form.comps.values()), (name, rep.q)
+                assert all(v.im == 0 for v in form.comps.values()), (name, rep.q)
                 assert dense_ce_differential(a, form).is_zero(), (name, rep.q)
                 nonzero += not form.is_zero()
         assert curved > 0 and nonzero > 0

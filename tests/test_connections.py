@@ -42,6 +42,7 @@ from helpers import (
     supertrace,
     Endo,
     boundary_commutator,
+    conj,
     form_conj,
 )
 
@@ -223,7 +224,7 @@ class TestMetric:
             rows[i][j] = rows[i][j] + d
             h = Matrix(rows, ncols=n)
         e = h.rows
-        hermitian = all(e[i][j] == e[j][i].conj() for i in range(n) for j in range(n))
+        hermitian = all(e[i][j] == conj(e[j][i]) for i in range(n) for j in range(n))
         before = (copy.deepcopy(h.re), copy.deepcopy(h.im), h.den)
         try:
             check_metric_block(h)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from algch.linalg import Matrix
 from algch.scalars import Scalar, ZERO, ONE, I
 
-from helpers import PairScalar, SimplexPolynomial, simplex_integrate
+from helpers import PairScalar, SimplexPolynomial, conj, simplex_integrate
 
 fractions_st = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -94,8 +94,8 @@ class TestScalar:
         assert a * b - b * a == ZERO
         assert (a / b) * b == a
         assert I * I == Scalar(-1)
-        assert a.conj().conj() == a
-        assert (a * a.conj()).is_real()
+        assert conj(conj(a)) == a
+        assert (a * conj(a)).im == 0
 
     def test_pow_and_zero(self):
         assert I ** 4 == ONE
@@ -109,7 +109,7 @@ class TestScalar:
 
     @given(scalars_st, scalars_st)
     def test_conj_multiplicative(self, a, b):
-        assert (a * b).conj() == a.conj() * b.conj()
+        assert conj(a * b) == conj(a) * conj(b)
 
 
 class TestScalarOracle:
@@ -129,7 +129,7 @@ class TestScalarOracle:
     @given(operands_st)
     def test_neg_and_conj(self, x):
         assert_matches(-x, -as_pair(x))
-        assert_matches(x.conj(), PairScalar(x.re, -x.im))
+        assert_matches(conj(x), PairScalar(x.re, -x.im))
 
     @given(operands_st, st.integers(-3, 4))
     def test_pow(self, x, n):
@@ -183,7 +183,7 @@ class TestScalarOracle:
         a, b = Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 5))
         for s in (a + b, a - b, a * b, a / b, -a, a * 3, 2 - a, 1 / b, a ** 3):
             assert s.im == Fraction(0) and type(s.im) is Fraction
-            assert s.is_real()
+            assert s.im == 0
             assert s == s.re and hash(s) == hash(Scalar(s.re))
 
 
@@ -220,7 +220,7 @@ class TestPolynomialArithmetic:
             self.assert_canonical(got)
             assert got == SimplexPolynomial(f.p, want)
         self.assert_canonical(-f)
-        self.assert_canonical(f.conj())
+        self.assert_canonical(conj(f))
 
     def test_product_cancellation_drops_term(self):
         # (1 + t1)(1 - t1): the two t1 terms cancel
@@ -315,4 +315,4 @@ class TestSimplexIntegration:
         f = t1 * SimplexPolynomial.constant(2, Scalar(1, 2)) + SimplexPolynomial.constant(
             2, Scalar(0, -1)
         )
-        assert simplex_integrate(f.conj(), 2) == simplex_integrate(f, 2).conj()
+        assert simplex_integrate(conj(f), 2) == conj(simplex_integrate(f, 2))
