@@ -24,6 +24,7 @@ from .charclasses import (
     DomainError,
     IdentityFailure,
     adjoint_setup,
+    basic_cochains,
     intrinsic_char,
     modular_class,
     KAPPA,

@@ -184,6 +184,12 @@ def _real_brackets(a: ConstantAlgebroid) -> bool:
     return not any(im for row in a.ints for cell in row for _, _, im in cell)
 
 
+def _traces(a: ConstantAlgebroid) -> list:
+    """(re, im) of tr ad e_i = sum_j c_ij^j for i = 0..r-1, over a.den."""
+    terms = [[(x, y) for j, cell in enumerate(row) for k, x, y in cell if k == j] for row in a.ints]
+    return [(sum(x for x, _ in t), sum(y for _, y in t)) for t in terms]
+
+
 def validate_algebroid(a: ConstantAlgebroid) -> list[str]:
     """Empty list means the Lie algebroid axioms hold on the nose.
 
@@ -349,9 +355,7 @@ def _ranked_betti(a: ConstantAlgebroid) -> list[int]:
     r = a.r
     table = _leibniz(a)
     real = _real_brackets(a)
-    # the terms (re, im) of tr ad e_i * den, one list per row i of the table
-    traces = [[(x, y) for j, cell in enumerate(row) for k, x, y in cell if k == j] for row in a.ints]
-    unimodular = not any(sum(x for x, _ in t) or sum(y for _, y in t) for t in traces)
+    unimodular = not any(x or y for x, y in _traces(a))
     ranks = [
         _rank(map(partial(_column, table), combinations(range(r), k)), real)
         for k in range((r + 1) // 2 if unimodular else r - 1)

@@ -6,7 +6,8 @@ odd boundary.  The degree-1 class is the modular class; for a Lie
 algebra it is proportional to the trace character x |-> Tr(ad_x).
 Their domain is a real algebroid, decided by _check_domain.  They are
 taken from the algebroid alone (intrinsic_cochains), with no tm_conn or
-metric; adjoint_setup builds the basic connection for cs and morita-check.
+metric, as is cs on a real pair up to max_q = 2 (basic_cochains);
+adjoint_setup builds the basic connection for the rest of cs and morita-check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .scalars import Scalar, ONE, I
 from .linalg import Matrix, _cmatmul, _imag, _lin, _reduced
 from .algebroid import ConstantAlgebroid, AlgebroidForm, coboundary_witness
 from .connections import GradedBundle, GradedEndo, Connection
-from .transgression import DomainError, _ad, _check_domain, intrinsic_cochains
+from .transgression import DomainError, _ad, _check_domain, cs_cochains, intrinsic_cochains
 
 # Ratio between the degree-1 intrinsic representative and the trace
 # character: the q = 1 class form is -2 c_1 tr ad_i with c_1 = 1
@@ -75,9 +76,9 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
     commutes with the anchor because rho ad_{e_i} = 0, the anchor axiom
     that parsing decides.
 
-    cs and morita-check transgress it against its metric dual; the
-    intrinsic classes do not need it.  A non-real algebroid gets
-    DomainError (_check_domain), as from intrinsic_char.
+    basic_cochains and morita-check transgress it against its metric
+    dual.  A non-real algebroid gets DomainError (_check_domain), as
+    from intrinsic_char.
     """
     _check_domain(a)
     tm_conn = list(tm_conn)
@@ -105,6 +106,20 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
         even = _reduced(_lin(ad.re, gp, t_rho_re, ad.den), even_im, ad.den * gp, a.r)
         omega.append(GradedEndo(even, _reduced(*_cmatmul((rho.re, None), t, a.n), gp, a.n)))
     return Connection(a, adjoint_bundle(rho), omega)
+
+
+def basic_cochains(a: ConstantAlgebroid, tm_conn, h, max_q: int) -> list[AlgebroidForm]:
+    """cs_cochains(adjoint_setup(a, tm_conn), h, max_q), the cochains of cs.
+
+    Up to max_q = 2 they are intrinsic_cochains(a, max_q) plus dT at q = 2,
+    since each theta-term of CS(c) is a graded commutator with the anchor,
+    of supertrace 0; T is 0 when tm_conn and h are real, so such a pair
+    builds no connection, unlike a Gaussian or misshapen one or max_q >= 3."""
+    tm_conn = list(tm_conn)
+    real = all(g.im is None and g.shape == (a.r, a.r) for g in tm_conn) and h.h_even.im is h.h_odd.im is None
+    if max_q <= 2 and real and len(tm_conn) == a.n and h.bundle == adjoint_bundle(a.anchor):
+        return intrinsic_cochains(a, max_q)
+    return cs_cochains(adjoint_setup(a, tm_conn), h, max_q)
 
 
 def intrinsic_char(a: ConstantAlgebroid, max_q=None) -> list[ClassReport]:

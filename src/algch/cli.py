@@ -20,12 +20,11 @@ from operator import mul
 from .linalg import Matrix, _reduced
 from .algebroid import betti_numbers
 from .connections import HermitianMetric
-from .transgression import cs_cochains
 from .charclasses import (
     DomainError,
     IdentityFailure,
     adjoint_bundle,
-    adjoint_setup,
+    basic_cochains,
     intrinsic_char,
     modular_class,
     default_max_q,
@@ -142,10 +141,8 @@ def cmd_cs(job):
     """cs^q(basic connection, its metric dual) for q = 1..max_q."""
     a, extras = fileio.load_algebroid(job["inputs"][0])
     max_q = _count_option(job["options"], "max_q", default_max_q(a))
-    tm = _tm_conn(extras, a)
-    basic = adjoint_setup(a, tm)
+    forms = basic_cochains(a, _tm_conn(extras, a), _metric(extras, adjoint_bundle(a.anchor)), max_q)
     out, lines = [], []
-    forms = cs_cochains(basic, _metric(extras, basic.bundle), max_q)
     for q in range(1, max_q + 1):
         comps = fileio.form_to_json(forms[q])
         out.append({"q": q, "form": comps})

@@ -4,8 +4,8 @@ cs_cochains(c, h, max_q) takes cs^q of a connection c and its metric
 dual: up to q = 2 as a difference of Chern-Simons forms from traces of
 c's frames and solves against the metric, from q = 3 on by the chain
 cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on frame 2-forms.
-intrinsic_cochains(a, max_q) runs the same chain on the flat ad (+) 0
-of the algebroid alone.  The affine family sum_i t_i nabla_i over
+intrinsic_cochains(a, max_q) takes q = 1 off the bracket table and the
+rest by the same chain on the flat ad (+) 0.  The affine family over
 M x Delta^p, whose curvature has an extra dt-leg, is the tests' oracle.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
@@ -35,7 +35,7 @@ from operator import add, mul
 
 from .scalars import Scalar
 from .linalg import Matrix, _bareiss, _cmatmul, _lin, _matrix
-from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign, _real_brackets
+from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign, _real_brackets, _traces
 from .connections import Connection, GradedBundle, HermitianMetric, h_dual
 
 
@@ -378,16 +378,19 @@ def intrinsic_cochains(a: ConstantAlgebroid, max_q: int) -> list[AlgebroidForm]:
     curvature F_t = (t^2 - t) A^2 and CS^q(A) = c_q str(A ^ (A^2)^(q-1)),
     c_q = q (-1)^(q-1) ((q-1)!)^2 / (2q-1)!.  That form is real: the
     class form is 0 at even q, which is not traced, and -2 CS^q at odd
-    q, so A^2 = [ad_i, ad_j] is built from max_q = 3 on.  It is
-    cohomologous to cs_cochains(c, h) under every metric h, as
-    CS(c^h) = (-1)^q conj CS(c) (Chern and Simons, Ann. Math. 99, 1974;
-    Crainic, Comment. Math. Helv. 78, 2003).  DomainError if a is not real.
+    q: -2 tr ad_i = -2 sum_j c_ij^j, read off the bracket table, at q = 1,
+    and from 3 on a chain on ad_i and A^2 = [ad_i, ad_j].  It is
+    cohomologous to cs_cochains(c, h) under every h, as CS(c^h) =
+    (-1)^q conj CS(c) (Chern and Simons, Ann. Math. 99, 1974; Crainic,
+    Comment. Math. Helv. 78, 2003).  DomainError if a is not real.
     """
     _check_domain(a)
-    zero = Matrix.zeros(a.n, a.n)
-    frames = [{} if (x := _ad(a, i)).is_zero() else {(0,): (x, zero)} for i in range(a.r)]
-    curv = _curvature_values(a, frames, 0) if max_q >= 3 else {}
-    traced = _chain({((i,), ()): x for i, x in enumerate(frames) if x}, curv, range(1, max_q + 1, 2))
+    if max_q < 3:
+        traced = {1: {((i,), ()): {(0,): (Fraction(t, a.den), 0)} for i, (t, _) in enumerate(_traces(a)) if t}}
+    else:
+        frames = [{} if (x := _ad(a, i)).is_zero() else {(0,): (x, Matrix.zeros(a.n, a.n))} for i in range(a.r)]
+        form = {((i,), ()): x for i, x in enumerate(frames) if x}
+        traced = _chain(form, _curvature_values(a, frames, 0), range(3, max_q + 1, 2))
     out = [AlgebroidForm(a.r, 0)]
     for q in range(1, max_q + 1):
         w = Fraction(-2 * q * factorial(q - 1) ** 2, factorial(2 * q - 1))

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,7 @@ from algch.charclasses import (
     DomainError,
     KAPPA,
     adjoint_setup,
+    basic_cochains,
     intrinsic_char,
     modular_class,
     default_max_q,
@@ -39,6 +40,7 @@ from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie
 
 from helpers import (
     adjoint_connection,
+    count_calls,
     adjoint_metric,
     rand_rational,
     boundary_commutator,
@@ -564,27 +566,70 @@ class TestFlatRoute:
 
     def test_dropped_structure_constant_caught(self, monkeypatch):
         # one c_ij^k dropped from ad_i changes the forms: at max_q 1 each
-        # c_ij^j of a q-family, which tr ad_i reads, and at max_q 3 every
-        # ninth c_ij^k of sl3_r3 with e_i in sl3 (an ad_(v_l) entry can
-        # leave char^3's form alone)
+        # c_ij^j of a q-family, dropped from the integer table, whose sums
+        # tr ad_i = sum_j c_ij^j the q = 1 form reads, and at max_q 3
+        # every ninth c_ij^k of sl3_r3 with e_i in sl3, dropped from _ad,
+        # which the chain reads (an ad_(v_l) entry can leave char^3's
+        # form alone)
+        a = q_family(1, 2, 3, 4)
+        want = intrinsic_cochains(a, 1)
+        entries = [(i, j) for i, row in enumerate(a.ints) for j, cell in enumerate(row) if j in (k for k, _, _ in cell)]
+        assert entries
+        for i0, j0 in entries:
+            ints = [list(row) for row in a.ints]
+            ints[i0][j0] = tuple(t for t in ints[i0][j0] if t[0] != j0)
+            b = algebroid._algebroid(a.n, a.r, a.anchor, a.den, tuple(map(tuple, ints)))
+            assert intrinsic_cochains(b, 1) != want, (i0, j0)
         original = transgression._ad
-        cases = [(q_family(1, 2, 3, 4), 1, lambda i, j, k: k == j), (sl3_r3(), 3, lambda i, j, k: i < 8)]
-        for a, max_q, read in cases:
-            want = intrinsic_cochains(a, max_q)
-            entries = [(i, j, k) for i in range(a.r) for j in range(a.r) for k, _, _ in a.ints[i][j] if read(i, j, k)]
-            assert entries
-            for i0, j0, k0 in entries[:: 1 if max_q == 1 else 9]:
+        a = sl3_r3()
+        want = intrinsic_cochains(a, 3)
+        entries = [(i, j, k) for i in range(8) for j in range(a.r) for k, _, _ in a.ints[i][j]]
+        assert entries
+        for i0, j0, k0 in entries[::9]:
 
-                def dropped(b, i, i0=i0, j0=j0, k0=k0):
-                    m = original(b, i)
-                    if i != i0:
-                        return m
-                    rows = [[ZERO if (k, j) == (k0, j0) else m[k, j] for j in range(b.r)] for k in range(b.r)]
-                    return Matrix(rows, ncols=b.r)
+            def dropped(b, i, i0=i0, j0=j0, k0=k0):
+                m = original(b, i)
+                if i != i0:
+                    return m
+                rows = [[ZERO if (k, j) == (k0, j0) else m[k, j] for j in range(b.r)] for k in range(b.r)]
+                return Matrix(rows, ncols=b.r)
 
-                monkeypatch.setattr(transgression, "_ad", dropped)
-                assert intrinsic_cochains(a, max_q) != want, (i0, j0, k0)
-                monkeypatch.setattr(transgression, "_ad", original)
+            monkeypatch.setattr(transgression, "_ad", dropped)
+            assert intrinsic_cochains(a, 3) != want, (i0, j0, k0)
+            monkeypatch.setattr(transgression, "_ad", original)
+
+
+class TestBasicCochains:
+    def test_equals_cs_cochains_on_the_nose(self, monkeypatch):
+        """basic_cochains(a, tm_conn, h, max_q), the route of cs, equals
+        cs_cochains(adjoint_setup(a, tm_conn), h, max_q) on the nose at
+        max_q 1 and 2, on the corpus and its products of rank up to 6,
+        under every mix of a real and a Gaussian tm_conn, g_A and g_M.
+
+        A real pair builds no basic connection: its cochains are
+        intrinsic_cochains(a, max_q), with tr ad_i read off the bracket
+        table, and its T is 0.  Any other pair builds one.  The Gaussian
+        g_M of a real tm_conn and g_A gives a nonzero cs^2, wholly from
+        T's odd parity, on some of the cases, so a Gaussian g_M taken as
+        real is seen."""
+        rng = random.Random(35)
+        corpus = list(small_corpus().values())
+        cases = corpus + [direct_product(x, y) for x, y in combinations_with_replacement(corpus, 2) if x.r + y.r <= 6]
+        calls = count_calls(monkeypatch, charclasses.adjoint_setup)
+        real_pairs = odd_t = 0
+        for a in cases:
+            for tm_real, ga_real, gm_real in product((True, False), repeat=3):
+                tm = rand_tm_conn(a, rng, real=tm_real)
+                h = adjoint_metric(a, rand_pd_matrix(a.r, rng, ga_real), rand_pd_matrix(a.n, rng, gm_real))
+                real = all(m.im is None for m in (*tm, h.h_even, h.h_odd))
+                for max_q in (1, 2):
+                    calls.clear()
+                    got = basic_cochains(a, tm, h, max_q)
+                    assert got == cs_cochains(adjoint_setup(a, tm), h, max_q), (a, tm_real, ga_real, gm_real, max_q)
+                    assert len(calls) == (not real), (a, tm_real, ga_real, gm_real, max_q)
+                real_pairs += real
+                odd_t += tm_real and ga_real and h.h_odd.im is not None and not got[2].is_zero()
+        assert real_pairs and odd_t, (real_pairs, odd_t)
 
 
 class TestAnomalyFamily:

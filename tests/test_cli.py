@@ -568,19 +568,23 @@ class TestBatchDocuments:
 class TestCommandSetups:
     """Each command builds its adjoint setups once, and a metric dual
     only where the pair chain of cs at max_q >= 3 reads it: char and
-    modular build neither, as they read the algebroid alone."""
+    modular build neither, as they read the algebroid alone, and so
+    does cs on a real pair at max_q <= 2, whose metric 2-form T is 0.
+    A Gaussian g_A (tt1_so3_hermitian) needs T, and max_q 3 the chain."""
 
     @pytest.mark.parametrize(
         "argv, setups",
         [
             (["char", "--max-q", "2", "q_family.json"], 0),
             (["modular", "q_family.json"], 0),
-            (["cs", "--max-q", "2", "q_family.json"], 1),
+            (["cs", "--max-q", "2", "q_family.json"], 0),
             (["morita-check", "--k", "1", "--seed", "2", "tt2.json"], 2),
+            (["cs", "--max-q", "2", "tt1_so3_hermitian.json"], 1),
+            (["cs", "--max-q", "3", "q_family.json"], 1),
         ],
     )
     def test_adjoint_setup_calls(self, capsys, monkeypatch, argv, setups):
-        from algch import cli, pullback
+        from algch import pullback
 
         calls = []
         original = charclasses.adjoint_setup
@@ -589,13 +593,13 @@ class TestCommandSetups:
             calls.append(args[0].r)
             return original(*args)
 
-        for module in (cli, charclasses, pullback):
+        for module in (charclasses, pullback):
             monkeypatch.setattr(module, "adjoint_setup", counted)
         duals = count_calls(monkeypatch, connections.h_dual)
         status, _ = run_cli(capsys, *argv[:-1], INPUTS / argv[-1])
         assert status == 0
         assert len(calls) == setups
-        assert duals == []
+        assert len(duals) == (argv[:3] == ["cs", "--max-q", "3"])
 
     @pytest.mark.parametrize("command", ["cs", "char"])
     def test_h_dual_calls_at_max_q_3(self, capsys, monkeypatch, command):
