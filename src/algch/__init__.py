@@ -18,7 +18,7 @@ from .connections import (
     HermitianMetric,
     h_dual,
 )
-from .transgression import cs_cochains, intrinsic_cochains
+from .transgression import intrinsic_cochains
 from .charclasses import (
     ClassReport,
     DomainError,

@@ -111,9 +111,8 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
 def basic_cochains(a: ConstantAlgebroid, tm_conn, h, max_q: int) -> list[AlgebroidForm]:
     """cs_cochains(adjoint_setup(a, tm_conn), h, max_q), the cochains of cs.
 
-    Up to max_q = 2 they are intrinsic_cochains(a, max_q) plus dT at q = 2,
-    since each theta-term of CS(c) is a graded commutator with the anchor,
-    of supertrace 0; T is 0 when tm_conn and h are real, so such a pair
+    Up to max_q = 2 they are intrinsic_cochains(a, max_q) plus dT at q = 2
+    (cs_cochains); T is 0 when tm_conn and h are real, so such a pair
     builds no connection, unlike a Gaussian or misshapen one or max_q >= 3."""
     tm_conn = list(tm_conn)
     real = all(g.im is None and g.shape == (a.r, a.r) for g in tm_conn) and h.h_even.im is h.h_odd.im is None

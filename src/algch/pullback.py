@@ -162,9 +162,10 @@ def morita_check(
     differ from the pulled-back ones by exact forms.  The cochains cs^q
     are compared directly: the phase i^(q+1) of the representatives
     changes neither equality, vanishing nor exactness.  At max_q <= 2
-    the perturbed verdict holds by construction (cs^1 reads no metric;
-    the cs^2 differ by d(T_alt - T_bar), T the 2-form cs_cochains takes
-    from alt_metric or g-bar); it has teeth only from max_q 3.
+    the perturbed verdict can be read off the route of cs_cochains,
+    intrinsic_cochains plus dT: cs^1 reads no metric, and the two cs^2
+    differ by d(T_alt - T_bar), T taken from alt_metric or g-bar; it
+    has teeth only from max_q 3.
     """
     recipe = submersion_recipe(a, k, tm_conn, g, g_v)
     basic = recipe.basic

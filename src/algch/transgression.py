@@ -1,12 +1,13 @@
 """Transgression cochains.
 
-cs_cochains(c, h, max_q) takes cs^q of a connection c and its metric
-dual: up to q = 2 as a difference of Chern-Simons forms from traces of
-c's frames and solves against the metric, from q = 3 on by the chain
-cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on frame 2-forms.
-intrinsic_cochains(a, max_q) takes q = 1 off the bracket table and the
-rest by the same chain on the flat ad (+) 0.  The affine family over
-M x Delta^p, whose curvature has an extra dt-leg, is the tests' oracle.
+cs_cochains(c, h, max_q) takes cs^q of a basic connection c and its
+metric dual: up to q = 2 as intrinsic_cochains plus the coboundary of
+a 2-form T from c's frames and solves against the metric, from q = 3
+on by the chain cs^q = q int_0^1 str(theta ^ F_t^(q-1)) dt on frame
+2-forms.  intrinsic_cochains(a, max_q) takes q = 1 off the bracket
+table and the rest by the same chain on the flat ad (+) 0.  The affine
+family over M x Delta^p, whose curvature has an extra dt-leg, is the
+tests' oracle.
 
 Bigraded convention: a component keyed by (I, J) is the value of the
 form on (e_{i_1}, ..., e_{i_k}, d/dt_{j_1+1}, ..., d/dt_{j_s+1}),
@@ -29,12 +30,12 @@ a pair, and by (0,) for ad (+) 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial, lcm, prod
-from operator import add, mul
+from operator import add
 
 from .scalars import Scalar
-from .linalg import Matrix, _bareiss, _cmatmul, _lin, _matrix
+from .linalg import Matrix, _bareiss, _lin, _matrix
 from .algebroid import ConstantAlgebroid, AlgebroidForm, merge_sign, _real_brackets, _traces
 from .connections import Connection, GradedBundle, HermitianMetric, h_dual
 
@@ -106,19 +107,24 @@ def _products(left: dict, right: dict, lo: int) -> list:
 
 def _poly_products(terms) -> dict:
     """The polynomial sum of sign * v1 * v2 over (sign, v1, v2) in terms;
-    zero coefficients are left out."""
+    zero coefficients are left out.  Blocks are square, so a product with
+    a zero factor is that factor, and is not taken."""
     out = {}
     for sign, v1, v2 in terms:
         for e1, (a1, b1) in v1.items():
             for e2, (a2, b2) in v2.items():
                 e = tuple(map(add, e1, e2))
-                x, y = a1 * a2, b1 * b2
+                x, y = _times(a1, a2), _times(b1, b2)
                 if e in out:
                     x0, y0 = out[e]
                     out[e] = (x0 + x, y0 + y) if sign == 1 else (x0 - x, y0 - y)
                 else:
                     out[e] = (x, y) if sign == 1 else (-x, -y)
     return {e: v for e, v in out.items() if not _is_zero(v)}
+
+
+def _times(x: Matrix, y: Matrix) -> Matrix:
+    return x if x.is_zero() else y if y.is_zero() else x * y
 
 
 def _is_zero(pair) -> bool:
@@ -274,42 +280,24 @@ def fibre_integrate(omega: AffineForm, p: int) -> AlgebroidForm:
 
 
 def cs_cochains(c: Connection, h: HermitianMetric, max_q: int) -> list[AlgebroidForm]:
-    """The Chern-Simons cochains cs^q(c, c^h) of the connection c and its
-    metric dual c^h = h_dual(c, h), as a list indexed by q = 0..max_q,
-    with cs^0 the zero 0-form.
+    """The Chern-Simons cochains cs^q(c, c^h) of a basic connection c, the
+    output of adjoint_setup, and its metric dual c^h = h_dual(c, h), as
+    a list indexed by q = 0..max_q, with cs^0 the zero 0-form.
 
-    The route depends on max_q alone.  Up to max_q = 2 it takes the
-    difference of Chern-Simons forms (Chern and Simons, Ann. Math. 99,
-    1974) from c's frames and h: with c_0 = c and c_1 = c^h, frames
-    -H^-1 c_0,i^* H, cs^1 = str(c_1,i) - str(c_0,i), and CS3 for
-    (z, c_0, c_1), z the zero connection, gives
+    The route depends on max_q alone.  Up to max_q = 2 they are
+    intrinsic_cochains(a, max_q) plus dT at q = 2.  CS3 for (z, c, c^h),
+    z the zero connection, gives (Chern and Simons, Ann. Math. 99, 1974)
 
-        cs^2(c_0, c_1) = CS(c_1) - CS(c_0) + dT,
-        CS(A) = cs^2(z, A),  T = cs^2(z, c_0, c_1).
+        cs^2(c, c^h) = CS(c^h) - CS(c) + dT,
+        CS(A) = cs^2(z, A),  T = cs^2(z, c, c^h),
 
-    With dA_jk = -sum_l c_jk^l A_l and P_jk = A_j A_k, on components,
-
-        CS(A)_ijk = str(A_i dA_jk) - str(A_j dA_ik) + str(A_k dA_ij)
-                    + 2 [str(A_i P_jk) - str(A_j P_ik)]        (i < j < k),
-        T_ij = str(c_0,i c_1,j) - str(c_0,j c_1,i).
-
-    The last term is 2/3 of the six orders of str(A_i A_j A_k), which
-    cyclicity leaves at two.  Supertraces are similarity-invariant, so
-    str(c_1,i) = -conj str(c_0,i), str(c_1,i c_1,l) = conj str(c_0,i c_0,l)
-    and str(c_1,i c_1,j c_1,k) = -conj str(c_0,k c_0,j c_0,i), which
-    cyclicity turns into -conj str(c_0,j c_0,i c_0,k): the triple term of
-    CS(c_1) is the conjugate of that of CS(c_0).  Hence
-    cs^1 = -2 Re str(c_0,i), and CS(c_1) - CS(c_0) is the formula for
-    CS on -2i times the imaginary parts of c_0's traces, zero on a real
-    c_0: one product P_jk per frame pair j < k, on c_0's nonzero rows.
-    The cross traces are Hermitian, so T_ij = 2i Im str(c_0,i c_1,j), and
-    with G = H^-1 blockwise str(c_0,i c_1,j) = -str(c_0,i G c_0,j^* H) is
-    minus the pairing sum U_i conj(Z_j) of U_i = c_0,i G and Z_j = H c_0,j
-    on c_0's nonzero entries, which read only the columns of G at c_0's
-    nonzero columns: one solve per metric block; T is zero when c_0 and
-    h are real, c_1 being real then.  c_1's frames are never built.
-    Traces run on integer rows over one denominator, and each component
-    becomes a rational once, at the end.
+    and cs^1 = CS^1(c^h) - CS^1(c).  CS(c^h) = (-1)^q conj CS(c), and
+    CS(c) = CS(ad (+) 0) is real (intrinsic_cochains), so the difference
+    is intrinsic_cochains' form.  T_ij = str(c_i c^h_j) - str(c_j c^h_i)
+    comes from c's frames and h, never from c^h's (_metric_transgression),
+    and (dT)_ijk = -_contract(a, T).  T can be nonzero under a real
+    metric, as c is Gaussian under a Gaussian tm_conn; a parity whose
+    frames and metric block are real adds nothing to it.
 
     From max_q = 3 on it takes the chain on F_t, in _pair_chain, on
     the frames of h_dual(c, h), built once there.  The Chern-Simons
@@ -342,8 +330,16 @@ def cs_cochains(c: Connection, h: HermitianMetric, max_q: int) -> list[Algebroid
         raise ValueError("connection and metric live on different bundles")
     if max_q >= 3:
         return _pair_chain([c, h_dual(c, h)], max_q)
-    real = _is_real(c) and h.h_even.im is None and h.h_odd.im is None  # a real dual: no T
-    return _trace_cochains(c, max_q, None if real else h)
+    a = c.algebroid
+    out = intrinsic_cochains(a, max_q)
+    if max_q == 2:
+        d0, f0 = _integer_frames(c)
+        den, t = _metric_transgression(f0, d0, h)
+        den *= a.den
+        out[2] = AlgebroidForm(a.r, 3, {
+            key: Scalar(Fraction(-x, den), Fraction(-y, den)) for key, (x, y) in _contract(a, t).items()
+        })
+    return out
 
 
 class DomainError(ValueError):
@@ -379,10 +375,11 @@ def intrinsic_cochains(a: ConstantAlgebroid, max_q: int) -> list[AlgebroidForm]:
     c_q = q (-1)^(q-1) ((q-1)!)^2 / (2q-1)!.  That form is real: the
     class form is 0 at even q, which is not traced, and -2 CS^q at odd
     q: -2 tr ad_i = -2 sum_j c_ij^j, read off the bracket table, at q = 1,
-    and from 3 on a chain on ad_i and A^2 = [ad_i, ad_j].  It is
-    cohomologous to cs_cochains(c, h) under every h, as CS(c^h) =
+    and from 3 on a chain on ad_i and A^2 = [ad_i, ad_j].  As CS(c^h) =
     (-1)^q conj CS(c) (Chern and Simons, Ann. Math. 99, 1974; Crainic,
-    Comment. Math. Helv. 78, 2003).  DomainError if a is not real.
+    Comment. Math. Helv. 78, 2003), it is cohomologous to
+    cs_cochains(c, h) under every h, and up to max_q = 2 equal to it
+    but for dT at q = 2.  DomainError if a is not real.
     """
     _check_domain(a)
     if max_q < 3:
@@ -396,31 +393,6 @@ def intrinsic_cochains(a: ConstantAlgebroid, max_q: int) -> list[AlgebroidForm]:
         w = Fraction(-2 * q * factorial(q - 1) ** 2, factorial(2 * q - 1))
         comps = {idx: Scalar(w * v[(0,)][0]) for (idx, _), v in traced.get(q, {}).items()}
         out.append(AlgebroidForm(a.r, 2 * q - 1, comps))
-    return out
-
-
-def _trace_cochains(c: Connection, max_q: int, h: HermitianMetric = None) -> list[AlgebroidForm]:
-    """cs_cochains's branch up to max_q = 2, CS(-c^*) - CS(c) from c's
-    frame traces, plus dT of the dual pair when the metric h is given."""
-    a = c.algebroid
-    out = [AlgebroidForm(a.r, 0) for _ in range(max_q + 1)]
-    if max_q < 1:
-        return out
-    d0, f0 = _integer_frames(c)
-    out[1] = AlgebroidForm(a.r, 1, {
-        (i,): Scalar(Fraction(-2 * _supertrace(x)[0], d0)) for i, x in enumerate(f0)
-    })
-    if max_q == 2:
-        # conj(w) - w = -2i Im w for the gram and triple terms; a real
-        # c_0 has none
-        linear, cubic = [], []
-        if not _is_real(c):
-            gram, tri = _cs_traces(f0)
-            linear.append((-2, d0**2, _imaginary(gram)))
-            cubic.append((-2, d0**3, _imaginary(tri)))
-        if h is not None:
-            linear.append((-1, *_metric_transgression(f0, d0, h)))
-        out[2] = _cs2_form(a, linear, cubic)
     return out
 
 
@@ -472,43 +444,6 @@ def _simplex_cochains(conns, max_q: int) -> dict:
     return out
 
 
-def _is_real(c) -> bool:
-    return all(m.im is None for om in c.omega for m in (om.ee, om.oo))
-
-
-def _imaginary(t: dict) -> dict:
-    """The imaginary parts of a table {key: (re, im)}, as (0, im)."""
-    return {k: (0, y) for k, (_, y) in t.items() if y}
-
-
-def _cs2_form(a: ConstantAlgebroid, linear: list, cubic: list) -> AlgebroidForm:
-    """The 3-form _contract(a, sum of linear) + a.den * sum of cubic, for
-    terms (weight, den, table): Gaussian integer tables over den, each
-    multiplied by the integer weight.  It is CS(A) for linear gram and
-    cubic tri of A (_cs_traces), and CS(c_1) - CS(c_0) + dT of a dual
-    pair for linear -2i Im gram_0 and -T and cubic -2i Im tri_0."""
-    den = lcm(*(d for _, d, _ in chain(linear, cubic)))
-    lin = _weighted((w * (den // d), t) for w, d, t in linear)
-    sums = _weighted(chain(
-        ((1, _contract(a, lin)),) if lin else (),
-        ((w * a.den * (den // d), t) for w, d, t in cubic),
-    ))
-    den *= a.den
-    return AlgebroidForm(a.r, 3, {
-        key: Scalar(Fraction(x, den), Fraction(y, den)) for key, (x, y) in sums.items()
-    })
-
-
-def _weighted(parts) -> dict:
-    """sum of w * table over (w, table) in parts, for tables {key: (re, im)}."""
-    sums = {}
-    for w, part in parts:
-        for key, (x, y) in part.items():
-            x0, y0 = sums.get(key, (0, 0))
-            sums[key] = (x0 + w * x, y0 + w * y)
-    return sums
-
-
 def _integer_frames(c) -> tuple:
     """(den, frames) for the connection c, with den the lcm of the
     denominators of its frame matrices.  frames[i] is None when frame
@@ -531,87 +466,22 @@ def _integer_frames(c) -> tuple:
     return den, frames
 
 
-def _flat(blocks, right=False) -> tuple:
-    """The entries of the even and odd blocks as one vector (re, im),
-    im None on real data: row by row, or with right, those of the
-    transposed blocks with the odd one negated.  Then str(x y) is
-    _dot(_flat(x), _flat(y, True))."""
-    out = []
-    for part in (0, 1):
-        if part and blocks[0][1] is None and blocks[1][1] is None:
-            return out[0], None
-        ee, oo = [b[part] if b[part] is not None else [[0] * len(b[0])] * len(b[0]) for b in blocks]
-        if right:
-            out.append([*chain.from_iterable(zip(*ee)), *[-v for v in chain.from_iterable(zip(*oo))]])
-        else:
-            out.append([*chain.from_iterable(ee), *chain.from_iterable(oo)])
-    return tuple(out)
-
-
-def _dot(x: tuple, y: tuple) -> tuple:
-    """sum_k x_k y_k for Gaussian integer vectors (re, im), as (re, im)."""
-    (a, b), (c, d) = x, y
-    re = sum(map(mul, a, c))
-    if b is None:
-        return re, 0 if d is None else sum(map(mul, a, d))
-    if d is None:
-        return re, sum(map(mul, b, c))
-    return re - sum(map(mul, b, d)), sum(map(mul, a, d)) + sum(map(mul, b, c))
-
-
-def _supertrace(frame) -> tuple:
-    """str of an integer frame, or of None (zero), as (re, im)."""
-    if frame is None:
-        return 0, 0
-    t = [[sum(row[k] for k, row in enumerate(rows)) if rows else 0 for rows in b] for b in frame]
-    return t[0][0] - t[1][0], t[0][1] - t[1][1]
-
-
-def _cs_traces(frames: list) -> tuple:
-    """(gram, tri) for the connection A with the integer frames over den:
-    gram {(i, l): str(A_i A_l)} over den^2, in both orders, and tri
-    {(i, j, k): 2 [str(A_i P_jk) - str(A_j P_ik)]} over den^3 for
-    i < j < k, so that CS(A) = _contract(a, gram) + a.den * tri as in
-    cs_cochains.  One product A_j A_k per pair j < k, except (0, 1),
-    which is never a P_jk or a P_ik."""
-    live = [i for i, x in enumerate(frames) if x is not None]
-    left = {i: _flat(frames[i]) for i in live}
-    right = {i: _flat(frames[i], True) for i in live}
-    gram = {}
-    for n, i in enumerate(live):
-        for l in live[n:]:
-            gram[i, l] = gram[l, i] = _dot(left[i], right[l])
-    prods = {}
-    for j, k in combinations(live, 2):
-        if k >= 2:
-            x, y = frames[j], frames[k]
-            prods[j, k] = _flat([_cmatmul(x[b], y[b], len(x[b][0])) for b in (0, 1)])
-    tri = {}
-    for i, j, k in combinations(live, 3):
-        # str(A_m P_uv) = str(P_uv A_m)
-        x1, y1 = _dot(prods[j, k], right[i])
-        x2, y2 = _dot(prods[i, k], right[j])
-        tri[i, j, k] = (2 * (x1 - x2), 2 * (y1 - y2))
-    return gram, tri
-
-
 def _contract(a: ConstantAlgebroid, t: dict) -> dict:
     """{(i, j, k): sum_l (-c_jk^l t_il + c_ik^l t_jl - c_ij^l t_kl)} for
-    i < j < k and a table t {(m, l): (re, im)} of Gaussian integers
-    (a missing entry is 0), with integer parts over a.den times the
-    table's denominator; zero sums are left out.  With
-    t_ml = str(A_m A_l) it is the part of CS(A) linear in dA, and for a
+    i < j < k, the real algebroid a and a table t {(m, l): (re, im)} of
+    Gaussian integers (a missing entry is 0), with integer parts over
+    a.den times the table's denominator; zero sums are left out.  For a
     2-form T (t_ml = T_ml) it is -dT, since
     (dT)_ijk = -T([e_i, e_j], e_k) + T([e_i, e_k], e_j) - T([e_j, e_k], e_i)."""
     out = {}
     for i, j, k in combinations(range(a.r), 3):
         re = im = 0
         for sign, m, u, v in ((-1, i, j, k), (1, j, i, k), (-1, k, i, j)):
-            for l, x, y in a.ints[u][v]:
+            for l, x, _ in a.ints[u][v]:
                 if (m, l) in t:
                     tr, ti = t[m, l]
-                    re += sign * (x * tr - y * ti)
-                    im += sign * (x * ti + y * tr)
+                    re += sign * x * tr
+                    im += sign * x * ti
         if re or im:
             out[i, j, k] = (re, im)
     return out
@@ -636,9 +506,11 @@ def _metric_transgression(f0: list, d0: int, h) -> tuple:
     live = [i for i, x in enumerate(f0) if x is not None]
     parts = []  # per parity: (den, {(i, j): T_ij's im over den})
     for b, hb in enumerate((h.h_even, h.h_odd)):
+        if hb.im is None and all(f0[i][b][1] is None for i in live):
+            continue
         nz = {i: _entries(*f0[i][b]) for i in live}
         cols = sorted({c for es in nz.values() for _, c, _, _ in es})
-        if not cols or hb.im is None and all(f0[i][b][1] is None for i in live):
+        if not cols:
             continue
         n, pad = hb.ncols, [0] * len(cols)
         rows = [[*x, *(hb.den if k == c else 0 for c in cols)] for k, x in enumerate(hb.re)]

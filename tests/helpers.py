@@ -37,7 +37,6 @@ from algch.transgression import (
     _check_family,
     _pair_chain,
     _simplex_cochains,
-    _trace_cochains,
 )
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra
 
@@ -233,6 +232,18 @@ def small_corpus() -> dict[str, ConstantAlgebroid]:
         "tt2": tangent_torus(2),
         "tt1_x_so3": direct_product(tangent_torus(1), so3()),
     }
+
+
+def corpus_products():
+    """(name, algebroid) for the corpus and its products of rank up to 6."""
+    corpus = small_corpus()
+    cases = list(corpus.items())
+    names = sorted(corpus)
+    for i, x in enumerate(names):
+        for y in names[i:]:
+            if corpus[x].r + corpus[y].r <= 6:
+                cases.append((f"{x} x {y}", direct_product(corpus[x], corpus[y])))
+    return cases
 
 
 def rand_algebroid(rng, max_rank=3) -> ConstantAlgebroid:
@@ -1175,13 +1186,10 @@ def cs_family(conns, max_q: int) -> list[AlgebroidForm]:
 
 def secondary_cochains(c: Connection, max_q: int) -> list[AlgebroidForm]:
     """(-1)^q conj CS(c) - CS(c) for q = 0..max_q, CS(c) = cs^q(z, c) the
-    Chern-Simons form of the connection c, z the zero connection: up to
-    max_q = 2 from c's frame traces (cs_cochains's branch without the
-    metric), from 3 on by the chain on the pair (z, c), each q folded
-    with its conjugate.  It reads c's frames, tm_conn included, and is
-    the oracle of intrinsic_cochains, which reads the algebroid alone."""
-    if max_q < 3:
-        return _trace_cochains(c, max_q)
+    Chern-Simons form of the connection c, z the zero connection, by the
+    chain on the pair (z, c) at every max_q, each q folded with its
+    conjugate.  It reads c's frames, tm_conn included, and is the oracle
+    of intrinsic_cochains, which reads the algebroid alone."""
     z = [GradedEndo(Matrix.zeros(*om.ee.shape), Matrix.zeros(*om.oo.shape)) for om in c.omega]
     out = _pair_chain([Connection(c.algebroid, c.bundle, z), c], max_q)
     for q in range(1, max_q + 1):

@@ -18,6 +18,7 @@ from algch.connections import (
     GradedEndo,
     Connection,
     HermitianMetric,
+    h_dual,
 )
 from algch.charclasses import (
     KAPPA,
@@ -47,6 +48,7 @@ from helpers import (
     rand_q_family,
     boundary_commutant,
     chern_character,
+    cs_family,
     small_corpus,
     pullback_connection,
     secondary_class,
@@ -151,7 +153,7 @@ def test_secondary_classes():
         c, b = balanced_connection(a, rng.randint(1, 2), rng, real=real)
         reports = secondary_class(c, 2)
         for h in (rand_metric(b, rng, real=real), rand_metric(b, rng, real=real)):
-            pair = cs_cochains(c, h, 2)
+            pair = cs_family([c, h_dual(c, h)], 2)
             for rep in reports:
                 # reality of the representatives
                 for v in rep.representative.comps.values():

@@ -21,6 +21,7 @@ from algch.connections import (
     GradedEndo,
     Connection,
     HermitianMetric,
+    h_dual,
 )
 from algch import algebroid, charclasses, cli
 from algch.scalars import I
@@ -41,6 +42,8 @@ from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie
 from helpers import (
     adjoint_connection,
     count_calls,
+    corpus_products,
+    cs_family,
     adjoint_metric,
     rand_rational,
     boundary_commutator,
@@ -83,18 +86,6 @@ def rand_adjoint_metric(a, rng, real=True):
     return HermitianMetric(
         bundle, rand_pd_matrix(a.r, rng, real), rand_pd_matrix(a.n, rng, real)
     )
-
-
-def corpus_products():
-    """(name, algebroid) for the corpus and its products of rank up to 6."""
-    corpus = small_corpus()
-    cases = list(corpus.items())
-    names = sorted(corpus)
-    for i, x in enumerate(names):
-        for y in names[i:]:
-            if corpus[x].r + corpus[y].r <= 6:
-                cases.append((f"{x} x {y}", direct_product(corpus[x], corpus[y])))
-    return cases
 
 
 class TestChernCharacter:
@@ -602,9 +593,10 @@ class TestFlatRoute:
 class TestBasicCochains:
     def test_equals_cs_cochains_on_the_nose(self, monkeypatch):
         """basic_cochains(a, tm_conn, h, max_q), the route of cs, equals
-        cs_cochains(adjoint_setup(a, tm_conn), h, max_q) on the nose at
-        max_q 1 and 2, on the corpus and its products of rank up to 6,
-        under every mix of a real and a Gaussian tm_conn, g_A and g_M.
+        cs_cochains(c, h, max_q) for c = adjoint_setup(a, tm_conn), and
+        the chain on (c, h_dual(c, h)), cs_family, on the nose at max_q 1
+        and 2, on the corpus and its products of rank up to 6, under
+        every mix of a real and a Gaussian tm_conn, g_A and g_M.
 
         A real pair builds no basic connection: its cochains are
         intrinsic_cochains(a, max_q), with tr ad_i read off the bracket
@@ -622,11 +614,13 @@ class TestBasicCochains:
                 tm = rand_tm_conn(a, rng, real=tm_real)
                 h = adjoint_metric(a, rand_pd_matrix(a.r, rng, ga_real), rand_pd_matrix(a.n, rng, gm_real))
                 real = all(m.im is None for m in (*tm, h.h_even, h.h_odd))
+                c = adjoint_setup(a, tm)
+                chain = cs_family([c, h_dual(c, h)], 2)
                 for max_q in (1, 2):
                     calls.clear()
                     got = basic_cochains(a, tm, h, max_q)
-                    assert got == cs_cochains(adjoint_setup(a, tm), h, max_q), (a, tm_real, ga_real, gm_real, max_q)
                     assert len(calls) == (not real), (a, tm_real, ga_real, gm_real, max_q)
+                    assert got == cs_cochains(c, h, max_q) == chain[:max_q + 1], (a, tm_real, ga_real, gm_real, max_q)
                 real_pairs += real
                 odd_t += tm_real and ga_real and h.h_odd.im is not None and not got[2].is_zero()
         assert real_pairs and odd_t, (real_pairs, odd_t)

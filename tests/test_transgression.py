@@ -27,10 +27,13 @@ from algch.transgression import (
     supertrace_terms,
 )
 from algch.library import abelian, heisenberg, so3, sl3_r3, tangent_torus
-from algch.charclasses import adjoint_bundle, adjoint_setup, intrinsic_char, modular_class
-from algch.pullback import pullback_anchor
+from algch.charclasses import DomainError, adjoint_bundle, adjoint_setup, basic_cochains, intrinsic_char, modular_class
+from algch.pullback import pullback_anchor, submersion_recipe
 
 from helpers import (
+    adjoint_connection,
+    adjoint_metric,
+    corpus_products,
     form_conj,
     rand_bundle,
     rand_connection,
@@ -224,9 +227,9 @@ class TestCsCochain:
         c0 = rand_connection(a, b, rng, basis)
         c1 = rand_connection(a, b, rng, basis)
         assert cs_family([c0, c1], 0)[0].is_zero()
-        h = rand_metric(b, rng)
+        c, h = basic_pair("dual", 35, False)
         for max_q in range(4):
-            q0 = cs_cochains(c0, h, max_q)[0]
+            q0 = cs_cochains(c, h, max_q)[0]
             assert q0.degree == 0 and q0.is_zero(), max_q
 
     def test_low_power_vanishes(self):
@@ -241,20 +244,23 @@ class TestCsCochain:
 
     def test_universal_sign_frozen(self):
         # regression pin: cs^1(c0, c1)(e_i) = +supertrace(Omega1_i - Omega0_i),
-        # on any pair and on (c, h_dual(c, h))
+        # on any pair, and on a basic connection and its dual
         rng = random.Random(37)
-        for _ in range(6):
+        pairs = []
+        for seed in range(6):
             a = rand_algebroid(rng)
             b = rand_bundle(rng)
             basis = boundary_commutant(b)
             c0 = rand_connection(a, b, rng, basis)
             c1 = rand_connection(a, b, rng, basis)
-            h = rand_metric(b, rng)
-            dual = h_dual(c0, h)
-            for got, other in ((cs_family([c0, c1], 1)[1], c1), (cs_cochains(c0, h, 1)[1], dual)):
-                for i in range(a.r):
-                    want = supertrace(other.omega[i]) - supertrace(c0.omega[i])
-                    assert got.get((i,)) == want
+            pairs.append((cs_family([c0, c1], 1)[1], c0, c1))
+            c, h = basic_pair(DUAL_KINDS[seed % 5], seed, seed % 2 == 0)
+            pairs.append((cs_cochains(c, h, 1)[1], c, h_dual(c, h)))
+        for got, c0, c1 in pairs:
+            for i in range(c0.algebroid.r):
+                want = supertrace(c1.omega[i]) - supertrace(c0.omega[i])
+                assert got.get((i,)) == want
+        assert any(not got.is_zero() for got, _, _ in pairs[1::2])
 
     def test_empty_family(self):
         # an explicit check, so it also runs under python -O
@@ -324,19 +330,16 @@ class TestCsCochainsOnePass:
     @example(3, 3, False, 0, 2, 1)
     def test_matches_per_q_reference(self, max_q, p, real, seed, re, ro):
         # the integer core against the polynomial-matrix reference; the
-        # q/p factors and the sign flip differ across p = 0..3, and a
-        # pair, (c, h_dual(c, h)), is also the package's own
-        conns, h = rand_family(seed, p, real, re, ro)
+        # q/p factors and the sign flip differ across p = 0..3
+        conns, _ = rand_family(seed, p, real, re, ro)
         got = cs_family(conns, max_q)
         assert len(got) == max_q + 1
         for q in range(max_q + 1):
             assert got[q] == reference_cs_cochain(conns, q), (p, q)
-        if p == 1:
-            assert cs_cochains(conns[0], h, max_q) == got
 
     def test_same_cochain_for_every_max_q(self):
         # max_q sets how much of each power is pruned, and the route of
-        # cs_cochains: the Chern-Simons difference to 2, the chain from 3
+        # cs_cochains: intrinsic_cochains plus dT to 2, the chain from 3
         rng = random.Random(41)
         a = so3()
         b = rand_bundle(rng, re=2, ro=1)
@@ -345,12 +348,13 @@ class TestCsCochainsOnePass:
         forms = cs_family(conns, 3)
         for q in range(4):
             assert cs_family(conns, q)[q] == forms[q]
-        h = rand_metric(b, rng, real=False)
-        forms = cs_cochains(conns[0], h, 4)
-        for q in range(4):
-            assert cs_cochains(conns[0], h, q)[q] == forms[q]
-        # and of the oracle of intrinsic_cochains: the trace branch to 2,
-        # the chain on (z, c) from 3, on the nose
+        for kind in ("dual", "gaussian"):
+            c, h = basic_pair(kind, 41, False)
+            forms = cs_cochains(c, h, 4)
+            assert not forms[2].is_zero(), kind
+            for q in range(4):
+                assert cs_cochains(c, h, q)[q] == forms[q], (kind, q)
+        # and of the oracle of intrinsic_cochains, the chain on (z, c)
         forms = secondary_cochains(conns[0], 4)
         for q in range(4):
             assert secondary_cochains(conns[0], q)[q] == forms[q]
@@ -382,7 +386,7 @@ class TestCsCochainsOnePass:
             cs_family(conns, 3)
             assert calls == ([] if p == 1 else [p + 1])
         calls.clear()
-        cs_cochains(conns[0], rand_metric(b, rng), 3)
+        cs_cochains(*basic_pair("dual", 42, False), 3)
         assert calls == []
 
     @pytest.mark.parametrize("real", [True, False])
@@ -409,23 +413,23 @@ class TestCsCochainsOnePass:
         monkeypatch.setattr(transgression, "_traced_values", traced_q)
         ordered = 0
         for seed in range(6):
-            conns, h = rand_family(seed, 1, real)
+            conns, _ = rand_family(seed, 1, real)
             curv = _affine_curvature(conns).comps
             pairs = len(transgression._products(curv, curv, 1))
             per_q.clear()
-            got = cs_cochains(conns[0], h, 3)
+            got = cs_family(conns, 3)
             assert len(per_q) == 2 and 2 * per_q[0] == pairs
             assert got[2] == reference_cs_cochain(conns, 2)
             ordered += pairs
         assert ordered > 0
 
     def test_no_matrix_products_below_max_q_3(self, monkeypatch):
-        # cs^1 takes traces alone on every pair; at max_q 2 a dual pair
-        # multiplies integer rows of c_0 alone, one product per block and
-        # frame pair, takes T from c_0's nonzero entries with no product,
-        # and builds no dual; h_dual multiplies only nonzero blocks
-        calls, traced = [], []
-        matrix_mul, row_mul, cs_traces = Matrix.__mul__, transgression._cmatmul, transgression._cs_traces
+        # up to max_q 2 a basic pair takes cs^1 off the bracket table and
+        # T from c's nonzero entries: no matrix product at all, and no
+        # dual; h_dual multiplies only nonzero blocks, such as those of a
+        # pullback's horizontal sections
+        calls = []
+        matrix_mul, row_mul = Matrix.__mul__, linalg._cmatmul
 
         def counted_matrix(x, y):
             calls.append("Matrix")
@@ -435,38 +439,44 @@ class TestCsCochainsOnePass:
             calls.append("rows")
             return row_mul(x, y, ncols)
 
-        def recorded_traces(frames):
-            traced.append(frames)
-            return cs_traces(frames)
-
         monkeypatch.setattr(Matrix, "__mul__", counted_matrix)
-        monkeypatch.setattr(transgression, "_cmatmul", counted_rows)
-        monkeypatch.setattr(transgression, "_cs_traces", recorded_traces)
+        monkeypatch.setattr(linalg, "_cmatmul", counted_rows)
         duals = count_calls(monkeypatch, connections.h_dual)
-        for kind in PAIR_KINDS:
-            for real in (True, False):
-                c0, c1, h = rand_pair(kind, 5, real, 2, 1)
-                r = c0.algebroid.r
+        pairs = [basic_pair(kind, 5, real) for kind in DUAL_KINDS for real in (True, False)]
+        for c, h in pairs:
+            for max_q in (1, 2):
                 calls.clear()
-                pair_cochains(c0, c1, h, 1)
-                assert calls == [], kind
-                if h is None:
-                    continue
-                traced.clear()
-                pair_cochains(c0, c1, h, 2)
-                assert "Matrix" not in calls and duals == [], kind
-                assert len(calls) <= r * (r - 1), kind
-                d0, f0 = transgression._integer_frames(c0)
-                assert all(frames == f0 for frames in traced), kind
-                calls.clear()
-                transgression._metric_transgression(f0, d0, h)
-                assert calls == [], kind
-                if kind == "pullback":
-                    calls.clear()
-                    h_dual(c0, h)
-                    blocks = [m for om in c0.omega for m in (om.ee, om.oo)]
-                    assert any(m.is_zero() for m in blocks)
-                    assert calls == ["Matrix"] * 2 * sum(not m.is_zero() for m in blocks)
+                cs_cochains(c, h, max_q)
+                assert calls == [] and duals == [], max_q
+        c, h = pairs[DUAL_KINDS.index("pullback") * 2 + 1]
+        calls.clear()
+        h_dual(c, h)
+        blocks = [m for om in c.omega for m in (om.ee, om.oo)]
+        assert any(m.is_zero() for m in blocks)
+        assert calls.count("Matrix") == 2 * sum(not m.is_zero() for m in blocks)
+
+    def test_no_product_with_a_zero_block(self, monkeypatch):
+        # a block product with a zero factor is that zero block, reused:
+        # ad (+) 0 has a zero odd block in every frame, which was half of
+        # the products of intrinsic_cochains on sl3_r3, and a pair's
+        # frames can have one zero block
+        calls = []
+        matrix_mul = Matrix.__mul__
+
+        def counted(x, y):
+            calls.append(x.is_zero() or y.is_zero())
+            return matrix_mul(x, y)
+
+        pairs = [rand_pair(kind, 3, False, 2, 1)[:2] for kind in PAIR_KINDS]
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        forms = intrinsic_cochains(sl3_r3(), 3)
+        assert len(calls) > 0 and calls.count(True) == 0
+        for pair in pairs:
+            calls.clear()
+            cs_family(pair, 3)
+            assert calls.count(True) == 0
+        monkeypatch.undo()
+        assert not forms[3].is_zero()
 
     def test_q0_entry_is_superdimension(self):
         # the Chern character's q = 0 entry; a pair's is zero
@@ -478,12 +488,12 @@ class TestCsCochainsOnePass:
             q0 = cs_family([c], 0)[0]
             assert q0.degree == 0 and q0.get(()) == Scalar(re - ro)
             assert cs_family([c, c], 0)[0].is_zero()
-            assert cs_cochains(c, rand_metric(b, rng), 0)[0].is_zero()
+        assert cs_cochains(*basic_pair("torus", 43, False), 0)[0].is_zero()
 
 
 PAIR_KINDS = ("dual", "lie", "torus", "equal", "pullback", "mixed", "gaussian")
 
-# the kinds of rand_pair whose c_1 is h_dual(c_0, h)
+# the kinds of rand_pair whose c_1 is h_dual(c_0, h), and of basic_pair
 DUAL_KINDS = ("dual", "lie", "torus", "pullback", "gaussian")
 
 
@@ -535,10 +545,38 @@ def rand_pair(kind, seed, real, rank_even, rank_odd):
     return c, h_dual(c, h), h
 
 
-def pair_cochains(c0, c1, h, max_q):
-    """The package's cs_cochains(c0, h, max_q) for a pair of rand_pair
-    with a metric, and the chain of cs_family for any other pair."""
-    return cs_family([c0, c1], max_q) if h is None else cs_cochains(c0, h, max_q)
+def basic_data(a, rng, real_tm, real_metric, fibre=False):
+    """(algebroid, tm_conn, h) on the real algebroid a: a random tm_conn
+    and a random metric on the adjoint bundle, each real or Gaussian;
+    with fibre, their pullback along one fibre direction as morita-check
+    builds it (submersion_recipe): the pullback algebroid, nabla-bar and
+    g-bar, under which the vertical sections act by zero."""
+    tm = rand_tm_conn(a, rng, real=real_tm)
+    h = adjoint_metric(a, rand_pd_matrix(a.r, rng, real_metric), rand_pd_matrix(a.n, rng, real_metric))
+    if not fibre:
+        return a, tm, h
+    recipe = submersion_recipe(a, 1, tm, h, rand_pd_matrix(1, rng, real_metric))
+    return recipe.algebroid, recipe.tm_conn, recipe.metric
+
+
+def basic_pair(kind, seed, real):
+    """(c, h): a basic connection, the output of adjoint_setup, and a
+    metric on its adjoint bundle, real or Gaussian, the only pairs
+    cs_cochains takes:
+    lie, a Lie algebra, whose odd block is 0 x 0;
+    torus, a torus times a Lie algebra with a zero tm_conn, flat;
+    dual, the same with a random tm_conn, real or Gaussian with h;
+    pullback, as dual, pulled back along one fibre direction;
+    gaussian, as dual with a Gaussian tm_conn under a real or Gaussian
+    metric, so that T reads c's imaginary parts."""
+    rng = random.Random(seed)
+    a = rng.choice([so3(), heisenberg(), rand_q_family(rng)])
+    if kind != "lie":
+        a = direct_product(tangent_torus(rng.randint(1, 2)), a)
+    a, tm, h = basic_data(a, rng, real and kind != "gaussian", real, kind == "pullback")
+    if kind in ("lie", "torus"):
+        tm = [Matrix.zeros(a.r, a.r)] * a.n
+    return adjoint_setup(a, tm), h
 
 
 def integer_form(r, degree, nums, den):
@@ -552,10 +590,12 @@ def integer_form(r, degree, nums, den):
 
 
 class TestChernSimonsDifference:
-    # cs^2(c_0, c_1) = CS(c_1) - CS(c_0) + dT and its parts on every kind
-    # of pair, with the simplex path as the oracle: CS(A) = cs^2(z, A)
-    # for the zero connection z, and on a dual pair T = cs^2(z, c_0, c_1)
-    # from c_0 and the metric, and its dT
+    # cs^2(c_0, c_1) = CS(c_1) - CS(c_0) + dT and its parts, with the
+    # simplex path as the oracle: CS(A) = cs^2(z, A) for the zero
+    # connection z, and on a dual pair T = cs^2(z, c_0, c_1) from c_0 and
+    # the metric, and its dT, on every kind of pair; on a basic
+    # connection c of the same algebroid CS(c) = CS(ad (+) 0) = CS(c^h),
+    # so that cs^2(c, c^h) = dT
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("kind", PAIR_KINDS)
     def test_sum_and_parts_match_simplex_path(self, kind, real):
@@ -564,25 +604,40 @@ class TestChernSimonsDifference:
         for seed in range(4, 8):
             c0, c1, h = rand_pair(kind, seed, real, seed % 3, (seed + 1) % 3)
             a = c0.algebroid
-            z = zero_connection(a, c0.bundle)
             want = transgression._simplex_cochains([c0, c1], 2)
-            assert pair_cochains(c0, c1, h, 2)[1:] == [want[1], want[2]], (kind, seed)
-            for c in (c0, c1):
-                d, f = transgression._integer_frames(c)
-                gram, tri = transgression._cs_traces(f)
-                cs = transgression._cs2_form(a, [(1, d**2, gram)], [(1, d**3, tri)])
-                assert cs == transgression._simplex_cochains([z, c], 2)[2], (kind, seed)
-                nonzero += not cs.is_zero()
-            if h is None:
+            assert cs_family([c0, c1], 2)[1:] == [want[1], want[2]], (kind, seed)
+            nonzero += any(not f.is_zero() for f in want.values())
+            if h is not None:
+                d0, f0 = transgression._integer_frames(c0)
+                den, t = transgression._metric_transgression(f0, d0, h)
+                form = integer_form(a.r, 2, t, den)
+                want_t = transgression._simplex_cochains([zero_connection(a, c0.bundle), c0, c1], 2)[2]
+                assert form == want_t, (kind, seed)
+                nonzero += not want_t.is_zero()
+            if kind == "gaussian":
+                # complex structure constants: no basic connection
+                with pytest.raises(DomainError):
+                    adjoint_setup(a, [Matrix.zeros(a.r, a.r)] * a.n)
                 continue
-            d0, f0 = transgression._integer_frames(c0)
-            den, t = transgression._metric_transgression(f0, d0, h)
+            if h is not None:  # dT on real structure constants
+                dt = {k: (-x, -y) for k, (x, y) in transgression._contract(a, t).items()}
+                assert integer_form(a.r, 3, dt, den * a.den) == ce_differential(a, form), (kind, seed)
+            c = adjoint_setup(a, rand_tm_conn(a, random.Random(seed), real=real))
+            hc = rand_metric(c.bundle, random.Random(seed), real=real)
+            z = zero_connection(a, c.bundle)
+            cs = transgression._simplex_cochains([z, c], 2)[2]
+            assert cs == transgression._simplex_cochains([z, adjoint_connection(a, c.bundle)], 2)[2], (kind, seed)
+            dual = h_dual(c, hc)
+            assert transgression._simplex_cochains([z, dual], 2)[2] == cs, (kind, seed)
+            d0, f0 = transgression._integer_frames(c)
+            den, t = transgression._metric_transgression(f0, d0, hc)
             form = integer_form(a.r, 2, t, den)
-            want_t = transgression._simplex_cochains([z, c0, c1], 2)[2]
-            assert form == want_t, (kind, seed)
-            dt = transgression._cs2_form(a, [(-1, den, t)], [])
-            assert dt == ce_differential(a, form), (kind, seed)
-            nonzero += not want_t.is_zero()
+            assert form == transgression._simplex_cochains([z, c, dual], 2)[2], (kind, seed)
+            got = cs_cochains(c, hc, 2)
+            assert got[2] == ce_differential(a, form), (kind, seed)
+            want = transgression._simplex_cochains([c, dual], 2)
+            assert got[1:] == [want[1], want[2]], (kind, seed)
+            nonzero += not cs.is_zero()
         assert nonzero > 0, kind
 
 
@@ -604,8 +659,8 @@ class TestPairPath:
     @example("torus", 3, False, 0, 0, 0)
     @example("lie", 2, True, 0, 0, 0)
     def test_matches_simplex_path_and_reference(self, kind, max_q, real, seed, re, ro):
-        c0, c1, h = rand_pair(kind, seed, real, re, ro)
-        got = pair_cochains(c0, c1, h, max_q)
+        c0, c1, _ = rand_pair(kind, seed, real, re, ro)
+        got = cs_family([c0, c1], max_q)
         assert len(got) == max_q + 1 and got[0].is_zero()
         simplex = transgression._simplex_cochains([c0, c1], max_q) if max_q else {}
         for q in range(1, max_q + 1):
@@ -617,66 +672,91 @@ class TestPairPath:
         # reaches a nonzero cs^3, where Y ^ Y and u^4 enter
         for kind, seed, re, ro in (("dual", 8, 2, 1), ("mixed", 22, 2, 2), ("pullback", 25, 2, 1)):
             for real in (True, False):
-                assert not pair_cochains(*rand_pair(kind, seed, real, re, ro), 3)[3].is_zero()
+                assert not cs_family(rand_pair(kind, seed, real, re, ro)[:2], 3)[3].is_zero()
 
 
 def real_basic_connection(seed):
     """The basic connection of a real algebroid tangent_torus(k) x g under
-    a real random tm_conn, so not flat, pulled back by one fibre
+    a real random tm_conn, so not flat, pulled back along one fibre
     direction on odd seeds: a real c_0, as in morita-check."""
     rng = random.Random(seed)
     a = rng.choice([so3(), heisenberg(), rand_q_family(rng)])
     a = direct_product(tangent_torus(rng.randint(1, 2)), a)
-    c = adjoint_setup(a, rand_tm_conn(a, rng))
-    return pullback_connection(a, 1, c) if seed % 2 else c
+    a, tm, _ = basic_data(a, rng, True, True, seed % 2 == 1)
+    return adjoint_setup(a, tm)
+
+
+BASIC_CASES = corpus_products()
 
 
 class TestDualPair:
-    # cs_cochains(c, h) takes cs^1 and cs^2 from c's own traces and the
-    # metric; the chain on the frames of h_dual(c, h) and the simplex
+    # cs_cochains(c, h) of a basic connection c is intrinsic_cochains
+    # plus dT; the chain on (c, h_dual(c, h)), cs_family, and the simplex
     # path are its oracles
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        st.sampled_from(DUAL_KINDS),
-        st.integers(1, 2),
+        st.sampled_from(range(len(BASIC_CASES))),
+        st.booleans(),
+        st.booleans(),
         st.booleans(),
         st.integers(0, 2**32),
-        st.integers(0, 2),
-        st.integers(0, 2),
     )
-    # pairs with a nonzero cs^2: Gaussian brackets, metrics and frames
-    @example("gaussian", 2, True, 1, 2, 1)
-    @example("dual", 2, False, 3, 2, 1)
-    @example("lie", 2, False, 3, 2, 1)
-    @example("pullback", 2, True, 0, 2, 1)
-    def test_matches_general_path_and_simplex_path(self, kind, max_q, real, seed, re, ro):
-        c0, c1, h = rand_pair(kind, seed, real, re, ro)
-        got = cs_cochains(c0, h, max_q)
-        assert got == cs_family([c0, c1], max_q), kind
-        simplex = transgression._simplex_cochains([c0, c1], max_q)
-        assert got[1:] == [simplex[q] for q in range(1, max_q + 1)], kind
+    # tr ad nonzero (q_trace2), and a Gaussian tm_conn under a real
+    # metric, with and without a fibre
+    @example(3, True, True, False, 0)
+    @example(3, False, True, True, 1)
+    @example(7, False, True, False, 2)
+    @example(7, False, True, True, 3)
+    def test_matches_general_path_and_simplex_path(self, case, real_tm, real_metric, fibre, seed):
+        name, a = BASIC_CASES[case]
+        a, tm, h = basic_data(a, random.Random(seed), real_tm, real_metric, fibre)
+        c = adjoint_setup(a, tm)
+        dual = h_dual(c, h)
+        chain = cs_family([c, dual], 2)
+        for max_q in (1, 2):
+            want = chain[:max_q + 1]
+            assert cs_cochains(c, h, max_q) == want, (name, max_q)
+            assert basic_cochains(a, tm, h, max_q) == want, (name, max_q)
+        simplex = transgression._simplex_cochains([c, dual], 2)
+        assert chain[1:] == [simplex[1], simplex[2]], name
+
+    def test_examples_reach_every_term(self):
+        # the examples above reach a nonzero cs^1 (q_trace2, so the q = 1
+        # weight counts) and a nonzero cs^2 from a Gaussian tm_conn under
+        # a real metric, so that its sign counts and T is not skipped
+        # when only tm_conn is Gaussian
+        assert BASIC_CASES[3][0] == "q_trace2" and BASIC_CASES[7][0] == "tt1_x_so3"
+        a, tm, h = basic_data(BASIC_CASES[3][1], random.Random(0), True, True)
+        assert not cs_cochains(adjoint_setup(a, tm), h, 1)[1].is_zero()
+        for fibre, seed in ((False, 2), (True, 3)):
+            a, tm, h = basic_data(BASIC_CASES[7][1], random.Random(seed), False, True, fibre)
+            assert h.h_even.im is h.h_odd.im is None
+            assert not cs_cochains(adjoint_setup(a, tm), h, 2)[2].is_zero(), fibre
 
     @pytest.mark.parametrize("kind", DUAL_KINDS)
     def test_examples_reach_a_nonzero_cs2(self, kind):
-        # a dual pair's cs^2 is -2i Im of c_0's terms plus dT; with real
-        # data it is zero, so Gaussian metrics or frames must reach it
-        nonzero = 0
+        # a basic pair's cs^2 is dT; with real data it is zero, so
+        # Gaussian metrics or a Gaussian tm_conn must reach it, the latter
+        # under a real metric too
+        nonzero = dict.fromkeys((True, False), 0)
         for seed in range(6):
             for real in (True, False):
-                c0, c1, h = rand_pair(kind, seed, real, 2, 1)
-                got = cs_cochains(c0, h, 2)
-                assert got == cs_family([c0, c1], 2), (kind, seed, real)
-                nonzero += not got[2].is_zero()
-        assert nonzero > 0, kind
+                c, h = basic_pair(kind, seed, real)
+                got = cs_cochains(c, h, 2)
+                assert got == cs_family([c, h_dual(c, h)], 2), (kind, seed, real)
+                nonzero[real] += not got[2].is_zero()
+        assert nonzero[False] > 0, kind
+        assert (nonzero[True] > 0) == (kind == "gaussian"), kind
 
     def test_real_pair_takes_no_trace(self, monkeypatch):
-        # a real basic connection under a real metric: cs^2 is decided
-        # zero from the im of every block of c and h
+        # a real basic connection under a real metric: T is decided zero
+        # from the im of every frame and metric block, with no elimination
         a = direct_product(tangent_torus(1), so3())
         c = adjoint_setup(a, [Matrix.identity(a.r)])
         h = rand_metric(c.bundle, random.Random(3), real=True)
         calls = []
-        monkeypatch.setattr(transgression, "_dot", lambda x, y: calls.append(1))
+        bareiss = transgression._bareiss
+        monkeypatch.setattr(transgression, "_bareiss", lambda re, im: calls.append(1) or bareiss(re, im))
         got = cs_cochains(c, h, 2)
         assert calls == [] and got[2].is_zero()
         monkeypatch.undo()
@@ -691,7 +771,7 @@ class TestDualPair:
         nonzero = dict.fromkeys(("both", "even", "odd"), 0)
         for seed in range(4):
             c0 = real_basic_connection(seed)
-            assert transgression._is_real(c0)
+            assert all(m.im is None for om in c0.omega for m in (om.ee, om.oo))
             b = c0.bundle
             for gaussian in nonzero:
                 rng = random.Random(seed)
@@ -793,10 +873,10 @@ class TestMetricTransgression:
         nonzero = 0
         for kind in DUAL_KINDS:
             for seed in range(3):
-                c0, c1, h = rand_pair(kind, seed, False, 2, 1)
-                got = cs_cochains(c0, h, 2)
+                c, h = basic_pair(kind, seed, False)
+                got = cs_cochains(c, h, 2)
                 assert duals == [], (kind, seed)
-                assert got == cs_family([c0, c1], 2), (kind, seed)
+                assert got == cs_family([c, h_dual(c, h)], 2), (kind, seed)
                 nonzero += not got[2].is_zero()
         assert nonzero > 0
 
@@ -874,23 +954,17 @@ class TestLazyDual:
                 cs_cochains(adjoint_setup(so3(), []), g, max_q)
 
     def test_no_products_where_the_frames_are_not_read(self, monkeypatch):
-        # a real pair at max_q 2 and any dual pair at max_q 1 take cs^1
-        # and cs^2 from c_0 and the metric alone
+        # a basic pair at max_q 1 and 2 takes cs^1 and cs^2 from the
+        # bracket table, c and the metric alone: no product, no inverse
         calls = self.counted(monkeypatch)
-        real_pairs = 0
         for kind in DUAL_KINDS:
             for seed in range(4):
                 for real in (True, False):
-                    c0, _, h = rand_pair(kind, seed, real, 2, 1)
-                    blocks = [m for om in c0.omega for m in (om.ee, om.oo)]
-                    blocks += [h.h_even, h.h_odd]
-                    both_real = all(m.im is None for m in blocks)
-                    real_pairs += both_real
-                    for max_q in (1, 2) if both_real else (1,):
+                    c, h = basic_pair(kind, seed, real)
+                    for max_q in (1, 2):
                         calls.clear()
-                        cs_cochains(c0, h, max_q)
+                        cs_cochains(c, h, max_q)
                         assert calls == [], (kind, seed, max_q)
-        assert real_pairs > 0
 
     def test_modular_class_builds_no_dual_frames(self, monkeypatch):
         # char and modular read no metric: neither h_dual nor an inverse
@@ -925,7 +999,7 @@ class TestLazyDual:
         skipped = 0
         for kind in DUAL_KINDS:
             for real in (True, False):
-                c0, _, h = rand_pair(kind, 3, real, 2, 1)
+                c0, h = basic_pair(kind, 3, real)
                 duals.clear()
                 cs_cochains(c0, h, 3)
                 assert duals == [(c0, h)], kind
