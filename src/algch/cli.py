@@ -29,7 +29,7 @@ from .charclasses import (
     modular_class,
     default_max_q,
 )
-from .pullback import pullback_anchor, morita_check
+from .pullback import pullback_algebroid, morita_check
 from . import fileio
 from .fileio import ParseError
 
@@ -166,7 +166,7 @@ def cmd_morita_check(job):
     g_v = extras.get("g_V", Matrix.identity(k))
     if g_v.nrows != k:
         raise ParseError(f"g_V must be {k} x {k} for k={k}")
-    anchor = pullback_anchor(a, k)
+    anchor = pullback_algebroid(a, k).anchor
     alt = HermitianMetric(
         adjoint_bundle(anchor), _random_pd(anchor.ncols, rng), _random_pd(anchor.nrows, rng)
     )

@@ -1,51 +1,34 @@
 """Pullback along torus coordinate projections and the Morita check.
 
-The submersion T^{n+k} -> T^n drops the last k coordinates.  With the
-coordinate horizontal complement the Ehresmann curvature vanishes, the
-flat product metric has zero Riemannian connection on constant frames,
-and the whole connection-and-metric recipe collapses to block
-bookkeeping: vertical directions act by zero and horizontal lifts carry
-the base data verbatim.
+The submersion T^{k+n} -> T^n drops the first k coordinates, and A
+pulls back to the product TT^k x A.  With the coordinate horizontal
+complement the Ehresmann curvature vanishes, the flat product metric
+has zero Riemannian connection on constant frames, and the recipe
+collapses to block bookkeeping: vertical directions act by zero and
+horizontal lifts carry the base data verbatim, after k zeros.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .linalg import Matrix, _lin, _matrix
-from .algebroid import (
-    ConstantAlgebroid,
-    AlgebroidForm,
-    coboundary_witness,
-    _algebroid,
-    _padded,
-)
+from .linalg import Matrix, _lin
+from .algebroid import ConstantAlgebroid, AlgebroidForm, coboundary_witness, direct_product
 from .connections import Connection, HermitianMetric
 from .charclasses import adjoint_setup, IdentityFailure
 from .transgression import cs_cochains
 
 
-def pullback_anchor(a: ConstantAlgebroid, k: int) -> Matrix:
-    """Anchor of p^!(A): (n+k) x (k+r), frame (v_1..v_k, hor(e_1)..hor(e_r)).
-
-    v_j |-> d/dy_j and hor(e_i) |-> h(rho e_i): the anchor of TT^k x A
-    with the k fibre rows moved below the n base rows.
-    """
-    m = Matrix.block_diag(Matrix.identity(k), a.anchor)
-    im = None if m.im is None else m.im[k:] + m.im[:k]
-    return _matrix(m.re[k:] + m.re[:k], im, m.den, k + a.r)
-
-
 def pullback_algebroid(a: ConstantAlgebroid, k: int) -> ConstantAlgebroid:
-    """Frame (v_1..v_k, hor(e_1)..hor(e_r)) over T^{n+k}.
+    """TT^k x A over T^{k+n}, frame (v_1..v_k, hor(e_1)..hor(e_r)):
+    v_j |-> d/dy_j and hor(e_i) |-> h(rho e_i).
 
     Vertical sections bracket to zero with everything; horizontal lifts
     reproduce the base brackets since the coordinate Ehresmann
     connection is flat.  Valid by construction when a is valid, so it
     is not checked again.
     """
-    table = [((),) * (k + a.r)] * k + _padded(a, k, 0)
-    return _algebroid(a.n + k, k + a.r, pullback_anchor(a, k), a.den, tuple(table))
+    return direct_product(ConstantAlgebroid(k, k, Matrix.identity(k), {}), a)
 
 
 def pullback_form(a: ConstantAlgebroid, k: int, omega: AlgebroidForm) -> AlgebroidForm:
@@ -60,7 +43,7 @@ def pullback_form(a: ConstantAlgebroid, k: int, omega: AlgebroidForm) -> Algebro
 
 class RecipeResult(NamedTuple):
     algebroid: ConstantAlgebroid  # p^!(A)
-    tm_conn: list  # nabla-bar: one (k+r) matrix per coordinate of T^{n+k}
+    tm_conn: list  # nabla-bar: one (k+r) matrix per coordinate (y, x) of T^{k+n}
     metric: HermitianMetric  # g-bar on Ad(p^!(A))
     basic: Connection  # basic connection of p^!(A)
     base: Connection  # basic connection of A
@@ -85,13 +68,12 @@ def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric,
     base = adjoint_setup(a, tm_conn)
     pb = pullback_algebroid(a, k)
     vertical = Matrix.zeros(k, k)
-    # horizontal coordinate directions, then vertical ones acting by zero
-    nabla_bar = [Matrix.block_diag(vertical, m) for m in tm_conn]
-    nabla_bar += [Matrix.zeros(pb.r, pb.r)] * k
+    # vertical coordinate directions acting by zero, then horizontal ones
+    nabla_bar = [Matrix.zeros(pb.r, pb.r)] * k + [Matrix.block_diag(vertical, m) for m in tm_conn]
 
     basic = adjoint_setup(pb, nabla_bar)
     g_even = Matrix.block_diag(g_v, g.h_even)  # on p^!(A): vertical block first
-    g_odd = Matrix.block_diag(g.h_odd, g_v)  # on T(T^{n+k}): x block first
+    g_odd = Matrix.block_diag(g_v, g.h_odd)  # on T(T^{k+n}): y block first
     gbar = HermitianMetric(basic.bundle, g_even, g_odd)
 
     _check_basic_splitting(k, base, basic)
@@ -109,28 +91,24 @@ def _check_basic_splitting(k, base, basic):
             )
     for i in range(base.algebroid.r):
         om, bom = basic.omega[k + i], base.omega[i]
-        if not _places(om.ee, bom.ee, k, k):
-            raise IdentityFailure(
-                "basic splitting", f"even block of hor(e_{i + 1}) does not split"
-            )
-        if not _places(om.oo, bom.oo, 0, k):
-            raise IdentityFailure(
-                "basic splitting", f"odd block of hor(e_{i + 1}) does not split"
-            )
+        for parity, m, b in (("even", om.ee, bom.ee), ("odd", om.oo, bom.oo)):
+            if not _places(m, b, k):
+                raise IdentityFailure(
+                    "basic splitting", f"{parity} block of hor(e_{i + 1}) does not split"
+                )
 
 
-def _places(m: Matrix, b: Matrix, lo: int, k: int) -> bool:
-    """Whether m = block_diag(0_lo, b, 0_(k - lo)), on the integer rows
-    with the denominators cross-multiplied (im is None exactly when it
-    is zero)."""
+def _places(m: Matrix, b: Matrix, k: int) -> bool:
+    """Whether m = block_diag(0_k, b), on the integer rows with the
+    denominators cross-multiplied (im is None exactly when it is zero)."""
     f, g = b.den, m.den
     if m.ncols != b.ncols + k or (m.im is None) != (b.im is None):
         return False
-    zero, left, right = [0] * m.ncols, [0] * lo, [0] * (k - lo)
+    zero, left = [0] * m.ncols, [0] * k
     for x, y in ((m.re, b.re), (m.im, b.im)):
         if x is None:
             continue
-        want = [zero] * lo + [left + row + right for row in y] + [zero] * (k - lo)
+        want = [zero] * k + [left + row for row in y]
         if x != want if f == g else _lin(x, f) != _lin(want, g):
             return False
     return True

@@ -67,7 +67,7 @@ class AffineForm:
         if (self.r, self.p) != (other.r, other.p):
             raise ValueError("forms live on different algebroids or simplices")
         comps = {}
-        for key, sign, v1, v2 in _products(self.comps, other.comps, 0):
+        for key, sign, v1, v2 in _products(self.comps, other.comps):
             term = v1 * v2 if sign == 1 else -(v1 * v2)
             comps[key] = comps[key] + term if key in comps else term
         comps = {k: v for k, v in comps.items() if not v.is_zero()}
@@ -85,14 +85,12 @@ class AffineForm:
         return f"AffineForm(deg={self.degree}, p={self.p}, keys={list(self.comps)})"
 
 
-def _products(left: dict, right: dict, lo: int) -> list:
+def _products(left: dict, right: dict) -> list:
     """(key, sign, v1, v2) for every pair of components of left and right
-    whose wedge does not vanish and has simplex degree at least lo."""
+    whose wedge does not vanish."""
     out = []
     for (i1, j1), v1 in left.items():
         for (i2, j2), v2 in right.items():
-            if len(j1) + len(j2) < lo:
-                continue
             si = merge_sign(i1, i2)
             if si == 0:
                 continue
@@ -209,12 +207,12 @@ def _check_family(conns) -> tuple[ConstantAlgebroid, GradedBundle]:
 def _curvature_values(a: ConstantAlgebroid, x, scale=1) -> dict:
     """The 2-form [x_i, x_j] - scale * sum_k c_ij^k x_k for the frame
     polynomial x ({exponent: (ee, oo)} per frame index), keyed
-    ((i, j), ()); zero values are left out."""
+    ((i, j), ()); zero values are left out, and scale 0 reads no bracket."""
     comps = {}
     for i in range(a.r):
         for j in range(i + 1, a.r):
             val = _poly_products([(1, x[i], x[j]), (-1, x[j], x[i])])
-            for k, coeff in a.bracket(i, j):
+            for k, coeff in a.bracket(i, j) if scale else ():
                 if scale != 1:
                     coeff = coeff * scale
                 for e, (y, z) in x[k].items():
@@ -397,49 +395,25 @@ def intrinsic_cochains(a: ConstantAlgebroid, max_q: int) -> list[AlgebroidForm]:
 
 
 def _simplex_cochains(conns, max_q: int) -> dict:
-    """{q: cs^q} for every q = 1..max_q with 2q >= p, by the affine
-    family of the p + 1 connections over M x Delta^p.
+    """{q: cs^q} for every q = 1..max_q with 2q >= p (for 2q < p, R^q has
+    no component of simplex degree p), by the affine family of the p + 1
+    connections over M x Delta^p: _chain's supertraced powers str(R^q)
+    of its curvature R, fibre-integrated, times (-1)^floor((p+1)/2) for
+    p > 0 on the oriented (t_1, ..., t_p) chart.
 
-    p = 0 gives the supertraces of the curvature powers; for p > 0 the
-    prefactor is (-1)^floor((p+1)/2) on the oriented (t_1, ..., t_p)
-    chart.  A q with 2q < p has no entry: the q-th curvature power has
-    no simplex-degree-p component to integrate.
-
-    It has no caller in the package: it is the tests' oracle of
-    cs_cochains, and of every family but a pair, until the simplex
-    family leaves for the tests (ROADMAP item 5).  The benchmark's
-    tracer, perfbench/spans.py, patches _affine_curvature,
-    AffineForm.wedge and .power and fibre_integrate by name, which
-    keeps them here.
-
-    One pass: the curvature is built once and R^q = R^{q-1} ^ R.  Every
-    factor of R has simplex degree 0 or 1, so a component of R^k below
-    simplex degree p - (max_q - k) cannot reach degree p and is dropped.
-    The last factor of each power is never formed: the supertrace of
-    v1 * v2 is taken directly, and only for pairs landing in degree p.
+    It has no caller in the package: it is the tests' oracle of every
+    family but a pair.  The benchmark's tracer, perfbench/spans.py,
+    patches _affine_curvature, AffineForm.wedge and .power and
+    fibre_integrate by name, which keeps them here.
     """
-    a = conns[0].algebroid
     p = len(conns) - 1
-    curv = _affine_curvature(conns).comps
-    # traced[q]: the supertraced simplex-degree-p components of R^q
-    traced = {
-        1: {
-            k: w
-            for k, v in curv.items()
-            if len(k[1]) == p and (w := supertrace_terms(v))
-        }
-    }
-    power = {k: v for k, v in curv.items() if len(k[1]) >= p - (max_q - 1)}
-    for q in range(2, max_q + 1):
-        traced[q] = _traced_values(_products(power, curv, p))
-        if q < max_q:
-            power = _wedge_values(_products(power, curv, p - (max_q - q)))
+    curv = _affine_curvature(conns)
     flip = p > 0 and ((p + 1) // 2) % 2 == 1
     out = {}
-    for q, top in traced.items():
+    for q, top in _chain(curv.comps, curv.comps, range(2, max_q + 1)).items():
         if 2 * q < p:
             continue
-        integral = fibre_integrate(AffineForm(a.r, p, 2 * q, top), p)
+        integral = fibre_integrate(AffineForm(curv.r, p, 2 * q, top), p)
         out[q] = -integral if flip else integral
     return out
 
@@ -562,7 +536,7 @@ def _chain(form: dict, curv: dict, qs) -> dict:
     top = max(qs, default=1)
     traced = {1: {k: w for k, v in form.items() if (w := supertrace_terms(v))}}
     for q in range(2, top + 1):
-        products = _products(form, curv, 0)
+        products = _products(form, curv)
         if q in qs:
             traced[q] = _traced_values(products)
         if q < top:

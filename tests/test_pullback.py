@@ -17,7 +17,6 @@ from algch.charclasses import adjoint_setup, IdentityFailure
 from algch import connections, pullback
 from algch.pullback import (
     pullback_algebroid,
-    pullback_anchor,
     pullback_form,
     submersion_recipe,
     morita_check,
@@ -40,7 +39,6 @@ from helpers import (
     reference_morita_verdicts,
     pullback_connection,
     adjoint_metric,
-    column,
     count_calls,
     cs_family,
     reference_h_dual,
@@ -50,9 +48,11 @@ from helpers import (
 
 class TestPullbackAlgebroid:
     def test_lie_algebra_is_product_with_torus(self):
-        for g in (heisenberg(), so3(), q_family(1, 2, 3, 4)):
-            pb = pullback_algebroid(g, 1)
-            assert pb == direct_product(tangent_torus(1), g)
+        # every corpus algebroid, over a base or not: p^!(A) = TT^k x A,
+        # base coordinates (y, x) in the order of the frame (v, hor(e))
+        for name, a in small_corpus().items():
+            for k in (1, 2):
+                assert pullback_algebroid(a, k) == direct_product(tangent_torus(k), a), (name, k)
 
     def test_tangent_torus_pulls_back_to_tangent_torus(self):
         for n in (1, 2):
@@ -60,10 +60,8 @@ class TestPullbackAlgebroid:
                 pb = pullback_algebroid(tangent_torus(n), k)
                 assert (pb.n, pb.r) == (n + k, n + k)
                 assert all(not cell for row in pb.ints for cell in row)
-                # the anchor permutes the coordinate fields
-                cols = {column(pb.anchor, i) for i in range(pb.r)}
-                ident = {column(Matrix.identity(n + k), i) for i in range(n + k)}
-                assert cols == ident
+                # v_j |-> d/dy_j and hor(e_i) |-> d/dx_i, fibre first
+                assert pb.anchor == Matrix.identity(n + k)
 
     def test_q_family_rank_five(self):
         a = q_family(1, 2, 3, 4)
@@ -291,14 +289,33 @@ class TestBasicSplittingFailures:
             _check_basic_splitting(k, base103, r.basic)
             _check_basic_splitting(k, base103, basic101)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_odd_block_in_base_first_layout(self, k):
+        # hor(e_i)'s odd blocks as block_diag(the base block, 0_k), the
+        # layout with the base coordinates x before the fibre's y
+        rng = random.Random(72)
+        a = small_corpus()["tt1_x_so3"]
+        g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
+        r = submersion_recipe(a, k, rand_tm_conn(a, rng), g, rand_pd_matrix(k, rng))
+        assert any(not bom.oo.is_zero() for bom in r.base.omega)
+        vertical = Matrix.zeros(k, k)
+        omega = list(r.basic.omega[:k]) + [
+            GradedEndo(om.ee, Matrix.block_diag(bom.oo, vertical))
+            for om, bom in zip(r.basic.omega[k:], r.base.omega)
+        ]
+        bad = Connection(r.basic.algebroid, r.basic.bundle, omega)
+        with pytest.raises(IdentityFailure, match="odd block of hor") as info:
+            _check_basic_splitting(k, r.base, bad)
+        assert info.value.identity == "basic splitting"
+
     def test_vertical_section_acting(self):
         a = tangent_torus(1)
         g = Matrix.identity(1)
         r = submersion_recipe(a, 1, [Matrix.zeros(1, 1)], adjoint_metric(a, g, g), g)
-        # let the vertical coordinate field move v_1: the basic
-        # connection of the pullback then acts along v_1
+        # let the vertical coordinate field, the first, move v_1: the
+        # basic connection of the pullback then acts along v_1
         nabla = list(r.tm_conn)
-        nabla[1] = Matrix([[ONE, ZERO], [ZERO, ZERO]])
+        nabla[0] = Matrix([[ONE, ZERO], [ZERO, ZERO]])
         bad = adjoint_setup(r.algebroid, nabla)
         with pytest.raises(IdentityFailure, match="vertical section v_1"):
             _check_basic_splitting(1, r.base, bad)
@@ -330,7 +347,7 @@ class TestDualSplitting:
                     bom = base_dual.omega[i - k]
                     assert [ring_matrix(bom.ee), ring_matrix(bom.oo)] == want_base[i - k]
                     assert om.ee == Matrix.block_diag(vertical, bom.ee), (name, k, i)
-                    assert om.oo == Matrix.block_diag(bom.oo, vertical), (name, k, i)
+                    assert om.oo == Matrix.block_diag(vertical, bom.oo), (name, k, i)
                     nonzero += not bom.is_zero() and bom.ee.im is not None
         assert nonzero > 0
 
@@ -419,7 +436,7 @@ class TestMoritaAgainstReference:
             g_m = rand_pd_matrix(a.n, rng, real=True)
             g = adjoint_metric(a, g_a, g_m)
             g_v = Matrix.identity(1)
-            anchor = pullback_anchor(a, 1)
+            anchor = pullback_algebroid(a, 1).anchor
             alt = HermitianMetric(
                 GradedBundle(anchor.ncols, anchor.nrows, d01=anchor),
                 rand_pd_matrix(anchor.ncols, rng),
@@ -438,7 +455,7 @@ class TestMoritaAgainstReference:
         duals = count_calls(monkeypatch, connections.h_dual)
         rng = random.Random(69)
         a = heisenberg()
-        anchor = pullback_anchor(a, 1)
+        anchor = pullback_algebroid(a, 1).anchor
         alt = HermitianMetric(
             GradedBundle(anchor.ncols, anchor.nrows, d01=anchor),
             rand_pd_matrix(anchor.ncols, rng),

@@ -28,7 +28,7 @@ from algch.transgression import (
 )
 from algch.library import abelian, heisenberg, so3, sl3_r3, tangent_torus
 from algch.charclasses import DomainError, adjoint_bundle, adjoint_setup, basic_cochains, intrinsic_char, modular_class
-from algch.pullback import pullback_anchor, submersion_recipe
+from algch.pullback import pullback_algebroid, submersion_recipe
 
 from helpers import (
     adjoint_connection,
@@ -338,7 +338,7 @@ class TestCsCochainsOnePass:
             assert got[q] == reference_cs_cochain(conns, q), (p, q)
 
     def test_same_cochain_for_every_max_q(self):
-        # max_q sets how much of each power is pruned, and the route of
+        # max_q sets where the powers stop, and the route of
         # cs_cochains: intrinsic_cochains plus dT to 2, the chain from 3
         rng = random.Random(41)
         a = so3()
@@ -415,7 +415,8 @@ class TestCsCochainsOnePass:
         for seed in range(6):
             conns, _ = rand_family(seed, 1, real)
             curv = _affine_curvature(conns).comps
-            pairs = len(transgression._products(curv, curv, 1))
+            # the ordered pairs whose merged simplex index has length >= 1
+            pairs = sum(len(key[1]) >= 1 for key, *_ in transgression._products(curv, curv))
             per_q.clear()
             got = cs_family(conns, 3)
             assert len(per_q) == 2 and 2 * per_q[0] == pairs
@@ -905,7 +906,7 @@ class TestMetricTransgressionOnMorita:
         g = HermitianMetric(adjoint_bundle(a.anchor), rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng, real=True))
         odd = nonzero = 0
         for k in (1, 2):
-            alt = rand_metric(adjoint_bundle(pullback_anchor(a, k)), rng)
+            alt = rand_metric(adjoint_bundle(pullback_algebroid(a, k).anchor), rng)
             calls.clear()
             assert pullback.morita_check(a, k, tm, g, rand_pd_matrix(k, rng, real=True), 2, alt).passed
             assert len(calls) == 3, k  # base under g, pullback under g-bar and alt
