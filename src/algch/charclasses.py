@@ -70,11 +70,13 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
         odd:   u |-> rho(nabla_u e_i)
 
     With the r x n matrix T_i[k, m] = Gamma_m[k, i], the even block is
-    ad_{e_i} + T_i rho and the odd block rho T_i.  It differs from the
-    adjoint connection (ad_{e_i}, 0) by the graded commutator of the
-    anchor with theta_i = -T_i, so the two are equivalent, and it
-    commutes with the anchor because rho ad_{e_i} = 0, the anchor axiom
-    that parsing decides.
+    ad_{e_i} + T_i rho and the odd block rho T_i; a frame whose T_i is
+    zero (every frame under a zero tm_conn or at n = 0, and a pullback's
+    vertical sections) is (ad_{e_i}, 0) and takes no product.  It
+    differs from the adjoint connection (ad_{e_i}, 0) by the graded
+    commutator of the anchor with theta_i = -T_i, so the two are
+    equivalent, and it commutes with the anchor because rho ad_{e_i} = 0,
+    the anchor axiom that parsing decides.
 
     basic_cochains and morita-check transgress it against its metric
     dual.  A non-real algebroid gets DomainError (_check_domain), as
@@ -87,18 +89,19 @@ def adjoint_setup(a: ConstantAlgebroid, tm_conn) -> Connection:
     for m, g in enumerate(tm_conn):
         if g.shape != (a.r, a.r):
             raise ValueError(f"tm_conn[{m}] must be {a.r} x {a.r}, got {g.nrows} x {g.ncols}")
-    rho = a.anchor
-    if not a.n:  # T_i rho is zero and rho T_i is 0 x 0
-        zero = Matrix.zeros(0, 0)
-        return Connection(a, adjoint_bundle(rho), [GradedEndo(_ad(a, i), zero) for i in range(a.r)])
+    rho, zero = a.anchor, Matrix.zeros(a.n, a.n)
     # T_i over gamma, the tm_conn denominators' lcm; T_i rho and rho T_i over gamma * pi
     gamma = lcm(*(g.den for g in tm_conn))
     gp = gamma * rho.den
     parts = [[(gamma // g.den, g.re) for g in tm_conn], None]
     if any(g.im is not None for g in tm_conn):
         parts[1] = [(gamma // g.den, _imag(g)) for g in tm_conn]
+    live = {i for g in tm_conn for x in (g.re, g.im or ()) for row in x for i, v in enumerate(row) if v}
     omega = []
     for i in range(a.r):
+        if i not in live:  # T_i = 0: no product
+            omega.append(GradedEndo(_ad(a, i), zero))
+            continue
         t = [None if x is None else [[f * y[k][i] for f, y in x] for k in range(a.r)] for x in parts]
         ad = _ad(a, i)
         t_rho_re, t_rho_im = _cmatmul(t, (rho.re, None), a.r)

@@ -59,7 +59,8 @@ def _rational(v) -> tuple:
 def _entry(v) -> tuple:
     """(x, u, y, w) of a scalar entry x/u + i y/w, each part in lowest terms."""
     if isinstance(v, dict):
-        _known_keys(v, ("re", "im"), f"bad scalar entry {v!r}")
+        if not v.keys() <= {"re", "im"}:
+            _known_keys(v, ("re", "im"), f"bad scalar entry {v!r}")
         return _rational(v.get("re", 0)) + _rational(v.get("im", 0))
     return _rational(v) + (0, 1)
 

@@ -472,11 +472,15 @@ def _metric_transgression(f0: list, d0: int, h) -> tuple:
 
     per parity, for U_i = A_i G on A_i's nonzero rows and Z_j = H A_j on
     A_j's nonzero columns, from A's nonzero entries.  U reads G's rows at
-    the frames' nonzero columns B, the conjugates of its columns B: one
-    Bareiss pass on the integer rows [H | d E_B], d H's denominator, gives
-    them over its last pivot, det H d^n > 0 for a positive-definite block.
-    A parity with all-zero frames, or all-real frames and block, takes no
-    elimination."""
+    the frames' nonzero columns B, the conjugates of its columns B.  Let R
+    be the indices that B reaches through H's nonzero entries, closed
+    under reaching: H is block diagonal on R and the rest, so G's columns
+    B vanish off R and are those of H_RR^-1 on R.  One Bareiss pass on
+    the integer rows [H_RR | d E_B], d H's denominator, gives them over its
+    last pivot, det H_RR d^|R| > 0 for a positive-definite block.  On
+    g-bar = block_diag(g_V, g) it eliminates g's block alone; a dense
+    block is eliminated whole.  A parity with all-zero frames, or all-real
+    frames and block, takes no elimination."""
     live = [i for i, x in enumerate(f0) if x is not None]
     parts = []  # per parity: (den, {(i, j): T_ij's im over den})
     for b, hb in enumerate((h.h_even, h.h_odd)):
@@ -487,12 +491,19 @@ def _metric_transgression(f0: list, d0: int, h) -> tuple:
         if not cols:
             continue
         n, pad = hb.ncols, [0] * len(cols)
-        rows = [[*x, *(hb.den if k == c else 0 for c in cols)] for k, x in enumerate(hb.re)]
-        xr, xi, (q, _), _ = _bareiss(rows, hb.im and [[*x, *pad] for x in hb.im])
-        g = {c: ([x[k] for x in xr], [-x[k] for x in xi or [pad] * n]) for k, c in enumerate(cols)}
+        reach, todo = set(cols), list(cols)
+        while todo and len(reach) < n:
+            k = todo.pop()
+            new = {c for c, x in enumerate(hb.re[k]) if x or hb.im and hb.im[k][c]} - reach
+            reach |= new
+            todo += new
+        at = {c: k for k, c in enumerate(sorted(reach))}  # R, each index to its row in the pass
+        rows = [[*map(hb.re[k].__getitem__, at), *(hb.den if k == c else 0 for c in cols)] for k in at]
+        xr, xi, (q, _), _ = _bareiss(rows, hb.im and [[*map(hb.im[k].__getitem__, at), *pad] for k in at])
+        g = {c: ([x[k] for x in xr], [-x[k] for x in xi or [pad] * len(at)]) for k, c in enumerate(cols)}
         hcols = [(x, [-t for t in y]) for x, y in zip(hb.re, hb.im or [[0] * n] * n)]  # conj(H[d, :])
         u = {i: _combined((a, g[c], x, y) for a, c, x, y in nz[i]) for i in live[:-1]}
-        z = {j: _combined((c, hcols[d], x, y) for d, c, x, y in nz[j]) for j in live[1:]}
+        z = {j: _combined((at[c], hcols[d], x, y) for d, c, x, y in nz[j]) for j in live[1:]}
         sign = 2 if b else -2  # T_ij = 2i Im str(c_0,i c_1,j), odd traces negated
         parts.append((q * hb.den, {
             (i, j): sign * sum(

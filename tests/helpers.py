@@ -32,9 +32,12 @@ from algch.pullback import (
     pullback_form,
     submersion_recipe,
 )
+from algch.linalg import _bareiss
 from algch.transgression import (
     AffineForm,
     _check_family,
+    _combined,
+    _entries,
     _pair_chain,
     _simplex_cochains,
 )
@@ -1508,3 +1511,66 @@ def reference_morita_verdicts(a, k, tm_conn, g, g_v, max_q, alt_metric):
             diff = rep.scale(phase) - pullback_form(a, k, base_cs.scale(phase))
             cohomologous[q] = coboundary_witness(recipe.algebroid, diff) is not None
     return per_q, cohomologous
+
+
+def whole_metric_transgression(f0: list, d0: int, h) -> tuple:
+    """(den, T) as transgression._metric_transgression gives it, with the
+    Bareiss pass run on the whole of each metric block H: the rows
+    [H | d E_B] for the frames' nonzero columns B, d H's denominator.
+    The oracle of the pass on the indices that B reaches."""
+    live = [i for i, x in enumerate(f0) if x is not None]
+    parts = []
+    for b, hb in enumerate((h.h_even, h.h_odd)):
+        if hb.im is None and all(f0[i][b][1] is None for i in live):
+            continue
+        nz = {i: _entries(*f0[i][b]) for i in live}
+        cols = sorted({c for es in nz.values() for _, c, _, _ in es})
+        if not cols:
+            continue
+        n, pad = hb.ncols, [0] * len(cols)
+        rows = [[*x, *(hb.den if k == c else 0 for c in cols)] for k, x in enumerate(hb.re)]
+        xr, xi, (q, _), _ = _bareiss(rows, hb.im and [[*x, *pad] for x in hb.im])
+        g = {c: ([x[k] for x in xr], [-x[k] for x in xi or [pad] * n]) for k, c in enumerate(cols)}
+        hcols = [(x, [-t for t in y]) for x, y in zip(hb.re, hb.im or [[0] * n] * n)]
+        u = {i: _combined((a, g[c], x, y) for a, c, x, y in nz[i]) for i in live[:-1]}
+        z = {j: _combined((c, hcols[d], x, y) for d, c, x, y in nz[j]) for j in live[1:]}
+        sign = 2 if b else -2
+        parts.append((q * hb.den, {
+            (i, j): sign * sum(
+                ui[c] * zr[a] - ur[c] * zi[a] for a, (ur, ui) in u[i].items() for c, (zr, zi) in z[j].items()
+            )
+            for i, j in combinations(live, 2)
+        }))
+    den, acc, out = lcm(*(d for d, _ in parts)), {}, {}
+    for d, sums in parts:
+        for ij, y in sums.items():
+            acc[ij] = acc.get(ij, 0) + den // d * y
+    for (i, j), y in acc.items():
+        if y:
+            out[i, j], out[j, i] = (0, y), (0, -y)
+    return den * d0 * d0, out
+
+
+def block_metric(n: int, rng, real=False) -> Matrix:
+    """A positive-definite Hermitian n x n block, block diagonal under a
+    random permutation of the indices.  A block is dense (rand_pd_matrix)
+    or a path, whose ends are joined only through the indices between
+    them: 7 on the diagonal and entries of modulus below 3 between
+    neighbours, so diagonally dominant.  Over a random denominator."""
+    order = rng.sample(range(n), n)
+    h = [[ZERO] * n for _ in range(n)]
+    while order:
+        size = rng.randint(1, len(order))
+        block, order = order[:size], order[size:]
+        if rng.random() < 0.3:
+            m = rand_pd_matrix(size, rng, real)
+            for p, x in enumerate(block):
+                for q, y in enumerate(block):
+                    h[x][y] = m[p, q]
+            continue
+        for x in block:
+            h[x][x] = Scalar(7)
+        for x, y in zip(block, block[1:]):
+            w = Scalar(rng.choice((-2, -1, 1, 2)), 0 if real else rng.randint(-2, 2))
+            h[x][y], h[y][x] = w, conj(w)
+    return Matrix(h, ncols=n).scale(Fraction(1, rng.randint(1, 3)))

@@ -23,7 +23,7 @@ from algch.connections import (
     HermitianMetric,
     h_dual,
 )
-from algch import algebroid, charclasses, cli
+from algch import algebroid, charclasses, cli, linalg
 from algch.scalars import I
 from algch.charclasses import (
     DomainError,
@@ -303,15 +303,43 @@ class TestAdjointSetup:
         assert ee[2, 0].is_zero() and ee[2, 1].is_zero() and ee[2, 2].is_zero()
 
     def test_equivalence_identity_on_corpus(self):
+        # on the nose, odd block shape included, also where frames with
+        # T_i = 0 take no product (zero_column_cases)
         rng = random.Random(46)
-        for a in small_corpus().values():
-            tm = rand_tm_conn(a, rng)
+        cases = [(name, a, rand_tm_conn(a, rng)) for name, a in small_corpus().items()]
+        zero_t = nonzero_t = 0
+        for label, a, tm in cases + zero_column_cases():
             basic = adjoint_setup(a, tm)
             b = basic.bundle
             ad = adjoint_connection(a, b)
             for i, theta in enumerate(tm_theta(a, tm)):
                 delta = Endo.of(ad.omega[i]) - basic.omega[i]
-                assert delta == boundary_commutator(theta, b)
+                assert delta == boundary_commutator(theta, b), (label, i)
+                zero_t += theta.is_zero()
+                nonzero_t += not theta.is_zero()
+        assert zero_t and nonzero_t
+
+    def test_products_only_for_nonzero_t(self, monkeypatch):
+        # so3 over a point pulled back to k = 2: no frame has a T_i; on a
+        # tt2 pullback only the horizontal frames with a nonzero tm_conn
+        # column take their two products
+        rng = random.Random(38)
+        calls = count_calls(monkeypatch, linalg._cmatmul)
+        recipe = submersion_recipe(so3(), 2, [], adjoint_metric(so3(), Matrix.identity(3), Matrix.zeros(0, 0)),
+                                   Matrix.identity(2))
+        calls.clear()
+        adjoint_setup(recipe.algebroid, recipe.tm_conn)
+        assert calls == []
+        a = tangent_torus(2)
+        tm = rand_tm_conn(a, rng, real=False)
+        tm[1] = zero_columns(tm[1], {0})
+        tm[0] = zero_columns(tm[0], {0})
+        for k in (1, 2):
+            pb = pullback_algebroid(a, k)
+            nabla_bar = [Matrix.zeros(pb.r, pb.r)] * k + [Matrix.block_diag(Matrix.zeros(k, k), g) for g in tm]
+            calls.clear()
+            adjoint_setup(pb, nabla_bar)
+            assert len(calls) == 2, k  # hor(e_2) only: column 0 is zero, v_1..v_k act by zero
 
     def test_basic_commutes_with_boundary(self):
         # rho (ad_i + T_i rho) = (rho T_i) rho because rho ad_i = 0, the
@@ -325,6 +353,36 @@ class TestAdjointSetup:
             for real in (True, False):
                 basic = adjoint_setup(a, rand_tm_conn(a, rng, real=real))
                 assert commutes_with_boundary(basic)
+
+
+def zero_columns(g: Matrix, cols) -> Matrix:
+    """g with the columns in cols set to zero."""
+    return Matrix([[ZERO if j in cols else g[i, j] for j in range(g.ncols)] for i in range(g.nrows)], ncols=g.ncols)
+
+
+def zero_column_cases():
+    """(label, algebroid, tm_conn): the corpus' algebroids with a base and
+    the k = 1 and k = 2 pullbacks of every corpus algebroid, the latter
+    under the recipe's nabla-bar, each under a zero tm_conn, the CLI's
+    default for an absent one, and a random one (real or Gaussian) with
+    half of its columns, at random, zeroed in every matrix."""
+    rng = random.Random(38)
+    cases = []
+    for name, a in small_corpus().items():
+        dead = set(rng.sample(range(a.r), a.r // 2))
+        tms = {
+            "zero": [Matrix.zeros(a.r, a.r)] * a.n,
+            "absent": cli._tm_conn({}, a),
+            "partly zero": [zero_columns(g, dead) for g in rand_tm_conn(a, rng, real=rng.random() < 0.5)],
+        }
+        g = adjoint_metric(a, Matrix.identity(a.r), Matrix.identity(a.n))
+        for kind, tm in tms.items():
+            if a.n:
+                cases.append((f"{name}, {kind}", a, tm))
+            for k in (1, 2):
+                recipe = submersion_recipe(a, k, tm, g, Matrix.identity(k))
+                cases.append((f"{name} at k={k}, {kind}", recipe.algebroid, recipe.tm_conn))
+    return cases
 
 
 def pair_oracle(a, c, h, reports):

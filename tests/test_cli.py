@@ -254,6 +254,7 @@ MALFORMED_DOCS = {
     },
     "bool scalar": {"base_dim": 0, "rank": 1, "metric": {"g_A": [[True]]}},
     "unknown scalar key": {"base_dim": 0, "rank": 1, "metric": {"g_A": [[{"real": "1"}]]}},
+    "unknown Gaussian entry key": {"base_dim": 0, "rank": 1, "metric": {"g_A": [[{"re": "1", "img": "2"}]]}},
     "g_V not a list": {"base_dim": 0, "rank": 1, "metric": {"g_V": 2}},
     "tm_conn not a list": {"base_dim": 1, "rank": 1, "anchor": [["0"]], "connection": {"tm_conn": 3}},
     "metric not an object": {"base_dim": 0, "rank": 1, "metric": [["1"]]},
@@ -277,6 +278,7 @@ DROPPED_INPUT_ERRORS = {
     "misspelt metric key": r"metric: unknown keys \['g_a'\]",
     "unknown bracket key": r"bracket entry: unknown keys \['k'\]",
     "unknown connection key": r"connection: unknown keys \['tm'\]",
+    "unknown Gaussian entry key": r"^bad scalar entry \{'re': '1', 'img': '2'\}: unknown keys \['img'\]$",
 }
 
 

@@ -31,6 +31,8 @@ from algch.charclasses import DomainError, adjoint_bundle, adjoint_setup, basic_
 from algch.pullback import pullback_algebroid, submersion_recipe
 
 from helpers import (
+    block_metric,
+    whole_metric_transgression,
     adjoint_connection,
     adjoint_metric,
     corpus_products,
@@ -880,6 +882,88 @@ class TestMetricTransgression:
                 assert got == cs_family([c, h_dual(c, h)], 2), (kind, seed)
                 nonzero += not got[2].is_zero()
         assert nonzero > 0
+
+
+def sparse_frames(count, sizes, rng, real) -> list:
+    """count integer frames, None one time in four, as _integer_frames
+    gives them: per parity Gaussian rows (re, im), im None when zero,
+    nonzero only in a random set of columns drawn once per parity."""
+    cols = [set(rng.sample(range(n), rng.randint(0, n))) for n in sizes]
+
+    def block(n, cs):
+        parts = [[[rng.randint(-3, 3) if c in cs and rng.random() < 0.6 else 0 for c in range(n)]
+                  for _ in range(n)] for _ in range(1 if real else 2)]
+        return parts[0], parts[1] if len(parts) > 1 and any(map(any, parts[1])) else None
+
+    return [None if rng.random() < 0.25 else [block(n, cs) for n, cs in zip(sizes, cols)] for _ in range(count)]
+
+
+def recorded_bareiss(monkeypatch) -> list:
+    """The number of rows of each Bareiss pass _metric_transgression runs."""
+    rows, original = [], transgression._bareiss
+
+    def recorded(re, im):
+        rows.append(len(re))
+        return original(re, im)
+
+    monkeypatch.setattr(transgression, "_bareiss", recorded)
+    return rows
+
+
+class TestMetricTransgressionReach:
+    # the Bareiss pass runs on the indices of H that the frames' columns
+    # reach through H's nonzero entries; the pass on the whole of H is
+    # its oracle, on the nose
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans(), st.integers(0, 5), st.integers(0, 5))
+    def test_matches_whole_metric(self, seed, real_frames, real_metric, re, ro):
+        # H block diagonal under a permutation, its blocks paths or dense:
+        # two frame columns in one path are joined only through the
+        # indices between them
+        rng = random.Random(seed)
+        h = HermitianMetric(GradedBundle(re, ro), block_metric(re, rng, real_metric), block_metric(ro, rng, real_metric))
+        f0 = sparse_frames(rng.randint(2, 4), (re, ro), rng, real_frames)
+        d0 = rng.randint(1, 4)
+        den, t = transgression._metric_transgression(f0, d0, h)
+        want_den, want = whole_metric_transgression(f0, d0, h)
+        assert integer_form(len(f0), 2, t, den) == integer_form(len(f0), 2, want, want_den)
+
+    def test_reach_is_closed(self, monkeypatch):
+        # the frames read column 0 alone; H is the path 0 - 1 - 2 - 3
+        # beside the lone index 4, so G's column 0 needs rows 0 to 3, of
+        # which one step from 0 reaches only 1, and not row 4
+        rows = recorded_bareiss(monkeypatch)
+        i = Scalar(0, 1)
+        path = [[7, 1, 0, 0, 0], [1, 7, i, 0, 0], [0, -i, 7, 2, 0], [0, 0, 2, 7, 0], [0, 0, 0, 0, 5]]
+        h = HermitianMetric(GradedBundle(5, 0), Matrix(path, ncols=5), Matrix.zeros(0, 0))
+
+        def frame(re, im):
+            return [([[x, 0, 0, 0, 0] for x in re], im and [[y, 0, 0, 0, 0] for y in im]), ([], None)]
+
+        f0 = [frame([1, 0, 2, 0, 1], [0, 1, 0, 0, 0]), frame([0, 3, 0, -1, 0], None)]
+        den, t = transgression._metric_transgression(f0, 1, h)
+        assert rows == [4]
+        want_den, want = whole_metric_transgression(f0, 1, h)
+        assert t and integer_form(2, 2, t, den) == integer_form(2, 2, want, want_den)
+
+    @pytest.mark.parametrize("name", ["heisenberg", "so3", "tt2", "tt1 x so3"])
+    def test_g_bar_eliminates_the_base_block(self, monkeypatch, name):
+        # g-bar = block_diag(g_V, g) under Gaussian blocks: each parity the
+        # base eliminates, the pullback eliminates on g's block alone, r
+        # (or n) rows and not k + r (or k + n)
+        a = {"heisenberg": heisenberg(), "so3": so3(), "tt2": tangent_torus(2),
+             "tt1 x so3": direct_product(tangent_torus(1), so3())}[name]
+        rng = random.Random(name)
+        g = HermitianMetric(adjoint_bundle(a.anchor), rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
+        tm = rand_tm_conn(a, rng, real=False)
+        rows = recorded_bareiss(monkeypatch)
+        cs_cochains(adjoint_setup(a, tm), g, 2)
+        assert rows == [a.r] + [a.n] * (a.n > 0)
+        for k in (1, 2):
+            recipe = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+            rows.clear()
+            cs_cochains(recipe.basic, recipe.metric, 2)
+            assert rows == [a.r] + [a.n] * (a.n > 0), k
 
 
 class TestMetricTransgressionOnMorita:
