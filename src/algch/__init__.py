@@ -22,7 +22,6 @@ from .transgression import intrinsic_cochains
 from .charclasses import (
     ClassReport,
     DomainError,
-    IdentityFailure,
     adjoint_setup,
     basic_cochains,
     intrinsic_char,
@@ -31,7 +30,6 @@ from .charclasses import (
 )
 from .pullback import (
     pullback_algebroid,
-    submersion_recipe,
     morita_check,
 )
 

@@ -41,19 +41,6 @@ def default_max_q(a: ConstantAlgebroid) -> int:
     return -(-(a.r + a.n + 1) // 2)
 
 
-class IdentityFailure(Exception):
-    """An identity that decides a verdict did not hold.
-
-    identity names it ("basic splitting", of a pullback's basic
-    connection); the message says where.  Raised explicitly, so the
-    check also runs under python -O.
-    """
-
-    def __init__(self, identity: str, detail: str):
-        super().__init__(f"{identity}: {detail}")
-        self.identity = identity
-
-
 def adjoint_bundle(anchor: Matrix) -> GradedBundle:
     """A (even) and TM (odd) with the anchor (n x r) as the boundary."""
     return GradedBundle(anchor.ncols, anchor.nrows, d01=anchor)

@@ -22,7 +22,6 @@ from .algebroid import betti_numbers
 from .connections import HermitianMetric
 from .charclasses import (
     DomainError,
-    IdentityFailure,
     adjoint_bundle,
     basic_cochains,
     intrinsic_char,
@@ -221,6 +220,8 @@ COMMANDS = {
 }
 
 OPTIONS = ("max_q", "k", "seed")
+# the options each command reads; the others read none
+READS = {"char": ("max_q",), "cs": ("max_q",), "morita-check": OPTIONS}
 
 # built once per process, so that every call of main pays only for parse_args
 PARSER = argparse.ArgumentParser(
@@ -238,28 +239,26 @@ PARSER.add_argument("--out", default=None, help="write the JSON report here")
 def run(job: dict):
     """Dispatch one job: {'command', 'inputs', 'options'}.
 
-    A job that cannot run (unknown command or option, wrong number of
-    inputs, unreadable or malformed input, an algebroid that is not real
-    for a class command) gets an error report and status 1.
+    A job that cannot run (unknown command or option, an option given
+    that the command does not read, wrong number of inputs, unreadable
+    or malformed input, an algebroid that is not real for a class
+    command) gets an error report and status 1.
     """
     command = job["command"]
     try:
         if command not in COMMANDS:
             raise ParseError(f"unknown command {command!r}")
-        for name in job["options"]:
+        for name, value in job["options"].items():
             if name not in OPTIONS:
                 raise ParseError(f"unknown option {name!r}; options are {', '.join(OPTIONS)}")
+            if value is not None and name not in READS.get(command, ()):
+                raise ParseError(f"{command} does not read --{name.replace('_', '-')}")
         fn, arity = COMMANDS[command]
         if len(job["inputs"]) != arity:
             raise ParseError(f"{command} takes {arity} input file(s)")
         payload, status, lines = fn(job)
     except (ParseError, OSError, DomainError) as e:
         return {"command": command, "inputs": job["inputs"], "error": str(e)}, 1, [f"error: {e}"]
-    except IdentityFailure as e:
-        # a failed identity is a verdict: reported like any other, exit 1
-        failure = {"kind": "IdentityFailure", "identity": e.identity}
-        report = {"command": command, "inputs": job["inputs"], "error": str(e), "failure": failure}
-        return report, 1, [f"FAILED: {e}"]
     report = {
         "command": command,
         "inputs": job["inputs"],

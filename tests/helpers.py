@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm
 from operator import add
+from typing import NamedTuple
 
 from algch.scalars import Scalar, ZERO, ONE, I
 from algch.linalg import Matrix, _imag, _matrix, _reduced, nullspace, solve
@@ -27,11 +28,7 @@ from algch.connections import (
 )
 from algch import fileio
 from algch.charclasses import ClassReport, adjoint_bundle, adjoint_setup
-from algch.pullback import (
-    pullback_algebroid,
-    pullback_form,
-    submersion_recipe,
-)
+from algch.pullback import pullback_algebroid, pullback_form
 from algch.linalg import _bareiss
 from algch.transgression import (
     AffineForm,
@@ -1490,6 +1487,51 @@ def reference_cs_cochain(conns, q: int) -> AlgebroidForm:
     if p > 0 and ((p + 1) // 2) % 2 == 1:
         result = -result
     return result
+
+
+class Recipe(NamedTuple):
+    algebroid: ConstantAlgebroid  # p^!(A)
+    tm_conn: list  # nabla-bar: one (k+r) matrix per coordinate (y, x) of T^{k+n}
+    metric: HermitianMetric  # g-bar on Ad(p^!(A))
+    basic: Connection  # basic connection of p^!(A)
+    base: Connection  # basic connection of A
+
+
+def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric, g_v: Matrix) -> Recipe:
+    """The data morita_check builds on the pullback along T^{k+n} -> T^n:
+    p^!(A) = TT^k x A; nabla-bar, zero along the k fibre directions and
+    block_diag(0_k, Gamma_m) along the base's; g-bar, block_diag(g_v, g)
+    on each parity; the basic connections of nabla-bar and of tm_conn."""
+    tm_conn = list(tm_conn)
+    pb = pullback_algebroid(a, k)
+    vertical = Matrix.zeros(k, k)
+    nabla_bar = [Matrix.zeros(pb.r, pb.r)] * k + [Matrix.block_diag(vertical, m) for m in tm_conn]
+    basic = adjoint_setup(pb, nabla_bar)
+    gbar = HermitianMetric(basic.bundle, Matrix.block_diag(g_v, g.h_even), Matrix.block_diag(g_v, g.h_odd))
+    return Recipe(pb, nabla_bar, gbar, basic, adjoint_setup(a, tm_conn))
+
+
+class SplittingFailure(Exception):
+    """A basic connection on TT^k x A does not split as zero beside the
+    base's.  Raised explicitly, so the check also runs under python -O."""
+
+
+def check_basic_splitting(k: int, base: Connection, basic: Connection):
+    """Raise SplittingFailure unless basic, a basic connection on
+    TT^k x A, is zero on the k vertical frames and block_diag(0_k, the
+    frame's block of base) on each parity of every horizontal frame:
+    the identity on which morita_check's equal verdicts rest."""
+    if len(basic.omega) != k + len(base.omega):
+        raise SplittingFailure(f"{len(basic.omega)} frames, not {k} + {len(base.omega)}")
+    for i in range(k):
+        if not basic.omega[i].is_zero():
+            raise SplittingFailure(f"vertical section v_{i + 1} does not act by zero")
+    vertical = Matrix.zeros(k, k)
+    for i, bom in enumerate(base.omega):
+        om = basic.omega[k + i]
+        for parity, m, b in (("even", om.ee, bom.ee), ("odd", om.oo, bom.oo)):
+            if m != Matrix.block_diag(vertical, b):
+                raise SplittingFailure(f"{parity} block of hor(e_{i + 1}) does not split")
 
 
 def reference_morita_verdicts(a, k, tm_conn, g, g_v, max_q, alt_metric):

@@ -34,12 +34,13 @@ from algch.charclasses import (
     modular_class,
     default_max_q,
 )
-from algch.pullback import pullback_algebroid, submersion_recipe
+from algch.pullback import pullback_algebroid
 from algch import transgression
 from algch.transgression import cs_cochains, intrinsic_cochains
 from algch.library import abelian, tangent_torus, heisenberg, so3, q_family, lie_algebra, sl3_r3
 
 from helpers import (
+    submersion_recipe,
     adjoint_connection,
     count_calls,
     corpus_products,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algch import charclasses, cli, connections, fileio, pullback
+from algch import charclasses, cli, connections, fileio
 from algch.algebroid import ConstantAlgebroid, direct_product
 from algch.cli import main
 from algch.fileio import (
@@ -24,7 +24,6 @@ from algch.fileio import (
     serialize_algebroid,
     scalar_to_json,
 )
-from algch.connections import Connection, GradedEndo
 from algch.linalg import Matrix
 from algch.scalars import Scalar
 
@@ -431,39 +430,46 @@ class TestCountOptions:
         assert "error: --max-q must be an integer >= 1" in out
 
 
-def vertical_acting(monkeypatch):
-    """Let every basic connection that morita-check builds act on its
-    first frame section by the identity.  On the pullback that section
-    is the vertical v_1, so the basic splitting identity fails."""
-    original = pullback.adjoint_setup
+class TestUnreadOptions:
+    """An option that the command does not read is refused, naming the
+    flag, with exit 1: char and cs read --max-q, morita-check --max-q,
+    --k and --seed, the other commands none."""
 
-    def patched(a, tm_conn):
-        c = original(a, tm_conn)
-        b = c.bundle
-        moved = GradedEndo(Matrix.identity(b.rank_even), Matrix.identity(b.rank_odd))
-        return Connection(a, b, [moved] + list(c.omega[1:]))
-
-    monkeypatch.setattr(pullback, "adjoint_setup", patched)
-
-
-class TestFailedIdentities:
-    """IdentityFailure is a verdict: a structured error, exit 1, no
-    traceback.  Its one identity is the basic splitting of morita-check."""
-
-    def test_identity_failure(self, capsys, tmp_path, monkeypatch):
-        vertical_acting(monkeypatch)
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("cs", "--k", "2", "--seed", "9", "--max-q", "1", "so3.json"), "--k"),
+            (("cs", "--seed", "9", "so3.json"), "--seed"),
+            (("char", "--k", "1", "q_family.json"), "--k"),
+            (("modular", "--max-q", "2", "q_family.json"), "--max-q"),
+            (("validate", "--max-q", "3", "so3.json"), "--max-q"),
+            (("cohomology", "--seed", "1", "so3.json"), "--seed"),
+            (("product", "--k", "1", "so3.json", "abelian2.json"), "--k"),
+        ],
+        ids=["cs --k", "cs --seed", "char --k", "modular --max-q", "validate --max-q", "cohomology --seed", "product --k"],
+    )
+    def test_unread_option_refused(self, capsys, tmp_path, argv, flag):
+        command, *rest = argv
+        files = [INPUTS / f for f in rest if f.endswith(".json")]
         out_file = tmp_path / "report.json"
-        status, out = run_cli(capsys, "morita-check", "--out", out_file, INPUTS / "tt2.json")
+        status, out = run_cli(capsys, *[a for a in argv if not a.endswith(".json")], "--out", out_file, *files)
         assert status == 1
-        assert out == "FAILED: basic splitting: vertical section v_1 does not act by zero\n"
+        assert out == f"error: {command} does not read {flag}\n"
         report = json.loads(out_file.read_text())
-        assert report["failure"] == {"kind": "IdentityFailure", "identity": "basic splitting"}
-        assert report["error"] == "basic splitting: vertical section v_1 does not act by zero"
+        assert report["error"] == f"{command} does not read {flag}"
+        assert "options" not in report
 
-    def test_failure_in_batch_fails_only_that_job(self, capsys, tmp_path, monkeypatch):
-        vertical_acting(monkeypatch)
+    def test_read_options_and_unset_ones_accepted(self, capsys):
+        assert run_cli(capsys, "cs", "--max-q", "1", INPUTS / "so3.json")[0] == 0
+        assert run_cli(capsys, "morita-check", "--k", "1", "--max-q", "1", "--seed", "3", INPUTS / "tt2.json")[0] == 0
+        job = {"command": "validate", "inputs": [str(INPUTS / "so3.json")], "options": {"max_q": None, "k": None}}
+        assert cli.run(job)[1] == 0
+
+    def test_unread_option_in_batch_fails_only_that_job(self, capsys, tmp_path):
         jobs = [
-            {"command": "morita-check", "inputs": [str(INPUTS / "tt2.json")]},
+            {"command": "cs", "inputs": [str(INPUTS / "so3.json")], "options": {"max_q": 1, "k": 2}},
+            {"command": "char", "inputs": [str(INPUTS / "q_family.json")], "options": {"max_q": 1}},
+            {"command": "validate", "inputs": [str(INPUTS / "so3.json")], "options": {"seed": 7}},
             {"command": "cohomology", "inputs": [str(INPUTS / "so3.json")]},
         ]
         batch = tmp_path / "batch.json"
@@ -472,8 +478,11 @@ class TestFailedIdentities:
         status, out = run_cli(capsys, "batch", "--out", out_file, batch)
         assert status == 1
         reports = json.loads(out_file.read_text())["batch"]
-        assert reports[0]["failure"]["identity"] == "basic splitting"
-        assert reports[1]["betti"] == [1, 0, 0, 1]
+        assert reports[0]["error"] == "cs does not read --k"
+        assert [c["is_zero_class"] for c in reports[1]["classes"]] == [False]
+        assert reports[2]["error"] == "validate does not read --seed"
+        assert reports[3]["betti"] == [1, 0, 0, 1]
+        assert "error: cs does not read --k" in out and "error: validate does not read --seed" in out
 
 
 SO3_COHOMOLOGY = {"command": "cohomology", "inputs": [str(INPUTS / "so3.json")]}

@@ -13,19 +13,20 @@ from algch.algebroid import (
 )
 from algch.connections import Connection, GradedBundle, GradedEndo, HermitianMetric, h_dual
 from algch.transgression import cs_cochains
-from algch.charclasses import adjoint_setup, IdentityFailure
-from algch import connections, pullback
+from algch.charclasses import adjoint_setup
+from algch import cli, connections, pullback
 from algch.pullback import (
     pullback_algebroid,
     pullback_form,
-    submersion_recipe,
     morita_check,
     MoritaReport,
-    _check_basic_splitting,
 )
 from algch.library import tangent_torus, heisenberg, so3, q_family
 
 from helpers import (
+    SplittingFailure,
+    check_basic_splitting,
+    submersion_recipe,
     basis_form,
     rand_scalar,
     rand_bundle,
@@ -132,12 +133,15 @@ class TestPullbackData:
 
 
 class TestSubmersionRecipe:
+    """The connection and metric that morita_check builds on the
+    pullback, as the test helper submersion_recipe rebuilds them."""
+
     def test_g_v_shape_enforced(self):
         # an explicit check, so it also runs under python -O
         a = q_family(1, 2, 3, 4)
         g = adjoint_metric(a, Matrix.identity(3), Matrix.identity(0))
         with pytest.raises(ValueError, match="g_v must be 2 x 2, got 1 x 1"):
-            submersion_recipe(a, 2, [], g, Matrix.identity(1))
+            morita_check(a, 2, [], g, Matrix.identity(1))
 
     def test_lie_algebra_block_structure(self):
         for g in (heisenberg(), q_family(1, 2, 3, 4)):
@@ -204,8 +208,35 @@ class TestSubmersionRecipe:
         assert recipe.base == adjoint_setup(a, tm)
 
 
+class TestBasicSplitting:
+    """adjoint_setup on a product TT^k x A under nabla-bar splits as zero
+    beside the base's basic connection: the identity on which
+    morita_check's equal verdicts rest, held by construction."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["absent", "zero", "real", "gaussian"])
+    def test_adjoint_setup_on_products(self, k, kind):
+        # absent: the zero tm_conn a document without one gets; zero:
+        # zero matrices over 7; real and gaussian: random entries
+        rng = random.Random(f"{kind}/{k}")
+        imaginary = 0
+        for name, a in small_corpus().items():
+            tm = {
+                "absent": lambda: cli._tm_conn({}, a),
+                "zero": lambda: [Matrix.zeros(a.r, a.r).scale(Fraction(1, 7)) for _ in range(a.n)],
+                "real": lambda: rand_tm_conn(a, rng, real=True),
+                "gaussian": lambda: rand_tm_conn(a, rng, real=False),
+            }[kind]()
+            g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
+            r = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+            check_basic_splitting(k, r.base, r.basic)
+            imaginary += any(om.oo.im is not None for om in r.basic.omega)
+        # a Gaussian tm_conn over a base gives the pullback imaginary rows
+        assert (imaginary > 0) == (kind == "gaussian"), kind
+
+
 class TestBasicSplittingFailures:
-    """The splitting identity raises IdentityFailure, also under -O."""
+    """check_basic_splitting rejects each mutation, also under -O."""
 
     def recipe(self):
         rng = random.Random(67)
@@ -216,9 +247,8 @@ class TestBasicSplittingFailures:
     def test_wrong_base_connection(self):
         r = self.recipe()
         other = adjoint_setup(q_family(1, 0, 0, 1), [])
-        with pytest.raises(IdentityFailure, match="even block of hor") as info:
-            _check_basic_splitting(1, other, r.basic)
-        assert info.value.identity == "basic splitting"
+        with pytest.raises(SplittingFailure, match="even block of hor"):
+            check_basic_splitting(1, other, r.basic)
 
     def test_wrong_odd_block(self):
         a = tangent_torus(1)
@@ -228,8 +258,8 @@ class TestBasicSplittingFailures:
         other = Connection(r.base.algebroid, r.base.bundle, [
             GradedEndo(om.ee, om.oo + Matrix.identity(1)) for om in r.base.omega
         ])
-        with pytest.raises(IdentityFailure, match="odd block of hor"):
-            _check_basic_splitting(1, other, r.basic)
+        with pytest.raises(SplittingFailure, match="odd block of hor"):
+            check_basic_splitting(1, other, r.basic)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("where", ["vertical row", "vertical column"])
@@ -248,8 +278,8 @@ class TestBasicSplittingFailures:
         omega[k + 1] = GradedEndo(Matrix(rows), omega[k + 1].oo)
         assert (omega[k + 1].ee.den == r.base.omega[1].ee.den) == (value == ONE)
         bad = Connection(r.basic.algebroid, r.basic.bundle, omega)
-        with pytest.raises(IdentityFailure, match="even block of hor\\(e_2\\)"):
-            _check_basic_splitting(k, r.base, bad)
+        with pytest.raises(SplittingFailure, match="even block of hor\\(e_2\\)"):
+            check_basic_splitting(k, r.base, bad)
 
     @pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
     def test_odd_block_differs_in_imaginary_part(self, gaussian):
@@ -263,8 +293,8 @@ class TestBasicSplittingFailures:
         other = Connection(r.base.algebroid, r.base.bundle, [
             GradedEndo(om.ee, om.oo + Matrix([[I]])) for om in r.base.omega
         ])
-        with pytest.raises(IdentityFailure, match="odd block of hor"):
-            _check_basic_splitting(1, other, r.basic)
+        with pytest.raises(SplittingFailure, match="odd block of hor"):
+            check_basic_splitting(1, other, r.basic)
 
     def test_splits_across_denominators(self):
         # equal values over other denominators: the pullback's frames over
@@ -285,9 +315,9 @@ class TestBasicSplittingFailures:
             assert any(om.oo.im is not None for om in r.base.omega)
             assert all(om.ee.den == 101 * bom.ee.den for om, bom in zip(basic101.omega[k:], r.base.omega))
             assert all(om.oo.den == 103 * bom.oo.den for om, bom in zip(base103.omega, r.basic.omega[k:]))
-            _check_basic_splitting(k, r.base, basic101)
-            _check_basic_splitting(k, base103, r.basic)
-            _check_basic_splitting(k, base103, basic101)
+            check_basic_splitting(k, r.base, basic101)
+            check_basic_splitting(k, base103, r.basic)
+            check_basic_splitting(k, base103, basic101)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_odd_block_in_base_first_layout(self, k):
@@ -304,9 +334,8 @@ class TestBasicSplittingFailures:
             for om, bom in zip(r.basic.omega[k:], r.base.omega)
         ]
         bad = Connection(r.basic.algebroid, r.basic.bundle, omega)
-        with pytest.raises(IdentityFailure, match="odd block of hor") as info:
-            _check_basic_splitting(k, r.base, bad)
-        assert info.value.identity == "basic splitting"
+        with pytest.raises(SplittingFailure, match="odd block of hor"):
+            check_basic_splitting(k, r.base, bad)
 
     def test_vertical_section_acting(self):
         a = tangent_torus(1)
@@ -317,13 +346,13 @@ class TestBasicSplittingFailures:
         nabla = list(r.tm_conn)
         nabla[0] = Matrix([[ONE, ZERO], [ZERO, ZERO]])
         bad = adjoint_setup(r.algebroid, nabla)
-        with pytest.raises(IdentityFailure, match="vertical section v_1"):
-            _check_basic_splitting(1, r.base, bad)
+        with pytest.raises(SplittingFailure, match="vertical section v_1"):
+            check_basic_splitting(1, r.base, bad)
 
 
 class TestDualSplitting:
     """The g-bar dual splits as zero (+) the base dual by block algebra,
-    so submersion_recipe does not check it; these tests do, on the
+    so morita_check does not check it; these tests do, on the
     frames and against metric inverses taken by the reference
     elimination."""
 

@@ -28,9 +28,10 @@ from algch.transgression import (
 )
 from algch.library import abelian, heisenberg, so3, sl3_r3, tangent_torus
 from algch.charclasses import DomainError, adjoint_bundle, adjoint_setup, basic_cochains, intrinsic_char, modular_class
-from algch.pullback import pullback_algebroid, submersion_recipe
+from algch.pullback import pullback_algebroid
 
 from helpers import (
+    submersion_recipe,
     block_metric,
     whole_metric_transgression,
     adjoint_connection,
