@@ -5,7 +5,8 @@
 Commands: validate, cohomology, char, modular, cs, morita-check,
 product, batch.  Reports go to stdout as text and, with --out, to a
 JSON file that mirrors the verdicts with exact rational strings.  Exit
-status is 0 iff every asserted identity held.
+status 1 means that a job could not run or that morita-check printed
+DIFFER or NOT cohomologous.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from operator import mul
 
-from .linalg import Matrix, _reduced
+from .linalg import Matrix
 from .algebroid import betti_numbers
 from .connections import HermitianMetric
 from .charclasses import (
@@ -56,33 +55,6 @@ def _count_option(opts, name: str, default: int) -> int:
         flag = "--" + name.replace("_", "-")
         raise ParseError(f"{flag} must be an integer >= 1, got {v!r}")
     return v
-
-
-def _random_pd(n: int, rng: random.Random) -> Matrix:
-    """m^H m + 1 for an n x n matrix m of entries x/u + i y/v, the four
-    drawn in that order per entry, row by row, held as integer rows over
-    6.  The draws are randint(-2, 2) and randint(1, 3), by the rejection
-    loop of random's _randbelow: getrandbits(3) below 5, getrandbits(2)
-    below 3.  Entry (i, j) over 36 is conj(column i) . column j; it is
-    taken on the upper triangle and mirrored, as m^H m is Hermitian."""
-    bits, parts = rng.getrandbits, []
-    for _ in range(2 * n * n):  # x/u, then y/v
-        x = bits(3)
-        while x >= 5:
-            x = bits(3)
-        u = bits(2)
-        while u == 3:
-            u = bits(2)
-        parts.append((x - 2) * (6 // (u + 1)))
-    a = [parts[2 * j::2 * n] for j in range(n)]  # column j of 6 Re m
-    b = [parts[2 * j + 1::2 * n] for j in range(n)]
-    re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            re[i][j] = re[j][i] = sum(map(mul, a[i], a[j])) + sum(map(mul, b[i], b[j])) + 36 * (i == j)
-            im[i][j] = sum(map(mul, a[i], b[j])) - sum(map(mul, b[i], a[j]))
-            im[j][i] = -im[i][j]
-    return _reduced(re, im, 36, n)
 
 
 def cmd_validate(job):
@@ -166,17 +138,8 @@ def cmd_morita_check(job):
         seed = 0
     elif isinstance(seed, bool) or not isinstance(seed, int):
         raise ParseError(f"--seed must be an integer, got {seed!r}")
-    rng = random.Random(seed)
-    tm = _tm_conn(extras, a)
     g = _metric(extras, adjoint_bundle(a.anchor))
-    g_v = extras.get("g_V", Matrix.identity(k))
-    if g_v.nrows != k:
-        raise ParseError(f"g_V must be {k} x {k} for k={k}")
-    anchor = Matrix.block_diag(Matrix.identity(k), a.anchor)  # pullback_algebroid(a, k).anchor
-    alt = HermitianMetric(
-        adjoint_bundle(anchor), _random_pd(anchor.ncols, rng), _random_pd(anchor.nrows, rng)
-    )
-    report = morita_check(a, k, tm, g, g_v, max_q=max_q, alt_metric=alt)
+    report = morita_check(a, k, _tm_conn(extras, a), g, max_q=max_q, seed=seed)
     lines = []
     for q, res in report.per_q.items():
         verdict = "EQUAL" if res["equal"] else "DIFFER"
@@ -236,6 +199,19 @@ PARSER.add_argument("--seed", type=int, default=None, help="seed for randomized 
 PARSER.add_argument("--out", default=None, help="write the JSON report here")
 
 
+def _check_job(job: dict, arity: int):
+    """ParseError unless the job has arity inputs and sets only options
+    that its command reads."""
+    command = job["command"]
+    for name, value in job["options"].items():
+        if name not in OPTIONS:
+            raise ParseError(f"unknown option {name!r}; options are {', '.join(OPTIONS)}")
+        if value is not None and name not in READS.get(command, ()):
+            raise ParseError(f"{command} does not read --{name.replace('_', '-')}")
+    if len(job["inputs"]) != arity:
+        raise ParseError(f"{command} takes {arity} input file(s)")
+
+
 def run(job: dict):
     """Dispatch one job: {'command', 'inputs', 'options'}.
 
@@ -248,14 +224,8 @@ def run(job: dict):
     try:
         if command not in COMMANDS:
             raise ParseError(f"unknown command {command!r}")
-        for name, value in job["options"].items():
-            if name not in OPTIONS:
-                raise ParseError(f"unknown option {name!r}; options are {', '.join(OPTIONS)}")
-            if value is not None and name not in READS.get(command, ()):
-                raise ParseError(f"{command} does not read --{name.replace('_', '-')}")
         fn, arity = COMMANDS[command]
-        if len(job["inputs"]) != arity:
-            raise ParseError(f"{command} takes {arity} input file(s)")
+        _check_job(job, arity)
         payload, status, lines = fn(job)
     except (ParseError, OSError, DomainError) as e:
         return {"command": command, "inputs": job["inputs"], "error": str(e)}, 1, [f"error: {e}"]
@@ -309,16 +279,17 @@ def cmd_batch(path: str):
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
 
+    job = {
+        "command": args.command,
+        "inputs": args.inputs,
+        "options": {"max_q": args.max_q, "k": args.k, "seed": args.seed},
+    }
     lines, failure = [], None
     try:
         if args.command == "batch":
+            _check_job(job, 1)  # a batch reads one document and no option
             report, status, lines = cmd_batch(args.inputs[0])
         else:
-            job = {
-                "command": args.command,
-                "inputs": args.inputs,
-                "options": {"max_q": args.max_q, "k": args.k, "seed": args.seed},
-            }
             report, status, lines = run(job)
         # written first, since a reader that stops early (head) cuts the printing short
         if args.out:

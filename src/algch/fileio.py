@@ -7,7 +7,7 @@ An algebroid document looks like
       "rank": 3,
       "anchor": [["1", "0", "0"]],            # row-major, n rows of r
       "brackets": [{"i": 1, "j": 3, "coeffs": ["1", "0", "0"]}],
-      "metric": {"g_A": [[...]], "g_M": [[...]], "g_V": [[...]]},
+      "metric": {"g_A": [[...]], "g_M": [[...]]},   # r x r and n x n
       "connection": {"tm_conn": [[[...]]]}     # n matrices, r x r
     }
 
@@ -143,16 +143,11 @@ def parse_algebroid(doc: dict) -> tuple[ConstantAlgebroid, dict]:
     metric = doc.get("metric", {})
     if not isinstance(metric, dict):
         raise ParseError("metric must be an object")
-    _known_keys(metric, ("g_A", "g_M", "g_V"), "metric")
+    _known_keys(metric, ("g_A", "g_M"), "metric")
     if "g_A" in metric:
         extras["g_A"] = matrix_from_json(metric["g_A"], r, r, "g_A")
     if "g_M" in metric:
         extras["g_M"] = matrix_from_json(metric["g_M"], n, n, "g_M")
-    if "g_V" in metric:
-        gv = metric["g_V"]
-        if not isinstance(gv, list):
-            raise ParseError("g_V must be a square matrix")
-        extras["g_V"] = matrix_from_json(gv, len(gv), len(gv), "g_V")
     for key, h in extras.items():
         try:
             check_metric_block(h)
@@ -182,7 +177,7 @@ def serialize_algebroid(a: ConstantAlgebroid, extras: dict = None) -> dict:
                 doc["brackets"].append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
     if extras:
         metric = {}
-        for key in ("g_A", "g_M", "g_V"):
+        for key in ("g_A", "g_M"):
             if key in extras:
                 metric[key] = matrix_to_json(extras[key])
         if metric:

@@ -10,9 +10,11 @@ zero and horizontal lifts carry the base data verbatim, after k zeros.
 
 from __future__ import annotations
 
+import random
+from operator import mul
 from typing import NamedTuple
 
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 from .algebroid import ConstantAlgebroid, AlgebroidForm, coboundary_witness, direct_product
 from .connections import HermitianMetric
 from .charclasses import adjoint_setup
@@ -41,9 +43,26 @@ def pullback_form(a: ConstantAlgebroid, k: int, omega: AlgebroidForm) -> Algebro
     return AlgebroidForm(k + a.r, omega.degree, comps)
 
 
+def _random_pd(n: int, rng: random.Random) -> Matrix:
+    """m^H m + 1 for an n x n matrix m of Gaussian integers, their real
+    and imaginary parts drawn in -2..2 in turn per entry, row by row.
+    Entry (i, j) is conj(column i) . column j; it is taken on the upper
+    triangle and mirrored, as m^H m is Hermitian."""
+    parts = rng.choices(range(-2, 3), k=2 * n * n)
+    a = [parts[2 * j::2 * n] for j in range(n)]  # column j of Re m
+    b = [parts[2 * j + 1::2 * n] for j in range(n)]
+    re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            re[i][j] = re[j][i] = sum(map(mul, a[i], a[j])) + sum(map(mul, b[i], b[j])) + (i == j)
+            im[i][j] = sum(map(mul, a[i], b[j])) - sum(map(mul, b[i], a[j]))
+            im[j][i] = -im[i][j]
+    return _matrix(re, im, 1, n)
+
+
 class MoritaReport(NamedTuple):
     per_q: dict  # q -> {"equal": bool, "both_zero": bool}
-    cohomologous: dict  # q -> bool (perturbed metric); empty without one
+    cohomologous: dict  # q -> bool, under the perturbed metric
 
     @property
     def passed(self) -> bool:
@@ -51,52 +70,42 @@ class MoritaReport(NamedTuple):
 
 
 def morita_check(
-    a: ConstantAlgebroid,
-    k: int,
-    tm_conn,
-    g: HermitianMetric,
-    g_v: Matrix,
-    max_q: int = 2,
-    alt_metric: HermitianMetric = None,
+    a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric, max_q: int = 2, seed: int = 0
 ) -> MoritaReport:
     """Verify cs(bar-basic, its g-bar dual) = pullback of the base cs.
 
-    g_v is the k x k metric on the fibre directions.  The basic
-    connection of nabla-bar is zero on the vertical frames and
-    block_diag(0_k, the base's) on the horizontal ones, by construction
-    of adjoint_setup, so equality of representatives is bit-exact.
-    When alt_metric (an independent metric on Ad(p^!(A))) is given, also
-    check that the intrinsic representatives it produces differ from
-    the pulled-back ones by exact forms.  The cochains cs^q are
-    compared directly: the phase i^(q+1) of the representatives changes
-    neither equality, vanishing nor exactness.  At max_q <= 2 the
-    perturbed verdict can be read off the route of cs_cochains,
-    intrinsic_cochains plus dT: cs^1 reads no metric, and the two cs^2
-    differ by d(T_alt - T_bar), T taken from alt_metric or g-bar; it
-    has teeth only from max_q 3.
+    g-bar is block_diag(I_k, g) on each parity.  The basic connection of
+    nabla-bar is zero on the vertical frames and block_diag(0_k, the
+    base's) on the horizontal ones, by construction of adjoint_setup,
+    so equality of representatives is bit-exact; the vertical block of
+    g-bar reaches no cochain.  Also check that the intrinsic
+    representatives of a perturbed metric on Ad(p^!(A)), drawn from
+    random.Random(seed), differ from the pulled-back ones by exact
+    forms.  The cochains cs^q are compared directly: the phase i^(q+1)
+    of the representatives changes neither equality, vanishing nor
+    exactness.  At max_q <= 2 the perturbed verdict can be read off the
+    route of cs_cochains, intrinsic_cochains plus dT: cs^1 reads no
+    metric, and the two cs^2 differ by d(T_alt - T_bar), T taken from
+    the perturbed metric or g-bar; it has teeth only from max_q 3.
     """
-    if g_v.shape != (k, k):
-        raise ValueError(f"g_v must be {k} x {k}, got {g_v.nrows} x {g_v.ncols}")
     tm_conn = list(tm_conn)  # read twice: by adjoint_setup and for nabla-bar
     base = adjoint_setup(a, tm_conn)
     pb = pullback_algebroid(a, k)
-    vertical = Matrix.zeros(k, k)
+    vertical, one = Matrix.zeros(k, k), Matrix.identity(k)
     # nabla-bar: zero along the fibre directions, then the base's on horizontal lifts
     basic = adjoint_setup(pb, [Matrix.zeros(pb.r, pb.r)] * k + [Matrix.block_diag(vertical, m) for m in tm_conn])
     # g-bar on p^!(A) and on T(T^{k+n}): the vertical (y) block first
-    gbar = HermitianMetric(basic.bundle, Matrix.block_diag(g_v, g.h_even), Matrix.block_diag(g_v, g.h_odd))
+    gbar = HermitianMetric(basic.bundle, Matrix.block_diag(one, g.h_even), Matrix.block_diag(one, g.h_odd))
+    rng = random.Random(seed)
+    alt = HermitianMetric(basic.bundle, _random_pd(pb.r, rng), _random_pd(pb.n, rng))
     base_cs = cs_cochains(base, g, max_q)
     bar_cs = cs_cochains(basic, gbar, max_q)
+    alt_cs = cs_cochains(basic, alt, max_q)
 
     per_q, cohomologous = {}, {}
     for q in range(1, max_q + 1):
         lhs = bar_cs[q]
         rhs = pullback_form(a, k, base_cs[q])
         per_q[q] = {"equal": lhs == rhs, "both_zero": lhs.is_zero() and rhs.is_zero()}
-
-    if alt_metric is not None:
-        alt_cs = cs_cochains(basic, alt_metric, max_q)
-        for q in range(1, max_q + 1):
-            diff = alt_cs[q] - pullback_form(a, k, base_cs[q])
-            cohomologous[q] = coboundary_witness(pb, diff) is not None
+        cohomologous[q] = coboundary_witness(pb, alt_cs[q] - rhs) is not None
     return MoritaReport(per_q, cohomologous)

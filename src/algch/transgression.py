@@ -478,7 +478,7 @@ def _metric_transgression(f0: list, d0: int, h) -> tuple:
     B vanish off R and are those of H_RR^-1 on R.  One Bareiss pass on
     the integer rows [H_RR | d E_B], d H's denominator, gives them over its
     last pivot, det H_RR d^|R| > 0 for a positive-definite block.  On
-    g-bar = block_diag(g_V, g) it eliminates g's block alone; a dense
+    g-bar = block_diag(I_k, g) it eliminates g's block alone; a dense
     block is eliminated whole.  A parity with all-zero frames, or all-real
     frames and block, takes no elimination."""
     live = [i for i, x in enumerate(f0) if x is not None]

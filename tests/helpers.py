@@ -28,7 +28,7 @@ from algch.connections import (
 )
 from algch import fileio
 from algch.charclasses import ClassReport, adjoint_bundle, adjoint_setup
-from algch.pullback import pullback_algebroid, pullback_form
+from algch.pullback import _random_pd, pullback_algebroid, pullback_form
 from algch.linalg import _bareiss
 from algch.transgression import (
     AffineForm,
@@ -1497,17 +1497,17 @@ class Recipe(NamedTuple):
     base: Connection  # basic connection of A
 
 
-def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric, g_v: Matrix) -> Recipe:
+def submersion_recipe(a: ConstantAlgebroid, k: int, tm_conn, g: HermitianMetric) -> Recipe:
     """The data morita_check builds on the pullback along T^{k+n} -> T^n:
     p^!(A) = TT^k x A; nabla-bar, zero along the k fibre directions and
-    block_diag(0_k, Gamma_m) along the base's; g-bar, block_diag(g_v, g)
+    block_diag(0_k, Gamma_m) along the base's; g-bar, block_diag(I_k, g)
     on each parity; the basic connections of nabla-bar and of tm_conn."""
     tm_conn = list(tm_conn)
     pb = pullback_algebroid(a, k)
-    vertical = Matrix.zeros(k, k)
+    vertical, one = Matrix.zeros(k, k), Matrix.identity(k)
     nabla_bar = [Matrix.zeros(pb.r, pb.r)] * k + [Matrix.block_diag(vertical, m) for m in tm_conn]
     basic = adjoint_setup(pb, nabla_bar)
-    gbar = HermitianMetric(basic.bundle, Matrix.block_diag(g_v, g.h_even), Matrix.block_diag(g_v, g.h_odd))
+    gbar = HermitianMetric(basic.bundle, Matrix.block_diag(one, g.h_even), Matrix.block_diag(one, g.h_odd))
     return Recipe(pb, nabla_bar, gbar, basic, adjoint_setup(a, tm_conn))
 
 
@@ -1534,24 +1534,26 @@ def check_basic_splitting(k: int, base: Connection, basic: Connection):
                 raise SplittingFailure(f"{parity} block of hor(e_{i + 1}) does not split")
 
 
-def reference_morita_verdicts(a, k, tm_conn, g, g_v, max_q, alt_metric):
+def reference_morita_verdicts(a, k, tm_conn, g, max_q, seed):
     """(per_q, cohomologous) of morita_check, with every cochain computed
-    on its own by reference_cs_cochain and every setup and dual rebuilt
-    where it is used."""
+    on its own by reference_cs_cochain, every setup and dual rebuilt
+    where it is used, and the perturbed metric drawn as morita_check
+    draws it."""
     base = adjoint_setup(a, tm_conn)
-    recipe = submersion_recipe(a, k, tm_conn, g, g_v)
-    basic = recipe.basic
+    recipe = submersion_recipe(a, k, tm_conn, g)
+    basic, pb = recipe.basic, recipe.algebroid
+    rng = random.Random(seed)
+    alt_metric = HermitianMetric(basic.bundle, _random_pd(pb.r, rng), _random_pd(pb.n, rng))
     per_q, cohomologous = {}, {}
     for q in range(1, max_q + 1):
         base_cs = reference_cs_cochain([base, h_dual(base, g)], q)
         lhs = reference_cs_cochain([basic, h_dual(basic, recipe.metric)], q)
         rhs = pullback_form(a, k, base_cs)
         per_q[q] = {"equal": lhs == rhs, "both_zero": lhs.is_zero() and rhs.is_zero()}
-        if alt_metric is not None:
-            phase = I ** (q + 1)
-            rep = reference_cs_cochain([basic, h_dual(basic, alt_metric)], q)
-            diff = rep.scale(phase) - pullback_form(a, k, base_cs.scale(phase))
-            cohomologous[q] = coboundary_witness(recipe.algebroid, diff) is not None
+        phase = I ** (q + 1)
+        rep = reference_cs_cochain([basic, h_dual(basic, alt_metric)], q)
+        diff = rep.scale(phase) - pullback_form(a, k, base_cs.scale(phase))
+        cohomologous[q] = coboundary_witness(pb, diff) is not None
     return per_q, cohomologous
 
 

@@ -280,7 +280,7 @@ class TestAdjointSetup:
         cases = [(a, tm, adjoint_setup(a, tm))]
         if k:
             g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
-            recipe = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+            recipe = submersion_recipe(a, k, tm, g)
             cases.append((recipe.algebroid, recipe.tm_conn, recipe.basic))
         for b, tm_b, basic in cases:
             rho = b.anchor
@@ -326,8 +326,7 @@ class TestAdjointSetup:
         # column take their two products
         rng = random.Random(38)
         calls = count_calls(monkeypatch, linalg._cmatmul)
-        recipe = submersion_recipe(so3(), 2, [], adjoint_metric(so3(), Matrix.identity(3), Matrix.zeros(0, 0)),
-                                   Matrix.identity(2))
+        recipe = submersion_recipe(so3(), 2, [], adjoint_metric(so3(), Matrix.identity(3), Matrix.zeros(0, 0)))
         calls.clear()
         adjoint_setup(recipe.algebroid, recipe.tm_conn)
         assert calls == []
@@ -381,7 +380,7 @@ def zero_column_cases():
             if a.n:
                 cases.append((f"{name}, {kind}", a, tm))
             for k in (1, 2):
-                recipe = submersion_recipe(a, k, tm, g, Matrix.identity(k))
+                recipe = submersion_recipe(a, k, tm, g)
                 cases.append((f"{name} at k={k}, {kind}", recipe.algebroid, recipe.tm_conn))
     return cases
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algch import charclasses, cli, connections, fileio
+from algch import charclasses, cli, connections, fileio, pullback
 from algch.algebroid import ConstantAlgebroid, direct_product
 from algch.cli import main
 from algch.fileio import (
@@ -278,6 +278,8 @@ DROPPED_INPUT_ERRORS = {
     "unknown bracket key": r"bracket entry: unknown keys \['k'\]",
     "unknown connection key": r"connection: unknown keys \['tm'\]",
     "unknown Gaussian entry key": r"^bad scalar entry \{'re': '1', 'img': '2'\}: unknown keys \['img'\]$",
+    # the format has no fibre metric: morita-check's g-bar is I_k beside g
+    "g_V not a list": r"^metric: unknown keys \['g_V'\]$",
 }
 
 
@@ -336,35 +338,43 @@ def with_metric(name, **blocks):
     return doc
 
 
-# a metric block that is not Hermitian positive-definite: (document, key)
+# a metric block that is not Hermitian positive-definite, or a g_V block,
+# which the format does not have: (document, the error)
 BAD_METRICS = {
-    "non-PD g_A": (with_metric("q_family.json", g_A=[["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "g_A"),
-    "non-Hermitian g_M": (with_metric("tt2.json", g_M=[["1", "1"], ["0", "1"]]), "g_M"),
-    "non-PD g_V": (with_metric("tt2.json", g_V=[["1", "0"], ["0", "0"]]), "g_V"),
-    "imaginary diagonal g_A": (with_metric("so3.json", g_A=[[{"im": "1"}, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "g_A"),
+    "non-PD g_A": (
+        with_metric("q_family.json", g_A=[["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        "g_A: metric block is not positive-definite",
+    ),
+    "non-Hermitian g_M": (with_metric("tt2.json", g_M=[["1", "1"], ["0", "1"]]), "g_M: metric block is not Hermitian"),
+    "non-PD g_V": (with_metric("tt2.json", g_V=[["1", "0"], ["0", "0"]]), "metric: unknown keys ['g_V']"),
+    "imaginary diagonal g_A": (
+        with_metric("so3.json", g_A=[[{"im": "1"}, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+        "g_A: metric block is not Hermitian",
+    ),
 }
 
 
 class TestMetricBlocks:
     """Metric blocks are checked when the document is parsed: a block
-    that is not Hermitian positive-definite is a ParseError (exit 1)."""
+    that is not Hermitian positive-definite, or one under a key other
+    than g_A and g_M, is a ParseError (exit 1)."""
 
     @pytest.mark.parametrize("name", sorted(BAD_METRICS))
     def test_parse_rejects(self, name):
-        doc, key = BAD_METRICS[name]
-        with pytest.raises(ParseError, match=f"^{key}: metric block is not"):
+        doc, error = BAD_METRICS[name]
+        with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
             parse_algebroid(doc)
 
     @pytest.mark.parametrize("command", ["char", "modular", "cs", "morita-check", "validate"])
     @pytest.mark.parametrize("name", sorted(BAD_METRICS))
     def test_commands_report_error(self, capsys, tmp_path, command, name):
-        doc, key = BAD_METRICS[name]
+        doc, error = BAD_METRICS[name]
         f = tmp_path / "doc.json"
         f.write_text(json.dumps(doc))
         status, out = run_cli(capsys, command, f)
         assert status == 1
         prefix = "INVALID: " if command == "validate" else "error: "
-        assert out.startswith(f"{prefix}{key}: metric block is not")
+        assert out == f"{prefix}{error}\n"
 
     def test_bad_metric_in_batch_fails_only_that_job(self, capsys, tmp_path):
         f = tmp_path / "doc.json"
@@ -378,9 +388,9 @@ class TestMetricBlocks:
         assert reports[1]["betti"] == [1, 0, 0, 1]
 
     def test_valid_blocks_accepted(self):
-        doc = with_metric("tt2.json", g_A=[["2", {"im": "1"}], [{"im": "-1"}, "1"]], g_V=[["3"]])
+        doc = with_metric("tt2.json", g_A=[["2", {"im": "1"}], [{"im": "-1"}, "1"]], g_M=[["3", "0"], ["0", "1"]])
         _, extras = parse_algebroid(doc)
-        assert set(extras) == {"g_A", "g_V"}
+        assert set(extras) == {"g_A", "g_M"}
 
 
 class TestCountOptions:
@@ -433,7 +443,7 @@ class TestCountOptions:
 class TestUnreadOptions:
     """An option that the command does not read is refused, naming the
     flag, with exit 1: char and cs read --max-q, morita-check --max-q,
-    --k and --seed, the other commands none."""
+    --k and --seed, the other commands none; batch reads one document."""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -484,6 +494,24 @@ class TestUnreadOptions:
         assert reports[3]["betti"] == [1, 0, 0, 1]
         assert "error: cs does not read --k" in out and "error: validate does not read --seed" in out
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("batch_example.json", "so3.json"), "batch takes 1 input file(s)"),
+            (("--max-q", "3", "batch_example.json"), "batch does not read --max-q"),
+            (("--k", "2", "--seed", "4", "batch_example.json", "so3.json"), "batch does not read --k"),
+        ],
+        ids=["two inputs", "--max-q", "options and two inputs"],
+    )
+    def test_batch_reads_one_document_and_no_option(self, capsys, tmp_path, argv, error):
+        # refused before the document is read, like a malformed one
+        out_file = tmp_path / "report.json"
+        args = [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
+        status = main(["batch", "--out", str(out_file), *args])
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == (1, "", f"error: {error}\n")
+        assert not out_file.exists()
+
 
 SO3_COHOMOLOGY = {"command": "cohomology", "inputs": [str(INPUTS / "so3.json")]}
 
@@ -524,6 +552,7 @@ class TestBatchDocuments:
         "job, message",
         [
             ({"command": "nope", "inputs": []}, "unknown command 'nope'"),
+            ({"command": "batch", "inputs": [str(INPUTS / "batch_example.json")]}, "unknown command 'batch'"),
             ({"command": "product", "inputs": [str(INPUTS / "so3.json")]}, "takes 2 input file(s)"),
             ({"command": "cs", "inputs": [str(INPUTS / "missing.json")]}, "missing.json"),
             ({"command": "validate", "inputs": [str(INPUTS)]}, "Is a directory"),
@@ -538,6 +567,7 @@ class TestBatchDocuments:
         ],
         ids=[
             "unknown command",
+            "nested batch",
             "wrong input count",
             "missing input",
             "directory input",
@@ -920,16 +950,15 @@ class TestDefinitenessDecidedOnce:
     metrics a command builds itself are positive-definite by
     construction and are not decided again."""
 
-    @pytest.mark.parametrize("with_g_v", [False, True])
+    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize(
         "argv", [("cs", "--max-q", "2"), ("morita-check", "--k", "1", "--seed", "3")]
     )
-    def test_one_decision_per_document_block(self, capsys, monkeypatch, tmp_path, argv, with_g_v):
+    def test_one_decision_per_document_block(self, capsys, monkeypatch, tmp_path, argv, real):
+        # a Gaussian g_A beside a real g_M, or both real
         rng = random.Random(11)
         a = tangent_torus(2)
-        extras = {"g_A": rand_pd_matrix(a.r, rng), "g_M": rand_pd_matrix(a.n, rng, real=True)}
-        if with_g_v:
-            extras["g_V"] = rand_pd_matrix(1, rng)
+        extras = {"g_A": rand_pd_matrix(a.r, rng, real), "g_M": rand_pd_matrix(a.n, rng, real=True)}
         f = tmp_path / "doc.json"
         f.write_text(json.dumps(serialize_algebroid(a, extras)))
         decided = []
@@ -943,7 +972,7 @@ class TestDefinitenessDecidedOnce:
             monkeypatch.setattr(module, "check_metric_block", counted)
         status, _ = run_cli(capsys, *argv, f)
         assert status == 0
-        assert len(decided) == 2 + with_g_v
+        assert len(decided) == 2
 
 
 class TestUndecodableDocuments:
@@ -1163,33 +1192,38 @@ class TestParserBuiltOnce:
         assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
-def scalar_random_pd(n: int, rng: random.Random) -> Matrix:
-    """The metric block of morita-check's perturbed metric, built from
-    Scalar entries: m^H m + 1 for m of entries drawn x, u, y, v in turn."""
-    m = Matrix(
-        [
-            [
-                Scalar(
-                    Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
-                    Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
-                )
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ],
-        ncols=n,
-    )
-    return m.conj_transpose() * m + Matrix.identity(n)
-
-
 class TestRandomMetric:
-    def test_matches_scalar_construction(self):
-        # the same draws give the same matrix, so morita-check reports
-        # do not depend on how the block is built
-        for seed in range(51):
+    """The blocks of morita-check's perturbed metric, drawn by
+    pullback._random_pd, and the verdicts that do not depend on them."""
+
+    def test_positive_definite(self):
+        for seed in range(20):
+            rng = random.Random(seed)
             for n in range(7):
-                r1, r2 = random.Random(seed), random.Random(seed)
-                got, want = cli._random_pd(n, r1), scalar_random_pd(n, r2)
+                m = pullback._random_pd(n, rng)
+                assert m.shape == (n, n)
+                connections.check_metric_block(m)
+
+    def test_same_seed_same_matrix(self):
+        for seed in range(20):
+            r1, r2 = random.Random(seed), random.Random(seed)
+            for n in range(7):
+                got, want = pullback._random_pd(n, r1), pullback._random_pd(n, r2)
                 assert got == want
                 assert (got.re, got.im, got.den) == (want.re, want.im, want.den)
-                assert r1.getstate() == r2.getstate()
+
+    def test_matches_matrix_arithmetic(self):
+        # the integer rows against m^H m + 1 taken in Matrix arithmetic, m
+        # of the same draws: real then imaginary part per entry, row by row
+        for seed in range(10):
+            for n in range(5):
+                parts = random.Random(seed).choices(range(-2, 3), k=2 * n * n)
+                m = Matrix([[Scalar(*parts[2 * (n * i + j):2 * (n * i + j) + 2]) for j in range(n)] for i in range(n)], ncols=n)
+                got = pullback._random_pd(n, random.Random(seed))
+                assert got == m.conj_transpose() * m + Matrix.identity(n)
+
+    def test_verdicts_do_not_depend_on_the_seed(self, capsys):
+        f = INPUTS / "tt1_so3_gauss_conn.json"
+        outs = [run_cli(capsys, "morita-check", "--k", "2", "--max-q", "2", "--seed", seed, f) for seed in range(5)]
+        assert outs[0] == (0, "q=1: EQUAL (both zero)\nq=2: EQUAL\nq=1 perturbed metric: cohomologous\nq=2 perturbed metric: cohomologous\n")
+        assert all(out == outs[0] for out in outs)

@@ -173,8 +173,8 @@ class TestClearedMatrix:
         # Gaussian ones are not Hermitian, so their pivots are complex in general
         rng = random.Random(seed)
         a = gaussian_matrix(n, n, rng, density, real)
-        # a metric shaped like g-bar, block_diag(g_V, g_A): the rows of
-        # one block have f = 0 at every step of the other
+        # a block-diagonal metric, block_diag(V, g_A): the rows of one
+        # block have f = 0 at every step of the other
         gbar = Matrix.block_diag(rand_pd_matrix(rng.randint(0, 2), rng, real=True), rand_pd_matrix(n, rng, real))
         before = snapshot(a, gbar)
         assert ring_matrix(inverse(gbar)) == reference_inverse(gbar)
@@ -222,7 +222,7 @@ class TestClearedMatrix:
         [[0, 1], [0, 2]],
         [[Scalar(1, 1), 2, 0], [I, Scalar(1, -1), 1], [I, Scalar(3, 1), I]],
         [[0]],
-        # block_diag(g_V, g_A), shaped like g-bar: a real g_V and a Gaussian
+        # block_diag(V, g_A), block diagonal: a real V and a Gaussian
         # Hermitian g_A over 2, whose pivots are its leading minors
         [
             [2, 1, 0, 0, 0],

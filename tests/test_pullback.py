@@ -11,7 +11,7 @@ from algch.algebroid import (
     coboundary_witness,
     direct_product,
 )
-from algch.connections import Connection, GradedBundle, GradedEndo, HermitianMetric, h_dual
+from algch.connections import Connection, GradedEndo, HermitianMetric, h_dual
 from algch.transgression import cs_cochains
 from algch.charclasses import adjoint_setup
 from algch import cli, connections, pullback
@@ -136,22 +136,9 @@ class TestSubmersionRecipe:
     """The connection and metric that morita_check builds on the
     pullback, as the test helper submersion_recipe rebuilds them."""
 
-    def test_g_v_shape_enforced(self):
-        # an explicit check, so it also runs under python -O
-        a = q_family(1, 2, 3, 4)
-        g = adjoint_metric(a, Matrix.identity(3), Matrix.identity(0))
-        with pytest.raises(ValueError, match="g_v must be 2 x 2, got 1 x 1"):
-            morita_check(a, 2, [], g, Matrix.identity(1))
-
     def test_lie_algebra_block_structure(self):
         for g in (heisenberg(), q_family(1, 2, 3, 4)):
-            recipe = submersion_recipe(
-                g,
-                1,
-                [],
-                adjoint_metric(g, Matrix.identity(3), Matrix.identity(0)),
-                Matrix.identity(1),
-            )
+            recipe = submersion_recipe(g, 1, [], adjoint_metric(g, Matrix.identity(3), Matrix.identity(0)))
             base = adjoint_setup(g, [])
             # vertical section acts by zero; horizontal lifts act by ad
             assert recipe.basic.omega[0].is_zero()
@@ -166,20 +153,15 @@ class TestSubmersionRecipe:
         for n in (1, 2):
             a = tangent_torus(n)
             recipe = submersion_recipe(
-                a,
-                1,
-                [Matrix.zeros(n, n)] * n,
-                adjoint_metric(a, Matrix.identity(n), Matrix.identity(n)),
-                Matrix.identity(1),
+                a, 1, [Matrix.zeros(n, n)] * n, adjoint_metric(a, Matrix.identity(n), Matrix.identity(n))
             )
             assert all(om.is_zero() for om in recipe.basic.omega)
 
     def test_vertical_subconnection_is_metric(self):
         rng = random.Random(63)
         a = q_family(1, 2, 3, 4)
-        g_v = rand_pd_matrix(2, rng, real=True)
         g = adjoint_metric(a, rand_pd_matrix(3, rng, real=True), Matrix.identity(0))
-        recipe = submersion_recipe(a, 2, [], g, g_v)
+        recipe = submersion_recipe(a, 2, [], g)
         dual = h_dual(recipe.basic, recipe.metric)
         for j in range(2):  # vertical frame sections
             assert recipe.basic.omega[j].is_zero()
@@ -191,9 +173,8 @@ class TestSubmersionRecipe:
         a = tangent_torus(2)
         tm = rand_tm_conn(a, rng)
         g = adjoint_metric(a, rand_pd_matrix(2, rng), rand_pd_matrix(2, rng))
-        g_v = rand_pd_matrix(1, rng)
-        want = submersion_recipe(a, 1, tm, g, g_v)
-        got = submersion_recipe(a, 1, iter(tm), g, g_v)
+        want = submersion_recipe(a, 1, tm, g)
+        got = submersion_recipe(a, 1, iter(tm), g)
         for field in ("algebroid", "tm_conn", "basic", "base"):
             assert getattr(got, field) == getattr(want, field)
         for block in ("bundle", "h_even", "h_odd"):
@@ -204,7 +185,7 @@ class TestSubmersionRecipe:
         a = tangent_torus(1)
         tm = rand_tm_conn(a, rng)
         g_a, g_m = rand_pd_matrix(1, rng), rand_pd_matrix(1, rng)
-        recipe = submersion_recipe(a, 1, tm, adjoint_metric(a, g_a, g_m), Matrix.identity(1))
+        recipe = submersion_recipe(a, 1, tm, adjoint_metric(a, g_a, g_m))
         assert recipe.base == adjoint_setup(a, tm)
 
 
@@ -228,7 +209,7 @@ class TestBasicSplitting:
                 "gaussian": lambda: rand_tm_conn(a, rng, real=False),
             }[kind]()
             g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
-            r = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+            r = submersion_recipe(a, k, tm, g)
             check_basic_splitting(k, r.base, r.basic)
             imaginary += any(om.oo.im is not None for om in r.basic.omega)
         # a Gaussian tm_conn over a base gives the pullback imaginary rows
@@ -242,7 +223,7 @@ class TestBasicSplittingFailures:
         rng = random.Random(67)
         a = q_family(1, 2, 3, 4)
         g = adjoint_metric(a, rand_pd_matrix(3, rng, real=True), Matrix.identity(0))
-        return submersion_recipe(a, 1, [], g, Matrix.identity(1))
+        return submersion_recipe(a, 1, [], g)
 
     def test_wrong_base_connection(self):
         r = self.recipe()
@@ -253,7 +234,7 @@ class TestBasicSplittingFailures:
     def test_wrong_odd_block(self):
         a = tangent_torus(1)
         g = Matrix.identity(1)
-        r = submersion_recipe(a, 1, [Matrix.identity(1)], adjoint_metric(a, g, g), g)
+        r = submersion_recipe(a, 1, [Matrix.identity(1)], adjoint_metric(a, g, g))
         # the base connection with its odd blocks moved, its even ones kept
         other = Connection(r.base.algebroid, r.base.bundle, [
             GradedEndo(om.ee, om.oo + Matrix.identity(1)) for om in r.base.omega
@@ -268,7 +249,7 @@ class TestBasicSplittingFailures:
         rng = random.Random(68)
         a = q_family(1, 2, 3, 4)
         g = adjoint_metric(a, rand_pd_matrix(3, rng, real=True), Matrix.identity(0))
-        r = submersion_recipe(a, k, rand_tm_conn(a, rng), g, Matrix.identity(k))
+        r = submersion_recipe(a, k, rand_tm_conn(a, rng), g)
         # hor(e_2)'s even block is block_diag(0_k, the base block) but for
         # one entry that couples v_k to hor(e_3)
         omega = list(r.basic.omega)
@@ -288,7 +269,7 @@ class TestBasicSplittingFailures:
         a = tangent_torus(1)
         g = Matrix.identity(1)
         tm = Matrix([[Scalar(Fraction(1, 2), 2 if gaussian else 0)]])
-        r = submersion_recipe(a, 1, [tm], adjoint_metric(a, g, g), g)
+        r = submersion_recipe(a, 1, [tm], adjoint_metric(a, g, g))
         assert (r.base.omega[0].oo.im is not None) == gaussian
         other = Connection(r.base.algebroid, r.base.bundle, [
             GradedEndo(om.ee, om.oo + Matrix([[I]])) for om in r.base.omega
@@ -310,7 +291,7 @@ class TestBasicSplittingFailures:
             return Connection(c.algebroid, c.bundle, [GradedEndo(om.ee + z[0], om.oo + z[1]) for om in c.omega])
 
         for k in (1, 2):
-            r = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+            r = submersion_recipe(a, k, tm, g)
             basic101, base103 = over(r.basic, 101), over(r.base, 103)
             assert any(om.oo.im is not None for om in r.base.omega)
             assert all(om.ee.den == 101 * bom.ee.den for om, bom in zip(basic101.omega[k:], r.base.omega))
@@ -326,7 +307,7 @@ class TestBasicSplittingFailures:
         rng = random.Random(72)
         a = small_corpus()["tt1_x_so3"]
         g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
-        r = submersion_recipe(a, k, rand_tm_conn(a, rng), g, rand_pd_matrix(k, rng))
+        r = submersion_recipe(a, k, rand_tm_conn(a, rng), g)
         assert any(not bom.oo.is_zero() for bom in r.base.omega)
         vertical = Matrix.zeros(k, k)
         omega = list(r.basic.omega[:k]) + [
@@ -340,7 +321,7 @@ class TestBasicSplittingFailures:
     def test_vertical_section_acting(self):
         a = tangent_torus(1)
         g = Matrix.identity(1)
-        r = submersion_recipe(a, 1, [Matrix.zeros(1, 1)], adjoint_metric(a, g, g), g)
+        r = submersion_recipe(a, 1, [Matrix.zeros(1, 1)], adjoint_metric(a, g, g))
         # let the vertical coordinate field, the first, move v_1: the
         # basic connection of the pullback then acts along v_1
         nabla = list(r.tm_conn)
@@ -363,7 +344,7 @@ class TestDualSplitting:
             for k in (1, 2):
                 tm = rand_tm_conn(a, rng)
                 g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
-                r = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+                r = submersion_recipe(a, k, tm, g)
                 vertical = Matrix.zeros(k, k)
                 want_base = reference_h_dual(r.base, g)
                 want = reference_h_dual(r.basic, r.metric)
@@ -388,20 +369,45 @@ class TestDualSplitting:
             tm = rand_tm_conn(a, rng)
             g = adjoint_metric(a, rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng))
             for k in (1, 2):
-                g_v = rand_pd_matrix(k, rng)
                 built.clear()
-                assert morita_check(a, k, tm, g, g_v, max_q=2).passed, (name, k)
+                assert morita_check(a, k, tm, g, max_q=2, seed=k).passed, (name, k)
                 assert built == [], (name, k)
-            # the chain at max_q 3 reads the duals' frames: base and pullback
-            assert morita_check(a, 1, tm, g, rand_pd_matrix(1, rng), max_q=3).passed, name
-            assert len(built) == 2, name
+            # the chain at max_q 3 reads the duals' frames: base, g-bar
+            # and the perturbed metric
+            assert morita_check(a, 1, tm, g, max_q=3).passed, name
+            assert len(built) == 3, name
+
+
+class TestFibreMetric:
+    """The vertical block of a metric block_diag(V, g) on the pullback
+    reaches no cochain: the basic connection is zero on the k vertical
+    rows and columns of every frame, so the metric term reads g's block
+    alone, and at max_q >= 3 the dual's -H^-1 Omega* H cancels V.  This
+    is why morita_check's g-bar takes V = I_k."""
+
+    @pytest.mark.parametrize("max_q", [2, 3])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "gaussian"])
+    def test_fibre_block_reaches_no_cochain(self, real, max_q):
+        rng = random.Random(f"fibre/{real}/{max_q}")
+        for name, a in small_corpus().items():
+            tm = rand_tm_conn(a, rng, real=real)
+            g = adjoint_metric(a, rand_pd_matrix(a.r, rng, real), rand_pd_matrix(a.n, rng, real))
+            for k in (1, 2):
+                r = submersion_recipe(a, k, tm, g)
+                want = cs_cochains(r.basic, r.metric, max_q)
+                for _ in range(2):
+                    v = rand_pd_matrix(k, rng, real) + Matrix.identity(k)  # not I_k
+                    h = HermitianMetric(
+                        r.basic.bundle, Matrix.block_diag(v, g.h_even), Matrix.block_diag(v, g.h_odd)
+                    )
+                    assert cs_cochains(r.basic, h, max_q) == want, (name, k)
 
 
 class TestMoritaCheck:
     def test_q_family_nonzero_class(self):
         a = q_family(1, 0, 0, 1)  # Tr Q = 2
         g = adjoint_metric(a, Matrix.identity(3), Matrix.identity(0))
-        report = morita_check(a, 1, [], g, Matrix.identity(1), max_q=1)
+        report = morita_check(a, 1, [], g, max_q=1)
         assert report.passed
         assert report.per_q[1]["equal"] and not report.per_q[1]["both_zero"]
         # the shared q=1 form is a nonzero class upstairs
@@ -413,12 +419,7 @@ class TestMoritaCheck:
     def test_tangent_torus_both_zero(self):
         a = tangent_torus(2)
         report = morita_check(
-            a,
-            1,
-            [Matrix.zeros(2, 2)] * 2,
-            adjoint_metric(a, Matrix.identity(2), Matrix.identity(2)),
-            Matrix.identity(1),
-            max_q=2,
+            a, 1, [Matrix.zeros(2, 2)] * 2, adjoint_metric(a, Matrix.identity(2), Matrix.identity(2)), max_q=2
         )
         assert report.passed
         assert all(v["both_zero"] for v in report.per_q.values())
@@ -426,22 +427,18 @@ class TestMoritaCheck:
     def test_so3_invariant_metric_both_zero(self):
         a = so3()
         g = adjoint_metric(a, Matrix.identity(3), Matrix.identity(0))
-        report = morita_check(a, 2, [], g, Matrix.identity(2), max_q=2)
+        report = morita_check(a, 2, [], g, max_q=2)
         assert report.passed
         assert all(v["both_zero"] for v in report.per_q.values())
 
     def test_perturbed_metric_cohomologous(self):
-        rng = random.Random(64)
+        # a verdict for every q under each seed's perturbed metric
         a = q_family(1, 2, 3, 4)
-        pb = pullback_algebroid(a, 1)
-        bundle = GradedBundle(pb.r, pb.n, d01=pb.anchor)
-        alt = HermitianMetric(
-            bundle, rand_pd_matrix(pb.r, rng, real=True), rand_pd_matrix(pb.n, rng, real=True)
-        )
         g = adjoint_metric(a, Matrix.identity(3), Matrix.identity(0))
-        report = morita_check(a, 1, [], g, Matrix.identity(1), max_q=2, alt_metric=alt)
-        assert report.passed
-        assert all(report.cohomologous.values())
+        for seed in range(4):
+            report = morita_check(a, 1, [], g, max_q=2, seed=seed)
+            assert report.passed
+            assert report.cohomologous == {1: True, 2: True}
 
 
 class TestMoritaReport:
@@ -459,20 +456,13 @@ class TestMoritaAgainstReference:
 
     def test_corpus_verdicts(self):
         rng = random.Random(68)
-        for name, a in small_corpus().items():
+        for seed, (name, a) in enumerate(small_corpus().items()):
             tm = rand_tm_conn(a, rng, real=True)
             g_a = rand_pd_matrix(a.r, rng)
             g_m = rand_pd_matrix(a.n, rng, real=True)
             g = adjoint_metric(a, g_a, g_m)
-            g_v = Matrix.identity(1)
-            anchor = pullback_algebroid(a, 1).anchor
-            alt = HermitianMetric(
-                GradedBundle(anchor.ncols, anchor.nrows, d01=anchor),
-                rand_pd_matrix(anchor.ncols, rng),
-                rand_pd_matrix(anchor.nrows, rng, real=True),
-            )
-            report = morita_check(a, 1, tm, g, g_v, max_q=2, alt_metric=alt)
-            per_q, cohomologous = reference_morita_verdicts(a, 1, tm, g, g_v, 2, alt)
+            report = morita_check(a, 1, tm, g, max_q=2, seed=seed)
+            per_q, cohomologous = reference_morita_verdicts(a, 1, tm, g, 2, seed)
             assert report.per_q == per_q, name
             assert report.cohomologous == cohomologous, name
             assert report.passed == (
@@ -482,19 +472,13 @@ class TestMoritaAgainstReference:
     def test_setups_and_duals_built_once(self, monkeypatch):
         setups = count_calls(monkeypatch, pullback.adjoint_setup)
         duals = count_calls(monkeypatch, connections.h_dual)
-        rng = random.Random(69)
         a = heisenberg()
-        anchor = pullback_algebroid(a, 1).anchor
-        alt = HermitianMetric(
-            GradedBundle(anchor.ncols, anchor.nrows, d01=anchor),
-            rand_pd_matrix(anchor.ncols, rng),
-            rand_pd_matrix(anchor.nrows, rng),
-        )
         g = adjoint_metric(a, Matrix.identity(3), Matrix.identity(0))
         # base and pullback setups; no dual up to max_q 2, and from
-        # max_q 3 one per cochain: base, pullback and alternative
+        # max_q 3 one per cochain: base, pullback and perturbed
         for max_q, want in ((2, 0), (3, 3)):
             setups.clear()
             duals.clear()
-            morita_check(a, 1, [], g, Matrix.identity(1), max_q=max_q, alt_metric=alt)
+            morita_check(a, 1, [], g, max_q=max_q, seed=69)
             assert (len(setups), len(duals)) == (2, want), max_q
+

@@ -28,7 +28,6 @@ from algch.transgression import (
 )
 from algch.library import abelian, heisenberg, so3, sl3_r3, tangent_torus
 from algch.charclasses import DomainError, adjoint_bundle, adjoint_setup, basic_cochains, intrinsic_char, modular_class
-from algch.pullback import pullback_algebroid
 
 from helpers import (
     submersion_recipe,
@@ -559,7 +558,7 @@ def basic_data(a, rng, real_tm, real_metric, fibre=False):
     h = adjoint_metric(a, rand_pd_matrix(a.r, rng, real_metric), rand_pd_matrix(a.n, rng, real_metric))
     if not fibre:
         return a, tm, h
-    recipe = submersion_recipe(a, 1, tm, h, rand_pd_matrix(1, rng, real_metric))
+    recipe = submersion_recipe(a, 1, tm, h)
     return recipe.algebroid, recipe.tm_conn, recipe.metric
 
 
@@ -949,7 +948,7 @@ class TestMetricTransgressionReach:
 
     @pytest.mark.parametrize("name", ["heisenberg", "so3", "tt2", "tt1 x so3"])
     def test_g_bar_eliminates_the_base_block(self, monkeypatch, name):
-        # g-bar = block_diag(g_V, g) under Gaussian blocks: each parity the
+        # g-bar = block_diag(I_k, g) under Gaussian blocks: each parity the
         # base eliminates, the pullback eliminates on g's block alone, r
         # (or n) rows and not k + r (or k + n)
         a = {"heisenberg": heisenberg(), "so3": so3(), "tt2": tangent_torus(2),
@@ -961,7 +960,7 @@ class TestMetricTransgressionReach:
         cs_cochains(adjoint_setup(a, tm), g, 2)
         assert rows == [a.r] + [a.n] * (a.n > 0)
         for k in (1, 2):
-            recipe = submersion_recipe(a, k, tm, g, rand_pd_matrix(k, rng))
+            recipe = submersion_recipe(a, k, tm, g)
             rows.clear()
             cs_cochains(recipe.basic, recipe.metric, 2)
             assert rows == [a.r] + [a.n] * (a.n > 0), k
@@ -991,10 +990,9 @@ class TestMetricTransgressionOnMorita:
         g = HermitianMetric(adjoint_bundle(a.anchor), rand_pd_matrix(a.r, rng), rand_pd_matrix(a.n, rng, real=True))
         odd = nonzero = 0
         for k in (1, 2):
-            alt = rand_metric(adjoint_bundle(pullback_algebroid(a, k).anchor), rng)
             calls.clear()
-            assert pullback.morita_check(a, k, tm, g, rand_pd_matrix(k, rng, real=True), 2, alt).passed
-            assert len(calls) == 3, k  # base under g, pullback under g-bar and alt
+            assert pullback.morita_check(a, k, tm, g, 2, seed=k).passed
+            assert len(calls) == 3, k  # base under g, pullback under g-bar and the perturbed metric
             for f0, d0, h, (den, t) in calls:
                 assert all(t[j, i] == (-x, -y) for (i, j), (x, y) in t.items())
                 assert integer_form(len(f0), 2, t, den) == dual_frame_t(integer_connection(f0, d0, h.bundle), h), k
